@@ -177,7 +177,7 @@ def cmd_eval_eisenstein(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, jobs=args.jobs)
+    reports = run_suite(args.suite, seed=args.seed)
     for r in reports:
         _log(r.summary_line())
     _emit(reports_to_json(reports), args.out)
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True,
                     choices=sorted(SUITES) + ["all"])
     pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
 
@@ -271,14 +270,15 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (CliParseError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_PARSE
     except HeckeisError as exc:
+        # before ValueError: several numeric failures also derive from it
         _log(f"numeric failure: {exc}")
         if "expansion" not in str(exc):
             _log("hint: try --method expansion (valid for all s) or a looser --tol")
         return EXIT_NUMERIC
+    except (CliParseError, ValueError) as exc:
+        _log(f"error: {exc}")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

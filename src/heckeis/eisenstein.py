@@ -35,10 +35,10 @@ import numpy as np
 
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import ConvergenceError, DegenerateLatticeError, PoleError
-from .lattice import OFLattice
+from .lattice import OFLattice, ball_points
 from .precision import DEFAULT, PrecisionConfig
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
-from .zeta import _coeff_box, _ideal_embedding_matrix, c_F, completed_zeta
+from .zeta import _ideal_embedding_matrix, c_F, completed_zeta
 
 _POLE_RADIUS = 1e-8
 
@@ -161,12 +161,13 @@ class EisensteinEvaluator:
             Mb = _ideal_embedding_matrix(self.bstar)
             ay = abs(self.y)
             cap = L / (2 * math.pi * ay)
-            betas = _complex_points(Mb, cap / _min_abs(Ma))
+            n_cap = self.config.enum_point_cap
+            betas = _complex_points(Mb, cap / _min_abs(Ma, n_cap), n_cap)
             if betas.size == 0:
                 out = (np.zeros(0), np.zeros(0), np.zeros(0))
                 self._pairs[key] = out
                 return out
-            alphas = _complex_points(Ma, cap / np.abs(betas).min())
+            alphas = _complex_points(Ma, cap / np.abs(betas).min(), n_cap)
             aabs = np.abs(alphas)
             babs = np.abs(betas)
             order = np.argsort(babs)
@@ -351,39 +352,19 @@ class EisensteinEvaluator:
 # helpers
 
 
-def _min_abs(M: np.ndarray) -> float:
-    """Minimal |alpha| over nonzero points of the 2-d lattice with basis M."""
-    best = None
-    for c1 in range(-3, 4):
-        for c2 in range(-3, 4):
-            if c1 == 0 and c2 == 0:
-                continue
-            v = M @ np.array([c1, c2], dtype=float)
-            r = math.hypot(v[0], v[1])
-            best = r if best is None else min(best, r)
-    # certified by a box search at the candidate radius
-    radii = _coeff_box(M, best)
-    for c1 in range(-int(radii[0]), int(radii[0]) + 1):
-        for c2 in range(-int(radii[1]), int(radii[1]) + 1):
-            if c1 == 0 and c2 == 0:
-                continue
-            v = M @ np.array([c1, c2], dtype=float)
-            best = min(best, math.hypot(v[0], v[1]))
-    return best
+def _min_abs(M: np.ndarray, cap: int) -> float:
+    """Minimal |alpha| over nonzero points of the 2-d lattice with basis M
+    (the ball reaching the shorter basis vector holds a nonzero point)."""
+    r = float(np.linalg.norm(M, axis=0).min())
+    return math.sqrt(min(float(r2.min()) for r2 in ball_points(M, r, cap)))
 
 
-def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:
+def _complex_points(M: np.ndarray, r_max: float, cap: int) -> np.ndarray:
     """All nonzero points of the 2-d lattice with basis M and |point| <= r_max,
     as complex numbers."""
-    radii = _coeff_box(M, r_max)
-    c0 = np.arange(-int(radii[0]), int(radii[0]) + 1, dtype=float)
-    c1 = np.arange(-int(radii[1]), int(radii[1]) + 1, dtype=float)
-    xs = np.add.outer(M[0, 0] * c0, M[0, 1] * c1).ravel()
-    ys = np.add.outer(M[1, 0] * c0, M[1, 1] * c1).ravel()
-    pts = xs + 1j * ys
-    r = np.abs(pts)
-    keep = (r > 0) & (r <= r_max * (1 + 1e-12))
-    return pts[keep]
+    pts = [complex(M[0, 0], M[1, 0]) * cs[0] + complex(M[0, 1], M[1, 1]) * cs[1]
+           for _, cs in ball_points(M, r_max, cap, coeffs=True)]
+    return np.concatenate([np.zeros(0, dtype=complex), *pts])
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,10 @@ def lattice_at(setup: HeckeSetup, sign: int, t: float) -> OFLattice:
 
 
 def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
-                      config: PrecisionConfig, n0: int = 16,
-                      upper: float = None):
+                      config: PrecisionConfig):
     """Sum over both sign components of int_1^eps0 node_fn(sign, t) dt/t by
-    Gauss-Legendre in log t, with node doubling."""
-    upper = upper if upper is not None else setup.eps0
-    log_up = math.log(upper)
+    Gauss-Legendre in log t, with node doubling from 16 nodes."""
+    log_up = math.log(setup.eps0)
 
     def estimate(n: int) -> complex:
         taus, wts = gauss_legendre_nodes(n, 0.0, log_up)
@@ -141,7 +139,7 @@ def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
             acc += complex(np.dot(wts, vals))
         return acc
 
-    n = n0
+    n = 16
     prev = estimate(n)
     for _ in range(config.quad_max_doublings):
         n *= 2
@@ -273,27 +271,17 @@ def classical_real_quadratic_integral(setup: HeckeSetup, s: complex,
     K = setup.K
     gamma2s = gamma_F(setup.F, 2 * s)
     node_tol = tol / 16.0
+    # eps0 = eps^(2 w_rel): t -> t^(1/w_rel) maps [1, eps0] onto [1, eps^2]
+    # and scales the measure dt/t by 1/w_rel
+    w = setup.w_rel
 
     def node(sign: int, t: float) -> complex:
-        return setup.evaluator_at(sign, t).ehat_expansion(s, node_tol)
+        if sign < 0:
+            return 0j
+        return setup.evaluator_at(1, t ** (1.0 / w)).ehat_expansion(s, node_tol)
 
-    log_up = 2 * K.regulator            # integrate over [1, eps^2]
-
-    def estimate(n: int) -> complex:
-        taus, wts = gauss_legendre_nodes(n, 0.0, log_up)
-        vals = np.array([node(1, math.exp(tau)) for tau in taus], dtype=complex)
-        return complex(np.dot(wts, vals))
-
-    n = 16
-    cur = estimate(n)
-    for _ in range(setup.config.quad_max_doublings):
-        n *= 2
-        nxt = estimate(n)
-        if abs(nxt - cur) <= tol / 2:
-            cur = nxt
-            break
-        cur = nxt
-    integral_E = cur / gamma2s
+    integral_E = _torus_quadrature(setup, node, tol * w, setup.config) \
+        / (w * gamma2s)
     dK = abs(K.discriminant)
     from .specialfun import complex_gamma
     pref = 2.0 * cmath.exp(-(s / 2) * math.log(dK)) * complex_gamma(s) \

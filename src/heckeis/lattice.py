@@ -169,113 +169,29 @@ class OFLattice:
 
     # -- enumeration -------------------------------------------------------------
 
-    def coeff_box_radii(self, norm_bound: float) -> np.ndarray:
-        """Rigorous per-coordinate bounds: any lattice point with algebra norm
-        <= norm_bound has |c_i| <= ||row_i(M^-1)|| * (Euclidean radius)."""
-        r = self.euclid_radius(norm_bound)
-        row_norms = np.linalg.norm(self.Minv, axis=1)
-        return np.floor(row_norms * r + 1e-9).astype(np.int64)
-
-    def _check_cap(self, radii: np.ndarray):
-        total = 1
-        for r in radii:
-            total *= 2 * int(r) + 1
-        if total > self.config.enum_point_cap:
-            raise EnumerationCapError(
-                f"enumeration box of {total} points exceeds the cap "
-                f"{self.config.enum_point_cap}")
-
     def norm_chunks(self, norm_bound: float,
                     chunk: int = 4_000_000) -> Iterator[np.ndarray]:
         """Yield arrays of algebra norms of the nonzero points with
-        ||lambda|| <= norm_bound (all points, no orbit grouping).
-
-        Blocks of leading coefficients are pruned via the distance of the
-        shift to the span of the trailing basis vectors, and processed
-        against a cached mesh over the trailing coordinates.
-        """
-        radii = self.coeff_box_radii(norm_bound)
-        self._check_cap(radii)
-        r_eucl2 = self.euclid_radius(norm_bound) ** 2 * (1 + 1e-12)
-        cols = [self.M[:, j] for j in range(self.dim)]
-        ranges = [np.arange(-int(r), int(r) + 1, dtype=np.int64) for r in radii]
-        n_lead = self.dim // 2          # 1 or 2 leading coordinates
-
-        # inner mesh over the trailing coordinates
-        if self.dim == 2:
-            inner_coeffs = ranges[1].astype(float)[None, :]
-            inner_pts = np.outer(cols[1], inner_coeffs[0])
-        else:
-            mesh = np.meshgrid(ranges[2], ranges[3], indexing="ij")
-            inner_coeffs = np.stack([m.ravel().astype(float) for m in mesh])
-            inner_pts = (np.outer(cols[2], inner_coeffs[0])
-                         + np.outer(cols[3], inner_coeffs[1]))
-        inner_zero = np.all(inner_coeffs == 0, axis=0)
-
-        # leading shifts, pruned by distance to the span of trailing columns
-        trailing = np.column_stack(cols[n_lead:])
-        Qmat, _ = np.linalg.qr(trailing)
-        proj_perp = np.eye(self.dim) - Qmat @ Qmat.T
-        if self.dim == 2:
-            lead_coeffs = ranges[0].astype(float)[None, :]
-            shifts = np.outer(cols[0], lead_coeffs[0])
-        else:
-            mesh = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-            lead_coeffs = np.stack([m.ravel().astype(float) for m in mesh])
-            shifts = (np.outer(cols[0], lead_coeffs[0])
-                      + np.outer(cols[1], lead_coeffs[1]))
-        d2 = np.einsum("ij,ij->j", proj_perp @ shifts, shifts)
-        keep_lead = d2 <= r_eucl2
-        shifts = shifts[:, keep_lead]
-        lead_zero = np.all(lead_coeffs[:, keep_lead] == 0, axis=0)
-
-        n_inner = inner_pts.shape[1]
-        inner_r2 = np.einsum("ij,ij->j", inner_pts, inner_pts)
-        block = max(1, chunk // max(1, n_inner))
-        buf: List[np.ndarray] = []
-        size = 0
-        for start in range(0, shifts.shape[1], block):
-            sh = shifts[:, start:start + block]
-            sh_r2 = np.einsum("ij,ij->j", sh, sh)
-            # |shift + inner|^2 = |shift|^2 + 2 shift.inner + |inner|^2
-            r2 = sh.T @ inner_pts
-            r2 *= 2.0
-            r2 += sh_r2[:, None]
-            r2 += inner_r2[None, :]
-            keep = r2 <= r_eucl2
-            zero_rows = np.nonzero(lead_zero[start:start + block])[0]
-            for off in zero_rows:
-                keep[off] &= ~inner_zero
-            vals = r2[keep]
-            if vals.size:
-                # guard against cancellation producing tiny negatives at 0
-                vals = np.maximum(vals, 0.0)
-                norms = self.norms_from_euclid(vals)
-                if float(norms.min()) < 1e-12 * self.covolume ** (1.0 / self.field.degree):
-                    raise DegenerateLatticeError(
-                        "enumerated a nonzero point of near-zero norm")
-                buf.append(norms)
-                size += vals.size
-            if size >= chunk:
-                yield np.concatenate(buf)
-                buf, size = [], 0
-        if buf:
-            yield np.concatenate(buf)
+        ||lambda|| <= norm_bound (all points, no orbit grouping)."""
+        floor = 1e-12 * self.covolume ** (1.0 / self.field.degree)
+        for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
+                              self.config.enum_point_cap, chunk=chunk):
+            norms = np.sqrt(r2, out=r2) if self.field.is_rational else r2
+            if float(norms.min()) < floor:
+                raise DegenerateLatticeError(
+                    "enumerated a nonzero point of near-zero norm")
+            yield norms
 
     def points_upto(self, norm_bound: float) -> Tuple[np.ndarray, np.ndarray]:
         """All nonzero points with norm <= bound: (coefficient vectors,
         algebra norms).  Intended for modest bounds."""
-        radii = self.coeff_box_radii(norm_bound)
-        self._check_cap(radii)
-        grids = np.meshgrid(*[np.arange(-int(r), int(r) + 1) for r in radii],
-                            indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        nz = np.any(coeffs != 0, axis=1)
-        coeffs = coeffs[nz]
-        pts = coeffs.astype(float) @ self.M.T
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        keep = r2 <= self.euclid_radius(norm_bound) ** 2 * (1 + 1e-12)
-        return coeffs[keep], self.norms_from_euclid(r2[keep])
+        found = list(ball_points(self.M, self.euclid_radius(norm_bound),
+                                 self.config.enum_point_cap, coeffs=True))
+        if not found:
+            return np.zeros((0, self.dim), dtype=np.int64), np.zeros(0)
+        r2 = np.concatenate([r for r, _ in found])
+        coeffs = np.concatenate([c for _, c in found], axis=1).T
+        return coeffs, self.norms_from_euclid(r2)
 
     def unit_coeff_matrices(self) -> List[np.ndarray]:
         """Integer matrices describing left multiplication by each root of
@@ -386,6 +302,93 @@ class OFLattice:
             return (f"OFLattice({self.field.label}, a={self.ideal_a}, "
                     f"b={self.ideal_b}, V={self.covolume:.6g})")
         return f"OFLattice({self.field.label}, Z-basis, V={self.covolume:.6g})"
+
+
+def ball_points(M: np.ndarray, r: float,
+                cap: int = DEFAULT.enum_point_cap, coeffs: bool = False,
+                chunk: int = 4_000_000) -> Iterator:
+    """Enumerate the nonzero points M c (c integral) of the lattice with basis
+    columns M (dimension 2 or 4) in the closed Euclidean ball of radius r.
+
+    Yields arrays of squared lengths, about `chunk` points at a time; with
+    coeffs=True yields pairs (squared lengths, integer coefficient columns of
+    shape (dim, n)).  Points come in lexicographic order of c.
+
+    Every point of the ball has |c_i| <= ||row_i(M^-1)|| r, so that box is
+    searched; its size is checked against `cap` (EnumerationCapError).  The
+    leading coordinates form shifts, pruned by their distance to the span of
+    the trailing basis vectors, and each block of shifts is combined with a
+    cached mesh over the trailing coordinates.
+    """
+    dim = M.shape[0]
+    row_norms = np.linalg.norm(np.linalg.inv(M), axis=1)
+    radii = np.floor(row_norms * r + 1e-9).astype(np.int64)
+    total = math.prod(2 * int(k) + 1 for k in radii)
+    if total > cap:
+        raise EnumerationCapError(
+            f"enumeration box of {total} points exceeds the cap {cap}")
+    r2_max = r ** 2 * (1 + 1e-12)
+    ranges = [np.arange(-int(k), int(k) + 1, dtype=np.int64) for k in radii]
+
+    def mesh(idx: range):
+        # coefficient columns of the sub-box over coordinates idx, and the
+        # points sum_j c_j M[:, j]
+        grids = np.meshgrid(*[ranges[j] for j in idx], indexing="ij")
+        coeffs = np.stack([g.ravel() for g in grids])
+        pts = np.outer(M[:, idx[0]], coeffs[0])
+        for k, j in enumerate(idx[1:], 1):
+            pts += np.outer(M[:, j], coeffs[k])
+        return coeffs, pts
+
+    n_lead = dim // 2
+    inner_coeffs, inner_pts = mesh(range(n_lead, dim))
+    inner_zero = np.all(inner_coeffs == 0, axis=0)
+
+    Qmat, _ = np.linalg.qr(M[:, n_lead:])
+    proj_perp = np.eye(dim) - Qmat @ Qmat.T
+    lead_coeffs, shifts = mesh(range(n_lead))
+    d2 = np.einsum("ij,ij->j", proj_perp @ shifts, shifts)
+    keep_lead = d2 <= r2_max
+    shifts = shifts[:, keep_lead]
+    lead_coeffs = lead_coeffs[:, keep_lead]
+    lead_zero = np.all(lead_coeffs == 0, axis=0)
+
+    n_inner = inner_pts.shape[1]
+    inner_r2 = np.einsum("ij,ij->j", inner_pts, inner_pts)
+    block = max(1, chunk // max(1, n_inner))
+    buf: List[np.ndarray] = []
+    cbuf: List[np.ndarray] = []
+    size = 0
+    for start in range(0, shifts.shape[1], block):
+        sh = shifts[:, start:start + block]
+        sh_r2 = np.einsum("ij,ij->j", sh, sh)
+        # |shift + inner|^2 = |shift|^2 + 2 shift.inner + |inner|^2
+        r2 = sh.T @ inner_pts
+        r2 *= 2.0
+        r2 += sh_r2[:, None]
+        r2 += inner_r2[None, :]
+        keep = r2 <= r2_max
+        for off in np.nonzero(lead_zero[start:start + block])[0]:
+            keep[off] &= ~inner_zero
+        vals = r2[keep]
+        if vals.size:
+            # guard against cancellation producing tiny negatives at 0
+            buf.append(np.maximum(vals, 0.0, out=vals))
+            size += vals.size
+            if coeffs:
+                rows, cols = np.nonzero(keep)
+                cbuf.append(np.concatenate(
+                    [lead_coeffs[:, start + rows], inner_coeffs[:, cols]]))
+        if size >= chunk:
+            yield _flush(buf, cbuf, coeffs)
+            buf, cbuf, size = [], [], 0
+    if buf:
+        yield _flush(buf, cbuf, coeffs)
+
+
+def _flush(buf, cbuf, coeffs):
+    r2 = np.concatenate(buf)
+    return (r2, np.concatenate(cbuf, axis=1)) if coeffs else r2
 
 
 def _exact_coords_in_basis(x: QuadElement, g1: QuadElement, g2: QuadElement):

@@ -1,12 +1,10 @@
-"""Small numerical utilities: extrapolation and quadrature scaffolding."""
+"""Small numerical utilities: extrapolation and quadrature nodes."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 
 def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
@@ -19,32 +17,6 @@ def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
             h0, h1 = hs[i], hs[i + level]
             table[i] = (h0 * table[i + 1] - h1 * table[i]) / (h0 - h1)
     return table[0]
-
-
-def richardson_limit(f: Callable[[float], complex], h0: float = 1e-2,
-                     ratio: float = 10.0, n: int = 4) -> complex:
-    """Extrapolate f(h) to h -> 0 from samples at h0, h0/ratio, ..."""
-    hs = [h0 / ratio ** k for k in range(n)]
-    return neville_at_zero(hs, [f(h) for h in hs])
-
-
-def refine_trapezoid(f_sum, h0: float, tol: float, max_doublings: int,
-                     what: str = "trapezoid"):
-    """Generic trapezoid-refinement driver.
-
-    f_sum(h) must return the full trapezoid estimate at step h (the caller
-    is responsible for reusing previously computed nodes if it wants to).
-    """
-    h = h0
-    prev = f_sum(h)
-    for _ in range(max_doublings):
-        h /= 2.0
-        cur = f_sum(h)
-        if np.max(np.abs(np.atleast_1d(cur - prev))) <= tol:
-            return cur
-        prev = cur
-    raise ConvergenceError(f"{what} did not reach tol={tol} "
-                           f"within {max_doublings} refinements")
 
 
 def gauss_legendre_nodes(n: int, a: float, b: float):

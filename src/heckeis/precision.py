@@ -17,8 +17,6 @@ class PrecisionConfig:
     target_abs_tol: float = 1e-12
     # doubling limits for trapezoid / Gauss-Legendre refinement
     quad_max_doublings: int = 14
-    # cap on series terms (incomplete gamma, Dirichlet tails)
-    series_max_terms: int = 100_000
     # cap on lattice points visited by a single enumeration
     enum_point_cap: int = 400_000_000
     # extra decay margin (in nats) for Gaussian / Bessel truncations

@@ -19,7 +19,6 @@ import cmath
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
@@ -352,7 +351,7 @@ SUITES: Dict[str, Callable] = {
 }
 
 
-def run_suite(name: str, seed: int = 7, jobs: int = 1,
+def run_suite(name: str, seed: int = 7,
               config: PrecisionConfig = DEFAULT) -> List[VerificationReport]:
     """Run one suite (or 'all'); deterministic given the seed."""
     if name == "all":
@@ -365,7 +364,4 @@ def run_suite(name: str, seed: int = 7, jobs: int = 1,
     checks: List[Check] = []
     for n in names:
         checks.extend(SUITES[n](seed=seed, config=config))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda c: c.run(), checks))
     return [c.run() for c in checks]

@@ -27,6 +27,7 @@ import numpy as np
 
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import ConvergenceError, PoleError, UnsupportedFieldError
+from .lattice import ball_points
 from .precision import DEFAULT, PrecisionConfig
 from .specialfun import upper_incomplete_gamma
 
@@ -246,31 +247,19 @@ def _ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
                      [K.embed(g1, 1), K.embed(g2, 1)]])
 
 
-def _coeff_box(M: np.ndarray, r_eucl: float) -> np.ndarray:
-    rows = np.linalg.norm(np.linalg.inv(M), axis=1)
-    return np.floor(rows * r_eucl + 1e-9).astype(np.int64)
-
-
 def _is_principal_imag(ideal: FracIdeal) -> bool:
     """Whether an imaginary quadratic ideal is principal: its minimal nonzero
-    element norm equals the ideal norm (candidate located numerically, then
+    element norm equals the ideal norm (candidates located numerically, then
     certified exactly)."""
     K = ideal.field
     n_ideal = ideal.absolute_norm()
     # Minkowski: some element has norm <= (2/pi) sqrt|D| N(ideal)
     bound = 0.65 * math.sqrt(abs(K.discriminant)) * float(n_ideal) * 1.01
-    M = _ideal_embedding_matrix(ideal)
-    radii = _coeff_box(M, math.sqrt(bound))
     g1, g2 = ideal.z_basis()
-    best: Optional[Fraction] = None
-    for c1 in range(-int(radii[0]), int(radii[0]) + 1):
-        for c2 in range(-int(radii[1]), int(radii[1]) + 1):
-            if c1 == 0 and c2 == 0:
-                continue
-            alpha = c1 * g1 + c2 * g2
-            n = alpha.norm()
-            if best is None or abs(n) < best:
-                best = abs(n)
+    best = min(abs((int(c1) * g1 + int(c2) * g2).norm())
+               for _, cs in ball_points(_ideal_embedding_matrix(ideal),
+                                        math.sqrt(bound), coeffs=True)
+               for c1, c2 in cs.T)
     return best == n_ideal
 
 
@@ -305,22 +294,10 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
         return val, tail
     if F.is_imaginary_quadratic:
         n_ideal = float(ideal.absolute_norm())
-        M = _ideal_embedding_matrix(ideal)
-        radii = _coeff_box(M, math.sqrt(X))
         total = 0j
-        count = 0
-        c0s = np.arange(-int(radii[0]), int(radii[0]) + 1, dtype=float)
-        c1s = np.arange(-int(radii[1]), int(radii[1]) + 1, dtype=float)
-        block = max(1, 4_000_000 // max(1, c1s.size))
-        for start in range(0, c0s.size, block):
-            c0b = c0s[start:start + block]
-            xs = np.add.outer(M[0, 0] * c0b, M[0, 1] * c1s)
-            ys = np.add.outer(M[1, 0] * c0b, M[1, 1] * c1s)
-            n2 = xs * xs + ys * ys
-            keep = (n2 > 0) & (n2 <= X * (1 + 1e-12))
-            vals = n2[keep]
-            total += complex(np.sum(np.exp(-s * np.log(vals))))
-            count += vals.size
+        for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X),
+                              config.enum_point_cap):
+            total += complex(np.sum(np.exp(-s * np.log(n2))))
         total /= F.w
         # integral tail: reps density ~ 2 pi / (w sqrt|D| N(ideal)) per unit norm
         dens = 2 * math.pi / (F.w * math.sqrt(abs(F.discriminant)) * n_ideal)
@@ -330,27 +307,25 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
                    * X ** (1 - s.real) / (s.real - 1))
         return value, tail
     if F.is_real_quadratic:
-        return _partial_zeta_real_quadratic(F, ideal, s, X)
+        return _partial_zeta_real_quadratic(F, ideal, s, X, config)
     raise UnsupportedFieldError(F.label)
 
 
 def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
-                                 s: complex, X: float):
+                                 s: complex, X: float,
+                                 config: PrecisionConfig):
     """Fundamental-domain sum for a real quadratic field: representatives
-    alpha with alpha_1 > 0 and 1 <= |alpha_1/alpha_2| < eps^2."""
+    alpha with alpha_1 > 0 and 1 <= |alpha_1/alpha_2| < eps^2 (all inside
+    the Euclidean ball alpha_1^2 + alpha_2^2 <= (eps^2 + 1) X)."""
     eps1 = math.exp(K.regulator)
     M = _ideal_embedding_matrix(ideal)
     r_eucl = math.sqrt(eps1 ** 2 * X + X) * 1.001
-    radii = _coeff_box(M, r_eucl)
     n_ideal = float(ideal.absolute_norm())
     total = 0j
-    c0s = np.arange(-int(radii[0]), int(radii[0]) + 1, dtype=float)
-    c1s = np.arange(-int(radii[1]), int(radii[1]) + 1, dtype=float)
-    block = max(1, 4_000_000 // max(1, c1s.size))
-    for start in range(0, c0s.size, block):
-        c0b = c0s[start:start + block]
-        x1 = np.add.outer(M[0, 0] * c0b, M[0, 1] * c1s)
-        x2 = np.add.outer(M[1, 0] * c0b, M[1, 1] * c1s)
+    for _, cs in ball_points(M, r_eucl, config.enum_point_cap, coeffs=True):
+        c0, c1 = cs.astype(float)
+        x1 = M[0, 0] * c0 + M[0, 1] * c1
+        x2 = M[1, 0] * c0 + M[1, 1] * c1
         nrm = np.abs(x1 * x2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(x1 / x2)
@@ -385,15 +360,9 @@ def ideal_theta(F: FieldDescriptor, ideal: FracIdeal, t, tol: float = 1e-13) -> 
         return 1.0 + 2.0 * float(np.sum(np.exp(-math.pi * (at * a * m) ** 2)))
     if not F.is_imaginary_quadratic:
         raise UnsupportedFieldError("ideal theta needs Q or imaginary quadratic")
-    M = _ideal_embedding_matrix(ideal)
     r_max = math.sqrt(L / (2 * math.pi)) / at
-    radii = _coeff_box(M, r_max)
-    c0 = np.arange(-int(radii[0]), int(radii[0]) + 1, dtype=float)
-    c1 = np.arange(-int(radii[1]), int(radii[1]) + 1, dtype=float)
-    xs = np.add.outer(M[0, 0] * c0, M[0, 1] * c1)
-    ys = np.add.outer(M[1, 0] * c0, M[1, 1] * c1)
-    n2 = (xs * xs + ys * ys).ravel()
-    return float(np.sum(np.exp(-2 * math.pi * at * at * n2)))
+    return 1.0 + sum(float(np.sum(np.exp(-2 * math.pi * at * at * n2)))
+                     for n2 in ball_points(_ideal_embedding_matrix(ideal), r_max))
 
 
 _POLE_RADIUS = 1e-8
@@ -437,15 +406,9 @@ class CompletedZeta:
             m = np.arange(1, m_max + 1, dtype=float)
             arr = math.pi * (a * m) ** 2
         else:
-            n_bound = cut / (2 * math.pi)
-            M = _ideal_embedding_matrix(ideal)
-            radii = _coeff_box(M, math.sqrt(n_bound))
-            c0s = np.arange(-int(radii[0]), int(radii[0]) + 1, dtype=float)
-            c1s = np.arange(-int(radii[1]), int(radii[1]) + 1, dtype=float)
-            xs = np.add.outer(M[0, 0] * c0s, M[0, 1] * c1s)
-            ys = np.add.outer(M[1, 0] * c0s, M[1, 1] * c1s)
-            n2 = (xs * xs + ys * ys).ravel()
-            n2 = n2[(n2 > 0) & (n2 <= n_bound * (1 + 1e-12))]
+            n2 = np.concatenate([np.zeros(0), *ball_points(
+                _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)),
+                self.config.enum_point_cap)])
             arr = 2 * math.pi * np.sort(n2)
         self._gauss[side] = (cut, arr)
         return arr
@@ -523,7 +486,7 @@ _CZ_CACHE: dict = {}
 
 def completed_zeta(F: FieldDescriptor, ideal: FracIdeal,
                    config: PrecisionConfig = DEFAULT) -> CompletedZeta:
-    key = (F.label, ideal.key(), config.target_abs_tol)
+    key = (F.label, ideal.key(), config)
     cz = _CZ_CACHE.get(key)
     if cz is None:
         cz = CompletedZeta(F, ideal, config)

@@ -68,6 +68,16 @@ def test_direct_method_failure_exits_3(capsys):
     assert "expansion" in err
 
 
+def test_enumeration_cap_exits_3(capsys):
+    # EnumerationCapError is also a ValueError; it must still count as a
+    # numeric failure, not a parse error
+    code, _, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", "1,0.0+5e-4,1", "--s", "2", "--method", "direct")
+    assert code == 3
+    assert "exceeds the cap" in err
+
+
 def test_unknown_suite_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -102,14 +112,6 @@ def test_verify_determinism():
     for x in c:
         x.pop("wallTimeMs")
     assert ja != c
-
-
-def test_verify_jobs_deterministic():
-    a = [r.to_json_dict() for r in run_suite("theta", seed=7, jobs=4)]
-    b = [r.to_json_dict() for r in run_suite("theta", seed=7, jobs=1)]
-    for x, y in zip(a, b):
-        x.pop("wallTimeMs"), y.pop("wallTimeMs")
-    assert a == b
 
 
 def test_golden_theta_reports():

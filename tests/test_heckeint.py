@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ import pytest
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import rho_star
 from heckeis.eisenstein import EisensteinEvaluator
-from heckeis.errors import UnsupportedFieldError
+from heckeis.errors import ConvergenceError, UnsupportedFieldError
 from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
                               hecke_integral, hecke_laurent,
                               relative_klf_check, torus_measure_identity,
                               xi_K_oracle)
 from heckeis.lattice import OFLattice
+from heckeis.precision import PrecisionConfig
 from heckeis.zeta import c_F, zeta_K
 
 Q = make_field("Q")
@@ -178,6 +180,27 @@ def test_classical_normalization():
     setup = HeckeSetup(K)
     got = classical_real_quadratic_integral(setup, 2.0, 1e-9)
     assert abs(got - zeta_K(K, 2.0)) < 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_classical_integral_raises_when_unconverged(monkeypatch, d):
+    # an integrand oscillating too fast for 64 Gauss-Legendre nodes must
+    # raise, as hecke_integral does, instead of returning the last estimate
+    # (over Q(sqrt5) the interval [1, eps^2] is short enough for 64 nodes)
+    class Oscillating:
+        def __init__(self, t):
+            self.t = t
+
+        def ehat_expansion(self, s, tol):
+            return cmath.exp(50j * math.log(self.t))
+
+    monkeypatch.setattr(HeckeSetup, "evaluator_at",
+                        lambda self, sign, t: Oscillating(t))
+    setup = HeckeSetup(make_field(d), config=PrecisionConfig(quad_max_doublings=2))
+    with pytest.raises(ConvergenceError):
+        hecke_integral(setup, 2.0, 1e-8)
+    with pytest.raises(ConvergenceError):
+        classical_real_quadratic_integral(setup, 2.0, 1e-8)
 
 
 @pytest.mark.parametrize("d", [5, 2, 3])

@@ -9,7 +9,7 @@ import pytest
 from heckeis.basefield import FracIdeal, make_field
 from heckeis.dalgebra import DNumber, Quaternion, dnorm, psi_exponent
 from heckeis.errors import DegenerateLatticeError, EnumerationCapError
-from heckeis.lattice import OFLattice
+from heckeis.lattice import OFLattice, ball_points
 
 Q = make_field("Q")
 ZZ = FracIdeal.unit_ideal(Q)
@@ -168,6 +168,59 @@ def test_enumeration_cap():
     lat = lat_q(0.0, 1.0)
     with pytest.raises(EnumerationCapError):
         list(lat.norm_chunks(1e8))
+
+
+def _brute_ball(M, r):
+    """Coefficient columns and squared lengths of the nonzero points in the
+    ball, from a mesh over the full rigorous coefficient box."""
+    radii = np.floor(np.linalg.norm(np.linalg.inv(M), axis=1) * r + 1e-9)
+    grids = np.meshgrid(*[np.arange(-k, k + 1) for k in radii.astype(int)],
+                        indexing="ij")
+    C = np.stack([g.ravel() for g in grids])
+    r2 = np.einsum("ij,ij->j", M @ C, M @ C)
+    keep = np.any(C != 0, axis=0) & (r2 <= r * r * (1 + 1e-12))
+    return C[:, keep], r2[keep]
+
+
+def _random_bases(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    bases = [rng.normal(size=(dim, dim)) for _ in range(n)]
+    # shears: nearly parallel columns, small covolume
+    shear = np.eye(dim)
+    shear[1, 0], shear[1, 1] = 0.999, 1e-3
+    bases.append(shear)
+    bases.append(rng.normal(size=(dim, dim)) @ shear)
+    return bases
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_ball_points_match_brute_force(dim):
+    for k, M in enumerate(_random_bases(dim, 4, seed=dim)):
+        r = 2.5 if dim == 2 else 1.6
+        C_ref, r2_ref = _brute_ball(M, r)
+        for chunk in (4_000_000, 37):
+            out = list(ball_points(M, r, coeffs=True, chunk=chunk))
+            r2 = np.concatenate([np.zeros(0)] + [a for a, _ in out])
+            C = np.concatenate([np.zeros((dim, 0), dtype=np.int64)]
+                               + [c for _, c in out], axis=1)
+            assert r2.size == r2_ref.size > 0, k
+            assert np.allclose(np.sort(r2), np.sort(r2_ref), rtol=1e-12, atol=0)
+            assert np.all(r2 > 0) and np.all(np.any(C != 0, axis=0))
+            assert np.allclose(np.einsum("ij,ij->j", M @ C, M @ C), r2,
+                               rtol=1e-12, atol=1e-12)
+            assert sorted(map(tuple, C.T.tolist())) \
+                == sorted(map(tuple, C_ref.T.tolist()))
+            plain = np.concatenate(list(ball_points(M, r, chunk=chunk)))
+            assert np.array_equal(plain, r2)
+
+
+def test_ball_points_cap():
+    M = np.array([[1.0, 0.0], [0.999, 1e-3]])
+    assert len(np.concatenate(list(ball_points(M, 3.0, cap=10 ** 5)))) > 0
+    with pytest.raises(EnumerationCapError):
+        list(ball_points(M, 3.0, cap=10 ** 4))
+    with pytest.raises(EnumerationCapError):
+        list(ball_points(np.eye(4), 10.0, cap=21 ** 4 - 1))
 
 
 def test_pseudo_normal_form_roundtrip():

@@ -8,6 +8,7 @@ import pytest
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.errors import PoleError, UnsupportedFieldError
 from heckeis.numerics import neville_at_zero
+from heckeis.precision import PrecisionConfig
 from heckeis.zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                           dirichlet_l, hurwitz_zeta, ideal_theta,
                           kronecker_symbol, partial_zeta_series, riemann_zeta,
@@ -257,6 +258,13 @@ def test_xi_scaling_invariance():
     czi1 = completed_zeta(Fi, OK)
     czi2 = completed_zeta(Fi, OK.scale(c))
     assert abs(czi1.value(2.0) - czi2.value(2.0)) < 1e-11
+
+
+def test_completed_zeta_cache_keys_on_whole_config():
+    base = completed_zeta(Q, ZZ)
+    assert completed_zeta(Q, ZZ, PrecisionConfig()) is base
+    wide = completed_zeta(Q, ZZ, PrecisionConfig(tail_margin=30.0))
+    assert wide is not base and wide.config.tail_margin == 30.0
 
 
 def test_xi_rejects_real_quadratic():
