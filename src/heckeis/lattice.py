@@ -187,11 +187,10 @@ class OFLattice:
         algebra norms).  Intended for modest bounds."""
         found = list(ball_points(self.M, self.euclid_radius(norm_bound),
                                  self.config.enum_point_cap, coeffs=True))
-        if not found:
-            return np.zeros((0, self.dim), dtype=np.int64), np.zeros(0)
-        r2 = np.concatenate([r for r, _ in found])
-        coeffs = np.concatenate([c for _, c in found], axis=1).T
-        return coeffs, self.norms_from_euclid(r2)
+        r2 = np.concatenate([np.zeros(0)] + [r for r, _ in found])
+        coeffs = np.concatenate([np.zeros((self.dim, 0), dtype=np.int64)]
+                                + [c for _, c in found], axis=1)
+        return coeffs.T, self.norms_from_euclid(r2)
 
     def unit_coeff_matrices(self) -> List[np.ndarray]:
         """Integer matrices describing left multiplication by each root of
