@@ -21,6 +21,10 @@ each other:
 
       Ehat = Psi(s, L) + Psi(1-s, L*) + C_F (V^(s-1)/(2s-2) - V^s/(2s)).
 
+  Psi and xi's Phi (which the expansion route calls) are one sum,
+  zeta.gamma_lattice_sum; xi's check against the Euler-Maclaurin oracle
+  covers it independently of this module.
+
 The residue at s = 1 is C_F/2; the constant term is produced in closed form
 from the h function and the constant term of xi.
 """
@@ -37,8 +41,10 @@ from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import ConvergenceError, DegenerateLatticeError, PoleError
 from .lattice import OFLattice, ball_points
 from .precision import DEFAULT, PrecisionConfig
+# upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
-from .zeta import _ideal_embedding_matrix, c_F, completed_zeta
+from .zeta import (_ideal_embedding_matrix, c_F, completed_zeta,
+                   gamma_lattice_sum)
 
 _POLE_RADIUS = 1e-8
 
@@ -247,37 +253,23 @@ class EisensteinEvaluator:
             self._dual = self.lattice.dual()
         return self._dual
 
-    def _psi_at_cut(self, s: complex, lat: OFLattice, cut: float) -> complex:
-        rational = self.F.is_rational
-        bound = math.sqrt(cut / math.pi) if rational else cut / (2 * math.pi)
-        total = 0j
-        for norms in lat.norm_chunks(bound):
-            if rational:
-                xs = math.pi * norms * norms
-                order = s
-            else:
-                xs = 2 * math.pi * norms
-                order = 2 * s
-            gv = np.array([upper_incomplete_gamma(order, x, tol=1e-15)
-                           for x in xs], dtype=complex)
-            total += complex(np.sum(np.exp(-order * np.log(xs)) * gv))
-        if rational:
-            total *= 0.5
-        return _cpow(lat.covolume, s) * self.CF * total
-
     def psi(self, s: complex, lat: OFLattice, tol: float) -> complex:
         """Psi(s, L) = V^s C_F sum_{l != 0} int_{|Nt| >= 1} f(t l) |Nt|^{2s};
         entire in s, Gaussian-fast."""
-        cut = -math.log(min(tol, 0.5)) + self.config.tail_margin \
-            + 4.0 * max(1.0, abs(complex(s).real)) + 8.0
-        val = self._psi_at_cut(s, lat, cut)
-        for _ in range(24):
-            nxt = self._psi_at_cut(s, lat, cut + 6.0)
-            if abs(nxt - val) <= tol / 10:
-                return nxt
-            cut += 6.0
-            val = nxt
-        raise ConvergenceError("lattice-path tail did not stabilize")
+        s = complex(s)
+        rational = self.F.is_rational
+
+        def params(cut: float):
+            if rational:
+                return (math.pi * n * n
+                        for n in lat.norm_chunks(math.sqrt(cut / math.pi)))
+            return (2 * math.pi * n
+                    for n in lat.norm_chunks(cut / (2 * math.pi)))
+
+        pref = _cpow(lat.covolume, s) * self.CF * (0.5 if rational else 1.0)
+        return pref * gamma_lattice_sum(
+            s if rational else 2 * s, s.real, params, tol, abs(pref),
+            self.config.tail_margin)
 
     def ehat_lattice(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the split Mellin integral; works from the

@@ -13,7 +13,9 @@ Two independent routes are kept deliberately separate:
 
   with exponentially convergent incomplete-gamma sums Phi is valid for all
   s (simple poles at 0 and 1 with residues -C_F, +C_F) and makes the
-  functional equation xi(s, a) = xi(1-s, a*) manifest.
+  functional equation xi(s, a) = xi(1-s, a*) manifest.  Phi is one call of
+  gamma_lattice_sum, the shell-by-shell incomplete-gamma lattice sum that
+  the lattice route of Ehat (eisenstein's Psi) shares.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -315,22 +317,26 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
                                  s: complex, X: float,
                                  config: PrecisionConfig):
     """Fundamental-domain sum for a real quadratic field: representatives
-    alpha with alpha_1 > 0 and 1 <= |alpha_1/alpha_2| < eps^2 (all inside
-    the Euclidean ball alpha_1^2 + alpha_2^2 <= (eps^2 + 1) X)."""
-    eps1 = math.exp(K.regulator)
+    alpha with alpha_1 > 0 and eps^-1 <= |alpha_1/alpha_2| < eps, i.e.
+    t = log|alpha_1/alpha_2| / (2R) in [-1/2, 1/2) (multiplying by eps moves
+    t by 1).  t is snapped to the nearest half-integer within 1e-9, so the
+    orbits on the edge (alpha/alpha' = +-eps when N(eps) = +1) count once.
+    The domain lies inside the ball alpha_1^2 + alpha_2^2 <= 2 eps X."""
     M = _ideal_embedding_matrix(ideal)
-    r_eucl = math.sqrt(eps1 ** 2 * X + X) * 1.001
     n_ideal = float(ideal.absolute_norm())
     total = 0j
-    for _, cs in ball_points(M, r_eucl, config.enum_point_cap, coeffs=True):
+    for _, cs in ball_points(M, math.sqrt(2 * math.exp(K.regulator) * X),
+                             config.enum_point_cap, coeffs=True):
         c0, c1 = cs.astype(float)
         x1 = M[0, 0] * c0 + M[0, 1] * c1
         x2 = M[1, 0] * c0 + M[1, 1] * c1
         nrm = np.abs(x1 * x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(x1 / x2)
+        with np.errstate(divide="ignore"):
+            t = np.log(np.abs(x1 / x2)) / (2 * K.regulator)
+        half = np.round(2 * t) / 2
+        t = np.where(np.abs(t - half) <= 1e-9, half, t)
         keep = (x1 > 0) & (nrm > 0) & (nrm <= X * (1 + 1e-12)) \
-            & (ratio >= 1.0) & (ratio < eps1 * eps1)
+            & (t >= -0.5) & (t < 0.5)
         vals = nrm[keep]
         total += complex(np.sum(np.exp(-s * np.log(vals))))
     dens = 2 * K.regulator / (math.sqrt(K.discriminant) * n_ideal)
@@ -365,6 +371,54 @@ def ideal_theta(F: FieldDescriptor, ideal: FracIdeal, t, tol: float = 1e-13) -> 
                      for n2 in ball_points(_ideal_embedding_matrix(ideal), r_max))
 
 
+def gamma_lattice_sum(nu: complex, re_s: float,
+                      params: Callable[[float], Iterable[np.ndarray]],
+                      tol: float, scale: float, tail_margin: float) -> complex:
+    """Sum of x^(-nu) Gamma(nu, x) over the Gaussian parameters x of a lattice:
+    the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
+
+    `params(cut)` yields arrays covering every parameter <= cut; `scale` is
+    the magnitude of the caller's prefactor and `re_s` the real part of the
+    caller's s, which sets the starting cutoff.  The cutoff grows by +6 until
+    the new shell (cut, cut + 6] adds at most tol/10 after scaling; each step
+    evaluates Gamma on that shell only."""
+
+    def shell(lo: float, hi: float) -> complex:
+        acc = 0j
+        for xs in params(hi):
+            xs = xs[(xs > lo) & (xs <= hi)]
+            gv = np.array([upper_incomplete_gamma(nu, x, tol=1e-15)
+                           for x in xs], dtype=complex)
+            acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
+        return acc
+
+    cut = -math.log(min(tol, 0.5)) + tail_margin \
+        + 4.0 * max(1.0, abs(re_s)) + 8.0
+    total = shell(0.0, cut)
+    for _ in range(24):
+        last = shell(cut, cut + 6.0)
+        total += last
+        cut += 6.0
+        if scale * abs(last) <= tol / 10.0:
+            return total
+    raise ConvergenceError(
+        f"incomplete-gamma lattice sum at order {nu} did not stabilize: the "
+        f"shell below cutoff {cut:g} added {scale * abs(last):.3g} "
+        f"> tol/10 = {tol / 10.0:.3g}")
+
+
+def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
+                     cap: int) -> Iterable[np.ndarray]:
+    """Gaussian parameters covering those <= cut of the nonzero elements of
+    an ideal: pi alpha^2 (Q, alpha = a m > 0) or 2 pi N(alpha)."""
+    if F.is_rational:
+        a = float(ideal.absolute_norm())
+        m = np.arange(1, int(math.sqrt(cut / math.pi) / a) + 2, dtype=float)
+        return [math.pi * (a * m) ** 2]
+    return (2 * math.pi * n2 for n2 in ball_points(
+        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)), cap))
+
+
 _POLE_RADIUS = 1e-8
 
 
@@ -386,67 +440,24 @@ class CompletedZeta:
         disc = abs(F.discriminant)
         self.V = math.sqrt(disc) * float(ideal.absolute_norm())
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
-        # Gaussian parameters: pi alpha^2 (Q) or 2 pi N(alpha) (imaginary);
-        # state per side is (cutoff, array), replaced atomically so that
-        # concurrent evaluations never observe a cutoff without its array
-        self._gauss: dict = {"primal": (0.0, np.zeros(0)),
-                             "dual": (0.0, np.zeros(0))}
         self._value_cache: dict = {}
-
-    # -- Gaussian parameter arrays ------------------------------------------------
-
-    def _grown(self, side: str, cut: float) -> np.ndarray:
-        have_cut, arr = self._gauss[side]
-        if have_cut >= cut:
-            return arr
-        ideal = self.ideal if side == "primal" else self.dual
-        if self.F.is_rational:
-            a = float(ideal.absolute_norm())
-            m_max = int(math.sqrt(cut / math.pi) / a) + 1
-            m = np.arange(1, m_max + 1, dtype=float)
-            arr = math.pi * (a * m) ** 2
-        else:
-            n2 = np.concatenate([np.zeros(0), *ball_points(
-                _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)),
-                self.config.enum_point_cap)])
-            arr = 2 * math.pi * np.sort(n2)
-        self._gauss[side] = (cut, arr)
-        return arr
-
-    def _phi_at_cut(self, s: complex, side: str, cut: float) -> complex:
-        xs = self._grown(side, cut)
-        xs = xs[xs <= cut]
-        V = self.V if side == "primal" else self.Vdual
-        if xs.size == 0:
-            return 0j
-        if self.F.is_rational:
-            # per orbit (alpha = a m > 0): (pi alpha^2)^(-s/2) Gamma(s/2, .)
-            terms = np.array([upper_incomplete_gamma(s / 2, x, tol=1e-15)
-                              for x in xs], dtype=complex)
-            total = complex(np.sum(np.exp(-(s / 2) * np.log(xs)) * terms))
-            return cmath.exp(s * math.log(V)) * total
-        terms = np.array([upper_incomplete_gamma(s, x, tol=1e-15)
-                          for x in xs], dtype=complex)
-        total = complex(np.sum(np.exp(-s * np.log(xs)) * terms))
-        return cmath.exp(s * math.log(V)) * 2 * math.pi * total / self.F.w
 
     def phi(self, s: complex, side: str = "primal", tol: float = None) -> complex:
         """Phi(s, a) = V^s C_F sum_alpha' int_{|Nt|>=1} f(t alpha)|Nt|^s dt/t,
-        an entire function of s with Gaussian-fast convergence.
-
-        The cutoff is grown until a +6 extension moves the sum by < tol/10."""
+        an entire function of s with Gaussian-fast convergence."""
         tol = tol if tol is not None else self.config.target_abs_tol
         s = complex(s)
-        cut = -math.log(min(tol, 0.5)) + self.config.tail_margin \
-            + 4.0 * max(1.0, abs(s.real)) + 8.0
-        val = self._phi_at_cut(s, side, cut)
-        for _ in range(24):
-            nxt = self._phi_at_cut(s, side, cut + 6.0)
-            if abs(nxt - val) <= tol / 10.0:
-                return nxt
-            cut += 6.0
-            val = nxt
-        raise ConvergenceError(f"phi tail did not stabilize at s={s}")
+        ideal, V = (self.ideal, self.V) if side == "primal" \
+            else (self.dual, self.Vdual)
+        # over Q one alpha = a m > 0 per unit orbit, at order s/2
+        rational = self.F.is_rational
+        pref = cmath.exp(s * math.log(V)) \
+            * (1.0 if rational else 2 * math.pi / self.F.w)
+        cap = self.config.enum_point_cap
+        return pref * gamma_lattice_sum(
+            s / 2 if rational else s, s.real,
+            lambda cut: _gaussian_params(self.F, ideal, cut, cap),
+            tol, abs(pref), self.config.tail_margin)
 
     # -- public surface --------------------------------------------------------------
 

@@ -3,16 +3,21 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from heckeis import zeta
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
-from heckeis.errors import PoleError, UnsupportedFieldError
+from heckeis.dalgebra import DNumber
+from heckeis.eisenstein import EisensteinEvaluator
+from heckeis.errors import ConvergenceError, PoleError, UnsupportedFieldError
+from heckeis.lattice import OFLattice
 from heckeis.numerics import neville_at_zero
 from heckeis.precision import PrecisionConfig
 from heckeis.zeta import (CompletedZeta, c_F, class_number, completed_zeta,
-                          dirichlet_l, hurwitz_zeta, ideal_theta,
-                          kronecker_symbol, partial_zeta_series, riemann_zeta,
-                          xi_K_laurent, zeta_K, zeta_K_class)
+                          dirichlet_l, gamma_lattice_sum, hurwitz_zeta,
+                          ideal_theta, kronecker_symbol, partial_zeta_series,
+                          riemann_zeta, xi_K_laurent, zeta_K, zeta_K_class)
 
 Q = make_field("Q")
 Fi = make_field(-1)
@@ -114,10 +119,16 @@ def test_partial_zeta_genus_classes():
     assert abs(tot - zeta_K(K, 3.0)) < 1e-13
 
 
-def test_partial_zeta_real_quadratic():
-    K = make_field(5)
-    v, _ = partial_zeta_series(K, FracIdeal.unit_ideal(K), 2.0, 4e4)
-    assert abs(v - zeta_K(K, 2.0)) < 1e-4
+@pytest.mark.parametrize("d, s, cutoff", [
+    *[(d, s, 1e4) for d in (2, 3, 5, 6, 7, 13) for s in (2.0, 3.0)],
+    (46, 2.0, 100.0),        # eps ~ 4.9e4: the ball scales with eps, not eps^2
+])
+def test_partial_zeta_real_quadratic(d, s, cutoff):
+    # every unit orbit counted once, also rational alpha and the orbits on
+    # the edge of the fundamental domain (N(eps) = +1 for d = 3, 6, 7)
+    K = make_field(d)
+    v, tail = partial_zeta_series(K, FracIdeal.unit_ideal(K), s, cutoff)
+    assert abs(v - zeta_K(K, s)) <= tail
 
 
 def test_partial_zeta_requires_convergence_region():
@@ -128,6 +139,57 @@ def test_partial_zeta_requires_convergence_region():
 def test_zeta_k_class_unsupported():
     with pytest.raises(UnsupportedFieldError):
         zeta_K_class(make_field(-23), None, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the shared incomplete-gamma lattice sum
+
+
+def _phi_case():
+    ideal = FracIdeal.unit_ideal(F3)
+    return (lambda: CompletedZeta(F3, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
+            lambda upto: zeta._gaussian_params(F3, ideal, upto, 10 ** 8))
+
+
+def _psi_case():
+    lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, 0.3, 1.7), ZZ)
+    return (lambda: EisensteinEvaluator(lat).psi(0.3, lat, 1e-10),
+            lambda upto: [math.pi * n * n for n in
+                          lat.norm_chunks(math.sqrt(upto / math.pi))])
+
+
+@pytest.mark.parametrize("case", [_phi_case, _psi_case])
+def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
+    seen = []
+    gamma = zeta.upper_incomplete_gamma
+
+    def counted(nu, x, tol):
+        seen.append(x)
+        return gamma(nu, x, tol=tol)
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
+    run, params = case()
+    run()
+    # every parameter up to the final cutoff is evaluated exactly once,
+    # however many +6 extensions the cutoff took
+    upto = max(seen) * (1 + 1e-12)
+    xs = np.concatenate([np.zeros(0), *params(upto)])
+    xs = xs[xs <= upto]
+    assert len(seen) == xs.size
+    np.testing.assert_allclose(np.sort(seen), np.sort(xs), rtol=1e-13)
+
+
+def test_gamma_lattice_sum_reports_how_far_it_got():
+    # a prefactor of 1e300 keeps every shell above tol/10
+    with pytest.raises(ConvergenceError) as info:
+        gamma_lattice_sum(1.0, 1.0, lambda cut: [np.arange(1.0, cut + 1)],
+                          1e-10, 1e300, 8.0)
+    msg = str(info.value)
+    final = -math.log(1e-10) + 8.0 + 4.0 + 8.0 + 24 * 6.0
+    assert f"cutoff {final:g}" in msg
+    assert "tol/10 = 1e-11" in msg
+    last = 1e300 * sum(math.exp(-x) / x for x in range(182, 188))
+    assert f"added {last:.3g}" in msg
 
 
 # ---------------------------------------------------------------------------
