@@ -14,7 +14,10 @@ each other:
 
   P = (N(a)/N(b)) |Ny|, over nonzero pairs in a x dual(b) modulo units
   (the unit group is finite and acts freely, so the sum runs over all
-  pairs divided by w_F).  Valid for all s away from the poles.
+  pairs divided by w_F).  Valid for all s away from the poles.  The pair
+  sum grows by bands of Bessel argument (L - 2, L], evaluating each pair
+  once, stops when a band adds at most tol/10, and raises when tol/10 lies
+  below its rounding floor eps * sum |term|.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
   |N t| = 1 and Poisson-dualized; an exponentially convergent sum over the
   points of the lattice and of its dual requiring only Z-lattice data
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -62,7 +65,6 @@ class EisensteinEvaluator:
         self.config = config
         self.CF = c_F(self.F)
         self._dual: Optional[OFLattice] = None
-        self._pairs: dict = {}
         if lattice.z is not None:
             if lattice.scale is not None:
                 # modular invariance: the right scale factor never changes
@@ -79,7 +81,8 @@ class EisensteinEvaluator:
             self.zeta_b = completed_zeta(self.F, self.ideal_b, config)
             self.x = la.z.x_part
             self.y = la.z.y_part
-            self.ny = abs(self.y) if self.F.is_rational else abs(self.y) ** 2
+            self.n_v = 1 if self.F.is_rational else 2
+            self.ny = abs(self.y) ** self.n_v
             if self.ny < 1e-10:
                 raise DegenerateLatticeError(
                     "|N(y)| below 1e-10: expansion ill-conditioned")
@@ -131,89 +134,43 @@ class EisensteinEvaluator:
 
     # --------------------------------------------------------------- expansion
 
-    def _pair_data(self, L: float):
-        """Arrays describing the pairs (alpha, beta*) with Bessel argument
-        n_v pi |alpha y beta*| <= L: (bessel args, phase exponents
+    def _pair_data(self, lo: float, hi: float):
+        """Arrays describing the pairs (alpha, beta*) whose Bessel argument
+        n_v pi |alpha y beta*| lies in (lo, hi]: (bessel args, phase exponents
         Tr(x alpha beta*), norm ratios |N(beta*/(alpha y))|)."""
-        key = round(L, 6)
-        hit = self._pairs.get(key)
-        if hit is not None:
-            return hit
+        n_v = self.n_v
+        c = n_v * math.pi * abs(self.y)
+        # the candidate lists carry slack: the test on the computed arguments
+        # below decides the band edges, so adjacent bands partition the pairs
+        cap = hi / c * (1 + 1e-9)
         if self.F.is_rational:
-            a = self.na
-            bs = float(self.bstar.absolute_norm())
-            ay = abs(self.y)
-            mn_max = L / (math.pi * a * bs * ay)
-            ms, ns = [], []
-            m = 1
-            while m <= mn_max:
-                n_max = int(mn_max / m)
-                for n in range(1, n_max + 1):
-                    ms.extend((m, m))
-                    ns.extend((n, -n))
-                m += 1
-            if not ms:
-                out = (np.zeros(0), np.zeros(0), np.zeros(0))
-                self._pairs[key] = out
-                return out
-            ms = np.array(ms, dtype=float)
-            ns = np.array(ns, dtype=float)
-            args = math.pi * a * bs * ay * ms * np.abs(ns)
-            phases = self.x * (a * ms) * (bs * ns)
-            ratios = (bs * np.abs(ns)) / (a * ms * ay)
-            out = (args, phases, ratios)
+            # one representative alpha = a m (m >= 1) per unit orbit
+            a, bs = self.na, float(self.bstar.absolute_norm())
+            k = np.arange(1, int(cap / (a * bs)) + 1, dtype=float)
+            alphas, betas = a * k, bs * np.concatenate([k, -k])
         else:
             Ma = _ideal_embedding_matrix(self.ideal_a)
             Mb = _ideal_embedding_matrix(self.bstar)
-            ay = abs(self.y)
-            cap = L / (2 * math.pi * ay)
             n_cap = self.config.enum_point_cap
+            alphas = _complex_points(Ma, cap / _min_abs(Mb, n_cap), n_cap)
             betas = _complex_points(Mb, cap / _min_abs(Ma, n_cap), n_cap)
-            if betas.size == 0:
-                out = (np.zeros(0), np.zeros(0), np.zeros(0))
-                self._pairs[key] = out
-                return out
-            alphas = _complex_points(Ma, cap / np.abs(betas).min(), n_cap)
-            aabs = np.abs(alphas)
-            babs = np.abs(betas)
-            order = np.argsort(babs)
-            betas, babs = betas[order], babs[order]
-            alist, blist = [], []
-            for al, aa in zip(alphas, aabs):
-                k = np.searchsorted(babs, cap / aa, side="right")
-                if k:
-                    alist.append(np.full(k, al))
-                    blist.append(betas[:k])
-            if not alist:
-                out = (np.zeros(0), np.zeros(0), np.zeros(0))
-                self._pairs[key] = out
-                return out
-            av = np.concatenate(alist)
-            bv = np.concatenate(blist)
-            args = 2 * math.pi * np.abs(av) * np.abs(bv) * ay
-            prod = av * bv
-            phases = 2.0 * (complex(self.x) * prod).real
-            ratios = (np.abs(bv) / (np.abs(av) * ay)) ** 2
-            out = (args, phases, ratios)
-        self._pairs[key] = out
-        return out
-
-    def _bessel_sum(self, s: complex, L: float, tol: float) -> Tuple[complex, complex]:
-        """The pair sum at threshold L and at threshold L - 2 (for the
-        doubling check); order s - 1/2 enters through the field signature."""
-        args, phases, ratios = self._pair_data(L)
-        if args.size == 0:
-            return 0j, 0j
-        nu = (s - 0.5) if self.F.is_rational else (2 * s - 1)
-        kv = bessel_k_batch(nu, args, tol=tol, config=self.config)
-        if self.F.is_rational:
-            terms = np.exp((s - 0.5) * np.log(ratios)) * kv
-        else:
-            terms = 2 * math.pi * np.exp((s - 0.5) * np.log(ratios)) * kv
-        terms = terms * np.exp(2j * math.pi * phases)
-        full = complex(np.sum(terms))
-        inner = complex(np.sum(terms[args <= L - 2.0]))
-        return full, inner
+        aabs, babs = np.abs(alphas), np.abs(betas)
+        order = np.argsort(babs)
+        betas, babs = betas[order], babs[order]
+        # per alpha, the candidate betas (lo < c |alpha| |beta*| <= hi, up to
+        # the slack) are the index range [first, stop) of the sorted list
+        first = np.searchsorted(babs, lo / c * (1 - 1e-9) / aabs, side="right")
+        stop = np.searchsorted(babs, cap / aabs, side="right")
+        counts = stop - first
+        ia = np.repeat(np.arange(alphas.size), counts)
+        ib = np.arange(counts.sum()) \
+            + np.repeat(first - np.cumsum(counts) + counts, counts)
+        args = c * aabs[ia] * babs[ib]
+        keep = (args > lo) & (args <= hi)
+        ia, ib, args = ia[keep], ib[keep], args[keep]
+        phases = n_v * (complex(self.x) * alphas[ia] * betas[ib]).real
+        ratios = (babs[ib] / (aabs[ia] * abs(self.y))) ** n_v
+        return args, phases, ratios
 
     def term1(self, s: complex, tol: float = None) -> complex:
         return _cpow(self.P, s) * self.zeta_b.value(2 * s, tol)
@@ -226,16 +183,38 @@ class EisensteinEvaluator:
         # (m > 0); over imaginary quadratic fields it lists all pairs, so the
         # free unit action is divided out
         orbit_div = 1 if self.F.is_rational else self.F.w
+        # B_F carries a factor 2 pi at a complex place
+        weight = (2 * math.pi) ** (self.n_v - 1)
         pref = _cpow(self.Va, s) * _cpow(self.Vb, s - 1) * _cpow(self.ny, s)
         scale = abs(pref) / orbit_div
         pair_tol = tol / max(scale, 1e-8)
-        L = -math.log(min(pair_tol, 0.1)) + 5.0 + 2.0
+        # the first band is (0, L], each later one (L - 2, L]; the sum stops
+        # when the pairs in (L - 2, L] add at most tol/10, and raises once its
+        # rounding floor exceeds tol/10
+        lo, L = 0.0, -math.log(min(pair_tol, 0.1)) + 5.0 + 2.0
+        total, mass = 0j, 0.0
         for _ in range(12):
-            full, inner = self._bessel_sum(s, L, pair_tol / 50)
-            if abs(full - inner) * scale <= tol / 10:
-                return pref * full / orbit_div
-            L += 2.0
-        raise ConvergenceError("Bessel pair sum truncation did not stabilize")
+            args, phases, ratios = self._pair_data(lo, L)
+            kv = bessel_k_batch(self.n_v * (s - 0.5), args, tol=pair_tol / 50,
+                                config=self.config)
+            terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
+                * np.exp(2j * math.pi * phases)
+            total += complex(np.sum(terms))
+            mass += float(np.sum(np.abs(terms)))
+            floor = np.finfo(float).eps * mass * scale
+            if floor > tol / 10:
+                raise ConvergenceError(
+                    f"Bessel pair sum at cutoff L = {L:g} lies below its "
+                    f"rounding floor: eps*sum|term| = {floor:.3g} > "
+                    f"tol/10 = {tol / 10:.3g}")
+            added = scale * abs(complex(np.sum(terms[args > L - 2.0])))
+            if added <= tol / 10:
+                return pref * total / orbit_div
+            lo, L = L, L + 2.0
+        raise ConvergenceError(
+            f"Bessel pair sum did not stabilize at cutoff L = {lo:g}: the "
+            f"band ({lo - 2:g}, {lo:g}] added {added:.3g} > "
+            f"tol/10 = {tol / 10:.3g}")
 
     def ehat_expansion(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the three-term formula; needs the

@@ -9,8 +9,7 @@ integral formula against Dirichlet-series oracles), specialfun (gamma
 factor and Bessel checks).
 
 Suite functions only draw the deterministic inputs; the numerical work
-happens when the checks are executed by run_suite (reports are independent
-and may run in parallel).
+happens when the checks are executed by run_suite.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckeis import eisenstein
 from heckeis.basefield import FracIdeal, make_field
 from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator, h_function
@@ -12,6 +16,7 @@ from heckeis.errors import ConvergenceError, DegenerateLatticeError, PoleError
 from heckeis.lattice import OFLattice
 from heckeis.numerics import neville_at_zero
 from heckeis.specialfun import gamma_F
+from heckeis.zeta import _ideal_embedding_matrix
 
 Q = make_field("Q")
 Fi = make_field(-1)
@@ -288,3 +293,108 @@ def test_h_gl2_over_gaussian_integers():
     den = Quaternion(1j, 0j) * zq + Quaternion(1 + 1j, 0j)
     w = num * den.inverse()
     assert abs(h_of(w) - (h_of(zq) - 2 * math.log(den.abs2()))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the Bessel pair sum of the expansion
+
+
+def _box_points(M, r):
+    """Nonzero points of the 2-d lattice with basis M and |point| <= r, as
+    complex numbers, from the full coefficient box."""
+    k0, k1 = (int(r * np.linalg.norm(row)) + 1 for row in np.linalg.inv(M))
+    c0, c1 = np.meshgrid(np.arange(-k0, k0 + 1), np.arange(-k1, k1 + 1))
+    pts = (complex(M[0, 0], M[1, 0]) * c0
+           + complex(M[0, 1], M[1, 1]) * c1).ravel()
+    return pts[(pts != 0) & (np.abs(pts) <= r)]
+
+
+def _brute_pairs(ev, reach, frac):
+    """The band (lo, hi] with hi = reach c min|alpha| min|beta*|, c = n_v pi |y|,
+    and lo = frac hi, with the (arg, phase, ratio) of every pair in it, one
+    alpha at a time against the whole beta list."""
+    n_v = 1 if ev.F.is_rational else 2
+    c = n_v * math.pi * abs(ev.y)
+    # no product |alpha| |beta*| lies on an edge: its argument could round
+    # to either side
+    reach *= 1 + math.pi * 1e-7
+    if ev.F.is_rational:
+        a, bs = ev.na, float(ev.bstar.absolute_norm())
+        k = np.arange(1, int(reach) + 2)
+        alphas, betas = a * k, bs * np.concatenate([k, -k])
+        hi = reach * c * a * bs
+    else:
+        Ma = _ideal_embedding_matrix(ev.ideal_a)
+        Mb = _ideal_embedding_matrix(ev.bstar)
+        min_a, min_b = (np.abs(_box_points(
+            M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
+        alphas = _box_points(Ma, 1.01 * reach * min_a)
+        betas = _box_points(Mb, 1.01 * reach * min_b)
+        hi = reach * c * min_a * min_b
+    lo = frac * hi
+    out = []
+    for al in alphas:
+        args = c * abs(al) * np.abs(betas)
+        bs_in = betas[(args > lo) & (args <= hi)]
+        out.extend((c * abs(al) * abs(be), n_v * (complex(ev.x) * al * be).real,
+                    (abs(be) / (abs(al) * abs(ev.y))) ** n_v) for be in bs_in)
+    return lo, hi, np.array(out).reshape(-1, 3)
+
+
+def _sorted_triples(triples, decimals=None):
+    """Rows sorted by (arg, ratio, phase), optionally rounded for the sort."""
+    keys = triples if decimals is None else np.round(triples, decimals)
+    return triples[np.lexsort((keys[:, 1], keys[:, 2], keys[:, 0]))]
+
+
+@given(st.sampled_from(["Q", -1, -2, -3, -7, -11]),
+       st.complex_numbers(max_magnitude=1.5),
+       st.floats(0.03, 2.0), st.floats(0.0, 2 * math.pi),
+       st.sampled_from([1, 2, Fraction(3, 2)]),
+       st.sampled_from([1, 2, Fraction(3, 2)]),
+       st.floats(0.5, 20.0), st.floats(0.0, 0.95))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
+    F = make_field(kind)
+    a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
+    if F.is_rational:
+        z = DNumber.from_xy(F, x.real, ay)
+    else:
+        z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
+    ev = EisensteinEvaluator(OFLattice(F, a, z, b))
+    lo, hi, want = _brute_pairs(ev, reach, frac)
+    band = np.column_stack(ev._pair_data(lo, hi))
+    assert band.shape == want.shape
+    # rows whose rounded sort keys tie may be permuted; they differ by < 1e-9
+    np.testing.assert_allclose(_sorted_triples(band, 9),
+                               _sorted_triples(want, 9), rtol=1e-12, atol=1e-9)
+    # the bands (0, lo] and (lo, hi] split the pairs of (0, hi] exactly; a
+    # phase may differ in its last bit with the pair's position in the array
+    split = _sorted_triples(np.concatenate(
+        [np.column_stack(ev._pair_data(0.0, lo)), band]))
+    whole = _sorted_triples(np.column_stack(ev._pair_data(0.0, hi)))
+    np.testing.assert_array_equal(split[:, [0, 2]], whole[:, [0, 2]])
+    np.testing.assert_allclose(split[:, 1], whole[:, 1], rtol=1e-14, atol=1e-14)
+
+
+def test_term3_evaluates_each_pair_once(monkeypatch):
+    # a torus node of Q(sqrt 13) at s = 3 whose pair sum extends its first
+    # cutoff, so a sum that recomputed earlier bands would count them twice
+    z = DNumber.from_xy(Q, -1.302507779274556, 0.031075804972806546)
+    ev = EisensteinEvaluator(OFLattice(Q, ZZ, z, ZZ))
+    seen, cutoffs = [], []
+    bessel, pair_data = eisenstein.bessel_k_batch, ev._pair_data
+
+    def counted(nu, xs, **kw):
+        seen.append(xs.size)
+        return bessel(nu, xs, **kw)
+
+    def banded(lo, hi):
+        cutoffs.append(hi)
+        return pair_data(lo, hi)
+
+    monkeypatch.setattr(eisenstein, "bessel_k_batch", counted)
+    monkeypatch.setattr(ev, "_pair_data", banded)
+    ev.term3(3.0, 1.3077905122890312e-10)
+    assert len(cutoffs) >= 2
+    assert sum(seen) == pair_data(0.0, max(cutoffs))[0].size

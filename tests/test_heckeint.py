@@ -231,3 +231,14 @@ def test_relative_klf_requires_real_field():
 def test_setup_rejects_rational():
     with pytest.raises(UnsupportedFieldError):
         HeckeSetup(Q)
+
+
+@pytest.mark.parametrize("d", [19, 22])
+def test_hecke_integral_raises_below_the_pair_sum_rounding_floor(d):
+    # at s = 3 the node values of Q(sqrt 19) and Q(sqrt 22) are so large that
+    # double precision cannot resolve the node tolerance; the pair sum says so
+    # instead of growing its cutoff on rounding noise
+    with pytest.raises(ConvergenceError) as info:
+        hecke_integral(HeckeSetup(make_field(d)), 3.0, 1e-8)
+    msg = str(info.value)
+    assert "rounding floor" in msg and "tol/10" in msg
