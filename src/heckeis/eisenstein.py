@@ -5,7 +5,11 @@ each other:
 
 * e_direct: the defining orbit sum V^s sum ||lambda||^(-2s) truncated at a
   norm cutoff, with an integral estimate of the tail added and a doubling
-  check (Re s > 1 only; the region where the raw series converges).
+  check (Re s > 1 only; the region where the raw series converges).  It
+  sums one point of each pair +-lambda, shell by shell: each doubling of
+  the cutoff B adds the points in (B, 2B] only, with real powers for real
+  s, and it raises when tol/16 lies below its rounding floor
+  eps |V^s| (2/w) sum ||lambda||^(-2 Re s).
 * ehat_expansion: the three-term formula
 
       Ehat = P^s xi(2s, b) + P^(1-s) xi(2s-1, a)
@@ -97,7 +101,15 @@ class EisensteinEvaluator:
 
     def e_direct(self, s: complex, tol: float = 1e-9) -> complex:
         """E(Lambda, s) by truncated orbit summation plus integral tail
-        correction; requires Re s > 1.05."""
+        correction; requires Re s > 1.05.
+
+        The sum over 0 < ||lambda|| <= B runs over one point of each pair
+        +-lambda, counted twice, and grows shell by shell: each doubling of B
+        sums the new points in (B, 2B] only, in real arithmetic when s is
+        real.  It stops when a doubling moves the value by at most tol/16,
+        and raises ConvergenceError when tol/16 lies below its rounding floor
+        eps |V^s| (2/w) sum ||lambda||^(-2 Re s), or after
+        quad_max_doublings doublings."""
         s = complex(s)
         if s.real <= 1.05:
             raise ConvergenceError(
@@ -107,30 +119,47 @@ class EisensteinEvaluator:
         V = lat.covolume
         w = lat.field.w
         kappa = 2 * math.pi if lat.field.is_rational else 4 * math.pi ** 2
+        Vs = _cpow(V, s)
 
         def tail(B: float) -> complex:
-            return _cpow(V, s) * kappa * _cpow(B, 2 - 2 * s) \
-                / (w * V * (2 * s - 2))
+            return Vs * kappa * _cpow(B, 2 - 2 * s) / (w * V * (2 * s - 2))
 
-        def partial(B: float) -> complex:
-            acc = 0j
-            for norms in lat.norm_chunks(B):
-                acc += complex(np.sum(np.exp(-2 * s * np.log(norms))))
-            return _cpow(V, s) * acc / w
+        def shell(lo: float, hi: float):
+            # (sum n^(-2s), sum n^(-2 Re s)) over the norms n in (lo, hi] of
+            # one point of each +-pair
+            acc, mass = 0j, 0.0
+            for norms in lat.norm_chunks(hi, lo):
+                logs = np.log(norms, out=norms)
+                mass += float(np.sum(np.exp(-2 * s.real * logs)))
+                if s.imag:
+                    acc += complex(np.sum(np.exp(-2 * s * logs)))
+            return (acc if s.imag else mass), mass
 
         # the doubling difference can understate the true truncation error by
         # an order of magnitude when lattice-shell oscillations dominate, so
         # the acceptance threshold carries a 16x safety factor
-        B = max(8.0, 2.0 * V ** (1.0 / lat.dim))
-        prev = partial(B) + tail(B)
-        for _ in range(self.config.quad_max_doublings):
-            B *= 2.0
-            cur = partial(B) + tail(B)
-            if abs(cur - prev) <= tol / 16:
+        eps_scale = np.finfo(float).eps * 2 * abs(Vs) / w
+        lo, B = 0.0, max(8.0, 2.0 * V ** (1.0 / lat.dim))
+        total, mass, prev = 0j, 0.0, None
+        for _ in range(self.config.quad_max_doublings + 1):
+            add, add_mass = shell(lo, B)
+            total += add
+            mass += add_mass
+            floor = eps_scale * mass
+            if floor > tol / 16:
+                raise ConvergenceError(
+                    f"direct sum at B = {B:g} lies below its rounding floor: "
+                    f"eps*|V^s|*2*sum|term|/w = {floor:.3g} > "
+                    f"tol/16 = {tol / 16:.3g}; use the expansion")
+            cur = 2 * Vs * total / w + tail(B)
+            delta = math.inf if prev is None else abs(cur - prev)
+            if delta <= tol / 16:
                 return cur
-            prev = cur
+            prev, lo, B = cur, B, 2 * B
         raise ConvergenceError(
-            f"direct sum did not stabilize at tol={tol}; use the expansion")
+            f"direct sum did not stabilize at B = {lo:g}: the last doubling "
+            f"moved it by {delta:.3g} > tol/16 = {tol / 16:.3g}; use the "
+            f"expansion")
 
     # --------------------------------------------------------------- expansion
 
@@ -245,7 +274,9 @@ class EisensteinEvaluator:
             return (2 * math.pi * n
                     for n in lat.norm_chunks(cut / (2 * math.pi)))
 
-        pref = _cpow(lat.covolume, s) * self.CF * (0.5 if rational else 1.0)
+        # norm_chunks lists one point of each +-pair: the sum over all
+        # nonzero points is twice the sum over those
+        pref = _cpow(lat.covolume, s) * self.CF * (1.0 if rational else 2.0)
         return pref * gamma_lattice_sum(
             s if rational else 2 * s, s.real, params, tol, abs(pref),
             self.config.tail_margin)

@@ -169,13 +169,18 @@ class OFLattice:
 
     # -- enumeration -------------------------------------------------------------
 
-    def norm_chunks(self, norm_bound: float,
+    def norm_chunks(self, norm_bound: float, inner_bound: float = 0.0,
                     chunk: int = 4_000_000) -> Iterator[np.ndarray]:
         """Yield arrays of algebra norms of the nonzero points with
-        ||lambda|| <= norm_bound (all points, no orbit grouping)."""
+        inner_bound < ||lambda|| <= norm_bound, one point of each pair
+        +-lambda (||-lambda|| = ||lambda||, so a sum over all nonzero points
+        is twice the sum over these; no other orbit grouping).  Consecutive
+        shells (B0, B1], (B1, B2], ... yield each point exactly once."""
         floor = 1e-12 * self.covolume ** (1.0 / self.field.degree)
         for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
-                              self.config.enum_point_cap, chunk=chunk):
+                              self.config.enum_point_cap, chunk=chunk,
+                              r_min=self.euclid_radius(inner_bound),
+                              half=True):
             norms = np.sqrt(r2, out=r2) if self.field.is_rational else r2
             if float(norms.min()) < floor:
                 raise DegenerateLatticeError(
@@ -246,13 +251,13 @@ class OFLattice:
         # n_v pi |t|^2 r_eucl^2 <= L
         r_eucl = math.sqrt(L / (n_v * math.pi)) / at
         bound = r_eucl if self.field.is_rational else r_eucl ** 2
-        total = 1.0
+        half = 0.0
         for norms in self.norm_chunks(bound):
             if self.field.is_rational:
-                total += float(np.sum(np.exp(-math.pi * (at * norms) ** 2)))
+                half += float(np.sum(np.exp(-math.pi * (at * norms) ** 2)))
             else:
-                total += float(np.sum(np.exp(-2.0 * math.pi * at * at * norms)))
-        return total
+                half += float(np.sum(np.exp(-2.0 * math.pi * at * at * norms)))
+        return 1.0 + 2.0 * half
 
     # -- misc ------------------------------------------------------------------------
 
@@ -305,13 +310,18 @@ class OFLattice:
 
 def ball_points(M: np.ndarray, r: float,
                 cap: int = DEFAULT.enum_point_cap, coeffs: bool = False,
-                chunk: int = 4_000_000) -> Iterator:
+                chunk: int = 4_000_000, r_min: float = 0.0,
+                half: bool = False) -> Iterator:
     """Enumerate the nonzero points M c (c integral) of the lattice with basis
-    columns M (dimension 2 or 4) in the closed Euclidean ball of radius r.
+    columns M (dimension 2 or 4) in the Euclidean annulus r_min < |M c| <= r.
 
     Yields arrays of squared lengths, about `chunk` points at a time; with
     coeffs=True yields pairs (squared lengths, integer coefficient columns of
-    shape (dim, n)).  Points come in lexicographic order of c.
+    shape (dim, n)).  Points come in lexicographic order of c.  Both radii
+    carry the same relative slack, so annuli (r0, r1], (r1, r2], ... split
+    the ball (0, rk] exactly.  With half=True only one point of each pair
+    +-c is yielded: the one whose leading coefficients are lexicographically
+    positive, or, when those are all zero, whose trailing ones are.
 
     Every point of the ball has |c_i| <= ||row_i(M^-1)|| r, so that box is
     searched; its size is checked against `cap` (EnumerationCapError).  The
@@ -327,6 +337,7 @@ def ball_points(M: np.ndarray, r: float,
         raise EnumerationCapError(
             f"enumeration box of {total} points exceeds the cap {cap}")
     r2_max = r ** 2 * (1 + 1e-12)
+    r2_min = r_min ** 2 * (1 + 1e-12)
     ranges = [np.arange(-int(k), int(k) + 1, dtype=np.int64) for k in radii]
 
     def mesh(idx: range):
@@ -341,16 +352,22 @@ def ball_points(M: np.ndarray, r: float,
 
     n_lead = dim // 2
     inner_coeffs, inner_pts = mesh(range(n_lead, dim))
-    inner_zero = np.all(inner_coeffs == 0, axis=0)
+    # the trailing coefficients a lead-zero row keeps: all but zero, or the
+    # lexicographically positive ones
+    inner_keep = _lex_positive(inner_coeffs) if half \
+        else np.any(inner_coeffs != 0, axis=0)
 
     Qmat, _ = np.linalg.qr(M[:, n_lead:])
     proj_perp = np.eye(dim) - Qmat @ Qmat.T
     lead_coeffs, shifts = mesh(range(n_lead))
     d2 = np.einsum("ij,ij->j", proj_perp @ shifts, shifts)
     keep_lead = d2 <= r2_max
+    lead_zero = np.all(lead_coeffs == 0, axis=0)
+    if half:
+        keep_lead &= lead_zero | _lex_positive(lead_coeffs)
     shifts = shifts[:, keep_lead]
     lead_coeffs = lead_coeffs[:, keep_lead]
-    lead_zero = np.all(lead_coeffs == 0, axis=0)
+    lead_zero = lead_zero[keep_lead]
 
     n_inner = inner_pts.shape[1]
     inner_r2 = np.einsum("ij,ij->j", inner_pts, inner_pts)
@@ -367,8 +384,12 @@ def ball_points(M: np.ndarray, r: float,
         r2 += sh_r2[:, None]
         r2 += inner_r2[None, :]
         keep = r2 <= r2_max
+        if r2_min > 0.0:
+            # not for r_min = 0: a nonzero point whose length rounds to 0
+            # must reach norm_chunks, which reports the degenerate lattice
+            keep &= r2 > r2_min
         for off in np.nonzero(lead_zero[start:start + block])[0]:
-            keep[off] &= ~inner_zero
+            keep[off] &= inner_keep
         vals = r2[keep]
         if vals.size:
             # guard against cancellation producing tiny negatives at 0
@@ -383,6 +404,12 @@ def ball_points(M: np.ndarray, r: float,
             buf, cbuf, size = [], [], 0
     if buf:
         yield _flush(buf, cbuf, coeffs)
+
+
+def _lex_positive(C: np.ndarray) -> np.ndarray:
+    """Mask of the columns of C whose first nonzero entry is positive."""
+    first = np.argmax(C != 0, axis=0)
+    return C[first, np.arange(C.shape[1])] > 0
 
 
 def _flush(buf, cbuf, coeffs):

@@ -73,9 +73,18 @@ def test_enumeration_cap_exits_3(capsys):
     # numeric failure, not a parse error
     code, _, err = run_cli(
         capsys, "eval-eisenstein", "--base-field", "Q",
-        "--lattice", "1,0.0+5e-4,1", "--s", "2", "--method", "direct")
+        "--lattice", "1,0.0+1e-7,1", "--s", "2", "--method", "direct")
     assert code == 3
     assert "exceeds the cap" in err
+
+
+def test_direct_rounding_floor_exits_3(capsys):
+    # E = 4.3e6 at s = 2: the requested tol lies below double precision
+    code, _, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", "1,0.0+5e-4,1", "--s", "2", "--method", "direct")
+    assert code == 3
+    assert "rounding floor" in err
 
 
 def test_unknown_suite_exits_2(capsys):

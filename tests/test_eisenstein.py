@@ -13,8 +13,9 @@ from heckeis.basefield import FracIdeal, make_field
 from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator, h_function
 from heckeis.errors import ConvergenceError, DegenerateLatticeError, PoleError
-from heckeis.lattice import OFLattice
+from heckeis.lattice import OFLattice, ball_points
 from heckeis.numerics import neville_at_zero
+from heckeis.precision import PrecisionConfig
 from heckeis.specialfun import gamma_F
 from heckeis.zeta import _ideal_embedding_matrix
 
@@ -353,7 +354,7 @@ def _sorted_triples(triples, decimals=None):
        st.sampled_from([1, 2, Fraction(3, 2)]),
        st.sampled_from([1, 2, Fraction(3, 2)]),
        st.floats(0.5, 20.0), st.floats(0.0, 0.95))
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None)
 def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
     F = make_field(kind)
     a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
@@ -398,3 +399,85 @@ def test_term3_evaluates_each_pair_once(monkeypatch):
     ev.term3(3.0, 1.3077905122890312e-10)
     assert len(cutoffs) >= 2
     assert sum(seen) == pair_data(0.0, max(cutoffs))[0].size
+
+
+def _traced_direct(monkeypatch, lat, s, tol):
+    """e_direct's value, every norm it was handed and its final cutoff."""
+    seen, bounds = [], []
+    chunks = lat.norm_chunks
+
+    def traced(bound, inner=0.0):
+        bounds.append(bound)
+        for norms in chunks(bound, inner):
+            seen.append(norms.copy())       # e_direct takes logs in place
+            yield norms
+
+    monkeypatch.setattr(lat, "norm_chunks", traced)
+    value = EisensteinEvaluator(lat).e_direct(s, tol)
+    return value, np.concatenate(seen), max(bounds)
+
+
+def _ball_norms(lat, B):
+    """Norms of all nonzero points with ||lambda|| <= B, both of each +-pair."""
+    r2 = np.concatenate(list(ball_points(lat.M, lat.euclid_radius(B))))
+    return np.sort(lat.norms_from_euclid(r2))
+
+
+@pytest.mark.parametrize("lat", [lat_q(0.3, 1.1),
+                                 lat_quat(Fi, 0.1 + 0.3j, 1.0 + 0.2j)])
+def test_direct_sums_each_point_once(lat, monkeypatch):
+    # the doublings grow the ball shell by shell, and norm_chunks hands over
+    # one point of each pair +-lambda: over the calls of one e_direct, the
+    # norms are those of half the final ball, each exactly once
+    _, seen, B = _traced_direct(monkeypatch, lat, 2.5, 4e-9)
+    full = _ball_norms(lat, B)
+    assert B > max(8.0, 2.0 * lat.covolume ** (1.0 / lat.dim))
+    assert seen.size * 2 == full.size
+    np.testing.assert_allclose(np.sort(seen), full[::2], rtol=1e-13)
+
+
+@pytest.mark.parametrize("lat", [lat_q(0.3, 1.1),
+                                 lat_quat(Fi, 0.1 + 0.3j, 1.0 + 0.2j)])
+def test_direct_real_s_sums_in_real_arithmetic(lat, monkeypatch):
+    exp_dtypes = []
+    np_exp = np.exp
+
+    def typed_exp(x, *args, **kw):
+        exp_dtypes.append(np.asarray(x).dtype)
+        return np_exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", typed_exp)
+    s = 2.5
+    value, _, B = _traced_direct(monkeypatch, lat, s, 4e-9)
+    assert exp_dtypes and all(d == np.float64 for d in exp_dtypes)
+    # the complex formula over the whole final ball, plus the integral tail
+    V, w = lat.covolume, lat.field.w
+    kappa = 2 * math.pi if lat.field.is_rational else 4 * math.pi ** 2
+    full = _ball_norms(lat, B)
+    cs = complex(s)
+    want = cmath.exp(cs * math.log(V)) / w \
+        * complex(np.sum(np.exp(-2 * cs * np.log(full)))) \
+        + cmath.exp(cs * math.log(V)) * kappa \
+        * cmath.exp((2 - 2 * cs) * math.log(B)) / (w * V * (2 * cs - 2))
+    assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_direct_raises_below_its_rounding_floor():
+    # E = 4.3e6 at s = 2: eps * E is above tol/16 = 6.25e-12, so doubling
+    # differences below tol/16 would only show shell sums, not accuracy
+    ev = EisensteinEvaluator(lat_q(0.0, 5e-4))
+    with pytest.raises(ConvergenceError) as info:
+        ev.e_direct(2.0, 1e-10)
+    msg = str(info.value)
+    assert "rounding floor" in msg and "B = 8" in msg
+    assert "tol/16 = 6.25e-12" in msg
+
+
+def test_direct_reports_how_far_it_got():
+    config = PrecisionConfig(quad_max_doublings=1)
+    ev = EisensteinEvaluator(lat_q(0.0, 1.0), config)
+    with pytest.raises(ConvergenceError) as info:
+        ev.e_direct(2.0, 1e-10)
+    msg = str(info.value)
+    assert "did not stabilize at B = 16" in msg
+    assert "tol/16 = 6.25e-12" in msg

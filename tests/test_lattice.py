@@ -193,10 +193,20 @@ def _random_bases(dim, n, seed):
     return bases
 
 
+def _coeff_tuples(out, dim):
+    C = np.concatenate([np.zeros((dim, 0), dtype=np.int64)]
+                       + [c for _, c in out], axis=1)
+    return sorted(map(tuple, C.T.tolist()))
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_ball_points_match_brute_force(dim):
-    for k, M in enumerate(_random_bases(dim, 4, seed=dim)):
-        r = 2.5 if dim == 2 else 1.6
+    r = 2.5 if dim == 2 else 1.6
+    # the identity basis has points of squared length 1, exactly the first
+    # radius with its slack: only an exclusive inner bound counts them once
+    radii = [1.0 / math.sqrt(1 + 1e-12), (1.0 + r) / 2, r]
+    assert radii[0] ** 2 * (1 + 1e-12) == 1.0
+    for k, M in enumerate(_random_bases(dim, 4, seed=dim) + [np.eye(dim)]):
         C_ref, r2_ref = _brute_ball(M, r)
         for chunk in (4_000_000, 37):
             out = list(ball_points(M, r, coeffs=True, chunk=chunk))
@@ -208,10 +218,24 @@ def test_ball_points_match_brute_force(dim):
             assert np.all(r2 > 0) and np.all(np.any(C != 0, axis=0))
             assert np.allclose(np.einsum("ij,ij->j", M @ C, M @ C), r2,
                                rtol=1e-12, atol=1e-12)
-            assert sorted(map(tuple, C.T.tolist())) \
-                == sorted(map(tuple, C_ref.T.tolist()))
+            full = sorted(map(tuple, C.T.tolist()))
+            assert full == sorted(map(tuple, C_ref.T.tolist()))
             plain = np.concatenate(list(ball_points(M, r, chunk=chunk)))
             assert np.array_equal(plain, r2)
+            # half=True: one point of each +-pair, never zero
+            half = _coeff_tuples(ball_points(M, r, coeffs=True, chunk=chunk,
+                                             half=True), dim)
+            neg = [tuple(-c for c in x) for x in half]
+            assert (0,) * dim not in half
+            assert not set(half) & set(neg), k
+            assert sorted(half + neg) == full, k
+            # the shells (0, r1], (r1, r2], (r2, r] split the ball
+            for h, whole in ((False, full), (True, half)):
+                shells = []
+                for lo, hi in zip([0.0] + radii[:-1], radii):
+                    shells += _coeff_tuples(ball_points(
+                        M, hi, coeffs=True, chunk=chunk, r_min=lo, half=h), dim)
+                assert sorted(shells) == whole, (k, h)
 
 
 def test_ball_points_cap():
