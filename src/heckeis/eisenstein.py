@@ -267,12 +267,12 @@ class EisensteinEvaluator:
         s = complex(s)
         rational = self.F.is_rational
 
-        def params(cut: float):
+        def params(lo: float, cut: float):
             if rational:
-                return (math.pi * n * n
-                        for n in lat.norm_chunks(math.sqrt(cut / math.pi)))
-            return (2 * math.pi * n
-                    for n in lat.norm_chunks(cut / (2 * math.pi)))
+                return (math.pi * n * n for n in lat.norm_chunks(
+                    math.sqrt(cut / math.pi), math.sqrt(lo / math.pi)))
+            return (2 * math.pi * n for n in lat.norm_chunks(
+                cut / (2 * math.pi), lo / (2 * math.pi)))
 
         # norm_chunks lists one point of each +-pair: the sum over all
         # nonzero points is twice the sum over those

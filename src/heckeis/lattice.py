@@ -176,7 +176,9 @@ class OFLattice:
         +-lambda (||-lambda|| = ||lambda||, so a sum over all nonzero points
         is twice the sum over these; no other orbit grouping).  Consecutive
         shells (B0, B1], (B1, B2], ... yield each point exactly once."""
-        floor = 1e-12 * self.covolume ** (1.0 / self.field.degree)
+        # a norm scales like a squared length over imaginary fields and like
+        # a length over Q, and the covolume like the square of either
+        floor = 1e-12 * math.sqrt(self.covolume)
         for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
                               self.config.enum_point_cap, chunk=chunk,
                               r_min=self.euclid_radius(inner_bound),
@@ -318,16 +320,17 @@ def ball_points(M: np.ndarray, r: float,
     Yields arrays of squared lengths, about `chunk` points at a time; with
     coeffs=True yields pairs (squared lengths, integer coefficient columns of
     shape (dim, n)).  Points come in lexicographic order of c.  Both radii
-    carry the same relative slack, so annuli (r0, r1], (r1, r2], ... split
-    the ball (0, rk] exactly.  With half=True only one point of each pair
-    +-c is yielded: the one whose leading coefficients are lexicographically
-    positive, or, when those are all zero, whose trailing ones are.
+    carry the same relative slack and a point's squared length does not
+    depend on the radii, so annuli (r0, r1], (r1, r2], ... split the ball
+    (0, rk] exactly.  With half=True only one point of each pair +-c is
+    yielded: the one whose first nonzero coefficient is positive.
 
-    Every point of the ball has |c_i| <= ||row_i(M^-1)|| r, so that box is
-    searched; its size is checked against `cap` (EnumerationCapError).  The
-    leading coordinates form shifts, pruned by their distance to the span of
-    the trailing basis vectors, and each block of shifts is combined with a
-    cached mesh over the trailing coordinates.
+    Every point of the ball has |c_i| <= ||row_i(M^-1)|| r; the size of that
+    box is checked against `cap` (EnumerationCapError), and the search stays
+    inside it.  The search is Fincke-Pohst's on M = Q L, L lower triangular:
+    with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once c_0, ..., c_{i-1} are
+    fixed, t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i one integer interval.
+    The last coefficient runs over that interval minus the part inside r_min.
     """
     dim = M.shape[0]
     row_norms = np.linalg.norm(np.linalg.inv(M), axis=1)
@@ -338,83 +341,74 @@ def ball_points(M: np.ndarray, r: float,
             f"enumeration box of {total} points exceeds the cap {cap}")
     r2_max = r ** 2 * (1 + 1e-12)
     r2_min = r_min ** 2 * (1 + 1e-12)
-    ranges = [np.arange(-int(k), int(k) + 1, dtype=np.int64) for k in radii]
+    L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
+    L *= np.sign(np.diag(L))[:, None]
+    # the intervals are widened by this allowance for rounding in t_i; the
+    # test on the computed squared lengths decides
+    pad = 1e-7 * r
 
-    def mesh(idx: range):
-        # coefficient columns of the sub-box over coordinates idx, and the
-        # points sum_j c_j M[:, j]
-        grids = np.meshgrid(*[ranges[j] for j in idx], indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids])
-        pts = np.outer(M[:, idx[0]], coeffs[0])
-        for k, j in enumerate(idx[1:], 1):
-            pts += np.outer(M[:, j], coeffs[k])
-        return coeffs, pts
+    def span(i, u, S, r2, pad):
+        # the integers c_i with |L_ii c_i + u| <= sqrt(r2 - S) + pad
+        w = (np.sqrt(np.maximum(r2 - S, 0.0)) + pad) / L[i, i]
+        ctr = -u / L[i, i]
+        return np.stack([np.ceil(ctr - w), np.floor(ctr + w)]).astype(np.int64)
 
-    n_lead = dim // 2
-    inner_coeffs, inner_pts = mesh(range(n_lead, dim))
-    # the trailing coefficients a lead-zero row keeps: all but zero, or the
-    # lexicographically positive ones
-    inner_keep = _lex_positive(inner_coeffs) if half \
-        else np.any(inner_coeffs != 0, axis=0)
+    # One row per choice of c_0, ..., c_{i-1}: C holds them, u = L[i:, :i] C
+    # and S is the sum of their t_j^2.  On any row but the zeros, the first
+    # nonzero c_j gives t_j = L_jj c_j, so S > 0: S = 0 marks the row of
+    # zeros, and c = 0 is the only point of squared length 0, which the
+    # final test drops.
+    C = np.zeros((0, 1), dtype=np.int64)
+    u = np.zeros((dim, 1))
+    S = np.zeros(1)
+    for i in range(dim):
+        lo, hi = np.clip(span(i, u[0], S, r2_max, pad), -radii[i], radii[i])
+        if half:
+            lo[(S == 0) & (lo < 0)] = 0
+        if i == dim - 1:
+            break
+        n = np.maximum(hi - lo + 1, 0)
+        ci = _runs(lo, n)
+        t = np.repeat(u[0], n) + L[i, i] * ci
+        S = np.repeat(S, n) + t * t
+        u = np.repeat(u[1:], n, axis=1) + np.outer(L[i + 1:, i], ci)
+        C = np.vstack([np.repeat(C, n, axis=1), ci])
 
-    Qmat, _ = np.linalg.qr(M[:, n_lead:])
-    proj_perp = np.eye(dim) - Qmat @ Qmat.T
-    lead_coeffs, shifts = mesh(range(n_lead))
-    d2 = np.einsum("ij,ij->j", proj_perp @ shifts, shifts)
-    keep_lead = d2 <= r2_max
-    lead_zero = np.all(lead_coeffs == 0, axis=0)
-    if half:
-        keep_lead &= lead_zero | _lex_positive(lead_coeffs)
-    shifts = shifts[:, keep_lead]
-    lead_coeffs = lead_coeffs[:, keep_lead]
-    lead_zero = lead_zero[keep_lead]
+    # the last coefficient (i = dim - 1) skips [a, b], which lies inside r_min
+    a, b = span(i, u[0], S, r2_min, -pad)
+    b = np.maximum(b, a - 1)
+    starts = np.stack([lo, np.maximum(b + 1, lo)], axis=1)
+    lens = np.stack([np.minimum(a - 1, hi) - lo + 1, hi - starts[:, 1] + 1],
+                    axis=1)
+    np.maximum(lens, 0, out=lens)
+    counts = lens.sum(axis=1)
 
-    n_inner = inner_pts.shape[1]
-    inner_r2 = np.einsum("ij,ij->j", inner_pts, inner_pts)
-    block = max(1, chunk // max(1, n_inner))
-    buf: List[np.ndarray] = []
-    cbuf: List[np.ndarray] = []
-    size = 0
-    for start in range(0, shifts.shape[1], block):
-        sh = shifts[:, start:start + block]
-        sh_r2 = np.einsum("ij,ij->j", sh, sh)
-        # |shift + inner|^2 = |shift|^2 + 2 shift.inner + |inner|^2
-        r2 = sh.T @ inner_pts
-        r2 *= 2.0
-        r2 += sh_r2[:, None]
-        r2 += inner_r2[None, :]
+    def block(rows: slice):
+        c = _runs(starts[rows].ravel(), lens[rows].ravel())
+        r2 = c * L[i, i]
+        r2 += np.repeat(u[0, rows], counts[rows])
+        r2 *= r2
+        r2 += np.repeat(S[rows], counts[rows])
         keep = r2 <= r2_max
-        if r2_min > 0.0:
-            # not for r_min = 0: a nonzero point whose length rounds to 0
-            # must reach norm_chunks, which reports the degenerate lattice
-            keep &= r2 > r2_min
-        for off in np.nonzero(lead_zero[start:start + block])[0]:
-            keep[off] &= inner_keep
-        vals = r2[keep]
-        if vals.size:
-            # guard against cancellation producing tiny negatives at 0
-            buf.append(np.maximum(vals, 0.0, out=vals))
-            size += vals.size
-            if coeffs:
-                rows, cols = np.nonzero(keep)
-                cbuf.append(np.concatenate(
-                    [lead_coeffs[:, start + rows], inner_coeffs[:, cols]]))
-        if size >= chunk:
-            yield _flush(buf, cbuf, coeffs)
-            buf, cbuf, size = [], [], 0
-    if buf:
-        yield _flush(buf, cbuf, coeffs)
+        keep &= r2 > r2_min
+        cols = np.vstack([np.repeat(C[:, rows], counts[rows], axis=1),
+                          c])[:, keep] if coeffs else None
+        return (r2 if keep.all() else r2[keep]), cols
+
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(chunk, ends[-1] + chunk, chunk),
+                           side="right")
+    for start, stop in zip([0, *cuts[:-1]], cuts):
+        r2, cols = block(slice(start, stop))
+        if r2.size:
+            yield (r2, cols) if coeffs else r2
 
 
-def _lex_positive(C: np.ndarray) -> np.ndarray:
-    """Mask of the columns of C whose first nonzero entry is positive."""
-    first = np.argmax(C != 0, axis=0)
-    return C[first, np.arange(C.shape[1])] > 0
-
-
-def _flush(buf, cbuf, coeffs):
-    r2 = np.concatenate(buf)
-    return (r2, np.concatenate(cbuf, axis=1)) if coeffs else r2
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The runs of integers starts[k], ..., starts[k] + lens[k] - 1 in turn."""
+    out = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    out += np.arange(out.size)
+    return out
 
 
 def _exact_coords_in_basis(x: QuadElement, g1: QuadElement, g2: QuadElement):

@@ -372,12 +372,13 @@ def ideal_theta(F: FieldDescriptor, ideal: FracIdeal, t, tol: float = 1e-13) -> 
 
 
 def gamma_lattice_sum(nu: complex, re_s: float,
-                      params: Callable[[float], Iterable[np.ndarray]],
+                      params: Callable[[float, float], Iterable[np.ndarray]],
                       tol: float, scale: float, tail_margin: float) -> complex:
     """Sum of x^(-nu) Gamma(nu, x) over the Gaussian parameters x of a lattice:
     the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
 
-    `params(cut)` yields arrays covering every parameter <= cut; `scale` is
+    `params(lo, hi)` yields arrays of the parameters in (lo, hi], so that
+    the shells (0, c0], (c0, c1], ... yield each parameter once; `scale` is
     the magnitude of the caller's prefactor and `re_s` the real part of the
     caller's s, which sets the starting cutoff.  The cutoff grows by +6 until
     the new shell (cut, cut + 6] adds at most tol/10 after scaling; each step
@@ -385,8 +386,7 @@ def gamma_lattice_sum(nu: complex, re_s: float,
 
     def shell(lo: float, hi: float) -> complex:
         acc = 0j
-        for xs in params(hi):
-            xs = xs[(xs > lo) & (xs <= hi)]
+        for xs in params(lo, hi):
             gv = np.array([upper_incomplete_gamma(nu, x, tol=1e-15)
                            for x in xs], dtype=complex)
             acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
@@ -408,15 +408,18 @@ def gamma_lattice_sum(nu: complex, re_s: float,
 
 
 def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
-                     cap: int) -> Iterable[np.ndarray]:
-    """Gaussian parameters covering those <= cut of the nonzero elements of
-    an ideal: pi alpha^2 (Q, alpha = a m > 0) or 2 pi N(alpha)."""
+                     cap: int, lo: float = 0.0) -> Iterable[np.ndarray]:
+    """Gaussian parameters in (lo, cut] of the nonzero elements of an ideal:
+    pi alpha^2 (Q, alpha = a m > 0) or 2 pi N(alpha).  Consecutive shells
+    (0, c0], (c0, c1], ... yield each parameter exactly once."""
     if F.is_rational:
         a = float(ideal.absolute_norm())
-        m = np.arange(1, int(math.sqrt(cut / math.pi) / a) + 2, dtype=float)
+        m = np.arange(int(math.sqrt(lo / math.pi) / a) + 1,
+                      int(math.sqrt(cut / math.pi) / a) + 1, dtype=float)
         return [math.pi * (a * m) ** 2]
     return (2 * math.pi * n2 for n2 in ball_points(
-        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)), cap))
+        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)), cap,
+        r_min=math.sqrt(lo / (2 * math.pi))))
 
 
 _POLE_RADIUS = 1e-8
@@ -456,7 +459,7 @@ class CompletedZeta:
         cap = self.config.enum_point_cap
         return pref * gamma_lattice_sum(
             s / 2 if rational else s, s.real,
-            lambda cut: _gaussian_params(self.F, ideal, cut, cap),
+            lambda lo, cut: _gaussian_params(self.F, ideal, cut, cap, lo),
             tol, abs(pref), self.config.tail_margin)
 
     # -- public surface --------------------------------------------------------------

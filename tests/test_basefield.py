@@ -103,7 +103,7 @@ def test_parse_field():
 
 @given(st.integers(-30, 30), st.integers(-30, 30),
        st.integers(-30, 30), st.integers(-30, 30))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_norm_multiplicative_exact(a1, b1, a2, b2):
     F = make_field(-7)
     x = QuadElement(F, Fraction(a1), Fraction(b1))
@@ -181,7 +181,7 @@ def test_hnf_product_inverse_is_unit_ideal():
 
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
        st.integers(-8, 8))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_ideal_norm_multiplicative(a1, b1, a2, b2):
     F = make_field(-7)
     x = QuadElement(F, Fraction(a1), Fraction(b1))

@@ -354,7 +354,7 @@ def _sorted_triples(triples, decimals=None):
        st.sampled_from([1, 2, Fraction(3, 2)]),
        st.sampled_from([1, 2, Fraction(3, 2)]),
        st.floats(0.5, 20.0), st.floats(0.0, 0.95))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
     F = make_field(kind)
     a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))

@@ -164,6 +164,14 @@ def test_raw_sum_modular_invariance():
     assert abs(q2 - dnorm(zq) ** (-2 * s) * q1) < 1e-9
 
 
+def test_norm_chunks_near_zero_floor_follows_the_norm():
+    # over Q a norm is a length and the covolume an area: the floor under
+    # which a norm counts as zero scales like sqrt(covolume)
+    lat = lat_q(0.0, 1e13)
+    norms = np.concatenate(list(lat.norm_chunks(2.5)))
+    assert np.allclose(np.sort(norms), [1.0, 2.0], rtol=1e-15, atol=0)
+
+
 def test_enumeration_cap():
     lat = lat_q(0.0, 1.0)
     with pytest.raises(EnumerationCapError):
@@ -190,6 +198,16 @@ def _random_bases(dim, n, seed):
     shear[1, 0], shear[1, 1] = 0.999, 1e-3
     bases.append(shear)
     bases.append(rng.normal(size=(dim, dim)) @ shear)
+    if dim > 2:
+        # the short column last, so that the last coefficient, which is
+        # yielded in blocks, has the longest runs (in dim 2 it is last)
+        bases.append(shear[:, [0, *range(2, dim), 1]])
+    # a lower triangular basis is its own factor L in M = Q L, the factor
+    # the search runs on: a negative diagonal
+    tri = np.tril(rng.normal(size=(dim, dim)), -1) \
+        - np.diag(np.linspace(1.0, 1.5, dim))
+    assert np.all(np.diag(np.linalg.qr(tri[:, ::-1], mode="r")) < 0)
+    bases.append(tri)
     return bases
 
 
@@ -229,6 +247,10 @@ def test_ball_points_match_brute_force(dim):
             assert (0,) * dim not in half
             assert not set(half) & set(neg), k
             assert sorted(half + neg) == full, k
+            # an inner radius below the shortest vector removes nothing
+            below = 0.5 * math.sqrt(float(r2_ref.min()))
+            assert _coeff_tuples(ball_points(
+                M, r, coeffs=True, chunk=chunk, r_min=below), dim) == full, k
             # the shells (0, r1], (r1, r2], (r2, r] split the ball
             for h, whole in ((False, full), (True, half)):
                 shells = []

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from heckeis import zeta
+from heckeis import eisenstein, zeta
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
@@ -145,10 +145,14 @@ def test_zeta_k_class_unsupported():
 # the shared incomplete-gamma lattice sum
 
 
-def _phi_case():
-    ideal = FracIdeal.unit_ideal(F3)
-    return (lambda: CompletedZeta(F3, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
-            lambda upto: zeta._gaussian_params(F3, ideal, upto, 10 ** 8))
+def _phi_case(F=F3):
+    ideal = FracIdeal.unit_ideal(F)
+    return (lambda: CompletedZeta(F, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
+            lambda upto: zeta._gaussian_params(F, ideal, upto, 10 ** 8))
+
+
+def _phi_q_case():
+    return _phi_case(Q)
 
 
 def _psi_case():
@@ -158,32 +162,45 @@ def _psi_case():
                           lat.norm_chunks(math.sqrt(upto / math.pi))])
 
 
-@pytest.mark.parametrize("case", [_phi_case, _psi_case])
+@pytest.mark.parametrize("case", [_phi_case, _phi_q_case, _psi_case])
 def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
-    seen = []
+    seen, yielded = [], []
     gamma = zeta.upper_incomplete_gamma
+    lattice_sum = zeta.gamma_lattice_sum
 
     def counted(nu, x, tol):
         seen.append(x)
         return gamma(nu, x, tol=tol)
 
+    def recorded(nu, re_s, params, *rest):
+        def shell_params(lo, hi):
+            for xs in params(lo, hi):
+                yielded.append(np.array(xs))
+                yield xs
+        return lattice_sum(nu, re_s, shell_params, *rest)
+
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
+    monkeypatch.setattr(zeta, "gamma_lattice_sum", recorded)
+    monkeypatch.setattr(eisenstein, "gamma_lattice_sum", recorded)
     run, params = case()
     run()
-    # every parameter up to the final cutoff is evaluated exactly once,
-    # however many +6 extensions the cutoff took
+    # every parameter up to the final cutoff is enumerated and evaluated
+    # exactly once, however many +6 extensions the cutoff took
     upto = max(seen) * (1 + 1e-12)
-    xs = np.concatenate([np.zeros(0), *params(upto)])
+    xs = np.sort(np.concatenate([np.zeros(0), *params(upto)]))
     xs = xs[xs <= upto]
-    assert len(seen) == xs.size
-    np.testing.assert_allclose(np.sort(seen), np.sort(xs), rtol=1e-13)
+    for got in (seen, np.concatenate(yielded)):
+        assert len(got) == xs.size
+        np.testing.assert_allclose(np.sort(got), xs, rtol=1e-13)
 
 
 def test_gamma_lattice_sum_reports_how_far_it_got():
     # a prefactor of 1e300 keeps every shell above tol/10
+    def integers(lo, hi):
+        return [np.arange(math.floor(lo) + 1, math.floor(hi) + 1, dtype=float)]
+
     with pytest.raises(ConvergenceError) as info:
-        gamma_lattice_sum(1.0, 1.0, lambda cut: [np.arange(1.0, cut + 1)],
-                          1e-10, 1e300, 8.0)
+        gamma_lattice_sum(1.0, 1.0, integers, 1e-10, 1e300, 8.0)
     msg = str(info.value)
     final = -math.log(1e-10) + 8.0 + 4.0 + 8.0 + 24 * 6.0
     assert f"cutoff {final:g}" in msg
