@@ -13,7 +13,7 @@ from .eisenstein import (EisensteinEvaluator, eisenstein_ct, eisenstein_direct,
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError, HeckeisError, PoleError,
                      UnsupportedFieldError)
-from .heckeint import (HeckeSetup, hecke_integral, hecke_laurent, lattice_at,
+from .heckeint import (HeckeSetup, hecke_integral, hecke_laurent,
                        relative_klf_check, torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
 from .precision import DEFAULT, PrecisionConfig

@@ -29,9 +29,9 @@ import numpy as np
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, make_field
 from .dalgebra import DNumber
 from .eisenstein import EisensteinEvaluator
-from .errors import ConvergenceError, UnsupportedFieldError
+from .errors import UnsupportedFieldError
 from .lattice import OFLattice
-from .numerics import gauss_legendre_nodes
+from .numerics import nested_trapezoid
 from .precision import DEFAULT, PrecisionConfig
 from .specialfun import gamma_F
 from .zeta import c_F, completed_zeta, xi_K_laurent
@@ -119,35 +119,21 @@ class HeckeSetup:
         return EisensteinEvaluator(lat, self.config)
 
 
-def lattice_at(setup: HeckeSetup, sign: int, t: float) -> OFLattice:
-    """The twisted lattice rho(u~ A) at the torus point (sign, t)."""
-    return setup.lattice_at(sign, t)
-
-
 def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
                       config: PrecisionConfig):
     """Sum over both sign components of int_1^eps0 node_fn(sign, t) dt/t by
-    Gauss-Legendre in log t, with node doubling from 16 nodes."""
-    log_up = math.log(setup.eps0)
+    the trapezoid rule in log t over the period log eps0 (the integrand is
+    periodic there, so the rule converges geometrically and its nodes nest),
+    from 8 nodes per sign."""
+    period = math.log(setup.eps0)
 
-    def estimate(n: int) -> complex:
-        taus, wts = gauss_legendre_nodes(n, 0.0, log_up)
-        acc = 0j
-        for sign in (1, -1):
-            vals = np.array([node_fn(sign, math.exp(tau)) for tau in taus],
-                            dtype=complex)
-            acc += complex(np.dot(wts, vals))
-        return acc
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        return np.array([node_fn(sign, math.exp(tau))
+                         for sign in (1, -1) for tau in taus], dtype=complex)
 
-    n = 16
-    prev = estimate(n)
-    for _ in range(config.quad_max_doublings):
-        n *= 2
-        cur = estimate(n)
-        if abs(cur - prev) <= tol / 2:
-            return cur
-        prev = cur
-    raise ConvergenceError(f"torus quadrature did not reach tol={tol}")
+    return complex(nested_trapezoid(
+        integrand, lambda h: np.arange(round(period / h)), period / 8, tol / 2,
+        config.quad_max_doublings, "torus quadrature"))
 
 
 def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:

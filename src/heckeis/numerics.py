@@ -1,10 +1,13 @@
-"""Small numerical utilities: extrapolation and quadrature nodes."""
+"""Small numerical utilities: polynomial extrapolation to zero and the
+nested trapezoid sum behind every adaptive quadrature in the package."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 
 def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
@@ -19,8 +22,31 @@ def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
     return table[0]
 
 
-def gauss_legendre_nodes(n: int, a: float, b: float):
-    """Nodes and weights for the interval [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
+                     grid: Callable[[float], np.ndarray], h: float, tol: float,
+                     doublings: int, what: str) -> np.ndarray:
+    """h * sum of f(k h) over the integers k of grid(h), summed over the last
+    axis of f's values (one entry per node).
+
+    The step is halved until two levels differ by at most `tol` in every
+    entry.  grid(h / 2) must contain 2k for every k of grid(h), so that each
+    level evaluates f only at the new odd multiples of the halved step.
+    Raises ConvergenceError after `doublings` halvings.
+    """
+    vals = f(grid(h) * h)
+    nodes = vals.shape[-1]
+    cur = h * vals.sum(axis=-1)
+    delta = float("inf")
+    for _ in range(doublings):
+        h /= 2.0
+        k = grid(h)
+        vals = f(k[k % 2 != 0] * h)
+        nodes += vals.shape[-1]
+        nxt = cur / 2.0 + h * vals.sum(axis=-1)
+        delta = float(np.max(np.abs(nxt - cur)))
+        if delta <= tol:
+            return nxt
+        cur = nxt
+    raise ConvergenceError(
+        f"{what} did not converge: halvings {doublings}, nodes {nodes}, "
+        f"last change {delta:.3g} > tol {tol:.3g}")

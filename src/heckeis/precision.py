@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 class PrecisionConfig:
     # absolute tolerance targeted by special-function evaluations
     target_abs_tol: float = 1e-12
-    # doubling limits for trapezoid / Gauss-Legendre refinement
+    # halving limit of every nested trapezoid sum (Bessel integral, torus)
     quad_max_doublings: int = 14
     # cap on lattice points visited by a single enumeration
     enum_point_cap: int = 400_000_000

@@ -24,6 +24,7 @@ from scipy.special import gamma as _scipy_gamma
 
 from .basefield import FieldDescriptor
 from .errors import ConvergenceError, PoleError
+from .numerics import nested_trapezoid
 from .precision import DEFAULT, PrecisionConfig
 
 Complex = Union[complex, float]
@@ -162,25 +163,15 @@ def _bessel_chunk(s: complex, xs: np.ndarray, tol: float,
     L = math.log(4.0 / tol) + config.tail_margin
     T = _bessel_grid_halfwidth(abs(s.real), float(xs.min()), L)
 
-    def trap(h: float, prev=None):
-        n = math.floor(T / h)
-        k = np.arange(-n, n + 1)
-        if prev is not None:
-            k = k[k % 2 != 0]       # only the new midpoints of the old grid
-        taus = k * h
-        vals = np.exp(-2.0 * np.outer(xs, np.cosh(taus)) + s * taus[None, :])
-        partial = h * vals.sum(axis=1)
-        return partial if prev is None else prev / 2.0 + partial
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        return np.exp(-2.0 * np.outer(xs, np.cosh(taus)) + s * taus[None, :])
 
-    h = 0.5
-    cur = trap(h)
-    for _ in range(config.quad_max_doublings):
-        h /= 2.0
-        nxt = trap(h, prev=cur)
-        if float(np.max(np.abs(nxt - cur))) <= tol / 4.0:
-            return nxt
-        cur = nxt
-    raise ConvergenceError("bessel trapezoid did not converge")
+    def grid(h: float) -> np.ndarray:
+        n = math.floor(T / h)
+        return np.arange(-n, n + 1)
+
+    return nested_trapezoid(integrand, grid, 0.5, tol / 4.0,
+                            config.quad_max_doublings, "bessel trapezoid")
 
 
 def bessel_k(s: Complex, x: float, tol: float = None,

@@ -1,8 +1,10 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from scipy.special import i0
 
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import rho_star
@@ -88,13 +90,22 @@ def test_scaled_lattice_modularity():
 
 @pytest.mark.parametrize("d", [5, 3])
 def test_integrand_periodicity(d):
-    # eps0 generates the stabilizer in t-coordinates for both unit norms
+    # eps0 generates the stabilizer in t-coordinates for both unit norms and
+    # both signs, which the periodic trapezoid rule in log t relies on; the
+    # limit-formula integrand h - log|y| is invariant, h alone is not
     setup = HeckeSetup(make_field(d))
     s = 1.7
-    for t in (1.0, 1.9):
-        a = setup.evaluator_at(1, t).ehat_expansion(s, 1e-12)
-        b = setup.evaluator_at(1, t * setup.eps0).ehat_expansion(s, 1e-12)
-        assert abs(a - b) < 1e-9
+    for sign in (1, -1):
+        for t in (1.0, 1.9):
+            ev = setup.evaluator_at(sign, t)
+            ev_up = setup.evaluator_at(sign, t * setup.eps0)
+            a = ev.ehat_expansion(s, 1e-12)
+            b = ev_up.ehat_expansion(s, 1e-12)
+            assert abs(a - b) < 1e-9
+            h, h_up = ev.h_value(1e-12), ev_up.h_value(1e-12)
+            assert abs((h - math.log(abs(ev.y)))
+                       - (h_up - math.log(abs(ev_up.y)))) < 1e-9
+            assert abs(h - h_up) > 1e-3
 
 
 def test_rho_star_gives_dual_lattice():
@@ -182,11 +193,21 @@ def test_classical_normalization():
     assert abs(got - zeta_K(K, 2.0)) < 1e-8
 
 
+def unconverged_fields(err) -> dict:
+    m = re.fullmatch(r"(.+) did not converge: halvings (\d+), nodes (\d+), "
+                     r"last change (\S+) > tol (\S+)", str(err))
+    assert m, str(err)
+    what, halvings, nodes, change, tol = m.groups()
+    return {"what": what, "halvings": int(halvings), "nodes": int(nodes),
+            "change": float(change), "tol": float(tol)}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_classical_integral_raises_when_unconverged(monkeypatch, d):
-    # an integrand oscillating too fast for 64 Gauss-Legendre nodes must
-    # raise, as hecke_integral does, instead of returning the last estimate
-    # (over Q(sqrt5) the interval [1, eps^2] is short enough for 64 nodes)
+    # an integrand that is not periodic in log t converges only slowly under
+    # the trapezoid rule, so with two halvings (8 -> 32 nodes per sign) it
+    # must raise, as hecke_integral does, instead of returning the last
+    # estimate; the message says how far the quadrature got
     class Oscillating:
         def __init__(self, t):
             self.t = t
@@ -197,10 +218,48 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
     monkeypatch.setattr(HeckeSetup, "evaluator_at",
                         lambda self, sign, t: Oscillating(t))
     setup = HeckeSetup(make_field(d), config=PrecisionConfig(quad_max_doublings=2))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as info:
         hecke_integral(setup, 2.0, 1e-8)
-    with pytest.raises(ConvergenceError):
+    fields = unconverged_fields(info.value)
+    assert fields["what"] == "torus quadrature"
+    assert fields["halvings"] == 2 and fields["nodes"] == 2 * 32
+    assert fields["tol"] == 5e-9 and fields["change"] > fields["tol"]
+    with pytest.raises(ConvergenceError) as info:
         classical_real_quadratic_integral(setup, 2.0, 1e-8)
+    fields = unconverged_fields(info.value)
+    assert fields["halvings"] == 2 and fields["nodes"] == 2 * 32
+    assert fields["change"] > fields["tol"]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
+    # exp(cos(2 pi log t / log eps0)) has period log eps0 in log t and
+    # integrates to log eps0 * I_0(1) per sign; the trapezoid rule in log t
+    # gets it to rounding with 32 nodes per sign and never evaluates a node
+    # twice
+    setup = HeckeSetup(make_field(d))
+    period = math.log(setup.eps0)
+    calls = []
+
+    class Periodic:
+        def __init__(self, t):
+            self.t = t
+
+        def ehat_expansion(self, s, tol):
+            return math.exp(math.cos(2 * math.pi * math.log(self.t) / period))
+
+    def evaluator_at(self, sign, t):
+        calls.append((sign, t))
+        return Periodic(t)
+
+    monkeypatch.setattr(HeckeSetup, "evaluator_at", evaluator_at)
+    got = hecke_integral(setup, 2.0, tol)
+    want = 2 * period * i0(1.0) / setup.w_rel
+    assert abs(got - want) <= 1e-14 * want
+    assert len(set(calls)) == len(calls)
+    for sign in (1, -1):
+        assert sum(1 for c in calls if c[0] == sign) <= 32
 
 
 @pytest.mark.parametrize("d", [5, 2, 3])

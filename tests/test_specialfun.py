@@ -1,12 +1,14 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from heckeis.basefield import make_field
-from heckeis.errors import PoleError
+from heckeis.errors import ConvergenceError, PoleError
+from heckeis.precision import PrecisionConfig
 from heckeis.specialfun import (b_F, b_F_integral, bessel_k, bessel_k_batch,
                                 gamma_F, gamma_F_integral,
                                 upper_incomplete_gamma)
@@ -66,6 +68,20 @@ def test_bessel_batch_matches_scalar():
     batch = bessel_k_batch(1.25, xs, 1e-13)
     for x, v in zip(xs, batch):
         assert abs(v - bessel_k(1.25, x, 1e-13)) < 1e-12
+
+
+def test_bessel_raises_when_unconverged():
+    # one halving from step 0.5 cannot reach 1e-14 at x = 1; the message says
+    # how far the trapezoid got
+    with pytest.raises(ConvergenceError) as info:
+        bessel_k(0.5, 1.0, 1e-14, PrecisionConfig(quad_max_doublings=1))
+    m = re.fullmatch(r"bessel trapezoid did not converge: halvings 1, "
+                     r"nodes (\d+), last change (\S+) > tol (\S+)",
+                     str(info.value))
+    assert m, str(info.value)
+    nodes, change, tol = int(m[1]), float(m[2]), float(m[3])
+    assert nodes % 2 == 1 and nodes > 1
+    assert tol == 1e-14 / 4 and change > tol
 
 
 def test_bessel_rejects_nonpositive():
