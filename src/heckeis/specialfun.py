@@ -19,8 +19,9 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy.special import exp1 as _exp1
+from scipy.special import expn as _expn
 from scipy.special import gamma as _scipy_gamma
+from scipy.special import gammaincc as _gammaincc
 
 from .basefield import FieldDescriptor
 from .errors import ConvergenceError, PoleError
@@ -35,89 +36,166 @@ def complex_gamma(s: Complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# upper incomplete gamma, complex order
+# upper incomplete gamma, complex order, array-valued in x
+
+# arguments evaluated per numpy pass: a multi-million-point array of
+# Gaussian parameters never allocates more than a few MB per temporary
+_BLOCK = 1 << 14
+_CF_MAX_ITER = 500
+_SERIES_MAX_TERMS = 10_000
+# Gauss-Legendre rule per panel of the log-space integral; a panel of width w
+# satisfies w * max|d/dt (s t - e^t)| <= _GL_SPAN (24 nodes stay exact to
+# rounding up to a span of about 100, and lose digits from 150)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_SPAN = 20.0
 
 
-def _gamma_int_nonpositive(n: int, x: float) -> float:
-    """Gamma(-n, x) for integer n >= 0 via the exponential integral."""
-    if n == 0:
-        return float(_exp1(x))
-    acc = 0.0
-    term = 1.0 / x          # (k)! / x^(k+1) with alternating sign, k = 0
-    sign = 1.0
-    for k in range(n):
-        acc += sign * term
-        sign = -sign
-        term *= (k + 1) / x
-    val = float(_exp1(x)) - math.exp(-x) * acc
-    return val * (-1.0) ** n / math.factorial(n)
-
-
-def _gammainc_cf(s: complex, x: float, tol: float, max_iter: int = 500) -> complex:
-    """Continued fraction for Gamma(s, x), reliable for x >= |s| + 1."""
+def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
+    """Legendre's continued fraction for Gamma(s, x) (DLMF 8.9) by the
+    modified Lentz method, reliable for x >= min(8, |s| + 1).  Each element
+    stops at its own |delta - 1| < tol and leaves the iteration."""
     tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, max_iter):
+    b = x + (1.0 - s)
+    d = 1.0 / b         # b != 0: real s reaching here is <= 0
+    c = np.full(x.shape, 1.0 / tiny, dtype=complex)
+    h = d.copy()
+    out = np.empty(x.shape, dtype=complex)
+    idx = np.arange(x.size)
+    i = 0
+    while idx.size:
+        if i == _CF_MAX_ITER:
+            raise ConvergenceError(
+                f"incomplete gamma continued fraction at order {s} did not "
+                f"converge: {idx.size} of {x.size} arguments unconverged "
+                f"after the cap of {_CF_MAX_ITER} iterations, worst "
+                f"|delta-1| {miss.max():.3g} >= tol {tol:.3g}")
+        i += 1
         an = -i * (i - s)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return h * cmath.exp(-x + s * math.log(x))
-    raise ConvergenceError("incomplete gamma continued fraction stalled")
+        h = h * delta
+        miss = np.abs(delta - 1.0)
+        done = miss < tol
+        if done.any():
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, b, c, d, h, miss = idx[keep], b[keep], c[keep], d[keep], \
+                h[keep], miss[keep]
+    return out * np.exp(-x + s * np.log(x))
 
 
-def _gammainc_series(s: complex, x: float, tol: float,
-                     max_terms: int = 10_000) -> complex:
-    """Gamma(s) - gamma_lower(s, x); requires s away from the poles of Gamma."""
-    term = 1.0 / s
-    total = term
+def _incgamma_series(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
+    """Gamma(s) minus the power series of the lower function,
+    gamma(s, x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n)) (DLMF 8.7.1);
+    for small x, Re s > 0 and |s| >= 1/2, away from the poles of Gamma."""
+    term = np.full(x.shape, 1.0 / s, dtype=complex)
+    total = term.copy()
+    out = np.empty(x.shape, dtype=complex)
+    idx = np.arange(x.size)
+    xs = x
     n = 0
-    while abs(term) > tol * max(1.0, abs(total)):
+    while True:
+        done = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, xs, term, total = idx[keep], xs[keep], term[keep], \
+                total[keep]
+        if not idx.size:
+            return complex_gamma(s) - out * np.exp(-x + s * np.log(x))
+        if n == _SERIES_MAX_TERMS:
+            raise ConvergenceError(
+                f"incomplete gamma series at order {s} did not converge: "
+                f"{idx.size} of {x.size} arguments unconverged after the cap "
+                f"of {_SERIES_MAX_TERMS} terms, largest last term "
+                f"{np.abs(term).max():.3g} > tol {tol:.3g}")
         n += 1
-        term *= x / (s + n)
-        total += term
-        if n > max_terms:
-            raise ConvergenceError("incomplete gamma series stalled")
-    lower = total * cmath.exp(-x + s * math.log(x))
-    return complex_gamma(s) - lower
+        term = term * (xs / (s + n))
+        total = total + term
 
 
-def upper_incomplete_gamma(s: Complex, x: float, tol: float = 1e-14) -> complex:
-    """Gamma(s, x) = int_x^oo e^(-u) u^(s-1) du for complex s and real x > 0."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    s = complex(s)
-    # entire in s; integer special cases avoid the spurious poles of the
-    # series decomposition
+def _incgamma_quad(s: complex, x: np.ndarray, edge: float) -> np.ndarray:
+    """int_x^edge e^(-u) u^(s-1) du = int e^(s t - e^t) dt over
+    t in [log x, log edge], by equal Gauss-Legendre panels per element."""
+    a = np.log(x)
+    top = math.log(edge)
+    panels = max(1, math.ceil(float(np.max(top - a)) * (abs(s) + edge)
+                              / _GL_SPAN))
+    w = (top - a) / panels
+    offsets = np.outer(0.5 * w, _GL_NODES + 1.0)
+    total = np.zeros(x.shape, dtype=complex)
+    for p in range(panels):
+        t = (a + p * w)[:, None] + offsets
+        total += np.exp(s * t - np.exp(t)) @ _GL_WEIGHTS
+    return total * (0.5 * w)
+
+
+def _incgamma_block(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     sr = round(s.real)
     if sr <= 0 and abs(s - sr) < 1e-12:
-        return complex(_gamma_int_nonpositive(-sr, x))
-    if x >= abs(s) + 1.0 or x >= 8.0:
-        return _gammainc_cf(s, x, tol)
-    dist = abs(s - round(s.real)) if s.real <= 0.5 else 1.0
-    if s.real >= 0.5 and dist >= 0.5:
-        return _gammainc_series(s, x, tol)
-    # shift the order up until the series decomposition is safe, then descend
-    m = max(1, math.ceil(1.0 - s.real))
-    top = s + m
-    val = _gammainc_series(top, x, tol) if x < abs(top) + 1.0 \
-        else _gammainc_cf(top, x, tol)
-    emx = math.exp(-x)
-    for k in range(m, 0, -1):
-        sk = s + (k - 1)
-        val = (val - cmath.exp(sk * math.log(x)) * emx) / sk
-    return val
+        # entire in s; Gamma(-n, x) = x^-n E_{n+1}(x) (DLMF 8.19.1)
+        return (x ** sr * _expn(1 - sr, x)).astype(complex)
+    if s.imag == 0 and s.real > 0:
+        return (_gammaincc(s.real, x) * _scipy_gamma(s.real)).astype(complex)
+    edge = min(8.0, abs(s) + 1.0)
+    out = np.empty(x.shape, dtype=complex)
+    big = x >= edge
+    out[big] = _incgamma_cf(s, x[big], tol)
+    small = ~big
+    if not small.any():
+        return out
+    if s.real > 0 and abs(s) >= 0.5:
+        out[small] = _incgamma_series(s, x[small], tol)
+    else:
+        # near a pole of Gamma the series cancels, and so does the recurrence
+        # Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x) / s that would shift the
+        # order away from it; the log-space integral has no such cancellation
+        # while Re s <= 0 (x^s/s keeps |Gamma(s, x)| from being small) or
+        # |s| < 1/2 (its integrand hardly oscillates)
+        out[small] = _incgamma_cf(s, np.array([edge]), tol)[0] \
+            + _incgamma_quad(s, x[small], edge)
+    return out
+
+
+def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
+    """Gamma(s, x) = int_x^oo e^(-u) u^(s-1) du for complex s and real x > 0.
+
+    `x` is a scalar (the result is a Python complex) or an array of
+    arguments for the one order s (the result is a complex array of its
+    shape).  Each element takes one method:
+
+    * integer s = -n <= 0 (within 1e-12): x^-n E_{n+1}(x) (DLMF 8.19.1);
+    * real s > 0: the regularized Q(s, x) times Gamma(s) (scipy gammaincc);
+    * x >= min(8, |s| + 1): the continued fraction (DLMF 8.9), each
+      element to its own |delta - 1| < tol;
+    * smaller x, Re s > 0 and |s| >= 1/2: Gamma(s) minus the lower series
+      (DLMF 8.7.1);
+    * smaller x otherwise: the continued fraction at the edge
+      min(8, |s| + 1) plus the integral from x to the edge, taken in log u
+      by Gauss-Legendre panels (accurate next to the poles of Gamma, where
+      the series and the recurrence in s cancel).
+
+    Arguments go through in blocks of _BLOCK.  Raises ValueError unless
+    every x > 0, and ConvergenceError when the continued fraction or the
+    series reaches its cap.
+    """
+    s = complex(s)
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa > 0):
+        raise ValueError("x must be positive")
+    flat = xa.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = _incgamma_block(
+            s, flat[start:start + _BLOCK], tol)
+    if xa.ndim == 0 and not isinstance(x, np.ndarray):
+        return complex(out[0])
+    return out.reshape(xa.shape)
 
 
 # ---------------------------------------------------------------------------

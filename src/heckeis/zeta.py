@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -382,13 +383,13 @@ def gamma_lattice_sum(nu: complex, re_s: float,
     the magnitude of the caller's prefactor and `re_s` the real part of the
     caller's s, which sets the starting cutoff.  The cutoff grows by +6 until
     the new shell (cut, cut + 6] adds at most tol/10 after scaling; each step
-    evaluates Gamma on that shell only."""
+    evaluates Gamma on that shell only, one array call of
+    upper_incomplete_gamma per array that `params` yields."""
 
     def shell(lo: float, hi: float) -> complex:
         acc = 0j
         for xs in params(lo, hi):
-            gv = np.array([upper_incomplete_gamma(nu, x, tol=1e-15)
-                           for x in xs], dtype=complex)
+            gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
             acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
         return acc
 
@@ -424,6 +425,25 @@ def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
 
 _POLE_RADIUS = 1e-8
 
+# entries kept by each cache of completed-zeta evaluators and of their values
+_CACHE_SIZE = 512
+
+
+class _LRUCache(OrderedDict):
+    """A dict that keeps only its _CACHE_SIZE most recently used entries."""
+
+    def get(self, key):
+        if key not in self:
+            return None
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > _CACHE_SIZE:
+            self.popitem(last=False)
+
 
 class CompletedZeta:
     """Evaluator for xi(s, a) = d^{s/2} Gamma_F(s) zeta_F(s, a), continued to
@@ -443,7 +463,7 @@ class CompletedZeta:
         disc = abs(F.discriminant)
         self.V = math.sqrt(disc) * float(ideal.absolute_norm())
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
-        self._value_cache: dict = {}
+        self._value_cache = _LRUCache()
 
     def phi(self, s: complex, side: str = "primal", tol: float = None) -> complex:
         """Phi(s, a) = V^s C_F sum_alpha' int_{|Nt|>=1} f(t alpha)|Nt|^s dt/t,
@@ -495,7 +515,7 @@ class CompletedZeta:
         return out.real
 
 
-_CZ_CACHE: dict = {}
+_CZ_CACHE = _LRUCache()
 
 
 def completed_zeta(F: FieldDescriptor, ideal: FracIdeal,

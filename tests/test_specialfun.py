@@ -5,13 +5,17 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from heckeis import specialfun
 from heckeis.basefield import make_field
 from heckeis.errors import ConvergenceError, PoleError
 from heckeis.precision import PrecisionConfig
 from heckeis.specialfun import (b_F, b_F_integral, bessel_k, bessel_k_batch,
                                 gamma_F, gamma_F_integral,
                                 upper_incomplete_gamma)
+from heckeis.verify import run_suite
 
 Q = make_field("Q")
 Fi = make_field(-1)
@@ -113,10 +117,109 @@ def test_incgamma_recurrence():
                                1.5 + 2.0j, -3.3 - 0.4j])
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 30.0])
 def test_incgamma_vs_mpmath(s, x):
-    mp.mp.dps = 30
-    want = complex(mp.gammainc(mp.mpc(s), a=x, b=mp.inf))
+    with mp.workdps(30):
+        want = complex(mp.gammainc(mp.mpc(s), a=x, b=mp.inf))
     got = upper_incomplete_gamma(s, x)
     assert abs(got - want) < 1e-11 * max(1.0, abs(want))
+
+
+def _mp_incgamma(s, x):
+    with mp.workdps(40):
+        return complex(mp.gammainc(mp.mpc(s), a=mp.mpf(x), b=mp.inf))
+
+
+@pytest.mark.parametrize("s", [-3, -1, 0, 0.3, 1.4, -0.5, -1.5, 1 - 1.8j,
+                               -0.7 + 0.2j, -3.3 - 0.4j])
+def test_incgamma_array_matches_scalar_and_mpmath(s):
+    # both sides of the continued-fraction edge min(8, |s|+1) and of 8
+    xs = np.array([0.05, abs(s) + 1 - 1e-9, abs(s) + 1 + 1e-9, 8 - 1e-9,
+                   8 + 1e-9, 70.0])
+    got = upper_incomplete_gamma(s, xs)
+    assert got.shape == xs.shape and got.dtype == complex
+    one_by_one = np.array([upper_incomplete_gamma(s, x) for x in xs])
+    np.testing.assert_allclose(got, one_by_one, rtol=1e-14, atol=0)
+    # arrays wholly below and wholly above the edges
+    for part in (slice(0, 2), slice(4, 6)):
+        np.testing.assert_allclose(upper_incomplete_gamma(s, xs[part]),
+                                   got[part], rtol=1e-14, atol=0)
+    want = np.array([_mp_incgamma(s, x) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("s", [-1 + 2e-12, -2 + 1e-9 + 1e-9j, 1e-9j,
+                               1e-9 + 1e-9j])
+@pytest.mark.parametrize("x", [0.05, 0.5, 3.0])
+def test_incgamma_near_nonpositive_integer_orders(s, x):
+    # the recurrence in s loses digits as s + k -> 0; the result must keep
+    # 1e-12 relative accuracy all the same
+    want = _mp_incgamma(s, x)
+    assert abs(upper_incomplete_gamma(s, x) - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("s,x", [(-0.5 + 6j, 1e-5), (-2.5 + 4j, 1e-8),
+                                 (-6.9 + 0.1j, 1e-8), (0.2 - 7j, 1e-8)])
+def test_incgamma_tiny_arguments(s, x):
+    # long log-space ranges and many oscillations of x^s
+    want = _mp_incgamma(s, x)
+    assert abs(upper_incomplete_gamma(s, x) - want) < 1e-12 * abs(want)
+
+
+def test_incgamma_empty_and_zero_d_inputs():
+    empty = upper_incomplete_gamma(1 - 1.8j, np.zeros(0))
+    assert empty.shape == (0,) and empty.dtype == complex
+    zero_d = upper_incomplete_gamma(-0.5, np.array(2.0))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    scalar = upper_incomplete_gamma(-0.5, 2.0)
+    assert type(scalar) is complex and scalar == complex(zero_d)
+    grid = upper_incomplete_gamma(0.3, np.full((2, 3), 1.5))
+    assert grid.shape == (2, 3)
+    for bad in ([1.0, 0.0], [2.0, -1.0], [np.nan]):
+        with pytest.raises(ValueError):
+            upper_incomplete_gamma(1.4, np.array(bad))
+
+
+@given(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                          allow_infinity=False),
+       st.lists(st.floats(0.01, 60.0), min_size=1, max_size=8))
+def test_incgamma_recurrence_on_arrays(s, xs):
+    # Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x across every method boundary
+    xs = np.array(xs)
+    power = np.exp(s * np.log(xs) - xs)
+    lhs = upper_incomplete_gamma(s + 1, xs)
+    rhs = s * upper_incomplete_gamma(s, xs)
+    scale = np.abs(rhs) + np.abs(power)
+    assert np.all(np.abs(lhs - rhs - power) <= 1e-12 * scale)
+
+
+def test_incgamma_continued_fraction_reports_how_far_it_got(monkeypatch):
+    monkeypatch.setattr(specialfun, "_CF_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as info:
+        upper_incomplete_gamma(1 - 1.8j, np.array([9.0, 20.0, 400.0]), 1e-14)
+    m = re.fullmatch(
+        r"incomplete gamma continued fraction at order \(1-1\.8j\) did not "
+        r"converge: 3 of 3 arguments unconverged after the cap of 3 "
+        r"iterations, worst \|delta-1\| (\S+) >= tol 1e-14", str(info.value))
+    assert m, str(info.value)
+    assert float(m[1]) >= 1e-14
+
+
+def test_incgamma_series_reports_how_far_it_got(monkeypatch):
+    monkeypatch.setattr(specialfun, "_SERIES_MAX_TERMS", 2)
+    with pytest.raises(ConvergenceError) as info:
+        upper_incomplete_gamma(1 - 1.8j, np.array([0.5, 1.0, 2.0]), 1e-14)
+    m = re.fullmatch(
+        r"incomplete gamma series at order \(1-1\.8j\) did not converge: "
+        r"3 of 3 arguments unconverged after the cap of 2 terms, largest "
+        r"last term (\S+) > tol 1e-14", str(info.value))
+    assert m, str(info.value)
+    assert float(m[1]) > 1e-14
+
+
+def test_specialfun_suite_runs_the_incgamma_checks():
+    reports = run_suite("specialfun")
+    got = [r.command for r in reports if r.command.startswith("incgamma")]
+    assert got == ["incgamma-recurrence"] + ["incgamma-half-order-erfc"] * 3
+    assert all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------

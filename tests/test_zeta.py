@@ -39,23 +39,26 @@ def test_riemann_zeta_values():
 
 @pytest.mark.parametrize("s", [1.5 + 0.5j, 0.5 + 3.0j, -0.8, 3.0 - 2.0j])
 def test_riemann_zeta_vs_mpmath(s):
-    mp.mp.dps = 25
-    assert abs(riemann_zeta(s) - complex(mp.zeta(s))) < 1e-12
+    with mp.workdps(25):
+        want = complex(mp.zeta(s))
+    assert abs(riemann_zeta(s) - want) < 1e-12
 
 
 @pytest.mark.parametrize("s,a", [(2.3, 0.25), (1.5 + 1.0j, 0.8), (-0.5, 0.4)])
 def test_hurwitz_and_derivative_vs_mpmath(s, a):
-    mp.mp.dps = 25
     v, dv = hurwitz_zeta(s, a, derivative=True)
-    assert abs(v - complex(mp.zeta(s, a))) < 1e-12
-    assert abs(dv - complex(mp.zeta(s, a, 1))) < 1e-10
+    with mp.workdps(25):
+        want, dwant = complex(mp.zeta(s, a)), complex(mp.zeta(s, a, 1))
+    assert abs(v - want) < 1e-12
+    assert abs(dv - dwant) < 1e-10
 
 
 def test_hurwitz_minus_pole_at_one():
     # zeta(s, a) - 1/(s-1) -> -psi(a) as s -> 1
     v = hurwitz_zeta(1.0, 0.5, minus_pole=True)
-    mp.mp.dps = 25
-    assert abs(v - complex(-mp.digamma(0.5))) < 1e-12
+    with mp.workdps(25):
+        want = complex(-mp.digamma(0.5))
+    assert abs(v - want) < 1e-12
 
 
 def test_kronecker_symbol_patterns():
@@ -68,8 +71,9 @@ def test_kronecker_symbol_patterns():
 
 
 def test_dirichlet_l_values():
-    mp.mp.dps = 25
-    assert abs(dirichlet_l(2.0, -4) - float(mp.catalan)) < 1e-13
+    with mp.workdps(25):
+        catalan = float(mp.catalan)
+    assert abs(dirichlet_l(2.0, -4) - catalan) < 1e-13
     assert abs(dirichlet_l(1.0, -4) - math.pi / 4) < 1e-13
     phi = (1 + math.sqrt(5)) / 2
     assert abs(dirichlet_l(1.0, 5) - 2 * math.log(phi) / math.sqrt(5)) < 1e-13
@@ -169,7 +173,7 @@ def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
     lattice_sum = zeta.gamma_lattice_sum
 
     def counted(nu, x, tol):
-        seen.append(x)
+        seen.extend(np.ravel(x))
         return gamma(nu, x, tol=tol)
 
     def recorded(nu, re_s, params, *rest):
@@ -192,6 +196,31 @@ def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
     for got in (seen, np.concatenate(yielded)):
         assert len(got) == xs.size
         np.testing.assert_allclose(np.sort(got), xs, rtol=1e-13)
+
+
+def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
+    calls, yielded = [], []
+    gamma = zeta.upper_incomplete_gamma
+
+    def counted(nu, x, tol):
+        calls.append(np.array(x))
+        return gamma(nu, x, tol=tol)
+
+    def integers(lo, hi):
+        # each shell comes as two arrays; past (0, c0] the first is empty
+        ks = np.arange(math.floor(lo) + 1, math.floor(hi) + 1, dtype=float)
+        for xs in (ks[ks < 3.0], ks[ks >= 3.0]):
+            yielded.append(xs)
+            yield xs
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
+    got = gamma_lattice_sum(-1.5 + 0.4j, 0.5, integers, 1e-10, 1.0, 8.0)
+    assert len(calls) == len(yielded) > 2
+    for x, xs in zip(calls, yielded):
+        np.testing.assert_array_equal(x, xs)
+    ks = np.concatenate(yielded)
+    want = sum(k ** (1.5 - 0.4j) * gamma(-1.5 + 0.4j, k) for k in ks)
+    assert abs(got - want) < 1e-13 * abs(want)
 
 
 def test_gamma_lattice_sum_reports_how_far_it_got():
@@ -344,6 +373,29 @@ def test_completed_zeta_cache_keys_on_whole_config():
     assert completed_zeta(Q, ZZ, PrecisionConfig()) is base
     wide = completed_zeta(Q, ZZ, PrecisionConfig(tail_margin=30.0))
     assert wide is not base and wide.config.tail_margin == 30.0
+
+
+def test_completed_zeta_caches_are_bounded_lru(monkeypatch):
+    # Phi is stubbed out: only the bookkeeping of the two caches is tested
+    monkeypatch.setattr(CompletedZeta, "phi", lambda self, s, side, tol: 0j)
+    monkeypatch.setattr(zeta, "_CZ_CACHE", type(zeta._CZ_CACHE)())
+    half = FracIdeal(Q, gen=Fraction(1, 2))
+    size = zeta._CACHE_SIZE
+    cz = completed_zeta(Q, ZZ)
+    early = completed_zeta(Q, half)
+    hot, cold = cz.value(2.0), cz.value(3.0)
+    assert cz.value(3.0) is cold
+    for i in range(10_000):
+        cz.value(4.0 + i * 1e-3)
+        completed_zeta(Q, FracIdeal(Q, gen=Fraction(i + 2)))
+        if i % 97 == 0:
+            # used again and again, so never the least recently used
+            assert cz.value(2.0) is hot
+            assert completed_zeta(Q, ZZ) is cz
+    assert len(cz._value_cache) <= size and len(zeta._CZ_CACHE) <= size
+    # the least recently used entries were evicted and are rebuilt
+    assert cz.value(3.0) is not cold
+    assert completed_zeta(Q, half) is not early
 
 
 def test_xi_rejects_real_quadratic():
