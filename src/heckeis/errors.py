@@ -27,7 +27,20 @@ class PoleError(HeckeisError, ArithmeticError):
 
 
 class ConvergenceError(HeckeisError, ArithmeticError):
-    """An adaptive scheme hit its cap before reaching the requested tolerance."""
+    """An adaptive scheme hit its cap before reaching the requested tolerance.
+
+    Raise sites that know how far they got set the keyword attributes: the
+    last cutoff reached, the change of the last refinement, the requested
+    tolerance and the number of points visited (None where not set).
+    """
+
+    def __init__(self, message, *, cutoff=None, last_delta=None, tol=None,
+                 points=None):
+        super().__init__(message)
+        self.cutoff = cutoff
+        self.last_delta = last_delta
+        self.tol = tol
+        self.points = points
 
 
 class EnumerationCapError(HeckeisError, ValueError):

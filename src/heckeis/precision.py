@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 class PrecisionConfig:
     # absolute tolerance targeted by special-function evaluations
     target_abs_tol: float = 1e-12
-    # halving limit of every nested trapezoid sum (Bessel integral, torus)
+    # cap on the refinements of an adaptive loop: the halvings of every
+    # nested trapezoid sum (Bessel integral, torus) and the cutoff
+    # doublings of the direct Eisenstein sum
     quad_max_doublings: int = 14
     # cap on lattice points visited by a single enumeration
     enum_point_cap: int = 400_000_000

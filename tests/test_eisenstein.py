@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from heckeis import eisenstein
 from heckeis.basefield import FracIdeal, make_field
@@ -423,17 +425,51 @@ def _ball_norms(lat, B):
     return np.sort(lat.norms_from_euclid(r2))
 
 
+def _mp_smoothstep(x):
+    k = eisenstein._SMOOTH_K
+    return mpmath.betainc(k + 1, k + 1, 0, x, regularized=True)
+
+
+def _mp_tail_factor(s):
+    """c(s) = 1/(2s-2) + int_a^1 u^(1-2s) P((u-a)/(1-a)) du by mpmath."""
+    a = eisenstein._SMOOTH_A
+    with mpmath.workdps(30):
+        s = mpmath.mpc(s)
+        return complex(1 / (2 * s - 2) + mpmath.quad(
+            lambda u: u ** (1 - 2 * s) * _mp_smoothstep((u - a) / (1 - a)),
+            [a, 1]))
+
+
+def _smoothed_closed_form(lat, s, B):
+    """The smoothed sum over every nonzero point of the ball of radius B,
+    with the weight from scipy's incomplete beta and c(s) from mpmath."""
+    k, a = eisenstein._SMOOTH_K, eisenstein._SMOOTH_A
+    V, w = lat.covolume, lat.field.w
+    kappa = 2 * math.pi if lat.field.is_rational else 4 * math.pi ** 2
+    full = _ball_norms(lat, B)
+    weight = 1 - betainc(k + 1, k + 1, np.clip((full / B - a) / (1 - a), 0, 1))
+    cs = complex(s)
+    Vs = cmath.exp(cs * math.log(V))
+    return Vs / w * complex(np.sum(np.exp(-2 * cs * np.log(full)) * weight)) \
+        + Vs * kappa * cmath.exp((2 - 2 * cs) * math.log(B)) \
+        * _mp_tail_factor(cs) / (w * V)
+
+
 @pytest.mark.parametrize("lat", [lat_q(0.3, 1.1),
                                  lat_quat(Fi, 0.1 + 0.3j, 1.0 + 0.2j)])
 def test_direct_sums_each_point_once(lat, monkeypatch):
-    # the doublings grow the ball shell by shell, and norm_chunks hands over
-    # one point of each pair +-lambda: over the calls of one e_direct, the
-    # norms are those of half the final ball, each exactly once
-    _, seen, B = _traced_direct(monkeypatch, lat, 2.5, 4e-9)
+    # the doublings grow the ball shell by shell and carry the band's norms
+    # over, and norm_chunks hands over one point of each pair +-lambda: over
+    # the calls of one e_direct, the norms are those of half the final ball,
+    # each exactly once, and the value is the smoothed sum over that ball
+    s = 2.5 + 0.5j
+    value, seen, B = _traced_direct(monkeypatch, lat, s, 4e-9)
     full = _ball_norms(lat, B)
     assert B > max(8.0, 2.0 * lat.covolume ** (1.0 / lat.dim))
     assert seen.size * 2 == full.size
     np.testing.assert_allclose(np.sort(seen), full[::2], rtol=1e-13)
+    want = _smoothed_closed_form(lat, s, B)
+    assert abs(value - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("lat", [lat_q(0.3, 1.1),
@@ -450,16 +486,65 @@ def test_direct_real_s_sums_in_real_arithmetic(lat, monkeypatch):
     s = 2.5
     value, _, B = _traced_direct(monkeypatch, lat, s, 4e-9)
     assert exp_dtypes and all(d == np.float64 for d in exp_dtypes)
-    # the complex formula over the whole final ball, plus the integral tail
-    V, w = lat.covolume, lat.field.w
-    kappa = 2 * math.pi if lat.field.is_rational else 4 * math.pi ** 2
-    full = _ball_norms(lat, B)
-    cs = complex(s)
-    want = cmath.exp(cs * math.log(V)) / w \
-        * complex(np.sum(np.exp(-2 * cs * np.log(full)))) \
-        + cmath.exp(cs * math.log(V)) * kappa \
-        * cmath.exp((2 - 2 * cs) * math.log(B)) / (w * V * (2 * cs - 2))
+    monkeypatch.setattr(np, "exp", np_exp)
+    # the complex formula over the whole final ball, plus the smooth tail
+    want = _smoothed_closed_form(lat, s, B)
     assert abs(value - want) <= 1e-13 * abs(want)
+
+
+@settings(max_examples=12)
+@given(st.one_of(st.floats(1.06, 10.0),
+                 st.builds(complex, st.floats(1.06, 4.0),
+                           st.floats(-10.0, 10.0))))
+def test_smooth_tail_factor_matches_quadrature(s):
+    # c(s) against mpmath.quad of its definition.  The bound is relative to
+    # the integral of |u^(2-2s)| dP / |2s-2|, which is |c(s)| for real s;
+    # for complex s the phase of u^(-2i Im s) cancels c(s) down to ~1e-3 of
+    # that scale (4 + 10i), beyond what float64 terms can resolve
+    a, k = eisenstein._SMOOTH_A, eisenstein._SMOOTH_K
+    sig = complex(s).real
+    want = _mp_tail_factor(s)
+    with mpmath.workdps(30):
+        scale = float(mpmath.quad(
+            lambda t: (a + (1 - a) * t) ** (2 - 2 * sig) * (t * (1 - t)) ** k,
+            [0, 1]) / mpmath.beta(k + 1, k + 1)) / abs(2 * complex(s) - 2)
+    got = eisenstein._smooth_tail_factor(s)
+    assert abs(got - want) <= 1e-14 * scale
+    if isinstance(s, float):
+        assert abs(scale - abs(want)) <= 1e-14 * scale
+
+
+def _zeta_beta(s):
+    """E of Z[i] over Q (V = 1, w = 2): 2 zeta(s) beta(s)."""
+    s = mpmath.mpc(s)
+    return complex(2 * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, 0, -1]))
+
+
+def _z4_closed_form(s):
+    """E of O j + O over Q(i), the lattice Z^4 (V = 4, w = 4):
+    2 4^s (1 - 4^(1-2s)) zeta(2s) zeta(2s-1)."""
+    s = mpmath.mpc(s)
+    return complex(2 * 4 ** s * (1 - 4 ** (1 - 2 * s)) * mpmath.zeta(2 * s)
+                   * mpmath.zeta(2 * s - 1))
+
+
+_DIRECT_S = st.builds(complex, st.floats(1.2, 4.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=6)
+@given(_DIRECT_S)
+def test_direct_gaussian_integers_closed_form(s):
+    got = EisensteinEvaluator(lat_q(0.0, 1.0)).e_direct(s, 1e-8)
+    assert abs(got - _zeta_beta(s)) <= 1e-8
+
+
+@settings(max_examples=6)
+@given(_DIRECT_S)
+@example(1.6 + 0j)
+def test_direct_z4_closed_form(s):
+    # s = 1.6 raised EnumerationCapError under a sharp cutoff
+    got = EisensteinEvaluator(lat_quat(Fi, 0j, 1 + 0j)).e_direct(s, 1e-8)
+    assert abs(got - _z4_closed_form(s)) <= 1e-8
 
 
 def test_direct_raises_below_its_rounding_floor():
@@ -471,6 +556,10 @@ def test_direct_raises_below_its_rounding_floor():
     msg = str(info.value)
     assert "rounding floor" in msg and "B = 8" in msg
     assert "tol/16 = 6.25e-12" in msg
+    err = info.value
+    # no doubling yet: the first cutoff has no change to report
+    assert (err.cutoff, err.last_delta, err.tol) == (8.0, math.inf, 1e-10)
+    assert err.points > 0
 
 
 def test_direct_reports_how_far_it_got():
@@ -481,3 +570,9 @@ def test_direct_reports_how_far_it_got():
     msg = str(info.value)
     assert "did not stabilize at B = 16" in msg
     assert "tol/16 = 6.25e-12" in msg
+    err = info.value
+    assert (err.cutoff, err.tol) == (16.0, 1e-10)
+    assert 1e-10 / 16 < err.last_delta < math.inf
+    # one point of each pair +-lambda of Z[i] with norm |lambda| <= 16
+    assert err.points == sum(1 for m in range(-16, 17) for n in range(-16, 17)
+                             if 0 < m * m + n * n <= 256) // 2
