@@ -26,7 +26,10 @@ each other:
   pairs divided by w_F).  Valid for all s away from the poles.  The pair
   sum grows by bands of Bessel argument (L - 2, L], evaluating each pair
   once, stops when a band adds at most tol/10, and raises when tol/10 lies
-  below its rounding floor eps * sum |term|.
+  below its rounding floor eps * sum |term|.  It runs on a reduced
+  presentation of a scaled copy of the lattice, on which Ehat is the same:
+  over Q, (N(a)/N(b)) z reduced under SL2(Z) with a = b = Z, so |y| >=
+  sqrt(3)/2; over an imaginary field with a = b, O z + O.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
   |N t| = 1 and Poisson-dualized; an exponentially convergent sum over the
   points of the lattice and of its dual requiring only Z-lattice data
@@ -37,8 +40,9 @@ each other:
   zeta.gamma_lattice_sum; xi's check against the Euler-Maclaurin oracle
   covers it independently of this module.
 
-The residue at s = 1 is C_F/2; the constant term is produced in closed form
-from the h function and the constant term of xi.
+e_direct and ehat_lattice sum the given lattice.  The residue at s = 1 is
+C_F/2; the constant term is produced in closed form from the h function and
+the constant term of xi.
 """
 
 from __future__ import annotations
@@ -75,32 +79,41 @@ class EisensteinEvaluator:
         self.CF = c_F(self.F)
         self._dual: Optional[OFLattice] = None
         if lattice.z is not None:
-            if lattice.scale is not None:
-                # modular invariance: the right scale factor never changes
-                # Ehat, so evaluate the unscaled pseudo-basis lattice
-                self._exp_lattice = OFLattice(
-                    self.F, lattice.ideal_a, lattice.z, lattice.ideal_b,
-                    config=config)
+            F = self.F
+            self.n_v = 1 if F.is_rational else 2
+            # x, y and P describe the given presentation a z + b (a right
+            # scale factor never changes Ehat, so it plays no part)
+            ideal_a, ideal_b = lattice.ideal_a, lattice.ideal_b
+            ratio = float(ideal_a.absolute_norm() / ideal_b.absolute_norm())
+            self.x, self.y = lattice.z.x_part, lattice.z.y_part
+            self.P = ratio * abs(self.y) ** self.n_v
+            # The expansion runs on a reduced presentation (ideal_a, ideal_b,
+            # x_red, y_red) of a scaled copy of the lattice; Ehat is
+            # invariant under scaling.  Over Q, a z + b = b ((Na/Nb) z + Z),
+            # and (Na/Nb) z is SL2(Z)-reduced to |y_red| >= sqrt(3)/2.  Over
+            # an imaginary field with a = b, a z + b = a (O z + O).
+            if F.is_rational:
+                self.x_red, self.y_red = _sl2z_reduce(ratio * self.x,
+                                                      ratio * self.y)
+                ideal_a = ideal_b = FracIdeal.unit_ideal(F)
             else:
-                self._exp_lattice = lattice
-            la = self._exp_lattice
-            self.ideal_a, self.ideal_b = la.ideal_a, la.ideal_b
-            self.bstar = dual_ideal(self.F, self.ideal_b)
-            self.zeta_a = completed_zeta(self.F, self.ideal_a, config)
-            self.zeta_b = completed_zeta(self.F, self.ideal_b, config)
-            self.x = la.z.x_part
-            self.y = la.z.y_part
-            self.n_v = 1 if self.F.is_rational else 2
-            self.ny = abs(self.y) ** self.n_v
-            if self.ny < 1e-10:
-                raise DegenerateLatticeError(
-                    "|N(y)| below 1e-10: expansion ill-conditioned")
-            self.na = float(self.ideal_a.absolute_norm())
-            self.nb = float(self.ideal_b.absolute_norm())
-            disc = abs(self.F.discriminant)
+                self.x_red, self.y_red = self.x, self.y
+                if ideal_a == ideal_b:
+                    ideal_a = ideal_b = FracIdeal.unit_ideal(F)
+                if abs(self.y) ** 2 < 1e-10:
+                    raise DegenerateLatticeError(
+                        "|N(y)| below 1e-10: expansion ill-conditioned")
+            self.ideal_a, self.ideal_b = ideal_a, ideal_b
+            self.bstar = dual_ideal(F, ideal_b)
+            self.zeta_a = completed_zeta(F, ideal_a, config)
+            self.zeta_b = completed_zeta(F, ideal_b, config)
+            self.ny = abs(self.y_red) ** self.n_v
+            self.na = float(ideal_a.absolute_norm())
+            self.nb = float(ideal_b.absolute_norm())
+            disc = abs(F.discriminant)
             self.Va = math.sqrt(disc) * self.na
             self.Vb = math.sqrt(disc) * self.nb
-            self.P = (self.na / self.nb) * self.ny
+            self.P_red = (self.na / self.nb) * self.ny
 
     # ------------------------------------------------------------------ direct
 
@@ -210,7 +223,7 @@ class EisensteinEvaluator:
         n_v pi |alpha y beta*| lies in (lo, hi]: (bessel args, phase exponents
         Tr(x alpha beta*), norm ratios |N(beta*/(alpha y))|)."""
         n_v = self.n_v
-        c = n_v * math.pi * abs(self.y)
+        c = n_v * math.pi * abs(self.y_red)
         # the candidate lists carry slack: the test on the computed arguments
         # below decides the band edges, so adjacent bands partition the pairs
         cap = hi / c * (1 + 1e-9)
@@ -239,15 +252,15 @@ class EisensteinEvaluator:
         args = c * aabs[ia] * babs[ib]
         keep = (args > lo) & (args <= hi)
         ia, ib, args = ia[keep], ib[keep], args[keep]
-        phases = n_v * (complex(self.x) * alphas[ia] * betas[ib]).real
-        ratios = (babs[ib] / (aabs[ia] * abs(self.y))) ** n_v
+        phases = n_v * (complex(self.x_red) * alphas[ia] * betas[ib]).real
+        ratios = (babs[ib] / (aabs[ia] * abs(self.y_red))) ** n_v
         return args, phases, ratios
 
     def term1(self, s: complex, tol: float = None) -> complex:
-        return _cpow(self.P, s) * self.zeta_b.value(2 * s, tol)
+        return _cpow(self.P_red, s) * self.zeta_b.value(2 * s, tol)
 
     def term2(self, s: complex, tol: float = None) -> complex:
-        return _cpow(self.P, 1 - s) * self.zeta_a.value(2 * s - 1, tol)
+        return _cpow(self.P_red, 1 - s) * self.zeta_a.value(2 * s - 1, tol)
 
     def term3(self, s: complex, tol: float = 1e-10) -> complex:
         # over Q the enumeration lists one representative per unit orbit
@@ -261,35 +274,41 @@ class EisensteinEvaluator:
         pair_tol = tol / max(scale, 1e-8)
         # the first band is (0, L], each later one (L - 2, L]; the sum stops
         # when the pairs in (L - 2, L] add at most tol/10, and raises once its
-        # rounding floor exceeds tol/10
+        # rounding floor exceeds tol/10, naming the cutoff, the last band's
+        # size, tol and the pairs evaluated
         lo, L = 0.0, -math.log(min(pair_tol, 0.1)) + 5.0 + 2.0
         total, mass = 0j, 0.0
+        points = 0
         for _ in range(12):
             args, phases, ratios = self._pair_data(lo, L)
+            points += args.size
             kv = bessel_k_batch(self.n_v * (s - 0.5), args, tol=pair_tol / 50,
                                 config=self.config)
             terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
                 * np.exp(2j * math.pi * phases)
             total += complex(np.sum(terms))
             mass += float(np.sum(np.abs(terms)))
+            added = scale * abs(complex(np.sum(terms[args > L - 2.0])))
             floor = np.finfo(float).eps * mass * scale
             if floor > tol / 10:
                 raise ConvergenceError(
                     f"Bessel pair sum at cutoff L = {L:g} lies below its "
                     f"rounding floor: eps*sum|term| = {floor:.3g} > "
-                    f"tol/10 = {tol / 10:.3g}")
-            added = scale * abs(complex(np.sum(terms[args > L - 2.0])))
+                    f"tol/10 = {tol / 10:.3g}",
+                    cutoff=L, last_delta=added, tol=tol, points=points)
             if added <= tol / 10:
                 return pref * total / orbit_div
             lo, L = L, L + 2.0
         raise ConvergenceError(
             f"Bessel pair sum did not stabilize at cutoff L = {lo:g}: the "
             f"band ({lo - 2:g}, {lo:g}] added {added:.3g} > "
-            f"tol/10 = {tol / 10:.3g}")
+            f"tol/10 = {tol / 10:.3g}",
+            cutoff=lo, last_delta=added, tol=tol, points=points)
 
     def ehat_expansion(self, s: complex, tol: float = 1e-10) -> complex:
-        """Ehat(Lambda, s) through the three-term formula; needs the
-        pseudo-basis presentation."""
+        """Ehat(Lambda, s) through the three-term formula, on the reduced
+        presentation (ideal_a, ideal_b, x_red, y_red); needs pseudo-basis
+        data."""
         if self.lattice.z is None:
             raise DegenerateLatticeError(
                 "expansion path needs pseudo-basis data")
@@ -363,9 +382,11 @@ class EisensteinEvaluator:
         return self.CF / 2
 
     def h_value(self, tol: float = 1e-10) -> float:
-        """The limit-formula function h(z, a, b): (2/C_F) [ P xi(2, b)
-        + V(a) |Ny| S(1) ]; real, with the imaginary part of the pair sum
-        cancelling between conjugate pairs."""
+        """The limit-formula function h(z, a, b) of the given presentation:
+        (2/C_F) [ P xi(2, b) + V(a) |Ny| S(1) ]; real, with the imaginary
+        part of the pair sum cancelling between conjugate pairs.  It is
+        evaluated on the reduced presentation and carried over through the
+        invariant h - log P."""
         if self.lattice.z is None:
             raise DegenerateLatticeError("h needs pseudo-basis data")
         t1 = self.term1(1.0, tol)
@@ -374,7 +395,7 @@ class EisensteinEvaluator:
         if abs(out.imag) > 1e-8:
             raise ConvergenceError(
                 f"imaginary part {out.imag} of h did not cancel")
-        return out.real
+        return out.real + math.log(self.P / self.P_red)
 
     def ct(self, tol: float = 1e-10) -> float:
         """Constant term of Ehat at s = 1:
@@ -390,6 +411,15 @@ class EisensteinEvaluator:
             + self.psi(0.0, self.dual_lattice(), tol) \
             + self.CF * (math.log(V) / 2 - V / 2)
         return val.real
+
+    def h_lattice(self, tol: float = 1e-10) -> float:
+        """h of the given presentation through the lattice path: ct_lattice
+        solved for h in ct = CT xi(s, a) + (C_F/2)(h - log P)."""
+        if self.lattice.z is None:
+            raise DegenerateLatticeError("h needs pseudo-basis data")
+        return (2.0 / self.CF) * (self.ct_lattice(tol)
+                                  - self.zeta_a.laurent_ct(tol)) \
+            + math.log(self.P)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +495,26 @@ def _smooth_tail_factor(s: complex) -> complex:
     arithmetic for real s)."""
     return complex(np.dot(_TAIL_WEIGHTS, np.exp((2 - 2 * s) * _TAIL_LOGU))) \
         / (2 * s - 2)
+
+
+# SL2(Z) reduction steps before _sl2z_reduce gives up; a float x is a dyadic
+# rational, so the reduction ends, and from y = 1e-300 it takes ~240 steps
+_REDUCTION_STEPS = 1000
+
+
+def _sl2z_reduce(x: float, y: float):
+    """x + iy (y > 0) moved by SL2(Z) into |x| <= 1/2, |x + iy| >= 1 (up to
+    1e-12), so that y >= sqrt(3)/2: translate x to its nearest integer and
+    invert while |z| < 1.  Each inversion raises y."""
+    for _ in range(_REDUCTION_STEPS):
+        x -= round(x)
+        n = x * x + y * y
+        if n >= 1 - 1e-12:
+            return x, y
+        x, y = -x / n, y / n
+    raise ConvergenceError(
+        f"SL2(Z) reduction did not end in {_REDUCTION_STEPS} steps "
+        f"(reached y = {y:.3g})")
 
 
 def _min_abs(M: np.ndarray, cap: int) -> float:

@@ -8,7 +8,10 @@ as A = a*z + b with rational ideals a, b and z in K, the twisted lattices
     rho(u~ A) = (a z_u + b) * rho(u~),      z_u = rho(u~ z) / rho(u~),
 
 are plain pseudo-basis lattices in C, so the whole Eisenstein machinery
-applies node by node.
+applies node by node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
+the expansion evaluates each node at the SL2(Z)-reduced point of
+(N a/N b) z_u, so every node costs about the same, while h_value and y keep
+describing z_u itself (the limit formula integrates h - log|y|).
 
 Real K: the torus splits into two sign components, each a circle of length
 log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the

@@ -31,7 +31,8 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
     The step is halved until two levels differ by at most `tol` in every
     entry.  grid(h / 2) must contain 2k for every k of grid(h), so that each
     level evaluates f only at the new odd multiples of the halved step.
-    Raises ConvergenceError after `doublings` halvings.
+    Raises ConvergenceError after `doublings` halvings, with the last step
+    as its cutoff, the last change, tol and the nodes evaluated.
     """
     vals = f(grid(h) * h)
     nodes = vals.shape[-1]
@@ -49,4 +50,5 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
         cur = nxt
     raise ConvergenceError(
         f"{what} did not converge: halvings {doublings}, nodes {nodes}, "
-        f"last change {delta:.3g} > tol {tol:.3g}")
+        f"last change {delta:.3g} > tol {tol:.3g}",
+        cutoff=h, last_delta=delta, tol=tol, points=nodes)

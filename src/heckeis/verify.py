@@ -209,18 +209,22 @@ def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
     Q = make_field("Q")
     ZZ = FracIdeal.unit_ideal(Q)
 
-    def h_of(z: complex) -> float:
+    def ev_of(z: complex) -> EisensteinEvaluator:
         lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, z.real, z.imag), ZZ,
                         config=config)
-        return EisensteinEvaluator(lat, config).h_value(1e-11)
+        return EisensteinEvaluator(lat, config)
 
+    # the expansion evaluates z + 1 and -1/z at the point z reduces to, so
+    # the right sides take the lattice route on the given lattice of z
     for k in range(5):
         z = complex(rng.uniform(-1, 1), rng.uniform(0.7, 1.8))
         checks.append(Check("h-translation", "Q", {"z": z}, 1e-10,
-                            lambda z=z: (h_of(z + 1), h_of(z))))
+                            lambda z=z: (ev_of(z + 1).h_value(1e-11),
+                                         ev_of(z).h_lattice(1e-11))))
         checks.append(Check("h-inversion", "Q", {"z": z}, 1e-8,
-                            lambda z=z: (h_of(-1 / z),
-                                         h_of(z) - 2 * math.log(abs(z)))))
+                            lambda z=z: (ev_of(-1 / z).h_value(1e-11),
+                                         ev_of(z).h_lattice(1e-11)
+                                         - 2 * math.log(abs(z)))))
 
     Fi = make_field(-1)
     Oi = FracIdeal.unit_ideal(Fi)

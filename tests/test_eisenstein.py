@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from heckeis import eisenstein
-from heckeis.basefield import FracIdeal, make_field
+from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator, h_function
 from heckeis.errors import ConvergenceError, DegenerateLatticeError, PoleError
@@ -99,6 +99,55 @@ def test_expansion_vs_lattice_path():
             assert abs(a - b) < 1e-10, (lat, s)
 
 
+_NORMS = st.sampled_from([1, 2, Fraction(3, 2), 10])
+# s at least 0.05 away from the poles 0, 1 of Ehat and from 1/2, where
+# the expansion's two xi terms have cancelling poles
+_OFF_POLE_S = st.one_of(
+    st.floats(-1.5, 3.0), st.builds(complex, st.floats(-1.0, 3.0),
+                                    st.floats(-3.0, 3.0))).filter(
+    lambda s: min(abs(s - p) for p in (0.0, 0.5, 1.0)) >= 0.05)
+
+
+def _assert_routes_agree(ev, s):
+    # the lattice route has no rounding floor: its terms grow like the pole
+    # part's V^s and V^(s-1) and cancel down to Ehat, so its rounding error
+    # is allowed to grow with them
+    a = ev.ehat_expansion(s, 1e-12)
+    b = ev.ehat_lattice(s, 1e-12)
+    V, re_s = ev.lattice.covolume, complex(s).real
+    tol = 1e-11 * max(1.0, abs(b)) + 1e-14 * max(V ** re_s, V ** (re_s - 1))
+    assert abs(a - b) <= tol, (a, b)
+    assert abs(ev.ct(1e-12) - ev.ct_lattice(1e-12)) <= 1e-10
+
+
+@settings(max_examples=25)
+@given(st.floats(-3.0, 3.0), st.floats(0.02, 5.0), _NORMS, _NORMS, _OFF_POLE_S)
+@example(0.3, 0.04, 10, 1, 2.5)
+@example(-2.7, 0.02, Fraction(3, 2), 2, 0.3 + 2.0j)
+def test_expansion_on_the_reduced_presentation_over_q(x, y, ia, ib, s):
+    # the expansion runs on the SL2(Z)-reduced scaled copy, the lattice
+    # route and ct_lattice on the given lattice
+    _assert_routes_agree(EisensteinEvaluator(lat_q(x, y, ia, ib)), s)
+
+
+@settings(max_examples=15)
+@given(st.sampled_from([-1, -2, -3, -7, -11]),
+       st.sampled_from([2, Fraction(3, 2), "1+w"]),
+       st.complex_numbers(max_magnitude=1.0), st.floats(0.7, 1.4),
+       st.floats(0.0, 2 * math.pi), _OFF_POLE_S)
+def test_expansion_with_equal_ideals_over_imaginary_fields(d, gen, x, ay,
+                                                           ang, s):
+    # a = b != O: the expansion runs on O z + O
+    F = make_field(d)
+    if gen == "1+w":
+        gen = QuadElement(F, Fraction(1), Fraction(1))
+    a = FracIdeal(F, gen=gen)
+    lat = OFLattice(F, a, DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),)), a)
+    ev = EisensteinEvaluator(lat)
+    assert ev.ideal_a == FracIdeal.unit_ideal(F) != a
+    _assert_routes_agree(ev, s)
+
+
 def test_completion_factor_consistency():
     # Gamma_F(2s) E(direct) equals the completed series from the Mellin path
     ev = EisensteinEvaluator(lat_q(0.2, 1.3))
@@ -173,11 +222,30 @@ def test_expansion_pole_errors():
 
 
 def test_degenerate_y_rejected():
-    lat = lat_q(0.3, 1.7)
-    tiny = OFLattice(Q, ZZ, DNumber.from_xy(Q, 0.0, 1e-11), ZZ)
+    # over an imaginary field y is not reduced, so a tiny |N(y)| still makes
+    # the expansion ill-conditioned
+    lat = lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j)
+    tiny = lat_quat(Fi, 0.3 + 0.2j, 1e-6 + 0j)
     with pytest.raises(DegenerateLatticeError):
         EisensteinEvaluator(tiny)
     assert EisensteinEvaluator(lat) is not None
+
+
+@pytest.mark.parametrize("s", [2.5, 0.3, 0.5 + 0.9j])
+def test_tiny_y_over_q_matches_the_large_y_closed_form(s):
+    # Z 1e-11 i + Z is Z 1e11 i + Z up to scaling, whose pair sum is below
+    # e^(-2 pi 1e11): Ehat = Y^s xi(2s) + Y^(1-s) xi(2s-1) at Y = 1e11
+    ev = EisensteinEvaluator(OFLattice(Q, ZZ, DNumber.from_xy(Q, 0.0, 1e-11), ZZ))
+    with mpmath.workdps(30):
+        s_mp, Y = mpmath.mpc(s), mpmath.mpf(10) ** 11
+
+        def xi(u):
+            return mpmath.pi ** (-u / 2) * mpmath.gamma(u / 2) * mpmath.zeta(u)
+
+        want = complex(Y ** s_mp * xi(2 * s_mp)
+                       + Y ** (1 - s_mp) * xi(2 * s_mp - 1))
+    got = ev.ehat_expansion(s, 1e-12)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_residue_and_ct_closed_forms():
@@ -236,12 +304,22 @@ def test_h_reality_random():
 
 
 def test_h_translation_and_inversion():
+    # z + 1 and -1/z reduce to the point z reduces to, so the right side
+    # comes from the lattice route on the given lattice of z
     def h_of(z):
         return h_function(Q, DNumber.from_xy(Q, z.real, z.imag), ZZ, ZZ, 1e-11)
 
     z = complex(0.3, 1.7)
-    assert abs(h_of(z + 1) - h_of(z)) < 1e-10
-    assert abs(h_of(-1 / z) - (h_of(z) - 2 * math.log(abs(z)))) < 1e-8
+    h_lat = EisensteinEvaluator(lat_q(z.real, z.imag)).h_lattice(1e-11)
+    assert abs(h_of(z + 1) - h_lat) < 1e-10
+    assert abs(h_of(-1 / z) - (h_lat - 2 * math.log(abs(z)))) < 1e-8
+
+
+def test_h_lattice_matches_h_value():
+    for lat in (lat_q(0.3, 1.7), lat_q(1.3, 0.05, a=Fraction(3, 2), b=10),
+                lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j)):
+        ev = EisensteinEvaluator(lat)
+        assert abs(ev.h_lattice(1e-12) - ev.h_value(1e-12)) < 1e-10
 
 
 def test_h_gl2_random_matrices_with_ideal_conditions():
@@ -277,11 +355,11 @@ def test_h_gl2_random_matrices_with_ideal_conditions():
         moved = lat_of(w).right_mul(DNumber.from_xy(Q, czd.real, czd.imag))
         assert lat_of(z).same_z_span(moved)
 
-        def h_of(zz):
-            return EisensteinEvaluator(lat_of(zz)).h_value(1e-11)
-
-        lhs = h_of(w)
-        rhs = h_of(z) - 2 * math.log(abs(czd))
+        # w and z reduce to the same point: the right side takes the
+        # lattice route on the given lattice of z
+        lhs = EisensteinEvaluator(lat_of(w)).h_value(1e-11)
+        rhs = EisensteinEvaluator(lat_of(z)).h_lattice(1e-11) \
+            - 2 * math.log(abs(czd))
         assert abs(lhs - rhs) < 1e-8, (na, nb, (a, b, c, d))
 
 
@@ -315,9 +393,11 @@ def _box_points(M, r):
 def _brute_pairs(ev, reach, frac):
     """The band (lo, hi] with hi = reach c min|alpha| min|beta*|, c = n_v pi |y|,
     and lo = frac hi, with the (arg, phase, ratio) of every pair in it, one
-    alpha at a time against the whole beta list."""
+    alpha at a time against the whole beta list; on the reduced presentation
+    (ideal_a, ideal_b, x_red, y_red) the expansion runs on."""
     n_v = 1 if ev.F.is_rational else 2
-    c = n_v * math.pi * abs(ev.y)
+    x, y = ev.x_red, ev.y_red
+    c = n_v * math.pi * abs(y)
     # no product |alpha| |beta*| lies on an edge: its argument could round
     # to either side
     reach *= 1 + math.pi * 1e-7
@@ -339,8 +419,8 @@ def _brute_pairs(ev, reach, frac):
     for al in alphas:
         args = c * abs(al) * np.abs(betas)
         bs_in = betas[(args > lo) & (args <= hi)]
-        out.extend((c * abs(al) * abs(be), n_v * (complex(ev.x) * al * be).real,
-                    (abs(be) / (abs(al) * abs(ev.y))) ** n_v) for be in bs_in)
+        out.extend((c * abs(al) * abs(be), n_v * (complex(x) * al * be).real,
+                    (abs(be) / (abs(al) * abs(y))) ** n_v) for be in bs_in)
     return lo, hi, np.array(out).reshape(-1, 3)
 
 
@@ -381,10 +461,9 @@ def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
 
 
 def test_term3_evaluates_each_pair_once(monkeypatch):
-    # a torus node of Q(sqrt 13) at s = 3 whose pair sum extends its first
+    # a lattice over Q(sqrt -3) at s = 6 whose pair sum extends its first
     # cutoff, so a sum that recomputed earlier bands would count them twice
-    z = DNumber.from_xy(Q, -1.302507779274556, 0.031075804972806546)
-    ev = EisensteinEvaluator(OFLattice(Q, ZZ, z, ZZ))
+    ev = EisensteinEvaluator(lat_quat(make_field(-3), 0.3 + 0.2j, 0.6 + 0.1j))
     seen, cutoffs = [], []
     bessel, pair_data = eisenstein.bessel_k_batch, ev._pair_data
 
@@ -398,9 +477,25 @@ def test_term3_evaluates_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(eisenstein, "bessel_k_batch", counted)
     monkeypatch.setattr(ev, "_pair_data", banded)
-    ev.term3(3.0, 1.3077905122890312e-10)
+    ev.term3(6.0, 1e-10)
     assert len(cutoffs) >= 2
     assert sum(seen) == pair_data(0.0, max(cutoffs))[0].size
+
+
+def test_term3_raises_below_its_rounding_floor():
+    # over Q(i) with |y| = 0.2 at s = 5 the scaled terms of the first band
+    # add up to ~2e8 in absolute value, so eps * sum |term| ~ 5e-8 lies
+    # above tol/10
+    ev = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 0.2 + 0j))
+    with pytest.raises(ConvergenceError) as info:
+        ev.term3(5.0, 1e-10)
+    msg = str(info.value)
+    assert "rounding floor" in msg and "tol/10 = 1e-11" in msg
+    err = info.value
+    L = err.cutoff
+    assert f"L = {L:g}" in msg and err.tol == 1e-10
+    assert err.last_delta > 0
+    assert err.points == ev._pair_data(0.0, L)[0].size
 
 
 def _traced_direct(monkeypatch, lat, s, tol):

@@ -146,7 +146,10 @@ def test_imaginary_class_invariance():
                - hecke_integral(s2, 2.0, 1e-10)) < 1e-10
 
 
-@pytest.mark.parametrize("d", [2, 5, 3])
+# the tori of Q(sqrt 17) and Q(sqrt 19) have periods log eps0 = 8.4 and
+# 11.7: unreduced, their nodes near t = eps0 had |y| so small that one
+# integral took 27 s, and 403 s before raising
+@pytest.mark.parametrize("d", [2, 5, 3, 17, 19])
 def test_real_hecke_matches_oracle(d):
     K = make_field(d)
     setup = HeckeSetup(K)
@@ -224,6 +227,11 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
     assert fields["what"] == "torus quadrature"
     assert fields["halvings"] == 2 and fields["nodes"] == 2 * 32
     assert fields["tol"] == 5e-9 and fields["change"] > fields["tol"]
+    err = info.value
+    assert (err.tol, err.points) == (5e-9, 2 * 32)
+    assert err.last_delta > err.tol
+    # the step after two halvings of period/8
+    assert err.cutoff == math.log(HeckeSetup(make_field(d)).eps0) / 32
     with pytest.raises(ConvergenceError) as info:
         classical_real_quadratic_integral(setup, 2.0, 1e-8)
     fields = unconverged_fields(info.value)
@@ -293,11 +301,32 @@ def test_setup_rejects_rational():
 
 
 @pytest.mark.parametrize("d", [19, 22])
-def test_hecke_integral_raises_below_the_pair_sum_rounding_floor(d):
-    # at s = 3 the node values of Q(sqrt 19) and Q(sqrt 22) are so large that
-    # double precision cannot resolve the node tolerance; the pair sum says so
-    # instead of growing its cutoff on rounding noise
-    with pytest.raises(ConvergenceError) as info:
-        hecke_integral(HeckeSetup(make_field(d)), 3.0, 1e-8)
-    msg = str(info.value)
-    assert "rounding floor" in msg and "tol/10" in msg
+def test_hecke_integral_at_s3_stays_above_the_pair_sum_rounding_floor(d):
+    # the nodes near t = eps0 have |y| down to 1e-4; unreduced, their pair
+    # sums lay below the rounding floor at s = 3 and raised.  The reduced
+    # nodes have |y| >= sqrt(3)/2
+    K = make_field(d)
+    got = hecke_integral(HeckeSetup(K), 3.0, 1e-8)
+    assert abs(got - xi_K_oracle(K, 3.0)) < 1e-6
+
+
+def _ideal_one_plus_sqrt23():
+    K = make_field(23)
+    return HeckeSetup(K, FracIdeal(K, gen=QuadElement(K, Fraction(1),
+                                                      Fraction(1))))
+
+
+def test_hecke_integral_non_unit_presentation():
+    # A = (1 + sqrt 23) O has N a != N b in its presentation a z + b
+    setup = _ideal_one_plus_sqrt23()
+    assert setup.ideal_a != setup.ideal_b
+    got = hecke_integral(setup, 2.0, 1e-8)
+    assert abs(got - xi_K_oracle(setup.K, 2.0)) < 1e-6
+
+
+def test_relative_klf_non_unit_presentation():
+    # the node integrand h - log|y| of the given presentation carries the
+    # log(P_given / P_reduced) correction of h_value
+    out = relative_klf_check(_ideal_one_plus_sqrt23(), 1e-8)
+    assert out["abs_error"] < 1e-5
+    assert abs(out["lhs"] - out["lhs_hecke"]) < 1e-7

@@ -86,6 +86,9 @@ def test_bessel_raises_when_unconverged():
     nodes, change, tol = int(m[1]), float(m[2]), float(m[3])
     assert nodes % 2 == 1 and nodes > 1
     assert tol == 1e-14 / 4 and change > tol
+    err = info.value
+    assert (err.cutoff, err.tol, err.points) == (0.25, 1e-14 / 4, nodes)
+    assert err.last_delta > err.tol
 
 
 def test_bessel_rejects_nonpositive():
