@@ -65,10 +65,6 @@ class FieldDescriptor:
         return self.r1 + 2 * self.r2
 
     @property
-    def n_places(self) -> int:
-        return self.r1 + self.r2
-
-    @property
     def is_rational(self) -> bool:
         return self.kind == "Q"
 

@@ -48,6 +48,7 @@ the constant term of xi.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from typing import Optional
 
@@ -81,39 +82,70 @@ class EisensteinEvaluator:
         if lattice.z is not None:
             F = self.F
             self.n_v = 1 if F.is_rational else 2
-            # x, y and P describe the given presentation a z + b (a right
-            # scale factor never changes Ehat, so it plays no part)
             ideal_a, ideal_b = lattice.ideal_a, lattice.ideal_b
-            ratio = float(ideal_a.absolute_norm() / ideal_b.absolute_norm())
-            self.x, self.y = lattice.z.x_part, lattice.z.y_part
-            self.P = ratio * abs(self.y) ** self.n_v
+            self.ratio = float(ideal_a.absolute_norm()
+                               / ideal_b.absolute_norm())
             # The expansion runs on a reduced presentation (ideal_a, ideal_b,
             # x_red, y_red) of a scaled copy of the lattice; Ehat is
             # invariant under scaling.  Over Q, a z + b = b ((Na/Nb) z + Z),
             # and (Na/Nb) z is SL2(Z)-reduced to |y_red| >= sqrt(3)/2.  Over
-            # an imaginary field with a = b, a z + b = a (O z + O).
-            if F.is_rational:
-                self.x_red, self.y_red = _sl2z_reduce(ratio * self.x,
-                                                      ratio * self.y)
+            # an imaginary field with a = b, a z + b = a (O z + O).  The
+            # reduced ideals do not depend on z: at_point shares them.
+            if F.is_rational or ideal_a == ideal_b:
                 ideal_a = ideal_b = FracIdeal.unit_ideal(F)
-            else:
-                self.x_red, self.y_red = self.x, self.y
-                if ideal_a == ideal_b:
-                    ideal_a = ideal_b = FracIdeal.unit_ideal(F)
-                if abs(self.y) ** 2 < 1e-10:
-                    raise DegenerateLatticeError(
-                        "|N(y)| below 1e-10: expansion ill-conditioned")
             self.ideal_a, self.ideal_b = ideal_a, ideal_b
             self.bstar = dual_ideal(F, ideal_b)
             self.zeta_a = completed_zeta(F, ideal_a, config)
             self.zeta_b = completed_zeta(F, ideal_b, config)
-            self.ny = abs(self.y_red) ** self.n_v
             self.na = float(ideal_a.absolute_norm())
             self.nb = float(ideal_b.absolute_norm())
+            self.nbstar = float(self.bstar.absolute_norm())
             disc = abs(F.discriminant)
             self.Va = math.sqrt(disc) * self.na
             self.Vb = math.sqrt(disc) * self.nb
-            self.P_red = (self.na / self.nb) * self.ny
+            self._place(lattice.z.x_part, lattice.z.y_part)
+
+    def _place(self, x, y):
+        """Set the data that depend on z = x + y j: x, y and P of the given
+        presentation (a right scale factor never changes Ehat, so it plays
+        no part), and x_red, y_red, ny and P_red of the reduced one."""
+        self.x, self.y = x, y
+        self.P = self.ratio * abs(y) ** self.n_v
+        if self.F.is_rational:
+            self.x_red, self.y_red = _sl2z_reduce(self.ratio * x,
+                                                  self.ratio * y)
+        else:
+            if abs(y) ** 2 < 1e-10:
+                raise DegenerateLatticeError(
+                    "|N(y)| below 1e-10: expansion ill-conditioned")
+            self.x_red, self.y_red = x, y
+        self.ny = abs(self.y_red) ** self.n_v
+        self.P_red = (self.na / self.nb) * self.ny
+
+    def _require_presentation(self, what: str):
+        # an evaluator from at_point has no lattice but all the data of its
+        # presentation; one of a Z-basis lattice has none
+        if self.lattice is not None and self.lattice.z is None:
+            raise DegenerateLatticeError(f"{what} needs pseudo-basis data")
+
+    def at_point(self, x, y) -> "EisensteinEvaluator":
+        """The evaluator of a z + b at another z = x + y j, with this
+        evaluator's ideals a, b.  It shares the data that do not depend on
+        z (the reduced ideals, b*, their xi, norms and volumes) and builds
+        no lattice, so only the expansion route works on it: term1-3,
+        ehat_expansion, h_value and ct.  Its values equal those of an
+        evaluator built on OFLattice(F, a, z, b) bit for bit: y must be
+        nonzero, and over Q z is taken with y > 0 (-z spans the same
+        lattice)."""
+        self._require_presentation("at_point")
+        if y == 0:
+            raise DegenerateLatticeError("y-part of z must be invertible")
+        if self.F.is_rational and y < 0:
+            x, y = -x, -y
+        ev = copy.copy(self)
+        ev.lattice = ev._dual = None
+        ev._place(x, y)
+        return ev
 
     # ------------------------------------------------------------------ direct
 
@@ -229,7 +261,7 @@ class EisensteinEvaluator:
         cap = hi / c * (1 + 1e-9)
         if self.F.is_rational:
             # one representative alpha = a m (m >= 1) per unit orbit
-            a, bs = self.na, float(self.bstar.absolute_norm())
+            a, bs = self.na, self.nbstar
             k = np.arange(1, int(cap / (a * bs)) + 1, dtype=float)
             alphas, betas = a * k, bs * np.concatenate([k, -k])
         else:
@@ -309,9 +341,7 @@ class EisensteinEvaluator:
         """Ehat(Lambda, s) through the three-term formula, on the reduced
         presentation (ideal_a, ideal_b, x_red, y_red); needs pseudo-basis
         data."""
-        if self.lattice.z is None:
-            raise DegenerateLatticeError(
-                "expansion path needs pseudo-basis data")
+        self._require_presentation("expansion path")
         s = complex(s)
         return self.term1(s, tol) + self.term2(s, tol) + self.term3(s, tol)
 
@@ -387,8 +417,7 @@ class EisensteinEvaluator:
         part of the pair sum cancelling between conjugate pairs.  It is
         evaluated on the reduced presentation and carried over through the
         invariant h - log P."""
-        if self.lattice.z is None:
-            raise DegenerateLatticeError("h needs pseudo-basis data")
+        self._require_presentation("h")
         t1 = self.term1(1.0, tol)
         t3 = self.term3(1.0, tol)
         out = (2.0 / self.CF) * (t1 + t3)

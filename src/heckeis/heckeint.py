@@ -11,7 +11,11 @@ are plain pseudo-basis lattices in C, so the whole Eisenstein machinery
 applies node by node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
 the expansion evaluates each node at the SL2(Z)-reduced point of
 (N a/N b) z_u, so every node costs about the same, while h_value and y keep
-describing z_u itself (the limit formula integrates h - log|y|).
+describing z_u itself (the limit formula integrates h - log|y|).  After that
+reduction every node has a = b = Z, so a node builds no lattice: its
+evaluator is EisensteinEvaluator.at_point of one evaluator that HeckeSetup
+builds once (at t = 1) and that holds b*, xi(s, Z), the norms and the
+volumes for all nodes.
 
 Real K: the torus splits into two sign components, each a circle of length
 log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -114,12 +119,25 @@ class HeckeSetup:
                          DNumber.from_xy(self.F, zu.real, zu.imag),
                          self.ideal_b, scale=scale, config=self.config)
 
-    def evaluator_at(self, sign: int, t: float) -> EisensteinEvaluator:
-        zu = self.z_u(sign, t)
+    @cached_property
+    def _node_template(self) -> EisensteinEvaluator:
+        """The evaluator of a z + b at the node t = 1, sign +1; built on the
+        first node, so that a setup that evaluates none pays nothing."""
+        if not self.K.is_real_quadratic:
+            raise UnsupportedFieldError("the torus nodes exist for real K")
+        zu = self.z_u(1, 1.0)
         lat = OFLattice(self.F, self.ideal_a,
                         DNumber.from_xy(self.F, zu.real, zu.imag),
                         self.ideal_b, config=self.config)
         return EisensteinEvaluator(lat, self.config)
+
+    def evaluator_at(self, sign: int, t: float) -> EisensteinEvaluator:
+        """The expansion evaluator of a z_u + b (the lattice rho(u~ A) up to
+        the scale rho(u~)), equal bit for bit to one built on that lattice;
+        it supports the expansion route only (EisensteinEvaluator.at_point)."""
+        template = self._node_template
+        zu = self.z_u(sign, t)
+        return template.at_point(zu.real, zu.imag)
 
 
 def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,

@@ -6,10 +6,12 @@ K_s here is the integral
 
     K_s(x) = int_0^oo exp(-x(u + 1/u)) u^(s-1) du     (x > 0),
 
-evaluated literally (it equals twice the conventional modified Bessel
-function at doubled argument, but no conversion is ever performed).  After
-u = e^t the integrand decays doubly exponentially, so trapezoid sums with
-step halving converge at spectral rate.
+which equals twice the conventional modified Bessel function at doubled
+argument, 2 K_s^std(2x) (DLMF 10.32.9).  A real order takes that
+conversion: scipy's kv (Amos's algorithm, ACM TOMS 644, 1986).  A complex
+order takes the integral literally: after u = e^t the integrand decays
+doubly exponentially, so trapezoid sums with step halving converge at
+spectral rate.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from scipy.special import expn as _expn
 from scipy.special import gamma as _scipy_gamma
 from scipy.special import gammaincc as _gammaincc
+from scipy.special import kv as _kv
 
 from .basefield import FieldDescriptor
 from .errors import ConvergenceError, PoleError
@@ -215,18 +218,33 @@ def _bessel_grid_halfwidth(max_abs_re_s: float, min_x: float, L: float) -> float
 
 def bessel_k_batch(s: Complex, xs: np.ndarray, tol: float = None,
                    config: PrecisionConfig = DEFAULT) -> np.ndarray:
-    """K_s at many positive arguments, shared trapezoid grid.
+    """K_s at each entry of a 1-d array of positive arguments (complex).
 
-    Absolute accuracy ~tol on each entry.  Entries are processed in chunks to
-    bound the (n_x, n_nodes) work matrix.
+    A real order, negative orders included, is 2 kv(s, 2x) for all
+    arguments in one call, whatever tol asks: a few ulp relative for
+    2x > 2, and up to 6e-14 relative for 2x <= 2, where Amos sums Temme's
+    series (measured against mpmath at non-half-integer orders).  A complex
+    order takes the trapezoid rule (_bessel_trapezoid) to absolute accuracy
+    ~tol on each entry.  Raises ValueError unless every argument is
+    positive (NaN included).
     """
-    tol = tol if tol is not None else config.target_abs_tol
     s = complex(s)
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0, dtype=complex)
-    if np.any(xs <= 0):
+    if not np.all(xs > 0):
         raise ValueError("arguments must be positive")
+    if s.imag == 0:
+        return (2.0 * _kv(s.real, 2.0 * xs)).astype(complex)
+    tol = tol if tol is not None else config.target_abs_tol
+    return _bessel_trapezoid(s, xs, tol, config)
+
+
+def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float,
+                      config: PrecisionConfig) -> np.ndarray:
+    """K_s by nested trapezoid sums of the defining integral, absolute
+    accuracy ~tol on each entry: the route of complex orders, and the
+    reference that tests and the specialfun suite hold kv against at real
+    orders.  Sorted entries go through in chunks that bound the
+    (n_x, n_nodes) work matrix, each chunk on one grid."""
     out = np.empty(xs.shape, dtype=complex)
     order = np.argsort(xs)
     chunk = max(1, 4_000_000 // 1024)

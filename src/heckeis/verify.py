@@ -6,7 +6,7 @@ Suites: theta (Gaussian theta transformation and dual volumes), fourier
 through the dual lattice), klf (residue, limit-formula constants, h
 modularity, the relative limit formula), hecke (the quadratic-extension
 integral formula against Dirichlet-series oracles), specialfun (gamma
-factor, Bessel and incomplete gamma checks).
+factor, Bessel, kv against the trapezoid, and incomplete gamma checks).
 
 Suite functions only draw the deterministic inputs; the numerical work
 happens when the checks are executed by run_suite.
@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, make_field
 from .dalgebra import DNumber, Quaternion
@@ -366,6 +368,25 @@ def checks_incgamma(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Ch
     return checks
 
 
+def checks_bessel_kv(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+    """kv, the route of real orders, against the trapezoid sum of the
+    defining integral, the route of complex orders, both sides over |K| so
+    that the tolerance stays relative; the specialfun suite runs them after
+    checks_incgamma."""
+    checks = []
+    for nu in (-0.2, 0.5, 1.0, 2.5, 4.0):
+        for x in (0.3, 2.0, 15.0):
+            def kv_vs_trapezoid(nu=nu, x=x):
+                kv = bessel_k(nu, x)
+                ref = specialfun._bessel_trapezoid(
+                    complex(nu), np.array([x]), 1e-14 * abs(kv), config)[0]
+                return kv / abs(kv), ref / abs(kv)
+
+            checks.append(Check("bessel-kv-vs-trapezoid", "-",
+                                {"s": nu, "x": x}, 1e-12, kv_vs_trapezoid))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -377,7 +398,8 @@ SUITES: Dict[str, Callable] = {
     "klf": checks_klf,
     "hecke": checks_hecke,
     "specialfun": lambda seed=7, config=DEFAULT: (
-        checks_specialfun(seed, config) + checks_incgamma(seed, config)),
+        checks_specialfun(seed, config) + checks_incgamma(seed, config)
+        + checks_bessel_kv(seed, config)),
 }
 
 

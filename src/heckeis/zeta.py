@@ -384,11 +384,16 @@ def gamma_lattice_sum(nu: complex, re_s: float,
     caller's s, which sets the starting cutoff.  The cutoff grows by +6 until
     the new shell (cut, cut + 6] adds at most tol/10 after scaling; each step
     evaluates Gamma on that shell only, one array call of
-    upper_incomplete_gamma per array that `params` yields."""
+    upper_incomplete_gamma per array that `params` yields.  The
+    ConvergenceError after 24 steps carries the final cutoff, the scaled
+    last shell, tol and the number of parameters summed."""
+    points = 0
 
     def shell(lo: float, hi: float) -> complex:
+        nonlocal points
         acc = 0j
         for xs in params(lo, hi):
+            points += xs.size
             gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
             acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
         return acc
@@ -397,15 +402,17 @@ def gamma_lattice_sum(nu: complex, re_s: float,
         + 4.0 * max(1.0, abs(re_s)) + 8.0
     total = shell(0.0, cut)
     for _ in range(24):
-        last = shell(cut, cut + 6.0)
-        total += last
+        add = shell(cut, cut + 6.0)
+        total += add
         cut += 6.0
-        if scale * abs(last) <= tol / 10.0:
+        last = scale * abs(add)
+        if last <= tol / 10.0:
             return total
     raise ConvergenceError(
         f"incomplete-gamma lattice sum at order {nu} did not stabilize: the "
-        f"shell below cutoff {cut:g} added {scale * abs(last):.3g} "
-        f"> tol/10 = {tol / 10.0:.3g}")
+        f"shell below cutoff {cut:g} added {last:.3g} "
+        f"> tol/10 = {tol / 10.0:.3g}",
+        cutoff=cut, last_delta=last, tol=tol, points=points)
 
 
 def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,

@@ -231,6 +231,44 @@ def test_degenerate_y_rejected():
     assert EisensteinEvaluator(lat) is not None
 
 
+@pytest.mark.parametrize("field,z,a,b,moved", [
+    (Q, (0.3, 1.1), 2, 3, [(-0.45, 0.02), (0.7, -1.3), (5.1, -0.8)]),
+    (Fi, (0.3 + 0.2j, 1.1 - 0.4j), 1, 1, [(0.1 - 0.4j, 0.9 + 0.5j)]),
+])
+def test_at_point_matches_an_evaluator_of_the_moved_lattice(field, z, a, b,
+                                                            moved):
+    # at_point shares the z-independent data and builds no lattice; its
+    # expansion values equal those of an evaluator built on a z' + b, with
+    # z' taken with y > 0 over Q as OFLattice does
+    def ev_at(x, y):
+        if field.is_rational:
+            return EisensteinEvaluator(lat_q(x, y, a, b))
+        return EisensteinEvaluator(lat_quat(field, x, y))
+
+    ev = ev_at(*z)
+    for x, y in moved:
+        got, want = ev.at_point(x, y), ev_at(x, y)
+        assert got.lattice is None and got.bstar is ev.bstar
+        assert (got.x, got.y, got.x_red, got.y_red) \
+            == (want.x, want.y, want.x_red, want.y_red)
+        for s_ in (2.5, 0.3, 0.5 + 0.9j):
+            assert got.ehat_expansion(s_, 1e-11) \
+                == want.ehat_expansion(s_, 1e-11)
+        assert got.h_value(1e-11) == want.h_value(1e-11)
+        assert got.ct(1e-11) == want.ct(1e-11)
+
+
+def test_at_point_keeps_the_lattice_guards():
+    ev = EisensteinEvaluator(lat_q(0.3, 1.1))
+    with pytest.raises(DegenerateLatticeError):
+        ev.at_point(0.3, 0.0)
+    evi = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j))
+    with pytest.raises(DegenerateLatticeError):
+        evi.at_point(0.3 + 0.2j, 1e-6 + 0j)
+    with pytest.raises(DegenerateLatticeError):
+        EisensteinEvaluator(lat_q(0.3, 1.1).dual()).at_point(0.3, 1.1)
+
+
 @pytest.mark.parametrize("s", [2.5, 0.3, 0.5 + 0.9j])
 def test_tiny_y_over_q_matches_the_large_y_closed_form(s):
     # Z 1e-11 i + Z is Z 1e11 i + Z up to scaling, whose pair sum is below

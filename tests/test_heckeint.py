@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from scipy.special import i0
 
+from heckeis import eisenstein
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
-from heckeis.dalgebra import rho_star
+from heckeis.dalgebra import DNumber, rho_star
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError, UnsupportedFieldError
 from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
@@ -295,6 +296,11 @@ def test_relative_klf_requires_real_field():
         relative_klf_check(HeckeSetup(make_field(-1)), 1e-8)
 
 
+def test_torus_nodes_require_real_field():
+    with pytest.raises(UnsupportedFieldError):
+        HeckeSetup(make_field(-1)).evaluator_at(1, 1.0)
+
+
 def test_setup_rejects_rational():
     with pytest.raises(UnsupportedFieldError):
         HeckeSetup(Q)
@@ -322,6 +328,49 @@ def test_hecke_integral_non_unit_presentation():
     assert setup.ideal_a != setup.ideal_b
     got = hecke_integral(setup, 2.0, 1e-8)
     assert abs(got - xi_K_oracle(setup.K, 2.0)) < 1e-6
+
+
+@pytest.mark.parametrize("make_setup", [
+    lambda: HeckeSetup(make_field(2)), lambda: HeckeSetup(make_field(5)),
+    lambda: HeckeSetup(make_field(13)), _ideal_one_plus_sqrt23])
+def test_node_evaluator_matches_one_built_on_the_node_lattice(make_setup):
+    setup = make_setup()
+    for sign in (1, -1):
+        for t in (1.0, 1.37, 2.9, 0.999 * setup.eps0):
+            ev = setup.evaluator_at(sign, t)
+            zu = setup.z_u(sign, t)
+            ref = EisensteinEvaluator(OFLattice(
+                Q, setup.ideal_a, DNumber.from_xy(Q, zu.real, zu.imag),
+                setup.ideal_b))
+            assert ev.lattice is None and (ev.x, ev.y) == (ref.x, ref.y)
+            for s in (2.0, 0.3, 1.5 + 0.5j):
+                assert ev.ehat_expansion(s, 1e-10) \
+                    == ref.ehat_expansion(s, 1e-10)
+            assert ev.h_value(1e-10) == ref.h_value(1e-10)
+            assert ev.ct(1e-10) == ref.ct(1e-10)
+
+
+def test_torus_nodes_build_no_lattice_and_no_ideal_data(monkeypatch):
+    # the node-independent data (b*, xi(s, Z), norms, volumes) are built
+    # once per setup, on its first node
+    setup = HeckeSetup(make_field(5))
+    setup.evaluator_at(1, 1.0)
+    built = []
+    init = OFLattice.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-node ideal data")
+
+    monkeypatch.setattr(OFLattice, "__init__", counted)
+    monkeypatch.setattr(eisenstein, "dual_ideal", forbidden)
+    monkeypatch.setattr(eisenstein, "completed_zeta", forbidden)
+    got = hecke_integral(setup, 2.0, 1e-8)
+    assert abs(got - xi_K_oracle(setup.K, 2.0)) < 1e-6
+    assert built == []
 
 
 def test_relative_klf_non_unit_presentation():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from heckeis import specialfun
 from heckeis.basefield import make_field
 from heckeis.errors import ConvergenceError, PoleError
-from heckeis.precision import PrecisionConfig
+from heckeis.numerics import nested_trapezoid
+from heckeis.precision import DEFAULT, PrecisionConfig
 from heckeis.specialfun import (b_F, b_F_integral, bessel_k, bessel_k_batch,
                                 gamma_F, gamma_F_integral,
                                 upper_incomplete_gamma)
@@ -76,9 +77,9 @@ def test_bessel_batch_matches_scalar():
 
 def test_bessel_raises_when_unconverged():
     # one halving from step 0.5 cannot reach 1e-14 at x = 1; the message says
-    # how far the trapezoid got
+    # how far the trapezoid got (a complex order: real orders take kv)
     with pytest.raises(ConvergenceError) as info:
-        bessel_k(0.5, 1.0, 1e-14, PrecisionConfig(quad_max_doublings=1))
+        bessel_k(0.5 + 0.1j, 1.0, 1e-14, PrecisionConfig(quad_max_doublings=1))
     m = re.fullmatch(r"bessel trapezoid did not converge: halvings 1, "
                      r"nodes (\d+), last change (\S+) > tol (\S+)",
                      str(info.value))
@@ -94,6 +95,76 @@ def test_bessel_raises_when_unconverged():
 def test_bessel_rejects_nonpositive():
     with pytest.raises(ValueError):
         bessel_k(1.0, 0.0)
+
+
+@pytest.mark.parametrize("s", [1.0, -0.2, 0.5 + 0.1j])
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.nan], [2.0, -1.0]])
+def test_bessel_batch_rejects_nan_and_nonpositive(s, bad):
+    # NaN compares false with 0, so it must be rejected explicitly: kv
+    # returns NaN for it, and the trapezoid cannot converge on it
+    with pytest.raises(ValueError, match="positive"):
+        bessel_k_batch(s, np.array(bad))
+
+
+def _mp_bessel(nu, x):
+    """2 K_nu^std(2x) (DLMF 10.32.9) at 30 digits."""
+    with mp.workdps(30):
+        return complex(2 * mp.besselk(mp.mpc(nu), 2 * mp.mpf(x)))
+
+
+@pytest.mark.parametrize("nu", [-3.7, -1.0, -0.2, 0.0, 0.5, 1.0, 2.5, 4.0,
+                                9.3])
+def test_bessel_real_order_vs_mpmath(nu):
+    # kv's worst error is its Temme series for 2x <= 2 at non-half-integer
+    # orders (measured up to 6e-14 relative); elsewhere a few ulp
+    xs = np.array([0.05, 0.3, 0.7, 1.0, 2.0, 15.0, 60.0])
+    got = bessel_k_batch(nu, xs)
+    assert got.dtype == complex and np.all(got.imag == 0)
+    want = np.array([_mp_bessel(nu, x) for x in xs])
+    rel = np.abs(got - want) / np.abs(want)
+    assert np.all(rel[xs <= 1.0] < 1e-13)
+    assert np.all(rel[xs > 1.0] < 2e-15)
+
+
+@pytest.mark.parametrize("s", [0.25 + 1.2j, 2.0 - 0.7j, -1.5 + 0.3j,
+                               0.5 + 4.0j])
+def test_bessel_complex_order_trapezoid_vs_mpmath(s):
+    xs = np.array([0.3, 1.0, 2.7, 9.0])
+    got = bessel_k_batch(s, xs, 1e-14)
+    want = np.array([_mp_bessel(s, x) for x in xs])
+    assert np.all(np.abs(got - want) < 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", [-0.2, 0.5, 1.0, 2.5, 4.0])
+def test_bessel_kv_matches_trapezoid_at_real_orders(nu):
+    # 1,600 arguments in [0.5, 30]: kv and the trapezoid reference agree
+    # to 1e-14 max(1, |K|) where 2x > 2; below, kv's Temme series is off by
+    # up to 6e-14 relative (test_bessel_real_order_vs_mpmath)
+    xs = np.linspace(0.5, 30.0, 1600)
+    kv = bessel_k_batch(nu, xs)
+    ref = specialfun._bessel_trapezoid(complex(nu), xs, 1e-14, DEFAULT)
+    err = np.abs(kv - ref) / np.maximum(1.0, np.abs(ref))
+    assert np.all(err[xs > 1.0] < 1e-14)
+    assert np.all(err < 2e-14)
+
+
+def test_real_orders_never_enter_the_trapezoid(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return nested_trapezoid(*args, **kwargs)
+
+    monkeypatch.setattr(specialfun, "nested_trapezoid", counted)
+    xs = np.array([0.2, 1.0, 7.5])
+    for nu in (-2.5, -0.2, 0.0, 1.0, 3.3, 1.5 + 0j):
+        bessel_k_batch(nu, xs, 1e-14)
+        bessel_k(nu, 0.8, 1e-14)
+    b_F(Q, 0.7, 1.9, 0.8)
+    b_F(Fi, 0.8 + 0.1j, 1.2 - 0.4j, 1.25)
+    assert calls == []
+    bessel_k_batch(0.5 + 0.1j, xs, 1e-14)
+    assert calls == ["bessel trapezoid"]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +293,14 @@ def test_specialfun_suite_runs_the_incgamma_checks():
     reports = run_suite("specialfun")
     got = [r.command for r in reports if r.command.startswith("incgamma")]
     assert got == ["incgamma-recurrence"] + ["incgamma-half-order-erfc"] * 3
+    assert all(r.passed for r in reports)
+
+
+def test_specialfun_suite_holds_kv_against_the_trapezoid():
+    reports = run_suite("specialfun")
+    kv = [r for r in reports if r.command == "bessel-kv-vs-trapezoid"]
+    assert sorted((r.parameters["s"], r.parameters["x"]) for r in kv) \
+        == [(s, x) for s in (-0.2, 0.5, 1.0, 2.5, 4.0) for x in (0.3, 2.0, 15.0)]
     assert all(r.passed for r in reports)
 
 

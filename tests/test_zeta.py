@@ -236,6 +236,11 @@ def test_gamma_lattice_sum_reports_how_far_it_got():
     assert "tol/10 = 1e-11" in msg
     last = 1e300 * sum(math.exp(-x) / x for x in range(182, 188))
     assert f"added {last:.3g}" in msg
+    err = info.value
+    assert (err.cutoff, err.tol) == (final, 1e-10)
+    assert abs(err.last_delta - last) <= 1e-12 * last
+    # the integers 1, ..., 187 up to the final cutoff, each summed once
+    assert err.points == math.floor(final) == 187
 
 
 # ---------------------------------------------------------------------------
