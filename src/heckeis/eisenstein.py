@@ -13,8 +13,11 @@ each other:
   of B, where a sharp cut leaves the lattice-point remainder.  It sums one
   point of each pair +-lambda, shell by shell: each doubling of B
   enumerates the points in (B, 2B] only and carries the band's norms
-  over, with real powers for real s, and it raises when tol/16 lies below
-  its rounding floor eps |V^s| (2/w) sum phi ||lambda||^(-2 Re s).
+  over, with real powers for real s.  It accepts the sum when a doubling
+  moves it by at most tol/16, or when each of the last three changes is at
+  most 1/16 of the one before and the rest they predict is below tol/16.
+  It raises when tol/16 lies below its rounding floor
+  eps |V^s| (2/w) sum phi ||lambda||^(-2 Re s).
 * ehat_expansion: the three-term formula
 
       Ehat = P^s xi(2s, b) + P^(1-s) xi(2s-1, a)
@@ -167,9 +170,13 @@ class EisensteinEvaluator:
         +-lambda, counted twice.  Each doubling of B enumerates the new
         points in (B, 2B] only: the plain sum over N <= aB grows by the
         carried norms that leave the band, and the band (aB, B] is
-        re-weighted, in real arithmetic when s is real.  It stops when a
-        doubling moves the value by at most tol/16, and raises
-        ConvergenceError when tol/16 lies below its rounding floor
+        re-weighted, in real arithmetic when s is real.  It accepts S(B_k)
+        when the doubling to B_k moved the value by d_k <= tol/16, or when
+        the changes predict that the rest lies below tol/16: with rho the
+        largest of the ratios d_k/d_(k-1), d_(k-1)/d_(k-2), d_(k-2)/d_(k-3),
+        rho <= _DECAY_RATIO and rho^2 d_(k-1) <= tol/16 (rho d_(k-1) is the
+        change the trend predicts for this doubling, and never below d_k).
+        It raises ConvergenceError when tol/16 lies below its rounding floor
         eps |V^s| (2/w) sum phi N^(-2 Re s), or after quad_max_doublings
         doublings; the error carries the cutoff, the last change, tol and
         the number of points enumerated."""
@@ -209,7 +216,7 @@ class EisensteinEvaluator:
         # (norms, n^(-2s), n^(-2 Re s)) carried over to the next doubling
         inner, inner_mass = 0j, 0.0
         band = []
-        points, prev = 0, None
+        points, prev, changes = 0, None, []
         for _ in range(self.config.quad_max_doublings + 1):
             for norms in lat.norm_chunks(B, lo):
                 points += norms.size
@@ -242,6 +249,19 @@ class EisensteinEvaluator:
                     cutoff=B, last_delta=delta, tol=tol, points=points)
             if delta <= tol / 16:
                 return cur
+            if prev is not None:
+                changes.append(delta)
+            if len(changes) >= 4:
+                # each of the last three changes is at most rho times the
+                # one before: the rest of the sum is about rho times the
+                # change the trend predicts for this doubling, rho * d1,
+                # which is at least delta.  Near the first cutoffs, and
+                # where one change is small by chance, one ratio or delta
+                # itself can understate the rest by 100x
+                d3, d2, d1 = changes[-4:-1]
+                rho = max(delta / d1, d1 / d2, d2 / d3)
+                if rho <= _DECAY_RATIO and rho * rho * d1 <= tol / 16:
+                    return cur
             prev, lo, B = cur, B, 2 * B
         raise ConvergenceError(
             f"direct sum did not stabilize at B = {lo:g}: the last doubling "
@@ -461,6 +481,10 @@ class EisensteinEvaluator:
 # at both ends set how fast the truncation error falls with B.
 _SMOOTH_K = 6
 _SMOOTH_A = 0.25
+# e_direct accepts S(B) from the observed decay only when each of its last
+# three doubling changes is at most this factor of the one before: once the
+# smoothed sum reaches its asymptotic regime its error falls ~100x per doubling
+_DECAY_RATIO = 1 / 16
 # C(2k+1, j) for j = k+1, ..., 2k+1: P(x) = sum_j C(2k+1, j) x^j (1-x)^(2k+1-j)
 _SMOOTH_BINOM = [math.comb(2 * _SMOOTH_K + 1, j)
                  for j in range(_SMOOTH_K + 1, 2 * _SMOOTH_K + 2)]

@@ -11,11 +11,11 @@ Lebesgue on C (real place) and 4 * Lebesgue on H (complex place).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .basefield import FieldDescriptor, FracIdeal, QuadElement
+from .basefield import FieldDescriptor, FracIdeal
 from .dalgebra import DNumber, Quaternion
 from .errors import DegenerateLatticeError, EnumerationCapError
 from .precision import DEFAULT, PrecisionConfig
@@ -189,56 +189,6 @@ class OFLattice:
                     "enumerated a nonzero point of near-zero norm")
             yield norms
 
-    def points_upto(self, norm_bound: float) -> Tuple[np.ndarray, np.ndarray]:
-        """All nonzero points with norm <= bound: (coefficient vectors,
-        algebra norms).  Intended for modest bounds."""
-        found = list(ball_points(self.M, self.euclid_radius(norm_bound),
-                                 self.config.enum_point_cap, coeffs=True))
-        r2 = np.concatenate([np.zeros(0)] + [r for r, _ in found])
-        coeffs = np.concatenate([np.zeros((self.dim, 0), dtype=np.int64)]
-                                + [c for _, c in found], axis=1)
-        return coeffs.T, self.norms_from_euclid(r2)
-
-    def unit_coeff_matrices(self) -> List[np.ndarray]:
-        """Integer matrices describing left multiplication by each root of
-        unity on the Z-basis (pseudo-basis lattices; Z-only lattices get
-        the +-1 action)."""
-        if self.z is None or self.field.is_rational:
-            eye = np.eye(self.dim, dtype=np.int64)
-            return [eye, -eye]
-        mats = []
-        for u in self.field.roots_of_unity():
-            blocks = []
-            for ideal in (self.ideal_a, self.ideal_b):
-                g1, g2 = ideal.z_basis()
-                cols = []
-                for g in (g1, g2):
-                    ug = u * g
-                    c = _exact_coords_in_basis(ug, g1, g2)
-                    cols.append(c)
-                blocks.append(np.array(cols, dtype=np.int64).T)
-            U = np.zeros((4, 4), dtype=np.int64)
-            U[:2, :2] = blocks[0]
-            U[2:, 2:] = blocks[1]
-            mats.append(U)
-        return mats
-
-    def enumerate(self, norm_bound: float) -> Iterator[Tuple[DNumber, int]]:
-        """One representative per U_F-orbit of the nonzero points with
-        ||lambda|| <= norm_bound, with the orbit size (= w_F; the unit action
-        on nonzero points is free)."""
-        coeffs, _ = self.points_upto(norm_bound)
-        mats = self.unit_coeff_matrices()
-        seen = set()
-        for c in coeffs:
-            orbit = sorted(tuple((U @ c).tolist()) for U in mats)
-            rep = orbit[-1]
-            if rep in seen:
-                continue
-            seen.add(rep)
-            v = self.M @ np.array(rep, dtype=float)
-            yield _vector_from_coords(self.field, v), len(mats)
-
     # -- theta ---------------------------------------------------------------------
 
     def theta(self, t, tol: float = None) -> float:
@@ -410,15 +360,3 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out += np.arange(out.size)
     return out
 
-
-def _exact_coords_in_basis(x: QuadElement, g1: QuadElement, g2: QuadElement):
-    """Integer coordinates of x in the basis (g1, g2) of a rank-2 module."""
-    # solve [a1 a2; b1 b2] [c1, c2]^T = [x.a, x.b]
-    det = g1.a * g2.b - g2.a * g1.b
-    if det == 0:
-        raise ValueError("degenerate ideal basis")
-    c1 = (x.a * g2.b - g2.a * x.b) / det
-    c2 = (g1.a * x.b - x.a * g1.b) / det
-    if c1.denominator != 1 or c2.denominator != 1:
-        raise ValueError("element not in the module")
-    return [int(c1), int(c2)]

@@ -270,6 +270,13 @@ def _is_principal_imag(ideal: FracIdeal) -> bool:
 # the raw partial zeta sum (Dirichlet / lattice oracle with cutoff)
 
 
+def _power_sum(n: np.ndarray, s: complex) -> complex:
+    """sum n^(-s) over an array of n > 0, in real arithmetic for real s."""
+    if s.imag == 0:
+        return complex(np.sum(np.power(n, -s.real)))
+    return complex(np.sum(np.exp(-s * np.log(n))))
+
+
 def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
                         cutoff: float = 1e5,
                         config: PrecisionConfig = DEFAULT):
@@ -289,7 +296,7 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
         # independent of the ideal
         m_max = int(X)
         m = np.arange(1, m_max + 1, dtype=float)
-        val = complex(np.sum(np.exp(-s * np.log(m))))
+        val = _power_sum(m, s)
         # integral tail correction (Euler-Maclaurin through the 1/2 term)
         lnM = math.log(m_max)
         val += cmath.exp((1 - s) * lnM) / (s - 1) - 0.5 * cmath.exp(-s * lnM)
@@ -300,7 +307,7 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
         total = 0j
         for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X),
                               config.enum_point_cap):
-            total += complex(np.sum(np.exp(-s * np.log(n2))))
+            total += _power_sum(n2, s)
         total /= F.w
         # integral tail: reps density ~ 2 pi / (w sqrt|D| N(ideal)) per unit norm
         dens = 2 * math.pi / (F.w * math.sqrt(abs(F.discriminant)) * n_ideal)
@@ -339,7 +346,7 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
         keep = (x1 > 0) & (nrm > 0) & (nrm <= X * (1 + 1e-12)) \
             & (t >= -0.5) & (t < 0.5)
         vals = nrm[keep]
-        total += complex(np.sum(np.exp(-s * np.log(vals))))
+        total += _power_sum(vals, s)
     dens = 2 * K.regulator / (math.sqrt(K.discriminant) * n_ideal)
     corr = dens * cmath.exp((1 - s) * math.log(X)) / (s - 1)
     value = cmath.exp(s * math.log(n_ideal)) * (total + corr)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -14,7 +14,8 @@ from heckeis import eisenstein
 from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator, h_function
-from heckeis.errors import ConvergenceError, DegenerateLatticeError, PoleError
+from heckeis.errors import (ConvergenceError, DegenerateLatticeError,
+                            EnumerationCapError, PoleError)
 from heckeis.lattice import OFLattice, ball_points
 from heckeis.numerics import neville_at_zero
 from heckeis.precision import PrecisionConfig
@@ -709,3 +710,51 @@ def test_direct_reports_how_far_it_got():
     # one point of each pair +-lambda of Z[i] with norm |lambda| <= 16
     assert err.points == sum(1 for m in range(-16, 17) for n in range(-16, 17)
                              if 0 < m * m + n * n <= 256) // 2
+
+
+def test_direct_decay_exit_ignores_a_change_small_by_chance():
+    # at B = 64 one doubling moves the sum by 1.25e-3 of the change before:
+    # a rule reading that one ratio would accept there 1.48 tol off
+    F = make_field(-11)
+    lat = lat_quat(F, -0.4702 + 0.0631j, cmath.rect(0.2862, 0.6773))
+    ev = EisensteinEvaluator(lat)
+    tol = 1e-6
+    assert abs(ev.e_direct(1.2, tol) - ev.e_direct(1.2, tol / 300)) <= tol / 16
+
+
+@settings(max_examples=8)
+@given(st.sampled_from(["Q", -1, -2, -3, -7, -11]),
+       st.sampled_from([1, 2, Fraction(3, 2)]),
+       st.sampled_from([1, 2, Fraction(3, 2)]),
+       st.complex_numbers(max_magnitude=1.0), st.floats(0.3, 4.0),
+       st.floats(0.0, 2 * math.pi),
+       st.builds(complex, st.floats(1.1, 4.0), st.floats(-10.0, 10.0)),
+       st.sampled_from([1e-5, 1e-6]))
+# draws that a stop rule reading the last two ratios and rho * delta
+# accepted 1.05 to 5.9 tol off: the first changes fall faster than the later
+# ones, or the last change is small by chance
+@example(-7, 1, 2, -0.5624 - 0.0808j, 0.5455, 1.8208, 1.1623 + 0j, 1e-5)
+@example(-3, 2, 2, -0.7350 + 0.2202j, 2.1921, 3.6574, 3.8051 + 0j, 1e-6)
+@example(-3, Fraction(3, 2), 2, 0.5088 + 0.5930j, 3.1362, 1.9264,
+         2.9300 - 7.2235j, 1e-5)
+def test_direct_meets_tol_against_a_tighter_sum(kind, ia, ib, x, ay, ang, s,
+                                                tol):
+    # whichever exit accepts the sum, the value is within tol of the sum
+    # asked for tol/300, or the call raises
+    F = make_field(kind)
+    if F.is_rational:
+        lat = lat_q(x.real, ay, ia, ib)
+    else:
+        a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
+        z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
+        lat = OFLattice(F, a, z, b)
+    ev = EisensteinEvaluator(lat)
+    try:
+        want = ev.e_direct(s, tol / 300)
+    except (ConvergenceError, EnumerationCapError):
+        assume(False)
+    try:
+        got = ev.e_direct(s, tol)
+    except ConvergenceError:
+        return
+    assert abs(got - want) <= tol

@@ -93,35 +93,19 @@ def test_dual_pairing_integrality():
             assert abs(e - round(e)) < 1e-10
 
 
-def test_enumerate_square_lattice():
-    lat = lat_q(0.0, 1.0)
-    pts = list(lat.enumerate(1.0))
-    assert len(pts) == 2                      # {+-1}, {+-i}
-    assert all(size == 2 for _, size in pts)
-    vals = sorted(abs(complex(p.x_part, p.y_part)) for p, _ in pts)
-    assert all(abs(v - 1.0) < 1e-12 for v in vals)
-
-
-def test_enumerate_stretched_lattice():
-    lat = lat_q(0.0, 2.0)                     # Z(2i) + Z
-    pts = list(lat.enumerate(1.5))
-    assert len(pts) == 1                      # only +-1
-    p, size = pts[0]
-    assert size == 2 and abs(p.y_part) < 1e-12
-
-
 @pytest.mark.parametrize("d", [-1, -3, -11])
-def test_enumerate_orbit_count_consistency(d):
+def test_norm_chunks_unit_orbits_are_free(d):
+    # U_F acts freely on the nonzero points and keeps their norms, so every
+    # ball holds a multiple of w of them; norm_chunks hands out one point of
+    # each pair +-lambda, half of the ball
     F = make_field(d)
     rng = random.Random(d)
     for _ in range(3):
         lat = lat_quat(F, complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
                        cmath.rect(rng.uniform(0.9, 1.3), rng.uniform(0, 6.28)))
-        B = 2.5
-        _, norms = lat.points_upto(B)
-        orbits = list(lat.enumerate(B))
-        assert len(norms) == F.w * len(orbits)
-        assert all(size == F.w for _, size in orbits)
+        for B in (1.0, 2.5, 6.0):
+            handed = sum(n.size for n in lat.norm_chunks(B))
+            assert handed > 0 and (2 * handed) % F.w == 0
 
 
 def test_theta_limit_and_transformation():

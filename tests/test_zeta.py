@@ -135,6 +135,31 @@ def test_partial_zeta_real_quadratic(d, s, cutoff):
     assert abs(v - zeta_K(K, s)) <= tail
 
 
+@pytest.mark.parametrize("field, cutoff", [(Q, 1e4), (Fi, 2e4),
+                                           (make_field(5), 2e3)])
+def test_partial_zeta_real_s_sums_in_real_arithmetic(field, cutoff,
+                                                     monkeypatch):
+    dtypes = []
+
+    def typed(f):
+        def g(x, *args, **kw):
+            dtypes.append(np.asarray(x).dtype)
+            return f(x, *args, **kw)
+        return g
+
+    ideal = FracIdeal.unit_ideal(field)
+    with monkeypatch.context() as m:
+        m.setattr(np, "exp", typed(np.exp))
+        m.setattr(np, "power", typed(np.power))
+        got, _ = partial_zeta_series(field, ideal, 1.5, cutoff)
+    assert dtypes and all(d == np.float64 for d in dtypes)
+    # the same sums by the complex formula
+    monkeypatch.setattr(zeta, "_power_sum", lambda n, s: complex(
+        np.sum(np.exp(-s * np.log(n)))))
+    want, _ = partial_zeta_series(field, ideal, 1.5, cutoff)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_partial_zeta_requires_convergence_region():
     with pytest.raises(ValueError):
         partial_zeta_series(Q, ZZ, 1.0, 1e4)
