@@ -6,9 +6,7 @@ functions, with numerical certification utilities."""
 from .basefield import (FieldDescriptor, FracIdeal, QuadElement, dual_ideal,
                         make_field, parse_field, unit_fundamental_domain_test)
 from .dalgebra import DNumber, Quaternion, dnorm, psi_exponent, rho, rho_star
-from .eisenstein import (EisensteinEvaluator, eisenstein_ct, eisenstein_direct,
-                         eisenstein_expansion, eisenstein_lattice_sum,
-                         eisenstein_residue, functional_equation_check,
+from .eisenstein import (EisensteinEvaluator, functional_equation_check,
                          h_function)
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError, HeckeisError, PoleError,
@@ -16,13 +14,11 @@ from .errors import (ConvergenceError, DegenerateLatticeError,
 from .heckeint import (HeckeSetup, hecke_integral, hecke_laurent,
                        relative_klf_check, torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
-from .precision import DEFAULT, PrecisionConfig
 from .reports import VerificationReport, reports_to_json
 from .specialfun import b_F, bessel_k, gamma_F, upper_incomplete_gamma
 from .verify import run_suite
 from .zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                    dirichlet_l, hurwitz_zeta, partial_zeta_series,
-                   riemann_zeta, xi_global, xi_laurent_ct, zeta_K,
-                   zeta_K_class)
+                   riemann_zeta, xi_laurent_ct, zeta_K, zeta_K_class)
 
 __version__ = "0.1.0"

@@ -2,13 +2,15 @@
 
 JSON goes to stdout, human-readable logs to stderr.  Exit codes: 0 success,
 1 failing verification reports, 2 argument/parse errors, 3 numeric failures.
-The environment variable HECKE_EIS_PRECISION overrides the default tolerance.
+The environment variable HECKE_EIS_PRECISION sets the default --tol of
+eval-eisenstein; it must lie in [1e-14, 1e-4].
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,7 +22,6 @@ from .eisenstein import EisensteinEvaluator
 from .errors import HeckeisError
 from .heckeint import HeckeSetup, relative_klf_check
 from .lattice import OFLattice
-from .precision import ENV_VAR, config_from_env
 from .reports import reports_to_json
 from .verify import SUITES, run_suite
 
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_FAILED_REPORTS = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
+
+ENV_VAR = "HECKE_EIS_PRECISION"
 
 
 def _log(msg: str):
@@ -45,6 +48,33 @@ _TWO_FLOATS = re.compile(
     r"^([+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)([+-]\d*\.?\d+(?:[eE][+-]?\d+)?)$")
 
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def parse_tol(s: str) -> float:
+    """A --tol value: a finite float > 0."""
+    try:
+        tol = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {s!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {s}")
+    return tol
+
+
+def default_tol() -> float:
+    """The default --tol of eval-eisenstein: $HECKE_EIS_PRECISION, which must
+    lie in [1e-14, 1e-4], or 1e-9 when it is unset."""
+    raw = os.environ.get(ENV_VAR)
+    if raw is None:
+        return 1e-9
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise CliParseError(
+            f"{ENV_VAR} must be a float, got {raw!r}") from None
+    if not 1e-14 <= tol <= 1e-4:
+        raise CliParseError(f"{ENV_VAR} must lie in [1e-14, 1e-4], got {raw}")
+    return tol
 
 
 def parse_complex(s: str) -> complex:
@@ -221,8 +251,6 @@ def _emit(text: str, out_path):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = config_from_env()
-    default_tol = cfg.target_abs_tol if ENV_VAR in os.environ else 1e-9
     p = argparse.ArgumentParser(
         prog="heckeis",
         description="Eisenstein series, completed zeta functions and "
@@ -237,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'a,z,b': ideals and the z component ('x+y' over Q, "
                          "'xr:xi:yr:yi' over imaginary quadratic fields)")
     pe.add_argument("--s", required=True, help="complex s as 're[,im]'")
-    pe.add_argument("--tol", type=float, default=default_tol)
+    pe.add_argument("--tol", type=parse_tol, default=default_tol())
     pe.add_argument("--method", choices=["direct", "expansion", "lattice", "auto"],
                     default="auto")
     pe.add_argument("--out", default=None, help="also write the JSON here")
@@ -256,18 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--K", required=True, help="real quadratic field, e.g. Q(sqrt5)")
     pl.add_argument("--ideal", default="O",
                     help="'O', an element like '1+2w', or hnf:a:b:c[:q]")
-    pl.add_argument("--tol", type=float, default=1e-8)
+    pl.add_argument("--tol", type=parse_tol, default=1e-8)
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_limit_formula)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0,) else 0
+    except CliParseError as exc:
+        _log(f"error: {exc}")
+        return EXIT_PARSE
     try:
         return args.func(args)
     except HeckeisError as exc:

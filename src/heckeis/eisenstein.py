@@ -57,10 +57,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import numerics
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import ConvergenceError, DegenerateLatticeError, PoleError
 from .lattice import OFLattice, ball_points
-from .precision import DEFAULT, PrecisionConfig
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
 from .zeta import (_ideal_embedding_matrix, c_F, completed_zeta,
@@ -76,10 +76,9 @@ def _cpow(base: float, s: complex) -> complex:
 class EisensteinEvaluator:
     """Evaluator bound to one lattice; immutable after construction."""
 
-    def __init__(self, lattice: OFLattice, config: PrecisionConfig = DEFAULT):
+    def __init__(self, lattice: OFLattice):
         self.lattice = lattice
         self.F = lattice.field
-        self.config = config
         self.CF = c_F(self.F)
         self._dual: Optional[OFLattice] = None
         if lattice.z is not None:
@@ -98,8 +97,8 @@ class EisensteinEvaluator:
                 ideal_a = ideal_b = FracIdeal.unit_ideal(F)
             self.ideal_a, self.ideal_b = ideal_a, ideal_b
             self.bstar = dual_ideal(F, ideal_b)
-            self.zeta_a = completed_zeta(F, ideal_a, config)
-            self.zeta_b = completed_zeta(F, ideal_b, config)
+            self.zeta_a = completed_zeta(F, ideal_a)
+            self.zeta_b = completed_zeta(F, ideal_b)
             self.na = float(ideal_a.absolute_norm())
             self.nb = float(ideal_b.absolute_norm())
             self.nbstar = float(self.bstar.absolute_norm())
@@ -177,9 +176,9 @@ class EisensteinEvaluator:
         rho <= _DECAY_RATIO and rho^2 d_(k-1) <= tol/16 (rho d_(k-1) is the
         change the trend predicts for this doubling, and never below d_k).
         It raises ConvergenceError when tol/16 lies below its rounding floor
-        eps |V^s| (2/w) sum phi N^(-2 Re s), or after quad_max_doublings
-        doublings; the error carries the cutoff, the last change, tol and
-        the number of points enumerated."""
+        eps |V^s| (2/w) sum phi N^(-2 Re s), or after
+        numerics.MAX_REFINEMENTS doublings; the error carries the cutoff,
+        the last change, tol and the number of points enumerated."""
         s = complex(s)
         if s.real <= 1.05:
             raise ConvergenceError(
@@ -217,7 +216,7 @@ class EisensteinEvaluator:
         inner, inner_mass = 0j, 0.0
         band = []
         points, prev, changes = 0, None, []
-        for _ in range(self.config.quad_max_doublings + 1):
+        for _ in range(numerics.MAX_REFINEMENTS + 1):
             for norms in lat.norm_chunks(B, lo):
                 points += norms.size
                 band.append((norms, *powers(norms)))
@@ -287,9 +286,8 @@ class EisensteinEvaluator:
         else:
             Ma = _ideal_embedding_matrix(self.ideal_a)
             Mb = _ideal_embedding_matrix(self.bstar)
-            n_cap = self.config.enum_point_cap
-            alphas = _complex_points(Ma, cap / _min_abs(Mb, n_cap), n_cap)
-            betas = _complex_points(Mb, cap / _min_abs(Ma, n_cap), n_cap)
+            alphas = _complex_points(Ma, cap / _min_abs(Mb))
+            betas = _complex_points(Mb, cap / _min_abs(Ma))
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
         betas, babs = betas[order], babs[order]
@@ -308,10 +306,10 @@ class EisensteinEvaluator:
         ratios = (babs[ib] / (aabs[ia] * abs(self.y_red))) ** n_v
         return args, phases, ratios
 
-    def term1(self, s: complex, tol: float = None) -> complex:
+    def term1(self, s: complex, tol: float = 1e-12) -> complex:
         return _cpow(self.P_red, s) * self.zeta_b.value(2 * s, tol)
 
-    def term2(self, s: complex, tol: float = None) -> complex:
+    def term2(self, s: complex, tol: float = 1e-12) -> complex:
         return _cpow(self.P_red, 1 - s) * self.zeta_a.value(2 * s - 1, tol)
 
     def term3(self, s: complex, tol: float = 1e-10) -> complex:
@@ -334,8 +332,7 @@ class EisensteinEvaluator:
         for _ in range(12):
             args, phases, ratios = self._pair_data(lo, L)
             points += args.size
-            kv = bessel_k_batch(self.n_v * (s - 0.5), args, tol=pair_tol / 50,
-                                config=self.config)
+            kv = bessel_k_batch(self.n_v * (s - 0.5), args, tol=pair_tol / 50)
             terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
                 * np.exp(2j * math.pi * phases)
             total += complex(np.sum(terms))
@@ -389,8 +386,7 @@ class EisensteinEvaluator:
         # nonzero points is twice the sum over those
         pref = _cpow(lat.covolume, s) * self.CF * (1.0 if rational else 2.0)
         return pref * gamma_lattice_sum(
-            s if rational else 2 * s, s.real, params, tol, abs(pref),
-            self.config.tail_margin)
+            s if rational else 2 * s, s.real, params, tol, abs(pref))
 
     def ehat_lattice(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the split Mellin integral; works from the
@@ -570,18 +566,18 @@ def _sl2z_reduce(x: float, y: float):
         f"(reached y = {y:.3g})")
 
 
-def _min_abs(M: np.ndarray, cap: int) -> float:
+def _min_abs(M: np.ndarray) -> float:
     """Minimal |alpha| over nonzero points of the 2-d lattice with basis M
     (the ball reaching the shorter basis vector holds a nonzero point)."""
     r = float(np.linalg.norm(M, axis=0).min())
-    return math.sqrt(min(float(r2.min()) for r2 in ball_points(M, r, cap)))
+    return math.sqrt(min(float(r2.min()) for r2 in ball_points(M, r)))
 
 
-def _complex_points(M: np.ndarray, r_max: float, cap: int) -> np.ndarray:
+def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:
     """All nonzero points of the 2-d lattice with basis M and |point| <= r_max,
     as complex numbers."""
     pts = [complex(M[0, 0], M[1, 0]) * cs[0] + complex(M[0, 1], M[1, 1]) * cs[1]
-           for _, cs in ball_points(M, r_max, cap, coeffs=True)]
+           for _, cs in ball_points(M, r_max, coeffs=True)]
     return np.concatenate([np.zeros(0, dtype=complex), *pts])
 
 
@@ -589,50 +585,25 @@ def _complex_points(M: np.ndarray, r_max: float, cap: int) -> np.ndarray:
 # module-level operation surface
 
 
-def eisenstein_direct(lat: OFLattice, s: complex, tol: float = 1e-9,
-                      config: PrecisionConfig = DEFAULT) -> complex:
-    return EisensteinEvaluator(lat, config).e_direct(s, tol)
-
-
-def eisenstein_expansion(lat: OFLattice, s: complex, tol: float = 1e-10,
-                         config: PrecisionConfig = DEFAULT) -> complex:
-    return EisensteinEvaluator(lat, config).ehat_expansion(s, tol)
-
-
-def eisenstein_lattice_sum(lat: OFLattice, s: complex, tol: float = 1e-10,
-                           config: PrecisionConfig = DEFAULT) -> complex:
-    return EisensteinEvaluator(lat, config).ehat_lattice(s, tol)
-
-
 def h_function(F: FieldDescriptor, z, ideal_a: FracIdeal, ideal_b: FracIdeal,
-               tol: float = 1e-10, config: PrecisionConfig = DEFAULT) -> float:
+               tol: float = 1e-10) -> float:
     """h(z, a, b) for z given as a DNumber (or x + y j data via DNumber)."""
-    lat = OFLattice(F, ideal_a, z, ideal_b, config=config)
-    return EisensteinEvaluator(lat, config).h_value(tol)
+    lat = OFLattice(F, ideal_a, z, ideal_b)
+    return EisensteinEvaluator(lat).h_value(tol)
 
 
-def functional_equation_check(lat: OFLattice, s: complex, tol: float = 1e-9,
-                              config: PrecisionConfig = DEFAULT):
+def functional_equation_check(lat: OFLattice, s: complex, tol: float = 1e-9):
     """Compare Ehat(L, s) with Ehat(L*, 1-s), the dual side evaluated through
     the lattice-sum route; returns a VerificationReport."""
     import time
 
     from .reports import VerificationReport
     t0 = time.perf_counter()
-    ev = EisensteinEvaluator(lat, config)
+    ev = EisensteinEvaluator(lat)
     lhs = ev.ehat(s, tol / 4)
-    rhs = EisensteinEvaluator(lat.dual(), config).ehat_lattice(1 - s, tol / 4)
+    rhs = EisensteinEvaluator(lat.dual()).ehat_lattice(1 - s, tol / 4)
     ms = int(round((time.perf_counter() - t0) * 1000))
     return VerificationReport(
         command="functional-equation", field_label=lat.field.label,
         parameters={"s": complex(s), "volume": lat.covolume, "tol": tol},
         lhs=lhs, rhs=rhs, tolerance=tol, wall_time_ms=ms)
-
-
-def eisenstein_residue(lat: OFLattice, config: PrecisionConfig = DEFAULT) -> float:
-    return EisensteinEvaluator(lat, config).residue()
-
-
-def eisenstein_ct(lat: OFLattice, tol: float = 1e-10,
-                  config: PrecisionConfig = DEFAULT) -> float:
-    return EisensteinEvaluator(lat, config).ct(tol)

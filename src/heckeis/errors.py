@@ -44,4 +44,4 @@ class ConvergenceError(HeckeisError, ArithmeticError):
 
 
 class EnumerationCapError(HeckeisError, ValueError):
-    """A lattice enumeration would exceed the configured point cap."""
+    """A lattice enumeration would exceed the point cap."""

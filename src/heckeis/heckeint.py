@@ -40,7 +40,6 @@ from .eisenstein import EisensteinEvaluator
 from .errors import UnsupportedFieldError
 from .lattice import OFLattice
 from .numerics import nested_trapezoid
-from .precision import DEFAULT, PrecisionConfig
 from .specialfun import gamma_F
 from .zeta import c_F, completed_zeta, xi_K_laurent
 
@@ -50,13 +49,11 @@ class HeckeSetup:
     z in K), embeddings oriented so that z' > z for real K, and the unit
     data driving the torus quadrature."""
 
-    def __init__(self, K: FieldDescriptor, ideal_A: Optional[FracIdeal] = None,
-                 config: PrecisionConfig = DEFAULT):
+    def __init__(self, K: FieldDescriptor, ideal_A: Optional[FracIdeal] = None):
         if K.kind != "quadratic":
             raise UnsupportedFieldError("K must be quadratic over Q")
         self.K = K
         self.F = make_field("Q")
-        self.config = config
         if ideal_A is None:
             ideal_A = FracIdeal.unit_ideal(K)
         self.ideal_A = ideal_A
@@ -88,7 +85,7 @@ class HeckeSetup:
             self.base_lattice = OFLattice(
                 self.F, self.ideal_a,
                 DNumber.from_xy(self.F, zc.real, zc.imag),
-                self.ideal_b, config=config)
+                self.ideal_b)
 
     # -- the lattice family ----------------------------------------------------
 
@@ -117,7 +114,7 @@ class HeckeSetup:
         scale = DNumber.from_xy(self.F, uw, uwp)
         return OFLattice(self.F, self.ideal_a,
                          DNumber.from_xy(self.F, zu.real, zu.imag),
-                         self.ideal_b, scale=scale, config=self.config)
+                         self.ideal_b, scale=scale)
 
     @cached_property
     def _node_template(self) -> EisensteinEvaluator:
@@ -128,8 +125,8 @@ class HeckeSetup:
         zu = self.z_u(1, 1.0)
         lat = OFLattice(self.F, self.ideal_a,
                         DNumber.from_xy(self.F, zu.real, zu.imag),
-                        self.ideal_b, config=self.config)
-        return EisensteinEvaluator(lat, self.config)
+                        self.ideal_b)
+        return EisensteinEvaluator(lat)
 
     def evaluator_at(self, sign: int, t: float) -> EisensteinEvaluator:
         """The expansion evaluator of a z_u + b (the lattice rho(u~ A) up to
@@ -140,8 +137,7 @@ class HeckeSetup:
         return template.at_point(zu.real, zu.imag)
 
 
-def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
-                      config: PrecisionConfig):
+def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
     """Sum over both sign components of int_1^eps0 node_fn(sign, t) dt/t by
     the trapezoid rule in log t over the period log eps0 (the integrand is
     periodic there, so the rule converges geometrically and its nodes nest),
@@ -154,7 +150,7 @@ def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
 
     return complex(nested_trapezoid(
         integrand, lambda h: np.arange(round(period / h)), period / 8, tol / 2,
-        config.quad_max_doublings, "torus quadrature"))
+        "torus quadrature"))
 
 
 def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
@@ -162,7 +158,7 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
     Ehat(rho(u~ A), s).  Equals the completed zeta of the class of A^{-1}."""
     s = complex(s)
     if setup.K.is_imaginary_quadratic:
-        ev = EisensteinEvaluator(setup.base_lattice, setup.config)
+        ev = EisensteinEvaluator(setup.base_lattice)
         return (setup.measure / setup.w_rel) * ev.ehat_expansion(s, tol / 20)
 
     node_tol = tol / (8.0 * setup.measure)
@@ -170,7 +166,7 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
     def node(sign: int, t: float) -> complex:
         return setup.evaluator_at(sign, t).ehat_expansion(s, node_tol)
 
-    return _torus_quadrature(setup, node, tol, setup.config) / setup.w_rel
+    return _torus_quadrature(setup, node, tol) / setup.w_rel
 
 
 def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
@@ -178,7 +174,7 @@ def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
     per-node Laurent data of Ehat (residue C_F/2 is node independent)."""
     CF = c_F(setup.F)
     if setup.K.is_imaginary_quadratic:
-        ev = EisensteinEvaluator(setup.base_lattice, setup.config)
+        ev = EisensteinEvaluator(setup.base_lattice)
         fac = setup.measure / setup.w_rel
         return fac * CF / 2, fac * ev.ct(tol / 20)
     residue = setup.measure * (CF / 2) / setup.w_rel
@@ -188,7 +184,7 @@ def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
     def node(sign: int, t: float) -> complex:
         return setup.evaluator_at(sign, t).ct(node_tol)
 
-    ct = _torus_quadrature(setup, node, tol, setup.config) / setup.w_rel
+    ct = _torus_quadrature(setup, node, tol) / setup.w_rel
     return residue, ct.real
 
 
@@ -228,7 +224,7 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     _, ct_hecke = hecke_laurent(setup, tol)
     lhs_hecke = ct_hecke / CK
 
-    czq = completed_zeta(setup.F, setup.ideal_a, setup.config)
+    czq = completed_zeta(setup.F, setup.ideal_a)
     ct_xi_F = czq.laurent_ct()
     term_ct = 2.0 * ct_xi_F / CF
     term_log = -math.log(float(setup.ideal_a.absolute_norm()
@@ -240,7 +236,7 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
         ev = setup.evaluator_at(sign, t)
         return ev.h_value(node_tol) - math.log(abs(ev.y))
 
-    integral = _torus_quadrature(setup, node, tol * CK, setup.config).real
+    integral = _torus_quadrature(setup, node, tol * CK).real
     term_int = CF / (2 * setup.w_rel * CK) * integral
 
     rhs = term_ct + term_log + term_int
@@ -287,8 +283,7 @@ def classical_real_quadratic_integral(setup: HeckeSetup, s: complex,
             return 0j
         return setup.evaluator_at(1, t ** (1.0 / w)).ehat_expansion(s, node_tol)
 
-    integral_E = _torus_quadrature(setup, node, tol * w, setup.config) \
-        / (w * gamma2s)
+    integral_E = _torus_quadrature(setup, node, tol * w) / (w * gamma2s)
     dK = abs(K.discriminant)
     from .specialfun import complex_gamma
     pref = 2.0 * cmath.exp(-(s / 2) * math.log(dK)) * complex_gamma(s) \

@@ -15,12 +15,14 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from . import numerics
 from .basefield import FieldDescriptor, FracIdeal
 from .dalgebra import DNumber, Quaternion
 from .errors import DegenerateLatticeError, EnumerationCapError
-from .precision import DEFAULT, PrecisionConfig
 
 _REL_VOLUME_TOL = 1e-10
+# the cap on the size of the coefficient box a single enumeration may visit
+ENUM_POINT_CAP = 400_000_000
 
 
 def _component_coords(c) -> np.ndarray:
@@ -46,13 +48,11 @@ class OFLattice:
     def __init__(self, field: FieldDescriptor, ideal_a: Optional[FracIdeal] = None,
                  z: Optional[DNumber] = None, ideal_b: Optional[FracIdeal] = None,
                  scale: Optional[DNumber] = None,
-                 z_basis: Optional[Sequence[DNumber]] = None,
-                 config: PrecisionConfig = DEFAULT):
+                 z_basis: Optional[Sequence[DNumber]] = None):
         if not field.is_supported_base:
             raise DegenerateLatticeError(
                 f"{field.label} is not a supported base field for lattices")
         self.field = field
-        self.config = config
         self.lebesgue_factor = 1.0 if field.is_rational else 4.0
         self.dim = 2 * field.degree
 
@@ -165,12 +165,12 @@ class OFLattice:
         Mstar = np.linalg.solve(self.form_matrix(), np.linalg.inv(self.M).T)
         basis = [_vector_from_coords(self.field, Mstar[:, j])
                  for j in range(self.dim)]
-        return OFLattice(self.field, z_basis=basis, config=self.config)
+        return OFLattice(self.field, z_basis=basis)
 
     # -- enumeration -------------------------------------------------------------
 
-    def norm_chunks(self, norm_bound: float, inner_bound: float = 0.0,
-                    chunk: int = 4_000_000) -> Iterator[np.ndarray]:
+    def norm_chunks(self, norm_bound: float,
+                    inner_bound: float = 0.0) -> Iterator[np.ndarray]:
         """Yield arrays of algebra norms of the nonzero points with
         inner_bound < ||lambda|| <= norm_bound, one point of each pair
         +-lambda (||-lambda|| = ||lambda||, so a sum over all nonzero points
@@ -180,7 +180,6 @@ class OFLattice:
         # a length over Q, and the covolume like the square of either
         floor = 1e-12 * math.sqrt(self.covolume)
         for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
-                              self.config.enum_point_cap, chunk=chunk,
                               r_min=self.euclid_radius(inner_bound),
                               half=True):
             norms = np.sqrt(r2, out=r2) if self.field.is_rational else r2
@@ -191,14 +190,13 @@ class OFLattice:
 
     # -- theta ---------------------------------------------------------------------
 
-    def theta(self, t, tol: float = None) -> float:
+    def theta(self, t, tol: float = 1e-12) -> float:
         """Theta(t, Lambda) = sum over the lattice of
         prod_v exp(-n_v pi |t_v l_v|^2), including the lambda = 0 term."""
-        tol = tol or self.config.target_abs_tol
         at = abs(t)
         if at == 0.0:
             raise ValueError("t must be invertible")
-        L = math.log(1.0 / tol) + self.config.tail_margin
+        L = math.log(1.0 / tol) + numerics.TAIL_MARGIN
         n_v = 1.0 if self.field.is_rational else 2.0
         # n_v pi |t|^2 r_eucl^2 <= L
         r_eucl = math.sqrt(L / (n_v * math.pi)) / at
@@ -218,14 +216,10 @@ class OFLattice:
 
     def left_mul(self, c: DNumber) -> "OFLattice":
         """The lattice c * Lambda (Z-basis presentation)."""
-        return OFLattice(self.field,
-                         z_basis=[c * v for v in self._basis],
-                         config=self.config)
+        return OFLattice(self.field, z_basis=[c * v for v in self._basis])
 
     def right_mul(self, c: DNumber) -> "OFLattice":
-        return OFLattice(self.field,
-                         z_basis=[v * c for v in self._basis],
-                         config=self.config)
+        return OFLattice(self.field, z_basis=[v * c for v in self._basis])
 
     def contains_coeffs(self, other: "OFLattice", tol: float = 1e-9) -> bool:
         """Whether every basis vector of `other` has integral coordinates in
@@ -261,7 +255,7 @@ class OFLattice:
 
 
 def ball_points(M: np.ndarray, r: float,
-                cap: int = DEFAULT.enum_point_cap, coeffs: bool = False,
+                cap: Optional[int] = None, coeffs: bool = False,
                 chunk: int = 4_000_000, r_min: float = 0.0,
                 half: bool = False) -> Iterator:
     """Enumerate the nonzero points M c (c integral) of the lattice with basis
@@ -276,16 +270,18 @@ def ball_points(M: np.ndarray, r: float,
     yielded: the one whose first nonzero coefficient is positive.
 
     Every point of the ball has |c_i| <= ||row_i(M^-1)|| r; the size of that
-    box is checked against `cap` (EnumerationCapError), and the search stays
-    inside it.  The search is Fincke-Pohst's on M = Q L, L lower triangular:
-    with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once c_0, ..., c_{i-1} are
-    fixed, t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i one integer interval.
+    box is checked against `cap` (EnumerationCapError; by default
+    ENUM_POINT_CAP), and the search stays inside it.  The search is
+    Fincke-Pohst's on M = Q L, L lower triangular: with t_i = (L c)_i,
+    |M c|^2 = sum t_i^2, and once c_0, ..., c_{i-1} are fixed,
+    t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i one integer interval.
     The last coefficient runs over that interval minus the part inside r_min.
     """
     dim = M.shape[0]
     row_norms = np.linalg.norm(np.linalg.inv(M), axis=1)
     radii = np.floor(row_norms * r + 1e-9).astype(np.int64)
     total = math.prod(2 * int(k) + 1 for k in radii)
+    cap = ENUM_POINT_CAP if cap is None else cap
     if total > cap:
         raise EnumerationCapError(
             f"enumeration box of {total} points exceeds the cap {cap}")

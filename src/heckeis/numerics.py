@@ -9,6 +9,13 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# the cap on the refinements of an adaptive loop: the halvings of every
+# nested trapezoid sum (Bessel integral, torus) and the cutoff doublings of
+# the direct Eisenstein sum
+MAX_REFINEMENTS = 14
+# extra decay margin (in nats) of the Gaussian and Bessel truncations
+TAIL_MARGIN = 8.0
+
 
 def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
     """Polynomial extrapolation of samples (h_i, f(h_i)) to h = 0."""
@@ -24,21 +31,21 @@ def neville_at_zero(hs: Sequence[float], vals: Sequence[complex]) -> complex:
 
 def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
                      grid: Callable[[float], np.ndarray], h: float, tol: float,
-                     doublings: int, what: str) -> np.ndarray:
+                     what: str) -> np.ndarray:
     """h * sum of f(k h) over the integers k of grid(h), summed over the last
     axis of f's values (one entry per node).
 
     The step is halved until two levels differ by at most `tol` in every
     entry.  grid(h / 2) must contain 2k for every k of grid(h), so that each
     level evaluates f only at the new odd multiples of the halved step.
-    Raises ConvergenceError after `doublings` halvings, with the last step
-    as its cutoff, the last change, tol and the nodes evaluated.
+    Raises ConvergenceError after MAX_REFINEMENTS halvings, with the last
+    step as its cutoff, the last change, tol and the nodes evaluated.
     """
     vals = f(grid(h) * h)
     nodes = vals.shape[-1]
     cur = h * vals.sum(axis=-1)
     delta = float("inf")
-    for _ in range(doublings):
+    for _ in range(MAX_REFINEMENTS):
         h /= 2.0
         k = grid(h)
         vals = f(k[k % 2 != 0] * h)
@@ -49,6 +56,6 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
             return nxt
         cur = nxt
     raise ConvergenceError(
-        f"{what} did not converge: halvings {doublings}, nodes {nodes}, "
+        f"{what} did not converge: halvings {MAX_REFINEMENTS}, nodes {nodes}, "
         f"last change {delta:.3g} > tol {tol:.3g}",
         cutoff=h, last_delta=delta, tol=tol, points=nodes)

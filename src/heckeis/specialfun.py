@@ -26,10 +26,10 @@ from scipy.special import gamma as _scipy_gamma
 from scipy.special import gammaincc as _gammaincc
 from scipy.special import kv as _kv
 
+from . import numerics
 from .basefield import FieldDescriptor
 from .errors import ConvergenceError, PoleError
 from .numerics import nested_trapezoid
-from .precision import DEFAULT, PrecisionConfig
 
 Complex = Union[complex, float]
 
@@ -216,8 +216,8 @@ def _bessel_grid_halfwidth(max_abs_re_s: float, min_x: float, L: float) -> float
     return T + 0.5
 
 
-def bessel_k_batch(s: Complex, xs: np.ndarray, tol: float = None,
-                   config: PrecisionConfig = DEFAULT) -> np.ndarray:
+def bessel_k_batch(s: Complex, xs: np.ndarray,
+                   tol: float = 1e-12) -> np.ndarray:
     """K_s at each entry of a 1-d array of positive arguments (complex).
 
     A real order, negative orders included, is 2 kv(s, 2x) for all
@@ -234,12 +234,10 @@ def bessel_k_batch(s: Complex, xs: np.ndarray, tol: float = None,
         raise ValueError("arguments must be positive")
     if s.imag == 0:
         return (2.0 * _kv(s.real, 2.0 * xs)).astype(complex)
-    tol = tol if tol is not None else config.target_abs_tol
-    return _bessel_trapezoid(s, xs, tol, config)
+    return _bessel_trapezoid(s, xs, tol)
 
 
-def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float,
-                      config: PrecisionConfig) -> np.ndarray:
+def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
     """K_s by nested trapezoid sums of the defining integral, absolute
     accuracy ~tol on each entry: the route of complex orders, and the
     reference that tests and the specialfun suite hold kv against at real
@@ -250,13 +248,12 @@ def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float,
     chunk = max(1, 4_000_000 // 1024)
     for start in range(0, xs.size, chunk):
         idx = order[start:start + chunk]
-        out[idx] = _bessel_chunk(s, xs[idx], tol, config)
+        out[idx] = _bessel_chunk(s, xs[idx], tol)
     return out
 
 
-def _bessel_chunk(s: complex, xs: np.ndarray, tol: float,
-                  config: PrecisionConfig) -> np.ndarray:
-    L = math.log(4.0 / tol) + config.tail_margin
+def _bessel_chunk(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
+    L = math.log(4.0 / tol) + numerics.TAIL_MARGIN
     T = _bessel_grid_halfwidth(abs(s.real), float(xs.min()), L)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
@@ -266,16 +263,14 @@ def _bessel_chunk(s: complex, xs: np.ndarray, tol: float,
         n = math.floor(T / h)
         return np.arange(-n, n + 1)
 
-    return nested_trapezoid(integrand, grid, 0.5, tol / 4.0,
-                            config.quad_max_doublings, "bessel trapezoid")
+    return nested_trapezoid(integrand, grid, 0.5, tol / 4.0, "bessel trapezoid")
 
 
-def bessel_k(s: Complex, x: float, tol: float = None,
-             config: PrecisionConfig = DEFAULT) -> complex:
+def bessel_k(s: Complex, x: float, tol: float = 1e-12) -> complex:
     """K_s(x) = int_0^oo exp(-x(u+1/u)) u^(s-1) du."""
     if x <= 0:
         raise ValueError("x must be positive")
-    return complex(bessel_k_batch(s, np.array([x]), tol, config)[0])
+    return complex(bessel_k_batch(s, np.array([x]), tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +322,7 @@ def gamma_F_integral(F: FieldDescriptor, s: float, *, half_width: float = 9.0,
 # the two-sided Gaussian transform
 
 
-def b_F(F: FieldDescriptor, a, b, s: Complex, tol: float = None,
-        config: PrecisionConfig = DEFAULT) -> complex:
+def b_F(F: FieldDescriptor, a, b, s: Complex, tol: float = 1e-12) -> complex:
     """B_F(a, b, s) = (2 pi)^r2 |N(b/a)|^s prod_v K_{n_v s}(n_v pi |a_v b_v|)
     for invertible a, b in F_R (one component for the supported fields)."""
     s = complex(s)
@@ -337,12 +331,12 @@ def b_F(F: FieldDescriptor, a, b, s: Complex, tol: float = None,
         if aa == 0 or bb == 0:
             raise ValueError("components of a and b must be nonzero")
         ratio = cmath.exp(s * math.log(bb / aa))
-        return ratio * bessel_k(s, math.pi * aa * bb, tol, config)
+        return ratio * bessel_k(s, math.pi * aa * bb, tol)
     aa, bb = abs(complex(a)), abs(complex(b))
     if aa == 0 or bb == 0:
         raise ValueError("components of a and b must be nonzero")
     ratio = cmath.exp(2 * s * math.log(bb / aa))
-    return 2 * math.pi * ratio * bessel_k(2 * s, 2 * math.pi * aa * bb, tol, config)
+    return 2 * math.pi * ratio * bessel_k(2 * s, 2 * math.pi * aa * bb, tol)
 
 
 def b_F_integral(F: FieldDescriptor, a, b, s: float, *, half_width: float = 10.0,

@@ -32,7 +32,6 @@ from .heckeint import (HeckeSetup, classical_real_quadratic_integral,
                        torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
 from .numerics import neville_at_zero
-from .precision import DEFAULT, PrecisionConfig
 from .reports import VerificationReport
 # upper_incomplete_gamma through its module: the benchmark's tracer counts
 # the modules that bind it by name
@@ -67,8 +66,7 @@ class Check:
 # seeded draws
 
 
-def _random_lattice(rng: random.Random, F: FieldDescriptor,
-                    config: PrecisionConfig) -> OFLattice:
+def _random_lattice(rng: random.Random, F: FieldDescriptor) -> OFLattice:
     if F.is_rational:
         a = FracIdeal(F, gen=Fraction(rng.choice([1, 1, 1, 2, 3]),
                                       rng.choice([1, 1, 2])))
@@ -76,7 +74,7 @@ def _random_lattice(rng: random.Random, F: FieldDescriptor,
                                       rng.choice([1, 1, 2])))
         x = rng.uniform(-1.0, 1.0)
         y = rng.uniform(0.6, 2.0)
-        return OFLattice(F, a, DNumber.from_xy(F, x, y), b, config=config)
+        return OFLattice(F, a, DNumber.from_xy(F, x, y), b)
     one = F.one()
     two = QuadElement(F, Fraction(2), Fraction(0))
     a = FracIdeal(F, gen=rng.choice([one, one, one, two]))
@@ -84,7 +82,7 @@ def _random_lattice(rng: random.Random, F: FieldDescriptor,
     x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     y = cmath.rect(rng.uniform(0.9, 1.4), rng.uniform(0.0, 2 * math.pi))
     z = DNumber(F, (Quaternion(x, y),))
-    return OFLattice(F, a, z, b, config=config)
+    return OFLattice(F, a, z, b)
 
 
 def _field_of(d) -> FieldDescriptor:
@@ -95,13 +93,12 @@ def _field_of(d) -> FieldDescriptor:
 # theta suite
 
 
-def checks_theta(seed: int = 7, config: PrecisionConfig = DEFAULT,
-                 n_pairs: int = 20) -> List[Check]:
+def checks_theta(seed: int = 7, n_pairs: int = 20) -> List[Check]:
     rng = random.Random(seed)
     checks = []
     for i in range(n_pairs):
         F = _field_of(SUPPORTED_BASE_DS[i % len(SUPPORTED_BASE_DS)])
-        lat = _random_lattice(rng, F, config)
+        lat = _random_lattice(rng, F)
         if F.is_rational:
             t = rng.uniform(0.6, 1.8) * rng.choice([1.0, -1.0])
             nt = abs(t)
@@ -128,15 +125,14 @@ def checks_theta(seed: int = 7, config: PrecisionConfig = DEFAULT,
 # fourier suite
 
 
-def checks_fourier(seed: int = 7, config: PrecisionConfig = DEFAULT,
-                   per_field: int = 10) -> List[Check]:
+def checks_fourier(seed: int = 7, per_field: int = 10) -> List[Check]:
     rng = random.Random(seed)
     checks = []
     for d in SUPPORTED_BASE_DS:
         F = _field_of(d)
         for i in range(per_field):
-            lat = _random_lattice(rng, F, config)
-            ev = EisensteinEvaluator(lat, config)
+            lat = _random_lattice(rng, F)
+            ev = EisensteinEvaluator(lat)
             checks.append(Check(
                 "fourier-expansion-vs-lattice-sum", F.label,
                 {"s": 1.5, "draw": i, "volume": lat.covolume}, 1e-9,
@@ -154,17 +150,17 @@ def checks_fourier(seed: int = 7, config: PrecisionConfig = DEFAULT,
 # functional equation suite
 
 
-def checks_fe(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_fe(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     checks = []
     draws = [(None, i) for i in range(5)] + [(-1, i) for i in range(2)]
     for d, i in draws:
         F = _field_of(d)
-        lat = _random_lattice(rng, F, config)
-        ev = EisensteinEvaluator(lat, config)
+        lat = _random_lattice(rng, F)
+        ev = EisensteinEvaluator(lat)
         for s in (0.3, 0.5 + 0.9j, 1.8):
             def fe(ev=ev, lat=lat, s=s):
-                dual_ev = EisensteinEvaluator(lat.dual(), config)
+                dual_ev = EisensteinEvaluator(lat.dual())
                 return (ev.ehat_expansion(s, 1e-11),
                         dual_ev.ehat_lattice(1 - s, 1e-11))
 
@@ -188,22 +184,22 @@ def _richardson_ct(ev: EisensteinEvaluator) -> complex:
     return neville_at_zero(_SNAPPED_HS, vals)
 
 
-def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_klf(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     checks = []
 
     for d in (None, -1, -3):
         F = _field_of(d)
-        lat = _random_lattice(rng, F, config)
-        ev = EisensteinEvaluator(lat, config)
+        lat = _random_lattice(rng, F)
+        ev = EisensteinEvaluator(lat)
         checks.append(Check(
             "eisenstein-residue", F.label, {"via": "richardson"}, 1e-7,
             lambda ev=ev: (_richardson_residue(ev), ev.residue())))
 
     for k, d in enumerate((None, None, -1, -3, -7)):
         F = _field_of(d)
-        lat = _random_lattice(rng, F, config)
-        ev = EisensteinEvaluator(lat, config)
+        lat = _random_lattice(rng, F)
+        ev = EisensteinEvaluator(lat)
         checks.append(Check(
             "eisenstein-ct", F.label, {"draw": k}, 1e-8,
             lambda ev=ev: (complex(ev.ct(1e-13)), _richardson_ct(ev))))
@@ -212,9 +208,8 @@ def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
     ZZ = FracIdeal.unit_ideal(Q)
 
     def ev_of(z: complex) -> EisensteinEvaluator:
-        lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, z.real, z.imag), ZZ,
-                        config=config)
-        return EisensteinEvaluator(lat, config)
+        lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, z.real, z.imag), ZZ)
+        return EisensteinEvaluator(lat)
 
     # the expansion evaluates z + 1 and -1/z at the point z reduces to, so
     # the right sides take the lattice route on the given lattice of z
@@ -232,8 +227,8 @@ def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
     Oi = FracIdeal.unit_ideal(Fi)
 
     def h_quat(zq: Quaternion) -> float:
-        lat = OFLattice(Fi, Oi, DNumber(Fi, (zq,)), Oi, config=config)
-        return EisensteinEvaluator(lat, config).h_value(1e-11)
+        lat = OFLattice(Fi, Oi, DNumber(Fi, (zq,)), Oi)
+        return EisensteinEvaluator(lat).h_value(1e-11)
 
     def gl2_check():
         zq = Quaternion(complex(0.2, -0.3), complex(1.1, 0.4))
@@ -248,7 +243,7 @@ def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
 
     for d in (5, 2):
         K = make_field(d)
-        setup = HeckeSetup(K, config=config)
+        setup = HeckeSetup(K)
 
         def klf(setup=setup):
             out = relative_klf_check(setup, 1e-8)
@@ -265,7 +260,7 @@ def checks_klf(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
 # Hecke integral suite
 
 
-def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_hecke(seed: int = 7) -> List[Check]:
     checks = []
 
     cases = [(make_field(-1), None), (make_field(-3), None),
@@ -273,8 +268,8 @@ def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check
     for K, hnf in cases:
         A = FracIdeal.unit_ideal(K) if hnf is None \
             else FracIdeal.from_hnf(K, *hnf)
-        setup = HeckeSetup(K, A, config=config)
-        ev = EisensteinEvaluator(setup.base_lattice, config)
+        setup = HeckeSetup(K, A)
+        ev = EisensteinEvaluator(setup.base_lattice)
         dK = abs(K.discriminant)
         for s in (1.5, 2.0, 3.0):
             cutoff = 8e5 if s == 1.5 else 2e5
@@ -282,7 +277,7 @@ def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check
 
             def eq1(K=K, A=A, s=s, ev=ev, dK=dK, cutoff=cutoff,
                     direct_tol=direct_tol):
-                lhs, _ = partial_zeta_series(K, A, s, cutoff, config)
+                lhs, _ = partial_zeta_series(K, A, s, cutoff)
                 E = ev.e_direct(s, direct_tol)
                 rhs = (2.0 / K.w) * (math.sqrt(dK) / 2.0) ** (-s) * E
                 return lhs, rhs
@@ -293,7 +288,7 @@ def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check
 
     for d in (2, 5, 3):
         K = make_field(d)
-        setup = HeckeSetup(K, config=config)
+        setup = HeckeSetup(K)
         checks.append(Check(
             "hecke-integral-real", f"{K.label}/Q",
             {"s": 2.0, "unit_norm": K.fundamental_unit_norm}, 1e-6,
@@ -301,7 +296,7 @@ def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check
                                       xi_K_oracle(K, 2.0))))
 
     K5r = make_field(5)
-    setup5 = HeckeSetup(K5r, config=config)
+    setup5 = HeckeSetup(K5r)
     s_c = 1.5 + 0.5j
     checks.append(Check(
         "hecke-integral-complex-s", "Q(sqrt5)/Q", {"s": s_c}, 1e-6,
@@ -325,7 +320,7 @@ def checks_hecke(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check
 # special function suite
 
 
-def checks_specialfun(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_specialfun(seed: int = 7) -> List[Check]:
     checks = []
     for d in (None, -1, -3):
         F = _field_of(d)
@@ -345,7 +340,7 @@ def checks_specialfun(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[
     return checks
 
 
-def checks_incgamma(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_incgamma(seed: int = 7) -> List[Check]:
     """Incomplete gamma identities; the specialfun suite runs them after
     checks_specialfun (whose battery acceptance criterion 10 pins)."""
     checks = []
@@ -368,7 +363,7 @@ def checks_incgamma(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Ch
     return checks
 
 
-def checks_bessel_kv(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[Check]:
+def checks_bessel_kv(seed: int = 7) -> List[Check]:
     """kv, the route of real orders, against the trapezoid sum of the
     defining integral, the route of complex orders, both sides over |K| so
     that the tolerance stays relative; the specialfun suite runs them after
@@ -379,7 +374,7 @@ def checks_bessel_kv(seed: int = 7, config: PrecisionConfig = DEFAULT) -> List[C
             def kv_vs_trapezoid(nu=nu, x=x):
                 kv = bessel_k(nu, x)
                 ref = specialfun._bessel_trapezoid(
-                    complex(nu), np.array([x]), 1e-14 * abs(kv), config)[0]
+                    complex(nu), np.array([x]), 1e-14 * abs(kv))[0]
                 return kv / abs(kv), ref / abs(kv)
 
             checks.append(Check("bessel-kv-vs-trapezoid", "-",
@@ -397,14 +392,13 @@ SUITES: Dict[str, Callable] = {
     "fe": checks_fe,
     "klf": checks_klf,
     "hecke": checks_hecke,
-    "specialfun": lambda seed=7, config=DEFAULT: (
-        checks_specialfun(seed, config) + checks_incgamma(seed, config)
-        + checks_bessel_kv(seed, config)),
+    "specialfun": lambda seed=7: (checks_specialfun(seed)
+                                  + checks_incgamma(seed)
+                                  + checks_bessel_kv(seed)),
 }
 
 
-def run_suite(name: str, seed: int = 7,
-              config: PrecisionConfig = DEFAULT) -> List[VerificationReport]:
+def run_suite(name: str, seed: int = 7) -> List[VerificationReport]:
     """Run one suite (or 'all'); deterministic given the seed."""
     if name == "all":
         names = list(SUITES)
@@ -415,5 +409,5 @@ def run_suite(name: str, seed: int = 7,
                          f"{sorted(SUITES)} or 'all'")
     checks: List[Check] = []
     for n in names:
-        checks.extend(SUITES[n](seed=seed, config=config))
+        checks.extend(SUITES[n](seed=seed))
     return [c.run() for c in checks]

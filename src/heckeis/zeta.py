@@ -28,10 +28,10 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
+from . import numerics
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import ConvergenceError, PoleError, UnsupportedFieldError
 from .lattice import ball_points
-from .precision import DEFAULT, PrecisionConfig
 from .specialfun import upper_incomplete_gamma
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -42,6 +42,10 @@ _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
               Fraction(-174611, 330), Fraction(854513, 138),
               Fraction(-236364091, 2730), Fraction(8553103, 6)]
+# hurwitz_zeta sums this many terms directly and then this many
+# Euler-Maclaurin corrections
+_HURWITZ_TERMS = 28
+_HURWITZ_BERNOULLI_TERMS = 11
 
 
 def c_F(F: FieldDescriptor) -> float:
@@ -64,8 +68,7 @@ def _e_aux(z: complex):
 
 
 def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
-                 minus_pole: bool = False,
-                 terms: int = 28, bernoulli_terms: int = 11):
+                 minus_pole: bool = False):
     """zeta(s, a) = sum_{n >= 0} (n+a)^(-s), continued by Euler-Maclaurin.
 
     Accurate to near machine precision for moderate |s| (the intended use is
@@ -76,7 +79,7 @@ def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
     s = complex(s)
     if not minus_pole and abs(s - 1) < 1e-12:
         raise PoleError("hurwitz zeta pole at s=1", location=1.0)
-    N = terms
+    N = _HURWITZ_TERMS
     ln_na = np.log(np.arange(N) + a)
     pw = np.exp(-s * ln_na)
     val = complex(pw.sum())
@@ -100,7 +103,7 @@ def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
     poch = s
     dpoch = 1.0 + 0j          # derivative of the Pochhammer product
     fact = 2.0                # (2k)! running value
-    for k in range(1, bernoulli_terms + 1):
+    for k in range(1, _HURWITZ_BERNOULLI_TERMS + 1):
         c = float(_BERNOULLI[k - 1]) / fact
         u = cmath.exp((-s - 2 * k + 1) * lnNa)
         val += c * poch * u
@@ -278,8 +281,7 @@ def _power_sum(n: np.ndarray, s: complex) -> complex:
 
 
 def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
-                        cutoff: float = 1e5,
-                        config: PrecisionConfig = DEFAULT):
+                        cutoff: float = 1e5):
     """N(a)^s * sum over orbit representatives with |N(alpha)| <= cutoff of
     |N(alpha)|^{-s}, plus an integral estimate of the truncated tail.
 
@@ -305,8 +307,7 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
     if F.is_imaginary_quadratic:
         n_ideal = float(ideal.absolute_norm())
         total = 0j
-        for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X),
-                              config.enum_point_cap):
+        for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X)):
             total += _power_sum(n2, s)
         total /= F.w
         # integral tail: reps density ~ 2 pi / (w sqrt|D| N(ideal)) per unit norm
@@ -317,13 +318,12 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
                    * X ** (1 - s.real) / (s.real - 1))
         return value, tail
     if F.is_real_quadratic:
-        return _partial_zeta_real_quadratic(F, ideal, s, X, config)
+        return _partial_zeta_real_quadratic(F, ideal, s, X)
     raise UnsupportedFieldError(F.label)
 
 
 def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
-                                 s: complex, X: float,
-                                 config: PrecisionConfig):
+                                 s: complex, X: float):
     """Fundamental-domain sum for a real quadratic field: representatives
     alpha with alpha_1 > 0 and eps^-1 <= |alpha_1/alpha_2| < eps, i.e.
     t = log|alpha_1/alpha_2| / (2R) in [-1/2, 1/2) (multiplying by eps moves
@@ -334,7 +334,7 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
     n_ideal = float(ideal.absolute_norm())
     total = 0j
     for _, cs in ball_points(M, math.sqrt(2 * math.exp(K.regulator) * X),
-                             config.enum_point_cap, coeffs=True):
+                             coeffs=True):
         c0, c1 = cs.astype(float)
         x1 = M[0, 0] * c0 + M[0, 1] * c1
         x2 = M[1, 0] * c0 + M[1, 1] * c1
@@ -381,7 +381,7 @@ def ideal_theta(F: FieldDescriptor, ideal: FracIdeal, t, tol: float = 1e-13) -> 
 
 def gamma_lattice_sum(nu: complex, re_s: float,
                       params: Callable[[float, float], Iterable[np.ndarray]],
-                      tol: float, scale: float, tail_margin: float) -> complex:
+                      tol: float, scale: float) -> complex:
     """Sum of x^(-nu) Gamma(nu, x) over the Gaussian parameters x of a lattice:
     the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
 
@@ -405,7 +405,7 @@ def gamma_lattice_sum(nu: complex, re_s: float,
             acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
         return acc
 
-    cut = -math.log(min(tol, 0.5)) + tail_margin \
+    cut = -math.log(min(tol, 0.5)) + numerics.TAIL_MARGIN \
         + 4.0 * max(1.0, abs(re_s)) + 8.0
     total = shell(0.0, cut)
     for _ in range(24):
@@ -423,7 +423,7 @@ def gamma_lattice_sum(nu: complex, re_s: float,
 
 
 def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
-                     cap: int, lo: float = 0.0) -> Iterable[np.ndarray]:
+                     lo: float = 0.0) -> Iterable[np.ndarray]:
     """Gaussian parameters in (lo, cut] of the nonzero elements of an ideal:
     pi alpha^2 (Q, alpha = a m > 0) or 2 pi N(alpha).  Consecutive shells
     (0, c0], (c0, c1], ... yield each parameter exactly once."""
@@ -433,7 +433,7 @@ def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
                       int(math.sqrt(cut / math.pi) / a) + 1, dtype=float)
         return [math.pi * (a * m) ** 2]
     return (2 * math.pi * n2 for n2 in ball_points(
-        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)), cap,
+        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)),
         r_min=math.sqrt(lo / (2 * math.pi))))
 
 
@@ -463,8 +463,7 @@ class CompletedZeta:
     """Evaluator for xi(s, a) = d^{s/2} Gamma_F(s) zeta_F(s, a), continued to
     all s via the theta splitting, with explicit pole data."""
 
-    def __init__(self, F: FieldDescriptor, ideal: FracIdeal,
-                 config: PrecisionConfig = DEFAULT):
+    def __init__(self, F: FieldDescriptor, ideal: FracIdeal):
         if not (F.is_rational or F.is_imaginary_quadratic):
             raise UnsupportedFieldError(
                 "xi is globally continued for Q and imaginary quadratic "
@@ -472,17 +471,16 @@ class CompletedZeta:
         self.F = F
         self.ideal = ideal
         self.dual = dual_ideal(F, ideal)
-        self.config = config
         self.CF = c_F(F)
         disc = abs(F.discriminant)
         self.V = math.sqrt(disc) * float(ideal.absolute_norm())
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
         self._value_cache = _LRUCache()
 
-    def phi(self, s: complex, side: str = "primal", tol: float = None) -> complex:
+    def phi(self, s: complex, side: str = "primal",
+            tol: float = 1e-12) -> complex:
         """Phi(s, a) = V^s C_F sum_alpha' int_{|Nt|>=1} f(t alpha)|Nt|^s dt/t,
         an entire function of s with Gaussian-fast convergence."""
-        tol = tol if tol is not None else self.config.target_abs_tol
         s = complex(s)
         ideal, V = (self.ideal, self.V) if side == "primal" \
             else (self.dual, self.Vdual)
@@ -490,15 +488,14 @@ class CompletedZeta:
         rational = self.F.is_rational
         pref = cmath.exp(s * math.log(V)) \
             * (1.0 if rational else 2 * math.pi / self.F.w)
-        cap = self.config.enum_point_cap
         return pref * gamma_lattice_sum(
             s / 2 if rational else s, s.real,
-            lambda lo, cut: _gaussian_params(self.F, ideal, cut, cap, lo),
-            tol, abs(pref), self.config.tail_margin)
+            lambda lo, cut: _gaussian_params(self.F, ideal, cut, lo),
+            tol, abs(pref))
 
     # -- public surface --------------------------------------------------------------
 
-    def value(self, s: complex, tol: float = None) -> complex:
+    def value(self, s: complex, tol: float = 1e-12) -> complex:
         s = complex(s)
         if abs(s) < _POLE_RADIUS:
             raise PoleError("xi has a simple pole at s = 0", location=0.0,
@@ -521,7 +518,7 @@ class CompletedZeta:
         """Residue at s = 1 (equal to C_F for every ideal)."""
         return self.CF
 
-    def laurent_ct(self, tol: float = None) -> float:
+    def laurent_ct(self, tol: float = 1e-12) -> float:
         """Constant term of the Laurent expansion at s = 1."""
         lnV = math.log(self.V)
         out = self.phi(1.0, "primal", tol) + self.phi(0.0, "dual", tol) \
@@ -532,23 +529,15 @@ class CompletedZeta:
 _CZ_CACHE = _LRUCache()
 
 
-def completed_zeta(F: FieldDescriptor, ideal: FracIdeal,
-                   config: PrecisionConfig = DEFAULT) -> CompletedZeta:
-    key = (F.label, ideal.key(), config)
+def completed_zeta(F: FieldDescriptor, ideal: FracIdeal) -> CompletedZeta:
+    key = (F.label, ideal.key())
     cz = _CZ_CACHE.get(key)
     if cz is None:
-        cz = CompletedZeta(F, ideal, config)
+        cz = CompletedZeta(F, ideal)
         _CZ_CACHE[key] = cz
     return cz
 
 
-def xi_global(F: FieldDescriptor, ideal: FracIdeal, s: complex,
-              tol: float = None, config: PrecisionConfig = DEFAULT) -> complex:
-    """xi(s, a) for all s away from the poles 0, 1."""
-    return completed_zeta(F, ideal, config).value(s, tol)
-
-
-def xi_laurent_ct(F: FieldDescriptor, ideal: FracIdeal,
-                  config: PrecisionConfig = DEFAULT) -> float:
+def xi_laurent_ct(F: FieldDescriptor, ideal: FracIdeal) -> float:
     """Constant term of xi(s, a) at s = 1."""
-    return completed_zeta(F, ideal, config).laurent_ct()
+    return completed_zeta(F, ideal).laurent_ct()

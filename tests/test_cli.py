@@ -3,8 +3,8 @@ import pathlib
 
 import pytest
 
-from heckeis.cli import main
-from heckeis.precision import ENV_VAR, config_from_env
+from heckeis.cli import (ENV_VAR, CliParseError, build_parser, default_tol,
+                         main)
 from heckeis.reports import VerificationReport
 from heckeis.verify import run_suite
 
@@ -172,15 +172,14 @@ def test_quad_element_parser():
 
 def test_precision_env_override(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1e-6")
-    cfg = config_from_env()
-    assert cfg.target_abs_tol == 1e-6
-    monkeypatch.setenv(ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        config_from_env()
+    assert default_tol() == 1e-6
+    for bad in ("not-a-number", "1e-20", "1e-3", "nan"):
+        monkeypatch.setenv(ENV_VAR, bad)
+        with pytest.raises(CliParseError, match=ENV_VAR):
+            build_parser()
 
 
 def test_precision_env_sets_cli_default_tol(monkeypatch):
-    from heckeis.cli import build_parser
     monkeypatch.setenv(ENV_VAR, "1e-7")
     args = build_parser().parse_args(
         ["eval-eisenstein", "--base-field", "Q",
@@ -193,10 +192,25 @@ def test_precision_env_sets_cli_default_tol(monkeypatch):
     assert args.tol == 1e-9
 
 
-def test_precision_config_bounds():
-    from heckeis.precision import PrecisionConfig
-    PrecisionConfig(target_abs_tol=1e-4)
-    with pytest.raises(ValueError):
-        PrecisionConfig(target_abs_tol=1e-16)
-    with pytest.raises(ValueError):
-        PrecisionConfig(target_abs_tol=1e-3)
+@pytest.mark.parametrize("raw", ["abc", "1e-20"])
+def test_bad_precision_env_exits_2(capsys, monkeypatch, raw):
+    # a malformed or out-of-range value is a parse error with a one-line
+    # message, whatever the command
+    monkeypatch.setenv(ENV_VAR, raw)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theta")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and ENV_VAR in err and raw in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval-eisenstein", "--base-field", "Q", "--lattice", "1,0.0+1.0,1",
+     "--s", "2"],
+    ["limit-formula", "--K", "Q(sqrt5)"]])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run_cli(capsys, *command, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "finite and > 0" in err

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from heckeis import eisenstein
+from heckeis import eisenstein, numerics
 from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator, h_function
@@ -18,7 +18,6 @@ from heckeis.errors import (ConvergenceError, DegenerateLatticeError,
                             EnumerationCapError, PoleError)
 from heckeis.lattice import OFLattice, ball_points
 from heckeis.numerics import neville_at_zero
-from heckeis.precision import PrecisionConfig
 from heckeis.specialfun import gamma_F
 from heckeis.zeta import _ideal_embedding_matrix
 
@@ -696,9 +695,9 @@ def test_direct_raises_below_its_rounding_floor():
     assert err.points > 0
 
 
-def test_direct_reports_how_far_it_got():
-    config = PrecisionConfig(quad_max_doublings=1)
-    ev = EisensteinEvaluator(lat_q(0.0, 1.0), config)
+def test_direct_reports_how_far_it_got(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
+    ev = EisensteinEvaluator(lat_q(0.0, 1.0))
     with pytest.raises(ConvergenceError) as info:
         ev.e_direct(2.0, 1e-10)
     msg = str(info.value)

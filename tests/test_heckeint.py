@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy.special import i0
 
-from heckeis import eisenstein
+from heckeis import eisenstein, numerics
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import DNumber, rho_star
 from heckeis.eisenstein import EisensteinEvaluator
@@ -16,7 +16,6 @@ from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
                               relative_klf_check, torus_measure_identity,
                               xi_K_oracle)
 from heckeis.lattice import OFLattice
-from heckeis.precision import PrecisionConfig
 from heckeis.zeta import c_F, zeta_K
 
 Q = make_field("Q")
@@ -221,7 +220,8 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at",
                         lambda self, sign, t: Oscillating(t))
-    setup = HeckeSetup(make_field(d), config=PrecisionConfig(quad_max_doublings=2))
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 2)
+    setup = HeckeSetup(make_field(d))
     with pytest.raises(ConvergenceError) as info:
         hecke_integral(setup, 2.0, 1e-8)
     fields = unconverged_fields(info.value)

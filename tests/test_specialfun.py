@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckeis import specialfun
+from heckeis import numerics, specialfun
 from heckeis.basefield import make_field
 from heckeis.errors import ConvergenceError, PoleError
 from heckeis.numerics import nested_trapezoid
-from heckeis.precision import DEFAULT, PrecisionConfig
 from heckeis.specialfun import (b_F, b_F_integral, bessel_k, bessel_k_batch,
                                 gamma_F, gamma_F_integral,
                                 upper_incomplete_gamma)
@@ -75,11 +74,12 @@ def test_bessel_batch_matches_scalar():
         assert abs(v - bessel_k(1.25, x, 1e-13)) < 1e-12
 
 
-def test_bessel_raises_when_unconverged():
+def test_bessel_raises_when_unconverged(monkeypatch):
     # one halving from step 0.5 cannot reach 1e-14 at x = 1; the message says
     # how far the trapezoid got (a complex order: real orders take kv)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError) as info:
-        bessel_k(0.5 + 0.1j, 1.0, 1e-14, PrecisionConfig(quad_max_doublings=1))
+        bessel_k(0.5 + 0.1j, 1.0, 1e-14)
     m = re.fullmatch(r"bessel trapezoid did not converge: halvings 1, "
                      r"nodes (\d+), last change (\S+) > tol (\S+)",
                      str(info.value))
@@ -142,7 +142,7 @@ def test_bessel_kv_matches_trapezoid_at_real_orders(nu):
     # up to 6e-14 relative (test_bessel_real_order_vs_mpmath)
     xs = np.linspace(0.5, 30.0, 1600)
     kv = bessel_k_batch(nu, xs)
-    ref = specialfun._bessel_trapezoid(complex(nu), xs, 1e-14, DEFAULT)
+    ref = specialfun._bessel_trapezoid(complex(nu), xs, 1e-14)
     err = np.abs(kv - ref) / np.maximum(1.0, np.abs(ref))
     assert np.all(err[xs > 1.0] < 1e-14)
     assert np.all(err < 2e-14)

@@ -13,7 +13,6 @@ from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError, PoleError, UnsupportedFieldError
 from heckeis.lattice import OFLattice
 from heckeis.numerics import neville_at_zero
-from heckeis.precision import PrecisionConfig
 from heckeis.zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                           dirichlet_l, gamma_lattice_sum, hurwitz_zeta,
                           ideal_theta, kronecker_symbol, partial_zeta_series,
@@ -177,7 +176,7 @@ def test_zeta_k_class_unsupported():
 def _phi_case(F=F3):
     ideal = FracIdeal.unit_ideal(F)
     return (lambda: CompletedZeta(F, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
-            lambda upto: zeta._gaussian_params(F, ideal, upto, 10 ** 8))
+            lambda upto: zeta._gaussian_params(F, ideal, upto))
 
 
 def _phi_q_case():
@@ -239,7 +238,7 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
             yield xs
 
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
-    got = gamma_lattice_sum(-1.5 + 0.4j, 0.5, integers, 1e-10, 1.0, 8.0)
+    got = gamma_lattice_sum(-1.5 + 0.4j, 0.5, integers, 1e-10, 1.0)
     assert len(calls) == len(yielded) > 2
     for x, xs in zip(calls, yielded):
         np.testing.assert_array_equal(x, xs)
@@ -254,7 +253,7 @@ def test_gamma_lattice_sum_reports_how_far_it_got():
         return [np.arange(math.floor(lo) + 1, math.floor(hi) + 1, dtype=float)]
 
     with pytest.raises(ConvergenceError) as info:
-        gamma_lattice_sum(1.0, 1.0, integers, 1e-10, 1e300, 8.0)
+        gamma_lattice_sum(1.0, 1.0, integers, 1e-10, 1e300)
     msg = str(info.value)
     final = -math.log(1e-10) + 8.0 + 4.0 + 8.0 + 24 * 6.0
     assert f"cutoff {final:g}" in msg
@@ -398,11 +397,18 @@ def test_xi_scaling_invariance():
     assert abs(czi1.value(2.0) - czi2.value(2.0)) < 1e-11
 
 
-def test_completed_zeta_cache_keys_on_whole_config():
-    base = completed_zeta(Q, ZZ)
-    assert completed_zeta(Q, ZZ, PrecisionConfig()) is base
-    wide = completed_zeta(Q, ZZ, PrecisionConfig(tail_margin=30.0))
-    assert wide is not base and wide.config.tail_margin == 30.0
+def test_completed_zeta_cache_keys_on_the_ideal():
+    # one evaluator per ideal, however its generator is written
+    two = completed_zeta(Q, FracIdeal(Q, gen=2))
+    assert completed_zeta(Q, FracIdeal(Q, gen=-2)) is two
+    assert completed_zeta(Q, FracIdeal(Q, gen=3)) is not two
+    for F in (Fi, F3):
+        c = QuadElement(F, Fraction(1), Fraction(2))
+        unit = QuadElement(F, Fraction(0), Fraction(1))   # i, or a 6th root
+        assert unit.norm() == 1
+        cz = completed_zeta(F, FracIdeal(F, gen=c))
+        assert completed_zeta(F, FracIdeal(F, gen=c * unit)) is cz
+        assert completed_zeta(F, FracIdeal(F, gen=c.conj())) is not cz
 
 
 def test_completed_zeta_caches_are_bounded_lru(monkeypatch):
