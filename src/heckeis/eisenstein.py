@@ -32,7 +32,11 @@ each other:
   below its rounding floor eps * sum |term|.  It runs on a reduced
   presentation of a scaled copy of the lattice, on which Ehat is the same:
   over Q, (N(a)/N(b)) z reduced under SL2(Z) with a = b = Z, so |y| >=
-  sqrt(3)/2; over an imaginary field with a = b, O z + O.
+  sqrt(3)/2; over an imaginary field with a = b, O z + O.  An evaluator
+  from at_point may hold arrays of points (the torus nodes of one
+  refinement level): each point keeps its own bands and tests, while the
+  pairs of all points still summing form one array, with one Bessel call
+  per band.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
   |N t| = 1 and Poisson-dualized; an exponentially convergent sum over the
   points of the lattice and of its dual requiring only Z-lattice data
@@ -110,19 +114,32 @@ class EisensteinEvaluator:
     def _place(self, x, y):
         """Set the data that depend on z = x + y j: x, y and P of the given
         presentation (a right scale factor never changes Ehat, so it plays
-        no part), and x_red, y_red, ny and P_red of the reduced one."""
+        no part), and x_red, y_red, ny and P_red of the reduced one.  x and
+        y may be arrays, one entry per node: each datum is then an array of
+        their broadcast shape, and so is every value of the expansion
+        route; scalars are the nodes of shape ()."""
+        x, y = np.broadcast_arrays(x, y)
+        self.shape = x.shape
         self.x, self.y = x, y
-        self.P = self.ratio * abs(y) ** self.n_v
+        self.P = self.ratio * np.abs(y) ** self.n_v
         if self.F.is_rational:
-            self.x_red, self.y_red = _sl2z_reduce(self.ratio * x,
-                                                  self.ratio * y)
+            x_red, y_red = _sl2z_reduce(self.ratio * x.ravel(),
+                                        self.ratio * y.ravel())
+            self.x_red = x_red.reshape(self.shape)
+            self.y_red = y_red.reshape(self.shape)
         else:
-            if abs(y) ** 2 < 1e-10:
+            if np.any(np.abs(y) ** 2 < 1e-10):
                 raise DegenerateLatticeError(
                     "|N(y)| below 1e-10: expansion ill-conditioned")
             self.x_red, self.y_red = x, y
-        self.ny = abs(self.y_red) ** self.n_v
+        self.ny = np.abs(self.y_red) ** self.n_v
         self.P_red = (self.na / self.nb) * self.ny
+
+    def _shaped(self, values):
+        """Per-node values in the shape of the nodes; a Python scalar for a
+        single node of shape ()."""
+        out = np.reshape(values, self.shape)
+        return out if self.shape else out.item()
 
     def _require_presentation(self, what: str):
         # an evaluator from at_point has no lattice but all the data of its
@@ -138,12 +155,14 @@ class EisensteinEvaluator:
         ehat_expansion, h_value and ct.  Its values equal those of an
         evaluator built on OFLattice(F, a, z, b) bit for bit: y must be
         nonzero, and over Q z is taken with y > 0 (-z spans the same
-        lattice)."""
+        lattice).  With arrays x, y it is one evaluator of all those points
+        (see _place)."""
         self._require_presentation("at_point")
-        if y == 0:
+        if np.any(np.equal(y, 0)):
             raise DegenerateLatticeError("y-part of z must be invertible")
-        if self.F.is_rational and y < 0:
-            x, y = -x, -y
+        if self.F.is_rational:
+            flip = y < 0
+            x, y = np.where(flip, -x, x), np.where(flip, -y, y)
         ev = copy.copy(self)
         ev.lattice = ev._dual = None
         ev._place(x, y)
@@ -269,92 +288,124 @@ class EisensteinEvaluator:
 
     # --------------------------------------------------------------- expansion
 
-    def _pair_data(self, lo: float, hi: float):
-        """Arrays describing the pairs (alpha, beta*) whose Bessel argument
-        n_v pi |alpha y beta*| lies in (lo, hi]: (bessel args, phase exponents
-        Tr(x alpha beta*), norm ratios |N(beta*/(alpha y))|)."""
+    def _pair_data(self, lo, hi):
+        """Arrays describing, for each node, the pairs (alpha, beta*) whose
+        Bessel argument n_v pi |alpha y beta*| lies in that node's band
+        (lo, hi] (per-node arrays, or scalars for every node): (bessel
+        args, phase exponents Tr(x alpha beta*), norm ratios
+        |N(beta*/(alpha y))|, node indices into the flattened nodes), the
+        pairs of each node in one run, in node order."""
         n_v = self.n_v
-        c = n_v * math.pi * abs(self.y_red)
+        x_red, y_red = np.ravel(self.x_red), np.abs(np.ravel(self.y_red))
+        c = n_v * math.pi * y_red
+        lo, hi = np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)
         # the candidate lists carry slack: the test on the computed arguments
         # below decides the band edges, so adjacent bands partition the pairs
         cap = hi / c * (1 + 1e-9)
+        reach = float(cap.max())
         if self.F.is_rational:
             # one representative alpha = a m (m >= 1) per unit orbit
             a, bs = self.na, self.nbstar
-            k = np.arange(1, int(cap / (a * bs)) + 1, dtype=float)
+            k = np.arange(1, int(reach / (a * bs)) + 1, dtype=float)
             alphas, betas = a * k, bs * np.concatenate([k, -k])
         else:
             Ma = _ideal_embedding_matrix(self.ideal_a)
             Mb = _ideal_embedding_matrix(self.bstar)
-            alphas = _complex_points(Ma, cap / _min_abs(Mb))
-            betas = _complex_points(Mb, cap / _min_abs(Ma))
+            alphas = _complex_points(Ma, reach / _min_abs(Mb))
+            betas = _complex_points(Mb, reach / _min_abs(Ma))
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
         betas, babs = betas[order], babs[order]
-        # per alpha, the candidate betas (lo < c |alpha| |beta*| <= hi, up to
-        # the slack) are the index range [first, stop) of the sorted list
-        first = np.searchsorted(babs, lo / c * (1 - 1e-9) / aabs, side="right")
-        stop = np.searchsorted(babs, cap / aabs, side="right")
+        # per (node, alpha), the candidate betas (lo < c |alpha| |beta*| <= hi,
+        # up to the slack) are the index range [first, stop) of the sorted list
+        first = np.searchsorted(
+            babs, (lo / c * (1 - 1e-9))[:, None] / aabs, side="right").ravel()
+        stop = np.searchsorted(babs, cap[:, None] / aabs, side="right").ravel()
         counts = stop - first
-        ia = np.repeat(np.arange(alphas.size), counts)
+        cell = np.repeat(np.arange(counts.size), counts)
         ib = np.arange(counts.sum()) \
             + np.repeat(first - np.cumsum(counts) + counts, counts)
-        args = c * aabs[ia] * babs[ib]
-        keep = (args > lo) & (args <= hi)
-        ia, ib, args = ia[keep], ib[keep], args[keep]
-        phases = n_v * (complex(self.x_red) * alphas[ia] * betas[ib]).real
-        ratios = (babs[ib] / (aabs[ia] * abs(self.y_red))) ** n_v
-        return args, phases, ratios
+        # the factors that depend on the (node, alpha) cell only are formed
+        # per cell and repeated or looked up per pair
+        per_cell = alphas.size
+        args = np.repeat((c[:, None] * aabs).ravel(), counts) * babs[ib]
+        keep = (args > np.repeat(np.repeat(lo, per_cell), counts)) \
+            & (args <= np.repeat(np.repeat(hi, per_cell), counts))
+        cell, ib, args = cell[keep], ib[keep], args[keep]
+        phases = n_v * ((x_red[:, None] * alphas).ravel()[cell]
+                        * betas[ib]).real
+        ratios = (babs[ib] / (aabs * y_red[:, None]).ravel()[cell]) ** n_v
+        return args, phases, ratios, cell // per_cell
 
-    def term1(self, s: complex, tol: float = 1e-12) -> complex:
-        return _cpow(self.P_red, s) * self.zeta_b.value(2 * s, tol)
+    def term1(self, s: complex, tol: float = 1e-12):
+        return self._shaped(np.exp(s * np.log(self.P_red))
+                            * self.zeta_b.value(2 * s, tol))
 
-    def term2(self, s: complex, tol: float = 1e-12) -> complex:
-        return _cpow(self.P_red, 1 - s) * self.zeta_a.value(2 * s - 1, tol)
+    def term2(self, s: complex, tol: float = 1e-12):
+        return self._shaped(np.exp((1 - s) * np.log(self.P_red))
+                            * self.zeta_a.value(2 * s - 1, tol))
 
-    def term3(self, s: complex, tol: float = 1e-10) -> complex:
+    def term3(self, s: complex, tol: float = 1e-10):
         # over Q the enumeration lists one representative per unit orbit
         # (m > 0); over imaginary quadratic fields it lists all pairs, so the
         # free unit action is divided out
         orbit_div = 1 if self.F.is_rational else self.F.w
         # B_F carries a factor 2 pi at a complex place
         weight = (2 * math.pi) ** (self.n_v - 1)
-        pref = _cpow(self.Va, s) * _cpow(self.Vb, s - 1) * _cpow(self.ny, s)
-        scale = abs(pref) / orbit_div
-        pair_tol = tol / max(scale, 1e-8)
-        # the first band is (0, L], each later one (L - 2, L]; the sum stops
-        # when the pairs in (L - 2, L] add at most tol/10, and raises once its
-        # rounding floor exceeds tol/10, naming the cutoff, the last band's
-        # size, tol and the pairs evaluated
-        lo, L = 0.0, -math.log(min(pair_tol, 0.1)) + 5.0 + 2.0
-        total, mass = 0j, 0.0
-        points = 0
+        ny = np.ravel(self.ny)
+        n = ny.size
+        pref = _cpow(self.Va, s) * _cpow(self.Vb, s - 1) \
+            * np.exp(s * np.log(ny))
+        scale = np.abs(pref) / orbit_div
+        pair_tol = tol / np.maximum(scale, 1e-8)
+        # each node sums its own bands: the first is (0, L], each later one
+        # (L - 2, L].  A node stops when its pairs in (L - 2, L] add at most
+        # tol/10; the sum raises once a node's rounding floor exceeds tol/10,
+        # naming that node's cutoff, last band's size, tol and pairs
+        # evaluated.  The pairs of all nodes still summing make one array
+        # and one Bessel call per band
+        lo, L = np.zeros(n), -np.log(np.minimum(pair_tol, 0.1)) + 5.0 + 2.0
+        total, mass = np.zeros(n, complex), np.zeros(n)
+        points = np.zeros(n, int)
+        active = np.ones(n, bool)
         for _ in range(12):
-            args, phases, ratios = self._pair_data(lo, L)
-            points += args.size
-            kv = bessel_k_batch(self.n_v * (s - 0.5), args, tol=pair_tol / 50)
+            # a node that has stopped gets the empty band (L, L]
+            args, phases, ratios, node = self._pair_data(
+                np.where(active, lo, L), L)
+            counts = np.bincount(node, minlength=n)
+            points += counts
+            runs = counts > 0
+            starts = (np.cumsum(counts) - counts)[runs]
+            kv = bessel_k_batch(self.n_v * (s - 0.5), args,
+                                tol=float(pair_tol[active].min()) / 50)
             terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
                 * np.exp(2j * math.pi * phases)
-            total += complex(np.sum(terms))
-            mass += float(np.sum(np.abs(terms)))
-            added = scale * abs(complex(np.sum(terms[args > L - 2.0])))
+            total += _run_sums(terms, starts, runs)
+            mass += _run_sums(np.abs(terms), starts, runs)
+            top = args > np.repeat(L - 2.0, counts)
+            added = scale * np.abs(
+                _run_sums(np.where(top, terms, 0), starts, runs))
             floor = np.finfo(float).eps * mass * scale
-            if floor > tol / 10:
+            below = active & (floor > tol / 10)
+            if below.any():
+                i = int(np.argmax(below))
                 raise ConvergenceError(
-                    f"Bessel pair sum at cutoff L = {L:g} lies below its "
-                    f"rounding floor: eps*sum|term| = {floor:.3g} > "
-                    f"tol/10 = {tol / 10:.3g}",
-                    cutoff=L, last_delta=added, tol=tol, points=points)
-            if added <= tol / 10:
-                return pref * total / orbit_div
-            lo, L = L, L + 2.0
+                    f"Bessel pair sum at cutoff L = {L[i]:g} lies below its "
+                    f"rounding floor: eps*sum|term| = {floor[i]:.3g} > "
+                    f"tol/10 = {tol / 10:.3g}", cutoff=float(L[i]),
+                    last_delta=float(added[i]), tol=tol, points=int(points[i]))
+            active &= ~(added <= tol / 10)
+            if not active.any():
+                return self._shaped(pref * total / orbit_div)
+            lo, L = np.where(active, L, lo), np.where(active, L + 2.0, L)
+        i = int(np.argmax(active))
         raise ConvergenceError(
-            f"Bessel pair sum did not stabilize at cutoff L = {lo:g}: the "
-            f"band ({lo - 2:g}, {lo:g}] added {added:.3g} > "
-            f"tol/10 = {tol / 10:.3g}",
-            cutoff=lo, last_delta=added, tol=tol, points=points)
+            f"Bessel pair sum did not stabilize at cutoff L = {lo[i]:g}: the "
+            f"band ({lo[i] - 2:g}, {lo[i]:g}] added {added[i]:.3g} > "
+            f"tol/10 = {tol / 10:.3g}", cutoff=float(lo[i]),
+            last_delta=float(added[i]), tol=tol, points=int(points[i]))
 
-    def ehat_expansion(self, s: complex, tol: float = 1e-10) -> complex:
+    def ehat_expansion(self, s: complex, tol: float = 1e-10):
         """Ehat(Lambda, s) through the three-term formula, on the reduced
         presentation (ideal_a, ideal_b, x_red, y_red); needs pseudo-basis
         data."""
@@ -427,26 +478,27 @@ class EisensteinEvaluator:
         from the xi(2s-1, a) term, whose residue in s is C_F/2)."""
         return self.CF / 2
 
-    def h_value(self, tol: float = 1e-10) -> float:
+    def h_value(self, tol: float = 1e-10):
         """The limit-formula function h(z, a, b) of the given presentation:
         (2/C_F) [ P xi(2, b) + V(a) |Ny| S(1) ]; real, with the imaginary
         part of the pair sum cancelling between conjugate pairs.  It is
         evaluated on the reduced presentation and carried over through the
         invariant h - log P."""
         self._require_presentation("h")
-        t1 = self.term1(1.0, tol)
-        t3 = self.term3(1.0, tol)
-        out = (2.0 / self.CF) * (t1 + t3)
-        if abs(out.imag) > 1e-8:
+        out = (2.0 / self.CF) * (self.term1(1.0, tol) + self.term3(1.0, tol))
+        imag = np.ravel(np.imag(out))
+        worst = imag[np.argmax(np.abs(imag))]
+        if abs(worst) > 1e-8:
             raise ConvergenceError(
-                f"imaginary part {out.imag} of h did not cancel")
-        return out.real + math.log(self.P / self.P_red)
+                f"imaginary part {worst} of h did not cancel")
+        return self._shaped(np.real(out) + np.log(self.P / self.P_red))
 
-    def ct(self, tol: float = 1e-10) -> float:
+    def ct(self, tol: float = 1e-10):
         """Constant term of Ehat at s = 1:
         CT xi(s, a) + (C_F/2)(h - log P)."""
         ct_xi = self.zeta_a.laurent_ct(tol)
-        return ct_xi + (self.CF / 2) * (self.h_value(tol) - math.log(self.P))
+        return self._shaped(
+            ct_xi + (self.CF / 2) * (self.h_value(tol) - np.log(self.P)))
 
     def ct_lattice(self, tol: float = 1e-10) -> float:
         """Constant term through the lattice path (independent bookkeeping):
@@ -551,19 +603,43 @@ def _smooth_tail_factor(s: complex) -> complex:
 _REDUCTION_STEPS = 1000
 
 
-def _sl2z_reduce(x: float, y: float):
-    """x + iy (y > 0) moved by SL2(Z) into |x| <= 1/2, |x + iy| >= 1 (up to
-    1e-12), so that y >= sqrt(3)/2: translate x to its nearest integer and
-    invert while |z| < 1.  Each inversion raises y."""
+def _sl2z_reduce(x: np.ndarray, y: np.ndarray):
+    """Each x + iy (y > 0) of two 1-d arrays moved by SL2(Z) into
+    |x| <= 1/2, |x + iy| >= 1 (up to 1e-12), so that y >= sqrt(3)/2:
+    translate x to its nearest integer (halves to even) and invert while
+    |z| < 1, each point for as many steps as it needs.  Each inversion
+    raises y.  Raises DegenerateLatticeError when |z|^2 underflows to 0 (a
+    translated x of 0 with y below ~1e-154) and ConvergenceError after
+    _REDUCTION_STEPS steps."""
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    moving = np.ones(x.shape, bool)
     for _ in range(_REDUCTION_STEPS):
-        x -= round(x)
-        n = x * x + y * y
-        if n >= 1 - 1e-12:
+        xm, ym = x[moving], y[moving]
+        # + 0.0 makes rint's -0.0 a +0.0, as an integer rounding gives
+        xm -= np.rint(xm) + 0.0
+        n = xm * xm + ym * ym
+        if not n.all():
+            raise DegenerateLatticeError(
+                f"SL2(Z) reduction: |z|^2 underflows at y = "
+                f"{ym[np.argmin(n)]:.3g}")
+        inside = n < 1 - 1e-12
+        xm[inside], ym[inside] = -xm[inside] / n[inside], ym[inside] / n[inside]
+        x[moving], y[moving] = xm, ym
+        moving[moving] = inside
+        if not moving.any():
             return x, y
-        x, y = -x / n, y / n
     raise ConvergenceError(
         f"SL2(Z) reduction did not end in {_REDUCTION_STEPS} steps "
-        f"(reached y = {y:.3g})")
+        f"(reached y = {y[np.argmax(moving)]:.3g})")
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray,
+              runs: np.ndarray) -> np.ndarray:
+    """Per node, the sum of its run of values: the nonempty runs start at
+    starts and belong to the nodes where runs is True; 0 for the others."""
+    out = np.zeros(runs.size, values.dtype)
+    out[runs] = np.add.reduceat(values, starts)
+    return out
 
 
 def _min_abs(M: np.ndarray) -> float:

@@ -8,14 +8,20 @@ as A = a*z + b with rational ideals a, b and z in K, the twisted lattices
     rho(u~ A) = (a z_u + b) * rho(u~),      z_u = rho(u~ z) / rho(u~),
 
 are plain pseudo-basis lattices in C, so the whole Eisenstein machinery
-applies node by node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
+applies to every node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
 the expansion evaluates each node at the SL2(Z)-reduced point of
 (N a/N b) z_u, so every node costs about the same, while h_value and y keep
 describing z_u itself (the limit formula integrates h - log|y|).  After that
-reduction every node has a = b = Z, so a node builds no lattice: its
+reduction every node has a = b = Z, so the nodes build no lattice: their
 evaluator is EisensteinEvaluator.at_point of one evaluator that HeckeSetup
 builds once (at t = 1) and that holds b*, xi(s, Z), the norms and the
 volumes for all nodes.
+
+The quadrature evaluates each refinement level as one batch: the new nodes
+of a level, both signs, make one array evaluator (HeckeSetup.evaluator_at
+with arrays sign, t), whose reduction, xi terms and Bessel pair sum run on
+arrays, with one pair array and one Bessel call per band of the level.  A
+single node is the same code on arrays of one entry.
 
 Real K: the torus splits into two sign components, each a circle of length
 log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the
@@ -89,19 +95,18 @@ class HeckeSetup:
 
     # -- the lattice family ----------------------------------------------------
 
-    def lift_components(self, sign: int, t: float) -> Tuple[float, float]:
-        """The lift u~ of u = (sign*t, 1/(sign*t)): components at (w, w')."""
-        if sign not in (1, -1):
+    def lift_components(self, sign, t):
+        """The lift u~ of u = (sign*t, 1/(sign*t)): components at (w, w');
+        elementwise for arrays sign, t."""
+        if not np.all((sign == 1) | (sign == -1)):
             raise ValueError("sign must be +-1")
-        rt = math.sqrt(t)
+        rt = np.sqrt(t)
         return sign * rt, 1.0 / rt
 
-    def z_u(self, sign: int, t: float) -> complex:
-        """z_u = rho(u~ z)/rho(u~) in C."""
+    def z_u(self, sign, t):
+        """z_u = rho(u~ z)/rho(u~) in C; elementwise for arrays sign, t."""
         uw, uwp = self.lift_components(sign, t)
-        num = complex(uw * self.zw, uwp * self.zwp)
-        den = complex(uw, uwp)
-        return num / den
+        return (uw * self.zw + 1j * (uwp * self.zwp)) / (uw + 1j * uwp)
 
     def lattice_at(self, sign: int, t: float) -> OFLattice:
         """rho(u~ A) = (a z_u + b) rho(u~) as a pseudo-basis lattice."""
@@ -128,10 +133,12 @@ class HeckeSetup:
                         self.ideal_b)
         return EisensteinEvaluator(lat)
 
-    def evaluator_at(self, sign: int, t: float) -> EisensteinEvaluator:
+    def evaluator_at(self, sign, t) -> EisensteinEvaluator:
         """The expansion evaluator of a z_u + b (the lattice rho(u~ A) up to
         the scale rho(u~)), equal bit for bit to one built on that lattice;
-        it supports the expansion route only (EisensteinEvaluator.at_point)."""
+        it supports the expansion route only (EisensteinEvaluator.at_point).
+        With arrays sign and/or t it is one evaluator of all those nodes,
+        whose values are arrays of their broadcast shape."""
         template = self._node_template
         zu = self.z_u(sign, t)
         return template.at_point(zu.real, zu.imag)
@@ -141,12 +148,15 @@ def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
     """Sum over both sign components of int_1^eps0 node_fn(sign, t) dt/t by
     the trapezoid rule in log t over the period log eps0 (the integrand is
     periodic there, so the rule converges geometrically and its nodes nest),
-    from 8 nodes per sign."""
+    from 8 nodes per sign.  node_fn takes the arrays (signs, ts) of all new
+    nodes of a refinement level, both signs, and returns their values."""
     period = math.log(setup.eps0)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
-        return np.array([node_fn(sign, math.exp(tau))
-                         for sign in (1, -1) for tau in taus], dtype=complex)
+        # math.exp node by node: the t values of a scalar evaluation
+        ts = np.array([math.exp(tau) for tau in taus])
+        signs = np.repeat([1, -1], ts.size)
+        return np.asarray(node_fn(signs, np.tile(ts, 2)), dtype=complex)
 
     return complex(nested_trapezoid(
         integrand, lambda h: np.arange(round(period / h)), period / 8, tol / 2,
@@ -163,10 +173,10 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
 
     node_tol = tol / (8.0 * setup.measure)
 
-    def node(sign: int, t: float) -> complex:
-        return setup.evaluator_at(sign, t).ehat_expansion(s, node_tol)
+    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return setup.evaluator_at(signs, ts).ehat_expansion(s, node_tol)
 
-    return _torus_quadrature(setup, node, tol) / setup.w_rel
+    return _torus_quadrature(setup, nodes, tol) / setup.w_rel
 
 
 def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
@@ -181,10 +191,10 @@ def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
 
     node_tol = tol / (8.0 * setup.measure)
 
-    def node(sign: int, t: float) -> complex:
-        return setup.evaluator_at(sign, t).ct(node_tol)
+    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return setup.evaluator_at(signs, ts).ct(node_tol)
 
-    ct = _torus_quadrature(setup, node, tol) / setup.w_rel
+    ct = _torus_quadrature(setup, nodes, tol) / setup.w_rel
     return residue, ct.real
 
 
@@ -232,11 +242,11 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
 
     node_tol = tol * CK / 4.0
 
-    def node(sign: int, t: float) -> complex:
-        ev = setup.evaluator_at(sign, t)
-        return ev.h_value(node_tol) - math.log(abs(ev.y))
+    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        ev = setup.evaluator_at(signs, ts)
+        return ev.h_value(node_tol) - np.log(np.abs(ev.y))
 
-    integral = _torus_quadrature(setup, node, tol * CK).real
+    integral = _torus_quadrature(setup, nodes, tol * CK).real
     term_int = CF / (2 * setup.w_rel * CK) * integral
 
     rhs = term_ct + term_log + term_int
@@ -278,12 +288,14 @@ def classical_real_quadratic_integral(setup: HeckeSetup, s: complex,
     # and scales the measure dt/t by 1/w_rel
     w = setup.w_rel
 
-    def node(sign: int, t: float) -> complex:
-        if sign < 0:
-            return 0j
-        return setup.evaluator_at(1, t ** (1.0 / w)).ehat_expansion(s, node_tol)
+    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = np.zeros(ts.shape, complex)
+        plus = signs > 0
+        out[plus] = setup.evaluator_at(1, ts[plus] ** (1.0 / w)) \
+            .ehat_expansion(s, node_tol)
+        return out
 
-    integral_E = _torus_quadrature(setup, node, tol * w) / (w * gamma2s)
+    integral_E = _torus_quadrature(setup, nodes, tol * w) / (w * gamma2s)
     dK = abs(K.discriminant)
     from .specialfun import complex_gamma
     pref = 2.0 * cmath.exp(-(s / 2) * math.log(dK)) * complex_gamma(s) \

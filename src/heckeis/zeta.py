@@ -519,11 +519,17 @@ class CompletedZeta:
         return self.CF
 
     def laurent_ct(self, tol: float = 1e-12) -> float:
-        """Constant term of the Laurent expansion at s = 1."""
+        """Constant term of the Laurent expansion at s = 1; cached per tol
+        next to the values."""
+        key = ("laurent_ct", tol)
+        hit = self._value_cache.get(key)
+        if hit is not None:
+            return hit
         lnV = math.log(self.V)
-        out = self.phi(1.0, "primal", tol) + self.phi(0.0, "dual", tol) \
-            + self.CF * (lnV - self.V)
-        return out.real
+        out = (self.phi(1.0, "primal", tol) + self.phi(0.0, "dual", tol)
+               + self.CF * (lnV - self.V)).real
+        self._value_cache[key] = out
+        return out
 
 
 _CZ_CACHE = _LRUCache()

@@ -258,6 +258,57 @@ def test_at_point_matches_an_evaluator_of_the_moved_lattice(field, z, a, b,
         assert got.ct(1e-11) == want.ct(1e-11)
 
 
+def _sl2z_reduce_loop(x, y):
+    """The scalar SL2(Z) reduction that the array reduction replaced: the
+    reference it must match bit for bit."""
+    for _ in range(eisenstein._REDUCTION_STEPS):
+        x -= round(x)
+        n = x * x + y * y
+        if n >= 1 - 1e-12:
+            return x, y
+        x, y = -x / n, y / n
+    raise ConvergenceError("SL2(Z) reduction did not end")
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-300.0, 1.0)),
+                min_size=1, max_size=12))
+@example([(0.5, 0.0), (-0.5, -12.0), (2.5, -200.0), (0.0, 1.0)])
+@example([(0.3, -100.0), (-0.5, -300.0)])
+def test_array_sl2z_reduction_matches_the_scalar_loop(points):
+    x = np.array([p[0] for p in points])
+    y = 10.0 ** np.array([p[1] for p in points])
+    try:
+        want = np.array([_sl2z_reduce_loop(float(a), float(b))
+                         for a, b in zip(x, y)])
+    except ZeroDivisionError:
+        # a translated x of 0 with y^2 below the smallest float: the loop
+        # divided by 0, the array reduction names the degenerate point
+        with pytest.raises(DegenerateLatticeError, match="underflows"):
+            eisenstein._sl2z_reduce(x, y)
+        return
+    # hostile points overflow |z|^2 to inf, as the loop does, silently
+    with np.errstate(over="ignore"):
+        got_x, got_y = eisenstein._sl2z_reduce(x, y)
+    np.testing.assert_array_equal(got_x.view(np.int64),
+                                  want[:, 0].view(np.int64))
+    np.testing.assert_array_equal(got_y.view(np.int64),
+                                  want[:, 1].view(np.int64))
+    # the inputs are left as they were
+    assert np.array_equal(x, [p[0] for p in points])
+
+
+def test_sl2z_reduction_raises_at_its_step_cap(monkeypatch):
+    # from y = 1e-300, x = sqrt 2 - 1 the reduction takes 205 steps; one
+    # point that needs more than the cap raises for the whole array
+    monkeypatch.setattr(eisenstein, "_REDUCTION_STEPS", 100)
+    with pytest.raises(ConvergenceError, match="did not end in 100 steps"):
+        eisenstein._sl2z_reduce(np.array([0.3, math.sqrt(2) - 1]),
+                                np.array([1.1, 1e-300]))
+    x, y = eisenstein._sl2z_reduce(np.array([0.3]), np.array([1e-20]))
+    assert y[0] >= math.sqrt(3) / 2 - 1e-12
+
+
 def test_at_point_keeps_the_lattice_guards():
     ev = EisensteinEvaluator(lat_q(0.3, 1.1))
     with pytest.raises(DegenerateLatticeError):
@@ -484,16 +535,22 @@ def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
         z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
     ev = EisensteinEvaluator(OFLattice(F, a, z, b))
     lo, hi, want = _brute_pairs(ev, reach, frac)
-    band = np.column_stack(ev._pair_data(lo, hi))
+
+    def triples(lo, hi):
+        # (arg, phase, ratio) of each pair; the evaluator has one node
+        *data, node = ev._pair_data(lo, hi)
+        assert not node.any()
+        return np.column_stack(data)
+
+    band = triples(lo, hi)
     assert band.shape == want.shape
     # rows whose rounded sort keys tie may be permuted; they differ by < 1e-9
     np.testing.assert_allclose(_sorted_triples(band, 9),
                                _sorted_triples(want, 9), rtol=1e-12, atol=1e-9)
     # the bands (0, lo] and (lo, hi] split the pairs of (0, hi] exactly; a
     # phase may differ in its last bit with the pair's position in the array
-    split = _sorted_triples(np.concatenate(
-        [np.column_stack(ev._pair_data(0.0, lo)), band]))
-    whole = _sorted_triples(np.column_stack(ev._pair_data(0.0, hi)))
+    split = _sorted_triples(np.concatenate([triples(0.0, lo), band]))
+    whole = _sorted_triples(triples(0.0, hi))
     np.testing.assert_array_equal(split[:, [0, 2]], whole[:, [0, 2]])
     np.testing.assert_allclose(split[:, 1], whole[:, 1], rtol=1e-14, atol=1e-14)
 

@@ -1,9 +1,11 @@
-import cmath
 import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
 from heckeis import eisenstein, numerics
@@ -210,13 +212,14 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
     # an integrand that is not periodic in log t converges only slowly under
     # the trapezoid rule, so with two halvings (8 -> 32 nodes per sign) it
     # must raise, as hecke_integral does, instead of returning the last
-    # estimate; the message says how far the quadrature got
+    # estimate; the message says how far the quadrature got.  Each level
+    # of nodes is one evaluator of array t
     class Oscillating:
         def __init__(self, t):
-            self.t = t
+            self.t = np.asarray(t)
 
         def ehat_expansion(self, s, tol):
-            return cmath.exp(50j * math.log(self.t))
+            return np.exp(50j * np.log(self.t))
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at",
                         lambda self, sign, t: Oscillating(t))
@@ -246,20 +249,21 @@ def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
     # exp(cos(2 pi log t / log eps0)) has period log eps0 in log t and
     # integrates to log eps0 * I_0(1) per sign; the trapezoid rule in log t
     # gets it to rounding with 32 nodes per sign and never evaluates a node
-    # twice
+    # twice.  Each level of nodes is one evaluator of arrays sign, t
     setup = HeckeSetup(make_field(d))
     period = math.log(setup.eps0)
     calls = []
 
     class Periodic:
         def __init__(self, t):
-            self.t = t
+            self.t = np.asarray(t)
 
         def ehat_expansion(self, s, tol):
-            return math.exp(math.cos(2 * math.pi * math.log(self.t) / period))
+            return np.exp(np.cos(2 * math.pi * np.log(self.t) / period))
 
     def evaluator_at(self, sign, t):
-        calls.append((sign, t))
+        sign, t = np.broadcast_arrays(sign, t)
+        calls.extend(zip(sign.tolist(), t.tolist()))
         return Periodic(t)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", evaluator_at)
@@ -379,3 +383,78 @@ def test_relative_klf_non_unit_presentation():
     out = relative_klf_check(_ideal_one_plus_sqrt23(), 1e-8)
     assert out["abs_error"] < 1e-5
     assert abs(out["lhs"] - out["lhs_hecke"]) < 1e-7
+
+
+def _setup_of(which):
+    if which == "1+sqrt23":
+        return _ideal_one_plus_sqrt23()
+    return HeckeSetup(make_field(which))
+
+
+def _sum_abs(*terms):
+    return sum(np.abs(t) for t in terms)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([2, 3, 5, 13, 19, 23, "1+sqrt23"]),
+       st.lists(st.tuples(st.sampled_from([1, -1]),
+                          st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=6))
+@example("1+sqrt23", [(1, 0.0), (-1, 0.999), (1, 0.5)])
+@example(19, [(-1, 0.97), (1, 0.9), (1, 0.2)])
+def test_batched_nodes_equal_the_nodes_one_at_a_time(which, nodes):
+    # a level of nodes is one evaluator of arrays (sign, t), t = eps0^u in
+    # [1, eps0); its values equal those of the evaluators of the single
+    # nodes up to the order of summation at real s, and within the node
+    # tol at complex s, where the Bessel integral runs at the tightest
+    # node's tol
+    setup = _setup_of(which)
+    signs = np.array([sign for sign, _ in nodes])
+    ts = setup.eps0 ** np.array([u for _, u in nodes])
+    tol = 1e-10
+    batch = setup.evaluator_at(signs, ts)
+    singles = [setup.evaluator_at(int(sign), float(t))
+               for sign, t in zip(signs, ts)]
+    assert batch.shape == ts.shape and batch.y_red.shape == ts.shape
+    for s in (2.0, 3.0, 0.3, 1.5 + 0.5j):
+        s = complex(s)
+        got = batch.ehat_expansion(s, tol)
+        assert got.shape == ts.shape
+        for g, ev in zip(got, singles):
+            if s.imag:
+                assert abs(g - ev.ehat_expansion(s, tol)) <= tol
+            else:
+                terms = (ev.term1(s, tol), ev.term2(s, tol),
+                         ev.term3(s, tol))
+                assert abs(g - ev.ehat_expansion(s, tol)) \
+                    <= 1e-14 * _sum_abs(*terms)
+    CF = c_F(Q)
+    for g_h, g_ct, ev in zip(batch.h_value(tol), batch.ct(tol), singles):
+        h = ev.h_value(tol)
+        log_ratio = math.log(ev.P / ev.P_red)
+        h_mass = 2 / CF * _sum_abs(ev.term1(1.0, tol), ev.term3(1.0, tol)) \
+            + abs(log_ratio)
+        assert abs(g_h - h) <= 1e-14 * h_mass
+        ct_mass = abs(ev.zeta_a.laurent_ct(tol)) \
+            + CF / 2 * (h_mass + abs(math.log(ev.P)))
+        assert abs(g_ct - ev.ct(tol)) <= 1e-14 * ct_mass
+
+
+@pytest.mark.parametrize("d, s, count", [(5, 2.0, 32), (19, 3.0, 256)])
+def test_hecke_integral_evaluates_a_pinned_set_of_nodes(monkeypatch, d, s,
+                                                        count):
+    # the number of distinct nodes (sign, t) of the nested trapezoid levels;
+    # evaluating a level as one batch leaves the levels as they were
+    seen = []
+    evaluator_at = HeckeSetup.evaluator_at
+
+    def counted(self, sign, t):
+        sign, t = np.broadcast_arrays(sign, t)
+        seen.extend(zip(sign.tolist(), t.tolist()))
+        return evaluator_at(self, sign, t)
+
+    monkeypatch.setattr(HeckeSetup, "evaluator_at", counted)
+    K = make_field(d)
+    got = hecke_integral(HeckeSetup(K), s, 1e-8)
+    assert abs(got - xi_K_oracle(K, s)) < 1e-6
+    assert len(set(seen)) == len(seen) == count

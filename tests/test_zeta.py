@@ -377,6 +377,23 @@ def test_xi_laurent_ct_rational():
     assert abs(neville_at_zero(hs, vals) - cz.laurent_ct()) < 1e-9
 
 
+def test_xi_laurent_ct_is_cached_per_tol(monkeypatch):
+    # a second call with the same tol sums no Phi again; another tol does
+    cz = CompletedZeta(Q, FracIdeal(Q, gen=Fraction(3)))
+    calls = []
+    phi = CompletedZeta.phi
+
+    def counted(self, s, side="primal", tol=1e-12):
+        calls.append((s, side, tol))
+        return phi(self, s, side, tol)
+
+    monkeypatch.setattr(CompletedZeta, "phi", counted)
+    first = cz.laurent_ct(1e-10)
+    assert len(calls) == 2
+    assert cz.laurent_ct(1e-10) == first and len(calls) == 2
+    assert abs(cz.laurent_ct(1e-12) - first) < 1e-9 and len(calls) == 4
+
+
 def test_xi_laurent_ct_gaussian():
     cz = completed_zeta(Fi, FracIdeal.unit_ideal(Fi))
     hs = [(1.0 + 10.0 ** (-k)) - 1.0 for k in range(2, 6)]
