@@ -4,10 +4,9 @@ formulas, and the integral representation of quadratic-extension zeta
 functions, with numerical certification utilities."""
 
 from .basefield import (FieldDescriptor, FracIdeal, QuadElement, dual_ideal,
-                        make_field, parse_field, unit_fundamental_domain_test)
+                        make_field, parse_field)
 from .dalgebra import DNumber, Quaternion, dnorm, psi_exponent, rho, rho_star
-from .eisenstein import (EisensteinEvaluator, functional_equation_check,
-                         h_function)
+from .eisenstein import EisensteinEvaluator
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError, HeckeisError, PoleError,
                      UnsupportedFieldError)
@@ -15,10 +14,10 @@ from .heckeint import (HeckeSetup, hecke_integral, hecke_laurent,
                        relative_klf_check, torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
 from .reports import VerificationReport, reports_to_json
-from .specialfun import b_F, bessel_k, gamma_F, upper_incomplete_gamma
+from .specialfun import bessel_k, gamma_F, upper_incomplete_gamma
 from .verify import run_suite
 from .zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                    dirichlet_l, hurwitz_zeta, partial_zeta_series,
-                   riemann_zeta, xi_laurent_ct, zeta_K, zeta_K_class)
+                   riemann_zeta, zeta_K, zeta_K_class)
 
 __version__ = "0.1.0"

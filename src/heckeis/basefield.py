@@ -127,19 +127,6 @@ class FieldDescriptor:
         # sqrt(4d) = 2*omega
         return QuadElement(self, Fraction(0), Fraction(2))
 
-    def roots_of_unity(self):
-        """All roots of unity as exact elements (imaginary quadratic / Q)."""
-        if self.kind == "quadratic" and self.d == -1:
-            return [QuadElement(self, Fraction(a), Fraction(b))
-                    for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
-        if self.kind == "quadratic" and self.d == -3:
-            return [QuadElement(self, Fraction(a), Fraction(b))
-                    for a, b in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))]
-        if self.kind == "quadratic":
-            return [QuadElement(self, Fraction(1), Fraction(0)),
-                    QuadElement(self, Fraction(-1), Fraction(0))]
-        return [Fraction(1), Fraction(-1)]
-
     def one(self) -> "QuadElement":
         return QuadElement(self, Fraction(1), Fraction(0))
 
@@ -475,10 +462,6 @@ class FracIdeal:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def principal(cls, field, gen):
-        return cls(field, gen=gen)
-
-    @classmethod
     def unit_ideal(cls, field):
         if field.is_rational:
             return cls(field, gen=1)
@@ -626,46 +609,3 @@ def dual_ideal(F: FieldDescriptor, a: FracIdeal) -> FracIdeal:
     if a.gen is not None:
         out.gen = (a.gen * F.different_generator()).inverse()
     return out
-
-
-def embeds_positive_first(x: QuadElement) -> bool:
-    """Exact test for x > 0 in the first embedding (positive sqrt d)."""
-    F = x.field
-    if F.omega_is_half:
-        p, q = x.a + x.b / 2, x.b / 2       # x = p + q sqrt(d)
-    else:
-        p, q = x.a, x.b
-    if q == 0:
-        return p > 0
-    if p == 0:
-        return q > 0
-    if p > 0 and q > 0:
-        return True
-    if p < 0 and q < 0:
-        return False
-    if q > 0:
-        return q * q * F.d > p * p
-    return p * p > q * q * F.d
-
-
-def unit_fundamental_domain_test(F: FieldDescriptor, alpha: QuadElement) -> bool:
-    """Orbit-representative predicate for the action of <-1, eps> on a real
-    quadratic field: true iff alpha > 0 in the first embedding and
-    1 <= |alpha/alpha'| < eps^2.  Exactly one associate of each orbit passes;
-    the boundary comparisons are exact (rational arithmetic), so associates
-    landing on |alpha/alpha'| = eps^2 are classified correctly.
-    """
-    if not F.is_real_quadratic:
-        raise UnsupportedFieldError("fundamental domain test needs a real quadratic field")
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    if not embeds_positive_first(alpha):
-        return False
-    # |a1/a2| >= 1 iff a1^2 - a2^2 >= 0 iff the omega coefficient of
-    # alpha^2 - conj(alpha^2) = b(alpha^2) sqrt(d) is nonnegative
-    sq = alpha * alpha
-    if sq.b < 0:
-        return False
-    # |a1/a2| < eps^2 iff emb1(alpha^2 - eps^4 conj(alpha^2)) < 0
-    gamma = sq - (F.fundamental_unit ** 4) * sq.conj()
-    return not embeds_positive_first(gamma) and not gamma.is_zero()

@@ -211,24 +211,3 @@ def rho_star(K: FieldDescriptor, z_components: Sequence, F: FieldDescriptor = No
     (zw,) = tuple(z_components) if isinstance(z_components, (list, tuple)) else (z_components,)
     t = (1 - 1j) * complex(zw)
     return DNumber.from_xy(F, t.real, t.imag)
-
-
-def gaussian_weight(z: DNumber) -> float:
-    """f(z) = prod_v exp(-n_v pi |z_v|^2), the Gaussian the Mellin transforms
-    are built from."""
-    s = 0.0
-    for c in z.components:
-        if isinstance(c, Quaternion):
-            s += 2.0 * c.abs2()
-        else:
-            s += abs(c) ** 2
-    return math.exp(-math.pi * s)
-
-
-def gaussian_weight_ext(K: FieldDescriptor, z_components) -> float:
-    """The Gaussian on K_R: prod_w exp(-n_w pi |z_w|^2)."""
-    if K.d > 0:
-        zw, zwp = z_components
-        return math.exp(-math.pi * (float(zw) ** 2 + float(zwp) ** 2))
-    (zw,) = tuple(z_components) if isinstance(z_components, (list, tuple)) else (z_components,)
-    return math.exp(-2.0 * math.pi * abs(complex(zw)) ** 2)

@@ -25,8 +25,9 @@ each other:
              e(Tr(x alpha beta*)) B_F(alpha y, beta*, s - 1/2),
 
   P = (N(a)/N(b)) |Ny|, over nonzero pairs in a x dual(b) modulo units
-  (the unit group is finite and acts freely, so the sum runs over all
-  pairs divided by w_F).  Valid for all s away from the poles.  The pair
+  (the unit group is finite and acts freely, and each term is even under
+  alpha -> -alpha, so the sum runs over one alpha of each +-pair and all
+  beta*, divided by w_F/2).  Valid for all s away from the poles.  The pair
   sum grows by bands of Bessel argument (L - 2, L], evaluating each pair
   once, stops when a band adds at most tol/10, and raises when tol/10 lies
   below its rounding floor eps * sum |term|.  It runs on a reduced
@@ -62,7 +63,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .basefield import FieldDescriptor, FracIdeal, dual_ideal
+from .basefield import FracIdeal, dual_ideal
 from .errors import ConvergenceError, DegenerateLatticeError, PoleError
 from .lattice import OFLattice, ball_points
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
@@ -303,16 +304,17 @@ class EisensteinEvaluator:
         # below decides the band edges, so adjacent bands partition the pairs
         cap = hi / c * (1 + 1e-9)
         reach = float(cap.max())
+        # one alpha of each pair +-alpha, and every beta*
         if self.F.is_rational:
-            # one representative alpha = a m (m >= 1) per unit orbit
             a, bs = self.na, self.nbstar
             k = np.arange(1, int(reach / (a * bs)) + 1, dtype=float)
-            alphas, betas = a * k, bs * np.concatenate([k, -k])
+            alphas, betas = a * k, bs * k
         else:
             Ma = _ideal_embedding_matrix(self.ideal_a)
             Mb = _ideal_embedding_matrix(self.bstar)
             alphas = _complex_points(Ma, reach / _min_abs(Mb))
             betas = _complex_points(Mb, reach / _min_abs(Ma))
+        betas = np.concatenate([betas, -betas])
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
         betas, babs = betas[order], babs[order]
@@ -346,10 +348,9 @@ class EisensteinEvaluator:
                             * self.zeta_a.value(2 * s - 1, tol))
 
     def term3(self, s: complex, tol: float = 1e-10):
-        # over Q the enumeration lists one representative per unit orbit
-        # (m > 0); over imaginary quadratic fields it lists all pairs, so the
-        # free unit action is divided out
-        orbit_div = 1 if self.F.is_rational else self.F.w
+        # the pairs list one alpha of each +-pair: the free action of the w
+        # units is divided out as w/2
+        orbit_div = self.F.w / 2
         # B_F carries a factor 2 pi at a complex place
         weight = (2 * math.pi) ** (self.n_v - 1)
         ny = np.ravel(self.ny)
@@ -650,36 +651,8 @@ def _min_abs(M: np.ndarray) -> float:
 
 
 def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:
-    """All nonzero points of the 2-d lattice with basis M and |point| <= r_max,
-    as complex numbers."""
+    """One of each pair +-point of the nonzero points of the 2-d lattice with
+    basis M and |point| <= r_max, as complex numbers."""
     pts = [complex(M[0, 0], M[1, 0]) * cs[0] + complex(M[0, 1], M[1, 1]) * cs[1]
            for _, cs in ball_points(M, r_max, coeffs=True)]
     return np.concatenate([np.zeros(0, dtype=complex), *pts])
-
-
-# ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def h_function(F: FieldDescriptor, z, ideal_a: FracIdeal, ideal_b: FracIdeal,
-               tol: float = 1e-10) -> float:
-    """h(z, a, b) for z given as a DNumber (or x + y j data via DNumber)."""
-    lat = OFLattice(F, ideal_a, z, ideal_b)
-    return EisensteinEvaluator(lat).h_value(tol)
-
-
-def functional_equation_check(lat: OFLattice, s: complex, tol: float = 1e-9):
-    """Compare Ehat(L, s) with Ehat(L*, 1-s), the dual side evaluated through
-    the lattice-sum route; returns a VerificationReport."""
-    import time
-
-    from .reports import VerificationReport
-    t0 = time.perf_counter()
-    ev = EisensteinEvaluator(lat)
-    lhs = ev.ehat(s, tol / 4)
-    rhs = EisensteinEvaluator(lat.dual()).ehat_lattice(1 - s, tol / 4)
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return VerificationReport(
-        command="functional-equation", field_label=lat.field.label,
-        parameters={"s": complex(s), "volume": lat.covolume, "tol": tol},
-        lhs=lhs, rhs=rhs, tolerance=tol, wall_time_ms=ms)

@@ -23,6 +23,8 @@ from .errors import DegenerateLatticeError, EnumerationCapError
 _REL_VOLUME_TOL = 1e-10
 # the cap on the size of the coefficient box a single enumeration may visit
 ENUM_POINT_CAP = 400_000_000
+# ball_points yields about this many points per array
+_CHUNK_POINTS = 4_000_000
 
 
 def _component_coords(c) -> np.ndarray:
@@ -134,18 +136,6 @@ class OFLattice:
         """Euclidean radius corresponding to the algebra norm bound."""
         return norm_bound if self.field.is_rational else math.sqrt(norm_bound)
 
-    def norms_from_euclid(self, r2: np.ndarray) -> np.ndarray:
-        """Algebra norms from squared Euclidean lengths."""
-        return np.sqrt(r2) if self.field.is_rational else r2
-
-    # -- volume ----------------------------------------------------------------
-
-    def volume(self) -> float:
-        """Covolume of D_F / Lambda; the closed form d_F N(a) N(b) |N(y)| when
-        pseudo-basis data is present (checked against the determinant at
-        construction)."""
-        return self.covolume
-
     # -- dual -------------------------------------------------------------------
 
     def form_matrix(self) -> np.ndarray:
@@ -173,15 +163,14 @@ class OFLattice:
                     inner_bound: float = 0.0) -> Iterator[np.ndarray]:
         """Yield arrays of algebra norms of the nonzero points with
         inner_bound < ||lambda|| <= norm_bound, one point of each pair
-        +-lambda (||-lambda|| = ||lambda||, so a sum over all nonzero points
-        is twice the sum over these; no other orbit grouping).  Consecutive
+        +-lambda as ball_points yields them (a sum over all nonzero points is
+        twice the sum over these; no other orbit grouping).  Consecutive
         shells (B0, B1], (B1, B2], ... yield each point exactly once."""
         # a norm scales like a squared length over imaginary fields and like
         # a length over Q, and the covolume like the square of either
         floor = 1e-12 * math.sqrt(self.covolume)
         for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
-                              r_min=self.euclid_radius(inner_bound),
-                              half=True):
+                              r_min=self.euclid_radius(inner_bound)):
             norms = np.sqrt(r2, out=r2) if self.field.is_rational else r2
             if float(norms.min()) < floor:
                 raise DegenerateLatticeError(
@@ -221,14 +210,14 @@ class OFLattice:
     def right_mul(self, c: DNumber) -> "OFLattice":
         return OFLattice(self.field, z_basis=[v * c for v in self._basis])
 
-    def contains_coeffs(self, other: "OFLattice", tol: float = 1e-9) -> bool:
+    def contains_coeffs(self, other: "OFLattice") -> bool:
         """Whether every basis vector of `other` has integral coordinates in
-        this lattice's basis."""
+        this lattice's basis, to within 1e-9."""
         C = self.Minv @ other.M
-        return bool(np.all(np.abs(C - np.round(C)) < tol))
+        return bool(np.all(np.abs(C - np.round(C)) < 1e-9))
 
-    def same_z_span(self, other: "OFLattice", tol: float = 1e-9) -> bool:
-        return self.contains_coeffs(other, tol) and other.contains_coeffs(self, tol)
+    def same_z_span(self, other: "OFLattice") -> bool:
+        return self.contains_coeffs(other) and other.contains_coeffs(self)
 
     def pseudo_normal_form(self):
         """For F = Q: (z', w2) with Lambda = (Z z' + Z) * w2 recovered from the
@@ -254,37 +243,36 @@ class OFLattice:
         return f"OFLattice({self.field.label}, Z-basis, V={self.covolume:.6g})"
 
 
-def ball_points(M: np.ndarray, r: float,
-                cap: Optional[int] = None, coeffs: bool = False,
-                chunk: int = 4_000_000, r_min: float = 0.0,
-                half: bool = False) -> Iterator:
+def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
+                r_min: float = 0.0) -> Iterator:
     """Enumerate the nonzero points M c (c integral) of the lattice with basis
-    columns M (dimension 2 or 4) in the Euclidean annulus r_min < |M c| <= r.
+    columns M (dimension 2 or 4) in the Euclidean annulus r_min < |M c| <= r,
+    one point of each pair +-c: the one whose first nonzero coefficient is
+    positive.  Every summand the library forms is even under c -> -c, so a
+    sum over all nonzero points is twice the sum over these.
 
-    Yields arrays of squared lengths, about `chunk` points at a time; with
-    coeffs=True yields pairs (squared lengths, integer coefficient columns of
-    shape (dim, n)).  Points come in lexicographic order of c.  Both radii
-    carry the same relative slack and a point's squared length does not
-    depend on the radii, so annuli (r0, r1], (r1, r2], ... split the ball
-    (0, rk] exactly.  With half=True only one point of each pair +-c is
-    yielded: the one whose first nonzero coefficient is positive.
+    Yields arrays of squared lengths, about _CHUNK_POINTS points at a time;
+    with coeffs=True yields pairs (squared lengths, integer coefficient
+    columns of shape (dim, n)).  Points come in lexicographic order of c.
+    Both radii carry the same relative slack and a point's squared length
+    does not depend on the radii, so annuli (r0, r1], (r1, r2], ... split
+    the half ball (0, rk] exactly.
 
     Every point of the ball has |c_i| <= ||row_i(M^-1)|| r; the size of that
-    box is checked against `cap` (EnumerationCapError; by default
-    ENUM_POINT_CAP), and the search stays inside it.  The search is
-    Fincke-Pohst's on M = Q L, L lower triangular: with t_i = (L c)_i,
-    |M c|^2 = sum t_i^2, and once c_0, ..., c_{i-1} are fixed,
-    t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i one integer interval.
-    The last coefficient runs over that interval minus the part inside r_min.
+    box is checked against ENUM_POINT_CAP (EnumerationCapError), and the
+    search stays inside it.  The search is Fincke-Pohst's on M = Q L, L
+    lower triangular: with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once
+    c_0, ..., c_{i-1} are fixed, t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i
+    one integer interval.  The last coefficient runs over that interval
+    minus the part inside r_min.
     """
     dim = M.shape[0]
     row_norms = np.linalg.norm(np.linalg.inv(M), axis=1)
     radii = np.floor(row_norms * r + 1e-9).astype(np.int64)
     total = math.prod(2 * int(k) + 1 for k in radii)
-    cap = ENUM_POINT_CAP if cap is None else cap
-    if total > cap:
-        raise EnumerationCapError(
-            f"enumeration box of {total} points exceeds the cap {cap}")
+    if total > ENUM_POINT_CAP:
+        raise EnumerationCapError(f"enumeration box of {total} points "
+                                  f"exceeds the cap {ENUM_POINT_CAP}")
     r2_max = r ** 2 * (1 + 1e-12)
     r2_min = r_min ** 2 * (1 + 1e-12)
     L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
@@ -302,15 +290,15 @@ def ball_points(M: np.ndarray, r: float,
     # One row per choice of c_0, ..., c_{i-1}: C holds them, u = L[i:, :i] C
     # and S is the sum of their t_j^2.  On any row but the zeros, the first
     # nonzero c_j gives t_j = L_jj c_j, so S > 0: S = 0 marks the row of
-    # zeros, and c = 0 is the only point of squared length 0, which the
+    # zeros, on which c_i starts at 0 so that the first nonzero coefficient
+    # is positive.  c = 0 is the only point of squared length 0, which the
     # final test drops.
     C = np.zeros((0, 1), dtype=np.int64)
     u = np.zeros((dim, 1))
     S = np.zeros(1)
     for i in range(dim):
         lo, hi = np.clip(span(i, u[0], S, r2_max, pad), -radii[i], radii[i])
-        if half:
-            lo[(S == 0) & (lo < 0)] = 0
+        lo[(S == 0) & (lo < 0)] = 0
         if i == dim - 1:
             break
         n = np.maximum(hi - lo + 1, 0)
@@ -342,6 +330,7 @@ def ball_points(M: np.ndarray, r: float,
         return (r2 if keep.all() else r2[keep]), cols
 
     ends = np.cumsum(counts)
+    chunk = _CHUNK_POINTS
     cuts = np.searchsorted(ends, np.arange(chunk, ends[-1] + chunk, chunk),
                            side="right")
     for start, stop in zip([0, *cuts[:-1]], cuts):

@@ -70,5 +70,5 @@ def _jsonable(obj):
     return str(obj)
 
 
-def reports_to_json(reports, indent: int = 2) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=indent)
+def reports_to_json(reports) -> str:
+    return json.dumps([r.to_json_dict() for r in reports], indent=2)

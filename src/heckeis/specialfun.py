@@ -1,6 +1,5 @@
 """Special functions: the Bessel-type integral K_s(x), the archimedean gamma
-factor of a field, the two-sided Gaussian transform B_F, and the upper
-incomplete gamma function of complex order.
+factor of a field, and the upper incomplete gamma function of complex order.
 
 K_s here is the integral
 
@@ -300,14 +299,14 @@ def gamma_F(F: FieldDescriptor, s: Complex) -> complex:
     return out
 
 
-def gamma_F_integral(F: FieldDescriptor, s: float, *, half_width: float = 9.0,
-                     step: float = 1e-3) -> float:
+def gamma_F_integral(F: FieldDescriptor, s: float) -> float:
     """Direct quadrature of the defining integral (real s > 0 only; test
-    oracle).  Radial substitution t = e^u."""
+    oracle).  Radial substitution t = e^u, steps of 1e-3 up to u = 9."""
     if s <= 0:
         raise ValueError("defining integral needs Re s > 0")
     drift = s if F.is_rational else 2.0 * s
-    u = np.arange(-(32.0 / drift + 2.0), half_width, step)
+    step = 1e-3
+    u = np.arange(-(32.0 / drift + 2.0), 9.0, step)
     t = np.exp(u)
     if F.is_rational:
         # 2 * int_0^oo exp(-pi t^2) t^s dt/t
@@ -315,42 +314,4 @@ def gamma_F_integral(F: FieldDescriptor, s: float, *, half_width: float = 9.0,
     else:
         # 4 pi int_0^oo exp(-2 pi r^2) r^(2 s) dr / r
         vals = 4.0 * math.pi * np.exp(-2 * math.pi * t ** 2) * t ** (2 * s)
-    return float(np.sum(vals) * step)
-
-
-# ---------------------------------------------------------------------------
-# the two-sided Gaussian transform
-
-
-def b_F(F: FieldDescriptor, a, b, s: Complex, tol: float = 1e-12) -> complex:
-    """B_F(a, b, s) = (2 pi)^r2 |N(b/a)|^s prod_v K_{n_v s}(n_v pi |a_v b_v|)
-    for invertible a, b in F_R (one component for the supported fields)."""
-    s = complex(s)
-    if F.is_rational:
-        aa, bb = abs(float(a)), abs(float(b))
-        if aa == 0 or bb == 0:
-            raise ValueError("components of a and b must be nonzero")
-        ratio = cmath.exp(s * math.log(bb / aa))
-        return ratio * bessel_k(s, math.pi * aa * bb, tol)
-    aa, bb = abs(complex(a)), abs(complex(b))
-    if aa == 0 or bb == 0:
-        raise ValueError("components of a and b must be nonzero")
-    ratio = cmath.exp(2 * s * math.log(bb / aa))
-    return 2 * math.pi * ratio * bessel_k(2 * s, 2 * math.pi * aa * bb, tol)
-
-
-def b_F_integral(F: FieldDescriptor, a, b, s: float, *, half_width: float = 10.0,
-                 step: float = 5e-4) -> float:
-    """Quadrature oracle for the defining integral of B_F (real s)."""
-    u = np.arange(-half_width, half_width, step)
-    t = np.exp(u)
-    if F.is_rational:
-        aa, bb = abs(float(a)), abs(float(b))
-        vals = 2.0 * np.exp(-math.pi * (t ** 2 * aa ** 2 + bb ** 2 / t ** 2)) \
-            * t ** (2 * s)
-    else:
-        aa, bb = abs(complex(a)), abs(complex(b))
-        vals = 4.0 * math.pi * np.exp(-2 * math.pi * (t ** 2 * aa ** 2
-                                                      + bb ** 2 / t ** 2)) \
-            * t ** (4 * s)
     return float(np.sum(vals) * step)

@@ -93,10 +93,10 @@ def _field_of(d) -> FieldDescriptor:
 # theta suite
 
 
-def checks_theta(seed: int = 7, n_pairs: int = 20) -> List[Check]:
+def checks_theta(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     checks = []
-    for i in range(n_pairs):
+    for i in range(20):
         F = _field_of(SUPPORTED_BASE_DS[i % len(SUPPORTED_BASE_DS)])
         lat = _random_lattice(rng, F)
         if F.is_rational:
@@ -125,12 +125,12 @@ def checks_theta(seed: int = 7, n_pairs: int = 20) -> List[Check]:
 # fourier suite
 
 
-def checks_fourier(seed: int = 7, per_field: int = 10) -> List[Check]:
+def checks_fourier(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     checks = []
     for d in SUPPORTED_BASE_DS:
         F = _field_of(d)
-        for i in range(per_field):
+        for i in range(10):
             lat = _random_lattice(rng, F)
             ev = EisensteinEvaluator(lat)
             checks.append(Check(

@@ -24,6 +24,7 @@ import cmath
 import math
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -46,6 +47,19 @@ _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
 # Euler-Maclaurin corrections
 _HURWITZ_TERMS = 28
 _HURWITZ_BERNOULLI_TERMS = 11
+
+
+def _bernoulli_coeffs():
+    """B_2k/(2k)! for k = 1, ..., _HURWITZ_BERNOULLI_TERMS as floats: the
+    float B_2k over the running float (2k)!."""
+    out, fact = [], 2.0
+    for k in range(1, _HURWITZ_BERNOULLI_TERMS + 1):
+        out.append(float(_BERNOULLI[k - 1]) / fact)
+        fact *= (2 * k + 1) * (2 * k + 2)
+    return tuple(out)
+
+
+_BERNOULLI_COEFFS = _bernoulli_coeffs()
 
 
 def c_F(F: FieldDescriptor) -> float:
@@ -102,9 +116,7 @@ def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
     # correction terms: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * Na^(-s-2k+1)
     poch = s
     dpoch = 1.0 + 0j          # derivative of the Pochhammer product
-    fact = 2.0                # (2k)! running value
-    for k in range(1, _HURWITZ_BERNOULLI_TERMS + 1):
-        c = float(_BERNOULLI[k - 1]) / fact
+    for k, c in enumerate(_BERNOULLI_COEFFS, start=1):
         u = cmath.exp((-s - 2 * k + 1) * lnNa)
         val += c * poch * u
         dval += c * (dpoch - lnNa * poch) * u
@@ -112,7 +124,6 @@ def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
         for j in (2 * k - 1, 2 * k):
             dpoch = dpoch * (s + j) + poch
             poch = poch * (s + j)
-        fact *= (2 * k + 1) * (2 * k + 2)
     if derivative:
         return val, dval
     return val
@@ -175,8 +186,10 @@ def dirichlet_l(s: complex, D: int, derivative: bool = False):
     return qs * val
 
 
+@lru_cache(maxsize=None)
 def class_number(K: FieldDescriptor) -> int:
-    """Class number from the analytic class number formula (desk scale)."""
+    """Class number from the analytic class number formula (desk scale);
+    computed once per field."""
     if K.kind != "quadratic":
         return 1
     D = K.discriminant
@@ -307,9 +320,10 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
     if F.is_imaginary_quadratic:
         n_ideal = float(ideal.absolute_norm())
         total = 0j
+        # one alpha of each +-pair: w/2 of them per unit orbit
         for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X)):
             total += _power_sum(n2, s)
-        total /= F.w
+        total *= 2 / F.w
         # integral tail: reps density ~ 2 pi / (w sqrt|D| N(ideal)) per unit norm
         dens = 2 * math.pi / (F.w * math.sqrt(abs(F.discriminant)) * n_ideal)
         corr = dens * cmath.exp((1 - s) * math.log(X)) / (s - 1)
@@ -325,7 +339,8 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
 def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
                                  s: complex, X: float):
     """Fundamental-domain sum for a real quadratic field: representatives
-    alpha with alpha_1 > 0 and eps^-1 <= |alpha_1/alpha_2| < eps, i.e.
+    alpha, one of each +-pair as ball_points yields them, with
+    eps^-1 <= |alpha_1/alpha_2| < eps, i.e.
     t = log|alpha_1/alpha_2| / (2R) in [-1/2, 1/2) (multiplying by eps moves
     t by 1).  t is snapped to the nearest half-integer within 1e-9, so the
     orbits on the edge (alpha/alpha' = +-eps when N(eps) = +1) count once.
@@ -343,8 +358,7 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
             t = np.log(np.abs(x1 / x2)) / (2 * K.regulator)
         half = np.round(2 * t) / 2
         t = np.where(np.abs(t - half) <= 1e-9, half, t)
-        keep = (x1 > 0) & (nrm > 0) & (nrm <= X * (1 + 1e-12)) \
-            & (t >= -0.5) & (t < 0.5)
+        keep = (nrm > 0) & (nrm <= X * (1 + 1e-12)) & (t >= -0.5) & (t < 0.5)
         vals = nrm[keep]
         total += _power_sum(vals, s)
     dens = 2 * K.regulator / (math.sqrt(K.discriminant) * n_ideal)
@@ -357,26 +371,6 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
 
 # ---------------------------------------------------------------------------
 # globally continued completed zeta
-
-
-def ideal_theta(F: FieldDescriptor, ideal: FracIdeal, t, tol: float = 1e-13) -> float:
-    """The Gaussian sum over an ideal in F_R (the lambda = 0 term included):
-    sum over alpha of prod_v exp(-n_v pi |t alpha_v|^2).
-
-    Satisfies the Poisson identity
-    theta(t, a) = V(a)^{-1} |N t|^{-1} theta(1/t, dual(a))."""
-    at = abs(t)
-    L = math.log(1.0 / tol) + 10.0
-    if F.is_rational:
-        a = float(ideal.absolute_norm())
-        m_max = int(math.sqrt(L / math.pi) / (a * at)) + 1
-        m = np.arange(1, m_max + 1, dtype=float)
-        return 1.0 + 2.0 * float(np.sum(np.exp(-math.pi * (at * a * m) ** 2)))
-    if not F.is_imaginary_quadratic:
-        raise UnsupportedFieldError("ideal theta needs Q or imaginary quadratic")
-    r_max = math.sqrt(L / (2 * math.pi)) / at
-    return 1.0 + sum(float(np.sum(np.exp(-2 * math.pi * at * at * n2)))
-                     for n2 in ball_points(_ideal_embedding_matrix(ideal), r_max))
 
 
 def gamma_lattice_sum(nu: complex, re_s: float,
@@ -424,9 +418,10 @@ def gamma_lattice_sum(nu: complex, re_s: float,
 
 def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
                      lo: float = 0.0) -> Iterable[np.ndarray]:
-    """Gaussian parameters in (lo, cut] of the nonzero elements of an ideal:
-    pi alpha^2 (Q, alpha = a m > 0) or 2 pi N(alpha).  Consecutive shells
-    (0, c0], (c0, c1], ... yield each parameter exactly once."""
+    """Gaussian parameters in (lo, cut] of the nonzero elements of an ideal,
+    one alpha of each +-pair: pi alpha^2 (Q, alpha = a m > 0) or
+    2 pi N(alpha).  Consecutive shells (0, c0], (c0, c1], ... yield each
+    parameter exactly once."""
     if F.is_rational:
         a = float(ideal.absolute_norm())
         m = np.arange(int(math.sqrt(lo / math.pi) / a) + 1,
@@ -484,10 +479,11 @@ class CompletedZeta:
         s = complex(s)
         ideal, V = (self.ideal, self.V) if side == "primal" \
             else (self.dual, self.Vdual)
-        # over Q one alpha = a m > 0 per unit orbit, at order s/2
+        # one alpha of each +-pair: over Q the one alpha = a m > 0 of each
+        # unit orbit, at order s/2; over an imaginary field w/2 per orbit
         rational = self.F.is_rational
         pref = cmath.exp(s * math.log(V)) \
-            * (1.0 if rational else 2 * math.pi / self.F.w)
+            * (1.0 if rational else 4 * math.pi / self.F.w)
         return pref * gamma_lattice_sum(
             s / 2 if rational else s, s.real,
             lambda lo, cut: _gaussian_params(self.F, ideal, cut, lo),
@@ -514,10 +510,6 @@ class CompletedZeta:
         self._value_cache[key] = out
         return out
 
-    def residue(self) -> float:
-        """Residue at s = 1 (equal to C_F for every ideal)."""
-        return self.CF
-
     def laurent_ct(self, tol: float = 1e-12) -> float:
         """Constant term of the Laurent expansion at s = 1; cached per tol
         next to the values."""
@@ -542,8 +534,3 @@ def completed_zeta(F: FieldDescriptor, ideal: FracIdeal) -> CompletedZeta:
         cz = CompletedZeta(F, ideal)
         _CZ_CACHE[key] = cz
     return cz
-
-
-def xi_laurent_ct(F: FieldDescriptor, ideal: FracIdeal) -> float:
-    """Constant term of xi(s, a) at s = 1."""
-    return completed_zeta(F, ideal).laurent_ct()

@@ -6,7 +6,6 @@ import pytest
 
 from heckeis.basefield import make_field
 from heckeis.dalgebra import (DNumber, Q_I, Q_J, Q_K, Q_ONE, Quaternion, dnorm,
-                              gaussian_weight, gaussian_weight_ext,
                               psi_exponent, rho, rho_star)
 from heckeis.errors import UnsupportedFieldError
 
@@ -126,18 +125,18 @@ def test_rho_measure_preserving():
 
 
 def test_gaussian_compatibility():
+    # rho carries the Gaussian of K_R, prod_w exp(-n_w pi |z_w|^2), to the
+    # Gaussian exp(-pi |z|^2) of D_Q = C: the exponents agree
     rng = random.Random(3)
     K5 = make_field(5)
     Ki = make_field(-1)
     for _ in range(1000):
         zw, zwp = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        g = gaussian_weight_ext(K5, (zw, zwp))
-        f = gaussian_weight(rho(K5, (zw, zwp)))
-        assert abs(f - g) <= 1e-12 * max(f, 1e-300)
+        (c,) = rho(K5, (zw, zwp)).components
+        assert abs(abs(c) ** 2 - (zw ** 2 + zwp ** 2)) <= 1e-12 * abs(c) ** 2
         zc = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        g2 = gaussian_weight_ext(Ki, (zc,))
-        f2 = gaussian_weight(rho(Ki, (zc,)))
-        assert abs(f2 - g2) <= 1e-12 * max(g2, 1e-300)
+        (c2,) = rho(Ki, (zc,)).components
+        assert abs(abs(c2) ** 2 - 2 * abs(zc) ** 2) <= 1e-12 * abs(c2) ** 2
 
 
 def test_rho_linear_over_rationals():

@@ -10,15 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from heckeis import eisenstein, numerics
+from heckeis import eisenstein, numerics, verify
 from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber, Quaternion
-from heckeis.eisenstein import EisensteinEvaluator, h_function
+from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import (ConvergenceError, DegenerateLatticeError,
                             EnumerationCapError, PoleError)
 from heckeis.lattice import OFLattice, ball_points
 from heckeis.numerics import neville_at_zero
-from heckeis.specialfun import gamma_F
+from heckeis.specialfun import bessel_k_batch, gamma_F
 from heckeis.zeta import _ideal_embedding_matrix
 
 Q = make_field("Q")
@@ -195,8 +195,9 @@ def test_functional_equation_generic_dual():
 
 
 def test_functional_equation_check_op():
-    from heckeis.eisenstein import functional_equation_check
-    rep = functional_equation_check(lat_q(0.3, 1.7), 1.8, 1e-9)
+    # a check of the fe suite: Ehat(L, s) against Ehat(L*, 1-s) by the
+    # lattice route, as a report
+    rep = verify.checks_fe(7)[0].run()
     assert rep.passed and rep.command == "functional-equation"
     d = rep.to_json_dict()
     assert d["pass"] and d["tolerance"] == 1e-9
@@ -396,7 +397,8 @@ def test_h_translation_and_inversion():
     # z + 1 and -1/z reduce to the point z reduces to, so the right side
     # comes from the lattice route on the given lattice of z
     def h_of(z):
-        return h_function(Q, DNumber.from_xy(Q, z.real, z.imag), ZZ, ZZ, 1e-11)
+        lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, z.real, z.imag), ZZ)
+        return EisensteinEvaluator(lat).h_value(1e-11)
 
     z = complex(0.3, 1.7)
     h_lat = EisensteinEvaluator(lat_q(z.real, z.imag)).h_lattice(1e-11)
@@ -456,7 +458,8 @@ def test_h_gl2_over_gaussian_integers():
     O = FracIdeal.unit_ideal(Fi)
 
     def h_of(zq):
-        return h_function(Fi, DNumber(Fi, (zq,)), O, O, 1e-11)
+        return EisensteinEvaluator(OFLattice(Fi, O, DNumber(Fi, (zq,)), O)) \
+            .h_value(1e-11)
 
     zq = Quaternion(0.2 - 0.3j, 1.1 + 0.4j)
     num = Quaternion(1 + 0j, 0j) * zq + Quaternion(1 + 0j, 0j)
@@ -481,9 +484,10 @@ def _box_points(M, r):
 
 def _brute_pairs(ev, reach, frac):
     """The band (lo, hi] with hi = reach c min|alpha| min|beta*|, c = n_v pi |y|,
-    and lo = frac hi, with the (arg, phase, ratio) of every pair in it, one
-    alpha at a time against the whole beta list; on the reduced presentation
-    (ideal_a, ideal_b, x_red, y_red) the expansion runs on."""
+    and lo = frac hi, with the (arg, phase, ratio) of every pair in it, both
+    of each +-alpha, one alpha at a time against the whole beta list; on the
+    reduced presentation (ideal_a, ideal_b, x_red, y_red) the expansion runs
+    on."""
     n_v = 1 if ev.F.is_rational else 2
     x, y = ev.x_red, ev.y_red
     c = n_v * math.pi * abs(y)
@@ -493,7 +497,7 @@ def _brute_pairs(ev, reach, frac):
     if ev.F.is_rational:
         a, bs = ev.na, float(ev.bstar.absolute_norm())
         k = np.arange(1, int(reach) + 2)
-        alphas, betas = a * k, bs * np.concatenate([k, -k])
+        alphas, betas = a * np.concatenate([k, -k]), bs * np.concatenate([k, -k])
         hi = reach * c * a * bs
     else:
         Ma = _ideal_embedding_matrix(ev.ideal_a)
@@ -543,9 +547,12 @@ def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
         return np.column_stack(data)
 
     band = triples(lo, hi)
-    assert band.shape == want.shape
+    # (alpha, beta*) and (-alpha, -beta*) have the same triple: the pairs
+    # returned, with their negatives, are the pairs of the band
+    both = np.concatenate([band, band])
+    assert both.shape == want.shape
     # rows whose rounded sort keys tie may be permuted; they differ by < 1e-9
-    np.testing.assert_allclose(_sorted_triples(band, 9),
+    np.testing.assert_allclose(_sorted_triples(both, 9),
                                _sorted_triples(want, 9), rtol=1e-12, atol=1e-9)
     # the bands (0, lo] and (lo, hi] split the pairs of (0, hi] exactly; a
     # phase may differ in its last bit with the pair's position in the array
@@ -575,6 +582,46 @@ def test_term3_evaluates_each_pair_once(monkeypatch):
     ev.term3(6.0, 1e-10)
     assert len(cutoffs) >= 2
     assert sum(seen) == pair_data(0.0, max(cutoffs))[0].size
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+@pytest.mark.parametrize("equal", [True, False])
+def test_term3_is_the_all_pairs_sum_over_w(d, equal, monkeypatch):
+    # term3 sums one alpha of each +-pair and divides by w/2: it equals the
+    # sum over all pairs (alpha, beta*) of its final band, divided by w
+    F = make_field(d)
+    O = FracIdeal.unit_ideal(F)
+    a = O if equal else FracIdeal(F, gen=QuadElement(F, Fraction(2), Fraction(0)))
+    z = DNumber(F, (Quaternion(0.3 + 0.2j, 0.8 + 0.4j),))
+    ev = EisensteinEvaluator(OFLattice(F, a, z, O))
+    s = 1.7
+    cutoffs, pair_data = [], ev._pair_data
+
+    def banded(lo, hi):
+        cutoffs.append(float(np.max(hi)))
+        return pair_data(lo, hi)
+
+    monkeypatch.setattr(ev, "_pair_data", banded)
+    got = ev.term3(s, 1e-10)
+    L = max(cutoffs)
+    x, y = ev.x_red, ev.y_red
+    c = 2 * math.pi * abs(y)
+    Ma = _ideal_embedding_matrix(ev.ideal_a)
+    Mb = _ideal_embedding_matrix(ev.bstar)
+    min_a, min_b = (np.abs(_box_points(
+        M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
+    alphas = _box_points(Ma, 1.01 * L / (c * min_b))
+    betas = _box_points(Mb, 1.01 * L / (c * min_a))
+    al, be = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
+    args = c * np.abs(al) * np.abs(be)
+    keep = args <= L
+    al, be, args = al[keep], be[keep], args[keep]
+    ratios = (np.abs(be) / (np.abs(al) * abs(y))) ** 2
+    pref = ev.Va ** s * ev.Vb ** (s - 1) * abs(y) ** (2 * s) / F.w
+    terms = pref * 2 * math.pi * ratios ** (s - 0.5) \
+        * bessel_k_batch(2 * (s - 0.5), args) \
+        * np.exp(2j * math.pi * 2 * (x * al * be).real)
+    assert abs(got - terms.sum()) <= 1e-14 * np.abs(terms).sum()
 
 
 def test_term3_raises_below_its_rounding_floor():
@@ -610,9 +657,11 @@ def _traced_direct(monkeypatch, lat, s, tol):
 
 
 def _ball_norms(lat, B):
-    """Norms of all nonzero points with ||lambda|| <= B, both of each +-pair."""
+    """Norms of all nonzero points with ||lambda|| <= B, both of each +-pair:
+    the half ball of ball_points, twice."""
     r2 = np.concatenate(list(ball_points(lat.M, lat.euclid_radius(B))))
-    return np.sort(lat.norms_from_euclid(r2))
+    norms = np.sqrt(r2) if lat.field.is_rational else r2
+    return np.sort(np.concatenate([norms, norms]))
 
 
 def _mp_smoothstep(x):

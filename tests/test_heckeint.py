@@ -63,10 +63,10 @@ def test_lift_norm_one():
 
 def test_volume_is_t_independent():
     setup = HeckeSetup(make_field(5))
-    v1 = setup.lattice_at(1, 1.0).volume()
+    v1 = setup.lattice_at(1, 1.0).covolume
     for t in (1.3, 2.0):
-        assert abs(setup.lattice_at(1, t).volume() - v1) < 1e-10
-        assert abs(setup.lattice_at(-1, t).volume() - v1) < 1e-10
+        assert abs(setup.lattice_at(1, t).covolume - v1) < 1e-10
+        assert abs(setup.lattice_at(-1, t).covolume - v1) < 1e-10
 
 
 def test_lattice_at_domain():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heckeis import lattice
 from heckeis.basefield import FracIdeal, make_field
 from heckeis.dalgebra import DNumber, Quaternion, dnorm, psi_exponent
 from heckeis.errors import DegenerateLatticeError, EnumerationCapError
@@ -27,22 +28,22 @@ def lat_quat(F, x, y, a=None, b=None):
 
 
 def test_volume_basic():
-    assert abs(lat_q(0.4, 1.3).volume() - 1.3) < 1e-12
+    assert abs(lat_q(0.4, 1.3).covolume - 1.3) < 1e-12
     # V(a z + b) = d_F N(a) N(b) |N(y)|
-    assert abs(lat_q(0.4, 1.3, a=2, b=3).volume() - 6 * 1.3) < 1e-12
+    assert abs(lat_q(0.4, 1.3, a=2, b=3).covolume - 6 * 1.3) < 1e-12
 
 
 def test_volume_scaling_law():
     # V(t Lambda) = ||t||^2 V(Lambda) for real t over Q
     lat = lat_q(0.3, 0.9)
     t = DNumber.from_xy(Q, 1.7, 0.0)
-    assert abs(lat.left_mul(t).volume() - 1.7 ** 2 * lat.volume()) < 1e-10
+    assert abs(lat.left_mul(t).covolume - 1.7 ** 2 * lat.covolume) < 1e-10
 
 
 def test_volume_quaternion_example():
     Fi = make_field(-1)
     lat = lat_quat(Fi, 0j, 1 + 0j)      # z = j
-    assert abs(lat.volume() - 4.0) < 1e-12
+    assert abs(lat.covolume - 4.0) < 1e-12
 
 
 def test_degenerate_rejected():
@@ -54,7 +55,7 @@ def test_dual_self_dual_square_lattice():
     lat = lat_q(0.0, 1.0)               # Z i + Z
     dual = lat.dual()
     assert lat.same_z_span(dual)
-    assert abs(dual.volume() - 1.0) < 1e-12
+    assert abs(dual.covolume - 1.0) < 1e-12
 
 
 def test_dual_volume_product_and_involution():
@@ -63,11 +64,11 @@ def test_dual_volume_product_and_involution():
         lat = lat_q(rng.uniform(-1, 1), rng.uniform(0.5, 2.0),
                     a=rng.choice([1, 2, 3]), b=rng.choice([1, 2]))
         dual = lat.dual()
-        assert abs(lat.volume() * dual.volume() - 1.0) < 1e-10
+        assert abs(lat.covolume * dual.covolume - 1.0) < 1e-10
         assert dual.dual().same_z_span(lat)
     Fi = make_field(-3)
     lat = lat_quat(Fi, 0.2 - 0.4j, 1.1 + 0.3j)
-    assert abs(lat.volume() * lat.dual().volume() - 1.0) < 1e-10
+    assert abs(lat.covolume * lat.dual().covolume - 1.0) < 1e-10
     assert lat.dual().dual().same_z_span(lat)
 
 
@@ -113,14 +114,14 @@ def test_theta_limit_and_transformation():
     assert abs(lat.theta(50.0) - 1.0) < 1e-12
     t = 1.3
     lhs = lat.theta(t)
-    rhs = lat.dual().theta(1.0 / t) / (lat.volume() * t ** 2)
+    rhs = lat.dual().theta(1.0 / t) / (lat.covolume * t ** 2)
     assert abs(lhs - rhs) < 1e-12
     # quaternionic component exercised
     Fi = make_field(-1)
     latq = lat_quat(Fi, 0.3 + 0.1j, 1.0 - 0.2j)
     tq = cmath.rect(1.2, 0.7)
     lhsq = latq.theta(tq)
-    rhsq = latq.dual().theta(1.0 / tq) / (latq.volume() * abs(tq) ** 4)
+    rhsq = latq.dual().theta(1.0 / tq) / (latq.covolume * abs(tq) ** 4)
     assert abs(lhsq - rhsq) < 1e-11
 
 
@@ -202,7 +203,7 @@ def _coeff_tuples(out, dim):
 
 
 @pytest.mark.parametrize("dim", [2, 4])
-def test_ball_points_match_brute_force(dim):
+def test_ball_points_match_brute_force(dim, monkeypatch):
     r = 2.5 if dim == 2 else 1.6
     # the identity basis has points of squared length 1, exactly the first
     # radius with its slack: only an exclusive inner bound counts them once
@@ -210,47 +211,50 @@ def test_ball_points_match_brute_force(dim):
     assert radii[0] ** 2 * (1 + 1e-12) == 1.0
     for k, M in enumerate(_random_bases(dim, 4, seed=dim) + [np.eye(dim)]):
         C_ref, r2_ref = _brute_ball(M, r)
+        full = sorted(map(tuple, C_ref.T.tolist()))
         for chunk in (4_000_000, 37):
-            out = list(ball_points(M, r, coeffs=True, chunk=chunk))
+            monkeypatch.setattr(lattice, "_CHUNK_POINTS", chunk)
+            out = list(ball_points(M, r, coeffs=True))
             r2 = np.concatenate([np.zeros(0)] + [a for a, _ in out])
             C = np.concatenate([np.zeros((dim, 0), dtype=np.int64)]
                                + [c for _, c in out], axis=1)
-            assert r2.size == r2_ref.size > 0, k
-            assert np.allclose(np.sort(r2), np.sort(r2_ref), rtol=1e-12, atol=0)
+            # one point of each +-pair: with its negatives, the whole ball
+            assert 2 * r2.size == r2_ref.size > 0, k
+            assert np.allclose(np.sort(np.concatenate([r2, r2])),
+                               np.sort(r2_ref), rtol=1e-12, atol=0)
             assert np.all(r2 > 0) and np.all(np.any(C != 0, axis=0))
             assert np.allclose(np.einsum("ij,ij->j", M @ C, M @ C), r2,
                                rtol=1e-12, atol=1e-12)
-            full = sorted(map(tuple, C.T.tolist()))
-            assert full == sorted(map(tuple, C_ref.T.tolist()))
-            plain = np.concatenate(list(ball_points(M, r, chunk=chunk)))
-            assert np.array_equal(plain, r2)
-            # half=True: one point of each +-pair, never zero
-            half = _coeff_tuples(ball_points(M, r, coeffs=True, chunk=chunk,
-                                             half=True), dim)
+            half = sorted(map(tuple, C.T.tolist()))
             neg = [tuple(-c for c in x) for x in half]
             assert (0,) * dim not in half
+            assert len(set(half)) == len(half), k
             assert not set(half) & set(neg), k
             assert sorted(half + neg) == full, k
+            plain = np.concatenate(list(ball_points(M, r)))
+            assert np.array_equal(plain, r2)
             # an inner radius below the shortest vector removes nothing
             below = 0.5 * math.sqrt(float(r2_ref.min()))
             assert _coeff_tuples(ball_points(
-                M, r, coeffs=True, chunk=chunk, r_min=below), dim) == full, k
-            # the shells (0, r1], (r1, r2], (r2, r] split the ball
-            for h, whole in ((False, full), (True, half)):
-                shells = []
-                for lo, hi in zip([0.0] + radii[:-1], radii):
-                    shells += _coeff_tuples(ball_points(
-                        M, hi, coeffs=True, chunk=chunk, r_min=lo, half=h), dim)
-                assert sorted(shells) == whole, (k, h)
+                M, r, coeffs=True, r_min=below), dim) == half, k
+            # the shells (0, r1], (r1, r2], (r2, r] split the half ball
+            shells = []
+            for lo, hi in zip([0.0] + radii[:-1], radii):
+                shells += _coeff_tuples(ball_points(
+                    M, hi, coeffs=True, r_min=lo), dim)
+            assert sorted(shells) == half, k
 
 
-def test_ball_points_cap():
+def test_ball_points_cap(monkeypatch):
     M = np.array([[1.0, 0.0], [0.999, 1e-3]])
-    assert len(np.concatenate(list(ball_points(M, 3.0, cap=10 ** 5)))) > 0
+    monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 10 ** 5)
+    assert len(np.concatenate(list(ball_points(M, 3.0)))) > 0
+    monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 10 ** 4)
     with pytest.raises(EnumerationCapError):
-        list(ball_points(M, 3.0, cap=10 ** 4))
+        list(ball_points(M, 3.0))
+    monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 21 ** 4 - 1)
     with pytest.raises(EnumerationCapError):
-        list(ball_points(np.eye(4), 10.0, cap=21 ** 4 - 1))
+        list(ball_points(np.eye(4), 10.0))
 
 
 def test_pseudo_normal_form_roundtrip():

@@ -12,9 +12,8 @@ from heckeis import numerics, specialfun
 from heckeis.basefield import make_field
 from heckeis.errors import ConvergenceError, PoleError
 from heckeis.numerics import nested_trapezoid
-from heckeis.specialfun import (b_F, b_F_integral, bessel_k, bessel_k_batch,
-                                gamma_F, gamma_F_integral,
-                                upper_incomplete_gamma)
+from heckeis.specialfun import (bessel_k, bessel_k_batch, gamma_F,
+                                gamma_F_integral, upper_incomplete_gamma)
 from heckeis.verify import run_suite
 
 Q = make_field("Q")
@@ -160,8 +159,6 @@ def test_real_orders_never_enter_the_trapezoid(monkeypatch):
     for nu in (-2.5, -0.2, 0.0, 1.0, 3.3, 1.5 + 0j):
         bessel_k_batch(nu, xs, 1e-14)
         bessel_k(nu, 0.8, 1e-14)
-    b_F(Q, 0.7, 1.9, 0.8)
-    b_F(Fi, 0.8 + 0.1j, 1.2 - 0.4j, 1.25)
     assert calls == []
     bessel_k_batch(0.5 + 0.1j, xs, 1e-14)
     assert calls == ["bessel trapezoid"]
@@ -327,7 +324,26 @@ def test_gamma_factor_pole():
 
 
 # ---------------------------------------------------------------------------
-# B_F
+# B_F, the two-sided Gaussian transform that term3 sums in Bessel form
+
+
+def b_F(F, a, b, s):
+    """B_F(a, b, s) = (2 pi)^r2 |N(b/a)|^s K_{n_v s}(n_v pi |a b|), the form
+    EisensteinEvaluator.term3 inlines (real a, b over Q, complex over Q(i))."""
+    n_v = 1 if F.is_rational else 2
+    ratio = (abs(b) / abs(a)) ** (n_v * s)
+    return (2 * math.pi) ** (n_v - 1) * ratio \
+        * bessel_k(n_v * s, n_v * math.pi * abs(a) * abs(b), 1e-14)
+
+
+def b_F_integral(F, a, b, s):
+    """Quadrature of the defining integral of B_F (real s), t = e^u."""
+    step = 5e-4
+    t = np.exp(np.arange(-10.0, 10.0, step))
+    n_v = 1 if F.is_rational else 2
+    vals = 2.0 * n_v * math.pi ** (n_v - 1) * t ** (2 * n_v * s) * np.exp(
+        -n_v * math.pi * (t ** 2 * abs(a) ** 2 + abs(b) ** 2 / t ** 2))
+    return float(np.sum(vals) * step)
 
 
 def test_b_f_closed_form_rational():
@@ -335,33 +351,11 @@ def test_b_f_closed_form_rational():
     assert abs(b_F(Q, 1.0, 1.0, 0.5) - math.exp(-2 * math.pi)) < 1e-14
 
 
-def test_b_f_symmetry():
-    # |N(a/b)|^s B(a,b,s) is symmetric in (a, b)
-    for F, a, b in [(Q, 0.7, 1.9), (Fi, 0.8 + 0.1j, 1.2 - 0.4j)]:
-        s = 0.8
-        na = abs(a) if F.is_rational else abs(a) ** 2
-        nb = abs(b) if F.is_rational else abs(b) ** 2
-        lhs = (na / nb) ** s * b_F(F, a, b, s)
-        rhs = (nb / na) ** s * b_F(F, b, a, s)
-        assert abs(lhs - rhs) < 1e-13
-
-
 @pytest.mark.parametrize("F,a,b", [(Q, 1.0, 1.0), (Q, 0.6, 1.4),
                                    (Fi, 1.0, 1.0), (Fi, 0.9, 1.1)])
 def test_b_f_vs_quadrature(F, a, b):
     for s in (0.5, 1.25):
         assert abs(b_F(F, a, b, s) - b_F_integral(F, a, b, s)) < 1e-8
-
-
-def test_b_f_gaussian_case_closed_form():
-    # over Q(i): B(1,1,1/2) = 2 pi K_1(2 pi)
-    want = 2 * math.pi * bessel_k(1.0, 2 * math.pi, 1e-14)
-    assert abs(b_F(Fi, 1.0, 1.0, 0.5) - want) < 1e-13
-
-
-def test_b_f_rejects_zero():
-    with pytest.raises(ValueError):
-        b_F(Q, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

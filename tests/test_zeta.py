@@ -15,7 +15,7 @@ from heckeis.lattice import OFLattice
 from heckeis.numerics import neville_at_zero
 from heckeis.zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                           dirichlet_l, gamma_lattice_sum, hurwitz_zeta,
-                          ideal_theta, kronecker_symbol, partial_zeta_series,
+                          kronecker_symbol, partial_zeta_series,
                           riemann_zeta, xi_K_laurent, zeta_K, zeta_K_class)
 
 Q = make_field("Q")
@@ -86,6 +86,18 @@ def test_class_numbers():
     assert class_number(make_field(2)) == 1
 
 
+def test_class_number_is_computed_once_per_field(monkeypatch):
+    # the oracles ask for it on every call; a second call sums no L(1, chi)
+    K = make_field(-23)
+    first = class_number(K)
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("dirichlet_l called again")
+
+    monkeypatch.setattr(zeta, "dirichlet_l", no_sum)
+    assert class_number(K) == first == 3
+
+
 # ---------------------------------------------------------------------------
 # partial zeta sums
 
@@ -97,6 +109,28 @@ def test_partial_zeta_rational():
     # value is independent of the ideal (scaling invariance)
     v2, _ = partial_zeta_series(Q, FracIdeal(Q, gen=Fraction(3, 2)), 2.0, 1e4)
     assert abs(v - v2) < 1e-12
+
+
+# partial_zeta_series(K, A, s, 2e4) from a sum over both points of each
+# +-pair, divided by w
+PINNED_PARTIAL_ZETA = [
+    (-1, None, 2.0, 1.506703018118186 + 0j),
+    (-1, None, 1.5 + 0.5j, 1.4768492038434282 - 0.7484275535465178j),
+    (-5, None, 2.0, 1.251211112797373 + 0j),
+    (-5, None, 1.5 + 0.5j, 1.1635194307925678 - 0.600368690298926j),
+    (-5, (2, 1, 1), 2.0, 0.6043458199144232 + 0j),
+    (-5, (2, 1, 1), 1.5 + 0.5j, 0.6386428445805852 - 0.7573254010051019j),
+    (5, None, 2.0, 1.1616711902035464 + 0j),
+    (5, None, 1.5 + 0.5j, 1.1113142154195053 - 0.3673897052048688j),
+]
+
+
+@pytest.mark.parametrize("d, hnf, s, want", PINNED_PARTIAL_ZETA)
+def test_partial_zeta_one_point_per_pair_keeps_the_values(d, hnf, s, want):
+    K = make_field(d)
+    A = FracIdeal.unit_ideal(K) if hnf is None else FracIdeal.from_hnf(K, *hnf)
+    v, _ = partial_zeta_series(K, A, s, 2e4)
+    assert abs(v - want) <= 1e-13 * abs(want)
 
 
 def test_partial_zeta_gaussian_field():
@@ -269,6 +303,15 @@ def test_gamma_lattice_sum_reports_how_far_it_got():
 
 # ---------------------------------------------------------------------------
 # ideal theta and duality
+
+
+def ideal_theta(F, ideal, t):
+    """sum over alpha in the ideal of prod_v exp(-n_v pi |t alpha_v|^2) (real
+    t), from the Gaussian parameters x = n_v pi |alpha|^2 that Phi sums, one
+    alpha of each +-pair: 1 + 2 sum exp(-t^2 x)."""
+    cut = (math.log(1e13) + 10.0) / (t * t)
+    return 1.0 + 2.0 * sum(float(np.sum(np.exp(-t * t * x)))
+                           for x in zeta._gaussian_params(F, ideal, cut))
 
 
 def test_ideal_theta_jacobi_value():
