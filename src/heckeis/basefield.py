@@ -596,11 +596,13 @@ def _ideal_hnf_from_gens(field, gens):
 # operations of the module surface
 
 
+@lru_cache(maxsize=512)
 def dual_ideal(F: FieldDescriptor, a: FracIdeal) -> FracIdeal:
     """The trace-dual ideal: the set of y with Tr(x*y) integral for all x in a.
 
     Equals (a * different)^{-1}; the pairing exp(2 pi i Tr(x y)) is trivial
-    exactly on a x dual(a).
+    exactly on a x dual(a).  Computed once per field and ideal (equal
+    ideals hash alike): the result is shared, and no caller may change it.
     """
     if F.is_rational:
         return FracIdeal(F, gen=1 / a.gen)

@@ -183,9 +183,10 @@ def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
 
 
 def cmd_eval_eisenstein(args) -> int:
+    # s first: a numeric failure's hint reads it again
+    s = parse_complex(args.s)
     F = parse_field(args.base_field, base=True)
     lat = parse_lattice(F, args.lattice)
-    s = parse_complex(args.s)
     ev = EisensteinEvaluator(lat)
     tol = args.tol
     from .specialfun import gamma_F
@@ -290,6 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _untried(args) -> list:
+    """What to try after a numeric failure: the eval-eisenstein routes not
+    yet tried (auto is the expansion, since a lattice given here always has
+    its pseudo-basis), direct only where Re s > 1.05, and a looser --tol."""
+    if not hasattr(args, "method"):
+        return ["a looser --tol"] if hasattr(args, "tol") else []
+    tried = "expansion" if args.method == "auto" else args.method
+    direct = parse_complex(args.s).real > 1.05
+    return [f"--method {m}" for m in ("expansion", "lattice", "direct")
+            if m != tried and (m != "direct" or direct)] + ["a looser --tol"]
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -303,8 +316,8 @@ def main(argv=None) -> int:
     except HeckeisError as exc:
         # before ValueError: several numeric failures also derive from it
         _log(f"numeric failure: {exc}")
-        if "expansion" not in str(exc):
-            _log("hint: try --method expansion (valid for all s) or a looser --tol")
+        if hints := _untried(args):
+            _log("hint: try " + " or ".join(hints))
         return EXIT_NUMERIC
     except (CliParseError, ValueError) as exc:
         _log(f"error: {exc}")

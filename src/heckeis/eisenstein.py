@@ -45,7 +45,8 @@ each other:
       Ehat = Psi(s, L) + Psi(1-s, L*) + C_F (V^(s-1)/(2s-2) - V^s/(2s)).
 
   Psi and xi's Phi (which the expansion route calls) are one sum,
-  zeta.gamma_lattice_sum; xi's check against the Euler-Maclaurin oracle
+  zeta.gamma_lattice_sum, enumerated once to the cutoff its proven tail
+  bound sets (DLMF §8.10); xi's check against the Euler-Maclaurin oracle
   covers it independently of this module.
 
 e_direct and ehat_lattice sum the given lattice.  The residue at s = 1 is
@@ -426,19 +427,18 @@ class EisensteinEvaluator:
         entire in s, Gaussian-fast."""
         s = complex(s)
         rational = self.F.is_rational
+        c = math.pi if rational else 2 * math.pi
 
-        def params(lo: float, cut: float):
+        def params(cut: float):
             if rational:
-                return (math.pi * n * n for n in lat.norm_chunks(
-                    math.sqrt(cut / math.pi), math.sqrt(lo / math.pi)))
-            return (2 * math.pi * n for n in lat.norm_chunks(
-                cut / (2 * math.pi), lo / (2 * math.pi)))
+                return (c * n * n for n in lat.norm_chunks(math.sqrt(cut / c)))
+            return (c * n for n in lat.norm_chunks(cut / c))
 
         # norm_chunks lists one point of each +-pair: the sum over all
         # nonzero points is twice the sum over those
         pref = _cpow(lat.covolume, s) * self.CF * (1.0 if rational else 2.0)
         return pref * gamma_lattice_sum(
-            s if rational else 2 * s, s.real, params, tol, abs(pref))
+            s if rational else 2 * s, lat.M, c, params, tol, abs(pref))
 
     def ehat_lattice(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the split Mellin integral; works from the

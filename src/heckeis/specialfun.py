@@ -70,7 +70,9 @@ def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
                 f"incomplete gamma continued fraction at order {s} did not "
                 f"converge: {idx.size} of {x.size} arguments unconverged "
                 f"after the cap of {_CF_MAX_ITER} iterations, worst "
-                f"|delta-1| {miss.max():.3g} >= tol {tol:.3g}")
+                f"|delta-1| {miss.max():.3g} >= tol {tol:.3g}",
+                cutoff=i, last_delta=float(miss.max()), tol=tol,
+                points=idx.size)
         i += 1
         an = -i * (i - s)
         b = b + 2.0
@@ -115,7 +117,9 @@ def _incgamma_series(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
                 f"incomplete gamma series at order {s} did not converge: "
                 f"{idx.size} of {x.size} arguments unconverged after the cap "
                 f"of {_SERIES_MAX_TERMS} terms, largest last term "
-                f"{np.abs(term).max():.3g} > tol {tol:.3g}")
+                f"{np.abs(term).max():.3g} > tol {tol:.3g}",
+                cutoff=n, last_delta=float(np.abs(term).max()), tol=tol,
+                points=idx.size)
         n += 1
         term = term * (xs / (s + n))
         total = total + term
@@ -184,7 +188,7 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 
     Arguments go through in blocks of _BLOCK.  Raises ValueError unless
     every x > 0, and ConvergenceError when the continued fraction or the
-    series reaches its cap.
+    series reaches its cap; its points are the arguments left unconverged.
     """
     s = complex(s)
     xa = np.asarray(x, dtype=float)

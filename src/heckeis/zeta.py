@@ -14,8 +14,9 @@ Two independent routes are kept deliberately separate:
   with exponentially convergent incomplete-gamma sums Phi is valid for all
   s (simple poles at 0 and 1 with residues -C_F, +C_F) and makes the
   functional equation xi(s, a) = xi(1-s, a*) manifest.  Phi is one call of
-  gamma_lattice_sum, the shell-by-shell incomplete-gamma lattice sum that
-  the lattice route of Ehat (eisenstein's Psi) shares.
+  gamma_lattice_sum, the incomplete-gamma lattice sum that the lattice
+  route of Ehat (eisenstein's Psi) shares, enumerated once to a cutoff its
+  proven tail bound sets (DLMF §8.10, a point count by covolume).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import numerics
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
-from .errors import ConvergenceError, PoleError, UnsupportedFieldError
+from .errors import PoleError, UnsupportedFieldError
 from .lattice import ball_points
 from .specialfun import upper_incomplete_gamma
 
@@ -373,63 +373,72 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
 # globally continued completed zeta
 
 
-def gamma_lattice_sum(nu: complex, re_s: float,
-                      params: Callable[[float, float], Iterable[np.ndarray]],
+def _tail_cutoff(a: float, M: np.ndarray, c: float, tol: float,
+                 scale: float) -> float:
+    """gamma_lattice_sum's cutoff at Re nu = a: the least X >= max(b, d) + 2
+    with scale * tail(X) <= tol/10, to within 1e-3."""
+    d = M.shape[0]
+    b = max(0.0, a - 1.0)
+    rho = 0.5 * float(np.linalg.norm(M, axis=0).sum())
+    K = math.pi ** (d / 2) / math.gamma(d / 2 + 1) \
+        / (2 * abs(np.linalg.det(M)))
+    log_scale = math.log(10 / tol) + math.log(max(scale, 1e-300))
+
+    def log_need(X):
+        # log(10 scale e^X tail(X) / tol): X suffices when this is <= X
+        q = 1 / (X - b) + 1 / (X - b) ** 2
+        return log_scale + math.log(q * K * sum(
+            math.comb(d, j) * rho ** (d - j) * (X / c) ** (j / 2)
+            / (1 - j / (2 * X)) for j in range(d + 1)))
+
+    # log(e^X tail(X)) grows with slope < 1/2 here, so this climbs to the
+    # least such X in a few steps
+    X = max(b, d) + 2.0
+    while log_need(X) > X:
+        X = log_need(X) + 1e-3
+    return X
+
+
+def gamma_lattice_sum(nu: complex, M: np.ndarray, c: float,
+                      params: Callable[[float], Iterable[np.ndarray]],
                       tol: float, scale: float) -> complex:
-    """Sum of x^(-nu) Gamma(nu, x) over the Gaussian parameters x of a lattice:
-    the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
+    """Sum of x^(-nu) Gamma(nu, x) over the parameters x = c |l|^2 of one
+    point l of each +-pair of the lattice with basis columns M (dimension
+    d): the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
 
-    `params(lo, hi)` yields arrays of the parameters in (lo, hi], so that
-    the shells (0, c0], (c0, c1], ... yield each parameter once; `scale` is
-    the magnitude of the caller's prefactor and `re_s` the real part of the
-    caller's s, which sets the starting cutoff.  The cutoff grows by +6 until
-    the new shell (cut, cut + 6] adds at most tol/10 after scaling; each step
-    evaluates Gamma on that shell only, one array call of
-    upper_incomplete_gamma per array that `params` yields.  The
-    ConvergenceError after 24 steps carries the final cutoff, the scaled
-    last shell, tol and the number of parameters summed."""
-    points = 0
-
-    def shell(lo: float, hi: float) -> complex:
-        nonlocal points
-        acc = 0j
-        for xs in params(lo, hi):
-            points += xs.size
-            gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
-            acc += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
-        return acc
-
-    cut = -math.log(min(tol, 0.5)) + numerics.TAIL_MARGIN \
-        + 4.0 * max(1.0, abs(re_s)) + 8.0
-    total = shell(0.0, cut)
-    for _ in range(24):
-        add = shell(cut, cut + 6.0)
-        total += add
-        cut += 6.0
-        last = scale * abs(add)
-        if last <= tol / 10.0:
-            return total
-    raise ConvergenceError(
-        f"incomplete-gamma lattice sum at order {nu} did not stabilize: the "
-        f"shell below cutoff {cut:g} added {last:.3g} "
-        f"> tol/10 = {tol / 10.0:.3g}",
-        cutoff=cut, last_delta=last, tol=tol, points=points)
+    `params(X)` yields arrays of the parameters in (0, X], one array call of
+    upper_incomplete_gamma each, and `scale` is the size of the caller's
+    prefactor.  X is the least cutoff with scale * tail(X) <= tol/10 for a
+    proven bound: with a = Re nu and b = max(0, a - 1), |x^(-nu) Gamma(nu,
+    x)| <= x^(-a) Gamma(a, x) <= h(x) = e^(-x)/(x - b) (DLMF §8.10); the
+    cells l + M[-1/2, 1/2)^d are disjoint and lie within rho = sum ||b_i||/2
+    of l, so at most K (sqrt(x/c) + rho)^d of the points have parameter
+    <= x, K = vol(B_1^d)/(2 |det M|); and summation by parts, with
+    -h'(x) <= q(X) e^(-x) on x >= X for q(X) = 1/(X - b) + 1/(X - b)^2, gives
+    tail(X) <= q(X) K e^(-X) sum_j C(d, j) rho^(d-j) (X/c)^(j/2)
+    / (1 - j/(2X)).
+    Too large a ball raises EnumerationCapError from ball_points before
+    anything is allocated."""
+    total = 0j
+    for xs in params(_tail_cutoff(nu.real, M, c, tol, scale)):
+        gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
+        total += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
+    return total
 
 
-def _gaussian_params(F: FieldDescriptor, ideal: FracIdeal, cut: float,
-                     lo: float = 0.0) -> Iterable[np.ndarray]:
-    """Gaussian parameters in (lo, cut] of the nonzero elements of an ideal,
-    one alpha of each +-pair: pi alpha^2 (Q, alpha = a m > 0) or
-    2 pi N(alpha).  Consecutive shells (0, c0], (c0, c1], ... yield each
-    parameter exactly once."""
+def _gaussian_lattice(F: FieldDescriptor, ideal: FracIdeal):
+    """(M, c, params) for gamma_lattice_sum over an ideal: its Gaussian
+    parameters are pi alpha^2 over Q (M = [[a]] for aZ) and 2 pi N(alpha)
+    over an imaginary field, and params(cut) yields those in (0, cut], one
+    alpha of each +-pair."""
     if F.is_rational:
+        # the points a m, m >= 1, without the set-up cost of ball_points
         a = float(ideal.absolute_norm())
-        m = np.arange(int(math.sqrt(lo / math.pi) / a) + 1,
-                      int(math.sqrt(cut / math.pi) / a) + 1, dtype=float)
-        return [math.pi * (a * m) ** 2]
-    return (2 * math.pi * n2 for n2 in ball_points(
-        _ideal_embedding_matrix(ideal), math.sqrt(cut / (2 * math.pi)),
-        r_min=math.sqrt(lo / (2 * math.pi))))
+        return np.array([[a]]), math.pi, lambda cut: [math.pi * (a * np.arange(
+            1, int(math.sqrt(cut / math.pi) / a) + 1, dtype=float)) ** 2]
+    M, c = _ideal_embedding_matrix(ideal), 2 * math.pi
+    return M, c, lambda cut: (c * r2 for r2 in ball_points(
+        M, math.sqrt(cut / c)))
 
 
 _POLE_RADIUS = 1e-8
@@ -484,10 +493,9 @@ class CompletedZeta:
         rational = self.F.is_rational
         pref = cmath.exp(s * math.log(V)) \
             * (1.0 if rational else 4 * math.pi / self.F.w)
-        return pref * gamma_lattice_sum(
-            s / 2 if rational else s, s.real,
-            lambda lo, cut: _gaussian_params(self.F, ideal, cut, lo),
-            tol, abs(pref))
+        return pref * gamma_lattice_sum(s / 2 if rational else s,
+                                        *_gaussian_lattice(self.F, ideal),
+                                        tol, abs(pref))
 
     # -- public surface --------------------------------------------------------------
 

@@ -3,8 +3,11 @@ import pathlib
 
 import pytest
 
+from heckeis import cli
 from heckeis.cli import (ENV_VAR, CliParseError, build_parser, default_tol,
                          main)
+from heckeis.eisenstein import EisensteinEvaluator
+from heckeis.errors import ConvergenceError
 from heckeis.reports import VerificationReport
 from heckeis.verify import run_suite
 
@@ -66,6 +69,53 @@ def test_direct_method_failure_exits_3(capsys):
         "--lattice", "1,0.0+1.0,1", "--s", "0.3", "--method", "direct")
     assert code == 3
     assert "expansion" in err
+
+
+def _fail(*args, **kwargs):
+    raise ConvergenceError("did not stabilize")
+
+
+def test_expansion_failure_hints_the_other_routes(capsys):
+    # on this skewed lattice the pair sum's rounding floor lies above tol
+    code, _, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q(sqrt-1)",
+        "--lattice", "1,0.3:0.2:0.05:0.0,1", "--s", "3", "--tol", "1e-10",
+        "--method", "expansion")
+    assert code == 3
+    assert err.splitlines()[-1] == (
+        "hint: try --method lattice or --method direct or a looser --tol")
+
+
+@pytest.mark.parametrize("method,s,hint", [
+    # Re s <= 1.05 lies outside the direct sum's domain
+    ("direct", "0.3", "--method expansion or --method lattice"),
+    ("auto", "3", "--method lattice or --method direct"),
+    ("auto", "1.05", "--method lattice"),
+    ("expansion", "0.3,2", "--method lattice"),
+    ("lattice", "2,1", "--method expansion or --method direct"),
+    ("lattice", "0.5", "--method expansion"),
+])
+def test_numeric_failure_hints_the_routes_not_tried(capsys, monkeypatch,
+                                                    method, s, hint):
+    monkeypatch.setattr(EisensteinEvaluator, "ehat_expansion", _fail)
+    monkeypatch.setattr(EisensteinEvaluator, "ehat_lattice", _fail)
+    code, _, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", "1,0.0+1.0,1", "--s", s, "--method", method)
+    assert code == 3
+    assert err.splitlines()[-1] == f"hint: try {hint} or a looser --tol"
+
+
+def test_numeric_failure_hints_without_routes(capsys, monkeypatch):
+    # limit-formula has no --method, only a --tol; verify has neither
+    monkeypatch.setattr(cli, "relative_klf_check", _fail)
+    code, _, err = run_cli(capsys, "limit-formula", "--K", "Q(sqrt5)")
+    assert code == 3
+    assert err.splitlines()[-1] == "hint: try a looser --tol"
+    monkeypatch.setattr(cli, "run_suite", _fail)
+    code, _, err = run_cli(capsys, "verify", "--suite", "theta")
+    assert code == 3
+    assert "hint" not in err
 
 
 def test_enumeration_cap_exits_3(capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeis import lattice
 from heckeis.basefield import FracIdeal, make_field
@@ -243,6 +245,24 @@ def test_ball_points_match_brute_force(dim, monkeypatch):
                 shells += _coeff_tuples(ball_points(
                     M, hi, coeffs=True, r_min=lo), dim)
             assert sorted(shells) == half, k
+
+
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       skew=st.floats(0.0, 3.0), radius=st.floats(0.1, 3.0))
+@settings(max_examples=60)
+def test_ball_points_count_against_covolume(dim, seed, skew, radius):
+    # the cells l + M [-1/2, 1/2)^dim are disjoint and lie within
+    # rho = sum |b_i| / 2 of l, so the half ball of radius R holds at most
+    # K (R + rho)^dim points, K = vol(B_1)/(2 |det M|)
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.3, 2.0, dim)) \
+        + skew * np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+    M = M @ np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    rho = 0.5 * float(np.linalg.norm(M, axis=0).sum())
+    K = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) \
+        / (2 * abs(np.linalg.det(M)))
+    count = sum(r2.size for r2 in ball_points(M, radius))
+    assert count <= K * (radius + rho) ** dim
 
 
 def test_ball_points_cap(monkeypatch):

@@ -235,6 +235,21 @@ def test_incgamma_tiny_arguments(s, x):
     assert abs(upper_incomplete_gamma(s, x) - want) < 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("cap,xs", [("_CF_MAX_ITER", [10.0, 20.0, 30.0]),
+                                     ("_SERIES_MAX_TERMS", [0.5, 1.0])])
+def test_incgamma_reports_how_far_it_got(cap, xs, monkeypatch):
+    # the continued fraction runs at x >= |s| + 1, the series below it; with
+    # the cap at 2 no argument converges
+    monkeypatch.setattr(specialfun, cap, 2)
+    with pytest.raises(ConvergenceError) as info:
+        upper_incomplete_gamma(1.5 + 0.5j, np.array(xs), tol=1e-14)
+    err = info.value
+    assert (err.cutoff, err.tol, err.points) == (2, 1e-14, len(xs))
+    assert f"{len(xs)} of {len(xs)} arguments unconverged" in str(err)
+    assert err.last_delta > 1e-14
+    assert f"{err.last_delta:.3g}" in str(err)
+
+
 def test_incgamma_empty_and_zero_d_inputs():
     empty = upper_incomplete_gamma(1 - 1.8j, np.zeros(0))
     assert empty.shape == (0,) and empty.dtype == complex

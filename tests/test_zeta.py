@@ -1,18 +1,22 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeis import eisenstein, zeta
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
-from heckeis.errors import ConvergenceError, PoleError, UnsupportedFieldError
-from heckeis.lattice import OFLattice
+from heckeis.errors import EnumerationCapError, PoleError, UnsupportedFieldError
+from heckeis.lattice import OFLattice, ball_points
 from heckeis.numerics import neville_at_zero
+from heckeis.specialfun import upper_incomplete_gamma
 from heckeis.zeta import (CompletedZeta, c_F, class_number, completed_zeta,
                           dirichlet_l, gamma_lattice_sum, hurwitz_zeta,
                           kronecker_symbol, partial_zeta_series,
@@ -210,7 +214,7 @@ def test_zeta_k_class_unsupported():
 def _phi_case(F=F3):
     ideal = FracIdeal.unit_ideal(F)
     return (lambda: CompletedZeta(F, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
-            lambda upto: zeta._gaussian_params(F, ideal, upto))
+            zeta._gaussian_lattice(F, ideal)[2])
 
 
 def _phi_q_case():
@@ -226,7 +230,7 @@ def _psi_case():
 
 @pytest.mark.parametrize("case", [_phi_case, _phi_q_case, _psi_case])
 def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
-    seen, yielded = [], []
+    seen, yielded, cutoffs = [], [], []
     gamma = zeta.upper_incomplete_gamma
     lattice_sum = zeta.gamma_lattice_sum
 
@@ -234,23 +238,25 @@ def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
         seen.extend(np.ravel(x))
         return gamma(nu, x, tol=tol)
 
-    def recorded(nu, re_s, params, *rest):
-        def shell_params(lo, hi):
-            for xs in params(lo, hi):
+    def recorded(nu, M, c, params, *rest):
+        def once(cut):
+            cutoffs.append(cut)
+            for xs in params(cut):
                 yielded.append(np.array(xs))
                 yield xs
-        return lattice_sum(nu, re_s, shell_params, *rest)
+        return lattice_sum(nu, M, c, once, *rest)
 
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
     monkeypatch.setattr(zeta, "gamma_lattice_sum", recorded)
     monkeypatch.setattr(eisenstein, "gamma_lattice_sum", recorded)
     run, params = case()
     run()
-    # every parameter up to the final cutoff is enumerated and evaluated
-    # exactly once, however many +6 extensions the cutoff took
-    upto = max(seen) * (1 + 1e-12)
+    # the sum enumerates once, in one params call, and evaluates every
+    # parameter up to its cutoff exactly once
+    assert len(cutoffs) == 1
+    upto = cutoffs[0]
     xs = np.sort(np.concatenate([np.zeros(0), *params(upto)]))
-    xs = xs[xs <= upto]
+    assert xs.size and xs[-1] <= upto
     for got in (seen, np.concatenate(yielded)):
         assert len(got) == xs.size
         np.testing.assert_allclose(np.sort(got), xs, rtol=1e-13)
@@ -264,16 +270,17 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
         calls.append(np.array(x))
         return gamma(nu, x, tol=tol)
 
-    def integers(lo, hi):
-        # each shell comes as two arrays; past (0, c0] the first is empty
-        ks = np.arange(math.floor(lo) + 1, math.floor(hi) + 1, dtype=float)
-        for xs in (ks[ks < 3.0], ks[ks >= 3.0]):
-            yielded.append(xs)
-            yield xs
+    def squares(cut):
+        # the parameters pi m^2 of Z come as two arrays
+        ms = np.arange(1, math.floor(math.sqrt(cut / math.pi)) + 1)
+        for m in (ms[ms < 3], ms[ms >= 3]):
+            yielded.append(math.pi * m * m)
+            yield yielded[-1]
 
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
-    got = gamma_lattice_sum(-1.5 + 0.4j, 0.5, integers, 1e-10, 1.0)
-    assert len(calls) == len(yielded) > 2
+    got = gamma_lattice_sum(-1.5 + 0.4j, np.eye(1), math.pi, squares, 1e-10,
+                            1.0)
+    assert len(calls) == len(yielded) == 2
     for x, xs in zip(calls, yielded):
         np.testing.assert_array_equal(x, xs)
     ks = np.concatenate(yielded)
@@ -281,24 +288,52 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
     assert abs(got - want) < 1e-13 * abs(want)
 
 
-def test_gamma_lattice_sum_reports_how_far_it_got():
-    # a prefactor of 1e300 keeps every shell above tol/10
-    def integers(lo, hi):
-        return [np.arange(math.floor(lo) + 1, math.floor(hi) + 1, dtype=float)]
+def test_gamma_lattice_sum_reports_how_far_it_got(monkeypatch):
+    # a prefactor of 1e300 on a fine lattice asks for a ball whose
+    # coefficient box holds about 1e17 points: EnumerationCapError names
+    # that box before anything is enumerated, evaluated or allocated
+    M, c = 1e-3 * np.eye(4), 2 * math.pi
 
-    with pytest.raises(ConvergenceError) as info:
-        gamma_lattice_sum(1.0, 1.0, integers, 1e-10, 1e300)
-    msg = str(info.value)
-    final = -math.log(1e-10) + 8.0 + 4.0 + 8.0 + 24 * 6.0
-    assert f"cutoff {final:g}" in msg
-    assert "tol/10 = 1e-11" in msg
-    last = 1e300 * sum(math.exp(-x) / x for x in range(182, 188))
-    assert f"added {last:.3g}" in msg
-    err = info.value
-    assert (err.cutoff, err.tol) == (final, 1e-10)
-    assert abs(err.last_delta - last) <= 1e-12 * last
-    # the integers 1, ..., 187 up to the final cutoff, each summed once
-    assert err.points == math.floor(final) == 187
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluated past the cap")
+
+    def params(cut):
+        return (c * r2 for r2 in ball_points(M, math.sqrt(cut / c)))
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", forbidden)
+    cut = zeta._tail_cutoff(1.0, M, c, 1e-10, 1e300)
+    side = 2 * math.floor(1e3 * math.sqrt(cut / c) + 1e-9) + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError) as info:
+            gamma_lattice_sum(1.0, M, c, params, 1e-10, 1e300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"enumeration box of {side ** 4} points" in str(info.value)
+    assert peak < 1 << 20
+
+
+@given(d=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       a=st.floats(-3.0, 6.0), t=st.floats(-60.0, 60.0),
+       log_scale=st.floats(-3.0, 6.0), log_tol=st.floats(-12.0, -6.0))
+@settings(max_examples=40)
+def test_gamma_lattice_sum_cutoff_bounds_its_tail(d, seed, a, t, log_scale,
+                                                  log_tol):
+    # the scaled sum over (X, X + 15] beyond the cutoff X, on a random skewed
+    # basis, is at most tol/10: the proven tail bound holds
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.5, 2.0, d)) \
+        + np.triu(rng.uniform(-2.0, 2.0, (d, d)), 1)
+    c = math.pi if d == 1 else float(rng.choice([math.pi, 2 * math.pi]))
+    nu, scale, tol = complex(a, t), 10.0 ** log_scale, 10.0 ** log_tol
+    X = zeta._tail_cutoff(a, M, c, tol, scale)
+    beyond = 0.0
+    for r2 in ball_points(M, math.sqrt((X + 15) / c), r_min=math.sqrt(X / c)):
+        x = c * r2
+        beyond += float(np.sum(np.abs(np.exp(-nu * np.log(x))
+                                      * upper_incomplete_gamma(nu, x))))
+    assert scale * beyond <= tol / 10
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +346,7 @@ def ideal_theta(F, ideal, t):
     alpha of each +-pair: 1 + 2 sum exp(-t^2 x)."""
     cut = (math.log(1e13) + 10.0) / (t * t)
     return 1.0 + 2.0 * sum(float(np.sum(np.exp(-t * t * x)))
-                           for x in zeta._gaussian_params(F, ideal, cut))
+                           for x in zeta._gaussian_lattice(F, ideal)[2](cut))
 
 
 def test_ideal_theta_jacobi_value():
