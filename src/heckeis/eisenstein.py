@@ -39,15 +39,14 @@ each other:
   pairs of all points still summing form one array, with one Bessel call
   per band.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
-  |N t| = 1 and Poisson-dualized; an exponentially convergent sum over the
-  points of the lattice and of its dual requiring only Z-lattice data
+  |N t| = 1 and Poisson-dualized, zeta.theta_split of the lattice and its
+  dual; an exponentially convergent sum requiring only Z-lattice data
 
       Ehat = Psi(s, L) + Psi(1-s, L*) + C_F (V^(s-1)/(2s-2) - V^s/(2s)).
 
-  Psi and xi's Phi (which the expansion route calls) are one sum,
-  zeta.gamma_lattice_sum, enumerated once to the cutoff its proven tail
-  bound sets (DLMF §8.10); xi's check against the Euler-Maclaurin oracle
-  covers it independently of this module.
+  xi (which the expansion route calls) is the same split of an ideal, so
+  xi's check against the Euler-Maclaurin oracle covers it independently
+  of this module.
 
 e_direct and ehat_lattice sum the given lattice.  The residue at s = 1 is
 C_F/2; the constant term is produced in closed form from the h function and
@@ -65,14 +64,13 @@ import numpy as np
 
 from . import numerics
 from .basefield import FracIdeal, dual_ideal
-from .errors import ConvergenceError, DegenerateLatticeError, PoleError
+from .errors import ConvergenceError, DegenerateLatticeError
 from .lattice import OFLattice, ball_points
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
 from .zeta import (_ideal_embedding_matrix, c_F, completed_zeta,
-                   gamma_lattice_sum)
+                   theta_split, theta_split_ct)
 
-_POLE_RADIUS = 1e-8
 
 
 def _cpow(base: float, s: complex) -> complex:
@@ -108,6 +106,8 @@ class EisensteinEvaluator:
             self.na = float(ideal_a.absolute_norm())
             self.nb = float(ideal_b.absolute_norm())
             self.nbstar = float(self.bstar.absolute_norm())
+            self.Ma = _ideal_embedding_matrix(ideal_a)
+            self.Mbstar = _ideal_embedding_matrix(self.bstar)
             disc = abs(F.discriminant)
             self.Va = math.sqrt(disc) * self.na
             self.Vb = math.sqrt(disc) * self.nb
@@ -311,10 +311,10 @@ class EisensteinEvaluator:
             k = np.arange(1, int(reach / (a * bs)) + 1, dtype=float)
             alphas, betas = a * k, bs * k
         else:
-            Ma = _ideal_embedding_matrix(self.ideal_a)
-            Mb = _ideal_embedding_matrix(self.bstar)
-            alphas = _complex_points(Ma, reach / _min_abs(Mb))
-            betas = _complex_points(Mb, reach / _min_abs(Ma))
+            # every ideal of these class-number-one fields is principal, so
+            # the least nonzero |alpha| in a is sqrt(N(a))
+            alphas = _complex_points(self.Ma, reach / math.sqrt(self.nbstar))
+            betas = _complex_points(self.Mbstar, reach / math.sqrt(self.na))
         betas = np.concatenate([betas, -betas])
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
@@ -422,37 +422,12 @@ class EisensteinEvaluator:
             self._dual = self.lattice.dual()
         return self._dual
 
-    def psi(self, s: complex, lat: OFLattice, tol: float) -> complex:
-        """Psi(s, L) = V^s C_F sum_{l != 0} int_{|Nt| >= 1} f(t l) |Nt|^{2s};
-        entire in s, Gaussian-fast."""
-        s = complex(s)
-        rational = self.F.is_rational
-        c = math.pi if rational else 2 * math.pi
-
-        def params(cut: float):
-            if rational:
-                return (c * n * n for n in lat.norm_chunks(math.sqrt(cut / c)))
-            return (c * n for n in lat.norm_chunks(cut / c))
-
-        # norm_chunks lists one point of each +-pair: the sum over all
-        # nonzero points is twice the sum over those
-        pref = _cpow(lat.covolume, s) * self.CF * (1.0 if rational else 2.0)
-        return pref * gamma_lattice_sum(
-            s if rational else 2 * s, lat.M, c, params, tol, abs(pref))
-
     def ehat_lattice(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the split Mellin integral; works from the
         Z-basis alone (any lattice, including duals), all s off the poles."""
-        s = complex(s)
-        if abs(s) < _POLE_RADIUS or abs(s - 1) < _POLE_RADIUS:
-            raise PoleError("Ehat has simple poles at s = 0, 1",
-                            location=s, residue=self.CF / 2)
-        V = self.lattice.covolume
-        lnV = math.log(V)
-        pole_part = self.CF * (cmath.exp((s - 1) * lnV) / (2 * s - 2)
-                               - cmath.exp(s * lnV) / (2 * s))
-        return self.psi(s, self.lattice, tol) \
-            + self.psi(1 - s, self.dual_lattice(), tol) + pole_part
+        dual = self.dual_lattice()
+        return theta_split(self.F, s, self.lattice.M, self.lattice.covolume,
+                           dual.M, dual.covolume, tol)
 
     # ------------------------------------------------------------------- shared
 
@@ -503,12 +478,10 @@ class EisensteinEvaluator:
 
     def ct_lattice(self, tol: float = 1e-10) -> float:
         """Constant term through the lattice path (independent bookkeeping):
-        Psi(1, L) + Psi(0, L*) + (C_F/2)(log V - V)."""
-        V = self.lattice.covolume
-        val = self.psi(1.0, self.lattice, tol) \
-            + self.psi(0.0, self.dual_lattice(), tol) \
-            + self.CF * (math.log(V) / 2 - V / 2)
-        return val.real
+        zeta.theta_split_ct of the lattice and its dual."""
+        dual = self.dual_lattice()
+        return theta_split_ct(self.F, self.lattice.M, self.lattice.covolume,
+                              dual.M, dual.covolume, tol)
 
     def h_lattice(self, tol: float = 1e-10) -> float:
         """h of the given presentation through the lattice path: ct_lattice
@@ -641,13 +614,6 @@ def _run_sums(values: np.ndarray, starts: np.ndarray,
     out = np.zeros(runs.size, values.dtype)
     out[runs] = np.add.reduceat(values, starts)
     return out
-
-
-def _min_abs(M: np.ndarray) -> float:
-    """Minimal |alpha| over nonzero points of the 2-d lattice with basis M
-    (the ball reaching the shorter basis vector holds a nonzero point)."""
-    r = float(np.linalg.norm(M, axis=0).min())
-    return math.sqrt(min(float(r2.min()) for r2 in ball_points(M, r)))
 
 
 def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:

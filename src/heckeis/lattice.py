@@ -246,7 +246,7 @@ class OFLattice:
 def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
                 r_min: float = 0.0) -> Iterator:
     """Enumerate the nonzero points M c (c integral) of the lattice with basis
-    columns M (dimension 2 or 4) in the Euclidean annulus r_min < |M c| <= r,
+    columns M (dimension 1, 2 or 4) with r_min < |M c| <= r (Euclidean),
     one point of each pair +-c: the one whose first nonzero coefficient is
     positive.  Every summand the library forms is even under c -> -c, so a
     sum over all nonzero points is twice the sum over these.
@@ -264,10 +264,11 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     lower triangular: with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once
     c_0, ..., c_{i-1} are fixed, t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i
     one integer interval.  The last coefficient runs over that interval
-    minus the part inside r_min.
+    minus the part inside r_min; in dimension 1, over 1 <= c <= r/|a|.
     """
     dim = M.shape[0]
-    row_norms = np.linalg.norm(np.linalg.inv(M), axis=1)
+    row_norms = (1 / np.abs(M[0]) if dim == 1
+                 else np.linalg.norm(np.linalg.inv(M), axis=1))
     radii = np.floor(row_norms * r + 1e-9).astype(np.int64)
     total = math.prod(2 * int(k) + 1 for k in radii)
     if total > ENUM_POINT_CAP:
@@ -275,6 +276,14 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
                                   f"exceeds the cap {ENUM_POINT_CAP}")
     r2_max = r ** 2 * (1 + 1e-12)
     r2_min = r_min ** 2 * (1 + 1e-12)
+    if dim == 1:
+        for lo in range(1, radii[0] + 1, _CHUNK_POINTS):
+            c = np.arange(lo, min(lo + _CHUNK_POINTS, radii[0] + 1))
+            r2 = (M[0, 0] * c) ** 2
+            keep = (r2 <= r2_max) & (r2 > r2_min)
+            if keep.any():
+                yield (r2[keep], c[None, keep]) if coeffs else r2[keep]
+        return
     L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
     L *= np.sign(np.diag(L))[:, None]
     # the intervals are widened by this allowance for rounding in t_i; the

@@ -5,18 +5,15 @@ Two independent routes are kept deliberately separate:
 * Dirichlet-series / Euler-Maclaurin evaluators (riemann_zeta, hurwitz_zeta,
   dirichlet_l, zeta_K) sharing no code with the lattice machinery; these act
   as oracles.
-* The globally continued completed zeta xi(s, a) of an ideal, realized by
-  splitting its Gaussian Mellin integral at |N t| = 1 and applying Poisson
-  summation to the inner part.  The result
-
-      xi(s, a) = Phi(s, a) + Phi(1-s, a*) + C_F (V^(s-1)/(s-1) - V^s / s)
-
-  with exponentially convergent incomplete-gamma sums Phi is valid for all
-  s (simple poles at 0 and 1 with residues -C_F, +C_F) and makes the
-  functional equation xi(s, a) = xi(1-s, a*) manifest.  Phi is one call of
-  gamma_lattice_sum, the incomplete-gamma lattice sum that the lattice
-  route of Ehat (eisenstein's Psi) shares, enumerated once to a cutoff its
-  proven tail bound sets (DLMF §8.10, a point count by covolume).
+* The globally continued completed zeta xi(s, a) of an ideal: theta_split,
+  Hecke's theta split of the Gaussian Mellin integral at |N t| = 1 with
+  Poisson summation on the inner part.  Its exponentially convergent
+  incomplete-gamma sums (gamma_lattice_sum, enumerated once to a cutoff
+  its proven tail bound sets, DLMF §8.10) make xi valid for all s (simple
+  poles at 0 and 1 with residues -C_F, +C_F) and the functional equation
+  xi(s, a) = xi(1-s, a*) manifest.  xi is the split of an ideal (rank 1
+  over Q, 2 over an imaginary field); the lattice route of Ehat
+  (eisenstein) is the split of an O_F-lattice (rank 2 or 4).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import math
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -256,8 +253,10 @@ def zeta_K_class(K: FieldDescriptor, ideal: Optional[FracIdeal], s: complex) -> 
 
 
 def _ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
-    """2x2 real matrix whose columns are the embedded Z-basis vectors."""
+    """Real matrix of the embedded Z-basis columns ([[a]] for aZ over Q)."""
     K = ideal.field
+    if K.is_rational:
+        return np.array([[float(ideal.gen)]])
     g1, g2 = ideal.z_basis()
     if K.is_imaginary_quadratic:
         w1, w2 = K.embed(g1, 0), K.embed(g2, 0)
@@ -399,14 +398,13 @@ def _tail_cutoff(a: float, M: np.ndarray, c: float, tol: float,
     return X
 
 
-def gamma_lattice_sum(nu: complex, M: np.ndarray, c: float,
-                      params: Callable[[float], Iterable[np.ndarray]],
-                      tol: float, scale: float) -> complex:
+def gamma_lattice_sum(nu: complex, M: np.ndarray, c: float, tol: float,
+                      scale: float) -> complex:
     """Sum of x^(-nu) Gamma(nu, x) over the parameters x = c |l|^2 of one
     point l of each +-pair of the lattice with basis columns M (dimension
-    d): the Riemann-split Mellin sum behind both xi's Phi and Ehat's Psi.
+    d): the Riemann-split Mellin sum S(nu; M) of theta_split.
 
-    `params(X)` yields arrays of the parameters in (0, X], one array call of
+    It sums the arrays ball_points yields up to X, one array call of
     upper_incomplete_gamma each, and `scale` is the size of the caller's
     prefactor.  X is the least cutoff with scale * tail(X) <= tol/10 for a
     proven bound: with a = Re nu and b = max(0, a - 1), |x^(-nu) Gamma(nu,
@@ -419,29 +417,63 @@ def gamma_lattice_sum(nu: complex, M: np.ndarray, c: float,
     / (1 - j/(2X)).
     Too large a ball raises EnumerationCapError from ball_points before
     anything is allocated."""
-    total = 0j
-    for xs in params(_tail_cutoff(nu.real, M, c, tol, scale)):
+    total, X = 0j, _tail_cutoff(nu.real, M, c, tol, scale)
+    for r2 in ball_points(M, math.sqrt(X / c)):
+        xs = c * r2
         gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
         total += complex(np.sum(np.exp(-nu * np.log(xs)) * gv))
     return total
 
 
-def _gaussian_lattice(F: FieldDescriptor, ideal: FracIdeal):
-    """(M, c, params) for gamma_lattice_sum over an ideal: its Gaussian
-    parameters are pi alpha^2 over Q (M = [[a]] for aZ) and 2 pi N(alpha)
-    over an imaginary field, and params(cut) yields those in (0, cut], one
-    alpha of each +-pair."""
-    if F.is_rational:
-        # the points a m, m >= 1, without the set-up cost of ball_points
-        a = float(ideal.absolute_norm())
-        return np.array([[a]]), math.pi, lambda cut: [math.pi * (a * np.arange(
-            1, int(math.sqrt(cut / math.pi) / a) + 1, dtype=float)) ** 2]
-    M, c = _ideal_embedding_matrix(ideal), 2 * math.pi
-    return M, c, lambda cut: (c * r2 for r2 in ball_points(
-        M, math.sqrt(cut / c)))
-
-
 _POLE_RADIUS = 1e-8
+
+
+def _theta_constants(F: FieldDescriptor) -> Tuple[float, float]:
+    """(A, c) = (C_F n_v, pi n_v); n_v is 1 over Q, 2 over imaginary F."""
+    n_v = 1 if F.is_rational else 2
+    return c_F(F) * n_v, math.pi * n_v
+
+
+def _theta_sums(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
+                M_dual: np.ndarray, V_dual: float, tol: float) -> complex:
+    """A V^s S(ds/2; M) + A V_dual^(1-s) S(d(1-s)/2; M_dual), S the
+    gamma_lattice_sum of the parameters x = c |l|^2."""
+    (A, c), total = _theta_constants(F), 0j
+    for t, L, W in ((s, M, V), (1 - s, M_dual, V_dual)):
+        pref = A * cmath.exp(t * math.log(W))
+        total += pref * gamma_lattice_sum(L.shape[0] * t / 2, L, c, tol,
+                                          abs(pref))
+    return total
+
+
+def theta_split(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
+                M_dual: np.ndarray, V_dual: float, tol: float) -> complex:
+    """Hecke's theta split over F of a lattice of rank d (basis columns M,
+    covolume V) and its dual (M_dual, V_dual): the Gaussian Mellin
+    integral split at |N t| = 1, its inner part Poisson-dualized,
+
+        A V^s S(ds/2; M) + A V_dual^(1-s) S(d(1-s)/2; M_dual)
+            + (A/d) (V^(s-1)/(s-1) - V^s/s),
+
+    xi(s, a) of an ideal (d = 1, 2), Ehat(L, s) of an O_F-lattice (d = 2,
+    4).  PoleError within _POLE_RADIUS of s = 0, 1, residues -A/d, A/d."""
+    s, d, A = complex(s), M.shape[0], _theta_constants(F)[0]
+    for pole, sign in ((0.0, -1), (1.0, 1)):
+        if abs(s - pole) < _POLE_RADIUS:
+            raise PoleError(f"simple pole at s = {pole:g}", location=pole,
+                            residue=sign * A / d)
+    lnV = math.log(V)
+    return _theta_sums(F, s, M, V, M_dual, V_dual, tol) + (A / d) * (
+        cmath.exp((s - 1) * lnV) / (s - 1) - cmath.exp(s * lnV) / s)
+
+
+def theta_split_ct(F: FieldDescriptor, M: np.ndarray, V: float,
+                   M_dual: np.ndarray, V_dual: float, tol: float) -> float:
+    """The constant term of theta_split at s = 1:
+    A V S(d/2; M) + A S(0; M_dual) + (A/d)(log V - V)."""
+    return (_theta_sums(F, 1.0 + 0j, M, V, M_dual, V_dual, tol)
+            + (_theta_constants(F)[0] / M.shape[0]) * (math.log(V) - V)).real
+
 
 # entries kept by each cache of completed-zeta evaluators and of their values
 _CACHE_SIZE = 512
@@ -475,61 +507,29 @@ class CompletedZeta:
         self.F = F
         self.ideal = ideal
         self.dual = dual_ideal(F, ideal)
-        self.CF = c_F(F)
         disc = abs(F.discriminant)
         self.V = math.sqrt(disc) * float(ideal.absolute_norm())
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
+        self.M = _ideal_embedding_matrix(ideal)
+        self.M_dual = _ideal_embedding_matrix(self.dual)
         self._value_cache = _LRUCache()
-
-    def phi(self, s: complex, side: str = "primal",
-            tol: float = 1e-12) -> complex:
-        """Phi(s, a) = V^s C_F sum_alpha' int_{|Nt|>=1} f(t alpha)|Nt|^s dt/t,
-        an entire function of s with Gaussian-fast convergence."""
-        s = complex(s)
-        ideal, V = (self.ideal, self.V) if side == "primal" \
-            else (self.dual, self.Vdual)
-        # one alpha of each +-pair: over Q the one alpha = a m > 0 of each
-        # unit orbit, at order s/2; over an imaginary field w/2 per orbit
-        rational = self.F.is_rational
-        pref = cmath.exp(s * math.log(V)) \
-            * (1.0 if rational else 4 * math.pi / self.F.w)
-        return pref * gamma_lattice_sum(s / 2 if rational else s,
-                                        *_gaussian_lattice(self.F, ideal),
-                                        tol, abs(pref))
-
-    # -- public surface --------------------------------------------------------------
 
     def value(self, s: complex, tol: float = 1e-12) -> complex:
         s = complex(s)
-        if abs(s) < _POLE_RADIUS:
-            raise PoleError("xi has a simple pole at s = 0", location=0.0,
-                            residue=-self.CF)
-        if abs(s - 1) < _POLE_RADIUS:
-            raise PoleError("xi has a simple pole at s = 1", location=1.0,
-                            residue=self.CF)
-        key = (s, tol)
-        hit = self._value_cache.get(key)
-        if hit is not None:
-            return hit
-        lnV = math.log(self.V)
-        pole_part = self.CF * (cmath.exp((s - 1) * lnV) / (s - 1)
-                               - cmath.exp(s * lnV) / s)
-        out = self.phi(s, "primal", tol) + self.phi(1 - s, "dual", tol) + pole_part
-        self._value_cache[key] = out
-        return out
+        return self._cached((s, tol), theta_split, self.F, s, self.M, self.V,
+                            self.M_dual, self.Vdual, tol)
 
     def laurent_ct(self, tol: float = 1e-12) -> float:
         """Constant term of the Laurent expansion at s = 1; cached per tol
         next to the values."""
-        key = ("laurent_ct", tol)
+        return self._cached(("laurent_ct", tol), theta_split_ct, self.F,
+                            self.M, self.V, self.M_dual, self.Vdual, tol)
+
+    def _cached(self, key, fn, *args):
         hit = self._value_cache.get(key)
-        if hit is not None:
-            return hit
-        lnV = math.log(self.V)
-        out = (self.phi(1.0, "primal", tol) + self.phi(0.0, "dual", tol)
-               + self.CF * (lnV - self.V)).real
-        self._value_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._value_cache[key] = fn(*args)
+        return hit
 
 
 _CZ_CACHE = _LRUCache()

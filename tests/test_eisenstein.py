@@ -504,6 +504,10 @@ def _brute_pairs(ev, reach, frac):
         Mb = _ideal_embedding_matrix(ev.bstar)
         min_a, min_b = (np.abs(_box_points(
             M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
+        # every ideal is principal: the least |alpha| in a is sqrt(N(a)), as
+        # _pair_data takes it (b* is never the unit ideal)
+        assert min_a == pytest.approx(math.sqrt(ev.na), rel=1e-12)
+        assert min_b == pytest.approx(math.sqrt(ev.nbstar), rel=1e-12)
         alphas = _box_points(Ma, 1.01 * reach * min_a)
         betas = _box_points(Mb, 1.01 * reach * min_b)
         hi = reach * c * min_a * min_b
@@ -610,6 +614,8 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal, monkeypatch):
     Mb = _ideal_embedding_matrix(ev.bstar)
     min_a, min_b = (np.abs(_box_points(
         M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
+    assert min_a == pytest.approx(math.sqrt(ev.na), rel=1e-12)
+    assert min_b == pytest.approx(math.sqrt(ev.nbstar), rel=1e-12)
     alphas = _box_points(Ma, 1.01 * L / (c * min_b))
     betas = _box_points(Mb, 1.01 * L / (c * min_a))
     al, be = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)

@@ -180,6 +180,9 @@ def _brute_ball(M, r):
 def _random_bases(dim, n, seed):
     rng = np.random.default_rng(seed)
     bases = [rng.normal(size=(dim, dim)) for _ in range(n)]
+    if dim == 1:
+        # negative a: one point of many arrays, one of a single pair
+        return bases + [np.array([[-0.01]]), np.array([[-1.9]])]
     # shears: nearly parallel columns, small covolume
     shear = np.eye(dim)
     shear[1, 0], shear[1, 1] = 0.999, 1e-3
@@ -204,9 +207,9 @@ def _coeff_tuples(out, dim):
     return sorted(map(tuple, C.T.tolist()))
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [1, 2, 4])
 def test_ball_points_match_brute_force(dim, monkeypatch):
-    r = 2.5 if dim == 2 else 1.6
+    r = 1.6 if dim == 4 else 2.5
     # the identity basis has points of squared length 1, exactly the first
     # radius with its slack: only an exclusive inner bound counts them once
     radii = [1.0 / math.sqrt(1 + 1e-12), (1.0 + r) / 2, r]
@@ -275,6 +278,13 @@ def test_ball_points_cap(monkeypatch):
     monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 21 ** 4 - 1)
     with pytest.raises(EnumerationCapError):
         list(ball_points(np.eye(4), 10.0))
+    # dimension 1: the box of |c| <= r/|a| = 3000
+    M = np.array([[-1e-3]])
+    monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 6001)
+    assert sum(r2.size for r2 in ball_points(M, 3.0)) == 3000
+    monkeypatch.setattr(lattice, "ENUM_POINT_CAP", 6000)
+    with pytest.raises(EnumerationCapError, match="box of 6001 points"):
+        list(ball_points(M, 3.0))
 
 
 def test_pseudo_normal_form_roundtrip():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeis import eisenstein, zeta
+from heckeis import lattice, zeta
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
-from heckeis.dalgebra import DNumber
+from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import EnumerationCapError, PoleError, UnsupportedFieldError
 from heckeis.lattice import OFLattice, ball_points
@@ -213,8 +213,7 @@ def test_zeta_k_class_unsupported():
 
 def _phi_case(F=F3):
     ideal = FracIdeal.unit_ideal(F)
-    return (lambda: CompletedZeta(F, ideal).phi(0.5 + 0.9j, "primal", 1e-10),
-            zeta._gaussian_lattice(F, ideal)[2])
+    return lambda: CompletedZeta(F, ideal).value(0.5 + 0.9j, 1e-10)
 
 
 def _phi_q_case():
@@ -223,64 +222,66 @@ def _phi_q_case():
 
 def _psi_case():
     lat = OFLattice(Q, ZZ, DNumber.from_xy(Q, 0.3, 1.7), ZZ)
-    return (lambda: EisensteinEvaluator(lat).psi(0.3, lat, 1e-10),
-            lambda upto: [math.pi * n * n for n in
-                          lat.norm_chunks(math.sqrt(upto / math.pi))])
+    return lambda: EisensteinEvaluator(lat).ehat_lattice(0.3, 1e-10)
 
 
 @pytest.mark.parametrize("case", [_phi_case, _phi_q_case, _psi_case])
 def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
-    seen, yielded, cutoffs = [], [], []
+    seen, sums = [], []
     gamma = zeta.upper_incomplete_gamma
-    lattice_sum = zeta.gamma_lattice_sum
+    lattice_sum, enumerate_ = zeta.gamma_lattice_sum, zeta.ball_points
 
     def counted(nu, x, tol):
         seen.extend(np.ravel(x))
         return gamma(nu, x, tol=tol)
 
-    def recorded(nu, M, c, params, *rest):
-        def once(cut):
-            cutoffs.append(cut)
-            for xs in params(cut):
-                yielded.append(np.array(xs))
-                yield xs
-        return lattice_sum(nu, M, c, once, *rest)
+    def recorded(nu, M, c, *rest):
+        sums.append((M, c, []))
+        return lattice_sum(nu, M, c, *rest)
+
+    def enumerated(M, r, *args, **kwargs):
+        sums[-1][2].append(r)
+        return enumerate_(M, r, *args, **kwargs)
 
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
     monkeypatch.setattr(zeta, "gamma_lattice_sum", recorded)
-    monkeypatch.setattr(eisenstein, "gamma_lattice_sum", recorded)
-    run, params = case()
-    run()
-    # the sum enumerates once, in one params call, and evaluates every
-    # parameter up to its cutoff exactly once
-    assert len(cutoffs) == 1
-    upto = cutoffs[0]
-    xs = np.sort(np.concatenate([np.zeros(0), *params(upto)]))
-    assert xs.size and xs[-1] <= upto
-    for got in (seen, np.concatenate(yielded)):
-        assert len(got) == xs.size
-        np.testing.assert_allclose(np.sort(got), xs, rtol=1e-13)
+    monkeypatch.setattr(zeta, "ball_points", enumerated)
+    case()()
+    # the value is two sums (the lattice and its dual); each enumerates
+    # once, in one ball_points call, and evaluates every parameter up to
+    # its cutoff exactly once
+    assert len(sums) == 2
+    want = []
+    for M, c, radii in sums:
+        assert len(radii) == 1
+        xs = c * np.concatenate([np.zeros(0), *enumerate_(M, radii[0])])
+        assert xs.size and xs.max() <= c * radii[0] ** 2 * (1 + 1e-12)
+        want.append(xs)
+    want = np.sort(np.concatenate(want))
+    assert len(seen) == want.size
+    np.testing.assert_allclose(np.sort(seen), want, rtol=1e-13)
 
 
 def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
     calls, yielded = [], []
     gamma = zeta.upper_incomplete_gamma
+    enumerate_ = zeta.ball_points
 
     def counted(nu, x, tol):
         calls.append(np.array(x))
         return gamma(nu, x, tol=tol)
 
-    def squares(cut):
-        # the parameters pi m^2 of Z come as two arrays
-        ms = np.arange(1, math.floor(math.sqrt(cut / math.pi)) + 1)
-        for m in (ms[ms < 3], ms[ms >= 3]):
-            yielded.append(math.pi * m * m)
-            yield yielded[-1]
+    def arrays(*args, **kwargs):
+        for r2 in enumerate_(*args, **kwargs):
+            yielded.append(math.pi * r2)
+            yield r2
 
+    # the parameters pi m^2 of Z come one array per point
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1)
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
-    got = gamma_lattice_sum(-1.5 + 0.4j, np.eye(1), math.pi, squares, 1e-10,
-                            1.0)
-    assert len(calls) == len(yielded) == 2
+    monkeypatch.setattr(zeta, "ball_points", arrays)
+    got = gamma_lattice_sum(-1.5 + 0.4j, np.eye(1), math.pi, 1e-10, 1.0)
+    assert len(calls) == len(yielded) >= 2
     for x, xs in zip(calls, yielded):
         np.testing.assert_array_equal(x, xs)
     ks = np.concatenate(yielded)
@@ -297,16 +298,13 @@ def test_gamma_lattice_sum_reports_how_far_it_got(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("evaluated past the cap")
 
-    def params(cut):
-        return (c * r2 for r2 in ball_points(M, math.sqrt(cut / c)))
-
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", forbidden)
     cut = zeta._tail_cutoff(1.0, M, c, 1e-10, 1e300)
     side = 2 * math.floor(1e3 * math.sqrt(cut / c) + 1e-9) + 1
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapError) as info:
-            gamma_lattice_sum(1.0, M, c, params, 1e-10, 1e300)
+            gamma_lattice_sum(1.0, M, c, 1e-10, 1e300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,11 +340,14 @@ def test_gamma_lattice_sum_cutoff_bounds_its_tail(d, seed, a, t, log_scale,
 
 def ideal_theta(F, ideal, t):
     """sum over alpha in the ideal of prod_v exp(-n_v pi |t alpha_v|^2) (real
-    t), from the Gaussian parameters x = n_v pi |alpha|^2 that Phi sums, one
-    alpha of each +-pair: 1 + 2 sum exp(-t^2 x)."""
+    t), from the Gaussian parameters x = n_v pi |alpha|^2 that theta_split
+    sums, one alpha of each +-pair: 1 + 2 sum exp(-t^2 x)."""
+    c = math.pi if F.is_rational else 2 * math.pi
     cut = (math.log(1e13) + 10.0) / (t * t)
-    return 1.0 + 2.0 * sum(float(np.sum(np.exp(-t * t * x)))
-                           for x in zeta._gaussian_lattice(F, ideal)[2](cut))
+    return 1.0 + 2.0 * sum(
+        float(np.sum(np.exp(-t * t * (c * r2))))
+        for r2 in ball_points(zeta._ideal_embedding_matrix(ideal),
+                              math.sqrt(cut / c)))
 
 
 def test_ideal_theta_jacobi_value():
@@ -446,6 +447,59 @@ def test_xi_pole_errors():
         cz.value(1e-9)
 
 
+@pytest.mark.parametrize("F", [Q, Fi])
+@pytest.mark.parametrize("s", [1e-9, 1 + 1e-9j])
+def test_theta_split_pole_errors_name_the_pole_and_its_residue(F, s):
+    # xi has residues -C_F, C_F at s = 0, 1 and Ehat -C_F/2, C_F/2
+    pole, sign = (0.0, -1) if abs(s) < 0.5 else (1.0, 1)
+    z = DNumber.from_xy(Q, 0.3, 1.7) if F.is_rational \
+        else DNumber(F, (Quaternion(0.3 + 0.2j, 0.8 + 0.4j),))
+    O = FracIdeal.unit_ideal(F)
+    ev = EisensteinEvaluator(OFLattice(F, O, z, O))
+    for run, residue in [(completed_zeta(F, O).value, c_F(F)),
+                         (ev.ehat_lattice, c_F(F) / 2)]:
+        with pytest.raises(PoleError) as info:
+            run(s)
+        assert info.value.location == pole
+        assert info.value.residue == pytest.approx(sign * residue, rel=1e-15)
+
+
+# xi(s, a) of an ideal, and Ehat(L, s) of the lattice a z + O_F at
+# s = 0.3 + 0.5j and 1.6 with its constant term at s = 1 through the
+# lattice route, each to 1e-13 relative
+PINNED_XI = [
+    (Q, FracIdeal(Q, gen=Fraction(3, 2)), 0.3 + 0.7j,
+     -1.2086044064688175 + 0.4925420064671889j),
+    (Q, ZZ, 2.5, 0.2907169104064716),
+    (Fi, FracIdeal(Fi, gen=QuadElement(Fi, Fraction(1), Fraction(1))),
+     1.7 - 0.4j, 0.982043582157309 + 0.7532713779039693j),
+    (F3, FracIdeal.unit_ideal(F3), -0.6 + 0.2j,
+     1.012766004457627 + 0.441607676526364j)]
+PINNED_LATTICE = [
+    (Q, 1, 0.3, 1.7, -0.7726613769738826 + 0.3947537606858601j,
+     0.6830433276965702, -0.35211469424213077),
+    (Fi, 1, 0.3 + 0.2j, 0.8 + 0.4j, -1.1473944987227875 + 0.6140984796727j,
+     1.1923271173599628, -0.4718558444748171),
+    (F3, 2, -0.1 + 0.4j, 1.1 - 0.3j,
+     0.4837563509344094 + 0.24995985269883758j, 3.794968637720501,
+     1.363934089610317)]
+
+
+def test_theta_split_values_are_pinned():
+    for F, ideal, s, want in PINNED_XI:
+        got = completed_zeta(F, ideal).value(s)
+        assert abs(got - want) <= 1e-13 * abs(want)
+    for F, gen, x, y, at_s, at_16, ct in PINNED_LATTICE:
+        z = DNumber.from_xy(F, x, y) if F.is_rational \
+            else DNumber(F, (Quaternion(x, y),))
+        ev = EisensteinEvaluator(OFLattice(
+            F, FracIdeal(F, gen=Fraction(gen)), z, FracIdeal.unit_ideal(F)))
+        for got, want in [(ev.ehat_lattice(0.3 + 0.5j), at_s),
+                          (ev.ehat_lattice(1.6), at_16),
+                          (ev.ct_lattice(), ct)]:
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_xi_laurent_ct_rational():
     cz = completed_zeta(Q, ZZ)
     assert abs(cz.laurent_ct() - CT_XI_Q) < 1e-12
@@ -456,20 +510,21 @@ def test_xi_laurent_ct_rational():
 
 
 def test_xi_laurent_ct_is_cached_per_tol(monkeypatch):
-    # a second call with the same tol sums no Phi again; another tol does
+    # a second call with the same tol sums no theta split again; another
+    # tol does
     cz = CompletedZeta(Q, FracIdeal(Q, gen=Fraction(3)))
     calls = []
-    phi = CompletedZeta.phi
+    split_ct = zeta.theta_split_ct
 
-    def counted(self, s, side="primal", tol=1e-12):
-        calls.append((s, side, tol))
-        return phi(self, s, side, tol)
+    def counted(*args):
+        calls.append(args)
+        return split_ct(*args)
 
-    monkeypatch.setattr(CompletedZeta, "phi", counted)
+    monkeypatch.setattr(zeta, "theta_split_ct", counted)
     first = cz.laurent_ct(1e-10)
-    assert len(calls) == 2
-    assert cz.laurent_ct(1e-10) == first and len(calls) == 2
-    assert abs(cz.laurent_ct(1e-12) - first) < 1e-9 and len(calls) == 4
+    assert len(calls) == 1
+    assert cz.laurent_ct(1e-10) == first and len(calls) == 1
+    assert abs(cz.laurent_ct(1e-12) - first) < 1e-9 and len(calls) == 2
 
 
 def test_xi_laurent_ct_gaussian():
@@ -507,8 +562,9 @@ def test_completed_zeta_cache_keys_on_the_ideal():
 
 
 def test_completed_zeta_caches_are_bounded_lru(monkeypatch):
-    # Phi is stubbed out: only the bookkeeping of the two caches is tested
-    monkeypatch.setattr(CompletedZeta, "phi", lambda self, s, side, tol: 0j)
+    # the theta split is stubbed out (a new object per call): only the
+    # bookkeeping of the two caches is tested
+    monkeypatch.setattr(zeta, "theta_split", lambda F, s, *rest: s + 0j)
     monkeypatch.setattr(zeta, "_CZ_CACHE", type(zeta._CZ_CACHE)())
     half = FracIdeal(Q, gen=Fraction(1, 2))
     size = zeta._CACHE_SIZE
