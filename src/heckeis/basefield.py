@@ -558,12 +558,6 @@ class FracIdeal:
         q, a, b, c = self.hnf
         return f"{q}*[{a}, {b}+{c}w] in {self.field.label}"
 
-    def key(self) -> str:
-        """Stable cache key."""
-        if self.field.is_rational:
-            return f"Q:{self.gen}"
-        return f"{self.field.label}:{self.hnf}"
-
 
 def _canonical_hnf(q, a, b, c):
     g = math.gcd(math.gcd(a, abs(b)), c)

@@ -9,6 +9,7 @@ eval-eisenstein; it must lie in [1e-14, 1e-4].
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -78,15 +79,18 @@ def default_tol() -> float:
 
 
 def parse_complex(s: str) -> complex:
-    """'2', '0.3,0.2' or '0.3+0.2' -> complex."""
+    """'2', '0.3,0.2' or '0.3+0.2' -> complex, with finite parts."""
     s = s.strip()
     if "," in s:
         re_, im_ = s.split(",", 1)
-        return complex(float(re_), float(im_))
-    m = _TWO_FLOATS.match(s)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    return complex(float(s), 0.0)
+        z = complex(float(re_), float(im_))
+    elif m := _TWO_FLOATS.match(s):
+        z = complex(float(m.group(1)), float(m.group(2)))
+    else:
+        z = complex(float(s), 0.0)
+    if not cmath.isfinite(z):
+        raise CliParseError(f"--s must be finite, got {s!r}")
+    return z
 
 
 def _parse_rational(tok: str) -> Fraction:
@@ -313,8 +317,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except HeckeisError as exc:
-        # before ValueError: several numeric failures also derive from it
+    except (HeckeisError, ArithmeticError) as exc:
+        # before ValueError: several numeric failures also derive from it;
+        # ArithmeticError: an overflow or a division by zero in the numerics
         _log(f"numeric failure: {exc}")
         if hints := _untried(args):
             _log("hint: try " + " or ".join(hints))

@@ -28,16 +28,15 @@ each other:
   (the unit group is finite and acts freely, and each term is even under
   alpha -> -alpha, so the sum runs over one alpha of each +-pair and all
   beta*, divided by w_F/2).  Valid for all s away from the poles.  The pair
-  sum grows by bands of Bessel argument (L - 2, L], evaluating each pair
-  once, stops when a band adds at most tol/10, and raises when tol/10 lies
+  sum runs once, up to the least Bessel argument X whose proven tail bound
+  (term3) puts the rest at or below tol/10, and raises when tol/10 lies
   below its rounding floor eps * sum |term|.  It runs on a reduced
   presentation of a scaled copy of the lattice, on which Ehat is the same:
   over Q, (N(a)/N(b)) z reduced under SL2(Z) with a = b = Z, so |y| >=
   sqrt(3)/2; over an imaginary field with a = b, O z + O.  An evaluator
   from at_point may hold arrays of points (the torus nodes of one
-  refinement level): each point keeps its own bands and tests, while the
-  pairs of all points still summing form one array, with one Bessel call
-  per band.
+  refinement level): each point keeps its own cutoff and tests, while the
+  pairs of all points form one array, with one Bessel call.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
   |N t| = 1 and Poisson-dualized, zeta.theta_split of the lattice and its
   dual; an exponentially convergent sum requiring only Z-lattice data
@@ -61,10 +60,12 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy.special import kve
 
 from . import numerics
 from .basefield import FracIdeal, dual_ideal
-from .errors import ConvergenceError, DegenerateLatticeError
+from .errors import (ConvergenceError, DegenerateLatticeError,
+                     EnumerationCapError)
 from .lattice import OFLattice, ball_points
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
@@ -290,55 +291,100 @@ class EisensteinEvaluator:
 
     # --------------------------------------------------------------- expansion
 
-    def _pair_data(self, lo, hi):
+    def _pair_data(self, hi):
         """Arrays describing, for each node, the pairs (alpha, beta*) whose
-        Bessel argument n_v pi |alpha y beta*| lies in that node's band
-        (lo, hi] (per-node arrays, or scalars for every node): (bessel
-        args, phase exponents Tr(x alpha beta*), norm ratios
-        |N(beta*/(alpha y))|, node indices into the flattened nodes), the
-        pairs of each node in one run, in node order."""
+        Bessel argument n_v pi |alpha y beta*| is at most that node's cutoff
+        hi (a per-node array, or a scalar for every node): (bessel args,
+        phase exponents Tr(x alpha beta*), norm ratios |N(beta*/(alpha y))|,
+        node indices into the flattened nodes), the pairs of each node in
+        one run, in node order."""
         n_v = self.n_v
         x_red, y_red = np.ravel(self.x_red), np.abs(np.ravel(self.y_red))
         c = n_v * math.pi * y_red
-        lo, hi = np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)
+        hi = np.broadcast_to(hi, c.shape)
         # the candidate lists carry slack: the test on the computed arguments
-        # below decides the band edges, so adjacent bands partition the pairs
+        # below decides the edge
         cap = hi / c * (1 + 1e-9)
         reach = float(cap.max())
-        # one alpha of each pair +-alpha, and every beta*
-        if self.F.is_rational:
-            a, bs = self.na, self.nbstar
-            k = np.arange(1, int(reach / (a * bs)) + 1, dtype=float)
-            alphas, betas = a * k, bs * k
-        else:
-            # every ideal of these class-number-one fields is principal, so
-            # the least nonzero |alpha| in a is sqrt(N(a))
-            alphas = _complex_points(self.Ma, reach / math.sqrt(self.nbstar))
-            betas = _complex_points(self.Mbstar, reach / math.sqrt(self.na))
+        # one alpha of each pair +-alpha, and every beta*; every ideal of
+        # these class-number-one fields is principal, so the least nonzero
+        # |alpha| in a is N(a)^(1/n_v)
+        alphas = _complex_points(self.Ma, reach / self.nbstar ** (1 / n_v))
+        betas = _complex_points(self.Mbstar, reach / self.na ** (1 / n_v))
         betas = np.concatenate([betas, -betas])
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
         betas, babs = betas[order], babs[order]
-        # per (node, alpha), the candidate betas (lo < c |alpha| |beta*| <= hi,
-        # up to the slack) are the index range [first, stop) of the sorted list
-        first = np.searchsorted(
-            babs, (lo / c * (1 - 1e-9))[:, None] / aabs, side="right").ravel()
-        stop = np.searchsorted(babs, cap[:, None] / aabs, side="right").ravel()
-        counts = stop - first
+        # per (node, alpha), the candidate betas (c |alpha| |beta*| <= hi, up
+        # to the slack) are the first `counts` of the sorted list
+        counts = np.searchsorted(babs, cap[:, None] / aabs, side="right").ravel()
+        if counts.sum() > _PAIR_CAP:
+            raise EnumerationCapError(
+                f"Bessel pair sum up to cutoff {float(hi.max()):g} needs "
+                f"{counts.sum()} candidate pairs, over the cap {_PAIR_CAP}")
         cell = np.repeat(np.arange(counts.size), counts)
-        ib = np.arange(counts.sum()) \
-            + np.repeat(first - np.cumsum(counts) + counts, counts)
+        ib = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
         # the factors that depend on the (node, alpha) cell only are formed
         # per cell and repeated or looked up per pair
         per_cell = alphas.size
         args = np.repeat((c[:, None] * aabs).ravel(), counts) * babs[ib]
-        keep = (args > np.repeat(np.repeat(lo, per_cell), counts)) \
-            & (args <= np.repeat(np.repeat(hi, per_cell), counts))
+        keep = args <= np.repeat(np.repeat(hi, per_cell), counts)
         cell, ib, args = cell[keep], ib[keep], args[keep]
         phases = n_v * ((x_red[:, None] * alphas).ravel()[cell]
                         * betas[ib]).real
         ratios = (babs[ib] / (aabs * y_red[:, None]).ravel()[cell]) ** n_v
         return args, phases, ratios, cell // per_cell
+
+    def _pair_cutoff(self, s: complex, scale, tol: float):
+        """Per node, the least X (to within 1e-3) with tail(X) <= tol/10,
+        and tail(X): a proven bound on scale * sum |r^(s-1/2) K_nu(x)| over
+        the pairs with x > X.  With a = n_v |Re s - 1/2| and alpha_min =
+        N(a)^(1/n_v), beta_min = N(b*)^(1/n_v) the least |alpha|, |beta*|:
+        |K_nu| <= K_a (|u^(nu-1)| = u^(Re nu - 1), K_(-a) = K_a); r^(Re s
+        - 1/2) <= (g x)^a, g = 1/(c |y| alpha_min^2) for Re s >= 1/2 and
+        |y|/(c beta_min^2) below; e^(2x) K_a(x) = int e^(-x (sqrt u -
+        1/sqrt u)^2) u^(a-1) du does not increase with x.  At most N(t) =
+        D (t/c)^n_v (1 + n_v log Q) pairs have x <= t, Q = t/(c alpha_min
+        beta_min) >= 1: over Q, #{m >= 1, k != 0 : m |k| <= Q} <=
+        2Q (1 + log Q); over an imaginary field at most pi (r + rho)^2/covol
+        <= p r^2 points have |l| <= r >= l_min (cells lie within rho =
+        sum |b_i|/2 of their points), p = pi (1 + rho/l_min)^2/covol, and
+        summing p_b (t/c)^2/|alpha|^2 over alpha by parts gives
+        D = p_a p_b/2.  As N(t) t^a grows at most like (t/X)^k, k = a + n_v
+        + n_v/(1 + n_v log Q(X)), summation by parts gives, for
+        X >= c alpha_min beta_min and X > k/2,
+        tail(X) <= scale (g X)^a K_a(X) 2 N(X)/(2 - k/X)."""
+        n_v = self.n_v
+        y = np.abs(np.ravel(self.y_red))
+        c = n_v * math.pi * y
+        a = n_v * abs(s.real - 0.5)
+        amin, bmin = self.na ** (1 / n_v), self.nbstar ** (1 / n_v)
+        g = 1 / (c * y * amin ** 2) if s.real >= 0.5 else y / (c * bmin ** 2)
+        dens = 2 / (amin * bmin) if n_v == 1 else math.prod(
+            math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
+            / abs(np.linalg.det(M))
+            for M, m in ((self.Ma, amin), (self.Mbstar, bmin))) / 2
+        x0 = c * amin * bmin
+        log_scale = np.log(10 / tol * np.maximum(scale, 1e-300))
+
+        def log_need(X):
+            # half of log(10 e^(2X) tail(X)/tol); K_a(X) = 2 kve(a, 2X) e^(-2X)
+            ln_q = np.log(X / x0)
+            count = dens * (X / c) ** n_v * (1 + n_v * ln_q)
+            k = a + n_v + n_v / (1 + n_v * ln_q)
+            return (log_scale + a * np.log(g * X) + np.log(2 * kve(a, 2 * X))
+                    + np.log(2 * count) - np.log(2 - k / X)) / 2
+
+        # X suffices when log_need(X) <= X, which grows like (a/2) log X:
+        # from the least X the bound holds at, this climbs in a few steps
+        X = np.maximum(x0, a / 2 + n_v + 0.5)
+        while True:
+            need = log_need(X)
+            grow = need > X
+            if not grow.any():
+                return X, tol / 10 * np.exp(2 * (need - X))
+            X = np.where(grow, need + 1e-3, X)
 
     def term1(self, s: complex, tol: float = 1e-12):
         return self._shaped(np.exp(s * np.log(self.P_red))
@@ -349,6 +395,15 @@ class EisensteinEvaluator:
                             * self.zeta_a.value(2 * s - 1, tol))
 
     def term3(self, s: complex, tol: float = 1e-10):
+        """The Bessel pair sum of the expansion: pref/(w/2) times the sum
+        over pairs (one alpha of each +-pair, every beta*) of weight
+        r^(s-1/2) K_nu(x) e(phase), x = c |alpha| |beta*|, c = n_v pi |y|,
+        r = |N(beta*/(alpha y))|, nu = n_v (s - 1/2), weight 2 pi at a
+        complex place.  Each node sums its pairs up to its _pair_cutoff X,
+        all nodes in one _pair_data and one Bessel call.  It raises
+        ConvergenceError when a node's rounding floor eps * |pref|/(w/2) *
+        sum |term| exceeds tol/10, naming that node's X, tail(X) as
+        last_delta, tol and its pairs."""
         # the pairs list one alpha of each +-pair: the free action of the w
         # units is divided out as w/2
         orbit_div = self.F.w / 2
@@ -359,53 +414,28 @@ class EisensteinEvaluator:
         pref = _cpow(self.Va, s) * _cpow(self.Vb, s - 1) \
             * np.exp(s * np.log(ny))
         scale = np.abs(pref) / orbit_div
-        pair_tol = tol / np.maximum(scale, 1e-8)
-        # each node sums its own bands: the first is (0, L], each later one
-        # (L - 2, L].  A node stops when its pairs in (L - 2, L] add at most
-        # tol/10; the sum raises once a node's rounding floor exceeds tol/10,
-        # naming that node's cutoff, last band's size, tol and pairs
-        # evaluated.  The pairs of all nodes still summing make one array
-        # and one Bessel call per band
-        lo, L = np.zeros(n), -np.log(np.minimum(pair_tol, 0.1)) + 5.0 + 2.0
-        total, mass = np.zeros(n, complex), np.zeros(n)
-        points = np.zeros(n, int)
-        active = np.ones(n, bool)
-        for _ in range(12):
-            # a node that has stopped gets the empty band (L, L]
-            args, phases, ratios, node = self._pair_data(
-                np.where(active, lo, L), L)
-            counts = np.bincount(node, minlength=n)
-            points += counts
-            runs = counts > 0
-            starts = (np.cumsum(counts) - counts)[runs]
-            kv = bessel_k_batch(self.n_v * (s - 0.5), args,
-                                tol=float(pair_tol[active].min()) / 50)
-            terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
-                * np.exp(2j * math.pi * phases)
-            total += _run_sums(terms, starts, runs)
-            mass += _run_sums(np.abs(terms), starts, runs)
-            top = args > np.repeat(L - 2.0, counts)
-            added = scale * np.abs(
-                _run_sums(np.where(top, terms, 0), starts, runs))
-            floor = np.finfo(float).eps * mass * scale
-            below = active & (floor > tol / 10)
-            if below.any():
-                i = int(np.argmax(below))
-                raise ConvergenceError(
-                    f"Bessel pair sum at cutoff L = {L[i]:g} lies below its "
-                    f"rounding floor: eps*sum|term| = {floor[i]:.3g} > "
-                    f"tol/10 = {tol / 10:.3g}", cutoff=float(L[i]),
-                    last_delta=float(added[i]), tol=tol, points=int(points[i]))
-            active &= ~(added <= tol / 10)
-            if not active.any():
-                return self._shaped(pref * total / orbit_div)
-            lo, L = np.where(active, L, lo), np.where(active, L + 2.0, L)
-        i = int(np.argmax(active))
-        raise ConvergenceError(
-            f"Bessel pair sum did not stabilize at cutoff L = {lo[i]:g}: the "
-            f"band ({lo[i] - 2:g}, {lo[i]:g}] added {added[i]:.3g} > "
-            f"tol/10 = {tol / 10:.3g}", cutoff=float(lo[i]),
-            last_delta=float(added[i]), tol=tol, points=int(points[i]))
+        X, tail = self._pair_cutoff(s, scale * weight, tol)
+        args, phases, ratios, node = self._pair_data(X)
+        kv = bessel_k_batch(self.n_v * (s - 0.5), args,
+                            tol=float(tol / np.max(np.maximum(scale, 1e-8)))
+                            / 50)
+        terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
+            * np.exp(2j * math.pi * phases)
+        total = np.bincount(node, terms.real, n) \
+            + 1j * np.bincount(node, terms.imag, n)
+        floor = np.finfo(float).eps * scale \
+            * np.bincount(node, np.abs(terms), n)
+        # a NaN floor (terms past the range of doubles) raises too
+        below = ~(floor <= tol / 10)
+        if below.any():
+            i = int(np.argmax(below))
+            raise ConvergenceError(
+                f"Bessel pair sum at cutoff X = {X[i]:g} lies below its "
+                f"rounding floor: eps*sum|term| = {floor[i]:.3g} > "
+                f"tol/10 = {tol / 10:.3g}", cutoff=float(X[i]),
+                last_delta=float(tail[i]), tol=tol,
+                points=int(np.count_nonzero(node == i)))
+        return self._shaped(pref * total / orbit_div)
 
     def ehat_expansion(self, s: complex, tol: float = 1e-10):
         """Ehat(Lambda, s) through the three-term formula, on the reduced
@@ -511,6 +541,9 @@ _DECAY_RATIO = 1 / 16
 _SMOOTH_BINOM = [math.comb(2 * _SMOOTH_K + 1, j)
                  for j in range(_SMOOTH_K + 1, 2 * _SMOOTH_K + 2)]
 _BAND_BLOCK = 1 << 15
+# the most pairs (alpha, beta*) one expansion pair sum builds, all nodes
+# together: its arrays take about 100 bytes a pair at their peak
+_PAIR_CAP = 10_000_000
 
 
 def _band_weight(q: np.ndarray) -> np.ndarray:
@@ -607,18 +640,11 @@ def _sl2z_reduce(x: np.ndarray, y: np.ndarray):
         f"(reached y = {y[np.argmax(moving)]:.3g})")
 
 
-def _run_sums(values: np.ndarray, starts: np.ndarray,
-              runs: np.ndarray) -> np.ndarray:
-    """Per node, the sum of its run of values: the nonempty runs start at
-    starts and belong to the nodes where runs is True; 0 for the others."""
-    out = np.zeros(runs.size, values.dtype)
-    out[runs] = np.add.reduceat(values, starts)
-    return out
-
-
 def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:
-    """One of each pair +-point of the nonzero points of the 2-d lattice with
-    basis M and |point| <= r_max, as complex numbers."""
-    pts = [complex(M[0, 0], M[1, 0]) * cs[0] + complex(M[0, 1], M[1, 1]) * cs[1]
-           for _, cs in ball_points(M, r_max, coeffs=True)]
-    return np.concatenate([np.zeros(0, dtype=complex), *pts])
+    """One of each pair +-point of the nonzero points of the lattice of
+    dimension d = 1 or 2 with basis M and |point| <= r_max, as complex
+    numbers (the real line, or the plane)."""
+    units = np.array([1, 1j])[:M.shape[0]] @ M
+    return np.concatenate([np.zeros(0, dtype=complex),
+                           *(units @ cs for _, cs in
+                             ball_points(M, r_max, coeffs=True))])

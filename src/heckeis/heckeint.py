@@ -20,8 +20,8 @@ volumes for all nodes.
 The quadrature evaluates each refinement level as one batch: the new nodes
 of a level, both signs, make one array evaluator (HeckeSetup.evaluator_at
 with arrays sign, t), whose reduction, xi terms and Bessel pair sum run on
-arrays, with one pair array and one Bessel call per band of the level.  A
-single node is the same code on arrays of one entry.
+arrays, with one pair array and one Bessel call for the level.  A single
+node is the same code on arrays of one entry.
 
 Real K: the torus splits into two sign components, each a circle of length
 log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the

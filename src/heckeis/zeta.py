@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -475,24 +474,9 @@ def theta_split_ct(F: FieldDescriptor, M: np.ndarray, V: float,
             + (_theta_constants(F)[0] / M.shape[0]) * (math.log(V) - V)).real
 
 
-# entries kept by each cache of completed-zeta evaluators and of their values
+# entries kept by each cache: of completed-zeta evaluators, of their values
+# and of their constant terms
 _CACHE_SIZE = 512
-
-
-class _LRUCache(OrderedDict):
-    """A dict that keeps only its _CACHE_SIZE most recently used entries."""
-
-    def get(self, key):
-        if key not in self:
-            return None
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > _CACHE_SIZE:
-            self.popitem(last=False)
 
 
 class CompletedZeta:
@@ -512,33 +496,23 @@ class CompletedZeta:
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
         self.M = _ideal_embedding_matrix(ideal)
         self.M_dual = _ideal_embedding_matrix(self.dual)
-        self._value_cache = _LRUCache()
 
+    @lru_cache(maxsize=_CACHE_SIZE)
     def value(self, s: complex, tol: float = 1e-12) -> complex:
-        s = complex(s)
-        return self._cached((s, tol), theta_split, self.F, s, self.M, self.V,
-                            self.M_dual, self.Vdual, tol)
+        """xi(s, a); cached per (evaluator, s, tol)."""
+        return theta_split(self.F, complex(s), self.M, self.V, self.M_dual,
+                           self.Vdual, tol)
 
+    @lru_cache(maxsize=_CACHE_SIZE)
     def laurent_ct(self, tol: float = 1e-12) -> float:
-        """Constant term of the Laurent expansion at s = 1; cached per tol
-        next to the values."""
-        return self._cached(("laurent_ct", tol), theta_split_ct, self.F,
-                            self.M, self.V, self.M_dual, self.Vdual, tol)
-
-    def _cached(self, key, fn, *args):
-        hit = self._value_cache.get(key)
-        if hit is None:
-            hit = self._value_cache[key] = fn(*args)
-        return hit
+        """Constant term of the Laurent expansion at s = 1; cached per
+        (evaluator, tol)."""
+        return theta_split_ct(self.F, self.M, self.V, self.M_dual, self.Vdual,
+                              tol)
 
 
-_CZ_CACHE = _LRUCache()
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def completed_zeta(F: FieldDescriptor, ideal: FracIdeal) -> CompletedZeta:
-    key = (F.label, ideal.key())
-    cz = _CZ_CACHE.get(key)
-    if cz is None:
-        cz = CompletedZeta(F, ideal)
-        _CZ_CACHE[key] = cz
-    return cz
+    """The evaluator of xi(s, a), one per field and ideal (equal ideals hash
+    alike, however their generators are written)."""
+    return CompletedZeta(F, ideal)

@@ -264,3 +264,28 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert code == 2
     assert out == ""
     assert "--tol" in err and "finite and > 0" in err
+
+
+@pytest.mark.parametrize("s, methods", [
+    ("1e308", ["direct", "expansion", "lattice", "auto"]),
+    ("0.5,1e6", ["expansion", "lattice"])])
+def test_overflow_and_division_by_zero_exit_3(capsys, s, methods):
+    # an OverflowError or ZeroDivisionError deep in the numerics is a
+    # numeric failure with the hint, not a traceback
+    for method in methods:
+        code, out, err = run_cli(
+            capsys, "eval-eisenstein", "--base-field", "Q",
+            "--lattice", "1,0.3+1.1,1", "--s", s, "--method", method)
+        assert code == 3, (method, err)
+        assert out == "" and "Traceback" not in err
+        assert "numeric failure" in err and "hint: try" in err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "1,-inf", "1,nan", "2,inf", "1e309"])
+def test_non_finite_s_exits_2(capsys, s):
+    code, out, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", "1,0.3+1.1,1", "--s", s)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "must be finite" in err

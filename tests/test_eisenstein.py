@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, kv
 
 from heckeis import eisenstein, numerics, verify
 from heckeis.basefield import FracIdeal, QuadElement, make_field
@@ -482,16 +482,16 @@ def _box_points(M, r):
     return pts[(pts != 0) & (np.abs(pts) <= r)]
 
 
-def _brute_pairs(ev, reach, frac):
-    """The band (lo, hi] with hi = reach c min|alpha| min|beta*|, c = n_v pi |y|,
-    and lo = frac hi, with the (arg, phase, ratio) of every pair in it, both
+def _brute_pairs(ev, reach):
+    """The cutoff hi = reach c min|alpha| min|beta*|, c = n_v pi |y|, with
+    the (arg, phase, ratio) of every pair whose argument is at most hi, both
     of each +-alpha, one alpha at a time against the whole beta list; on the
     reduced presentation (ideal_a, ideal_b, x_red, y_red) the expansion runs
     on."""
     n_v = 1 if ev.F.is_rational else 2
     x, y = ev.x_red, ev.y_red
     c = n_v * math.pi * abs(y)
-    # no product |alpha| |beta*| lies on an edge: its argument could round
+    # no product |alpha| |beta*| lies on the edge: its argument could round
     # to either side
     reach *= 1 + math.pi * 1e-7
     if ev.F.is_rational:
@@ -511,14 +511,13 @@ def _brute_pairs(ev, reach, frac):
         alphas = _box_points(Ma, 1.01 * reach * min_a)
         betas = _box_points(Mb, 1.01 * reach * min_b)
         hi = reach * c * min_a * min_b
-    lo = frac * hi
     out = []
     for al in alphas:
         args = c * abs(al) * np.abs(betas)
-        bs_in = betas[(args > lo) & (args <= hi)]
+        bs_in = betas[args <= hi]
         out.extend((c * abs(al) * abs(be), n_v * (complex(x) * al * be).real,
                     (abs(be) / (abs(al) * abs(y))) ** n_v) for be in bs_in)
-    return lo, hi, np.array(out).reshape(-1, 3)
+    return hi, np.array(out).reshape(-1, 3)
 
 
 def _sorted_triples(triples, decimals=None):
@@ -532,9 +531,9 @@ def _sorted_triples(triples, decimals=None):
        st.floats(0.03, 2.0), st.floats(0.0, 2 * math.pi),
        st.sampled_from([1, 2, Fraction(3, 2)]),
        st.sampled_from([1, 2, Fraction(3, 2)]),
-       st.floats(0.5, 20.0), st.floats(0.0, 0.95))
+       st.floats(0.5, 20.0))
 @settings(max_examples=30)
-def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
+def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach):
     F = make_field(kind)
     a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
     if F.is_rational:
@@ -542,72 +541,74 @@ def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach, frac):
     else:
         z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
     ev = EisensteinEvaluator(OFLattice(F, a, z, b))
-    lo, hi, want = _brute_pairs(ev, reach, frac)
-
-    def triples(lo, hi):
-        # (arg, phase, ratio) of each pair; the evaluator has one node
-        *data, node = ev._pair_data(lo, hi)
-        assert not node.any()
-        return np.column_stack(data)
-
-    band = triples(lo, hi)
+    hi, want = _brute_pairs(ev, reach)
+    # (arg, phase, ratio) of each pair; the evaluator has one node
+    *data, node = ev._pair_data(hi)
+    assert not node.any()
+    got = np.column_stack(data)
     # (alpha, beta*) and (-alpha, -beta*) have the same triple: the pairs
-    # returned, with their negatives, are the pairs of the band
-    both = np.concatenate([band, band])
+    # returned, with their negatives, are the pairs up to hi
+    both = np.concatenate([got, got])
     assert both.shape == want.shape
     # rows whose rounded sort keys tie may be permuted; they differ by < 1e-9
     np.testing.assert_allclose(_sorted_triples(both, 9),
                                _sorted_triples(want, 9), rtol=1e-12, atol=1e-9)
-    # the bands (0, lo] and (lo, hi] split the pairs of (0, hi] exactly; a
-    # phase may differ in its last bit with the pair's position in the array
-    split = _sorted_triples(np.concatenate([triples(0.0, lo), band]))
-    whole = _sorted_triples(triples(0.0, hi))
-    np.testing.assert_array_equal(split[:, [0, 2]], whole[:, [0, 2]])
-    np.testing.assert_allclose(split[:, 1], whole[:, 1], rtol=1e-14, atol=1e-14)
+
+
+def _recording_pair_data(ev):
+    """Wrap ev._pair_data so that the cutoffs of each call are recorded."""
+    cutoffs, pair_data = [], ev._pair_data
+
+    def recorded(hi):
+        cutoffs.append(np.array(hi, dtype=float))
+        return pair_data(hi)
+
+    ev._pair_data = recorded
+    return cutoffs, pair_data
 
 
 def test_term3_evaluates_each_pair_once(monkeypatch):
-    # a lattice over Q(sqrt -3) at s = 6 whose pair sum extends its first
-    # cutoff, so a sum that recomputed earlier bands would count them twice
-    ev = EisensteinEvaluator(lat_quat(make_field(-3), 0.3 + 0.2j, 0.6 + 0.1j))
-    seen, cutoffs = [], []
-    bessel, pair_data = eisenstein.bessel_k_batch, ev._pair_data
+    # one _pair_data call and one Bessel call, for one node and for an
+    # array evaluator of three, and every pair up to the cutoffs once
+    one = EisensteinEvaluator(lat_quat(make_field(-3), 0.3 + 0.2j, 0.6 + 0.1j))
+    three = one.at_point(np.array([0.3 + 0.2j, 0.1, -0.2j]),
+                         np.array([0.6 + 0.1j, 1.2, 0.7 - 0.4j]))
+    seen = []
+    bessel = eisenstein.bessel_k_batch
 
     def counted(nu, xs, **kw):
         seen.append(xs.size)
         return bessel(nu, xs, **kw)
 
-    def banded(lo, hi):
-        cutoffs.append(hi)
-        return pair_data(lo, hi)
-
     monkeypatch.setattr(eisenstein, "bessel_k_batch", counted)
-    monkeypatch.setattr(ev, "_pair_data", banded)
-    ev.term3(6.0, 1e-10)
-    assert len(cutoffs) >= 2
-    assert sum(seen) == pair_data(0.0, max(cutoffs))[0].size
+    for ev in (one, three):
+        seen.clear()
+        cutoffs, pair_data = _recording_pair_data(ev)
+        ev.term3(6.0, 1e-10)
+        assert len(cutoffs) == 1 and len(seen) == 1
+        assert seen[0] == pair_data(cutoffs[0])[0].size > 0
+        # the cutoffs are the ones the tail bound proves
+        scale = np.abs(ev.Va ** 6 * ev.Vb ** 5 * np.ravel(ev.ny) ** 6) \
+            / (ev.F.w / 2) * 2 * math.pi
+        np.testing.assert_allclose(cutoffs[0],
+                                   ev._pair_cutoff(6.0, scale, 1e-10)[0],
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
 @pytest.mark.parametrize("equal", [True, False])
-def test_term3_is_the_all_pairs_sum_over_w(d, equal, monkeypatch):
+def test_term3_is_the_all_pairs_sum_over_w(d, equal):
     # term3 sums one alpha of each +-pair and divides by w/2: it equals the
-    # sum over all pairs (alpha, beta*) of its final band, divided by w
+    # sum over all pairs (alpha, beta*) up to its cutoff, divided by w
     F = make_field(d)
     O = FracIdeal.unit_ideal(F)
     a = O if equal else FracIdeal(F, gen=QuadElement(F, Fraction(2), Fraction(0)))
     z = DNumber(F, (Quaternion(0.3 + 0.2j, 0.8 + 0.4j),))
     ev = EisensteinEvaluator(OFLattice(F, a, z, O))
     s = 1.7
-    cutoffs, pair_data = [], ev._pair_data
-
-    def banded(lo, hi):
-        cutoffs.append(float(np.max(hi)))
-        return pair_data(lo, hi)
-
-    monkeypatch.setattr(ev, "_pair_data", banded)
+    cutoffs, _ = _recording_pair_data(ev)
     got = ev.term3(s, 1e-10)
-    L = max(cutoffs)
+    L = float(cutoffs[0].max())
     x, y = ev.x_red, ev.y_red
     c = 2 * math.pi * abs(y)
     Ma = _ideal_embedding_matrix(ev.ideal_a)
@@ -630,8 +631,78 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal, monkeypatch):
     assert abs(got - terms.sum()) <= 1e-14 * np.abs(terms).sum()
 
 
+# pairs (X + 15)^n_v / c^n_v, summed over the nodes, that one example of
+# the tail property may enumerate: a few 1e5 pairs.  Below |y| ~ 0.1 with
+# Re s far from 1/2 the cutoffs need millions (the small-|y| memory cost of
+# the expansion, which SL2(O_F) reduction would remove)
+_TAIL_TEST_BUDGET = 1e4
+
+
+@given(st.sampled_from(["Q", -1, -2, -3, -7, -11]),
+       st.lists(st.tuples(st.complex_numbers(max_magnitude=1.5),
+                          st.floats(0.05, 2.0), st.floats(0.0, 2 * math.pi)),
+                min_size=1, max_size=3),
+       st.sampled_from([1, 2, Fraction(3, 2)]),
+       st.floats(-3.0, 6.0), st.floats(-30.0, 30.0),
+       st.sampled_from([1e-8, 1e-10, 1e-12]))
+@example(-1, [(0.3 + 0.1j, 0.05, 0.0)], 1, 1.0, 0.0, 1e-10)
+@example(-11, [(0.1, 0.1, 1.0), (0.2j, 1.5, 0.0)], 2, -3.0, 30.0, 1e-12)
+@settings(max_examples=25, deadline=None)
+def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
+                                                    t, tol):
+    # the scaled sum of |term| over the pairs with argument in (X, X + 15]
+    # is at most tol/10 at every node, X the node's cutoff, which term3
+    # sums to (test_term3_evaluates_each_pair_once).
+    # |K_nu(x)| <= K_(Re nu)(x) (checked on the nearest pairs), so the
+    # terms are taken at the real order: the tail is then exact for real s
+    # and an upper bound of it otherwise
+    F = make_field(kind)
+    n_v = 1 if F.is_rational else 2
+    a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal.unit_ideal(F)
+    xs = np.array([x for x, _, _ in nodes])
+    ys = np.array([ay * cmath.exp(1j * ang) for _, ay, ang in nodes])
+    if F.is_rational:
+        xs, ys = xs.real, np.abs(ys)
+        z = DNumber.from_xy(F, xs[0], ys[0])
+    else:
+        z = DNumber(F, (Quaternion(xs[0], ys[0]),))
+    ev = EisensteinEvaluator(OFLattice(F, a, z, b)).at_point(xs, ys)
+    s = complex(sigma, t)
+    ny = np.abs(ev.y_red) ** n_v
+    scale = np.abs(ev.Va ** s * ev.Vb ** (s - 1) * ny ** s) / (F.w / 2) \
+        * (2 * math.pi) ** (n_v - 1)
+    X, _ = ev._pair_cutoff(s, scale, tol)
+    c = n_v * math.pi * np.abs(ev.y_red)
+    assume(np.sum(((X + 15) / c) ** n_v) <= _TAIL_TEST_BUDGET)
+    args, _, ratios, node = ev._pair_data(X + 15)
+    tail = args > X[node]
+    args, ratios, node = args[tail], ratios[tail], node[tail]
+    a_nu = n_v * (sigma - 0.5)
+    terms = scale[node] * ratios ** (sigma - 0.5) * 2 * kv(a_nu, 2 * args)
+    assert np.all(np.bincount(node, terms, X.size) <= tol / 10)
+    if t and args.size:
+        near = np.sort(args)[:64]
+        k_a = 2 * kv(a_nu, 2 * near)
+        k_nu = bessel_k_batch(n_v * (s - 0.5), near, tol=1e-3 * k_a.min())
+        assert np.all(np.abs(k_nu) <= k_a * (1 + 1e-9))
+
+
+def test_pair_sum_raises_at_its_pair_cap(monkeypatch):
+    # a pair sum that would build more than _PAIR_CAP pairs raises before
+    # it builds them or evaluates a Bessel function (over Q(i) at s = 300
+    # the proven cutoff X = 1973 needs 2.6e7 pairs)
+    ev = EisensteinEvaluator(lat_quat(make_field(-3), 0.3 + 0.2j, 0.6 + 0.1j))
+    calls = []
+    monkeypatch.setattr(eisenstein, "bessel_k_batch",
+                        lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(eisenstein, "_PAIR_CAP", 50)
+    with pytest.raises(EnumerationCapError, match="over the cap 50"):
+        ev.term3(2.0, 1e-10)
+    assert not calls
+
+
 def test_term3_raises_below_its_rounding_floor():
-    # over Q(i) with |y| = 0.2 at s = 5 the scaled terms of the first band
+    # over Q(i) with |y| = 0.2 at s = 5 the scaled terms up to the cutoff
     # add up to ~2e8 in absolute value, so eps * sum |term| ~ 5e-8 lies
     # above tol/10
     ev = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 0.2 + 0j))
@@ -640,10 +711,10 @@ def test_term3_raises_below_its_rounding_floor():
     msg = str(info.value)
     assert "rounding floor" in msg and "tol/10 = 1e-11" in msg
     err = info.value
-    L = err.cutoff
-    assert f"L = {L:g}" in msg and err.tol == 1e-10
+    X = err.cutoff
+    assert f"X = {X:g}" in msg and err.tol == 1e-10
     assert err.last_delta > 0
-    assert err.points == ev._pair_data(0.0, L)[0].size
+    assert err.points == ev._pair_data(X)[0].size
 
 
 def _traced_direct(monkeypatch, lat, s, tol):

@@ -561,28 +561,38 @@ def test_completed_zeta_cache_keys_on_the_ideal():
         assert completed_zeta(F, FracIdeal(F, gen=c.conj())) is not cz
 
 
+def _clear_xi_caches():
+    for cache in (completed_zeta, CompletedZeta.value, CompletedZeta.laurent_ct):
+        cache.cache_clear()
+
+
 def test_completed_zeta_caches_are_bounded_lru(monkeypatch):
     # the theta split is stubbed out (a new object per call): only the
-    # bookkeeping of the two caches is tested
+    # bookkeeping of the two caches is tested, which start and end empty so
+    # that no stubbed value outlives the test
     monkeypatch.setattr(zeta, "theta_split", lambda F, s, *rest: s + 0j)
-    monkeypatch.setattr(zeta, "_CZ_CACHE", type(zeta._CZ_CACHE)())
-    half = FracIdeal(Q, gen=Fraction(1, 2))
-    size = zeta._CACHE_SIZE
-    cz = completed_zeta(Q, ZZ)
-    early = completed_zeta(Q, half)
-    hot, cold = cz.value(2.0), cz.value(3.0)
-    assert cz.value(3.0) is cold
-    for i in range(10_000):
-        cz.value(4.0 + i * 1e-3)
-        completed_zeta(Q, FracIdeal(Q, gen=Fraction(i + 2)))
-        if i % 97 == 0:
-            # used again and again, so never the least recently used
-            assert cz.value(2.0) is hot
-            assert completed_zeta(Q, ZZ) is cz
-    assert len(cz._value_cache) <= size and len(zeta._CZ_CACHE) <= size
-    # the least recently used entries were evicted and are rebuilt
-    assert cz.value(3.0) is not cold
-    assert completed_zeta(Q, half) is not early
+    _clear_xi_caches()
+    try:
+        half = FracIdeal(Q, gen=Fraction(1, 2))
+        size = zeta._CACHE_SIZE
+        cz = completed_zeta(Q, ZZ)
+        early = completed_zeta(Q, half)
+        hot, cold = cz.value(2.0), cz.value(3.0)
+        assert cz.value(3.0) is cold
+        for i in range(10_000):
+            cz.value(4.0 + i * 1e-3)
+            completed_zeta(Q, FracIdeal(Q, gen=Fraction(i + 2)))
+            if i % 97 == 0:
+                # used again and again, so never the least recently used
+                assert cz.value(2.0) is hot
+                assert completed_zeta(Q, ZZ) is cz
+        assert CompletedZeta.value.cache_info().currsize <= size
+        assert completed_zeta.cache_info().currsize <= size
+        # the least recently used entries were evicted and are rebuilt
+        assert cz.value(3.0) is not cold
+        assert completed_zeta(Q, half) is not early
+    finally:
+        _clear_xi_caches()
 
 
 def test_xi_rejects_real_quadratic():
