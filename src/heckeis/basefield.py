@@ -462,7 +462,11 @@ class FracIdeal:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=None)
     def unit_ideal(cls, field):
+        """The unit ideal O, built once per field (make_field keeps one
+        descriptor per field): the result is shared, and no caller may
+        change it."""
         if field.is_rational:
             return cls(field, gen=1)
         return cls(field, gen=field.one())

@@ -191,12 +191,15 @@ class EisensteinEvaluator:
         +-lambda, counted twice.  Each doubling of B enumerates the new
         points in (B, 2B] only: the plain sum over N <= aB grows by the
         carried norms that leave the band, and the band (aB, B] is
-        re-weighted, in real arithmetic when s is real.  It accepts S(B_k)
-        when the doubling to B_k moved the value by d_k <= tol/16, or when
-        the changes predict that the rest lies below tol/16: with rho the
-        largest of the ratios d_k/d_(k-1), d_(k-1)/d_(k-2), d_(k-2)/d_(k-3),
-        rho <= _DECAY_RATIO and rho^2 d_(k-1) <= tol/16 (rho d_(k-1) is the
-        change the trend predicts for this doubling, and never below d_k).
+        re-weighted, in real arithmetic when s is real.  It works on the
+        arrays norm_chunks yields as they come: ball_points sizes them
+        (lattice._CHUNK_POINTS) so that the temporaries of each stay in
+        cache.  It accepts S(B_k) when the doubling to B_k moved the value
+        by d_k <= tol/16, or when the changes predict that the rest lies
+        below tol/16: with rho the largest of the ratios d_k/d_(k-1),
+        d_(k-1)/d_(k-2), d_(k-2)/d_(k-3), rho <= _DECAY_RATIO and
+        rho^2 d_(k-1) <= tol/16 (rho d_(k-1) is the change the trend
+        predicts for this doubling, and never below d_k).
         It raises ConvergenceError when tol/16 lies below its rounding floor
         eps |V^s| (2/w) sum phi N^(-2 Re s), or after
         numerics.MAX_REFINEMENTS doublings; the error carries the cutoff,
@@ -216,17 +219,10 @@ class EisensteinEvaluator:
             / (w * V)
 
         def powers(norms):
-            # (n^(-2s), n^(-2 Re s)), one array for real s, in blocks of
-            # _BAND_BLOCK norms that keep the temporaries in cache
-            mass = np.empty_like(norms)
-            terms = np.empty(norms.size, complex) if s.imag else mass
-            for i in range(0, norms.size, _BAND_BLOCK):
-                block = slice(i, i + _BAND_BLOCK)
-                logs = np.log(norms[block])
-                np.exp(-2 * s.real * logs, out=mass[block])
-                if s.imag:
-                    np.exp(-2 * s * logs, out=terms[block])
-            return terms, mass
+            # (n^(-2s), n^(-2 Re s)), one array for real s
+            logs = np.log(norms)
+            mass = np.exp(-2 * s.real * logs)
+            return (np.exp(-2 * s * logs) if s.imag else mass), mass
 
         # the doubling difference can understate the true truncation error by
         # an order of magnitude when lattice-shell oscillations dominate, so
@@ -540,7 +536,6 @@ _DECAY_RATIO = 1 / 16
 # C(2k+1, j) for j = k+1, ..., 2k+1: P(x) = sum_j C(2k+1, j) x^j (1-x)^(2k+1-j)
 _SMOOTH_BINOM = [math.comb(2 * _SMOOTH_K + 1, j)
                  for j in range(_SMOOTH_K + 1, 2 * _SMOOTH_K + 2)]
-_BAND_BLOCK = 1 << 15
 # the most pairs (alpha, beta*) one expansion pair sum builds, all nodes
 # together: its arrays take about 100 bytes a pair at their peak
 _PAIR_CAP = 10_000_000
@@ -568,17 +563,11 @@ def _band_weight(q: np.ndarray) -> np.ndarray:
 
 def _smooth_band_sums(norms, terms, mass, B: float):
     """(sum terms phi, sum mass phi) over norms in (aB, B], phi the smooth
-    weight; blocks of _BAND_BLOCK norms keep the temporaries in cache."""
-    cut, scale = _SMOOTH_A * B, 1.0 / ((1 - _SMOOTH_A) * B)
-    total, total_mass = 0j, 0.0
-    for i in range(0, norms.size, _BAND_BLOCK):
-        block = slice(i, i + _BAND_BLOCK)
-        q = norms[block] - cut
-        q *= scale
-        weight = _band_weight(q)
-        total += complex(np.dot(terms[block], weight))
-        total_mass += float(np.dot(mass[block], weight))
-    return total, total_mass
+    weight."""
+    q = norms - _SMOOTH_A * B
+    q *= 1.0 / ((1 - _SMOOTH_A) * B)
+    weight = _band_weight(q)
+    return complex(np.dot(terms, weight)), float(np.dot(mass, weight))
 
 
 def _tail_quadrature():

@@ -23,8 +23,15 @@ from .errors import DegenerateLatticeError, EnumerationCapError
 _REL_VOLUME_TOL = 1e-10
 # the cap on the size of the coefficient box a single enumeration may visit
 ENUM_POINT_CAP = 400_000_000
-# ball_points yields about this many points per array
-_CHUNK_POINTS = 4_000_000
+# ball_points yields about this many points per array: blocks whose
+# temporaries (8 bytes a point each) stay in a 2 MB L2 cache.  Blocks of
+# 2^15 points were as fast but raised the peak RSS of a run of direct sums
+# by 6-13%: the malloc heap they fill is left fragmented
+_CHUNK_POINTS = 1 << 16
+# ball_points lists coefficient boxes of at most this many points whole, in
+# one array pass, in place of the level-by-level search: near the measured
+# crossover of the two on a 2-core x86-64 machine
+_DENSE_BOX = 8192
 
 
 def _component_coords(c) -> np.ndarray:
@@ -259,21 +266,29 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     the half ball (0, rk] exactly.
 
     Every point of the ball has |c_i| <= ||row_i(M^-1)|| r; the size of that
-    box is checked against ENUM_POINT_CAP (EnumerationCapError), and the
-    search stays inside it.  The search is Fincke-Pohst's on M = Q L, L
-    lower triangular: with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once
+    box is checked against ENUM_POINT_CAP before any cast to int64
+    (EnumerationCapError, also for a non-finite r), and the search stays
+    inside it.  The search is Fincke-Pohst's on M = Q L, L lower
+    triangular: with t_i = (L c)_i, |M c|^2 = sum t_i^2, and once
     c_0, ..., c_{i-1} are fixed, t_i^2 <= r^2 - sum_{j<i} t_j^2 leaves c_i
     one integer interval.  The last coefficient runs over that interval
-    minus the part inside r_min; in dimension 1, over 1 <= c <= r/|a|.
+    minus the part inside r_min; in dimension 1, over 1 <= c <= r/|a|.  A
+    box of at most _DENSE_BOX points is listed whole instead, in one array
+    (_dense_box), whose t_i and squared lengths come from the same
+    floating-point operations in the same order as the levels': both give
+    the same points, squared lengths and order, bit for bit.
     """
     dim = M.shape[0]
     row_norms = (1 / np.abs(M[0]) if dim == 1
                  else np.linalg.norm(np.linalg.inv(M), axis=1))
-    radii = np.floor(row_norms * r + 1e-9).astype(np.int64)
-    total = math.prod(2 * int(k) + 1 for k in radii)
-    if total > ENUM_POINT_CAP:
-        raise EnumerationCapError(f"enumeration box of {total} points "
+    box = np.floor(row_norms * r + 1e-9)
+    # in Python integers, which do not wrap round past 2^63 as int64 does
+    size = (math.prod(2 * int(k) + 1 for k in box)
+            if np.isfinite(box).all() else math.inf)
+    if size > ENUM_POINT_CAP:
+        raise EnumerationCapError(f"enumeration box of {size} points "
                                   f"exceeds the cap {ENUM_POINT_CAP}")
+    radii = box.astype(np.int64)
     r2_max = r ** 2 * (1 + 1e-12)
     r2_min = r_min ** 2 * (1 + 1e-12)
     if dim == 1:
@@ -286,6 +301,9 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
         return
     L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
     L *= np.sign(np.diag(L))[:, None]
+    if size <= _DENSE_BOX:
+        yield from _dense_box(L, radii, r2_max, r2_min, coeffs)
+        return
     # the intervals are widened by this allowance for rounding in t_i; the
     # test on the computed squared lengths decides
     pad = 1e-7 * r
@@ -346,6 +364,30 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
         r2, cols = block(slice(start, stop))
         if r2.size:
             yield (r2, cols) if coeffs else r2
+
+
+def _dense_box(L: np.ndarray, radii: np.ndarray, r2_max: float,
+               r2_min: float, coeffs: bool) -> Iterator:
+    """ball_points over the whole box |c_i| <= radii[i], as one array.  In
+    lexicographic order the entries past the box's centre are exactly the c
+    whose first nonzero coefficient is positive.  u accumulates L[i, j] c_j
+    from zero, t_i = u + L_ii c_i and S += t_i^2 as the levels of the search
+    do, and the last level's r^2 = t^2 + S."""
+    size = int(np.prod(2 * radii + 1))
+    C = np.array(np.unravel_index(np.arange(size // 2 + 1, size),
+                                  2 * radii + 1)) - radii[:, None]
+    S = np.zeros(C.shape[1])
+    for i in range(L.shape[0]):
+        u = np.zeros(C.shape[1])
+        for j in range(i):
+            u += L[i, j] * C[j]
+        t = u + L[i, i] * C[i]
+        t *= t
+        S += t
+    keep = S <= r2_max
+    keep &= S > r2_min
+    if keep.any():
+        yield (S[keep], C[:, keep]) if coeffs else S[keep]
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -128,6 +128,18 @@ def test_enumeration_cap_exits_3(capsys):
     assert "exceeds the cap" in err
 
 
+@pytest.mark.parametrize("y, method", [("1e19", "lattice"), ("1e40", "lattice"),
+                                       ("1e40", "direct")])
+def test_enumeration_box_past_int64_exits_3(capsys, y, method):
+    # a box side past 2^63 must meet the cap, not wrap round an integer cast
+    code, out, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", f"1,0.3+{y},1", "--s", "2", "--method", method)
+    assert code == 3, err
+    assert out == "" and "Traceback" not in err
+    assert "exceeds the cap" in err
+
+
 def test_direct_rounding_floor_exits_3(capsys):
     # E = 4.3e6 at s = 2: the requested tol lies below double precision
     code, _, err = run_cli(

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -217,7 +218,11 @@ def test_ball_points_match_brute_force(dim, monkeypatch):
     for k, M in enumerate(_random_bases(dim, 4, seed=dim) + [np.eye(dim)]):
         C_ref, r2_ref = _brute_ball(M, r)
         full = sorted(map(tuple, C_ref.T.tolist()))
-        for chunk in (4_000_000, 37):
+        # both paths: the level search (no dense box) in large and in
+        # small blocks, and the whole-box pass for the boxes it takes
+        for dense, chunk in [(lattice._DENSE_BOX, lattice._CHUNK_POINTS),
+                             (0, lattice._CHUNK_POINTS), (0, 37)]:
+            monkeypatch.setattr(lattice, "_DENSE_BOX", dense)
             monkeypatch.setattr(lattice, "_CHUNK_POINTS", chunk)
             out = list(ball_points(M, r, coeffs=True))
             r2 = np.concatenate([np.zeros(0)] + [a for a, _ in out])
@@ -266,6 +271,56 @@ def test_ball_points_count_against_covolume(dim, seed, skew, radius):
         / (2 * abs(np.linalg.det(M)))
     count = sum(r2.size for r2 in ball_points(M, radius))
     assert count <= K * (radius + rho) ** dim
+
+
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       skew=st.floats(0.0, 3.0), shear=st.booleans(),
+       radius=st.floats(0.1, 40.0), inner=st.floats(0.0, 1.0),
+       coeffs=st.booleans())
+@settings(max_examples=150)
+def test_ball_points_dense_box_matches_level_search(dim, seed, skew, shear,
+                                                    radius, inner, coeffs):
+    # the whole-box pass gives the level search's squared lengths,
+    # coefficients and order bit for bit
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.3, 2.0, dim)) \
+        + skew * np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+    if shear:
+        # nearly parallel columns: a box far larger than the ball
+        M[:, 1] = 0.999 * M[:, 0] + 1e-2 * M[:, 1]
+    M = M @ np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    # each side of the box at most (2 _DENSE_BOX) ** (1/dim): the box holds
+    # at most 2 _DENSE_BOX points, most of them on the dense side
+    side = (2 * lattice._DENSE_BOX) ** (1 / dim)
+    row_max = float(np.linalg.norm(np.linalg.inv(M), axis=1).max())
+    r = min(radius, (side - 1) / (2 * row_max))
+
+    def run(dense):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_DENSE_BOX", dense)
+            out = list(ball_points(M, r, coeffs=coeffs, r_min=inner * r))
+        r2 = b"".join((o[0] if coeffs else o).tobytes() for o in out)
+        C = [col for _, c in out for col in c.T.tolist()] if coeffs else None
+        return r2, C
+
+    assert run(lattice._DENSE_BOX) == run(0)
+
+
+@pytest.mark.parametrize("M", [np.eye(1), np.diag([1.0, 1e30]),
+                               np.diag([1.0, 1e30, 1e30, 1e30])],
+                         ids=["dim1", "dim2", "dim4"])
+@pytest.mark.parametrize("r", [1e19, 1e40, math.inf, math.nan])
+def test_ball_points_cap_rejects_boxes_past_int64(M, r):
+    # the box side of the first coefficient passes 2^63 or is not finite;
+    # the cap must reject it before any integer cast or allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            next(ball_points(M, r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_ball_points_cap(monkeypatch):
