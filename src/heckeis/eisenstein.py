@@ -30,13 +30,14 @@ each other:
   beta*, divided by w_F/2).  Valid for all s away from the poles.  The pair
   sum runs once, up to the least Bessel argument X whose proven tail bound
   (term3) puts the rest at or below tol/10, and raises when tol/10 lies
-  below its rounding floor eps * sum |term|.  It runs on a reduced
-  presentation of a scaled copy of the lattice, on which Ehat is the same:
-  over Q, (N(a)/N(b)) z reduced under SL2(Z) with a = b = Z, so |y| >=
-  sqrt(3)/2; over an imaginary field with a = b, O z + O.  An evaluator
-  from at_point may hold arrays of points (the torus nodes of one
-  refinement level): each point keeps its own cutoff and tests, while the
-  pairs of all points form one array, with one Bessel call.
+  below its rounding floor eps * sum |term|.  It runs on O w + O, a
+  scaled copy of the lattice with the same Ehat: a = alpha O, b = beta O
+  (class number one), a z + b = beta (O w + O) with w = (alpha/beta) z
+  SL2(O_F)-reduced (_sl2_reduce), so |Ny| >= 1 - R_F^2 > 0 however small
+  the given y is.  An evaluator from at_point may hold arrays of points
+  (the torus nodes of one refinement level): each point keeps its own
+  cutoff and tests, while the pairs of all points form one array, with
+  one Bessel call.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
   |N t| = 1 and Poisson-dualized, zeta.theta_split of the lattice and its
   dual; an exponentially convergent sum requiring only Z-lattice data
@@ -70,8 +71,7 @@ from .lattice import OFLattice, ball_points
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
 from .zeta import (_ideal_embedding_matrix, c_F, completed_zeta,
-                   theta_split, theta_split_ct)
-
+                   ideal_generator, theta_split, theta_split_ct)
 
 
 def _cpow(base: float, s: complex) -> complex:
@@ -87,56 +87,37 @@ class EisensteinEvaluator:
         self.CF = c_F(self.F)
         self._dual: Optional[OFLattice] = None
         if lattice.z is not None:
+            # The expansion runs on O w + O, w = (alpha/beta) z reduced: for
+            # a = alpha O, b = beta O, a z + b = beta (O w + O), with the
+            # same Ehat.  None of this depends on z: at_point shares it.
             F = self.F
-            self.n_v = 1 if F.is_rational else 2
-            ideal_a, ideal_b = lattice.ideal_a, lattice.ideal_b
-            self.ratio = float(ideal_a.absolute_norm()
-                               / ideal_b.absolute_norm())
-            # The expansion runs on a reduced presentation (ideal_a, ideal_b,
-            # x_red, y_red) of a scaled copy of the lattice; Ehat is
-            # invariant under scaling.  Over Q, a z + b = b ((Na/Nb) z + Z),
-            # and (Na/Nb) z is SL2(Z)-reduced to |y_red| >= sqrt(3)/2.  Over
-            # an imaginary field with a = b, a z + b = a (O z + O).  The
-            # reduced ideals do not depend on z: at_point shares them.
-            if F.is_rational or ideal_a == ideal_b:
-                ideal_a = ideal_b = FracIdeal.unit_ideal(F)
-            self.ideal_a, self.ideal_b = ideal_a, ideal_b
-            self.bstar = dual_ideal(F, ideal_b)
-            self.zeta_a = completed_zeta(F, ideal_a)
-            self.zeta_b = completed_zeta(F, ideal_b)
-            self.na = float(ideal_a.absolute_norm())
-            self.nb = float(ideal_b.absolute_norm())
-            self.nbstar = float(self.bstar.absolute_norm())
-            self.Ma = _ideal_embedding_matrix(ideal_a)
+            self.n_v = F.degree
+            unit = FracIdeal.unit_ideal(F)
+            self.bstar = dual_ideal(F, unit)
+            self.zeta = completed_zeta(F, unit)
+            self.bmin = float(self.bstar.absolute_norm()) ** (1 / self.n_v)
+            self.Mo = _ideal_embedding_matrix(unit)
             self.Mbstar = _ideal_embedding_matrix(self.bstar)
-            disc = abs(F.discriminant)
-            self.Va = math.sqrt(disc) * self.na
-            self.Vb = math.sqrt(disc) * self.nb
+            self.V = math.sqrt(abs(F.discriminant))
+            # alpha/beta exact, then embedded: N(a)/N(b) over Q
+            self.ratio = F.embed(ideal_generator(lattice.ideal_a)
+                                 / ideal_generator(lattice.ideal_b))
             self._place(lattice.z.x_part, lattice.z.y_part)
 
     def _place(self, x, y):
-        """Set the data that depend on z = x + y j: x, y and P of the given
-        presentation (a right scale factor never changes Ehat, so it plays
-        no part), and x_red, y_red, ny and P_red of the reduced one.  x and
-        y may be arrays, one entry per node: each datum is then an array of
-        their broadcast shape, and so is every value of the expansion
-        route; scalars are the nodes of shape ()."""
+        """Set the data that depend on z = x + y j: x, y and P = N(a)/N(b)
+        |Ny| of the given presentation, and x_red, y_red and P_red = |Ny_red|
+        of the reduced point w.  x and y may be arrays, one entry per node:
+        each datum is then an array of their broadcast shape, and so is
+        every value of the expansion route; scalars are nodes of shape ()."""
         x, y = np.broadcast_arrays(x, y)
         self.shape = x.shape
         self.x, self.y = x, y
-        self.P = self.ratio * np.abs(y) ** self.n_v
-        if self.F.is_rational:
-            x_red, y_red = _sl2z_reduce(self.ratio * x.ravel(),
-                                        self.ratio * y.ravel())
-            self.x_red = x_red.reshape(self.shape)
-            self.y_red = y_red.reshape(self.shape)
-        else:
-            if np.any(np.abs(y) ** 2 < 1e-10):
-                raise DegenerateLatticeError(
-                    "|N(y)| below 1e-10: expansion ill-conditioned")
-            self.x_red, self.y_red = x, y
-        self.ny = np.abs(self.y_red) ** self.n_v
-        self.P_red = (self.na / self.nb) * self.ny
+        wx, wy = self.ratio * x.ravel(), self.ratio * y.ravel()
+        self.P = np.abs(wy).reshape(self.shape) ** self.n_v
+        self.x_red, self.y_red = (v.reshape(self.shape)
+                                  for v in _sl2_reduce(self.F, wx, wy))
+        self.P_red = np.abs(self.y_red) ** self.n_v
 
     def _shaped(self, values):
         """Per-node values in the shape of the nodes; a Python scalar for a
@@ -153,13 +134,12 @@ class EisensteinEvaluator:
     def at_point(self, x, y) -> "EisensteinEvaluator":
         """The evaluator of a z + b at another z = x + y j, with this
         evaluator's ideals a, b.  It shares the data that do not depend on
-        z (the reduced ideals, b*, their xi, norms and volumes) and builds
-        no lattice, so only the expansion route works on it: term1-3,
-        ehat_expansion, h_value and ct.  Its values equal those of an
-        evaluator built on OFLattice(F, a, z, b) bit for bit: y must be
-        nonzero, and over Q z is taken with y > 0 (-z spans the same
-        lattice).  With arrays x, y it is one evaluator of all those points
-        (see _place)."""
+        z (alpha/beta, b* = dual(O), xi(s, O)) and builds no lattice, so
+        only the expansion route works on it: term1-3, ehat_expansion,
+        h_value and ct.  Its values equal those of an evaluator built on
+        OFLattice(F, a, z, b) bit for bit: y must be nonzero, and over Q z
+        is taken with y > 0 (-z spans the same lattice).  With arrays x, y
+        it is one evaluator of all those points (see _place)."""
         self._require_presentation("at_point")
         if np.any(np.equal(y, 0)):
             raise DegenerateLatticeError("y-part of z must be invertible")
@@ -288,12 +268,12 @@ class EisensteinEvaluator:
     # --------------------------------------------------------------- expansion
 
     def _pair_data(self, hi):
-        """Arrays describing, for each node, the pairs (alpha, beta*) whose
-        Bessel argument n_v pi |alpha y beta*| is at most that node's cutoff
-        hi (a per-node array, or a scalar for every node): (bessel args,
-        phase exponents Tr(x alpha beta*), norm ratios |N(beta*/(alpha y))|,
-        node indices into the flattened nodes), the pairs of each node in
-        one run, in node order."""
+        """Arrays describing, for each node, the pairs (alpha, beta*) in
+        O x dual(O) whose Bessel argument n_v pi |alpha y beta*| is at most
+        that node's cutoff hi (a per-node array, or a scalar for every
+        node): (bessel args, phase exponents Tr(x alpha beta*), norm ratios
+        |N(beta*/(alpha y))|, node indices into the flattened nodes), the
+        pairs of each node in one run, in node order; x, y reduced."""
         n_v = self.n_v
         x_red, y_red = np.ravel(self.x_red), np.abs(np.ravel(self.y_red))
         c = n_v * math.pi * y_red
@@ -302,11 +282,10 @@ class EisensteinEvaluator:
         # below decides the edge
         cap = hi / c * (1 + 1e-9)
         reach = float(cap.max())
-        # one alpha of each pair +-alpha, and every beta*; every ideal of
-        # these class-number-one fields is principal, so the least nonzero
-        # |alpha| in a is N(a)^(1/n_v)
-        alphas = _complex_points(self.Ma, reach / self.nbstar ** (1 / n_v))
-        betas = _complex_points(self.Mbstar, reach / self.na ** (1 / n_v))
+        # one alpha of each pair +-alpha, and every beta*; the least nonzero
+        # |alpha| is 1, the least |beta*| bmin (b* is principal)
+        alphas = _complex_points(self.Mo, reach / self.bmin)
+        betas = _complex_points(self.Mbstar, reach)
         betas = np.concatenate([betas, -betas])
         aabs, babs = np.abs(alphas), np.abs(betas)
         order = np.argsort(babs)
@@ -335,33 +314,32 @@ class EisensteinEvaluator:
     def _pair_cutoff(self, s: complex, scale, tol: float):
         """Per node, the least X (to within 1e-3) with tail(X) <= tol/10,
         and tail(X): a proven bound on scale * sum |r^(s-1/2) K_nu(x)| over
-        the pairs with x > X.  With a = n_v |Re s - 1/2| and alpha_min =
-        N(a)^(1/n_v), beta_min = N(b*)^(1/n_v) the least |alpha|, |beta*|:
+        the pairs with x > X.  With a = n_v |Re s - 1/2|, the least |alpha|
+        1 and the least |beta*| beta_min = N(b*)^(1/n_v):
         |K_nu| <= K_a (|u^(nu-1)| = u^(Re nu - 1), K_(-a) = K_a); r^(Re s
-        - 1/2) <= (g x)^a, g = 1/(c |y| alpha_min^2) for Re s >= 1/2 and
+        - 1/2) <= (g x)^a, g = 1/(c |y|) for Re s >= 1/2 and
         |y|/(c beta_min^2) below; e^(2x) K_a(x) = int e^(-x (sqrt u -
         1/sqrt u)^2) u^(a-1) du does not increase with x.  At most N(t) =
-        D (t/c)^n_v (1 + n_v log Q) pairs have x <= t, Q = t/(c alpha_min
-        beta_min) >= 1: over Q, #{m >= 1, k != 0 : m |k| <= Q} <=
+        D (t/c)^n_v (1 + n_v log Q) pairs have x <= t, Q = t/(c beta_min)
+        >= 1: over Q, #{m >= 1, k != 0 : m |k| <= Q} <=
         2Q (1 + log Q); over an imaginary field at most pi (r + rho)^2/covol
         <= p r^2 points have |l| <= r >= l_min (cells lie within rho =
         sum |b_i|/2 of their points), p = pi (1 + rho/l_min)^2/covol, and
         summing p_b (t/c)^2/|alpha|^2 over alpha by parts gives
         D = p_a p_b/2.  As N(t) t^a grows at most like (t/X)^k, k = a + n_v
         + n_v/(1 + n_v log Q(X)), summation by parts gives, for
-        X >= c alpha_min beta_min and X > k/2,
+        X >= c beta_min and X > k/2,
         tail(X) <= scale (g X)^a K_a(X) 2 N(X)/(2 - k/X)."""
         n_v = self.n_v
         y = np.abs(np.ravel(self.y_red))
         c = n_v * math.pi * y
         a = n_v * abs(s.real - 0.5)
-        amin, bmin = self.na ** (1 / n_v), self.nbstar ** (1 / n_v)
-        g = 1 / (c * y * amin ** 2) if s.real >= 0.5 else y / (c * bmin ** 2)
-        dens = 2 / (amin * bmin) if n_v == 1 else math.prod(
+        g = 1 / (c * y) if s.real >= 0.5 else y / (c * self.bmin ** 2)
+        dens = 2 / self.bmin if n_v == 1 else math.prod(
             math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
             / abs(np.linalg.det(M))
-            for M, m in ((self.Ma, amin), (self.Mbstar, bmin))) / 2
-        x0 = c * amin * bmin
+            for M, m in ((self.Mo, 1), (self.Mbstar, self.bmin))) / 2
+        x0 = c * self.bmin
         log_scale = np.log(10 / tol * np.maximum(scale, 1e-300))
 
         def log_need(X):
@@ -383,12 +361,11 @@ class EisensteinEvaluator:
             X = np.where(grow, need + 1e-3, X)
 
     def term1(self, s: complex, tol: float = 1e-12):
-        return self._shaped(np.exp(s * np.log(self.P_red))
-                            * self.zeta_b.value(2 * s, tol))
+        return self._shaped(_power(self.P_red, s) * self.zeta.value(2 * s, tol))
 
     def term2(self, s: complex, tol: float = 1e-12):
-        return self._shaped(np.exp((1 - s) * np.log(self.P_red))
-                            * self.zeta_a.value(2 * s - 1, tol))
+        return self._shaped(_power(self.P_red, 1 - s)
+                            * self.zeta.value(2 * s - 1, tol))
 
     def term3(self, s: complex, tol: float = 1e-10):
         """The Bessel pair sum of the expansion: pref/(w/2) times the sum
@@ -405,10 +382,8 @@ class EisensteinEvaluator:
         orbit_div = self.F.w / 2
         # B_F carries a factor 2 pi at a complex place
         weight = (2 * math.pi) ** (self.n_v - 1)
-        ny = np.ravel(self.ny)
-        n = ny.size
-        pref = _cpow(self.Va, s) * _cpow(self.Vb, s - 1) \
-            * np.exp(s * np.log(ny))
+        pref = _cpow(self.V, 2 * s - 1) * _power(np.ravel(self.P_red), s)
+        n = pref.size
         scale = np.abs(pref) / orbit_div
         X, tail = self._pair_cutoff(s, scale * weight, tol)
         args, phases, ratios, node = self._pair_data(X)
@@ -435,8 +410,7 @@ class EisensteinEvaluator:
 
     def ehat_expansion(self, s: complex, tol: float = 1e-10):
         """Ehat(Lambda, s) through the three-term formula, on the reduced
-        presentation (ideal_a, ideal_b, x_red, y_red); needs pseudo-basis
-        data."""
+        presentation O w + O (x_red, y_red); needs pseudo-basis data."""
         self._require_presentation("expansion path")
         s = complex(s)
         return self.term1(s, tol) + self.term2(s, tol) + self.term3(s, tol)
@@ -484,8 +458,8 @@ class EisensteinEvaluator:
         """The limit-formula function h(z, a, b) of the given presentation:
         (2/C_F) [ P xi(2, b) + V(a) |Ny| S(1) ]; real, with the imaginary
         part of the pair sum cancelling between conjugate pairs.  It is
-        evaluated on the reduced presentation and carried over through the
-        invariant h - log P."""
+        evaluated on the reduced presentation O w + O and carried over
+        through the invariant h - log P."""
         self._require_presentation("h")
         out = (2.0 / self.CF) * (self.term1(1.0, tol) + self.term3(1.0, tol))
         imag = np.ravel(np.imag(out))
@@ -497,8 +471,8 @@ class EisensteinEvaluator:
 
     def ct(self, tol: float = 1e-10):
         """Constant term of Ehat at s = 1:
-        CT xi(s, a) + (C_F/2)(h - log P)."""
-        ct_xi = self.zeta_a.laurent_ct(tol)
+        CT xi(s, a) + (C_F/2)(h - log P), with xi(s, a) = xi(s, O)."""
+        ct_xi = self.zeta.laurent_ct(tol)
         return self._shaped(
             ct_xi + (self.CF / 2) * (self.h_value(tol) - np.log(self.P)))
 
@@ -512,10 +486,9 @@ class EisensteinEvaluator:
     def h_lattice(self, tol: float = 1e-10) -> float:
         """h of the given presentation through the lattice path: ct_lattice
         solved for h in ct = CT xi(s, a) + (C_F/2)(h - log P)."""
-        if self.lattice.z is None:
-            raise DegenerateLatticeError("h needs pseudo-basis data")
+        self._require_presentation("h")
         return (2.0 / self.CF) * (self.ct_lattice(tol)
-                                  - self.zeta_a.laurent_ct(tol)) \
+                                  - self.zeta.laurent_ct(tol)) \
             + math.log(self.P)
 
 
@@ -594,39 +567,64 @@ def _smooth_tail_factor(s: complex) -> complex:
         / (2 * s - 2)
 
 
-# SL2(Z) reduction steps before _sl2z_reduce gives up; a float x is a dyadic
+# reduction steps before _sl2_reduce gives up; over Q a float x is a dyadic
 # rational, so the reduction ends, and from y = 1e-300 it takes ~240 steps
 _REDUCTION_STEPS = 1000
 
 
-def _sl2z_reduce(x: np.ndarray, y: np.ndarray):
-    """Each x + iy (y > 0) of two 1-d arrays moved by SL2(Z) into
-    |x| <= 1/2, |x + iy| >= 1 (up to 1e-12), so that y >= sqrt(3)/2:
-    translate x to its nearest integer (halves to even) and invert while
-    |z| < 1, each point for as many steps as it needs.  Each inversion
-    raises y.  Raises DegenerateLatticeError when |z|^2 underflows to 0 (a
-    translated x of 0 with y below ~1e-154) and ConvergenceError after
+def _nearest_integer(F, x: np.ndarray) -> np.ndarray:
+    """The element of O_F nearest to each x: np.rint over Q.  Over an
+    imaginary field, x rounded within the row Z + v omega (v integral)
+    nearest it, or within the next row where that is strictly nearer."""
+    if F.is_rational:
+        # + 0.0 makes rint's -0.0 a +0.0, as an integer rounding gives
+        return np.rint(x) + 0.0
+    omega = F.omega_embeddings()[0]
+    v = x.imag / omega.imag
+    rows = np.rint(v) + np.array([[0.0], [1.0]]) * np.sign(v - np.rint(v))
+    near = np.rint(x.real - rows * omega.real) + rows * omega
+    return near[np.argmin(np.abs(x - near), axis=0), np.arange(x.size)]
+
+
+def _sl2_reduce(F, x: np.ndarray, y: np.ndarray):
+    """Each x + y j of two 1-d arrays (real, y > 0, over Q) moved by
+    SL2(O_F) into |x| <= R_F, |x|^2 + |y|^2 >= 1 (up to 1e-12): translate x
+    by its nearest element of O_F and invert (x, y) -> (-conj x, y)/(|x|^2
+    + |y|^2) while that is < 1, each point as often as it needs.  The
+    covering radius R_F of O_F is < 1 for the five norm-Euclidean base
+    fields (Swan, Adv. Math. 6, 1971).  Raises DegenerateLatticeError when
+    |x|^2 + |y|^2 underflows to 0 and ConvergenceError after
     _REDUCTION_STEPS steps."""
-    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    x, y = np.array(x), np.array(y)
     moving = np.ones(x.shape, bool)
     for _ in range(_REDUCTION_STEPS):
         xm, ym = x[moving], y[moving]
-        # + 0.0 makes rint's -0.0 a +0.0, as an integer rounding gives
-        xm -= np.rint(xm) + 0.0
-        n = xm * xm + ym * ym
+        xm -= _nearest_integer(F, xm)
+        n = np.abs(xm) ** 2 + np.abs(ym) ** 2
         if not n.all():
             raise DegenerateLatticeError(
-                f"SL2(Z) reduction: |z|^2 underflows at y = "
-                f"{ym[np.argmin(n)]:.3g}")
+                f"SL2(O_F) reduction: |x|^2 + |y|^2 underflows at |y| = "
+                f"{abs(ym[np.argmin(n)]):.3g}")
         inside = n < 1 - 1e-12
-        xm[inside], ym[inside] = -xm[inside] / n[inside], ym[inside] / n[inside]
+        xm[inside] = -np.conj(xm[inside]) / n[inside]
+        ym[inside] /= n[inside]
         x[moving], y[moving] = xm, ym
         moving[moving] = inside
         if not moving.any():
             return x, y
     raise ConvergenceError(
-        f"SL2(Z) reduction did not end in {_REDUCTION_STEPS} steps "
-        f"(reached y = {y[np.argmax(moving)]:.3g})")
+        f"SL2(O_F) reduction did not end in {_REDUCTION_STEPS} steps "
+        f"(reached |y| = {abs(y[np.argmax(moving)]):.3g})")
+
+
+def _power(base: np.ndarray, t: complex) -> np.ndarray:
+    """base^t for an array base > 0; ConvergenceError, before any overflow,
+    where a value lies near or past the range of doubles (e^709 = 8e307)."""
+    exponent = t * np.log(base)
+    if np.max(exponent.real) > 709:
+        raise ConvergenceError(
+            f"expansion prefactor |Ny|^({t}) lies past the range of doubles")
+    return np.exp(exponent)
 
 
 def _complex_points(M: np.ndarray, r_max: float) -> np.ndarray:

@@ -11,11 +11,9 @@ are plain pseudo-basis lattices in C, so the whole Eisenstein machinery
 applies to every node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
 the expansion evaluates each node at the SL2(Z)-reduced point of
 (N a/N b) z_u, so every node costs about the same, while h_value and y keep
-describing z_u itself (the limit formula integrates h - log|y|).  After that
-reduction every node has a = b = Z, so the nodes build no lattice: their
-evaluator is EisensteinEvaluator.at_point of one evaluator that HeckeSetup
-builds once (at t = 1) and that holds b*, xi(s, Z), the norms and the
-volumes for all nodes.
+describing z_u itself (the limit formula integrates h - log|y|).  The
+nodes build no lattice: their evaluator is EisensteinEvaluator.at_point of
+one evaluator that HeckeSetup builds once (at t = 1).
 
 The quadrature evaluates each refinement level as one batch: the new nodes
 of a level, both signs, make one array evaluator (HeckeSetup.evaluator_at

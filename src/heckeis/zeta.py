@@ -243,7 +243,7 @@ def zeta_K_class(K: FieldDescriptor, ideal: Optional[FracIdeal], s: complex) -> 
     if K.discriminant == -20:
         total = zeta_K(K, s)
         genus = dirichlet_l(s, -4) * dirichlet_l(s, 5)
-        if ideal is None or _is_principal_imag(ideal):
+        if ideal is None or ideal_generator(ideal) is not None:
             return (total + genus) / 2
         return (total - genus) / 2
     raise UnsupportedFieldError(
@@ -264,20 +264,22 @@ def _ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
                      [K.embed(g1, 1), K.embed(g2, 1)]])
 
 
-def _is_principal_imag(ideal: FracIdeal) -> bool:
-    """Whether an imaginary quadratic ideal is principal: its minimal nonzero
-    element norm equals the ideal norm (candidates located numerically, then
-    certified exactly)."""
-    K = ideal.field
+def ideal_generator(ideal: FracIdeal):
+    """A generator of the ideal, or None if it is not principal: the stored
+    one (always, over Q), else an element of least norm if that norm is
+    N(ideal) (candidates located numerically, then certified exactly)."""
+    if ideal.gen is not None:
+        return ideal.gen
     n_ideal = ideal.absolute_norm()
     # Minkowski: some element has norm <= (2/pi) sqrt|D| N(ideal)
-    bound = 0.65 * math.sqrt(abs(K.discriminant)) * float(n_ideal) * 1.01
+    bound = 0.65 * math.sqrt(abs(ideal.field.discriminant)) \
+        * float(n_ideal) * 1.01
     g1, g2 = ideal.z_basis()
-    best = min(abs((int(c1) * g1 + int(c2) * g2).norm())
-               for _, cs in ball_points(_ideal_embedding_matrix(ideal),
-                                        math.sqrt(bound), coeffs=True)
-               for c1, c2 in cs.T)
-    return best == n_ideal
+    best = min((int(c1) * g1 + int(c2) * g2
+                for _, cs in ball_points(_ideal_embedding_matrix(ideal),
+                                         math.sqrt(bound), coeffs=True)
+                for c1, c2 in cs.T), key=lambda g: abs(g.norm()))
+    return best if abs(best.norm()) == n_ideal else None
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +308,12 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
     X = float(cutoff)
     if F.is_rational:
         # orbit representatives are positive rationals a*m; the value is
-        # independent of the ideal
-        m_max = int(X)
-        m = np.arange(1, m_max + 1, dtype=float)
-        val = _power_sum(m, s)
+        # independent of the ideal.  ball_points yields m^2, chunked and
+        # capped by ENUM_POINT_CAP
+        val = sum((_power_sum(m2, s / 2)
+                   for m2 in ball_points(np.ones((1, 1)), X)), 0j)
         # integral tail correction (Euler-Maclaurin through the 1/2 term)
-        lnM = math.log(m_max)
+        lnM = math.log(int(X))
         val += cmath.exp((1 - s) * lnM) / (s - 1) - 0.5 * cmath.exp(-s * lnM)
         tail = abs(X ** (1 - s.real) / (s.real - 1))
         return val, tail
@@ -392,8 +394,8 @@ def _tail_cutoff(a: float, M: np.ndarray, c: float, tol: float,
     # log(e^X tail(X)) grows with slope < 1/2 here, so this climbs to the
     # least such X in a few steps
     X = max(b, d) + 2.0
-    while log_need(X) > X:
-        X = log_need(X) + 1e-3
+    while (need := log_need(X)) > X:
+        X = need + 1e-3
     return X
 
 

@@ -76,14 +76,20 @@ def _fail(*args, **kwargs):
 
 
 def test_expansion_failure_hints_the_other_routes(capsys):
-    # on this skewed lattice the pair sum's rounding floor lies above tol
-    code, _, err = run_cli(
-        capsys, "eval-eisenstein", "--base-field", "Q(sqrt-1)",
-        "--lattice", "1,0.3:0.2:0.05:0.0,1", "--s", "3", "--tol", "1e-10",
-        "--method", "expansion")
+    # at s = 10 the pair sum's rounding floor lies above tol
+    args = ["eval-eisenstein", "--base-field", "Q(sqrt-1)",
+            "--lattice", "1,0.3:0.2:0.05:0.0,1", "--tol", "1e-10"]
+    code, _, err = run_cli(capsys, *args, "--s", "10", "--method", "expansion")
     assert code == 3
     assert err.splitlines()[-1] == (
         "hint: try --method lattice or --method direct or a looser --tol")
+    # at s = 3 the expansion of the reduced point meets tol, as checked
+    # against the lattice route on the given lattice
+    got = [run_cli(capsys, *args, "--s", "3", "--method", method)
+           for method in ("expansion", "lattice")]
+    assert [code for code, _, _ in got] == [0, 0]
+    (a, b) = (json.loads(out)["Ehat"] for _, out, _ in got)
+    assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= 2e-10
 
 
 @pytest.mark.parametrize("method,s,hint", [

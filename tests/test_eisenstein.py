@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -39,6 +40,12 @@ def lat_q(x, y, a=1, b=1):
 def lat_quat(F, x, y):
     O = FracIdeal.unit_ideal(F)
     return OFLattice(F, O, DNumber(F, (Quaternion(x, y),)), O)
+
+
+# the squared covering radius R_F^2 of O_F, by discriminant: every x lies
+# within R_F of O_F, and the SL2(O_F)-reduced point has |x| <= R_F
+COVERING_R2 = {1: 1 / 4, -3: 1 / 3, -4: 1 / 2, -7: 4 / 7, -8: 3 / 4,
+               -11: 9 / 11}
 
 
 def test_direct_square_lattice_value():
@@ -137,14 +144,14 @@ def test_expansion_on_the_reduced_presentation_over_q(x, y, ia, ib, s):
        st.floats(0.0, 2 * math.pi), _OFF_POLE_S)
 def test_expansion_with_equal_ideals_over_imaginary_fields(d, gen, x, ay,
                                                            ang, s):
-    # a = b != O: the expansion runs on O z + O
+    # a = b != O: the expansion runs on O w + O, w the reduced point of z
     F = make_field(d)
     if gen == "1+w":
         gen = QuadElement(F, Fraction(1), Fraction(1))
     a = FracIdeal(F, gen=gen)
     lat = OFLattice(F, a, DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),)), a)
     ev = EisensteinEvaluator(lat)
-    assert ev.ideal_a == FracIdeal.unit_ideal(F) != a
+    assert ev.P_red >= 1 - COVERING_R2[F.discriminant] - 1e-12
     _assert_routes_agree(ev, s)
 
 
@@ -223,11 +230,13 @@ def test_expansion_pole_errors():
 
 
 def test_degenerate_y_rejected():
-    # over an imaginary field y is not reduced, so a tiny |N(y)| still makes
-    # the expansion ill-conditioned
+    # O 1e-70 j + 1e100 O is the lattice O w + O scaled by 1e100, with
+    # w = 1e-170 j: |w|^2 underflows to 0, and the reduction names it
     lat = lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j)
-    tiny = lat_quat(Fi, 0.3 + 0.2j, 1e-6 + 0j)
-    with pytest.raises(DegenerateLatticeError):
+    O = FracIdeal.unit_ideal(Fi)
+    tiny = OFLattice(Fi, O, DNumber(Fi, (Quaternion(0j, 1e-70 + 0j),)),
+                     FracIdeal(Fi, gen=10 ** 100))
+    with pytest.raises(DegenerateLatticeError, match="underflows"):
         EisensteinEvaluator(tiny)
     assert EisensteinEvaluator(lat) is not None
 
@@ -286,11 +295,11 @@ def test_array_sl2z_reduction_matches_the_scalar_loop(points):
         # a translated x of 0 with y^2 below the smallest float: the loop
         # divided by 0, the array reduction names the degenerate point
         with pytest.raises(DegenerateLatticeError, match="underflows"):
-            eisenstein._sl2z_reduce(x, y)
+            eisenstein._sl2_reduce(Q, x, y)
         return
     # hostile points overflow |z|^2 to inf, as the loop does, silently
     with np.errstate(over="ignore"):
-        got_x, got_y = eisenstein._sl2z_reduce(x, y)
+        got_x, got_y = eisenstein._sl2_reduce(Q, x, y)
     np.testing.assert_array_equal(got_x.view(np.int64),
                                   want[:, 0].view(np.int64))
     np.testing.assert_array_equal(got_y.view(np.int64),
@@ -304,9 +313,9 @@ def test_sl2z_reduction_raises_at_its_step_cap(monkeypatch):
     # point that needs more than the cap raises for the whole array
     monkeypatch.setattr(eisenstein, "_REDUCTION_STEPS", 100)
     with pytest.raises(ConvergenceError, match="did not end in 100 steps"):
-        eisenstein._sl2z_reduce(np.array([0.3, math.sqrt(2) - 1]),
-                                np.array([1.1, 1e-300]))
-    x, y = eisenstein._sl2z_reduce(np.array([0.3]), np.array([1e-20]))
+        eisenstein._sl2_reduce(Q, np.array([0.3, math.sqrt(2) - 1]),
+                               np.array([1.1, 1e-300]))
+    x, y = eisenstein._sl2_reduce(Q, np.array([0.3]), np.array([1e-20]))
     assert y[0] >= math.sqrt(3) / 2 - 1e-12
 
 
@@ -316,9 +325,138 @@ def test_at_point_keeps_the_lattice_guards():
         ev.at_point(0.3, 0.0)
     evi = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j))
     with pytest.raises(DegenerateLatticeError):
-        evi.at_point(0.3 + 0.2j, 1e-6 + 0j)
+        evi.at_point(0j, 1e-200 + 0j)
     with pytest.raises(DegenerateLatticeError):
         EisensteinEvaluator(lat_q(0.3, 1.1).dual()).at_point(0.3, 1.1)
+
+
+def _ideal_of(F, gen, hnf):
+    """The ideal (gen) of F, built from its HNF alone (no stored generator)
+    when hnf is true; over Q, which has no w, "1+w" stands for 3."""
+    if F.is_rational:
+        return FracIdeal(F, gen=3 if gen == "1+w" else gen)
+    if gen == "1+w":
+        gen = QuadElement(F, Fraction(1), Fraction(1))
+    ideal = FracIdeal(F, gen=gen)
+    return FracIdeal(F, hnf=ideal.hnf) if hnf else ideal
+
+
+_IDEALS = st.tuples(st.sampled_from([1, 2, Fraction(3, 2), "1+w"]),
+                    st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["Q", -1, -2, -3, -7, -11]), _IDEALS, _IDEALS,
+       st.complex_numbers(max_magnitude=1.5), st.floats(-3.0, math.log10(2)),
+       st.floats(0.0, 2 * math.pi), st.sampled_from([2.5, 0.3, 0.5 + 0.9j]))
+@example(-1, (1, False), (1, False), 0.3 + 0.2j, math.log10(0.05), 0.0, 3.0)
+@example(-11, ("1+w", True), (2, True), -0.4 + 0.3j, -3.0, 1.0, 0.3)
+def test_reduced_point_lies_in_the_fundamental_region(kind, ia, ib, x, log_y,
+                                                      ang, s):
+    # |x_red| is at most the covering radius R_F and |x_red|^2 + |y_red|^2
+    # at least 1, also for ideals with no stored generator; where the given
+    # |y| is at least 0.05 the lattice route on the given lattice can
+    # certify the value
+    F = make_field(kind)
+    a, b = _ideal_of(F, *ia), _ideal_of(F, *ib)
+    y = 10.0 ** log_y
+    if F.is_rational:
+        z = DNumber.from_xy(F, x.real, y)
+    else:
+        z = DNumber(F, (Quaternion(x, y * cmath.exp(1j * ang)),))
+    ev = EisensteinEvaluator(OFLattice(F, a, z, b))
+    x2, y2 = abs(ev.x_red) ** 2, abs(ev.y_red) ** 2
+    assert x2 <= COVERING_R2[F.discriminant] + 1e-12
+    assert x2 + y2 >= 1 - 1e-12
+    if y >= 0.05:
+        # within the sum of the tols, plus the lattice route's rounding
+        # allowance of _assert_routes_agree: it has no rounding floor, and
+        # at covolume 275 (a = b = (1 + w) over Q(sqrt -11)) its values at
+        # tol 1e-9, 1e-11, 1e-13 spread over 2.4e-9 (the direct sum agrees
+        # with the expansion there)
+        tol, V, re_s = 1e-9, ev.lattice.covolume, complex(s).real
+        got = ev.ehat_expansion(s, tol)
+        assert abs(got - ev.ehat_lattice(s, tol)) \
+            <= 2 * tol + 1e-14 * max(V ** re_s, V ** (re_s - 1))
+
+
+@given(st.sampled_from([-1, -2, -3, -7, -11]),
+       st.lists(st.complex_numbers(max_magnitude=50.0), min_size=1,
+                max_size=8))
+def test_nearest_integer_matches_a_brute_force_search(d, xs):
+    # the element of O_F it returns is as near x as the nearest of a box
+    # of 7 x 7 elements a + b omega around x's rounded coordinates
+    F = make_field(d)
+    omega = F.omega_embeddings()[0]
+    x = np.array(xs, dtype=complex)
+    for xi, got in zip(x, eisenstein._nearest_integer(F, x)):
+        v = round(xi.imag / omega.imag)
+        u = round(xi.real - v * omega.real)
+        box = [a + b * omega for a in range(u - 3, u + 4)
+               for b in range(v - 3, v + 4)]
+        assert abs(xi - got) <= min(abs(xi - e) for e in box) + 1e-12
+        b = got.imag / omega.imag
+        a = got.real - b * omega.real
+        assert max(abs(a - round(a)), abs(b - round(b))) < 1e-9
+
+
+def _gaussian_reduce_loop(x, y):
+    """A scalar SL2(Z[i]) reduction of x + y j, y > 0: Z[i] is a square
+    lattice, so rounding both parts gives the nearest Gaussian integer."""
+    for _ in range(eisenstein._REDUCTION_STEPS):
+        x -= complex(round(x.real), round(x.imag))
+        n = abs(x) ** 2 + y * y
+        if n >= 1 - 1e-12:
+            return x, y
+        x, y = -x.conjugate() / n, y / n
+    raise ConvergenceError("SL2(Z[i]) reduction did not end")
+
+
+@pytest.mark.parametrize("y, tol", [(0.2, 1e-7), (0.07, 1e-7), (0.05, 1e-10),
+                                    (0.01, 1e-10), (0.003, 1e-10)])
+def test_small_y_over_q_i_meets_tol(y, tol):
+    # over Q(i), a = b = O, x = 0.3 + 0.2i at s = 3: unreduced, the
+    # expansion was 1.09 tol (|y| = 0.2) and 72 tol (0.07) off, raised at
+    # its rounding floor (0.05), raised at the pair cap (0.01) or ran out
+    # of memory (0.003).  The lattice route on the given lattice is the
+    # reference down to |y| = 0.05, where it meets tol.  Below, its
+    # enumeration box exceeds the cap, and the reference is the lattice
+    # route on the point a scalar loop reduces to.  At |y| = 0.003 that
+    # point has |y_red| = 10/3, and term1 multiplies the truncation error
+    # of xi(6) at tol by P_red^3 = 1372: 3.0 tol, 2.8e-13 of Ehat
+    ev = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, complex(y)))
+    tracemalloc.start()
+    try:
+        got = ev.ehat_expansion(3.0, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    if y >= 0.05:
+        assert abs(got - ev.ehat_lattice(3.0, tol)) <= tol
+    else:
+        want = EisensteinEvaluator(lat_quat(
+            Fi, *_gaussian_reduce_loop(0.3 + 0.2j, y))).ehat_lattice(3.0, tol)
+        assert abs(got - want) <= max(tol, 1e-12 * abs(want))
+
+
+@pytest.mark.parametrize("s", [2.5, 0.3, 0.5 + 0.9j])
+def test_tiny_y_over_q_i_matches_the_large_y_closed_form(s):
+    # O 1e-6 j + O reduces to O 1e6 j + O, whose pair sum is below
+    # e^(-4 pi 1e6): Ehat = Y^s xi(2s) + Y^(1-s) xi(2s-1) at Y = |y|^2 =
+    # 1e12, xi(u) = 2^u (2 pi)^(1-u) Gamma(u) zeta(u) beta(u) over Q(i)
+    ev = EisensteinEvaluator(lat_quat(Fi, 0j, 1e-6 + 0j))
+    with mpmath.workdps(30):
+        s_mp, Y = mpmath.mpc(s), mpmath.mpf(10) ** 12
+
+        def xi(u):
+            return 2 ** u * (2 * mpmath.pi) ** (1 - u) * mpmath.gamma(u) \
+                * mpmath.zeta(u) * mpmath.dirichlet(u, [0, 1, 0, -1])
+
+        want = complex(Y ** s_mp * xi(2 * s_mp)
+                       + Y ** (1 - s_mp) * xi(2 * s_mp - 1))
+    got = ev.ehat_expansion(s, 1e-12)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("s", [2.5, 0.3, 0.5 + 0.9j])
@@ -486,8 +624,7 @@ def _brute_pairs(ev, reach):
     """The cutoff hi = reach c min|alpha| min|beta*|, c = n_v pi |y|, with
     the (arg, phase, ratio) of every pair whose argument is at most hi, both
     of each +-alpha, one alpha at a time against the whole beta list; on the
-    reduced presentation (ideal_a, ideal_b, x_red, y_red) the expansion runs
-    on."""
+    reduced presentation O w + O (x_red, y_red) the expansion runs on."""
     n_v = 1 if ev.F.is_rational else 2
     x, y = ev.x_red, ev.y_red
     c = n_v * math.pi * abs(y)
@@ -495,19 +632,19 @@ def _brute_pairs(ev, reach):
     # to either side
     reach *= 1 + math.pi * 1e-7
     if ev.F.is_rational:
-        a, bs = ev.na, float(ev.bstar.absolute_norm())
+        bs = float(ev.bstar.absolute_norm())
         k = np.arange(1, int(reach) + 2)
-        alphas, betas = a * np.concatenate([k, -k]), bs * np.concatenate([k, -k])
-        hi = reach * c * a * bs
+        alphas, betas = np.concatenate([k, -k]), bs * np.concatenate([k, -k])
+        hi = reach * c * bs
     else:
-        Ma = _ideal_embedding_matrix(ev.ideal_a)
+        Ma = _ideal_embedding_matrix(FracIdeal.unit_ideal(ev.F))
         Mb = _ideal_embedding_matrix(ev.bstar)
         min_a, min_b = (np.abs(_box_points(
             M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
-        # every ideal is principal: the least |alpha| in a is sqrt(N(a)), as
-        # _pair_data takes it (b* is never the unit ideal)
-        assert min_a == pytest.approx(math.sqrt(ev.na), rel=1e-12)
-        assert min_b == pytest.approx(math.sqrt(ev.nbstar), rel=1e-12)
+        # b* is principal: the least |beta*| is sqrt(N(b*)), as _pair_data
+        # takes it, and the least |alpha| in O is 1
+        assert min_a == pytest.approx(1.0, rel=1e-12)
+        assert min_b == pytest.approx(ev.bmin, rel=1e-12)
         alphas = _box_points(Ma, 1.01 * reach * min_a)
         betas = _box_points(Mb, 1.01 * reach * min_b)
         hi = reach * c * min_a * min_b
@@ -588,7 +725,7 @@ def test_term3_evaluates_each_pair_once(monkeypatch):
         assert len(cutoffs) == 1 and len(seen) == 1
         assert seen[0] == pair_data(cutoffs[0])[0].size > 0
         # the cutoffs are the ones the tail bound proves
-        scale = np.abs(ev.Va ** 6 * ev.Vb ** 5 * np.ravel(ev.ny) ** 6) \
+        scale = np.abs(ev.V ** 11 * np.ravel(ev.P_red) ** 6) \
             / (ev.F.w / 2) * 2 * math.pi
         np.testing.assert_allclose(cutoffs[0],
                                    ev._pair_cutoff(6.0, scale, 1e-10)[0],
@@ -611,12 +748,12 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal):
     L = float(cutoffs[0].max())
     x, y = ev.x_red, ev.y_red
     c = 2 * math.pi * abs(y)
-    Ma = _ideal_embedding_matrix(ev.ideal_a)
+    Ma = _ideal_embedding_matrix(O)
     Mb = _ideal_embedding_matrix(ev.bstar)
     min_a, min_b = (np.abs(_box_points(
         M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
-    assert min_a == pytest.approx(math.sqrt(ev.na), rel=1e-12)
-    assert min_b == pytest.approx(math.sqrt(ev.nbstar), rel=1e-12)
+    assert min_a == pytest.approx(1.0, rel=1e-12)
+    assert min_b == pytest.approx(ev.bmin, rel=1e-12)
     alphas = _box_points(Ma, 1.01 * L / (c * min_b))
     betas = _box_points(Mb, 1.01 * L / (c * min_a))
     al, be = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
@@ -624,7 +761,7 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal):
     keep = args <= L
     al, be, args = al[keep], be[keep], args[keep]
     ratios = (np.abs(be) / (np.abs(al) * abs(y))) ** 2
-    pref = ev.Va ** s * ev.Vb ** (s - 1) * abs(y) ** (2 * s) / F.w
+    pref = ev.V ** (2 * s - 1) * abs(y) ** (2 * s) / F.w
     terms = pref * 2 * math.pi * ratios ** (s - 0.5) \
         * bessel_k_batch(2 * (s - 0.5), args) \
         * np.exp(2j * math.pi * 2 * (x * al * be).real)
@@ -632,9 +769,7 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal):
 
 
 # pairs (X + 15)^n_v / c^n_v, summed over the nodes, that one example of
-# the tail property may enumerate: a few 1e5 pairs.  Below |y| ~ 0.1 with
-# Re s far from 1/2 the cutoffs need millions (the small-|y| memory cost of
-# the expansion, which SL2(O_F) reduction would remove)
+# the tail property may enumerate: a few 1e5 pairs
 _TAIL_TEST_BUDGET = 1e4
 
 
@@ -669,7 +804,7 @@ def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
     ev = EisensteinEvaluator(OFLattice(F, a, z, b)).at_point(xs, ys)
     s = complex(sigma, t)
     ny = np.abs(ev.y_red) ** n_v
-    scale = np.abs(ev.Va ** s * ev.Vb ** (s - 1) * ny ** s) / (F.w / 2) \
+    scale = np.abs(ev.V ** (2 * s - 1) * ny ** s) / (F.w / 2) \
         * (2 * math.pi) ** (n_v - 1)
     X, _ = ev._pair_cutoff(s, scale, tol)
     c = n_v * math.pi * np.abs(ev.y_red)
@@ -702,12 +837,12 @@ def test_pair_sum_raises_at_its_pair_cap(monkeypatch):
 
 
 def test_term3_raises_below_its_rounding_floor():
-    # over Q(i) with |y| = 0.2 at s = 5 the scaled terms up to the cutoff
-    # add up to ~2e8 in absolute value, so eps * sum |term| ~ 5e-8 lies
-    # above tol/10
+    # over Q(i) with |y| = 0.2 (|y_red| = 20/17) at s = 10 the scaled terms
+    # up to the cutoff add up to ~3e6 in absolute value, so
+    # eps * sum |term| ~ 6e-10 lies above tol/10
     ev = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 0.2 + 0j))
     with pytest.raises(ConvergenceError) as info:
-        ev.term3(5.0, 1e-10)
+        ev.term3(10.0, 1e-10)
     msg = str(info.value)
     assert "rounding floor" in msg and "tol/10 = 1e-11" in msg
     err = info.value

@@ -435,7 +435,7 @@ def test_batched_nodes_equal_the_nodes_one_at_a_time(which, nodes):
         h_mass = 2 / CF * _sum_abs(ev.term1(1.0, tol), ev.term3(1.0, tol)) \
             + abs(log_ratio)
         assert abs(g_h - h) <= 1e-14 * h_mass
-        ct_mass = abs(ev.zeta_a.laurent_ct(tol)) \
+        ct_mass = abs(ev.zeta.laurent_ct(tol)) \
             + CF / 2 * (h_mass + abs(math.log(ev.P)))
         assert abs(g_ct - ev.ct(tol)) <= 1e-14 * ct_mass
 

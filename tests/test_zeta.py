@@ -115,6 +115,19 @@ def test_partial_zeta_rational():
     assert abs(v - v2) < 1e-12
 
 
+def test_partial_zeta_rational_is_chunked_and_capped():
+    # over Q the sum runs over ball_points' d = 1 path: a cutoff of 1e9
+    # exceeds ENUM_POINT_CAP and raises before the 1e9 terms are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            partial_zeta_series(Q, ZZ, 2.0, 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # partial_zeta_series(K, A, s, 2e4) from a sum over both points of each
 # +-pair, divided by w
 PINNED_PARTIAL_ZETA = [
