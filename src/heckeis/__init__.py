@@ -5,7 +5,7 @@ functions, with numerical certification utilities."""
 
 from .basefield import (FieldDescriptor, FracIdeal, QuadElement, dual_ideal,
                         make_field, parse_field)
-from .dalgebra import DNumber, Quaternion, dnorm, psi_exponent, rho, rho_star
+from .dalgebra import DNumber, Quaternion
 from .eisenstein import EisensteinEvaluator
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError, HeckeisError, PoleError,

@@ -110,13 +110,6 @@ class FieldDescriptor:
 
     # -- distinguished elements ----------------------------------------------
 
-    @property
-    def fundamental_unit(self) -> "QuadElement":
-        if self.fundamental_unit_coeffs is None:
-            raise UnsupportedFieldError(f"{self.label} has no fundamental unit")
-        a, b = self.fundamental_unit_coeffs
-        return QuadElement(self, a, b)
-
     def different_generator(self) -> "QuadElement":
         """A generator of the different ideal (sqrt D as an element)."""
         if self.kind == "Q":
@@ -229,18 +222,6 @@ class QuadElement:
 
     def embeddings(self):
         return (self.field.embed(self, 0), self.field.embed(self, 1))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __str__(self):
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}w"
@@ -497,16 +478,6 @@ class FracIdeal:
         return [QuadElement(self.field, q * a, Fraction(0)),
                 QuadElement(self.field, q * b, q * c)]
 
-    def contains(self, x) -> bool:
-        if self.field.is_rational:
-            return (Fraction(x) / self.gen).denominator == 1
-        q, a, b, c = self.hnf
-        t = x.b / (q * c)
-        if t.denominator != 1:
-            return False
-        s = (x.a - t * q * b) / (q * a)
-        return s.denominator == 1
-
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other):
@@ -530,18 +501,6 @@ class FracIdeal:
         out = FracIdeal.from_z_module(self.field, gens)
         if self.gen is not None:
             out.gen = self.gen.inverse()
-        return out
-
-    def scale(self, c):
-        """The ideal c * a for a nonzero field element c."""
-        if self.field.is_rational:
-            return FracIdeal(self.field, gen=self.gen * abs(Fraction(c)))
-        if not isinstance(c, QuadElement):
-            c = QuadElement(self.field, Fraction(c), Fraction(0))
-        gens = [g * c for g in self.z_basis()]
-        out = FracIdeal.from_z_module(self.field, gens)
-        if self.gen is not None:
-            out.gen = self.gen * c
         return out
 
     def __eq__(self, other):

@@ -152,7 +152,7 @@ def parse_ideal(F: FieldDescriptor, s: str) -> FracIdeal:
 
 def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
     """'a,z,b' with rational/element ideals and z as 'x+y' (F = Q) or
-    'xr:xi:yr:yi' (imaginary quadratic F)."""
+    'xr:xi:yr:yi' (imaginary quadratic F), every coordinate finite."""
     parts = spec.split(",")
     if len(parts) != 3:
         raise CliParseError(
@@ -163,21 +163,28 @@ def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
     if F.is_rational:
         if ":" in zs:
             xs, ys = zs.split(":")
-            z = DNumber.from_xy(F, float(xs), float(ys))
         else:
             m = _TWO_FLOATS.match(zs)
             if not m:
                 raise CliParseError(
                     f"cannot parse z component {zs!r} for base field Q "
                     "(expected 'x+y' or 'x:y')")
-            z = DNumber.from_xy(F, float(m.group(1)), float(m.group(2)))
+            xs, ys = m.groups()
+        coords = [float(xs), float(ys)]
     else:
         coords = zs.split(":")
         if len(coords) != 4:
             raise CliParseError(
                 f"z component {zs!r} needs 4 coordinates 'xr:xi:yr:yi' over "
                 f"{F.label}")
-        xr, xi, yr, yi = (float(c) for c in coords)
+        coords = [float(c) for c in coords]
+    if not all(map(math.isfinite, coords)):
+        raise CliParseError(
+            f"z component {zs!r} of the lattice must have finite coordinates")
+    if F.is_rational:
+        z = DNumber.from_xy(F, *coords)
+    else:
+        xr, xi, yr, yi = coords
         z = DNumber(F, (Quaternion(complex(xr, xi), complex(yr, yi)),))
     return OFLattice(F, ideal_a, z, ideal_b)
 

@@ -1,7 +1,6 @@
-"""Arithmetic in the product algebra D_F (one complex plane per real place,
-one Hamilton quaternion algebra per complex place), the multiplicative norm,
-the additive character exponent, and the transfer maps between K_R and D_F
-for quadratic extensions K of Q.
+"""The product algebra D_F (one complex plane per real place, one Hamilton
+quaternion algebra per complex place): quaternion arithmetic and the
+elements z = x + y j_F that an O_F-lattice a z + b is built from.
 
 Quaternions are stored in the C + Cj split (two complex coordinates), since
 x-part / y-part extraction is the dominant operation.
@@ -11,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
-from .basefield import FieldDescriptor, make_field
+from .basefield import FieldDescriptor
 from .errors import UnsupportedFieldError
 
 
@@ -23,14 +21,6 @@ class Quaternion:
 
     x: complex
     y: complex
-
-    @classmethod
-    def from_coords(cls, r: float, i: float, j: float, k: float) -> "Quaternion":
-        return cls(complex(r, i), complex(j, k))
-
-    @property
-    def coords(self):
-        return (self.x.real, self.x.imag, self.y.real, self.y.imag)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.x + other.x, self.y + other.y)
@@ -70,19 +60,6 @@ class Quaternion:
         c = self.conjugate()
         return Quaternion(c.x / n, c.y / n)
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-
-# basis quaternions
-Q_ONE = Quaternion(1 + 0j, 0j)
-Q_I = Quaternion(1j, 0j)
-Q_J = Quaternion(0j, 1 + 0j)
-Q_K = Quaternion(0j, 1j)
-
-
-Component = Union[complex, Quaternion]
-
 
 @dataclass(frozen=True)
 class DNumber:
@@ -118,96 +95,5 @@ class DNumber:
             return c.y
         return c.imag
 
-    def __mul__(self, other: "DNumber") -> "DNumber":
-        return DNumber(self.field, tuple(
-            a * b for a, b in zip(self.components, other.components)))
-
-    def __add__(self, other: "DNumber") -> "DNumber":
-        return DNumber(self.field, tuple(
-            a + b for a, b in zip(self.components, other.components)))
-
     def __neg__(self) -> "DNumber":
         return DNumber(self.field, tuple(-a for a in self.components))
-
-    def scalar_mul(self, scalars) -> "DNumber":
-        """Left multiplication by an element of F_R (one scalar per place)."""
-        if not isinstance(scalars, (list, tuple)):
-            scalars = (scalars,)
-        return DNumber(self.field, tuple(
-            s * c if isinstance(c, Quaternion) else complex(s) * c
-            for s, c in zip(scalars, self.components)))
-
-    def inverse(self) -> "DNumber":
-        return DNumber(self.field, tuple(
-            c.inverse() if isinstance(c, Quaternion) else 1.0 / c
-            for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 or (isinstance(c, Quaternion) and c.is_zero())
-                   for c in self.components)
-
-
-def dnorm(z: DNumber) -> float:
-    """The multiplicative norm on D_F: product of |z_v| over real places and
-    |z_v|^2 over complex places.  Agrees with |N_{F/Q}| on F_R."""
-    out = 1.0
-    for c in z.components:
-        if isinstance(c, Quaternion):
-            out *= c.abs2()
-        else:
-            out *= abs(c)
-    return out
-
-
-def psi_exponent(z: DNumber) -> float:
-    """Exponent e of the additive character: psi(z) = exp(2 pi i e), where
-    e = Tr_{F/Q}(x) and z = x + y*j_F."""
-    out = 0.0
-    for c in z.components:
-        if isinstance(c, Quaternion):
-            out += 2.0 * c.x.real
-        else:
-            out += c.real
-    return out
-
-
-# ---------------------------------------------------------------------------
-# transfer maps K_R -> D_F for quadratic K
-
-
-def _check_signature(K: FieldDescriptor, F: FieldDescriptor):
-    if not F.is_rational:
-        raise UnsupportedFieldError(
-            "transfer maps are implemented over the base field Q")
-    if K.kind != "quadratic":
-        raise UnsupportedFieldError("K must be quadratic")
-
-
-def rho(K: FieldDescriptor, z_components: Sequence, F: FieldDescriptor = None) -> DNumber:
-    """The measure-preserving F_R-linear map K_R -> D_F.
-
-    Real K: z = (z_w, z_w') maps to z_w + z_w'*i in C.
-    Imaginary K: z = (z_w,) maps to (1+i)*z_w.
-    """
-    F = F or make_field("Q")
-    _check_signature(K, F)
-    if K.d > 0:
-        zw, zwp = z_components
-        return DNumber.from_xy(F, float(zw), float(zwp))
-    (zw,) = tuple(z_components) if isinstance(z_components, (list, tuple)) else (z_components,)
-    t = (1 + 1j) * complex(zw)
-    return DNumber.from_xy(F, t.real, t.imag)
-
-
-def rho_star(K: FieldDescriptor, z_components: Sequence, F: FieldDescriptor = None) -> DNumber:
-    """The companion map with the conjugate convention: real K sends z to
-    z_w - z_w'*i, imaginary K to (1-i)*z_w.  The dual lattice of
-    rho(u*A) is rho_star(u^{-1} * dual(A))."""
-    F = F or make_field("Q")
-    _check_signature(K, F)
-    if K.d > 0:
-        zw, zwp = z_components
-        return DNumber.from_xy(F, float(zw), -float(zwp))
-    (zw,) = tuple(z_components) if isinstance(z_components, (list, tuple)) else (z_components,)
-    t = (1 - 1j) * complex(zw)
-    return DNumber.from_xy(F, t.real, t.imag)

@@ -67,11 +67,11 @@ from . import numerics
 from .basefield import FracIdeal, dual_ideal
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError)
-from .lattice import OFLattice, ball_points
+from .lattice import OFLattice, ball_points, ideal_embedding_matrix
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
 from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
-from .zeta import (_ideal_embedding_matrix, c_F, completed_zeta,
-                   ideal_generator, theta_split, theta_split_ct)
+from .zeta import (c_F, completed_zeta, ideal_generator, theta_split,
+                   theta_split_ct)
 
 
 def _cpow(base: float, s: complex) -> complex:
@@ -96,8 +96,8 @@ class EisensteinEvaluator:
             self.bstar = dual_ideal(F, unit)
             self.zeta = completed_zeta(F, unit)
             self.bmin = float(self.bstar.absolute_norm()) ** (1 / self.n_v)
-            self.Mo = _ideal_embedding_matrix(unit)
-            self.Mbstar = _ideal_embedding_matrix(self.bstar)
+            self.Mo = ideal_embedding_matrix(unit)
+            self.Mbstar = ideal_embedding_matrix(self.bstar)
             self.V = math.sqrt(abs(F.discriminant))
             # alpha/beta exact, then embedded: N(a)/N(b) over Q
             self.ratio = F.embed(ideal_generator(lattice.ideal_a)
@@ -443,9 +443,6 @@ class EisensteinEvaluator:
         if self.lattice.z is not None:
             return self.ehat_expansion(s, tol)
         return self.ehat_lattice(s, tol)
-
-    def e_value(self, s: complex, tol: float = 1e-10, method: str = "auto") -> complex:
-        return self.ehat(s, tol, method) / gamma_F(self.F, 2 * complex(s))
 
     # ------------------------------------------------------------ Laurent data
 

@@ -3,15 +3,18 @@ fields K by the base-field Eisenstein series, over the norm-one torus modulo
 squared relative units, together with the induced limit-formula comparison.
 
 Base field Q only (real or imaginary quadratic K).  For an ideal presented
-as A = a*z + b with rational ideals a, b and z in K, the twisted lattices
+as A = a*z + b with rational ideals a, b and z in K, and rho: K_R -> C the
+measure-preserving map (z_w, z_w') -> z_w + z_w' i of a real K, the twisted
+lattices
 
     rho(u~ A) = (a z_u + b) * rho(u~),      z_u = rho(u~ z) / rho(u~),
 
-are plain pseudo-basis lattices in C, so the whole Eisenstein machinery
-applies to every node.  Near t = eps0 the nodes z_u have |y| down to 1e-4;
-the expansion evaluates each node at the SL2(Z)-reduced point of
-(N a/N b) z_u, so every node costs about the same, while h_value and y keep
-describing z_u itself (the limit formula integrates h - log|y|).  The
+are plain pseudo-basis lattices in C up to the scale rho(u~), which leaves
+Ehat unchanged, so the whole Eisenstein machinery applies to every node.
+Near t = eps0 the nodes z_u have |y| down to 1e-4; the expansion evaluates
+each node at the SL2(Z)-reduced point of (N a/N b) z_u, so every node costs
+about the same, while h_value and y keep describing z_u itself (the limit
+formula integrates h - log|y|).  The
 nodes build no lattice: their evaluator is EisensteinEvaluator.at_point of
 one evaluator that HeckeSetup builds once (at t = 1).
 
@@ -105,19 +108,6 @@ class HeckeSetup:
         """z_u = rho(u~ z)/rho(u~) in C; elementwise for arrays sign, t."""
         uw, uwp = self.lift_components(sign, t)
         return (uw * self.zw + 1j * (uwp * self.zwp)) / (uw + 1j * uwp)
-
-    def lattice_at(self, sign: int, t: float) -> OFLattice:
-        """rho(u~ A) = (a z_u + b) rho(u~) as a pseudo-basis lattice."""
-        if not self.K.is_real_quadratic:
-            raise UnsupportedFieldError("lattice family exists for real K")
-        if not (1.0 <= t < self.eps0 * (1 + 1e-12)):
-            raise ValueError(f"t={t} outside the domain [1, eps0)")
-        uw, uwp = self.lift_components(sign, t)
-        zu = self.z_u(sign, t)
-        scale = DNumber.from_xy(self.F, uw, uwp)
-        return OFLattice(self.F, self.ideal_a,
-                         DNumber.from_xy(self.F, zu.real, zu.imag),
-                         self.ideal_b, scale=scale)
 
     @cached_property
     def _node_template(self) -> EisensteinEvaluator:

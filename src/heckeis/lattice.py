@@ -1,7 +1,7 @@
-"""O_F-lattices in D_F: pseudo-basis presentations a*z + b (optionally right
-multiplied by an invertible t in D_F), derived real Z-bases and Gram data,
-covolumes, trace-pairing duals, norm-bounded point enumeration, and the
-Gaussian theta function.
+"""O_F-lattices in D_F: pseudo-basis presentations a*z + b, derived real
+Z-bases and Gram data, covolumes, trace-pairing duals, norm-bounded point
+enumeration, and the Gaussian theta function.  This module holds the one real
+embedding of ideals (ideal_embedding_matrix) and of lattices (OFLattice.M).
 
 Coordinates: C is identified with R^2 via (re, im); a quaternion x + y*j
 with R^4 via (re x, im x, re y, im y).  The reference Haar measure is
@@ -11,13 +11,13 @@ Lebesgue on C (real place) and 4 * Lebesgue on H (complex place).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import numerics
 from .basefield import FieldDescriptor, FracIdeal
-from .dalgebra import DNumber, Quaternion
+from .dalgebra import DNumber
 from .errors import DegenerateLatticeError, EnumerationCapError
 
 _REL_VOLUME_TOL = 1e-10
@@ -34,108 +34,90 @@ _CHUNK_POINTS = 1 << 16
 _DENSE_BOX = 8192
 
 
-def _component_coords(c) -> np.ndarray:
-    if isinstance(c, Quaternion):
-        return np.array(c.coords, dtype=float)
-    return np.array([c.real, c.imag], dtype=float)
+def ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
+    """Real matrix of the embedded Z-basis columns: [[a]] for aZ over Q,
+    rows (re, im) over an imaginary field, one row per place over a real
+    quadratic field."""
+    K = ideal.field
+    if K.is_rational:
+        return np.array([[float(ideal.gen)]])
+    g1, g2 = ideal.z_basis()
+    if K.is_imaginary_quadratic:
+        w1, w2 = K.embed(g1, 0), K.embed(g2, 0)
+        return np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
+    return np.array([[K.embed(g1, 0), K.embed(g2, 0)],
+                     [K.embed(g1, 1), K.embed(g2, 1)]])
 
 
-def _vector_from_coords(field: FieldDescriptor, v: np.ndarray) -> DNumber:
-    if field.is_rational:
-        return DNumber(field, (complex(v[0], v[1]),))
-    return DNumber(field, (Quaternion(complex(v[0], v[1]), complex(v[2], v[3])),))
+def _pseudo_basis_matrix(Ea: np.ndarray, x, y, Eb: np.ndarray) -> np.ndarray:
+    """The basis matrix of a z + b, z = x + y j: a column e z for each
+    embedded basis element e of a (the columns of Ea), then a column e for
+    each of b (Eb).  Over Q each place gives the rows of x-part and y-part,
+    (e x, e y); over an imaginary field their (re, im) rows, with the
+    products of complex multiplication written out."""
+    if Ea.shape[0] == 1:
+        rows = [Ea[0] * x, Ea[0] * y]
+    else:
+        er, ei = Ea
+        rows = [f for v in (x, y)
+                for f in (er * v.real - ei * v.imag, er * v.imag + ei * v.real)]
+    return np.hstack([np.array(rows), np.vstack([Eb, np.zeros_like(Eb)])])
 
 
 class OFLattice:
-    """A discrete cocompact O_F-submodule of D_F.
+    """A discrete cocompact O_F-submodule of D_F, held as its real basis
+    matrix M (columns in the coordinates above).
 
-    Either built from pseudo-basis data (ideal_a * z + ideal_b) * scale, or
-    directly from a real Z-basis (in which case only the Z-lattice structure
-    is available, e.g. for duals).
+    Either built from pseudo-basis data ideal_a * z + ideal_b, or directly
+    from a real basis matrix z_basis (in which case only the Z-lattice
+    structure is available, e.g. for duals).
     """
 
     def __init__(self, field: FieldDescriptor, ideal_a: Optional[FracIdeal] = None,
                  z: Optional[DNumber] = None, ideal_b: Optional[FracIdeal] = None,
-                 scale: Optional[DNumber] = None,
-                 z_basis: Optional[Sequence[DNumber]] = None):
+                 z_basis: Optional[np.ndarray] = None):
         if not field.is_supported_base:
             raise DegenerateLatticeError(
                 f"{field.label} is not a supported base field for lattices")
         self.field = field
-        self.lebesgue_factor = 1.0 if field.is_rational else 4.0
         self.dim = 2 * field.degree
 
         if z_basis is not None:
             self.ideal_a = self.ideal_b = None
             self.z = None
-            self.scale = None
-            self._basis = list(z_basis)
-            if len(self._basis) != self.dim:
-                raise DegenerateLatticeError("wrong Z-basis length")
+            self.M = np.array(z_basis, dtype=float)
+            if self.M.shape != (self.dim, self.dim):
+                raise DegenerateLatticeError("wrong Z-basis shape")
         else:
             if ideal_a is None or ideal_b is None or z is None:
                 raise DegenerateLatticeError("pseudo-basis data incomplete")
-            z = self._normalize_orientation(z)
+            # over Q, y > 0: -z spans the same lattice
+            if field.is_rational and z.y_part < 0:
+                z = -z
             self.ideal_a, self.ideal_b, self.z = ideal_a, ideal_b, z
-            self.scale = scale
-            y = z.y_part
-            if y == 0 or (isinstance(y, complex) and abs(y) == 0.0):
+            if z.y_part == 0:
                 raise DegenerateLatticeError("y-part of z must be invertible")
-            self._basis = self._pseudo_z_basis()
+            self.M = _pseudo_basis_matrix(ideal_embedding_matrix(ideal_a),
+                                          z.x_part, z.y_part,
+                                          ideal_embedding_matrix(ideal_b))
 
-        self.M = np.column_stack([
-            np.concatenate([_component_coords(c) for c in v.components])
-            for v in self._basis])
         det = np.linalg.det(self.M)
         if abs(det) < 1e-300:
             raise DegenerateLatticeError("Z-basis is singular")
-        self.Minv = np.linalg.inv(self.M)
-        self._det_volume = self.lebesgue_factor * abs(det)
-
-        if self.z is not None:
-            closed = self._closed_form_volume()
-            if abs(closed - self._det_volume) > _REL_VOLUME_TOL * closed:
-                raise DegenerateLatticeError(
-                    f"volume mismatch: closed form {closed} vs determinant "
-                    f"{self._det_volume}")
-            self.covolume = closed
-        else:
-            self.covolume = self._det_volume
-
-    # -- construction helpers -------------------------------------------------
-
-    def _normalize_orientation(self, z: DNumber) -> DNumber:
-        # for F = Q fix y > 0 (replace z by -z; the lattice is unchanged)
-        if self.field.is_rational and z.y_part < 0:
-            return -z
-        return z
-
-    def _pseudo_z_basis(self) -> List[DNumber]:
-        F = self.field
-        vecs = []
-        for g in self.ideal_a.z_basis():
-            e = F.embed(g, 0) if not F.is_rational else float(g)
-            vecs.append(self.z.scalar_mul(e))
-        for g in self.ideal_b.z_basis():
-            e = F.embed(g, 0) if not F.is_rational else float(g)
-            if F.is_rational:
-                vecs.append(DNumber.from_xy(F, e, 0.0))
-            else:
-                vecs.append(DNumber(F, (Quaternion(complex(e), 0j),)))
-        if self.scale is not None:
-            vecs = [v * self.scale for v in vecs]
-        return vecs
-
-    def _closed_form_volume(self) -> float:
-        F = self.field
+        det_volume = (1.0 if field.is_rational else 4.0) * abs(det)
+        if self.z is None:
+            self.covolume = det_volume
+            return
+        # V(a z + b) = |d_F| N(a) N(b) |N(y)|
         y = self.z.y_part
-        ny = abs(y) if F.is_rational else abs(y) ** 2
-        vol = abs(F.discriminant) * float(self.ideal_a.absolute_norm()) \
-            * float(self.ideal_b.absolute_norm()) * ny
-        if self.scale is not None:
-            from .dalgebra import dnorm
-            vol *= dnorm(self.scale) ** 2
-        return vol
+        closed = abs(field.discriminant) * float(ideal_a.absolute_norm()) \
+            * float(ideal_b.absolute_norm()) \
+            * (abs(y) if field.is_rational else abs(y) ** 2)
+        if abs(closed - det_volume) > _REL_VOLUME_TOL * closed:
+            raise DegenerateLatticeError(
+                f"volume mismatch: closed form {closed} vs determinant "
+                f"{det_volume}")
+        self.covolume = closed
 
     # -- norms ----------------------------------------------------------------
 
@@ -159,10 +141,8 @@ class OFLattice:
         G = self.gram()
         if abs(np.linalg.det(G)) < 1e-300:
             raise DegenerateLatticeError("singular Gram matrix")
-        Mstar = np.linalg.solve(self.form_matrix(), np.linalg.inv(self.M).T)
-        basis = [_vector_from_coords(self.field, Mstar[:, j])
-                 for j in range(self.dim)]
-        return OFLattice(self.field, z_basis=basis)
+        return OFLattice(self.field, z_basis=np.linalg.solve(
+            self.form_matrix(), np.linalg.inv(self.M).T))
 
     # -- enumeration -------------------------------------------------------------
 
@@ -204,44 +184,6 @@ class OFLattice:
             else:
                 half += float(np.sum(np.exp(-2.0 * math.pi * at * at * norms)))
         return 1.0 + 2.0 * half
-
-    # -- misc ------------------------------------------------------------------------
-
-    def z_basis_vectors(self) -> List[DNumber]:
-        return list(self._basis)
-
-    def left_mul(self, c: DNumber) -> "OFLattice":
-        """The lattice c * Lambda (Z-basis presentation)."""
-        return OFLattice(self.field, z_basis=[c * v for v in self._basis])
-
-    def right_mul(self, c: DNumber) -> "OFLattice":
-        return OFLattice(self.field, z_basis=[v * c for v in self._basis])
-
-    def contains_coeffs(self, other: "OFLattice") -> bool:
-        """Whether every basis vector of `other` has integral coordinates in
-        this lattice's basis, to within 1e-9."""
-        C = self.Minv @ other.M
-        return bool(np.all(np.abs(C - np.round(C)) < 1e-9))
-
-    def same_z_span(self, other: "OFLattice") -> bool:
-        return self.contains_coeffs(other) and other.contains_coeffs(self)
-
-    def pseudo_normal_form(self):
-        """For F = Q: (z', w2) with Lambda = (Z z' + Z) * w2 recovered from the
-        Z-basis, Im z' > 0.  Needed to feed duals back into the expansion."""
-        if not self.field.is_rational:
-            raise DegenerateLatticeError(
-                "pseudo-basis recovery from a Z-basis is implemented for F = Q")
-        w1 = complex(self.M[0, 0], self.M[1, 0])
-        w2 = complex(self.M[0, 1], self.M[1, 1])
-        if w2 == 0:
-            raise DegenerateLatticeError("degenerate basis")
-        zq = w1 / w2
-        if zq.imag == 0:
-            raise DegenerateLatticeError("basis spans a line")
-        if zq.imag < 0:
-            zq = -zq
-        return zq, w2
 
     def __repr__(self):
         if self.z is not None:

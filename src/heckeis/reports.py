@@ -40,18 +40,6 @@ class VerificationReport:
             "wallTimeMs": int(self.wall_time_ms),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            command=d["command"],
-            field_label=d["field"],
-            parameters=d["parameters"],
-            lhs=complex(d["lhs"]["re"], d["lhs"]["im"]),
-            rhs=complex(d["rhs"]["re"], d["rhs"]["im"]),
-            tolerance=d["tolerance"],
-            wall_time_ms=d["wallTimeMs"],
-        )
-
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"[{status}] {self.command} ({self.field_label}) "

@@ -28,7 +28,7 @@ import numpy as np
 
 from .basefield import FieldDescriptor, FracIdeal, dual_ideal
 from .errors import PoleError, UnsupportedFieldError
-from .lattice import ball_points
+from .lattice import ball_points, ideal_embedding_matrix
 from .specialfun import upper_incomplete_gamma
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -251,19 +251,6 @@ def zeta_K_class(K: FieldDescriptor, ideal: Optional[FracIdeal], s: complex) -> 
         f"discriminant -20 only, not {K.label}")
 
 
-def _ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
-    """Real matrix of the embedded Z-basis columns ([[a]] for aZ over Q)."""
-    K = ideal.field
-    if K.is_rational:
-        return np.array([[float(ideal.gen)]])
-    g1, g2 = ideal.z_basis()
-    if K.is_imaginary_quadratic:
-        w1, w2 = K.embed(g1, 0), K.embed(g2, 0)
-        return np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
-    return np.array([[K.embed(g1, 0), K.embed(g2, 0)],
-                     [K.embed(g1, 1), K.embed(g2, 1)]])
-
-
 def ideal_generator(ideal: FracIdeal):
     """A generator of the ideal, or None if it is not principal: the stored
     one (always, over Q), else an element of least norm if that norm is
@@ -276,7 +263,7 @@ def ideal_generator(ideal: FracIdeal):
         * float(n_ideal) * 1.01
     g1, g2 = ideal.z_basis()
     best = min((int(c1) * g1 + int(c2) * g2
-                for _, cs in ball_points(_ideal_embedding_matrix(ideal),
+                for _, cs in ball_points(ideal_embedding_matrix(ideal),
                                          math.sqrt(bound), coeffs=True)
                 for c1, c2 in cs.T), key=lambda g: abs(g.norm()))
     return best if abs(best.norm()) == n_ideal else None
@@ -321,7 +308,7 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
         n_ideal = float(ideal.absolute_norm())
         total = 0j
         # one alpha of each +-pair: w/2 of them per unit orbit
-        for n2 in ball_points(_ideal_embedding_matrix(ideal), math.sqrt(X)):
+        for n2 in ball_points(ideal_embedding_matrix(ideal), math.sqrt(X)):
             total += _power_sum(n2, s)
         total *= 2 / F.w
         # integral tail: reps density ~ 2 pi / (w sqrt|D| N(ideal)) per unit norm
@@ -345,7 +332,7 @@ def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
     t by 1).  t is snapped to the nearest half-integer within 1e-9, so the
     orbits on the edge (alpha/alpha' = +-eps when N(eps) = +1) count once.
     The domain lies inside the ball alpha_1^2 + alpha_2^2 <= 2 eps X."""
-    M = _ideal_embedding_matrix(ideal)
+    M = ideal_embedding_matrix(ideal)
     n_ideal = float(ideal.absolute_norm())
     total = 0j
     for _, cs in ball_points(M, math.sqrt(2 * math.exp(K.regulator) * X),
@@ -496,8 +483,8 @@ class CompletedZeta:
         disc = abs(F.discriminant)
         self.V = math.sqrt(disc) * float(ideal.absolute_norm())
         self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
-        self.M = _ideal_embedding_matrix(ideal)
-        self.M_dual = _ideal_embedding_matrix(self.dual)
+        self.M = ideal_embedding_matrix(ideal)
+        self.M_dual = ideal_embedding_matrix(self.dual)
 
     @lru_cache(maxsize=_CACHE_SIZE)
     def value(self, s: complex, tol: float = 1e-12) -> complex:

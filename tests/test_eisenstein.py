@@ -17,10 +17,9 @@ from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import (ConvergenceError, DegenerateLatticeError,
                             EnumerationCapError, PoleError)
-from heckeis.lattice import OFLattice, ball_points
+from heckeis.lattice import OFLattice, ball_points, ideal_embedding_matrix
 from heckeis.numerics import neville_at_zero
 from heckeis.specialfun import bessel_k_batch, gamma_F
-from heckeis.zeta import _ideal_embedding_matrix
 
 Q = make_field("Q")
 Fi = make_field(-1)
@@ -40,6 +39,22 @@ def lat_q(x, y, a=1, b=1):
 def lat_quat(F, x, y):
     O = FracIdeal.unit_ideal(F)
     return OFLattice(F, O, DNumber(F, (Quaternion(x, y),)), O)
+
+
+def times(c, lat):
+    """The Z-basis lattice c Lambda = Lambda c over Q: the real matrix of
+    multiplication by the complex number c, applied to the basis matrix."""
+    return OFLattice(Q, z_basis=np.array([[c.real, -c.imag],
+                                          [c.imag, c.real]]) @ lat.M)
+
+
+def same_span(M, N):
+    """Whether the columns of M and N span one Z-lattice: N = M C with C
+    integral and det C = +-1."""
+    C = np.linalg.solve(M, N)
+    R = np.round(C)
+    return bool(np.all(np.abs(C - R) < 1e-9)) \
+        and round(abs(np.linalg.det(R))) == 1
 
 
 # the squared covering radius R_F^2 of O_F, by discriminant: every x lies
@@ -81,9 +96,8 @@ def test_direct_requires_convergent_region():
 def test_modularity_of_direct_sum():
     # E(z Lambda, s) = E(Lambda, s)
     lat = lat_q(0.3, 1.1)
-    z = DNumber.from_xy(Q, 1.0, 2.0)
     ev1 = EisensteinEvaluator(lat)
-    ev2 = EisensteinEvaluator(lat.left_mul(z))
+    ev2 = EisensteinEvaluator(times(1 + 2j, lat))
     assert abs(ev1.e_direct(2.5, 1e-10) - ev2.e_direct(2.5, 1e-10)) < 1e-9
 
 
@@ -188,14 +202,16 @@ def test_functional_equation_generic_dual():
         rhs = dual_ev.ehat_lattice(1 - s, 1e-11)
         assert abs(lhs - rhs) < 1e-9
     # over Q the dual's pseudo-basis can be recovered and fed back through
-    # the expansion
-    zq, w2 = dual.pseudo_normal_form()
+    # the expansion: dual = (Z z' + Z) w2 with Im z' > 0
+    w1 = complex(dual.M[0, 0], dual.M[1, 0])
+    w2 = complex(dual.M[0, 1], dual.M[1, 1])
+    zq = w1 / w2
+    if zq.imag < 0:
+        zq = -zq
     red = OFLattice(Q, ZZ, DNumber.from_xy(Q, zq.real, zq.imag), ZZ)
     red_ev = EisensteinEvaluator(red)
     s = 1.8
     lhs = ev.ehat_expansion(s, 1e-11)
-    rhs = red_ev.ehat_expansion(1 - s, 1e-11) \
-        * cmath.exp(2 * (1 - s) * math.log(abs(w2)))
     # Ehat(dual, 1-s) = Ehat(reduced, 1-s) by modularity (the scale w2 drops)
     rhs = red_ev.ehat_expansion(1 - s, 1e-11)
     assert abs(lhs - rhs) < 1e-9
@@ -581,8 +597,7 @@ def test_h_gl2_random_matrices_with_ideal_conditions():
             return OFLattice(Q, ia, DNumber.from_xy(Q, zz.real, zz.imag), ib)
 
         czd = c * z + d
-        moved = lat_of(w).right_mul(DNumber.from_xy(Q, czd.real, czd.imag))
-        assert lat_of(z).same_z_span(moved)
+        assert same_span(lat_of(z).M, times(czd, lat_of(w)).M)
 
         # w and z reduce to the same point: the right side takes the
         # lattice route on the given lattice of z
@@ -637,8 +652,8 @@ def _brute_pairs(ev, reach):
         alphas, betas = np.concatenate([k, -k]), bs * np.concatenate([k, -k])
         hi = reach * c * bs
     else:
-        Ma = _ideal_embedding_matrix(FracIdeal.unit_ideal(ev.F))
-        Mb = _ideal_embedding_matrix(ev.bstar)
+        Ma = ideal_embedding_matrix(FracIdeal.unit_ideal(ev.F))
+        Mb = ideal_embedding_matrix(ev.bstar)
         min_a, min_b = (np.abs(_box_points(
             M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
         # b* is principal: the least |beta*| is sqrt(N(b*)), as _pair_data
@@ -748,8 +763,8 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal):
     L = float(cutoffs[0].max())
     x, y = ev.x_red, ev.y_red
     c = 2 * math.pi * abs(y)
-    Ma = _ideal_embedding_matrix(O)
-    Mb = _ideal_embedding_matrix(ev.bstar)
+    Ma = ideal_embedding_matrix(O)
+    Mb = ideal_embedding_matrix(ev.bstar)
     min_a, min_b = (np.abs(_box_points(
         M, 1.01 * np.linalg.norm(M, axis=0).min())).min() for M in (Ma, Mb))
     assert min_a == pytest.approx(1.0, rel=1e-12)

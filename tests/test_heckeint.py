@@ -10,7 +10,7 @@ from scipy.special import i0
 
 from heckeis import eisenstein, numerics
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
-from heckeis.dalgebra import DNumber, rho_star
+from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError, UnsupportedFieldError
 from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
@@ -21,6 +21,23 @@ from heckeis.lattice import OFLattice
 from heckeis.zeta import c_F, zeta_K
 
 Q = make_field("Q")
+
+
+def same_span(M, N):
+    """Whether the columns of M and N span one Z-lattice: N = M C with C
+    integral and det C = +-1."""
+    C = np.linalg.solve(M, N)
+    R = np.round(C)
+    return bool(np.all(np.abs(C - R) < 1e-9)) \
+        and round(abs(np.linalg.det(R))) == 1
+
+
+def scaled_lattice(setup, sign, t):
+    """rho(u~ A) for A = O_K = Z z + Z (a = b = Z), rho(z_w, z_w') =
+    z_w + z_w' i: the Z-basis lattice of rho(u~ z), rho(u~)."""
+    uw, uwp = setup.lift_components(sign, t)
+    return OFLattice(Q, z_basis=[[uw * setup.zw, uw],
+                                 [uwp * setup.zwp, uwp]])
 
 
 def test_setup_orientation_and_shape():
@@ -40,17 +57,6 @@ def test_unit_case_split():
     assert s3.w_rel == 1 and abs(s3.eps0 - math.exp(2 * make_field(3).regulator)) < 1e-12
 
 
-def test_lattice_at_t_one():
-    K = make_field(5)
-    setup = HeckeSetup(K)
-    lat = setup.lattice_at(1, 1.0)
-    # Z-basis is rho(u~ omega), rho(u~ 1) = (z + z' i, 1 + i)
-    vecs = lat.z_basis_vectors()
-    got = {(round(v.x_part, 9), round(v.y_part, 9)) for v in vecs}
-    want = {(round(setup.zw, 9), round(setup.zwp, 9)), (1.0, 1.0)}
-    assert got == want
-
-
 def test_lift_norm_one():
     # |N_{K/Q}(u~)| = |u~_w * u~_w'| = 1 and u~/u~' recovers sign * t
     setup = HeckeSetup(make_field(5))
@@ -62,31 +68,24 @@ def test_lift_norm_one():
 
 
 def test_volume_is_t_independent():
+    # |N(u~)| = 1: the covolume of rho(u~ A) is the same at every node
     setup = HeckeSetup(make_field(5))
-    v1 = setup.lattice_at(1, 1.0).covolume
+    v1 = scaled_lattice(setup, 1, 1.0).covolume
     for t in (1.3, 2.0):
-        assert abs(setup.lattice_at(1, t).covolume - v1) < 1e-10
-        assert abs(setup.lattice_at(-1, t).covolume - v1) < 1e-10
-
-
-def test_lattice_at_domain():
-    setup = HeckeSetup(make_field(5))
-    with pytest.raises(ValueError):
-        setup.lattice_at(1, 0.5)
-    with pytest.raises(ValueError):
-        setup.lattice_at(2, 1.0)
+        assert abs(scaled_lattice(setup, 1, t).covolume - v1) < 1e-10
+        assert abs(scaled_lattice(setup, -1, t).covolume - v1) < 1e-10
 
 
 def test_scaled_lattice_modularity():
-    # the evaluator on the scaled lattice rho(u~ A) agrees with the direct
-    # sum over the actual scaled points (the scale drops by modularity)
+    # the expansion on a z_u + b agrees with the direct sum over the actual
+    # scaled points of rho(u~ A) = (a z_u + b) rho(u~) (the scale drops by
+    # modularity)
     from heckeis.specialfun import gamma_F
     setup = HeckeSetup(make_field(5))
-    lat = setup.lattice_at(1, 1.3)
-    ev = EisensteinEvaluator(lat)
     s = 2.5
-    via_expansion = ev.ehat_expansion(s, 1e-11)
-    via_direct = gamma_F(Q, 2 * s) * ev.e_direct(s, 1e-9)
+    via_expansion = setup.evaluator_at(1, 1.3).ehat_expansion(s, 1e-11)
+    via_direct = gamma_F(Q, 2 * s) \
+        * EisensteinEvaluator(scaled_lattice(setup, 1, 1.3)).e_direct(s, 1e-9)
     assert abs(via_expansion - via_direct) < 1e-8
 
 
@@ -111,22 +110,21 @@ def test_integrand_periodicity(d):
 
 
 def test_rho_star_gives_dual_lattice():
-    # dual of rho(u~ A) is rho_star(u~^{-1} A*)
+    # dual of rho(u~ A) is rho_star(u~^{-1} A*), rho_star(z_w, z_w') =
+    # z_w - z_w' i
     K = make_field(5)
     setup = HeckeSetup(K)
     t = 1.3
     uw, uwp = setup.lift_components(1, t)
-    lat = setup.lattice_at(1, t)
-    dual = lat.dual()
+    dual = scaled_lattice(setup, 1, t).dual()
     Astar = dual_ideal(K, FracIdeal.unit_ideal(K))
-    basis = []
+    columns = []
     for g in Astar.z_basis():
         e1, e2 = g.embeddings()
         if setup.zw == g.field.embed(setup.z_K, 1):   # orientation swapped
             e1, e2 = e2, e1
-        basis.append(rho_star(K, (e1 / uw, e2 / uwp)))
-    expected = OFLattice(Q, z_basis=basis)
-    assert dual.same_z_span(expected)
+        columns.append([e1 / uw, -e2 / uwp])
+    assert same_span(dual.M, np.transpose(columns))
 
 
 @pytest.mark.parametrize("d", [-1, -3])
@@ -143,7 +141,7 @@ def test_imaginary_class_invariance():
     K = make_field(-1)
     c = QuadElement(K, Fraction(2), Fraction(1))
     s1 = HeckeSetup(K, FracIdeal.unit_ideal(K))
-    s2 = HeckeSetup(K, FracIdeal.unit_ideal(K).scale(c))
+    s2 = HeckeSetup(K, FracIdeal(K, gen=c))
     assert abs(hecke_integral(s1, 2.0, 1e-10)
                - hecke_integral(s2, 2.0, 1e-10)) < 1e-10
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from heckeis import lattice
 from heckeis.basefield import FracIdeal, make_field
-from heckeis.dalgebra import DNumber, Quaternion, dnorm, psi_exponent
+from heckeis.dalgebra import DNumber, Quaternion
 from heckeis.errors import DegenerateLatticeError, EnumerationCapError
 from heckeis.lattice import OFLattice, ball_points
 
@@ -30,6 +30,34 @@ def lat_quat(F, x, y, a=None, b=None):
     return OFLattice(F, a, DNumber(F, (Quaternion(x, y),)), b)
 
 
+def point(v):
+    """The point of D_F with coordinates v, in the convention of
+    OFLattice.M: (re, im) over Q, (re x, im x, re y, im y) otherwise."""
+    if len(v) == 2:
+        return complex(v[0], v[1])
+    return Quaternion(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def coords(p):
+    if isinstance(p, Quaternion):
+        return [p.x.real, p.x.imag, p.y.real, p.y.imag]
+    return [p.real, p.imag]
+
+
+def mul_matrix(f, dim):
+    """The real matrix of a real-linear map f of D_F, such as l -> c l."""
+    return np.column_stack([coords(f(point(e))) for e in np.eye(dim)])
+
+
+def same_span(M, N):
+    """Whether the columns of M and N span one Z-lattice: N = M C with C
+    integral and det C = +-1."""
+    C = np.linalg.solve(M, N)
+    R = np.round(C)
+    return bool(np.all(np.abs(C - R) < 1e-9)) \
+        and round(abs(np.linalg.det(R))) == 1
+
+
 def test_volume_basic():
     assert abs(lat_q(0.4, 1.3).covolume - 1.3) < 1e-12
     # V(a z + b) = d_F N(a) N(b) |N(y)|
@@ -39,14 +67,41 @@ def test_volume_basic():
 def test_volume_scaling_law():
     # V(t Lambda) = ||t||^2 V(Lambda) for real t over Q
     lat = lat_q(0.3, 0.9)
-    t = DNumber.from_xy(Q, 1.7, 0.0)
-    assert abs(lat.left_mul(t).covolume - 1.7 ** 2 * lat.covolume) < 1e-10
+    scaled = OFLattice(Q, z_basis=mul_matrix(lambda l: 1.7 * l, 2) @ lat.M)
+    assert abs(scaled.covolume - 1.7 ** 2 * lat.covolume) < 1e-10
 
 
 def test_volume_quaternion_example():
     Fi = make_field(-1)
     lat = lat_quat(Fi, 0j, 1 + 0j)      # z = j
     assert abs(lat.covolume - 4.0) < 1e-12
+
+
+def test_basis_matrix_coordinates():
+    # the columns e z for the embedded basis elements e of a, then e for
+    # those of b, in the coordinates (re x, im x, re y, im y); over Q (re, im)
+    lat = OFLattice(Q, FracIdeal(Q, gen=2), DNumber.from_xy(Q, -0.3, 1.7),
+                    FracIdeal(Q, gen=Fraction(1, 2)))
+    cases = [(lat, np.array([[-0.6, 0.5],
+                             [3.4, 0.0]]))]
+    # O = Z + Z w: w = i over Q(sqrt-1), w = (1 + sqrt-3)/2 over Q(sqrt-3)
+    x, y = 0.25 + 0.5j, 0.75 - 1.5j
+    cases.append((lat_quat(make_field(-1), x, y),
+                  np.array([[0.25, -0.5, 1.0, 0.0],
+                            [0.5, 0.25, 0.0, 1.0],
+                            [0.75, 1.5, 0.0, 0.0],
+                            [-1.5, 0.75, 0.0, 0.0]])))
+    h = math.sqrt(3) / 2
+    x, y = 0.25 + 0.5j, -0.75 + 1.25j
+    cases.append((lat_quat(make_field(-3), x, y),
+                  np.array([[0.25, 0.5 * 0.25 - h * 0.5, 1.0, 0.5],
+                            [0.5, 0.5 * 0.5 + h * 0.25, 0.0, h],
+                            [-0.75, 0.5 * -0.75 - h * 1.25, 0.0, 0.0],
+                            [1.25, 0.5 * 1.25 + h * -0.75, 0.0, 0.0]])))
+    for lat, M in cases:
+        assert np.array_equal(lat.M, M)
+        assert np.array_equal(lat.dual().M, np.linalg.solve(
+            lat.form_matrix(), np.linalg.inv(M).T))
 
 
 def test_degenerate_rejected():
@@ -57,7 +112,7 @@ def test_degenerate_rejected():
 def test_dual_self_dual_square_lattice():
     lat = lat_q(0.0, 1.0)               # Z i + Z
     dual = lat.dual()
-    assert lat.same_z_span(dual)
+    assert same_span(lat.M, dual.M)
     assert abs(dual.covolume - 1.0) < 1e-12
 
 
@@ -68,11 +123,11 @@ def test_dual_volume_product_and_involution():
                     a=rng.choice([1, 2, 3]), b=rng.choice([1, 2]))
         dual = lat.dual()
         assert abs(lat.covolume * dual.covolume - 1.0) < 1e-10
-        assert dual.dual().same_z_span(lat)
+        assert same_span(dual.dual().M, lat.M)
     Fi = make_field(-3)
     lat = lat_quat(Fi, 0.2 - 0.4j, 1.1 + 0.3j)
     assert abs(lat.covolume * lat.dual().covolume - 1.0) < 1e-10
-    assert lat.dual().dual().same_z_span(lat)
+    assert same_span(lat.dual().dual().M, lat.M)
 
 
 def test_dual_closed_form_over_q():
@@ -81,19 +136,18 @@ def test_dual_closed_form_over_q():
     lat = lat_q(x, y)
     dual = lat.dual()
     w = (1j / y) * complex(x, -y)
-    basis = [DNumber.from_xy(Q, w.real, w.imag),
-             DNumber.from_xy(Q, 0.0, 1.0 / y)]
-    expected = OFLattice(Q, z_basis=basis)
-    assert dual.same_z_span(expected)
+    expected = np.array([[w.real, 0.0], [w.imag, 1.0 / y]])
+    assert same_span(dual.M, expected)
 
 
 def test_dual_pairing_integrality():
     Fi = make_field(-1)
     lat = lat_quat(Fi, 0.2 + 0.1j, 0.8 - 0.5j)
     dual = lat.dual()
-    for v in lat.z_basis_vectors():
-        for w in dual.z_basis_vectors():
-            e = psi_exponent(v * w)
+    for v in lat.M.T:
+        for w in dual.M.T:
+            # Tr of the x-part of the product
+            e = 2 * (point(v) * point(w)).x.real
             assert abs(e - round(e)) < 1e-10
 
 
@@ -133,23 +187,23 @@ def test_raw_sum_modular_invariance():
     # Lambda, tested at the raw enumeration level
     s = 2.2
     lat = lat_q(0.3, 1.1)
-    z = DNumber.from_xy(Q, 1.0, 2.0)           # 1 + 2i
-    zlat = lat.left_mul(z)
+    z = 1 + 2j
+    zlat = OFLattice(Q, z_basis=mul_matrix(lambda l: z * l, 2) @ lat.M)
     B = 30.0
     s1 = sum(float(np.sum(n ** (-2 * s))) for n in lat.norm_chunks(B))
     s2 = sum(float(np.sum(n ** (-2 * s)))
-             for n in zlat.norm_chunks(B * dnorm(z)))
-    assert abs(s2 - dnorm(z) ** (-2 * s) * s1) < 1e-9
+             for n in zlat.norm_chunks(B * abs(z)))
+    assert abs(s2 - abs(z) ** (-2 * s) * s1) < 1e-9
     # quaternionic case: right multiplication
     Fi = make_field(-1)
     latq = lat_quat(Fi, 0.2 + 0.3j, 0.9 - 0.1j)
-    zq = DNumber(Fi, (Quaternion(1 + 1j, 0.5 - 0.2j),))
-    zlatq = latq.right_mul(zq)
+    zq = Quaternion(1 + 1j, 0.5 - 0.2j)
+    zlatq = OFLattice(Fi, z_basis=mul_matrix(lambda l: l * zq, 4) @ latq.M)
     B = 8.0
     q1 = sum(float(np.sum(n ** (-2 * s))) for n in latq.norm_chunks(B))
     q2 = sum(float(np.sum(n ** (-2 * s)))
-             for n in zlatq.norm_chunks(B * dnorm(zq)))
-    assert abs(q2 - dnorm(zq) ** (-2 * s) * q1) < 1e-9
+             for n in zlatq.norm_chunks(B * zq.abs2()))
+    assert abs(q2 - zq.abs2() ** (-2 * s) * q1) < 1e-9
 
 
 def test_norm_chunks_near_zero_floor_follows_the_norm():
@@ -342,19 +396,9 @@ def test_ball_points_cap(monkeypatch):
         list(ball_points(M, 3.0))
 
 
-def test_pseudo_normal_form_roundtrip():
-    lat = lat_q(-0.4, 1.7, a=2, b=1)
-    zq, w2 = lat.dual().pseudo_normal_form()
-    assert zq.imag > 0
-    rebuilt = OFLattice(Q, z_basis=[
-        DNumber.from_xy(Q, (zq * w2).real, (zq * w2).imag),
-        DNumber.from_xy(Q, w2.real, w2.imag)])
-    assert rebuilt.same_z_span(lat.dual())
-
-
 def test_orientation_normalization():
     # y < 0 is normalized to y > 0 without changing the lattice
     lat_neg = lat_q(0.3, -1.7)
     lat_pos = lat_q(-0.3, 1.7)
     assert lat_neg.z.y_part > 0
-    assert lat_neg.same_z_span(lat_pos)
+    assert same_span(lat_neg.M, lat_pos.M)
