@@ -10,8 +10,8 @@ from .eisenstein import EisensteinEvaluator
 from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError, HeckeisError, PoleError,
                      UnsupportedFieldError)
-from .heckeint import (HeckeSetup, hecke_integral, hecke_laurent,
-                       relative_klf_check, torus_measure_identity, xi_K_oracle)
+from .heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
+                       torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
 from .reports import VerificationReport, reports_to_json
 from .specialfun import bessel_k, gamma_F, upper_incomplete_gamma

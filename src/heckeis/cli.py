@@ -151,8 +151,8 @@ def parse_ideal(F: FieldDescriptor, s: str) -> FracIdeal:
 
 
 def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
-    """'a,z,b' with rational/element ideals and z as 'x+y' (F = Q) or
-    'xr:xi:yr:yi' (imaginary quadratic F), every coordinate finite."""
+    """'a,z,b' with rational/element ideals and z as 'x+y' or 'x:y' (F = Q)
+    or 'xr:xi:yr:yi' (imaginary quadratic F), every coordinate finite."""
     parts = spec.split(",")
     if len(parts) != 3:
         raise CliParseError(
@@ -160,24 +160,25 @@ def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
     ideal_a = parse_ideal(F, parts[0])
     ideal_b = parse_ideal(F, parts[2])
     zs = parts[1].strip()
-    if F.is_rational:
-        if ":" in zs:
-            xs, ys = zs.split(":")
-        else:
-            m = _TWO_FLOATS.match(zs)
-            if not m:
-                raise CliParseError(
-                    f"cannot parse z component {zs!r} for base field Q "
-                    "(expected 'x+y' or 'x:y')")
-            xs, ys = m.groups()
-        coords = [float(xs), float(ys)]
-    else:
-        coords = zs.split(":")
-        if len(coords) != 4:
+    form = "x:y" if F.is_rational else "xr:xi:yr:yi"
+    if F.is_rational and ":" not in zs:
+        m = _TWO_FLOATS.match(zs)
+        if not m:
             raise CliParseError(
-                f"z component {zs!r} needs 4 coordinates 'xr:xi:yr:yi' over "
+                f"cannot parse z component {zs!r} for base field Q "
+                "(expected 'x+y' or 'x:y')")
+        fields = m.groups()
+    else:
+        fields, n = zs.split(":"), form.count(":") + 1
+        if len(fields) != n:
+            raise CliParseError(
+                f"z component {zs!r} needs {n} coordinates '{form}' over "
                 f"{F.label}")
-        coords = [float(c) for c in coords]
+    try:
+        coords = [float(c) for c in fields]
+    except ValueError:
+        raise CliParseError(
+            f"cannot parse z component {zs!r} as '{form}'") from None
     if not all(map(math.isfinite, coords)):
         raise CliParseError(
             f"z component {zs!r} of the lattice must have finite coordinates")
@@ -241,7 +242,6 @@ def cmd_limit_formula(args) -> int:
         "field": f"{K.label}/Q",
         "parameters": {"ideal": args.ideal, "tol": args.tol},
         "lhs": out["lhs"],
-        "lhs_via_torus_integral": out["lhs_hecke"],
         "rhs": out["rhs"],
         "absError": out["abs_error"],
         "terms": out["terms"],

@@ -167,25 +167,6 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
     return _torus_quadrature(setup, nodes, tol) / setup.w_rel
 
 
-def hecke_laurent(setup: HeckeSetup, tol: float = 1e-8) -> Tuple[float, float]:
-    """(residue, constant term) at s = 1 of the torus integral, from the
-    per-node Laurent data of Ehat (residue C_F/2 is node independent)."""
-    CF = c_F(setup.F)
-    if setup.K.is_imaginary_quadratic:
-        ev = EisensteinEvaluator(setup.base_lattice)
-        fac = setup.measure / setup.w_rel
-        return fac * CF / 2, fac * ev.ct(tol / 20)
-    residue = setup.measure * (CF / 2) / setup.w_rel
-
-    node_tol = tol / (8.0 * setup.measure)
-
-    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return setup.evaluator_at(signs, ts).ct(node_tol)
-
-    ct = _torus_quadrature(setup, nodes, tol) / setup.w_rel
-    return residue, ct.real
-
-
 def xi_K_oracle(K: FieldDescriptor, s: complex) -> complex:
     """d_K^{s/2} Gamma_K(s) zeta_K(s) through the Dirichlet-series route
     (class number 1)."""
@@ -204,9 +185,8 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
             + (C_F / (2 w_rel C_K)) * int (h(z_u, a, b) - log|N y_u|) du
 
     for real quadratic K with A = a z + b over rational ideals.  Returns the
-    per-term breakdown; the left side is computed independently through the
-    zeta(s) L(s, chi) factorization and again from the Laurent data of the
-    torus integral.
+    per-term breakdown; the left side comes from the zeta(s) L(s, chi)
+    factorization, independent of the one torus integral on the right.
     """
     if not setup.K.is_real_quadratic:
         raise UnsupportedFieldError("the relative limit formula check needs real K")
@@ -218,9 +198,6 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     # equals xi_K(s, O), which is what xi_K_laurent computes.
     res_K, ct_K = xi_K_laurent(K)
     lhs = ct_K / res_K          # res_K = C_K for class number one
-
-    _, ct_hecke = hecke_laurent(setup, tol)
-    lhs_hecke = ct_hecke / CK
 
     czq = completed_zeta(setup.F, setup.ideal_a)
     ct_xi_F = czq.laurent_ct()
@@ -240,7 +217,6 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     rhs = term_ct + term_log + term_int
     return {
         "lhs": lhs,
-        "lhs_hecke": lhs_hecke,
         "rhs": rhs,
         "abs_error": abs(lhs - rhs),
         "terms": {

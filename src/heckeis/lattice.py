@@ -1,6 +1,6 @@
 """O_F-lattices in D_F: pseudo-basis presentations a*z + b, derived real
-Z-bases and Gram data, covolumes, trace-pairing duals, norm-bounded point
-enumeration, and the Gaussian theta function.  This module holds the one real
+Z-bases, covolumes, trace-pairing duals, norm-bounded point enumeration, and
+the Gaussian theta function.  This module holds the one real
 embedding of ideals (ideal_embedding_matrix) and of lattices (OFLattice.M).
 
 Coordinates: C is identified with R^2 via (re, im); a quaternion x + y*j
@@ -132,15 +132,9 @@ class OFLattice:
             return np.diag([1.0, -1.0])
         return 2.0 * np.diag([1.0, -1.0, -1.0, -1.0])
 
-    def gram(self) -> np.ndarray:
-        return self.M.T @ self.form_matrix() @ self.M
-
     def dual(self) -> "OFLattice":
         """Dual lattice for the pairing exp(2 pi i Tr(x-part(l*m))), returned
         as a Z-lattice."""
-        G = self.gram()
-        if abs(np.linalg.det(G)) < 1e-300:
-            raise DegenerateLatticeError("singular Gram matrix")
         return OFLattice(self.field, z_basis=np.linalg.solve(
             self.form_matrix(), np.linalg.inv(self.M).T))
 

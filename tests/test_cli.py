@@ -216,6 +216,8 @@ def test_limit_formula_command(capsys):
                            "--ideal", "O")
     assert code == 0
     payload = json.loads(out)
+    assert set(payload) == {"command", "field", "parameters", "lhs", "rhs",
+                            "absError", "terms"}
     assert payload["absError"] < 1e-5
     assert {"ct_xi_F_term", "log_norm_term", "quadrature_term"} \
         <= set(payload["terms"])
@@ -327,3 +329,14 @@ def test_non_finite_lattice_coordinate_exits_2(capsys, field, lattice):
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
     assert "z component" in err and "finite" in err
+
+
+@pytest.mark.parametrize("lattice", ["1,1:2:3,1", "1,1,1", "1,:,1"])
+def test_z_coordinate_count_over_q_exits_2(capsys, lattice):
+    # over Q a z component 'x:y' has exactly two coordinates
+    code, out, err = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q",
+        "--lattice", lattice, "--s", "2")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert "z component" in err and "x:y" in err

@@ -8,15 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
-from heckeis import eisenstein, numerics
+from heckeis import eisenstein, heckeint, numerics
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError, UnsupportedFieldError
 from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
-                              hecke_integral, hecke_laurent,
-                              relative_klf_check, torus_measure_identity,
-                              xi_K_oracle)
+                              hecke_integral, relative_klf_check,
+                              torus_measure_identity, xi_K_oracle)
 from heckeis.lattice import OFLattice
 from heckeis.zeta import c_F, zeta_K
 
@@ -279,18 +278,24 @@ def test_torus_measure_identity(d):
     assert abs(m - m2) < 1e-10
 
 
-def test_hecke_laurent_residue_is_c_k():
-    for d in (5, 2):
-        K = make_field(d)
-        res, ct = hecke_laurent(HeckeSetup(K), 1e-8)
-        assert abs(res - c_F(K)) < 1e-12
-
-
 def test_relative_klf():
     for d in (5, 2):
         out = relative_klf_check(HeckeSetup(make_field(d)), 1e-8)
         assert out["abs_error"] < 1e-5
-        assert abs(out["lhs"] - out["lhs_hecke"]) < 1e-7
+        assert abs(out["lhs"] - out["rhs"]) < 1e-7
+
+
+def test_relative_klf_integrates_the_torus_once(monkeypatch):
+    calls = []
+    quadrature = heckeint._torus_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(heckeint, "_torus_quadrature", counted)
+    relative_klf_check(HeckeSetup(make_field(5)), 1e-8)
+    assert len(calls) == 1
 
 
 def test_relative_klf_requires_real_field():
@@ -380,7 +385,7 @@ def test_relative_klf_non_unit_presentation():
     # log(P_given / P_reduced) correction of h_value
     out = relative_klf_check(_ideal_one_plus_sqrt23(), 1e-8)
     assert out["abs_error"] < 1e-5
-    assert abs(out["lhs"] - out["lhs_hecke"]) < 1e-7
+    assert abs(out["lhs"] - out["rhs"]) < 1e-7
 
 
 def _setup_of(which):

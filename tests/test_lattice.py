@@ -130,6 +130,15 @@ def test_dual_volume_product_and_involution():
     assert same_span(lat.dual().dual().M, lat.M)
 
 
+def test_dual_of_a_tiny_lattice():
+    # covolume 1e-160: det M decides singularity, and M* is well defined
+    # although the Gram determinant |det F| det(M)^2 underflows
+    lat = OFLattice(Q, z_basis=1e-80 * np.eye(2))
+    dual = lat.dual()
+    assert abs(lat.covolume * dual.covolume - 1.0) < 1e-12
+    assert np.array_equal(dual.dual().M, lat.M)
+
+
 def test_dual_closed_form_over_q():
     # dual of Z(x + y i) + Z is (i/y)(Z(x - y i) + Z) as a set
     x, y = 0.37, 1.21
