@@ -231,55 +231,30 @@ class QuadElement:
 # fundamental units
 
 
-def _cf_sqrt_unit(d: int):
-    """Fundamental solution of x^2 - d y^2 = +-1 via the continued fraction
-    of sqrt d.  Returns (x, y, norm)."""
-    a0 = math.isqrt(d)
-    if a0 * a0 == d:
-        raise ValueError("d must not be a square")
-    m, q, a = 0, 1, a0
-    # convergents
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    period = 0
-    while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period += 1
-        if q == 1:
-            break
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    x, y = p_cur, q_cur
-    norm = 1 if period % 2 == 0 else -1
-    assert x * x - d * y * y == norm
-    return x, y, norm
+def _fundamental_unit(D: int):
+    """Fundamental unit of the maximal order of discriminant D > 0.
 
-
-def _fundamental_unit(d: int):
-    """Fundamental unit of the maximal order of Q(sqrt d), d > 1 squarefree.
-
-    Returns omega-coordinates (a, b) as Fractions plus the exact norm.
-    The continued fraction of sqrt d gives the unit of Z[sqrt d]; for
-    d = 1 mod 4 the smaller half-integer solutions of x^2 - d y^2 = +-4
-    are scanned first (the scan is bounded because (2x, 2y) always solves it).
+    Runs the continued fraction of omega = (delta + sqrt D)/2, delta = D mod 2,
+    over complete quotients (P + sqrt D)/Q in exact integers, from
+    (P, Q) = (delta, 2) until Q returns to 2 (one period; Cohen, A Course in
+    Computational Algebraic Number Theory, 5.7).  The last convergent p/q
+    gives eps = p - q*omega' = (p - delta*q) + q*omega.  Returns the
+    omega-coordinates as Fractions plus the exact norm.
     """
-    x1, y1, n1 = _cf_sqrt_unit(d)
-    if d % 4 != 1:
-        return (Fraction(x1), Fraction(y1)), n1
-    for y in range(1, 2 * y1 + 1):
-        for sign in (-4, 4):
-            t = d * y * y + sign
-            if t <= 0:
-                continue
-            x = math.isqrt(t)
-            if x * x == t:
-                nrm = sign // 4          # x^2 - d y^2 = sign
-                # (x + y sqrt d)/2 = (x - y)/2 + y*omega
-                assert (x - y) % 2 == 0
-                return (Fraction(x - y, 2), Fraction(y)), nrm
-    raise AssertionError("unit scan failed")  # unreachable: (2*x1, 2*y1) solves
+    delta, r = D % 2, math.isqrt(D)
+    P, Q = delta, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (P + r) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == 2:
+            break
+    norm = p * p - delta * p * q + q * q * (delta - D) // 4
+    assert norm in (1, -1)
+    return (Fraction(p - delta * q), Fraction(q)), norm
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +274,7 @@ def _make_field_cached(d: Optional[int]) -> FieldDescriptor:
         raise ValueError(f"d={d} is not squarefree")
     disc = d if d % 4 == 1 else 4 * d
     if d > 0:
-        coeffs, unit_norm = _fundamental_unit(d)
+        coeffs, unit_norm = _fundamental_unit(disc)
         r = math.sqrt(d)
         if d % 4 == 1:
             eps1 = float(coeffs[0]) + float(coeffs[1]) * (1 + r) / 2

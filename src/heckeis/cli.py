@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, parse_field
@@ -25,6 +26,7 @@ from .heckeint import HeckeSetup, relative_klf_check
 from .lattice import OFLattice
 from .reports import reports_to_json
 from .verify import SUITES, run_suite
+from .zeta import class_number
 
 EXIT_OK = 0
 EXIT_FAILED_REPORTS = 1
@@ -40,6 +42,16 @@ def _log(msg: str):
 
 class CliParseError(ValueError):
     pass
+
+
+@contextmanager
+def _argument(name: str):
+    """A package error raised while an argument becomes a field or a
+    lattice is a parse error naming that argument, not a numeric failure."""
+    try:
+        yield
+    except HeckeisError as exc:
+        raise CliParseError(f"{name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +209,10 @@ def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
 def cmd_eval_eisenstein(args) -> int:
     # s first: a numeric failure's hint reads it again
     s = parse_complex(args.s)
-    F = parse_field(args.base_field, base=True)
-    lat = parse_lattice(F, args.lattice)
+    with _argument("--base-field"):
+        F = parse_field(args.base_field, base=True)
+    with _argument("--lattice"):
+        lat = parse_lattice(F, args.lattice)
     ev = EisensteinEvaluator(lat)
     tol = args.tol
     from .specialfun import gamma_F
@@ -234,6 +248,9 @@ def cmd_limit_formula(args) -> int:
     if not K.is_real_quadratic:
         raise CliParseError(
             f"--K must name a real quadratic field, got {args.K!r}")
+    if (h := class_number(K)) != 1:
+        raise CliParseError(
+            f"--K must have class number 1, {K.label} has h = {h}")
     ideal = parse_ideal(K, args.ideal)
     setup = HeckeSetup(K, ideal)
     out = relative_klf_check(setup, args.tol)

@@ -287,7 +287,8 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
 
     Returns (value, tail_bound): the value includes the integral tail
     correction, tail_bound is the crude c * X^(1 - Re s) magnitude of the
-    uncorrected tail.  Requires Re s > 1.1.
+    uncorrected tail.  Requires Re s > 1.1, and F = Q or imaginary
+    quadratic; any other field raises UnsupportedFieldError.
     """
     s = complex(s)
     if s.real <= 1.1:
@@ -318,42 +319,7 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
         tail = abs(cmath.exp(s * math.log(n_ideal)) * dens
                    * X ** (1 - s.real) / (s.real - 1))
         return value, tail
-    if F.is_real_quadratic:
-        return _partial_zeta_real_quadratic(F, ideal, s, X)
     raise UnsupportedFieldError(F.label)
-
-
-def _partial_zeta_real_quadratic(K: FieldDescriptor, ideal: FracIdeal,
-                                 s: complex, X: float):
-    """Fundamental-domain sum for a real quadratic field: representatives
-    alpha, one of each +-pair as ball_points yields them, with
-    eps^-1 <= |alpha_1/alpha_2| < eps, i.e.
-    t = log|alpha_1/alpha_2| / (2R) in [-1/2, 1/2) (multiplying by eps moves
-    t by 1).  t is snapped to the nearest half-integer within 1e-9, so the
-    orbits on the edge (alpha/alpha' = +-eps when N(eps) = +1) count once.
-    The domain lies inside the ball alpha_1^2 + alpha_2^2 <= 2 eps X."""
-    M = ideal_embedding_matrix(ideal)
-    n_ideal = float(ideal.absolute_norm())
-    total = 0j
-    for _, cs in ball_points(M, math.sqrt(2 * math.exp(K.regulator) * X),
-                             coeffs=True):
-        c0, c1 = cs.astype(float)
-        x1 = M[0, 0] * c0 + M[0, 1] * c1
-        x2 = M[1, 0] * c0 + M[1, 1] * c1
-        nrm = np.abs(x1 * x2)
-        with np.errstate(divide="ignore"):
-            t = np.log(np.abs(x1 / x2)) / (2 * K.regulator)
-        half = np.round(2 * t) / 2
-        t = np.where(np.abs(t - half) <= 1e-9, half, t)
-        keep = (nrm > 0) & (nrm <= X * (1 + 1e-12)) & (t >= -0.5) & (t < 0.5)
-        vals = nrm[keep]
-        total += _power_sum(vals, s)
-    dens = 2 * K.regulator / (math.sqrt(K.discriminant) * n_ideal)
-    corr = dens * cmath.exp((1 - s) * math.log(X)) / (s - 1)
-    value = cmath.exp(s * math.log(n_ideal)) * (total + corr)
-    tail = abs(cmath.exp(s * math.log(n_ideal)) * dens
-               * X ** (1 - s.real) / (s.real - 1))
-    return value, tail
 
 
 # ---------------------------------------------------------------------------

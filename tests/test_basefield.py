@@ -1,17 +1,21 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeis.basefield import (FracIdeal, QuadElement, dual_ideal, make_field,
+from heckeis.basefield import (FracIdeal, QuadElement, _make_field_cached,
+                               dual_ideal, is_squarefree, make_field,
                                parse_field)
 from heckeis.errors import UnsupportedFieldError
 
 
 def brute_fundamental_unit(d):
-    """Independent oracle: smallest y > 0 with x^2 - d y^2 = +-4 solvable."""
+    """Independent oracle: smallest y > 0 with x^2 - d y^2 = +-4 solvable,
+    or None if there is none below 100000."""
     for y in range(1, 100000):
         for sign in (-4, 4):
             t = d * y * y + sign
@@ -20,15 +24,21 @@ def brute_fundamental_unit(d):
             x = math.isqrt(t)
             if x * x == t and (x - y) % 2 == 0:
                 return (x + y * math.sqrt(d)) / 2, sign // 4
-    raise AssertionError
+    return None
 
 
-@pytest.mark.parametrize("d", [5, 2, 3, 13, 7, 10])
+@pytest.mark.parametrize("d", [d for d in range(2, 200) if is_squarefree(d)])
 def test_fundamental_unit_matches_brute_force(d):
     F = make_field(d)
     eps = QuadElement(F, *F.fundamental_unit_coeffs)
+    oracle = brute_fundamental_unit(d)
+    if oracle is None:
+        # eps solves x^2 - d y^2 = +-4 with y = b (omega = (1 + sqrt d)/2)
+        # or y = 2b, so it lies past the oracle's reach
+        assert (eps.b if F.omega_is_half else 2 * eps.b) >= 100000
+        return
     val = F.embed(eps, 0)
-    oracle_val, oracle_norm = brute_fundamental_unit(d)
+    oracle_val, oracle_norm = oracle
     assert abs(val - oracle_val) < 1e-9 * oracle_val
     assert F.fundamental_unit_norm == oracle_norm
     # exact norm and eps * eps' in {+-1}
@@ -37,6 +47,33 @@ def test_fundamental_unit_matches_brute_force(d):
     prod = eps * eps.conj()
     assert (prod.a, prod.b) in ((Fraction(1), Fraction(0)),
                                 (Fraction(-1), Fraction(0)))
+
+
+def test_fundamental_unit_of_every_small_field():
+    # eps > 1 of exact norm +-1, and the regulator is log eps
+    with mpmath.workdps(30):
+        for d in range(2, 10 ** 4):
+            if not is_squarefree(d):
+                continue
+            F = make_field(d)
+            a, b = F.fundamental_unit_coeffs
+            assert QuadElement(F, a, b).norm() == F.fundamental_unit_norm \
+                in (1, -1), d
+            w = (F.discriminant % 2 + mpmath.sqrt(F.discriminant)) / 2
+            eps = int(a) + int(b) * w
+            assert eps > 1, d
+            assert math.isclose(F.regulator, float(mpmath.log(eps)),
+                                rel_tol=1e-15, abs_tol=1e-15), d
+
+
+@pytest.mark.parametrize("d, norm", [(409, -1), (601, -1)])
+def test_fundamental_unit_of_a_large_unit_at_once(d, norm):
+    # y ~ 5.5e9 for d = 409: one period of a continued fraction, no search
+    start = time.perf_counter()
+    F = _make_field_cached.__wrapped__(d)
+    assert time.perf_counter() - start < 0.1
+    eps = QuadElement(F, *F.fundamental_unit_coeffs)
+    assert eps.norm() == F.fundamental_unit_norm == norm
 
 
 def test_field_q_sqrt5():

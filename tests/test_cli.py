@@ -340,3 +340,18 @@ def test_z_coordinate_count_over_q_exits_2(capsys, lattice):
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
     assert "z component" in err and "x:y" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["eval-eisenstein", "--base-field", "Q(sqrt-5)",
+      "--lattice", "1,0.3+1.7,1", "--s", "2"], "--base-field"),
+    (["eval-eisenstein", "--base-field", "Q",
+      "--lattice", "1,0.3+0,1", "--s", "2"], "--lattice"),
+    (["limit-formula", "--K", "Q(sqrt10)"], "--K")])
+def test_argument_errors_exit_2(capsys, argv, name):
+    # an unsupported base field, y = 0 and a class number other than 1 are
+    # errors in the arguments: no numeric failure, no hint of other routes
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert name in err and "hint" not in err

@@ -137,8 +137,6 @@ PINNED_PARTIAL_ZETA = [
     (-5, None, 1.5 + 0.5j, 1.1635194307925678 - 0.600368690298926j),
     (-5, (2, 1, 1), 2.0, 0.6043458199144232 + 0j),
     (-5, (2, 1, 1), 1.5 + 0.5j, 0.6386428445805852 - 0.7573254010051019j),
-    (5, None, 2.0, 1.1616711902035464 + 0j),
-    (5, None, 1.5 + 0.5j, 1.1113142154195053 - 0.3673897052048688j),
 ]
 
 
@@ -173,20 +171,13 @@ def test_partial_zeta_genus_classes():
     assert abs(tot - zeta_K(K, 3.0)) < 1e-13
 
 
-@pytest.mark.parametrize("d, s, cutoff", [
-    *[(d, s, 1e4) for d in (2, 3, 5, 6, 7, 13) for s in (2.0, 3.0)],
-    (46, 2.0, 100.0),        # eps ~ 4.9e4: the ball scales with eps, not eps^2
-])
-def test_partial_zeta_real_quadratic(d, s, cutoff):
-    # every unit orbit counted once, also rational alpha and the orbits on
-    # the edge of the fundamental domain (N(eps) = +1 for d = 3, 6, 7)
-    K = make_field(d)
-    v, tail = partial_zeta_series(K, FracIdeal.unit_ideal(K), s, cutoff)
-    assert abs(v - zeta_K(K, s)) <= tail
+def test_partial_zeta_rejects_real_quadratic():
+    K = make_field(5)
+    with pytest.raises(UnsupportedFieldError):
+        partial_zeta_series(K, FracIdeal.unit_ideal(K), 2.0, 1e4)
 
 
-@pytest.mark.parametrize("field, cutoff", [(Q, 1e4), (Fi, 2e4),
-                                           (make_field(5), 2e3)])
+@pytest.mark.parametrize("field, cutoff", [(Q, 1e4), (Fi, 2e4)])
 def test_partial_zeta_real_s_sums_in_real_arithmetic(field, cutoff,
                                                      monkeypatch):
     dtypes = []
