@@ -19,17 +19,23 @@ nodes build no lattice: their evaluator is EisensteinEvaluator.at_point of
 one evaluator that HeckeSetup builds once (at t = 1).
 
 The quadrature evaluates each refinement level as one batch: the new nodes
-of a level, both signs, make one array evaluator (HeckeSetup.evaluator_at
-with arrays sign, t), whose reduction, xi terms and Bessel pair sum run on
-arrays, with one pair array and one Bessel call for the level.  A single
-node is the same code on arrays of one entry.
+of a level make one array evaluator (HeckeSetup.evaluator_at with an array
+t), whose reduction, xi terms and Bessel pair sum run on arrays, with one
+pair array and one Bessel call for the level; the first two levels make one
+batch (numerics.nested_trapezoid).  A single node is the same code on
+arrays of one entry.
 
 Real K: the torus splits into two sign components, each a circle of length
 log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the
 fundamental unit has norm -1, and eps0 = eps^2, w_rel = 1 when it has
 norm +1 (the case split is confirmed against the zeta oracle by the test
-suite before being relied on).  Imaginary K: the integrand is constant and
-the torus has measure 4 pi / w_K.
+suite before being relied on).  The two components carry the same
+integrand: the node of the lift u~ = (-sqrt t, 1/sqrt t) is the complex
+conjugate of the node of (sqrt t, 1/sqrt t), and the lattice a conj(z) + b
+is the mirror image of a z + b, with the same norms, so Ehat, h and log|y|
+agree there.  The quadrature therefore evaluates the sign +1 component
+only and counts it twice.  Imaginary K: the integrand is constant and the
+torus has measure 4 pi / w_K.
 """
 
 from __future__ import annotations
@@ -96,55 +102,56 @@ class HeckeSetup:
 
     # -- the lattice family ----------------------------------------------------
 
-    def lift_components(self, sign, t):
-        """The lift u~ of u = (sign*t, 1/(sign*t)): components at (w, w');
-        elementwise for arrays sign, t."""
-        if not np.all((sign == 1) | (sign == -1)):
-            raise ValueError("sign must be +-1")
+    def lift_components(self, t):
+        """The lift u~ = (sqrt t, 1/sqrt t) of u = (t, 1/t) on the sign +1
+        component: components at (w, w'); elementwise for an array t."""
         rt = np.sqrt(t)
-        return sign * rt, 1.0 / rt
+        return rt, 1.0 / rt
 
-    def z_u(self, sign, t):
-        """z_u = rho(u~ z)/rho(u~) in C; elementwise for arrays sign, t."""
-        uw, uwp = self.lift_components(sign, t)
+    def z_u(self, t):
+        """z_u = rho(u~ z)/rho(u~) in C; elementwise for an array t."""
+        uw, uwp = self.lift_components(t)
         return (uw * self.zw + 1j * (uwp * self.zwp)) / (uw + 1j * uwp)
 
     @cached_property
     def _node_template(self) -> EisensteinEvaluator:
-        """The evaluator of a z + b at the node t = 1, sign +1; built on the
-        first node, so that a setup that evaluates none pays nothing."""
+        """The evaluator of a z + b at the node t = 1; built on the first
+        node, so that a setup that evaluates none pays nothing."""
         if not self.K.is_real_quadratic:
             raise UnsupportedFieldError("the torus nodes exist for real K")
-        zu = self.z_u(1, 1.0)
+        zu = self.z_u(1.0)
         lat = OFLattice(self.F, self.ideal_a,
                         DNumber.from_xy(self.F, zu.real, zu.imag),
                         self.ideal_b)
         return EisensteinEvaluator(lat)
 
-    def evaluator_at(self, sign, t) -> EisensteinEvaluator:
+    def evaluator_at(self, t) -> EisensteinEvaluator:
         """The expansion evaluator of a z_u + b (the lattice rho(u~ A) up to
         the scale rho(u~)), equal bit for bit to one built on that lattice;
         it supports the expansion route only (EisensteinEvaluator.at_point).
-        With arrays sign and/or t it is one evaluator of all those nodes,
-        whose values are arrays of their broadcast shape."""
+        With an array t it is one evaluator of all those nodes, whose values
+        are arrays of t's shape."""
         template = self._node_template
-        zu = self.z_u(sign, t)
+        zu = self.z_u(t)
         return template.at_point(zu.real, zu.imag)
 
 
-def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
-    """Sum over both sign components of int_1^eps0 node_fn(sign, t) dt/t by
-    the trapezoid rule in log t over the period log eps0 (the integrand is
-    periodic there, so the rule converges geometrically and its nodes nest),
-    from 8 nodes per sign.  node_fn takes the arrays (signs, ts) of all new
-    nodes of a refinement level, both signs, and returns their values."""
+def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
+                      components: int = 2):
+    """`components` times int_1^eps0 node_fn(t) dt/t over the sign +1
+    component: with components = 2 the integral over both sign components,
+    which carry the same integrand (see the module docstring).  The
+    trapezoid rule in log t over the period log eps0 (the integrand is
+    periodic there, so the rule converges geometrically and its nodes nest)
+    starts from 8 nodes and stops when a halving moves the returned value
+    by at most tol/2.  node_fn takes the array of all new nodes t of a
+    refinement level and returns their values."""
     period = math.log(setup.eps0)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
         # math.exp node by node: the t values of a scalar evaluation
         ts = np.array([math.exp(tau) for tau in taus])
-        signs = np.repeat([1, -1], ts.size)
-        return np.asarray(node_fn(signs, np.tile(ts, 2)), dtype=complex)
+        return components * np.asarray(node_fn(ts), dtype=complex)
 
     return complex(nested_trapezoid(
         integrand, lambda h: np.arange(round(period / h)), period / 8, tol / 2,
@@ -161,8 +168,8 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
 
     node_tol = tol / (8.0 * setup.measure)
 
-    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return setup.evaluator_at(signs, ts).ehat_expansion(s, node_tol)
+    def nodes(ts: np.ndarray) -> np.ndarray:
+        return setup.evaluator_at(ts).ehat_expansion(s, node_tol)
 
     return _torus_quadrature(setup, nodes, tol) / setup.w_rel
 
@@ -207,8 +214,8 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
 
     node_tol = tol * CK / 4.0
 
-    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        ev = setup.evaluator_at(signs, ts)
+    def nodes(ts: np.ndarray) -> np.ndarray:
+        ev = setup.evaluator_at(ts)
         return ev.h_value(node_tol) - np.log(np.abs(ev.y))
 
     integral = _torus_quadrature(setup, nodes, tol * CK).real
@@ -252,14 +259,11 @@ def classical_real_quadratic_integral(setup: HeckeSetup, s: complex,
     # and scales the measure dt/t by 1/w_rel
     w = setup.w_rel
 
-    def nodes(signs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        out = np.zeros(ts.shape, complex)
-        plus = signs > 0
-        out[plus] = setup.evaluator_at(1, ts[plus] ** (1.0 / w)) \
-            .ehat_expansion(s, node_tol)
-        return out
+    def nodes(ts: np.ndarray) -> np.ndarray:
+        return setup.evaluator_at(ts ** (1.0 / w)).ehat_expansion(s, node_tol)
 
-    integral_E = _torus_quadrature(setup, nodes, tol * w) / (w * gamma2s)
+    integral_E = _torus_quadrature(setup, nodes, tol * w, components=1) \
+        / (w * gamma2s)
     dK = abs(K.discriminant)
     from .specialfun import complex_gamma
     pref = 2.0 * cmath.exp(-(s / 2) * math.log(dK)) * complex_gamma(s) \

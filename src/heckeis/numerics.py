@@ -37,19 +37,28 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
 
     The step is halved until two levels differ by at most `tol` in every
     entry.  grid(h / 2) must contain 2k for every k of grid(h), so that each
-    level evaluates f only at the new odd multiples of the halved step.
-    Raises ConvergenceError after MAX_REFINEMENTS halvings, with the last
-    step as its cutoff, the last change, tol and the nodes evaluated.
+    level evaluates f only at the new odd multiples of the halved step.  The
+    first two levels are always needed, so the first call of f takes the
+    nodes of grid(h) followed by the new ones of grid(h / 2), and both sums
+    come from it.  Raises ConvergenceError after MAX_REFINEMENTS halvings,
+    with the last step as its cutoff, the last change, tol and the nodes
+    evaluated.
     """
-    vals = f(grid(h) * h)
-    nodes = vals.shape[-1]
-    cur = h * vals.sum(axis=-1)
-    delta = float("inf")
-    for _ in range(MAX_REFINEMENTS):
-        h /= 2.0
+    def odd(h):
         k = grid(h)
-        vals = f(k[k % 2 != 0] * h)
-        nodes += vals.shape[-1]
+        return k[k % 2 != 0] * h
+
+    coarse = grid(h) * h
+    vals = f(np.concatenate([coarse, odd(h / 2.0)]))
+    nodes = vals.shape[-1]
+    cur = h * vals[..., :coarse.size].sum(axis=-1)
+    vals = vals[..., coarse.size:]
+    delta = float("inf")
+    for halving in range(MAX_REFINEMENTS):
+        h /= 2.0
+        if halving:
+            vals = f(odd(h))
+            nodes += vals.shape[-1]
         nxt = cur / 2.0 + h * vals.sum(axis=-1)
         delta = float(np.max(np.abs(nxt - cur)))
         if delta <= tol:

@@ -11,6 +11,11 @@ conversion: scipy's kv (Amos's algorithm, ACM TOMS 644, 1986).  A complex
 order takes the integral literally: after u = e^t the integrand decays
 doubly exponentially, so trapezoid sums with step halving converge at
 spectral rate.
+
+The incomplete gamma's continued fraction costs a fixed numpy overhead per
+iteration on arrays, so a call with few arguments (the xi sums of the torus
+quadrature pass one or two) runs it as a loop over Python complex scalars
+instead; both loops take the same steps to the same stop rule.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.special import kv as _kv
 
 from . import numerics
 from .basefield import FieldDescriptor
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError, EnumerationCapError, PoleError
 from .numerics import nested_trapezoid
 
 Complex = Union[complex, float]
@@ -44,42 +49,93 @@ def complex_gamma(s: Complex) -> complex:
 # Gaussian parameters never allocates more than a few MB per temporary
 _BLOCK = 1 << 14
 _CF_MAX_ITER = 500
+# at most this many arguments take the continued fraction as a loop over
+# Python complex scalars: an array iteration costs ~14 us whatever its size.
+# On the continued-fraction calls of the benchmark decks (seed 1, a 2-core
+# x86-64 VM) the scalar loop took 1/16 to 1/5 of the array loop's time at
+# 1-16 arguments, 0.7-0.9 of it at 17-48, the same at 49-64 and 1.6 times
+# it at 65-80
+_CF_SCALAR_MAX = 64
 _SERIES_MAX_TERMS = 10_000
 # Gauss-Legendre rule per panel of the log-space integral; a panel of width w
 # satisfies w * max|d/dt (s t - e^t)| <= _GL_SPAN (24 nodes stay exact to
 # rounding up to a span of about 100, and lose digits from 150)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_SPAN = 20.0
+# the modified Lentz method's stand-in for a zero denominator
+_TINY = 1e-300
+
+
+def _cf_unconverged(s: complex, n: int, size: int, worst: float, tol: float):
+    return ConvergenceError(
+        f"incomplete gamma continued fraction at order {s} did not "
+        f"converge: {n} of {size} arguments unconverged after the cap of "
+        f"{_CF_MAX_ITER} iterations, worst |delta-1| {worst:.3g} >= tol "
+        f"{tol:.3g}",
+        cutoff=_CF_MAX_ITER, last_delta=worst, tol=tol, points=n)
 
 
 def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     """Legendre's continued fraction for Gamma(s, x) (DLMF 8.9) by the
     modified Lentz method, reliable for x >= min(8, |s| + 1).  Each element
-    stops at its own |delta - 1| < tol and leaves the iteration."""
-    tiny = 1e-300
+    stops at its own |delta - 1| < tol.  Up to _CF_SCALAR_MAX arguments run
+    it one by one in Python complex arithmetic (_lentz_scalar), more run it
+    on arrays, where a converged element leaves the iteration
+    (_lentz_array); both raise ConvergenceError at _CF_MAX_ITER iterations
+    with the unconverged arguments as its points."""
+    lentz = _lentz_scalar if x.size <= _CF_SCALAR_MAX else _lentz_array
+    return lentz(s, x, tol) * np.exp(-x + s * np.log(x))
+
+
+def _lentz_scalar(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
+    out = np.empty(x.shape, dtype=complex)
+    misses = []
+    for j, xj in enumerate(x.tolist()):
+        b = xj + (1.0 - s)
+        d = 1.0 / b
+        c = 1.0 / _TINY
+        h = d
+        for i in range(1, _CF_MAX_ITER + 1):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _TINY:
+                d = _TINY
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            miss = abs(delta - 1.0)
+            if miss < tol:
+                break
+        else:
+            misses.append(miss)
+        out[j] = h
+    if misses:
+        raise _cf_unconverged(s, len(misses), x.size, max(misses), tol)
+    return out
+
+
+def _lentz_array(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     b = x + (1.0 - s)
     d = 1.0 / b         # b != 0: real s reaching here is <= 0
-    c = np.full(x.shape, 1.0 / tiny, dtype=complex)
+    c = np.full(x.shape, 1.0 / _TINY, dtype=complex)
     h = d.copy()
     out = np.empty(x.shape, dtype=complex)
     idx = np.arange(x.size)
     i = 0
     while idx.size:
         if i == _CF_MAX_ITER:
-            raise ConvergenceError(
-                f"incomplete gamma continued fraction at order {s} did not "
-                f"converge: {idx.size} of {x.size} arguments unconverged "
-                f"after the cap of {_CF_MAX_ITER} iterations, worst "
-                f"|delta-1| {miss.max():.3g} >= tol {tol:.3g}",
-                cutoff=i, last_delta=float(miss.max()), tol=tol,
-                points=idx.size)
+            raise _cf_unconverged(s, idx.size, x.size, float(miss.max()), tol)
         i += 1
         an = -i * (i - s)
         b = b + 2.0
         d = an * d + b
-        d[np.abs(d) < tiny] = tiny
+        d[np.abs(d) < _TINY] = _TINY
         c = b + an / c
-        c[np.abs(c) < tiny] = tiny
+        c[np.abs(c) < _TINY] = _TINY
         d = 1.0 / d
         delta = d * c
         h = h * delta
@@ -90,7 +146,7 @@ def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
             keep = ~done
             idx, b, c, d, h, miss = idx[keep], b[keep], c[keep], d[keep], \
                 h[keep], miss[keep]
-    return out * np.exp(-x + s * np.log(x))
+    return out
 
 
 def _incgamma_series(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
@@ -229,7 +285,8 @@ def bessel_k_batch(s: Complex, xs: np.ndarray,
     series (measured against mpmath at non-half-integer orders).  A complex
     order takes the trapezoid rule (_bessel_trapezoid) to absolute accuracy
     ~tol on each entry.  Raises ValueError unless every argument is
-    positive (NaN included).
+    positive (NaN included), and EnumerationCapError when a level of the
+    trapezoid sum would pass _BESSEL_LEVEL_BYTES.
     """
     s = complex(s)
     xs = np.asarray(xs, dtype=float)
@@ -240,12 +297,20 @@ def bessel_k_batch(s: Complex, xs: np.ndarray,
     return _bessel_trapezoid(s, xs, tol)
 
 
+# the bytes of one level's (n_x, n_nodes) complex matrix of the trapezoid
+# sum: a level past it raises EnumerationCapError before it is allocated
+# (the largest level of the benchmark decks is about 2 MB, of the test
+# suite 133 MB)
+_BESSEL_LEVEL_BYTES = 256 << 20
+
+
 def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
     """K_s by nested trapezoid sums of the defining integral, absolute
     accuracy ~tol on each entry: the route of complex orders, and the
     reference that tests and the specialfun suite hold kv against at real
-    orders.  Sorted entries go through in chunks that bound the
-    (n_x, n_nodes) work matrix, each chunk on one grid."""
+    orders.  Sorted entries go through in chunks of at most 3,906, each
+    chunk on one grid; a level matrix of n_x by n_nodes complex values
+    past _BESSEL_LEVEL_BYTES raises EnumerationCapError."""
     out = np.empty(xs.shape, dtype=complex)
     order = np.argsort(xs)
     chunk = max(1, 4_000_000 // 1024)
@@ -260,6 +325,12 @@ def _bessel_chunk(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
     T = _bessel_grid_halfwidth(abs(s.real), float(xs.min()), L)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
+        need = 16 * xs.size * taus.size
+        if need > _BESSEL_LEVEL_BYTES:
+            raise EnumerationCapError(
+                f"bessel trapezoid level of {xs.size} arguments x "
+                f"{taus.size} nodes needs {need / 2**20:.3g} MB > budget "
+                f"{_BESSEL_LEVEL_BYTES / 2**20:.3g} MB")
         return np.exp(-2.0 * np.outer(xs, np.cosh(taus)) + s * taus[None, :])
 
     def grid(h: float) -> np.ndarray:

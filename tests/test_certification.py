@@ -5,8 +5,9 @@ Sayward, "Hints on test data selection" (IEEE Computer 11, 1978).
 Each case perturbs one primitive in every module whose routes call it, by a
 relative 1e-7 or by dropping one lattice point, and runs the verify suite
 named for it (one of theta, specialfun, klf, fe and hecke; the fourier
-suite would catch most of them too, but takes longer than all five).  Some
-check of that suite must then fail, or the library must raise.
+suite would catch most of them too, but takes longer than all five).  The
+checks named for it must then be the ones of that suite that fail, or the
+library must raise.
 
 eisenstein._sl2_reduce is left out: Ehat is invariant under SL2(O_F), so the
 reduction only bounds the cost of the expansion, and no value shows it.
@@ -14,7 +15,7 @@ reduction only bounds the cost of the expansion, and no value shows it.
 
 import pytest
 
-from heckeis import eisenstein, lattice, zeta
+from heckeis import eisenstein, lattice, specialfun, zeta
 from heckeis.errors import HeckeisError
 from heckeis.verify import run_suite
 
@@ -45,26 +46,32 @@ def _one_entry_off(f):
     return mutant
 
 
-# primitive: (the suite that catches it, the bindings the routes call)
+# primitive: (the suite that catches it, the checks of that suite that then
+# fail, none where the library raises, the bindings the routes call)
 MUTANTS = {
     # the theta law: theta(t, L) against theta(1/t, L*) on the dual lattice
-    "ball_points": ("theta", [
+    "ball_points": ("theta", ["theta-transformation"], [
         (m, "ball_points", _first_point_dropped(lattice.ball_points))
         for m in (lattice, zeta, eisenstein)]),
-    # h-translation: h of the expansion (xi of an ideal) at z + 1 against h
-    # of the lattice route (the theta split of the lattice) at z
-    "gamma_lattice_sum": ("klf", [
+    # h of the expansion (xi of an ideal) at z + 1 and at -1/z against h of
+    # the lattice route (the theta split of the lattice) at z
+    "gamma_lattice_sum": ("klf", ["h-inversion", "h-translation"], [
         (zeta, "gamma_lattice_sum", _scaled(zeta.gamma_lattice_sum))]),
-    "upper_incomplete_gamma": ("klf", [
+    "upper_incomplete_gamma": ("klf", ["h-inversion", "h-translation"], [
         (zeta, "upper_incomplete_gamma",
          _scaled(zeta.upper_incomplete_gamma))]),
+    # the continued fraction's loop for few arguments alone: at x = 2.2 the
+    # recurrence takes Gamma(s, x) from it and Gamma(s + 1, x) from the
+    # series
+    "_lentz_scalar": ("specialfun", ["incgamma-recurrence"], [
+        (specialfun, "_lentz_scalar", _scaled(specialfun._lentz_scalar))]),
     # the functional equation: the expansion (Bessel pair sum) against the
     # lattice route of the dual, which has no Bessel function
-    "bessel_k_batch": ("fe", [
+    "bessel_k_batch": ("fe", ["functional-equation"], [
         (eisenstein, "bessel_k_batch", _scaled(eisenstein.bessel_k_batch))]),
     # every pseudo-basis lattice checks its determinant against the closed
     # form |d_F| N(a) N(b) |N(y)| of its covolume
-    "ideal_embedding_matrix": ("theta", [
+    "ideal_embedding_matrix": ("theta", [], [
         (m, "ideal_embedding_matrix",
          _one_entry_off(lattice.ideal_embedding_matrix))
         for m in (lattice, zeta, eisenstein)]),
@@ -88,11 +95,13 @@ def fresh_caches():
 @pytest.mark.parametrize("primitive", list(MUTANTS))
 def test_a_check_catches_each_shared_primitive(primitive, monkeypatch,
                                                fresh_caches):
-    suite, bindings = MUTANTS[primitive]
+    suite, catching, bindings = MUTANTS[primitive]
     for module, name, mutant in bindings:
         monkeypatch.setattr(module, name, mutant)
     try:
         reports = run_suite(suite, seed=7)
     except HeckeisError:
+        assert catching == [], (primitive, suite)
         return
-    assert any(not r.passed for r in reports), (primitive, suite)
+    failed = sorted({r.command for r in reports if not r.passed})
+    assert catching and failed == catching, (primitive, suite, failed)

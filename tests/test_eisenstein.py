@@ -151,6 +151,39 @@ def test_expansion_on_the_reduced_presentation_over_q(x, y, ia, ib, s):
     _assert_routes_agree(EisensteinEvaluator(lat_q(x, y, ia, ib)), s)
 
 
+_RATIONAL_GENS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_RATIONAL_GENS, _RATIONAL_GENS, st.floats(-3.0, 3.0),
+       st.floats(0.05, 3.0), _OFF_POLE_S)
+@example(Fraction(7, 2), Fraction(1, 5), 0.3, 0.05, 1.06)
+@example(Fraction(12, 5), Fraction(1, 6), -1.3, 3.0, 1.5 + 2.0j)
+def test_the_mirror_lattice_has_the_same_values(ia, ib, x, y, s):
+    # a conj(z) + b is the mirror image of a z + b, so it has the same
+    # norms, and reduced to y > 0 it is a (-x + y j) + b: every route gives
+    # the same value on both.  The expansion is bit for bit the same up to
+    # a few ulp of its terms; the lattice and direct routes sum the mirrored
+    # points in another order, so they agree to the rounding of their sums
+    # (the lattice route's terms grow like V^s and V^(s-1), the direct
+    # sum's are at most E at Re s)
+    ev, mirror = (EisensteinEvaluator(lat_q(u, y, ia, ib)) for u in (x, -x))
+    mass = sum(abs(term(s, 1e-12))
+               for term in (ev.term1, ev.term2, ev.term3))
+    assert abs(ev.ehat_expansion(s, 1e-12)
+               - mirror.ehat_expansion(s, 1e-12)) <= 4 * 2.0 ** -52 * mass
+    assert abs(ev.h_value(1e-12) - mirror.h_value(1e-12)) \
+        <= 4 * 2.0 ** -52 * max(1.0, abs(ev.h_value(1e-12)))
+    V, re_s = ev.lattice.covolume, complex(s).real
+    a = ev.ehat_lattice(s, 1e-12)
+    floor = 1e-14 * (max(1.0, abs(a)) + max(V ** re_s, V ** (re_s - 1)))
+    assert abs(a - mirror.ehat_lattice(s, 1e-12)) <= floor
+    if re_s > 1.05:
+        floor = 1e-14 * ev.e_direct(re_s, 1e-10).real
+        assert abs(ev.e_direct(s, 1e-10) - mirror.e_direct(s, 1e-10)) \
+            <= floor
+
+
 @settings(max_examples=15)
 @given(st.sampled_from([-1, -2, -3, -7, -11]),
        st.sampled_from([2, Fraction(3, 2), "1+w"]),

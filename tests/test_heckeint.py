@@ -31,10 +31,16 @@ def same_span(M, N):
         and round(abs(np.linalg.det(R))) == 1
 
 
+def lift(sign, t):
+    """The lift u~ = (sign sqrt t, 1/sqrt t) of u = (sign t, 1/(sign t)) on
+    the sign component `sign`: components at (w, w')."""
+    return sign * math.sqrt(t), 1.0 / math.sqrt(t)
+
+
 def scaled_lattice(setup, sign, t):
     """rho(u~ A) for A = O_K = Z z + Z (a = b = Z), rho(z_w, z_w') =
     z_w + z_w' i: the Z-basis lattice of rho(u~ z), rho(u~)."""
-    uw, uwp = setup.lift_components(sign, t)
+    uw, uwp = lift(sign, t)
     return OFLattice(Q, z_basis=[[uw * setup.zw, uw],
                                  [uwp * setup.zwp, uwp]])
 
@@ -57,13 +63,12 @@ def test_unit_case_split():
 
 
 def test_lift_norm_one():
-    # |N_{K/Q}(u~)| = |u~_w * u~_w'| = 1 and u~/u~' recovers sign * t
+    # |N_{K/Q}(u~)| = |u~_w * u~_w'| = 1 and u~/u~' recovers t
     setup = HeckeSetup(make_field(5))
     for t in (1.0, 1.3, 2.0):
-        for sign in (1, -1):
-            uw, uwp = setup.lift_components(sign, t)
-            assert abs(abs(uw * uwp) - 1.0) < 1e-12
-            assert abs(uw / uwp - sign * t) < 1e-12
+        uw, uwp = setup.lift_components(t)
+        assert abs(abs(uw * uwp) - 1.0) < 1e-12
+        assert abs(uw / uwp - t) < 1e-12
 
 
 def test_volume_is_t_independent():
@@ -82,7 +87,7 @@ def test_scaled_lattice_modularity():
     from heckeis.specialfun import gamma_F
     setup = HeckeSetup(make_field(5))
     s = 2.5
-    via_expansion = setup.evaluator_at(1, 1.3).ehat_expansion(s, 1e-11)
+    via_expansion = setup.evaluator_at(1.3).ehat_expansion(s, 1e-11)
     via_direct = gamma_F(Q, 2 * s) \
         * EisensteinEvaluator(scaled_lattice(setup, 1, 1.3)).e_direct(s, 1e-9)
     assert abs(via_expansion - via_direct) < 1e-8
@@ -90,22 +95,23 @@ def test_scaled_lattice_modularity():
 
 @pytest.mark.parametrize("d", [5, 3])
 def test_integrand_periodicity(d):
-    # eps0 generates the stabilizer in t-coordinates for both unit norms and
-    # both signs, which the periodic trapezoid rule in log t relies on; the
-    # limit-formula integrand h - log|y| is invariant, h alone is not
+    # eps0 generates the stabilizer in t-coordinates for both unit norms,
+    # which the periodic trapezoid rule in log t relies on (the sign -1
+    # component carries the same integrand:
+    # test_sign_components_carry_one_integrand); the limit-formula integrand
+    # h - log|y| is invariant, h alone is not
     setup = HeckeSetup(make_field(d))
     s = 1.7
-    for sign in (1, -1):
-        for t in (1.0, 1.9):
-            ev = setup.evaluator_at(sign, t)
-            ev_up = setup.evaluator_at(sign, t * setup.eps0)
-            a = ev.ehat_expansion(s, 1e-12)
-            b = ev_up.ehat_expansion(s, 1e-12)
-            assert abs(a - b) < 1e-9
-            h, h_up = ev.h_value(1e-12), ev_up.h_value(1e-12)
-            assert abs((h - math.log(abs(ev.y)))
-                       - (h_up - math.log(abs(ev_up.y)))) < 1e-9
-            assert abs(h - h_up) > 1e-3
+    for t in (1.0, 1.9):
+        ev = setup.evaluator_at(t)
+        ev_up = setup.evaluator_at(t * setup.eps0)
+        a = ev.ehat_expansion(s, 1e-12)
+        b = ev_up.ehat_expansion(s, 1e-12)
+        assert abs(a - b) < 1e-9
+        h, h_up = ev.h_value(1e-12), ev_up.h_value(1e-12)
+        assert abs((h - math.log(abs(ev.y)))
+                   - (h_up - math.log(abs(ev_up.y)))) < 1e-9
+        assert abs(h - h_up) > 1e-3
 
 
 def test_rho_star_gives_dual_lattice():
@@ -114,7 +120,7 @@ def test_rho_star_gives_dual_lattice():
     K = make_field(5)
     setup = HeckeSetup(K)
     t = 1.3
-    uw, uwp = setup.lift_components(1, t)
+    uw, uwp = setup.lift_components(t)
     dual = scaled_lattice(setup, 1, t).dual()
     Astar = dual_ideal(K, FracIdeal.unit_ideal(K))
     columns = []
@@ -207,10 +213,10 @@ def unconverged_fields(err) -> dict:
 @pytest.mark.parametrize("d", [2, 3])
 def test_classical_integral_raises_when_unconverged(monkeypatch, d):
     # an integrand that is not periodic in log t converges only slowly under
-    # the trapezoid rule, so with two halvings (8 -> 32 nodes per sign) it
-    # must raise, as hecke_integral does, instead of returning the last
-    # estimate; the message says how far the quadrature got.  Each level
-    # of nodes is one evaluator of array t
+    # the trapezoid rule, so with two halvings (8 -> 32 nodes of the sign +1
+    # component) it must raise, as hecke_integral does, instead of returning
+    # the last estimate; the message says how far the quadrature got.  Each
+    # level of nodes is one evaluator of array t
     class Oscillating:
         def __init__(self, t):
             self.t = np.asarray(t)
@@ -219,24 +225,24 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
             return np.exp(50j * np.log(self.t))
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at",
-                        lambda self, sign, t: Oscillating(t))
+                        lambda self, t: Oscillating(t))
     monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 2)
     setup = HeckeSetup(make_field(d))
     with pytest.raises(ConvergenceError) as info:
         hecke_integral(setup, 2.0, 1e-8)
     fields = unconverged_fields(info.value)
     assert fields["what"] == "torus quadrature"
-    assert fields["halvings"] == 2 and fields["nodes"] == 2 * 32
+    assert fields["halvings"] == 2 and fields["nodes"] == 32
     assert fields["tol"] == 5e-9 and fields["change"] > fields["tol"]
     err = info.value
-    assert (err.tol, err.points) == (5e-9, 2 * 32)
+    assert (err.tol, err.points) == (5e-9, 32)
     assert err.last_delta > err.tol
     # the step after two halvings of period/8
     assert err.cutoff == math.log(HeckeSetup(make_field(d)).eps0) / 32
     with pytest.raises(ConvergenceError) as info:
         classical_real_quadratic_integral(setup, 2.0, 1e-8)
     fields = unconverged_fields(info.value)
-    assert fields["halvings"] == 2 and fields["nodes"] == 2 * 32
+    assert fields["halvings"] == 2 and fields["nodes"] == 32
     assert fields["change"] > fields["tol"]
 
 
@@ -244,9 +250,10 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
     # exp(cos(2 pi log t / log eps0)) has period log eps0 in log t and
-    # integrates to log eps0 * I_0(1) per sign; the trapezoid rule in log t
-    # gets it to rounding with 32 nodes per sign and never evaluates a node
-    # twice.  Each level of nodes is one evaluator of arrays sign, t
+    # integrates to log eps0 * I_0(1) per sign component; the trapezoid rule
+    # in log t gets it to rounding with 32 nodes of the sign +1 component,
+    # counted twice, and never evaluates a node twice.  Each level of nodes
+    # is one evaluator of array t
     setup = HeckeSetup(make_field(d))
     period = math.log(setup.eps0)
     calls = []
@@ -258,18 +265,15 @@ def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
         def ehat_expansion(self, s, tol):
             return np.exp(np.cos(2 * math.pi * np.log(self.t) / period))
 
-    def evaluator_at(self, sign, t):
-        sign, t = np.broadcast_arrays(sign, t)
-        calls.extend(zip(sign.tolist(), t.tolist()))
+    def evaluator_at(self, t):
+        calls.extend(np.atleast_1d(t).tolist())
         return Periodic(t)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", evaluator_at)
     got = hecke_integral(setup, 2.0, tol)
     want = 2 * period * i0(1.0) / setup.w_rel
     assert abs(got - want) <= 1e-14 * want
-    assert len(set(calls)) == len(calls)
-    for sign in (1, -1):
-        assert sum(1 for c in calls if c[0] == sign) <= 32
+    assert len(set(calls)) == len(calls) <= 32
 
 
 @pytest.mark.parametrize("d", [5, 2, 3])
@@ -305,7 +309,7 @@ def test_relative_klf_requires_real_field():
 
 def test_torus_nodes_require_real_field():
     with pytest.raises(UnsupportedFieldError):
-        HeckeSetup(make_field(-1)).evaluator_at(1, 1.0)
+        HeckeSetup(make_field(-1)).evaluator_at(1.0)
 
 
 def test_setup_rejects_rational():
@@ -342,26 +346,49 @@ def test_hecke_integral_non_unit_presentation():
     lambda: HeckeSetup(make_field(13)), _ideal_one_plus_sqrt23])
 def test_node_evaluator_matches_one_built_on_the_node_lattice(make_setup):
     setup = make_setup()
-    for sign in (1, -1):
-        for t in (1.0, 1.37, 2.9, 0.999 * setup.eps0):
-            ev = setup.evaluator_at(sign, t)
-            zu = setup.z_u(sign, t)
-            ref = EisensteinEvaluator(OFLattice(
-                Q, setup.ideal_a, DNumber.from_xy(Q, zu.real, zu.imag),
-                setup.ideal_b))
-            assert ev.lattice is None and (ev.x, ev.y) == (ref.x, ref.y)
-            for s in (2.0, 0.3, 1.5 + 0.5j):
-                assert ev.ehat_expansion(s, 1e-10) \
-                    == ref.ehat_expansion(s, 1e-10)
-            assert ev.h_value(1e-10) == ref.h_value(1e-10)
-            assert ev.ct(1e-10) == ref.ct(1e-10)
+    for t in (1.0, 1.37, 2.9, 0.999 * setup.eps0):
+        ev = setup.evaluator_at(t)
+        zu = setup.z_u(t)
+        ref = EisensteinEvaluator(OFLattice(
+            Q, setup.ideal_a, DNumber.from_xy(Q, zu.real, zu.imag),
+            setup.ideal_b))
+        assert ev.lattice is None and (ev.x, ev.y) == (ref.x, ref.y)
+        for s in (2.0, 0.3, 1.5 + 0.5j):
+            assert ev.ehat_expansion(s, 1e-10) == ref.ehat_expansion(s, 1e-10)
+        assert ev.h_value(1e-10) == ref.h_value(1e-10)
+        assert ev.ct(1e-10) == ref.ct(1e-10)
+
+
+@pytest.mark.parametrize("make_setup", [
+    lambda: HeckeSetup(make_field(2)), lambda: HeckeSetup(make_field(5)),
+    lambda: HeckeSetup(make_field(13)), _ideal_one_plus_sqrt23])
+def test_sign_components_carry_one_integrand(make_setup):
+    # the node of the sign -1 lift is the complex conjugate of the node of
+    # the sign +1 lift, and a conj(z) + b reduced to y > 0 is the mirror
+    # lattice a (-x + y j) + b of a z + b, with the same values
+    # (test_eisenstein.py::test_the_mirror_lattice_has_the_same_values), so
+    # the quadrature counts the sign +1 component twice
+    setup = make_setup()
+    ts = np.array([1.0, 1.37, 2.9, 0.999 * setup.eps0])
+    # the lift (-sqrt t, 1/sqrt t), in the library's array arithmetic
+    uw, uwp = -np.sqrt(ts), 1.0 / np.sqrt(ts)
+    z_minus = (uw * setup.zw + 1j * (uwp * setup.zwp)) / (uw + 1j * uwp)
+    assert np.array_equal(z_minus, np.conj(setup.z_u(ts)))
+    for t, zm in zip(ts, z_minus):
+        ev = setup.evaluator_at(t)
+        mirror = setup._node_template.at_point(-zm.real, -zm.imag)
+        for s in (2.0, 0.3, 1.5 + 0.5j):
+            assert mirror.ehat_expansion(s, 1e-10) \
+                == ev.ehat_expansion(s, 1e-10)
+        assert mirror.h_value(1e-10) - math.log(abs(mirror.y)) \
+            == ev.h_value(1e-10) - math.log(abs(ev.y))
 
 
 def test_torus_nodes_build_no_lattice_and_no_ideal_data(monkeypatch):
     # the node-independent data (b*, xi(s, Z), norms, volumes) are built
     # once per setup, on its first node
     setup = HeckeSetup(make_field(5))
-    setup.evaluator_at(1, 1.0)
+    setup.evaluator_at(1.0)
     built = []
     init = OFLattice.__init__
 
@@ -400,24 +427,21 @@ def _sum_abs(*terms):
 
 @settings(max_examples=20)
 @given(st.sampled_from([2, 3, 5, 13, 19, 23, "1+sqrt23"]),
-       st.lists(st.tuples(st.sampled_from([1, -1]),
-                          st.floats(0.0, 1.0, exclude_max=True)),
-                min_size=1, max_size=6))
-@example("1+sqrt23", [(1, 0.0), (-1, 0.999), (1, 0.5)])
-@example(19, [(-1, 0.97), (1, 0.9), (1, 0.2)])
-def test_batched_nodes_equal_the_nodes_one_at_a_time(which, nodes):
-    # a level of nodes is one evaluator of arrays (sign, t), t = eps0^u in
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=6))
+@example("1+sqrt23", [0.0, 0.999, 0.5])
+@example(19, [0.97, 0.9, 0.2])
+def test_batched_nodes_equal_the_nodes_one_at_a_time(which, us):
+    # a level of nodes is one evaluator of array t, t = eps0^u in
     # [1, eps0); its values equal those of the evaluators of the single
     # nodes up to the order of summation at real s, and within the node
     # tol at complex s, where the Bessel integral runs at the tightest
     # node's tol
     setup = _setup_of(which)
-    signs = np.array([sign for sign, _ in nodes])
-    ts = setup.eps0 ** np.array([u for _, u in nodes])
+    ts = setup.eps0 ** np.array(us)
     tol = 1e-10
-    batch = setup.evaluator_at(signs, ts)
-    singles = [setup.evaluator_at(int(sign), float(t))
-               for sign, t in zip(signs, ts)]
+    batch = setup.evaluator_at(ts)
+    singles = [setup.evaluator_at(float(t)) for t in ts]
     assert batch.shape == ts.shape and batch.y_red.shape == ts.shape
     for s in (2.0, 3.0, 0.3, 1.5 + 0.5j):
         s = complex(s)
@@ -443,18 +467,18 @@ def test_batched_nodes_equal_the_nodes_one_at_a_time(which, nodes):
         assert abs(g_ct - ev.ct(tol)) <= 1e-14 * ct_mass
 
 
-@pytest.mark.parametrize("d, s, count", [(5, 2.0, 32), (19, 3.0, 256)])
+@pytest.mark.parametrize("d, s, count", [(5, 2.0, 16), (19, 3.0, 128)])
 def test_hecke_integral_evaluates_a_pinned_set_of_nodes(monkeypatch, d, s,
                                                         count):
-    # the number of distinct nodes (sign, t) of the nested trapezoid levels;
-    # evaluating a level as one batch leaves the levels as they were
+    # the number of distinct nodes t of the nested trapezoid levels, all on
+    # the sign +1 component; evaluating a level as one batch, and the first
+    # two levels as one, leaves the levels as they were
     seen = []
     evaluator_at = HeckeSetup.evaluator_at
 
-    def counted(self, sign, t):
-        sign, t = np.broadcast_arrays(sign, t)
-        seen.extend(zip(sign.tolist(), t.tolist()))
-        return evaluator_at(self, sign, t)
+    def counted(self, t):
+        seen.extend(np.atleast_1d(t).tolist())
+        return evaluator_at(self, t)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", counted)
     K = make_field(d)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import i0
 
 from heckeis import numerics, specialfun
 from heckeis.basefield import make_field
-from heckeis.errors import ConvergenceError, PoleError
+from heckeis.errors import ConvergenceError, EnumerationCapError, PoleError
 from heckeis.numerics import nested_trapezoid
 from heckeis.specialfun import (bessel_k, bessel_k_batch, gamma_F,
                                 gamma_F_integral, upper_incomplete_gamma)
@@ -89,6 +90,68 @@ def test_bessel_raises_when_unconverged(monkeypatch):
     err = info.value
     assert (err.cutoff, err.tol, err.points) == (0.25, 1e-14 / 4, nodes)
     assert err.last_delta > err.tol
+
+
+def test_bessel_level_past_its_byte_budget_raises_before_allocating(
+        monkeypatch):
+    # 300 arguments at step 0.5 make a first level (the first two trapezoid
+    # levels) of about 300 x 43 complex values, 206 kB; under a 64 kB budget
+    # it must raise before the matrix exists.  Unguarded, the same call
+    # converges within a few MB, so a broken guard cannot exhaust memory
+    xs = np.linspace(0.3, 3.0, 300)
+    s = 0.5 + 0.1j
+    want = bessel_k_batch(s, xs, 1e-12)
+
+    def forbidden(*args):
+        raise AssertionError("the level matrix was allocated")
+
+    monkeypatch.setattr(specialfun, "_BESSEL_LEVEL_BYTES", 64 << 10)
+    monkeypatch.setattr(np, "outer", forbidden)
+    with pytest.raises(EnumerationCapError,
+                       match=r"bessel trapezoid level of 300 arguments x "
+                             r"\d+ nodes needs 0\.\d+ MB > budget 0\.0625 MB"):
+        bessel_k_batch(s, xs, 1e-12)
+    monkeypatch.undo()
+    assert np.array_equal(bessel_k_batch(s, xs, 1e-12), want)
+
+
+def _first_two_levels(f, grid, h):
+    """The first two levels of a nested trapezoid sum as two calls of f:
+    the sum over grid(h), and the halved step's sum from it and the new
+    odd nodes."""
+    coarse = h * f(grid(h) * h).sum(axis=-1)
+    k = grid(h / 2)
+    return coarse / 2 + (h / 2) * f(k[k % 2 != 0] * (h / 2)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("rows", [None, [0.25, 0.5, 1.0]])
+def test_nested_trapezoid_evaluates_the_first_two_levels_in_one_call(rows):
+    # exp(c cos t) over its period 2 pi: the rule with 8 nodes is off by
+    # 1.3e-6 at c = 1 and with 16 to rounding, so the first comparison accepts
+    # at tol 1e-5.  The one call of f holds the 8 nodes followed by
+    # the 8 new ones, its values give both levels, and the value is the
+    # two-call one bit for bit; on a matrix of values (the Bessel
+    # trapezoid's) each row is its own integral
+    cs = np.array(1.0 if rows is None else rows)
+    calls = []
+
+    def f(taus):
+        calls.append(taus)
+        return np.exp(np.multiply.outer(cs, np.cos(taus)))
+
+    def grid(h):
+        return np.arange(round(2 * math.pi / h))
+
+    got = nested_trapezoid(f, grid, 2 * math.pi / 8, 1e-5, "test")
+    assert len(calls) == 1
+    nodes = calls[0]
+    assert nodes.size == len(set(nodes.tolist())) == 16
+    assert np.array_equal(nodes[:8], grid(math.pi / 4) * (math.pi / 4))
+    calls.clear()
+    want = _first_two_levels(f, grid, 2 * math.pi / 8)
+    assert np.array_equal(np.concatenate(calls), nodes)
+    assert got.shape == cs.shape and np.array_equal(got, want)
+    np.testing.assert_allclose(got, 2 * math.pi * i0(cs), rtol=1e-14)
 
 
 def test_bessel_rejects_nonpositive():
@@ -235,11 +298,17 @@ def test_incgamma_tiny_arguments(s, x):
     assert abs(upper_incomplete_gamma(s, x) - want) < 1e-12 * abs(want)
 
 
+# more arguments than the continued fraction's scalar loop takes
+_CF_ARRAY_XS = np.linspace(10.0, 30.0, specialfun._CF_SCALAR_MAX + 1).tolist()
+
+
 @pytest.mark.parametrize("cap,xs", [("_CF_MAX_ITER", [10.0, 20.0, 30.0]),
-                                     ("_SERIES_MAX_TERMS", [0.5, 1.0])])
+                                     ("_SERIES_MAX_TERMS", [0.5, 1.0]),
+                                     ("_CF_MAX_ITER", _CF_ARRAY_XS)])
 def test_incgamma_reports_how_far_it_got(cap, xs, monkeypatch):
-    # the continued fraction runs at x >= |s| + 1, the series below it; with
-    # the cap at 2 no argument converges
+    # the continued fraction runs at x >= |s| + 1 (on scalars for 3
+    # arguments, on arrays for _CF_SCALAR_MAX + 1), the series below it;
+    # with the cap at 2 no argument converges
     monkeypatch.setattr(specialfun, cap, 2)
     with pytest.raises(ConvergenceError) as info:
         upper_incomplete_gamma(1.5 + 0.5j, np.array(xs), tol=1e-14)
@@ -278,15 +347,52 @@ def test_incgamma_recurrence_on_arrays(s, xs):
 
 
 def test_incgamma_continued_fraction_reports_how_far_it_got(monkeypatch):
+    # 3 arguments take the scalar loop, _CF_SCALAR_MAX + 1 the array loop
     monkeypatch.setattr(specialfun, "_CF_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError) as info:
-        upper_incomplete_gamma(1 - 1.8j, np.array([9.0, 20.0, 400.0]), 1e-14)
-    m = re.fullmatch(
-        r"incomplete gamma continued fraction at order \(1-1\.8j\) did not "
-        r"converge: 3 of 3 arguments unconverged after the cap of 3 "
-        r"iterations, worst \|delta-1\| (\S+) >= tol 1e-14", str(info.value))
-    assert m, str(info.value)
-    assert float(m[1]) >= 1e-14
+    for xs in ([9.0, 20.0, 400.0],
+               np.geomspace(9.0, 400.0, specialfun._CF_SCALAR_MAX + 1)):
+        n = len(xs)
+        with pytest.raises(ConvergenceError) as info:
+            upper_incomplete_gamma(1 - 1.8j, np.array(xs), 1e-14)
+        m = re.fullmatch(
+            r"incomplete gamma continued fraction at order \(1-1\.8j\) did "
+            rf"not converge: {n} of {n} arguments unconverged after the cap "
+            r"of 3 iterations, worst \|delta-1\| (\S+) >= tol 1e-14",
+            str(info.value))
+        assert m, str(info.value)
+        assert float(m[1]) >= 1e-14
+
+
+@pytest.mark.parametrize("s", [-0.5, -2.5, -0.3, -3.7, 0.7 + 0.3j,
+                               -3.3 - 0.4j, 1.5 + 2.0j])
+@pytest.mark.parametrize("size", [1, specialfun._CF_SCALAR_MAX,
+                                  specialfun._CF_SCALAR_MAX + 1])
+def test_incgamma_continued_fraction_paths_agree(s, size, monkeypatch):
+    # the scalar loop and the array loop run the same recurrence on the same
+    # arguments, from the continued fraction's edge min(8, |s| + 1) up.
+    # numpy's complex products and quotients round differently from
+    # Python's (about half of random products differ in the last bit), so
+    # the two agree to rounding, not bit for bit: up to 5e-15 relative next
+    # to the edge, where the fraction runs over a hundred steps
+    s = complex(s)
+    xs = np.geomspace(min(8.0, abs(s) + 1.0), 80.0, size)
+    scalar_by_default = size <= specialfun._CF_SCALAR_MAX
+    taken = []
+    for name in ("_lentz_scalar", "_lentz_array"):
+        loop = getattr(specialfun, name)
+        monkeypatch.setattr(specialfun, name,
+                            lambda *a, name=name, loop=loop:
+                            taken.append(name) or loop(*a))
+    default = specialfun._incgamma_cf(s, xs, 1e-15)
+    monkeypatch.setattr(specialfun, "_CF_SCALAR_MAX", xs.size)
+    scalar = specialfun._incgamma_cf(s, xs, 1e-15)
+    monkeypatch.setattr(specialfun, "_CF_SCALAR_MAX", xs.size - 1)
+    array = specialfun._incgamma_cf(s, xs, 1e-15)
+    assert taken[1:] == ["_lentz_scalar", "_lentz_array"]
+    assert taken[0] == ("_lentz_scalar" if scalar_by_default
+                        else "_lentz_array")
+    assert np.array_equal(default, scalar if scalar_by_default else array)
+    np.testing.assert_allclose(scalar, array, rtol=1e-14, atol=0)
 
 
 def test_incgamma_series_reports_how_far_it_got(monkeypatch):
