@@ -275,14 +275,15 @@ def _make_field_cached(d: Optional[int]) -> FieldDescriptor:
     disc = d if d % 4 == 1 else 4 * d
     if d > 0:
         coeffs, unit_norm = _fundamental_unit(disc)
-        r = math.sqrt(d)
-        if d % 4 == 1:
-            eps1 = float(coeffs[0]) + float(coeffs[1]) * (1 + r) / 2
-        else:
-            eps1 = float(coeffs[0]) + float(coeffs[1]) * r
+        # log(a + b omega) = log b + log(a/b + omega) from the exact a, b,
+        # with no float eps (which overflows past R ~ 709): a/b ~ -omega', so
+        # a/b + omega ~ omega - omega' = sqrt(disc) sums two positive terms
+        a, b = int(coeffs[0]), int(coeffs[1])
+        omega = (disc % 2 + math.sqrt(disc)) / 2
+        regulator = math.log(b) + math.log(a / b + omega)
         return FieldDescriptor(
             kind="quadratic", d=d, discriminant=disc, r1=2, r2=0, w=2,
-            regulator=math.log(eps1), fundamental_unit_coeffs=coeffs,
+            regulator=regulator, fundamental_unit_coeffs=coeffs,
             fundamental_unit_norm=unit_norm, is_supported_base=False,
             label=f"Q(sqrt{d})")
     w = 4 if d == -1 else 6 if d == -3 else 2

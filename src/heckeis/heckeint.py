@@ -7,35 +7,39 @@ as A = a*z + b with rational ideals a, b and z in K, and rho: K_R -> C the
 measure-preserving map (z_w, z_w') -> z_w + z_w' i of a real K, the twisted
 lattices
 
-    rho(u~ A) = (a z_u + b) * rho(u~),      z_u = rho(u~ z) / rho(u~),
+    rho(u~ A) = (a z_tau + b) * rho(u~),      z_tau = rho(u~ z) / rho(u~),
 
 are plain pseudo-basis lattices in C up to the scale rho(u~), which leaves
 Ehat unchanged, so the whole Eisenstein machinery applies to every node.
-Near t = eps0 the nodes z_u have |y| down to 1e-4; the expansion evaluates
-each node at the SL2(Z)-reduced point of (N a/N b) z_u, so every node costs
-about the same, while h_value and y keep describing z_u itself (the limit
-formula integrates h - log|y|).  The
-nodes build no lattice: their evaluator is EisensteinEvaluator.at_point of
-one evaluator that HeckeSetup builds once (at t = 1).
+The torus has one coordinate, tau = log t for u = (t, 1/t): the lift
+u~ = (e^(tau/2), e^(-tau/2)) puts z_tau at hyperbolic arc length tau along
+the geodesic from z_w' to z_w, in the closed form of HeckeSetup.node.
+Near tau = log_eps0 the nodes have |y| = |h| sech(tau) down to 1e-4 (the
+half-width h = (z_w - z_w')/2); the expansion evaluates each node at the
+SL2(Z)-reduced point of (N a/N b) z_tau, so every node costs about the
+same, while h_value and y keep describing z_tau itself (the limit formula
+integrates h - log|y|).  The nodes build no lattice: their evaluator is
+EisensteinEvaluator.at_point of one evaluator that HeckeSetup builds once
+(at tau = 0).
 
 The quadrature evaluates each refinement level as one batch: the new nodes
 of a level make one array evaluator (HeckeSetup.evaluator_at with an array
-t), whose reduction, xi terms and Bessel pair sum run on arrays, with one
+tau), whose reduction, xi terms and Bessel pair sum run on arrays, with one
 pair array and one Bessel call for the level; the first two levels make one
 batch (numerics.nested_trapezoid).  A single node is the same code on
 arrays of one entry.
 
 Real K: the torus splits into two sign components, each a circle of length
-log eps0 in t-coordinates, where eps0 = eps^4 and w_rel = 2 when the
-fundamental unit has norm -1, and eps0 = eps^2, w_rel = 1 when it has
-norm +1 (the case split is confirmed against the zeta oracle by the test
+log_eps0 in tau, where log_eps0 = 4R and w_rel = 2 when the fundamental
+unit has norm -1, and log_eps0 = 2R, w_rel = 1 when it has norm +1 (R the
+regulator; the case split is confirmed against the zeta oracle by the test
 suite before being relied on).  The two components carry the same
-integrand: the node of the lift u~ = (-sqrt t, 1/sqrt t) is the complex
-conjugate of the node of (sqrt t, 1/sqrt t), and the lattice a conj(z) + b
-is the mirror image of a z + b, with the same norms, so Ehat, h and log|y|
-agree there.  The quadrature therefore evaluates the sign +1 component
-only and counts it twice.  Imaginary K: the integrand is constant and the
-torus has measure 4 pi / w_K.
+integrand: the node of the lift u~ = (-e^(tau/2), e^(-tau/2)) is the
+complex conjugate of the node of (e^(tau/2), e^(-tau/2)), and the lattice
+a conj(z) + b is the mirror image of a z + b, with the same norms, so Ehat,
+h and log|y| agree there.  The quadrature therefore evaluates the sign +1
+component only and counts it twice.  Imaginary K: the integrand is
+constant and the torus has measure 4 pi / w_K.
 """
 
 from __future__ import annotations
@@ -82,17 +86,12 @@ class HeckeSetup:
                 raise UnsupportedFieldError("z generates Q, not K")
             # orientation z' > z
             self.zw, self.zwp = (e1, e2) if e2 > e1 else (e2, e1)
-            self.unit_norm = K.fundamental_unit_norm
-            if self.unit_norm == -1:
-                self.w_rel = 2
-                self.eps0 = math.exp(4 * K.regulator)
-            else:
-                self.w_rel = 1
-                self.eps0 = math.exp(2 * K.regulator)
-            self.measure = 2.0 * math.log(self.eps0)
+            self.w_rel = 2 if K.fundamental_unit_norm == -1 else 1
+            self.log_eps0 = 2 * self.w_rel * K.regulator
+            self.measure = 2.0 * self.log_eps0
         else:
             self.w_rel = 1
-            self.eps0 = None
+            self.log_eps0 = None
             self.measure = 4.0 * math.pi / K.w
             zc = K.embed(self.z_K, 0)
             self.base_lattice = OFLattice(
@@ -102,59 +101,55 @@ class HeckeSetup:
 
     # -- the lattice family ----------------------------------------------------
 
-    def lift_components(self, t):
-        """The lift u~ = (sqrt t, 1/sqrt t) of u = (t, 1/t) on the sign +1
-        component: components at (w, w'); elementwise for an array t."""
-        rt = np.sqrt(t)
-        return rt, 1.0 / rt
+    def node(self, tau):
+        """The node rho(u~ z)/rho(u~) = x + y i of the lift u~ = (e^(tau/2),
+        e^(-tau/2)) on the sign +1 component, as (x, y): the point at
+        hyperbolic arc length tau from m + |h| i along the geodesic from
+        z_w' to z_w, with m = (z_w + z_w')/2 and h = (z_w - z_w')/2,
 
-    def z_u(self, t):
-        """z_u = rho(u~ z)/rho(u~) in C; elementwise for an array t."""
-        uw, uwp = self.lift_components(t)
-        return (uw * self.zw + 1j * (uwp * self.zwp)) / (uw + 1j * uwp)
+            x = m + h tanh(tau),      y = |h| sech(tau),
+
+        and sech(tau) = 2 e/(1 + e^2), e = e^(-|tau|), which neither
+        overflows nor cancels.  Elementwise for an array tau."""
+        m, h = (self.zw + self.zwp) / 2, (self.zw - self.zwp) / 2
+        e = np.exp(-np.abs(tau))
+        return m + h * np.tanh(tau), abs(h) * (2 * e / (1 + e * e))
 
     @cached_property
     def _node_template(self) -> EisensteinEvaluator:
-        """The evaluator of a z + b at the node t = 1; built on the first
+        """The evaluator of a z + b at the node tau = 0; built on the first
         node, so that a setup that evaluates none pays nothing."""
         if not self.K.is_real_quadratic:
             raise UnsupportedFieldError("the torus nodes exist for real K")
-        zu = self.z_u(1.0)
-        lat = OFLattice(self.F, self.ideal_a,
-                        DNumber.from_xy(self.F, zu.real, zu.imag),
+        x, y = self.node(0.0)
+        lat = OFLattice(self.F, self.ideal_a, DNumber.from_xy(self.F, x, y),
                         self.ideal_b)
         return EisensteinEvaluator(lat)
 
-    def evaluator_at(self, t) -> EisensteinEvaluator:
-        """The expansion evaluator of a z_u + b (the lattice rho(u~ A) up to
-        the scale rho(u~)), equal bit for bit to one built on that lattice;
-        it supports the expansion route only (EisensteinEvaluator.at_point).
-        With an array t it is one evaluator of all those nodes, whose values
-        are arrays of t's shape."""
+    def evaluator_at(self, tau) -> EisensteinEvaluator:
+        """The expansion evaluator of a z_tau + b at the node z_tau = node(tau)
+        (the lattice rho(u~ A) up to the scale rho(u~)), equal bit for bit
+        to one built on that lattice; it supports the expansion route only
+        (EisensteinEvaluator.at_point).  With an array tau it is one
+        evaluator of all those nodes, whose values are arrays of tau's
+        shape."""
         template = self._node_template
-        zu = self.z_u(t)
-        return template.at_point(zu.real, zu.imag)
+        return template.at_point(*self.node(tau))
 
 
-def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float,
-                      components: int = 2):
-    """`components` times int_1^eps0 node_fn(t) dt/t over the sign +1
-    component: with components = 2 the integral over both sign components,
-    which carry the same integrand (see the module docstring).  The
-    trapezoid rule in log t over the period log eps0 (the integrand is
-    periodic there, so the rule converges geometrically and its nodes nest)
-    starts from 8 nodes and stops when a halving moves the returned value
-    by at most tol/2.  node_fn takes the array of all new nodes t of a
+def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
+    """The integral of node_fn over both sign components of the torus, which
+    carry the same integrand (see the module docstring): twice
+    int_0^log_eps0 node_fn(tau) dtau over the sign +1 component.  The
+    trapezoid rule over the period log_eps0 (the integrand is periodic
+    there, so the rule converges geometrically and its nodes nest) starts
+    from 8 nodes and stops when a halving moves the returned value by at
+    most tol/2.  node_fn takes the array of all new nodes tau of a
     refinement level and returns their values."""
-    period = math.log(setup.eps0)
-
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        # math.exp node by node: the t values of a scalar evaluation
-        ts = np.array([math.exp(tau) for tau in taus])
-        return components * np.asarray(node_fn(ts), dtype=complex)
-
+    period = setup.log_eps0
     return complex(nested_trapezoid(
-        integrand, lambda h: np.arange(round(period / h)), period / 8, tol / 2,
+        lambda taus: 2 * np.asarray(node_fn(taus), dtype=complex),
+        lambda h: np.arange(round(period / h)), period / 8, tol / 2,
         "torus quadrature"))
 
 
@@ -168,8 +163,8 @@ def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
 
     node_tol = tol / (8.0 * setup.measure)
 
-    def nodes(ts: np.ndarray) -> np.ndarray:
-        return setup.evaluator_at(ts).ehat_expansion(s, node_tol)
+    def nodes(taus: np.ndarray) -> np.ndarray:
+        return setup.evaluator_at(taus).ehat_expansion(s, node_tol)
 
     return _torus_quadrature(setup, nodes, tol) / setup.w_rel
 
@@ -189,7 +184,7 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     """Both sides of the relative limit formula
 
         CT xi_K(s, A) / C_K = 2 CT xi_F(s, a)/C_F - log(N a / N b)
-            + (C_F / (2 w_rel C_K)) * int (h(z_u, a, b) - log|N y_u|) du
+            + (C_F / (2 w_rel C_K)) * int (h(z_tau, a, b) - log|N y_tau|) du
 
     for real quadratic K with A = a z + b over rational ideals.  Returns the
     per-term breakdown; the left side comes from the zeta(s) L(s, chi)
@@ -214,8 +209,8 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
 
     node_tol = tol * CK / 4.0
 
-    def nodes(ts: np.ndarray) -> np.ndarray:
-        ev = setup.evaluator_at(ts)
+    def nodes(taus: np.ndarray) -> np.ndarray:
+        ev = setup.evaluator_at(taus)
         return ev.h_value(node_tol) - np.log(np.abs(ev.y))
 
     integral = _torus_quadrature(setup, nodes, tol * CK).real
@@ -244,28 +239,3 @@ def torus_measure_identity(setup: HeckeSetup) -> Tuple[float, float]:
     CF = c_F(setup.F)
     return setup.measure, 2.0 * setup.w_rel * CK / CF
 
-
-def classical_real_quadratic_integral(setup: HeckeSetup, s: complex,
-                                      tol: float = 1e-8) -> complex:
-    """The classical normalization: 2 d^{-s/2} Gamma(s)/Gamma(s/2)^2 *
-    int_1^{eps^2} E(z_t, s) dt/t over the positive lift only."""
-    if not setup.K.is_real_quadratic:
-        raise UnsupportedFieldError("real quadratic only")
-    s = complex(s)
-    K = setup.K
-    gamma2s = gamma_F(setup.F, 2 * s)
-    node_tol = tol / 16.0
-    # eps0 = eps^(2 w_rel): t -> t^(1/w_rel) maps [1, eps0] onto [1, eps^2]
-    # and scales the measure dt/t by 1/w_rel
-    w = setup.w_rel
-
-    def nodes(ts: np.ndarray) -> np.ndarray:
-        return setup.evaluator_at(ts ** (1.0 / w)).ehat_expansion(s, node_tol)
-
-    integral_E = _torus_quadrature(setup, nodes, tol * w, components=1) \
-        / (w * gamma2s)
-    dK = abs(K.discriminant)
-    from .specialfun import complex_gamma
-    pref = 2.0 * cmath.exp(-(s / 2) * math.log(dK)) * complex_gamma(s) \
-        / complex_gamma(s / 2) ** 2
-    return pref * integral_E

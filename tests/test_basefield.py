@@ -66,6 +66,17 @@ def test_fundamental_unit_of_every_small_field():
                                 rel_tol=1e-15, abs_tol=1e-15), d
 
 
+def test_regulator_of_a_unit_past_the_range_of_floats():
+    # eps ~ 10^457 for d = 1000006: the regulator comes from the exact
+    # coefficients, never from eps as a float
+    F = make_field(1000006)
+    a, b = F.fundamental_unit_coeffs
+    with mpmath.workdps(30):
+        omega = (F.discriminant % 2 + mpmath.sqrt(F.discriminant)) / 2
+        want = mpmath.log(int(a) + int(b) * omega)
+        assert math.isclose(F.regulator, float(want), rel_tol=1e-15)
+
+
 @pytest.mark.parametrize("d, norm", [(409, -1), (601, -1)])
 def test_fundamental_unit_of_a_large_unit_at_once(d, norm):
     # y ~ 5.5e9 for d = 409: one period of a continued fraction, no search

@@ -15,7 +15,7 @@ reduction only bounds the cost of the expansion, and no value shows it.
 
 import pytest
 
-from heckeis import eisenstein, lattice, specialfun, zeta
+from heckeis import eisenstein, heckeint, lattice, specialfun, zeta
 from heckeis.errors import HeckeisError
 from heckeis.verify import run_suite
 
@@ -75,6 +75,10 @@ MUTANTS = {
         (m, "ideal_embedding_matrix",
          _one_entry_off(lattice.ideal_embedding_matrix))
         for m in (lattice, zeta, eisenstein)]),
+    # the torus integral against the zeta oracle at s = 3: a check of the
+    # value itself, which a ratio of two such values would not see
+    "_torus_quadrature": ("hecke", ["hecke-integral-s3"], [
+        (heckeint, "_torus_quadrature", _scaled(heckeint._torus_quadrature))]),
 }
 
 

@@ -2,6 +2,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +14,10 @@ from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError, UnsupportedFieldError
-from heckeis.heckeint import (HeckeSetup, classical_real_quadratic_integral,
-                              hecke_integral, relative_klf_check,
+from heckeis.heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                               torus_measure_identity, xi_K_oracle)
 from heckeis.lattice import OFLattice
-from heckeis.zeta import c_F, zeta_K
+from heckeis.zeta import c_F
 
 Q = make_field("Q")
 
@@ -31,16 +31,16 @@ def same_span(M, N):
         and round(abs(np.linalg.det(R))) == 1
 
 
-def lift(sign, t):
-    """The lift u~ = (sign sqrt t, 1/sqrt t) of u = (sign t, 1/(sign t)) on
-    the sign component `sign`: components at (w, w')."""
-    return sign * math.sqrt(t), 1.0 / math.sqrt(t)
+def lift(sign, tau):
+    """The lift u~ = (sign e^(tau/2), e^(-tau/2)) of u = (sign e^tau,
+    sign e^-tau) on the sign component `sign`: components at (w, w')."""
+    return sign * math.exp(tau / 2), math.exp(-tau / 2)
 
 
-def scaled_lattice(setup, sign, t):
+def scaled_lattice(setup, sign, tau):
     """rho(u~ A) for A = O_K = Z z + Z (a = b = Z), rho(z_w, z_w') =
     z_w + z_w' i: the Z-basis lattice of rho(u~ z), rho(u~)."""
-    uw, uwp = lift(sign, t)
+    uw, uwp = lift(sign, tau)
     return OFLattice(Q, z_basis=[[uw * setup.zw, uw],
                                  [uwp * setup.zwp, uwp]])
 
@@ -57,54 +57,56 @@ def test_setup_orientation_and_shape():
 
 def test_unit_case_split():
     s5 = HeckeSetup(make_field(5))
-    assert s5.w_rel == 2 and abs(s5.eps0 - math.exp(4 * make_field(5).regulator)) < 1e-12
+    assert s5.w_rel == 2 and s5.log_eps0 == 4 * make_field(5).regulator
     s3 = HeckeSetup(make_field(3))
-    assert s3.w_rel == 1 and abs(s3.eps0 - math.exp(2 * make_field(3).regulator)) < 1e-12
+    assert s3.w_rel == 1 and s3.log_eps0 == 2 * make_field(3).regulator
 
 
-def test_lift_norm_one():
-    # |N_{K/Q}(u~)| = |u~_w * u~_w'| = 1 and u~/u~' recovers t
-    setup = HeckeSetup(make_field(5))
-    for t in (1.0, 1.3, 2.0):
-        uw, uwp = setup.lift_components(t)
-        assert abs(abs(uw * uwp) - 1.0) < 1e-12
-        assert abs(uw / uwp - t) < 1e-12
+def test_a_field_past_the_old_overflow_constructs():
+    # R = 178.2: the torus period log_eps0 = 4R = 713 lies past the range
+    # of exp, and the setup never forms eps0 itself
+    K = make_field(8089)
+    setup = HeckeSetup(K)
+    assert setup.log_eps0 == 4 * K.regulator
+    m, m2 = torus_measure_identity(setup)
+    assert abs(m - m2) < 1e-10
 
 
 def test_volume_is_t_independent():
     # |N(u~)| = 1: the covolume of rho(u~ A) is the same at every node
     setup = HeckeSetup(make_field(5))
-    v1 = scaled_lattice(setup, 1, 1.0).covolume
-    for t in (1.3, 2.0):
-        assert abs(scaled_lattice(setup, 1, t).covolume - v1) < 1e-10
-        assert abs(scaled_lattice(setup, -1, t).covolume - v1) < 1e-10
+    v1 = scaled_lattice(setup, 1, 0.0).covolume
+    for tau in (math.log(1.3), math.log(2.0)):
+        assert abs(scaled_lattice(setup, 1, tau).covolume - v1) < 1e-10
+        assert abs(scaled_lattice(setup, -1, tau).covolume - v1) < 1e-10
 
 
 def test_scaled_lattice_modularity():
-    # the expansion on a z_u + b agrees with the direct sum over the actual
-    # scaled points of rho(u~ A) = (a z_u + b) rho(u~) (the scale drops by
+    # the expansion on a z_tau + b agrees with the direct sum over the actual
+    # scaled points of rho(u~ A) = (a z_tau + b) rho(u~) (the scale drops by
     # modularity)
     from heckeis.specialfun import gamma_F
     setup = HeckeSetup(make_field(5))
     s = 2.5
-    via_expansion = setup.evaluator_at(1.3).ehat_expansion(s, 1e-11)
+    tau = math.log(1.3)
+    via_expansion = setup.evaluator_at(tau).ehat_expansion(s, 1e-11)
     via_direct = gamma_F(Q, 2 * s) \
-        * EisensteinEvaluator(scaled_lattice(setup, 1, 1.3)).e_direct(s, 1e-9)
+        * EisensteinEvaluator(scaled_lattice(setup, 1, tau)).e_direct(s, 1e-9)
     assert abs(via_expansion - via_direct) < 1e-8
 
 
 @pytest.mark.parametrize("d", [5, 3])
 def test_integrand_periodicity(d):
-    # eps0 generates the stabilizer in t-coordinates for both unit norms,
-    # which the periodic trapezoid rule in log t relies on (the sign -1
+    # log_eps0 generates the stabilizer in tau for both unit norms, which
+    # the periodic trapezoid rule in tau relies on (the sign -1
     # component carries the same integrand:
     # test_sign_components_carry_one_integrand); the limit-formula integrand
     # h - log|y| is invariant, h alone is not
     setup = HeckeSetup(make_field(d))
     s = 1.7
-    for t in (1.0, 1.9):
-        ev = setup.evaluator_at(t)
-        ev_up = setup.evaluator_at(t * setup.eps0)
+    for tau in (0.0, math.log(1.9)):
+        ev = setup.evaluator_at(tau)
+        ev_up = setup.evaluator_at(tau + setup.log_eps0)
         a = ev.ehat_expansion(s, 1e-12)
         b = ev_up.ehat_expansion(s, 1e-12)
         assert abs(a - b) < 1e-9
@@ -119,9 +121,9 @@ def test_rho_star_gives_dual_lattice():
     # z_w - z_w' i
     K = make_field(5)
     setup = HeckeSetup(K)
-    t = 1.3
-    uw, uwp = setup.lift_components(t)
-    dual = scaled_lattice(setup, 1, t).dual()
+    tau = math.log(1.3)
+    uw, uwp = lift(1, tau)
+    dual = scaled_lattice(setup, 1, tau).dual()
     Astar = dual_ideal(K, FracIdeal.unit_ideal(K))
     columns = []
     for g in Astar.z_basis():
@@ -151,8 +153,8 @@ def test_imaginary_class_invariance():
                - hecke_integral(s2, 2.0, 1e-10)) < 1e-10
 
 
-# the tori of Q(sqrt 17) and Q(sqrt 19) have periods log eps0 = 8.4 and
-# 11.7: unreduced, their nodes near t = eps0 had |y| so small that one
+# the tori of Q(sqrt 17) and Q(sqrt 19) have periods log_eps0 = 8.4 and
+# 11.7: unreduced, their nodes near tau = log_eps0 had |y| so small that one
 # integral took 27 s, and 403 s before raising
 @pytest.mark.parametrize("d", [2, 5, 3, 17, 19])
 def test_real_hecke_matches_oracle(d):
@@ -165,24 +167,24 @@ def test_real_hecke_matches_oracle(d):
 
 def test_unit_index_case_split_is_forced_by_oracle():
     # the zeta oracle at s = 2 pins the measure bookkeeping: over Q the two
-    # self-consistent conventions (w_rel, eps0) = (2, eps^4) and (1, eps^2)
-    # agree (conjugation symmetry makes the integrand eps^2-periodic), but
-    # any mismatched pairing fails loudly
+    # self-consistent conventions (w_rel, log_eps0) = (2, 4R) and (1, 2R)
+    # agree (conjugation symmetry makes the integrand 2R-periodic in tau),
+    # but any mismatched pairing fails loudly
     K = make_field(5)
     setup = HeckeSetup(K)
     want = xi_K_oracle(K, 2.0)
     assert abs(hecke_integral(setup, 2.0, 1e-9) - want) < 1e-8
     # the other self-consistent convention gives the same value
-    setup.w_rel, setup.eps0 = 1, math.exp(2 * K.regulator)
-    setup.measure = 2 * math.log(setup.eps0)
+    setup.w_rel, setup.log_eps0 = 1, 2 * K.regulator
+    setup.measure = 2 * setup.log_eps0
     assert abs(hecke_integral(setup, 2.0, 1e-9) - want) < 1e-8
     # mismatched pairings are off by a factor 2 either way
-    setup.w_rel, setup.eps0 = 2, math.exp(2 * K.regulator)
-    setup.measure = 2 * math.log(setup.eps0)
+    setup.w_rel, setup.log_eps0 = 2, 2 * K.regulator
+    setup.measure = 2 * setup.log_eps0
     half = hecke_integral(setup, 2.0, 1e-9)
     assert abs(half - want / 2) < 1e-8 and abs(half - want) > 1e-3
-    setup.w_rel, setup.eps0 = 1, math.exp(4 * K.regulator)
-    setup.measure = 2 * math.log(setup.eps0)
+    setup.w_rel, setup.log_eps0 = 1, 4 * K.regulator
+    setup.measure = 2 * setup.log_eps0
     double = hecke_integral(setup, 2.0, 1e-9)
     assert abs(double - 2 * want) < 2e-8 and abs(double - want) > 1e-3
 
@@ -192,13 +194,6 @@ def test_complex_s():
     setup = HeckeSetup(K)
     s = 1.5 + 0.5j
     assert abs(hecke_integral(setup, s, 1e-9) - xi_K_oracle(K, s)) < 1e-8
-
-
-def test_classical_normalization():
-    K = make_field(5)
-    setup = HeckeSetup(K)
-    got = classical_real_quadratic_integral(setup, 2.0, 1e-9)
-    assert abs(got - zeta_K(K, 2.0)) < 1e-8
 
 
 def unconverged_fields(err) -> dict:
@@ -211,21 +206,21 @@ def unconverged_fields(err) -> dict:
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_classical_integral_raises_when_unconverged(monkeypatch, d):
-    # an integrand that is not periodic in log t converges only slowly under
+def test_torus_integral_raises_when_unconverged(monkeypatch, d):
+    # an integrand that is not periodic in tau converges only slowly under
     # the trapezoid rule, so with two halvings (8 -> 32 nodes of the sign +1
-    # component) it must raise, as hecke_integral does, instead of returning
-    # the last estimate; the message says how far the quadrature got.  Each
-    # level of nodes is one evaluator of array t
+    # component) hecke_integral must raise instead of returning the last
+    # estimate; the message says how far the quadrature got.  Each level of
+    # nodes is one evaluator of array tau
     class Oscillating:
-        def __init__(self, t):
-            self.t = np.asarray(t)
+        def __init__(self, tau):
+            self.tau = np.asarray(tau)
 
         def ehat_expansion(self, s, tol):
-            return np.exp(50j * np.log(self.t))
+            return np.exp(50j * self.tau)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at",
-                        lambda self, t: Oscillating(t))
+                        lambda self, tau: Oscillating(tau))
     monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 2)
     setup = HeckeSetup(make_field(d))
     with pytest.raises(ConvergenceError) as info:
@@ -238,36 +233,31 @@ def test_classical_integral_raises_when_unconverged(monkeypatch, d):
     assert (err.tol, err.points) == (5e-9, 32)
     assert err.last_delta > err.tol
     # the step after two halvings of period/8
-    assert err.cutoff == math.log(HeckeSetup(make_field(d)).eps0) / 32
-    with pytest.raises(ConvergenceError) as info:
-        classical_real_quadratic_integral(setup, 2.0, 1e-8)
-    fields = unconverged_fields(info.value)
-    assert fields["halvings"] == 2 and fields["nodes"] == 32
-    assert fields["change"] > fields["tol"]
+    assert err.cutoff == setup.log_eps0 / 32
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
-    # exp(cos(2 pi log t / log eps0)) has period log eps0 in log t and
-    # integrates to log eps0 * I_0(1) per sign component; the trapezoid rule
-    # in log t gets it to rounding with 32 nodes of the sign +1 component,
+    # exp(cos(2 pi tau / log_eps0)) has period log_eps0 in tau and
+    # integrates to log_eps0 * I_0(1) per sign component; the trapezoid rule
+    # in tau gets it to rounding with 32 nodes of the sign +1 component,
     # counted twice, and never evaluates a node twice.  Each level of nodes
-    # is one evaluator of array t
+    # is one evaluator of array tau
     setup = HeckeSetup(make_field(d))
-    period = math.log(setup.eps0)
+    period = setup.log_eps0
     calls = []
 
     class Periodic:
-        def __init__(self, t):
-            self.t = np.asarray(t)
+        def __init__(self, tau):
+            self.tau = np.asarray(tau)
 
         def ehat_expansion(self, s, tol):
-            return np.exp(np.cos(2 * math.pi * np.log(self.t) / period))
+            return np.exp(np.cos(2 * math.pi * self.tau / period))
 
-    def evaluator_at(self, t):
-        calls.extend(np.atleast_1d(t).tolist())
-        return Periodic(t)
+    def evaluator_at(self, tau):
+        calls.extend(np.atleast_1d(tau).tolist())
+        return Periodic(tau)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", evaluator_at)
     got = hecke_integral(setup, 2.0, tol)
@@ -319,8 +309,8 @@ def test_setup_rejects_rational():
 
 @pytest.mark.parametrize("d", [19, 22])
 def test_hecke_integral_at_s3_stays_above_the_pair_sum_rounding_floor(d):
-    # the nodes near t = eps0 have |y| down to 1e-4; unreduced, their pair
-    # sums lay below the rounding floor at s = 3 and raised.  The reduced
+    # the nodes near tau = log_eps0 have |y| down to 1e-4; unreduced, their
+    # pair sums lay below the rounding floor at s = 3 and raised.  The reduced
     # nodes have |y| >= sqrt(3)/2
     K = make_field(d)
     got = hecke_integral(HeckeSetup(K), 3.0, 1e-8)
@@ -331,6 +321,34 @@ def _ideal_one_plus_sqrt23():
     K = make_field(23)
     return HeckeSetup(K, FracIdeal(K, gen=QuadElement(K, Fraction(1),
                                                       Fraction(1))))
+
+
+def _sample_taus(setup):
+    """tau = log t at t = 1, 1.37, 2.9 and 0.999 eps0."""
+    return np.array([0.0, math.log(1.37), math.log(2.9),
+                     setup.log_eps0 + math.log(0.999)])
+
+
+@pytest.mark.parametrize("make_setup", [
+    lambda: HeckeSetup(make_field(2)), lambda: HeckeSetup(make_field(5)),
+    lambda: HeckeSetup(make_field(13)), lambda: HeckeSetup(make_field(23)),
+    _ideal_one_plus_sqrt23])
+def test_node_is_the_quotient_of_the_lifts(make_setup):
+    # the closed form m + h tanh(tau) + |h| sech(tau) i is rho(u~ z)/rho(u~)
+    # for u~ = (e^(tau/2), e^(-tau/2)), to a few ulp of the floats z_w, z_w'
+    # it starts from: x relative to |m| + |h|, y relative to itself
+    setup = make_setup()
+    taus = np.linspace(0.0, setup.log_eps0, 33)
+    xs, ys = setup.node(taus)
+    m, h = (setup.zw + setup.zwp) / 2, (setup.zw - setup.zwp) / 2
+    with mpmath.workdps(30):
+        for tau, x, y in zip(taus, xs, ys):
+            uw, uwp = mpmath.exp(tau / 2), mpmath.exp(-tau / 2)
+            want = (uw * setup.zw + 1j * uwp * setup.zwp) / (uw + 1j * uwp)
+            assert abs(mpmath.mpf(x) - want.real) \
+                <= 4 * np.spacing(abs(m) + abs(h)), tau
+            assert abs(mpmath.mpf(y) - want.imag) \
+                <= 4 * np.spacing(float(want.imag)), tau
 
 
 def test_hecke_integral_non_unit_presentation():
@@ -346,12 +364,11 @@ def test_hecke_integral_non_unit_presentation():
     lambda: HeckeSetup(make_field(13)), _ideal_one_plus_sqrt23])
 def test_node_evaluator_matches_one_built_on_the_node_lattice(make_setup):
     setup = make_setup()
-    for t in (1.0, 1.37, 2.9, 0.999 * setup.eps0):
-        ev = setup.evaluator_at(t)
-        zu = setup.z_u(t)
+    for tau in _sample_taus(setup):
+        ev = setup.evaluator_at(tau)
+        x, y = setup.node(tau)
         ref = EisensteinEvaluator(OFLattice(
-            Q, setup.ideal_a, DNumber.from_xy(Q, zu.real, zu.imag),
-            setup.ideal_b))
+            Q, setup.ideal_a, DNumber.from_xy(Q, x, y), setup.ideal_b))
         assert ev.lattice is None and (ev.x, ev.y) == (ref.x, ref.y)
         for s in (2.0, 0.3, 1.5 + 0.5j):
             assert ev.ehat_expansion(s, 1e-10) == ref.ehat_expansion(s, 1e-10)
@@ -369,14 +386,16 @@ def test_sign_components_carry_one_integrand(make_setup):
     # (test_eisenstein.py::test_the_mirror_lattice_has_the_same_values), so
     # the quadrature counts the sign +1 component twice
     setup = make_setup()
-    ts = np.array([1.0, 1.37, 2.9, 0.999 * setup.eps0])
-    # the lift (-sqrt t, 1/sqrt t), in the library's array arithmetic
-    uw, uwp = -np.sqrt(ts), 1.0 / np.sqrt(ts)
+    taus = _sample_taus(setup)
+    xs, ys = setup.node(taus)
+    # the node of the lift (-e^(tau/2), e^(-tau/2)) is x - y i
+    uw, uwp = -np.exp(taus / 2), np.exp(-taus / 2)
     z_minus = (uw * setup.zw + 1j * (uwp * setup.zwp)) / (uw + 1j * uwp)
-    assert np.array_equal(z_minus, np.conj(setup.z_u(ts)))
-    for t, zm in zip(ts, z_minus):
-        ev = setup.evaluator_at(t)
-        mirror = setup._node_template.at_point(-zm.real, -zm.imag)
+    assert np.allclose(z_minus, xs - 1j * ys, rtol=1e-14, atol=0)
+    for tau, x, y in zip(taus, xs, ys):
+        ev = setup.evaluator_at(tau)
+        # a (x - y i) + b reduced to y > 0
+        mirror = setup._node_template.at_point(-x, y)
         for s in (2.0, 0.3, 1.5 + 0.5j):
             assert mirror.ehat_expansion(s, 1e-10) \
                 == ev.ehat_expansion(s, 1e-10)
@@ -432,21 +451,21 @@ def _sum_abs(*terms):
 @example("1+sqrt23", [0.0, 0.999, 0.5])
 @example(19, [0.97, 0.9, 0.2])
 def test_batched_nodes_equal_the_nodes_one_at_a_time(which, us):
-    # a level of nodes is one evaluator of array t, t = eps0^u in
-    # [1, eps0); its values equal those of the evaluators of the single
+    # a level of nodes is one evaluator of array tau, tau = u log_eps0 in
+    # [0, log_eps0); its values equal those of the evaluators of the single
     # nodes up to the order of summation at real s, and within the node
     # tol at complex s, where the Bessel integral runs at the tightest
     # node's tol
     setup = _setup_of(which)
-    ts = setup.eps0 ** np.array(us)
+    taus = setup.log_eps0 * np.array(us)
     tol = 1e-10
-    batch = setup.evaluator_at(ts)
-    singles = [setup.evaluator_at(float(t)) for t in ts]
-    assert batch.shape == ts.shape and batch.y_red.shape == ts.shape
+    batch = setup.evaluator_at(taus)
+    singles = [setup.evaluator_at(float(tau)) for tau in taus]
+    assert batch.shape == taus.shape and batch.y_red.shape == taus.shape
     for s in (2.0, 3.0, 0.3, 1.5 + 0.5j):
         s = complex(s)
         got = batch.ehat_expansion(s, tol)
-        assert got.shape == ts.shape
+        assert got.shape == taus.shape
         for g, ev in zip(got, singles):
             if s.imag:
                 assert abs(g - ev.ehat_expansion(s, tol)) <= tol
@@ -470,15 +489,15 @@ def test_batched_nodes_equal_the_nodes_one_at_a_time(which, us):
 @pytest.mark.parametrize("d, s, count", [(5, 2.0, 16), (19, 3.0, 128)])
 def test_hecke_integral_evaluates_a_pinned_set_of_nodes(monkeypatch, d, s,
                                                         count):
-    # the number of distinct nodes t of the nested trapezoid levels, all on
+    # the number of distinct nodes tau of the nested trapezoid levels, all on
     # the sign +1 component; evaluating a level as one batch, and the first
     # two levels as one, leaves the levels as they were
     seen = []
     evaluator_at = HeckeSetup.evaluator_at
 
-    def counted(self, t):
-        seen.extend(np.atleast_1d(t).tolist())
-        return evaluator_at(self, t)
+    def counted(self, tau):
+        seen.extend(np.atleast_1d(tau).tolist())
+        return evaluator_at(self, tau)
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", counted)
     K = make_field(d)
