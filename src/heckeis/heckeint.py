@@ -1,6 +1,6 @@
 """The integral representation of completed zeta functions of quadratic
 fields K by the base-field Eisenstein series, over the norm-one torus modulo
-squared relative units, together with the induced limit-formula comparison.
+units, together with the induced limit-formula comparison.
 
 Base field Q only (real or imaginary quadratic K).  For an ideal presented
 as A = a*z + b with rational ideals a, b and z in K, and rho: K_R -> C the
@@ -14,8 +14,8 @@ Ehat unchanged, so the whole Eisenstein machinery applies to every node.
 The torus has one coordinate, tau = log t for u = (t, 1/t): the lift
 u~ = (e^(tau/2), e^(-tau/2)) puts z_tau at hyperbolic arc length tau along
 the geodesic from z_w' to z_w, in the closed form of HeckeSetup.node.
-Near tau = log_eps0 the nodes have |y| = |h| sech(tau) down to 1e-4 (the
-half-width h = (z_w - z_w')/2); the expansion evaluates each node at the
+Over the period [-R, R) the nodes have |y| = |h| sech(tau) >= |h| sech(R)
+(the half-width h = (z_w - z_w')/2); the expansion evaluates each node at the
 SL2(Z)-reduced point of (N a/N b) z_tau, so every node costs about the
 same, while h_value and y keep describing z_tau itself (the limit formula
 integrates h - log|y|).  The nodes build no lattice: their evaluator is
@@ -29,17 +29,15 @@ pair array and one Bessel call for the level; the first two levels make one
 batch (numerics.nested_trapezoid).  A single node is the same code on
 arrays of one entry.
 
-Real K: the torus splits into two sign components, each a circle of length
-log_eps0 in tau, where log_eps0 = 4R and w_rel = 2 when the fundamental
-unit has norm -1, and log_eps0 = 2R, w_rel = 1 when it has norm +1 (R the
-regulator; the case split is confirmed against the zeta oracle by the test
-suite before being relied on).  The two components carry the same
+Real K: the torus splits into two sign components, which carry the same
 integrand: the node of the lift u~ = (-e^(tau/2), e^(-tau/2)) is the
 complex conjugate of the node of (e^(tau/2), e^(-tau/2)), and the lattice
 a conj(z) + b is the mirror image of a z + b, with the same norms, so Ehat,
-h and log|y| agree there.  The quadrature therefore evaluates the sign +1
-component only and counts it twice.  Imaginary K: the integrand is
-constant and the torus has measure 4 pi / w_K.
+h and log|y| agree there.  A unit of norm -1 maps one component to the
+other, so for either unit norm the integrand has period 2R in tau (R the
+regulator), the torus modulo units has measure 4R, and the quadrature
+evaluates one period of the sign +1 component, counted twice.  Imaginary
+K: the integrand is constant and the torus has measure 4 pi / w_K.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import numpy as np
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, make_field
 from .dalgebra import DNumber
 from .eisenstein import EisensteinEvaluator
-from .errors import UnsupportedFieldError
+from .errors import ConvergenceError, UnsupportedFieldError
 from .lattice import OFLattice
 from .numerics import nested_trapezoid
 from .specialfun import gamma_F
@@ -86,12 +84,9 @@ class HeckeSetup:
                 raise UnsupportedFieldError("z generates Q, not K")
             # orientation z' > z
             self.zw, self.zwp = (e1, e2) if e2 > e1 else (e2, e1)
-            self.w_rel = 2 if K.fundamental_unit_norm == -1 else 1
-            self.log_eps0 = 2 * self.w_rel * K.regulator
-            self.measure = 2.0 * self.log_eps0
+            self.period = 2 * K.regulator
+            self.measure = 2.0 * self.period
         else:
-            self.w_rel = 1
-            self.log_eps0 = None
             self.measure = 4.0 * math.pi / K.w
             zc = K.embed(self.z_K, 0)
             self.base_lattice = OFLattice(
@@ -138,35 +133,66 @@ class HeckeSetup:
 
 
 def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
-    """The integral of node_fn over both sign components of the torus, which
-    carry the same integrand (see the module docstring): twice
-    int_0^log_eps0 node_fn(tau) dtau over the sign +1 component.  The
-    trapezoid rule over the period log_eps0 (the integrand is periodic
-    there, so the rule converges geometrically and its nodes nest) starts
-    from 8 nodes and stops when a halving moves the returned value by at
-    most tol/2.  node_fn takes the array of all new nodes tau of a
-    refinement level and returns their values."""
-    period = setup.log_eps0
-    return complex(nested_trapezoid(
-        lambda taus: 2 * np.asarray(node_fn(taus), dtype=complex),
-        lambda h: np.arange(round(period / h)), period / 8, tol / 2,
-        "torus quadrature"))
+    """The integral of node_fn over both sign components of the torus modulo
+    units (see the module docstring): twice int_{-R}^{R} node_fn(tau) dtau
+    over the sign +1 component.  The trapezoid rule over this period (the
+    integrand is periodic, so the rule converges geometrically and its nodes
+    nest) starts from 8 nodes and stops when a halving moves the returned
+    value by at most tol/2.  node_fn takes the array of all new nodes tau of
+    a refinement level and returns their values.
+
+    Rounding x = m + h tanh(tau) moves the node at tau by a hyperbolic
+    distance of up to eps cosh(tau) (|m| + |h|)/|h|.  ConvergenceError
+    before the first node when that reaches 1 at tau = R, where the nodes
+    carry no digits, and after convergence when the trapezoid sum of
+    |value| times it over the nodes, an estimate of the rounding error of
+    the value, exceeds tol/8."""
+    R = setup.period / 2
+    m, h = (setup.zw + setup.zwp) / 2, (setup.zw - setup.zwp) / 2
+    shift = np.finfo(float).eps * (abs(m) + abs(h)) / abs(h)
+    # log(shift cosh R), formed in logs since cosh overflows past R = 710
+    log_worst = math.log(shift / 2) + R + math.log1p(math.exp(-2 * R))
+    if log_worst >= 0:
+        raise ConvergenceError(
+            f"torus quadrature: regulator {R:.6g} is too large: rounding "
+            f"moves the nodes near tau = +-R by e^{log_worst:.3g} >= 1",
+            tol=tol, points=0)
+    seen = {"rounding": 0.0, "nodes": 0}
+
+    def values(taus: np.ndarray) -> np.ndarray:
+        vals = 2 * np.asarray(node_fn(taus), dtype=complex)
+        seen["rounding"] += shift * float(np.sum(np.abs(vals) * np.cosh(taus)))
+        seen["nodes"] += taus.size
+        return vals
+
+    value = complex(nested_trapezoid(
+        values, lambda step: np.arange(-round(R / step), round(R / step)),
+        R / 4, tol / 2, "torus quadrature"))
+    step = 2 * R / seen["nodes"]
+    rounding = step * seen["rounding"]
+    if rounding > tol / 8:
+        raise ConvergenceError(
+            f"torus quadrature: rounding estimate {rounding:.3g} of the value "
+            f"> tol/8 = {tol / 8:.3g} (regulator {R:.6g}, nodes "
+            f"{seen['nodes']})", cutoff=step, last_delta=rounding, tol=tol,
+            points=seen["nodes"])
+    return value
 
 
 def hecke_integral(setup: HeckeSetup, s: complex, tol: float = 1e-8) -> complex:
-    """(1/w_rel) int over the norm-one torus mod squared relative units of
-    Ehat(rho(u~ A), s).  Equals the completed zeta of the class of A^{-1}."""
+    """The integral over the norm-one torus modulo units of Ehat(rho(u~ A),
+    s).  Equals the completed zeta of the class of A^{-1}."""
     s = complex(s)
     if setup.K.is_imaginary_quadratic:
         ev = EisensteinEvaluator(setup.base_lattice)
-        return (setup.measure / setup.w_rel) * ev.ehat_expansion(s, tol / 20)
+        return setup.measure * ev.ehat_expansion(s, tol / 20)
 
     node_tol = tol / (8.0 * setup.measure)
 
     def nodes(taus: np.ndarray) -> np.ndarray:
         return setup.evaluator_at(taus).ehat_expansion(s, node_tol)
 
-    return _torus_quadrature(setup, nodes, tol) / setup.w_rel
+    return _torus_quadrature(setup, nodes, tol)
 
 
 def xi_K_oracle(K: FieldDescriptor, s: complex) -> complex:
@@ -184,9 +210,10 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     """Both sides of the relative limit formula
 
         CT xi_K(s, A) / C_K = 2 CT xi_F(s, a)/C_F - log(N a / N b)
-            + (C_F / (2 w_rel C_K)) * int (h(z_tau, a, b) - log|N y_tau|) du
+            + (C_F / (2 C_K)) * int (h(z_tau, a, b) - log|N y_tau|) du
 
-    for real quadratic K with A = a z + b over rational ideals.  Returns the
+    for real quadratic K with A = a z + b over rational ideals, the integral
+    over the norm-one torus modulo units (measure 4R).  Returns the
     per-term breakdown; the left side comes from the zeta(s) L(s, chi)
     factorization, independent of the one torus integral on the right.
     """
@@ -214,7 +241,7 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
         return ev.h_value(node_tol) - np.log(np.abs(ev.y))
 
     integral = _torus_quadrature(setup, nodes, tol * CK).real
-    term_int = CF / (2 * setup.w_rel * CK) * integral
+    term_int = CF / (2 * CK) * integral
 
     rhs = term_ct + term_log + term_int
     return {
@@ -233,9 +260,9 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
 
 
 def torus_measure_identity(setup: HeckeSetup) -> Tuple[float, float]:
-    """(measure of the torus domain, 2 w_rel C_K / C_F): equal numbers by the
-    residue comparison of the integral formula."""
+    """(measure of the torus modulo units, 2 C_K / C_F): equal numbers by the
+    residue comparison of the integral formula (both 4R for real K)."""
     CK = c_F(setup.K)
     CF = c_F(setup.F)
-    return setup.measure, 2.0 * setup.w_rel * CK / CF
+    return setup.measure, 2.0 * CK / CF
 

@@ -4,10 +4,11 @@ each producing a VerificationReport.
 Suites: theta (Gaussian theta transformation and dual volumes), fourier
 (expansion against the two lattice-sum routes), fe (functional equation
 through the dual lattice), klf (residue, limit-formula constants, h
-modularity, the relative limit formula), hecke (imaginary quadratic
-partial zeta values against the direct Eisenstein sum, and the
-quadratic-extension integral formula at s = 2, 3 and 1.5 + 0.5i, each value
-against the Dirichlet-series oracle itself), specialfun (gamma factor,
+modularity, the relative limit formula, also over the large regulator of
+Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
+direct Eisenstein sum, and the quadratic-extension integral formula at
+s = 2, 3 and 1.5 + 0.5i and over Q(sqrt193), each value against the
+Dirichlet-series oracle itself), specialfun (gamma factor,
 Bessel, kv against the trapezoid, and incomplete gamma checks).
 
 Suite functions only draw the deterministic inputs; the numerical work
@@ -254,6 +255,17 @@ def checks_klf(seed: int = 7) -> List[Check]:
                             1e-5, klf))
         checks.append(Check("torus-measure-identity", f"{K.label}/Q", {}, 1e-8,
                             lambda setup=setup: torus_measure_identity(setup)))
+
+    # R = 15.1 and a unit of norm -1: rounding moves the nodes near
+    # tau = +-R by up to 4.2e-10, and the value must still meet tol
+    setup193 = HeckeSetup(make_field(193))
+
+    def klf_large():
+        out = relative_klf_check(setup193, 1e-8)
+        return out["lhs"], out["rhs"]
+
+    checks.append(Check("relative-klf-large-regulator", "Q(sqrt193)/Q",
+                        {"ideal": "O"}, 1e-6, klf_large))
     return checks
 
 
@@ -305,6 +317,11 @@ def checks_hecke(seed: int = 7) -> List[Check]:
     checks.append(Check(
         "hecke-integral-s3", "Q(sqrt5)/Q", {"s": 3.0}, 1e-8,
         lambda: (hecke_integral(setup5, 3.0, 1e-9), xi_K_oracle(K5r, 3.0))))
+    K193 = make_field(193)
+    setup193 = HeckeSetup(K193)
+    checks.append(Check(
+        "hecke-integral-large-regulator", "Q(sqrt193)/Q", {"s": 2.0}, 1e-6,
+        lambda: (hecke_integral(setup193, 2.0, 1e-8), xi_K_oracle(K193, 2.0))))
     return checks
 
 

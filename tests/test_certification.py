@@ -75,9 +75,11 @@ MUTANTS = {
         (m, "ideal_embedding_matrix",
          _one_entry_off(lattice.ideal_embedding_matrix))
         for m in (lattice, zeta, eisenstein)]),
-    # the torus integral against the zeta oracle at s = 3: a check of the
-    # value itself, which a ratio of two such values would not see
-    "_torus_quadrature": ("hecke", ["hecke-integral-s3"], [
+    # the torus integral against the zeta oracle at s = 3 and over
+    # Q(sqrt193), where |xi_K(2)| = 46.4: checks of the value itself, which
+    # a ratio of two such values would not see
+    "_torus_quadrature": ("hecke", ["hecke-integral-large-regulator",
+                                    "hecke-integral-s3"], [
         (heckeint, "_torus_quadrature", _scaled(heckeint._torus_quadrature))]),
 }
 

@@ -223,6 +223,23 @@ def test_limit_formula_command(capsys):
         <= set(payload["terms"])
 
 
+def test_limit_formula_torus_measure_is_4r(capsys):
+    # one period 2R of each sign component, for either unit norm (Q(sqrt5)
+    # has a unit of norm -1)
+    from heckeis.basefield import make_field
+    _, out, _ = run_cli(capsys, "limit-formula", "--K", "Q(sqrt5)")
+    measure = json.loads(out)["terms"]["torus_measure"]
+    assert measure == 4 * make_field(5).regulator
+
+
+def test_limit_formula_meets_tol_on_a_large_regulator(capsys):
+    # R = 13.0: the rounding of the nodes near tau = +-R stays below tol
+    code, out, _ = run_cli(capsys, "limit-formula", "--K", "Q(sqrt103)",
+                           "--tol", "1e-8")
+    assert code == 0
+    assert json.loads(out)["absError"] <= 1e-8
+
+
 def test_limit_formula_rejects_imaginary(capsys):
     code, _, _ = run_cli(capsys, "limit-formula", "--K", "Q(sqrt-1)")
     assert code == 2

@@ -17,7 +17,7 @@ from heckeis.errors import ConvergenceError, UnsupportedFieldError
 from heckeis.heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                               torus_measure_identity, xi_K_oracle)
 from heckeis.lattice import OFLattice
-from heckeis.zeta import c_F
+from heckeis.zeta import c_F, class_number
 
 Q = make_field("Q")
 
@@ -55,21 +55,65 @@ def test_setup_orientation_and_shape():
         == {round((1 - math.sqrt(5)) / 2, 6), round((1 + math.sqrt(5)) / 2, 6)}
 
 
-def test_unit_case_split():
-    s5 = HeckeSetup(make_field(5))
-    assert s5.w_rel == 2 and s5.log_eps0 == 4 * make_field(5).regulator
-    s3 = HeckeSetup(make_field(3))
-    assert s3.w_rel == 1 and s3.log_eps0 == 2 * make_field(3).regulator
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 23])
+def test_period_is_twice_the_regulator_for_both_unit_norms(d):
+    # units of norm -1 (d = 2, 5, 13) and +1 (d = 3, 23) alike
+    K = make_field(d)
+    setup = HeckeSetup(K)
+    assert setup.period == 2 * K.regulator
+    assert setup.measure == 2 * setup.period
+
+
+def _ideal_three_plus_sqrt2():
+    K = make_field(2)
+    return HeckeSetup(K, FracIdeal(K, gen=QuadElement(K, Fraction(3),
+                                                      Fraction(1))))
+
+
+@pytest.mark.parametrize("make_setup", [
+    lambda: HeckeSetup(make_field(2)), lambda: HeckeSetup(make_field(5)),
+    lambda: HeckeSetup(make_field(13)), lambda: HeckeSetup(make_field(29)),
+    _ideal_three_plus_sqrt2])
+def test_norm_minus_one_integrand_has_the_unit_period(make_setup):
+    # a unit of norm -1 maps the sign +1 component at tau to the sign -1
+    # component at tau + 2R, which carries the same integrand, so 2R is a
+    # period on these fields too, not only 4R
+    setup = make_setup()
+    assert setup.K.fundamental_unit_norm == -1
+    R = setup.period / 2
+    for tau in (-R, -0.4 * R, 0.0, 0.7 * R):
+        ev = setup.evaluator_at(tau)
+        ev_up = setup.evaluator_at(tau + setup.period)
+        assert abs(ev.ehat_expansion(2.0, 1e-14)
+                   - ev_up.ehat_expansion(2.0, 1e-14)) < 1e-12
+        assert abs((ev.h_value(1e-14) - math.log(abs(ev.y)))
+                   - (ev_up.h_value(1e-14) - math.log(abs(ev_up.y)))) < 1e-12
 
 
 def test_a_field_past_the_old_overflow_constructs():
-    # R = 178.2: the torus period log_eps0 = 4R = 713 lies past the range
-    # of exp, and the setup never forms eps0 itself
+    # R = 178.2: e^(2R) lies past the range of doubles, and the setup never
+    # forms a unit as a float
     K = make_field(8089)
     setup = HeckeSetup(K)
-    assert setup.log_eps0 == 4 * K.regulator
+    assert setup.period == 2 * K.regulator
     m, m2 = torus_measure_identity(setup)
     assert abs(m - m2) < 1e-10
+
+
+@pytest.mark.parametrize("d", [8089, 1000006])
+def test_a_torus_whose_nodes_carry_no_digits_raises_at_once(monkeypatch, d):
+    # rounding x = m + h tanh(tau) moves the nodes near tau = +-R by
+    # eps cosh(R) (|m| + |h|)/|h| >= 1 (R = 178.2 and 1052.5; cosh(R)
+    # overflows for the second), so no node is evaluated
+    def forbidden(self, tau):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(HeckeSetup, "evaluator_at", forbidden)
+    K = make_field(d)
+    with pytest.raises(ConvergenceError, match="regulator") as info:
+        hecke_integral(HeckeSetup(K), 2.0)
+    assert f"{K.regulator:.6g}" in str(info.value)
+    assert info.value.points == 0
 
 
 def test_volume_is_t_independent():
@@ -97,16 +141,16 @@ def test_scaled_lattice_modularity():
 
 @pytest.mark.parametrize("d", [5, 3])
 def test_integrand_periodicity(d):
-    # log_eps0 generates the stabilizer in tau for both unit norms, which
-    # the periodic trapezoid rule in tau relies on (the sign -1
-    # component carries the same integrand:
+    # 2R is a period in tau for both unit norms, which the periodic
+    # trapezoid rule over [-R, R) relies on (for norm -1 the shift moves
+    # the node to the sign -1 component, which carries the same integrand:
     # test_sign_components_carry_one_integrand); the limit-formula integrand
     # h - log|y| is invariant, h alone is not
     setup = HeckeSetup(make_field(d))
     s = 1.7
     for tau in (0.0, math.log(1.9)):
         ev = setup.evaluator_at(tau)
-        ev_up = setup.evaluator_at(tau + setup.log_eps0)
+        ev_up = setup.evaluator_at(tau + setup.period)
         a = ev.ehat_expansion(s, 1e-12)
         b = ev_up.ehat_expansion(s, 1e-12)
         assert abs(a - b) < 1e-9
@@ -153,9 +197,9 @@ def test_imaginary_class_invariance():
                - hecke_integral(s2, 2.0, 1e-10)) < 1e-10
 
 
-# the tori of Q(sqrt 17) and Q(sqrt 19) have periods log_eps0 = 8.4 and
-# 11.7: unreduced, their nodes near tau = log_eps0 had |y| so small that one
-# integral took 27 s, and 403 s before raising
+# the tori of Q(sqrt 17) and Q(sqrt 19) have periods 2R = 4.2 and 11.7;
+# their nodes near tau = +-R have small |y|, which the SL2(Z) reduction of
+# the expansion keeps cheap
 @pytest.mark.parametrize("d", [2, 5, 3, 17, 19])
 def test_real_hecke_matches_oracle(d):
     K = make_field(d)
@@ -163,30 +207,6 @@ def test_real_hecke_matches_oracle(d):
     got = hecke_integral(setup, 2.0, 1e-9)
     want = xi_K_oracle(K, 2.0)
     assert abs(got - want) < 1e-8
-
-
-def test_unit_index_case_split_is_forced_by_oracle():
-    # the zeta oracle at s = 2 pins the measure bookkeeping: over Q the two
-    # self-consistent conventions (w_rel, log_eps0) = (2, 4R) and (1, 2R)
-    # agree (conjugation symmetry makes the integrand 2R-periodic in tau),
-    # but any mismatched pairing fails loudly
-    K = make_field(5)
-    setup = HeckeSetup(K)
-    want = xi_K_oracle(K, 2.0)
-    assert abs(hecke_integral(setup, 2.0, 1e-9) - want) < 1e-8
-    # the other self-consistent convention gives the same value
-    setup.w_rel, setup.log_eps0 = 1, 2 * K.regulator
-    setup.measure = 2 * setup.log_eps0
-    assert abs(hecke_integral(setup, 2.0, 1e-9) - want) < 1e-8
-    # mismatched pairings are off by a factor 2 either way
-    setup.w_rel, setup.log_eps0 = 2, 2 * K.regulator
-    setup.measure = 2 * setup.log_eps0
-    half = hecke_integral(setup, 2.0, 1e-9)
-    assert abs(half - want / 2) < 1e-8 and abs(half - want) > 1e-3
-    setup.w_rel, setup.log_eps0 = 1, 4 * K.regulator
-    setup.measure = 2 * setup.log_eps0
-    double = hecke_integral(setup, 2.0, 1e-9)
-    assert abs(double - 2 * want) < 2e-8 and abs(double - want) > 1e-3
 
 
 def test_complex_s():
@@ -208,10 +228,10 @@ def unconverged_fields(err) -> dict:
 @pytest.mark.parametrize("d", [2, 3])
 def test_torus_integral_raises_when_unconverged(monkeypatch, d):
     # an integrand that is not periodic in tau converges only slowly under
-    # the trapezoid rule, so with two halvings (8 -> 32 nodes of the sign +1
-    # component) hecke_integral must raise instead of returning the last
-    # estimate; the message says how far the quadrature got.  Each level of
-    # nodes is one evaluator of array tau
+    # the trapezoid rule, so with two halvings (8 -> 32 nodes of the period
+    # [-R, R) of the sign +1 component) hecke_integral must raise instead
+    # of returning the last estimate; the message says how far the
+    # quadrature got.  Each level of nodes is one evaluator of array tau
     class Oscillating:
         def __init__(self, tau):
             self.tau = np.asarray(tau)
@@ -233,19 +253,19 @@ def test_torus_integral_raises_when_unconverged(monkeypatch, d):
     assert (err.tol, err.points) == (5e-9, 32)
     assert err.last_delta > err.tol
     # the step after two halvings of period/8
-    assert err.cutoff == setup.log_eps0 / 32
+    assert err.cutoff == setup.period / 32
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
-    # exp(cos(2 pi tau / log_eps0)) has period log_eps0 in tau and
-    # integrates to log_eps0 * I_0(1) per sign component; the trapezoid rule
-    # in tau gets it to rounding with 32 nodes of the sign +1 component,
-    # counted twice, and never evaluates a node twice.  Each level of nodes
-    # is one evaluator of array tau
+    # exp(cos(2 pi tau / period)) integrates to period * I_0(1) over one
+    # period; the trapezoid rule in tau gets it to rounding with 32 nodes of
+    # [-R, R) on the sign +1 component, counted twice, and never evaluates a
+    # node twice or outside [-R, R).  Each level of nodes is one evaluator
+    # of array tau
     setup = HeckeSetup(make_field(d))
-    period = setup.log_eps0
+    period = setup.period
     calls = []
 
     class Periodic:
@@ -261,9 +281,75 @@ def test_torus_quadrature_is_a_nested_periodic_trapezoid(monkeypatch, d, tol):
 
     monkeypatch.setattr(HeckeSetup, "evaluator_at", evaluator_at)
     got = hecke_integral(setup, 2.0, tol)
-    want = 2 * period * i0(1.0) / setup.w_rel
+    want = 2 * period * i0(1.0)
     assert abs(got - want) <= 1e-14 * want
     assert len(set(calls)) == len(calls) <= 32
+    assert all(-period / 2 <= tau < period / 2 for tau in calls)
+
+
+# R = 10.8, 11.5, 13.0, 12.6 and 15.1: rounding moves the nodes near
+# tau = +-R by up to 4.2e-10, and the values must still meet tol
+@pytest.mark.parametrize("d", [46, 67, 103, 134, 193])
+def test_large_regulator_fields_meet_tol(d):
+    K = make_field(d)
+    setup = HeckeSetup(K)
+    assert abs(hecke_integral(setup, 2.0, 1e-8) - xi_K_oracle(K, 2.0)) <= 1e-8
+    out = relative_klf_check(setup, 1e-8)
+    assert abs(out["lhs"] - out["rhs"]) <= 1e-8
+
+
+def test_hecke_integral_meets_a_tight_tol_at_s3():
+    # the rounding of the nodes (at most 3.8e-14 here) stays below tol
+    K = make_field(19)
+    got = hecke_integral(HeckeSetup(K), 3.0, 1e-11)
+    assert abs(got - xi_K_oracle(K, 3.0)) <= 1e-11
+
+
+def test_torus_integral_raises_when_rounding_exceeds_tol():
+    # R = 18.8: the nodes near tau = +-R carry about 6 digits, and the
+    # rounding estimate of the value exceeds tol/8 although the halvings
+    # settle
+    setup = HeckeSetup(make_field(241))
+    with pytest.raises(ConvergenceError, match="rounding estimate") as info:
+        hecke_integral(setup, 2.0, 1e-8)
+    err = info.value
+    assert err.tol == 1e-8 and err.last_delta > err.tol / 8
+    assert err.cutoff == setup.period / err.points
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+# the 68 fields Q(sqrt d), d < 200 squarefree, of class number one, and
+# three of larger regulator (R = 18.8, 19.3 and 21.1)
+SCAN = [d for d in range(2, 200)
+        if _squarefree(d) and class_number(make_field(d)) == 1] \
+    + [241, 409, 601]
+
+
+@pytest.mark.parametrize("check, least", [("klf", 46), (2.0, 40), (3.0, 35)])
+def test_every_field_meets_tol_or_raises(check, least):
+    # no value is off by more than tol: a field meets tol or raises.  The
+    # least counts of fields that meet tol are those of the parametrization
+    # over [0, 2R) and [0, 4R), which this one must not fall below
+    assert len(SCAN) == 71
+    met = 0
+    for d in SCAN:
+        K = make_field(d)
+        setup = HeckeSetup(K)
+        try:
+            if check == "klf":
+                out = relative_klf_check(setup, 1e-8)
+                err = abs(out["lhs"] - out["rhs"])
+            else:
+                err = abs(hecke_integral(setup, check, 1e-8)
+                          - xi_K_oracle(K, check))
+        except ConvergenceError:
+            continue
+        assert err <= 1e-8, d
+        met += 1
+    assert met >= least
 
 
 @pytest.mark.parametrize("d", [5, 2, 3])
@@ -309,9 +395,9 @@ def test_setup_rejects_rational():
 
 @pytest.mark.parametrize("d", [19, 22])
 def test_hecke_integral_at_s3_stays_above_the_pair_sum_rounding_floor(d):
-    # the nodes near tau = log_eps0 have |y| down to 1e-4; unreduced, their
-    # pair sums lay below the rounding floor at s = 3 and raised.  The reduced
-    # nodes have |y| >= sqrt(3)/2
+    # the nodes near tau = +-R have |y| down to 0.02; unreduced, their pair
+    # sums would lie below the rounding floor at s = 3 and raise.  The
+    # reduced nodes have |y| >= sqrt(3)/2
     K = make_field(d)
     got = hecke_integral(HeckeSetup(K), 3.0, 1e-8)
     assert abs(got - xi_K_oracle(K, 3.0)) < 1e-6
@@ -324,9 +410,10 @@ def _ideal_one_plus_sqrt23():
 
 
 def _sample_taus(setup):
-    """tau = log t at t = 1, 1.37, 2.9 and 0.999 eps0."""
+    """tau = log t at t = 1, 1.37, 2.9 and 1.001 e^(-R), the last next to
+    the end of the period [-R, R), where |y| is least."""
     return np.array([0.0, math.log(1.37), math.log(2.9),
-                     setup.log_eps0 + math.log(0.999)])
+                     math.log(1.001) - setup.period / 2])
 
 
 @pytest.mark.parametrize("make_setup", [
@@ -338,7 +425,7 @@ def test_node_is_the_quotient_of_the_lifts(make_setup):
     # for u~ = (e^(tau/2), e^(-tau/2)), to a few ulp of the floats z_w, z_w'
     # it starts from: x relative to |m| + |h|, y relative to itself
     setup = make_setup()
-    taus = np.linspace(0.0, setup.log_eps0, 33)
+    taus = np.linspace(-setup.period / 2, setup.period / 2, 33)
     xs, ys = setup.node(taus)
     m, h = (setup.zw + setup.zwp) / 2, (setup.zw - setup.zwp) / 2
     with mpmath.workdps(30):
@@ -451,13 +538,13 @@ def _sum_abs(*terms):
 @example("1+sqrt23", [0.0, 0.999, 0.5])
 @example(19, [0.97, 0.9, 0.2])
 def test_batched_nodes_equal_the_nodes_one_at_a_time(which, us):
-    # a level of nodes is one evaluator of array tau, tau = u log_eps0 in
-    # [0, log_eps0); its values equal those of the evaluators of the single
+    # a level of nodes is one evaluator of array tau, tau = (u - 1/2) period
+    # in [-R, R); its values equal those of the evaluators of the single
     # nodes up to the order of summation at real s, and within the node
     # tol at complex s, where the Bessel integral runs at the tightest
     # node's tol
     setup = _setup_of(which)
-    taus = setup.log_eps0 * np.array(us)
+    taus = setup.period * (np.array(us) - 0.5)
     tol = 1e-10
     batch = setup.evaluator_at(taus)
     singles = [setup.evaluator_at(float(tau)) for tau in taus]
