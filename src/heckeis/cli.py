@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, parse_field
-from .dalgebra import DNumber, Quaternion
+from .dalgebra import DNumber
 from .eisenstein import EisensteinEvaluator
 from .errors import HeckeisError
 from .heckeint import HeckeSetup, relative_klf_check
@@ -194,12 +194,9 @@ def parse_lattice(F: FieldDescriptor, spec: str) -> OFLattice:
     if not all(map(math.isfinite, coords)):
         raise CliParseError(
             f"z component {zs!r} of the lattice must have finite coordinates")
-    if F.is_rational:
-        z = DNumber.from_xy(F, *coords)
-    else:
-        xr, xi, yr, yi = coords
-        z = DNumber(F, (Quaternion(complex(xr, xi), complex(yr, yi)),))
-    return OFLattice(F, ideal_a, z, ideal_b)
+    if not F.is_rational:
+        coords = complex(*coords[:2]), complex(*coords[2:])
+    return OFLattice(F, ideal_a, DNumber.from_xy(F, *coords), ideal_b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _untried(args) -> list:
+def _untried(args, exc) -> list:
     """What to try after a numeric failure: the eval-eisenstein routes not
     yet tried (auto is the expansion, since a lattice given here always has
-    its pseudo-basis), direct only where Re s > 1.05, and a looser --tol."""
+    its pseudo-basis), direct only where Re s > 1.05, and a looser --tol
+    unless the failure came before any point was evaluated (points = 0,
+    such as a torus whose nodes carry no digits), which no tol changes."""
+    no_digits = getattr(exc, "points", None) == 0
+    tol = [] if no_digits or not hasattr(args, "tol") else ["a looser --tol"]
     if not hasattr(args, "method"):
-        return ["a looser --tol"] if hasattr(args, "tol") else []
+        return tol
     tried = "expansion" if args.method == "auto" else args.method
     direct = parse_complex(args.s).real > 1.05
     return [f"--method {m}" for m in ("expansion", "lattice", "direct")
-            if m != tried and (m != "direct" or direct)] + ["a looser --tol"]
+            if m != tried and (m != "direct" or direct)] + tol
 
 
 def main(argv=None) -> int:
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
         # before ValueError: several numeric failures also derive from it;
         # ArithmeticError: an overflow or a division by zero in the numerics
         _log(f"numeric failure: {exc}")
-        if hints := _untried(args):
+        if hints := _untried(args, exc):
             _log("hint: try " + " or ".join(hints))
         return EXIT_NUMERIC
     except (CliParseError, ValueError) as exc:

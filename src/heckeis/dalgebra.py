@@ -1,14 +1,15 @@
-"""The product algebra D_F (one complex plane per real place, one Hamilton
-quaternion algebra per complex place): quaternion arithmetic and the
-elements z = x + y j_F that an O_F-lattice a z + b is built from.
+"""The elements z = x + y j_F of the product algebra D_F (one complex plane
+per real place, one Hamilton quaternion algebra per complex place) that an
+O_F-lattice a z + b is built from.
 
-Quaternions are stored in the C + Cj split (two complex coordinates), since
-x-part / y-part extraction is the dominant operation.
+The library only reads the x and y parts of z, so a quaternion is the
+record of its two complex coordinates in the C + Cj split.  Quaternion
+products, where a check needs them, are products of 2 x 2 complex matrices
+(see verify's h-gl2-matrix check).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .basefield import FieldDescriptor
@@ -17,48 +18,10 @@ from .errors import UnsupportedFieldError
 
 @dataclass(frozen=True)
 class Quaternion:
-    """x + y*j with complex x, y; j*c = conj(c)*j for complex c."""
+    """x + y*j with complex x, y."""
 
     x: complex
     y: complex
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(
-                self.x * other.x - self.y * other.y.conjugate(),
-                self.x * other.y + self.y * other.x.conjugate())
-        # complex / real scalar acting by left multiplication
-        c = complex(other)
-        return Quaternion(c * self.x, c.conjugate() * self.y)
-
-    def __rmul__(self, other):
-        c = complex(other)
-        return Quaternion(c * self.x, c * self.y)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.x.conjugate(), -self.y)
-
-    def abs2(self) -> float:
-        return abs(self.x) ** 2 + abs(self.y) ** 2
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.abs2())
-
-    def inverse(self) -> "Quaternion":
-        n = self.abs2()
-        if n == 0.0:
-            raise ZeroDivisionError("zero quaternion")
-        c = self.conjugate()
-        return Quaternion(c.x / n, c.y / n)
 
 
 @dataclass(frozen=True)
@@ -94,6 +57,3 @@ class DNumber:
         if isinstance(c, Quaternion):
             return c.y
         return c.imag
-
-    def __neg__(self) -> "DNumber":
-        return DNumber(self.field, tuple(-a for a in self.components))

@@ -84,6 +84,9 @@ class HeckeSetup:
                 raise UnsupportedFieldError("z generates Q, not K")
             # orientation z' > z
             self.zw, self.zwp = (e1, e2) if e2 > e1 else (e2, e1)
+            # centre and half-width of the geodesic from z_w' to z_w
+            self.m = (self.zw + self.zwp) / 2
+            self.h = (self.zw - self.zwp) / 2
             self.period = 2 * K.regulator
             self.measure = 2.0 * self.period
         else:
@@ -100,15 +103,15 @@ class HeckeSetup:
         """The node rho(u~ z)/rho(u~) = x + y i of the lift u~ = (e^(tau/2),
         e^(-tau/2)) on the sign +1 component, as (x, y): the point at
         hyperbolic arc length tau from m + |h| i along the geodesic from
-        z_w' to z_w, with m = (z_w + z_w')/2 and h = (z_w - z_w')/2,
+        z_w' to z_w, of centre m = self.m and half-width h = self.h,
 
             x = m + h tanh(tau),      y = |h| sech(tau),
 
         and sech(tau) = 2 e/(1 + e^2), e = e^(-|tau|), which neither
         overflows nor cancels.  Elementwise for an array tau."""
-        m, h = (self.zw + self.zwp) / 2, (self.zw - self.zwp) / 2
         e = np.exp(-np.abs(tau))
-        return m + h * np.tanh(tau), abs(h) * (2 * e / (1 + e * e))
+        return (self.m + self.h * np.tanh(tau),
+                abs(self.h) * (2 * e / (1 + e * e)))
 
     @cached_property
     def _node_template(self) -> EisensteinEvaluator:
@@ -148,8 +151,7 @@ def _torus_quadrature(setup: HeckeSetup, node_fn, tol: float):
     |value| times it over the nodes, an estimate of the rounding error of
     the value, exceeds tol/8."""
     R = setup.period / 2
-    m, h = (setup.zw + setup.zwp) / 2, (setup.zw - setup.zwp) / 2
-    shift = np.finfo(float).eps * (abs(m) + abs(h)) / abs(h)
+    shift = np.finfo(float).eps * (abs(setup.m) + abs(setup.h)) / abs(setup.h)
     # log(shift cosh R), formed in logs since cosh overflows past R = 710
     log_worst = math.log(shift / 2) + R + math.log1p(math.exp(-2 * R))
     if log_worst >= 0:
@@ -234,14 +236,17 @@ def relative_klf_check(setup: HeckeSetup, tol: float = 1e-8) -> dict:
     term_log = -math.log(float(setup.ideal_a.absolute_norm()
                                / setup.ideal_b.absolute_norm()))
 
-    node_tol = tol * CK / 4.0
+    # the term's own integrand at the caller's tol: a node error d moves the
+    # term by at most CF/(2 CK) * measure * d = CF d (measure = 4R = 2 CK),
+    # so h at tol/4 leaves tol/2 for the quadrature and tol/8 for rounding
+    coef = CF / (2 * CK)
+    node_tol = tol / 4.0
 
     def nodes(taus: np.ndarray) -> np.ndarray:
         ev = setup.evaluator_at(taus)
-        return ev.h_value(node_tol) - np.log(np.abs(ev.y))
+        return coef * (ev.h_value(node_tol) - np.log(np.abs(ev.y)))
 
-    integral = _torus_quadrature(setup, nodes, tol * CK).real
-    term_int = CF / (2 * CK) * integral
+    term_int = _torus_quadrature(setup, nodes, tol).real
 
     rhs = term_ct + term_log + term_int
     return {

@@ -93,7 +93,7 @@ class OFLattice:
                 raise DegenerateLatticeError("pseudo-basis data incomplete")
             # over Q, y > 0: -z spans the same lattice
             if field.is_rational and z.y_part < 0:
-                z = -z
+                z = DNumber.from_xy(field, -z.x_part, -z.y_part)
             self.ideal_a, self.ideal_b, self.z = ideal_a, ideal_b, z
             if z.y_part == 0:
                 raise DegenerateLatticeError("y-part of z must be invertible")

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from .basefield import FieldDescriptor, FracIdeal, QuadElement, make_field
-from .dalgebra import DNumber, Quaternion
+from .dalgebra import DNumber
 from .eisenstein import EisensteinEvaluator
 from .heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                        torus_measure_identity, xi_K_oracle)
@@ -83,8 +83,17 @@ def _random_lattice(rng: random.Random, F: FieldDescriptor) -> OFLattice:
     b = FracIdeal(F, gen=rng.choice([one, one, one, two]))
     x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
     y = cmath.rect(rng.uniform(0.9, 1.4), rng.uniform(0.0, 2 * math.pi))
-    z = DNumber(F, (Quaternion(x, y),))
-    return OFLattice(F, a, z, b)
+    return OFLattice(F, a, DNumber.from_xy(F, x, y), b)
+
+
+def _quaternion_matrix(x: complex, y: complex) -> np.ndarray:
+    """The quaternion x + y j as the complex matrix [[x, y], [-conj y,
+    conj x]]: matrix products are quaternion products (j c = conj(c) j), a
+    complex scalar c is diag(c, conj c), and the determinant is
+    |x|^2 + |y|^2 (Elstrodt, Grunewald and Mennicke, Groups Acting on
+    Hyperbolic Space, 1998, ch. 1)."""
+    x, y = complex(x), complex(y)
+    return np.array([[x, y], [-y.conjugate(), x.conjugate()]])
 
 
 def _field_of(d) -> FieldDescriptor:
@@ -228,17 +237,21 @@ def checks_klf(seed: int = 7) -> List[Check]:
     Fi = make_field(-1)
     Oi = FracIdeal.unit_ideal(Fi)
 
-    def h_quat(zq: Quaternion) -> float:
-        lat = OFLattice(Fi, Oi, DNumber(Fi, (zq,)), Oi)
+    def h_quat(x: complex, y: complex) -> float:
+        lat = OFLattice(Fi, Oi, DNumber.from_xy(Fi, x, y), Oi)
         return EisensteinEvaluator(lat).h_value(1e-11)
 
     def gl2_check():
-        zq = Quaternion(complex(0.2, -0.3), complex(1.1, 0.4))
-        a, b, c, d_ = (1 + 0j), (1 + 0j), 1j, (1 + 1j)   # det = 1
-        num = Quaternion(a, 0j) * zq + Quaternion(b, 0j)
-        den = Quaternion(c, 0j) * zq + Quaternion(d_, 0j)
-        w = num * den.inverse()
-        return h_quat(w), h_quat(zq) - 2 * math.log(den.abs2())
+        # w = (a z + b)(c z + d)^{-1} is the first row of N D^{-1}
+        x, y = complex(0.2, -0.3), complex(1.1, 0.4)
+        Z = _quaternion_matrix(x, y)
+        a, b, c, d_ = (_quaternion_matrix(e, 0j)
+                       for e in (1, 1, 1j, 1 + 1j))          # det = 1
+        N, D = a @ Z + b, c @ Z + d_
+        W = N @ np.linalg.inv(D)
+        # |c z + d|^2 = det D
+        return (h_quat(W[0, 0], W[0, 1]),
+                h_quat(x, y) - 2 * math.log(np.linalg.det(D).real))
 
     checks.append(Check("h-gl2-matrix", "Q(sqrt-1)",
                         {"matrix": "[[1,1],[i,1+i]]"}, 1e-8, gl2_check))

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from heckeis import cli
+from heckeis import HeckeSetup, cli, make_field, relative_klf_check
 from heckeis.cli import (ENV_VAR, CliParseError, build_parser, default_tol,
                          main)
 from heckeis.eisenstein import EisensteinEvaluator
@@ -226,7 +226,6 @@ def test_limit_formula_command(capsys):
 def test_limit_formula_torus_measure_is_4r(capsys):
     # one period 2R of each sign component, for either unit norm (Q(sqrt5)
     # has a unit of norm -1)
-    from heckeis.basefield import make_field
     _, out, _ = run_cli(capsys, "limit-formula", "--K", "Q(sqrt5)")
     measure = json.loads(out)["terms"]["torus_measure"]
     assert measure == 4 * make_field(5).regulator
@@ -240,6 +239,17 @@ def test_limit_formula_meets_tol_on_a_large_regulator(capsys):
     assert json.loads(out)["absError"] <= 1e-8
 
 
+def test_limit_formula_hints_no_tol_where_no_node_carries_digits(capsys):
+    # R = 178.2: the torus guard raises before any node is evaluated, which
+    # no tol changes, and the library error names the --tol given
+    code, _, err = run_cli(capsys, "limit-formula", "--K", "Q(sqrt8089)",
+                           "--tol", "1e-7")
+    assert code == 3 and "regulator" in err and "hint" not in err
+    with pytest.raises(ConvergenceError) as info:
+        relative_klf_check(HeckeSetup(make_field(8089)), 1e-7)
+    assert (info.value.points, info.value.tol) == (0, 1e-7)
+
+
 def test_limit_formula_rejects_imaginary(capsys):
     code, _, _ = run_cli(capsys, "limit-formula", "--K", "Q(sqrt-1)")
     assert code == 2
@@ -248,7 +258,6 @@ def test_limit_formula_rejects_imaginary(capsys):
 def test_quad_element_parser():
     from fractions import Fraction
 
-    from heckeis.basefield import make_field
     from heckeis.cli import CliParseError, parse_quad_element
     F = make_field(-5)
     cases = {"1": (1, 0), "3/2": (Fraction(3, 2), 0), "2w": (0, 2),

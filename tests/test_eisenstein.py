@@ -13,13 +13,14 @@ from scipy.special import betainc, kv
 
 from heckeis import eisenstein, numerics, verify
 from heckeis.basefield import FracIdeal, QuadElement, make_field
-from heckeis.dalgebra import DNumber, Quaternion
+from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import (ConvergenceError, DegenerateLatticeError,
                             EnumerationCapError, PoleError)
 from heckeis.lattice import OFLattice, ball_points, ideal_embedding_matrix
 from heckeis.numerics import neville_at_zero
 from heckeis.specialfun import bessel_k_batch, gamma_F
+from lattice_helpers import lat_q, lat_quat, same_span
 
 Q = make_field("Q")
 Fi = make_field(-1)
@@ -31,30 +32,11 @@ E_SQUARE_LATTICE_AT_2 = 3.0134060198459700
 SNAPPED_HS = [(1.0 + 10.0 ** (-k)) - 1.0 for k in range(2, 6)]
 
 
-def lat_q(x, y, a=1, b=1):
-    return OFLattice(Q, FracIdeal(Q, gen=Fraction(a)),
-                     DNumber.from_xy(Q, x, y), FracIdeal(Q, gen=Fraction(b)))
-
-
-def lat_quat(F, x, y):
-    O = FracIdeal.unit_ideal(F)
-    return OFLattice(F, O, DNumber(F, (Quaternion(x, y),)), O)
-
-
 def times(c, lat):
     """The Z-basis lattice c Lambda = Lambda c over Q: the real matrix of
     multiplication by the complex number c, applied to the basis matrix."""
     return OFLattice(Q, z_basis=np.array([[c.real, -c.imag],
                                           [c.imag, c.real]]) @ lat.M)
-
-
-def same_span(M, N):
-    """Whether the columns of M and N span one Z-lattice: N = M C with C
-    integral and det C = +-1."""
-    C = np.linalg.solve(M, N)
-    R = np.round(C)
-    return bool(np.all(np.abs(C - R) < 1e-9)) \
-        and round(abs(np.linalg.det(R))) == 1
 
 
 # the squared covering radius R_F^2 of O_F, by discriminant: every x lies
@@ -196,7 +178,7 @@ def test_expansion_with_equal_ideals_over_imaginary_fields(d, gen, x, ay,
     if gen == "1+w":
         gen = QuadElement(F, Fraction(1), Fraction(1))
     a = FracIdeal(F, gen=gen)
-    lat = OFLattice(F, a, DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),)), a)
+    lat = OFLattice(F, a, DNumber.from_xy(F, x, ay * cmath.exp(1j * ang)), a)
     ev = EisensteinEvaluator(lat)
     assert ev.P_red >= 1 - COVERING_R2[F.discriminant] - 1e-12
     _assert_routes_agree(ev, s)
@@ -283,7 +265,7 @@ def test_degenerate_y_rejected():
     # w = 1e-170 j: |w|^2 underflows to 0, and the reduction names it
     lat = lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j)
     O = FracIdeal.unit_ideal(Fi)
-    tiny = OFLattice(Fi, O, DNumber(Fi, (Quaternion(0j, 1e-70 + 0j),)),
+    tiny = OFLattice(Fi, O, DNumber.from_xy(Fi, 0j, 1e-70 + 0j),
                      FracIdeal(Fi, gen=10 ** 100))
     with pytest.raises(DegenerateLatticeError, match="underflows"):
         EisensteinEvaluator(tiny)
@@ -409,10 +391,8 @@ def test_reduced_point_lies_in_the_fundamental_region(kind, ia, ib, x, log_y,
     F = make_field(kind)
     a, b = _ideal_of(F, *ia), _ideal_of(F, *ib)
     y = 10.0 ** log_y
-    if F.is_rational:
-        z = DNumber.from_xy(F, x.real, y)
-    else:
-        z = DNumber(F, (Quaternion(x, y * cmath.exp(1j * ang)),))
+    z = DNumber.from_xy(F, x.real, y) if F.is_rational \
+        else DNumber.from_xy(F, x, y * cmath.exp(1j * ang))
     ev = EisensteinEvaluator(OFLattice(F, a, z, b))
     x2, y2 = abs(ev.x_red) ** 2, abs(ev.y_red) ** 2
     assert x2 <= COVERING_R2[F.discriminant] + 1e-12
@@ -640,18 +620,36 @@ def test_h_gl2_random_matrices_with_ideal_conditions():
         assert abs(lhs - rhs) < 1e-8, (na, nb, (a, b, c, d))
 
 
-def test_h_gl2_over_gaussian_integers():
-    O = FracIdeal.unit_ideal(Fi)
+def test_quaternion_units_as_matrices():
+    # Hamilton's i^2 = j^2 = k^2 = ijk = -1 with ij = k, for k = i j
+    i, j, k = (verify._quaternion_matrix(x, y)
+               for x, y in ((1j, 0), (0, 1), (0, 1j)))
+    for q in (i @ i, j @ j, k @ k, i @ j @ k):
+        assert np.array_equal(q, -np.eye(2))
+    assert np.array_equal(i @ j, k)
 
-    def h_of(zq):
-        return EisensteinEvaluator(OFLattice(Fi, O, DNumber(Fi, (zq,)), O)) \
-            .h_value(1e-11)
 
-    zq = Quaternion(0.2 - 0.3j, 1.1 + 0.4j)
-    num = Quaternion(1 + 0j, 0j) * zq + Quaternion(1 + 0j, 0j)
-    den = Quaternion(1j, 0j) * zq + Quaternion(1 + 1j, 0j)
-    w = num * den.inverse()
-    assert abs(h_of(w) - (h_of(zq) - 2 * math.log(den.abs2()))) < 1e-8
+_GAUSSIAN = st.builds(complex, st.integers(-1, 1), st.integers(-1, 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_GAUSSIAN, _GAUSSIAN, _GAUSSIAN, st.complex_numbers(max_magnitude=0.5),
+       st.floats(0.7, 1.5), st.floats(0.0, 2 * math.pi))
+def test_h_gl2_property_over_gaussian_integers(p, q, r, x, ay, ang):
+    # h(gamma z) = h(z) - 2 log det(cZ + D) for gamma = [[1, p], [0, 1]]
+    # [[1, 0], [q, 1]] [[1, r], [0, 1]] in SL2(Z[i]), with quaternions as
+    # matrices and a scalar c as diag(c, conj c); the right side takes the
+    # lattice route on the given lattice of z
+    y = ay * cmath.exp(1j * ang)
+    a, b, c, d = (verify._quaternion_matrix(e, 0)
+                  for e in (1 + p * q, (1 + p * q) * r + p, q, q * r + 1))
+    Z = verify._quaternion_matrix(x, y)
+    D = c @ Z + d
+    w = ((a @ Z + b) @ np.linalg.inv(D))[0]
+    lhs = EisensteinEvaluator(lat_quat(Fi, *w)).h_value(1e-11)
+    rhs = EisensteinEvaluator(lat_quat(Fi, x, y)).h_lattice(1e-11) \
+        - 2 * math.log(np.linalg.det(D).real)
+    assert abs(lhs - rhs) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +703,18 @@ def _brute_pairs(ev, reach):
     return hi, np.array(out).reshape(-1, 3)
 
 
-def _sorted_triples(triples, decimals=None):
-    """Rows sorted by (arg, ratio, phase), optionally rounded for the sort."""
-    keys = triples if decimals is None else np.round(triples, decimals)
-    return triples[np.lexsort((keys[:, 1], keys[:, 2], keys[:, 0]))]
+def _sorted_triples(triples, gap=1e-9):
+    """Rows sorted by (arg, ratio, phase), where a key within gap of the one
+    sorted before it ties with it, so that rounding noise reorders no rows
+    (rounding the keys to a fixed grid splits equal keys that lie on a
+    boundary of the grid, such as arg = 53.2474886815)."""
+    group = np.zeros(len(triples), dtype=int)
+    for col in (0, 2, 1):
+        order = np.lexsort((triples[:, col], group))
+        triples, group = triples[order], group[order]
+        jump = np.diff(triples[:, col], prepend=-np.inf) > gap
+        group = np.cumsum(jump | (np.diff(group, prepend=-1) != 0))
+    return triples
 
 
 @given(st.sampled_from(["Q", -1, -2, -3, -7, -11]),
@@ -721,10 +727,8 @@ def _sorted_triples(triples, decimals=None):
 def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach):
     F = make_field(kind)
     a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
-    if F.is_rational:
-        z = DNumber.from_xy(F, x.real, ay)
-    else:
-        z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
+    z = DNumber.from_xy(F, x.real, ay) if F.is_rational \
+        else DNumber.from_xy(F, x, ay * cmath.exp(1j * ang))
     ev = EisensteinEvaluator(OFLattice(F, a, z, b))
     hi, want = _brute_pairs(ev, reach)
     # (arg, phase, ratio) of each pair; the evaluator has one node
@@ -735,9 +739,9 @@ def test_pair_data_matches_brute_force(kind, x, ay, ang, ia, ib, reach):
     # returned, with their negatives, are the pairs up to hi
     both = np.concatenate([got, got])
     assert both.shape == want.shape
-    # rows whose rounded sort keys tie may be permuted; they differ by < 1e-9
-    np.testing.assert_allclose(_sorted_triples(both, 9),
-                               _sorted_triples(want, 9), rtol=1e-12, atol=1e-9)
+    # rows whose sort keys tie may be permuted; they differ by < 1e-9
+    np.testing.assert_allclose(_sorted_triples(both), _sorted_triples(want),
+                               rtol=1e-12, atol=1e-9)
 
 
 def _recording_pair_data(ev):
@@ -788,7 +792,7 @@ def test_term3_is_the_all_pairs_sum_over_w(d, equal):
     F = make_field(d)
     O = FracIdeal.unit_ideal(F)
     a = O if equal else FracIdeal(F, gen=QuadElement(F, Fraction(2), Fraction(0)))
-    z = DNumber(F, (Quaternion(0.3 + 0.2j, 0.8 + 0.4j),))
+    z = DNumber.from_xy(F, 0.3 + 0.2j, 0.8 + 0.4j)
     ev = EisensteinEvaluator(OFLattice(F, a, z, O))
     s = 1.7
     cutoffs, _ = _recording_pair_data(ev)
@@ -846,9 +850,7 @@ def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
     ys = np.array([ay * cmath.exp(1j * ang) for _, ay, ang in nodes])
     if F.is_rational:
         xs, ys = xs.real, np.abs(ys)
-        z = DNumber.from_xy(F, xs[0], ys[0])
-    else:
-        z = DNumber(F, (Quaternion(xs[0], ys[0]),))
+    z = DNumber.from_xy(F, xs[0], ys[0])
     ev = EisensteinEvaluator(OFLattice(F, a, z, b)).at_point(xs, ys)
     s = complex(sigma, t)
     ny = np.abs(ev.y_red) ** n_v
@@ -1111,7 +1113,7 @@ def test_direct_meets_tol_against_a_tighter_sum(kind, ia, ib, x, ay, ang, s,
         lat = lat_q(x.real, ay, ia, ib)
     else:
         a, b = FracIdeal(F, gen=Fraction(ia)), FracIdeal(F, gen=Fraction(ib))
-        z = DNumber(F, (Quaternion(x, ay * cmath.exp(1j * ang)),))
+        z = DNumber.from_xy(F, x, ay * cmath.exp(1j * ang))
         lat = OFLattice(F, a, z, b)
     ev = EisensteinEvaluator(lat)
     try:

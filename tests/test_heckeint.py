@@ -18,17 +18,9 @@ from heckeis.heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                               torus_measure_identity, xi_K_oracle)
 from heckeis.lattice import OFLattice
 from heckeis.zeta import c_F, class_number
+from lattice_helpers import same_span
 
 Q = make_field("Q")
-
-
-def same_span(M, N):
-    """Whether the columns of M and N span one Z-lattice: N = M C with C
-    integral and det C = +-1."""
-    C = np.linalg.solve(M, N)
-    R = np.round(C)
-    return bool(np.all(np.abs(C - R) < 1e-9)) \
-        and round(abs(np.linalg.det(R))) == 1
 
 
 def lift(sign, tau):
@@ -315,6 +307,20 @@ def test_torus_integral_raises_when_rounding_exceeds_tol():
     err = info.value
     assert err.tol == 1e-8 and err.last_delta > err.tol / 8
     assert err.cutoff == setup.period / err.points
+    # the limit formula's error names the caller's tol, not a scaled one
+    with pytest.raises(ConvergenceError, match=r"tol/8 = 1\.25e-09") as info:
+        relative_klf_check(setup, 1e-8)
+    assert info.value.tol == 1e-8
+
+
+@pytest.mark.parametrize("d", [5, 193])
+def test_relative_klf_asks_each_node_for_a_quarter_of_tol(monkeypatch, d):
+    # a node error e moves the quadrature term by C_F e, whatever R is
+    tols, h_value = [], EisensteinEvaluator.h_value
+    monkeypatch.setattr(EisensteinEvaluator, "h_value",
+                        lambda ev, tol: tols.append(tol) or h_value(ev, tol))
+    relative_klf_check(HeckeSetup(make_field(d)), 1e-8)
+    assert set(tols) == {2.5e-9}
 
 
 def _squarefree(n):

@@ -11,51 +11,36 @@ from hypothesis import strategies as st
 
 from heckeis import lattice
 from heckeis.basefield import FracIdeal, make_field
-from heckeis.dalgebra import DNumber, Quaternion
+from heckeis.dalgebra import DNumber
 from heckeis.errors import DegenerateLatticeError, EnumerationCapError
 from heckeis.lattice import OFLattice, ball_points
+from heckeis.verify import _quaternion_matrix
+from lattice_helpers import lat_q, lat_quat, same_span
 
 Q = make_field("Q")
 ZZ = FracIdeal.unit_ideal(Q)
 
 
-def lat_q(x, y, a=1, b=1):
-    return OFLattice(Q, FracIdeal(Q, gen=Fraction(a)),
-                     DNumber.from_xy(Q, x, y), FracIdeal(Q, gen=Fraction(b)))
-
-
-def lat_quat(F, x, y, a=None, b=None):
-    a = a or FracIdeal.unit_ideal(F)
-    b = b or FracIdeal.unit_ideal(F)
-    return OFLattice(F, a, DNumber(F, (Quaternion(x, y),)), b)
-
-
 def point(v):
     """The point of D_F with coordinates v, in the convention of
-    OFLattice.M: (re, im) over Q, (re x, im x, re y, im y) otherwise."""
+    OFLattice.M: re + im i over Q from (re, im), and otherwise x + y j from
+    (re x, im x, re y, im y) as the matrix [[x, y], [-conj y, conj x]],
+    whose products are quaternion products."""
     if len(v) == 2:
         return complex(v[0], v[1])
-    return Quaternion(complex(v[0], v[1]), complex(v[2], v[3]))
+    return _quaternion_matrix(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
 def coords(p):
-    if isinstance(p, Quaternion):
-        return [p.x.real, p.x.imag, p.y.real, p.y.imag]
-    return [p.real, p.imag]
+    if isinstance(p, complex):
+        return [p.real, p.imag]
+    x, y = p[0]
+    return [x.real, x.imag, y.real, y.imag]
 
 
 def mul_matrix(f, dim):
     """The real matrix of a real-linear map f of D_F, such as l -> c l."""
     return np.column_stack([coords(f(point(e))) for e in np.eye(dim)])
-
-
-def same_span(M, N):
-    """Whether the columns of M and N span one Z-lattice: N = M C with C
-    integral and det C = +-1."""
-    C = np.linalg.solve(M, N)
-    R = np.round(C)
-    return bool(np.all(np.abs(C - R) < 1e-9)) \
-        and round(abs(np.linalg.det(R))) == 1
 
 
 def test_volume_basic():
@@ -156,7 +141,7 @@ def test_dual_pairing_integrality():
     for v in lat.M.T:
         for w in dual.M.T:
             # Tr of the x-part of the product
-            e = 2 * (point(v) * point(w)).x.real
+            e = 2 * (point(v) @ point(w))[0, 0].real
             assert abs(e - round(e)) < 1e-10
 
 
@@ -206,13 +191,13 @@ def test_raw_sum_modular_invariance():
     # quaternionic case: right multiplication
     Fi = make_field(-1)
     latq = lat_quat(Fi, 0.2 + 0.3j, 0.9 - 0.1j)
-    zq = Quaternion(1 + 1j, 0.5 - 0.2j)
-    zlatq = OFLattice(Fi, z_basis=mul_matrix(lambda l: l * zq, 4) @ latq.M)
-    B = 8.0
+    zq = _quaternion_matrix(1 + 1j, 0.5 - 0.2j)
+    zlatq = OFLattice(Fi, z_basis=mul_matrix(lambda l: l @ zq, 4) @ latq.M)
+    B, norm = 8.0, np.linalg.det(zq).real        # |zq|^2
     q1 = sum(float(np.sum(n ** (-2 * s))) for n in latq.norm_chunks(B))
     q2 = sum(float(np.sum(n ** (-2 * s)))
-             for n in zlatq.norm_chunks(B * zq.abs2()))
-    assert abs(q2 - zq.abs2() ** (-2 * s) * q1) < 1e-9
+             for n in zlatq.norm_chunks(B * norm))
+    assert abs(q2 - norm ** (-2 * s) * q1) < 1e-9
 
 
 def test_norm_chunks_near_zero_floor_follows_the_norm():

@@ -37,3 +37,14 @@ def test_every_export_has_a_user_outside_the_tests():
     referenced = set().union(*map(_referenced, users))
     assert sorted(_exports() - referenced - TEST_ORACLES) == []
     assert TEST_ORACLES <= _exports()
+
+
+def test_only_dalgebra_constructs_z():
+    # every z of the library goes through DNumber.from_xy
+    calls = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
+             if p.name != "dalgebra.py"
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in {"Quaternion", "DNumber"}]
+    assert calls == []

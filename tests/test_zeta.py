@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from heckeis import lattice, zeta
 from heckeis.basefield import FracIdeal, QuadElement, dual_ideal, make_field
-from heckeis.dalgebra import DNumber, Quaternion
+from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import EnumerationCapError, PoleError, UnsupportedFieldError
 from heckeis.lattice import OFLattice, ball_points
@@ -457,7 +457,7 @@ def test_theta_split_pole_errors_name_the_pole_and_its_residue(F, s):
     # xi has residues -C_F, C_F at s = 0, 1 and Ehat -C_F/2, C_F/2
     pole, sign = (0.0, -1) if abs(s) < 0.5 else (1.0, 1)
     z = DNumber.from_xy(Q, 0.3, 1.7) if F.is_rational \
-        else DNumber(F, (Quaternion(0.3 + 0.2j, 0.8 + 0.4j),))
+        else DNumber.from_xy(F, 0.3 + 0.2j, 0.8 + 0.4j)
     O = FracIdeal.unit_ideal(F)
     ev = EisensteinEvaluator(OFLattice(F, O, z, O))
     for run, residue in [(completed_zeta(F, O).value, c_F(F)),
@@ -494,10 +494,9 @@ def test_theta_split_values_are_pinned():
         got = completed_zeta(F, ideal).value(s)
         assert abs(got - want) <= 1e-13 * abs(want)
     for F, gen, x, y, at_s, at_16, ct in PINNED_LATTICE:
-        z = DNumber.from_xy(F, x, y) if F.is_rational \
-            else DNumber(F, (Quaternion(x, y),))
         ev = EisensteinEvaluator(OFLattice(
-            F, FracIdeal(F, gen=Fraction(gen)), z, FracIdeal.unit_ideal(F)))
+            F, FracIdeal(F, gen=Fraction(gen)), DNumber.from_xy(F, x, y),
+            FracIdeal.unit_ideal(F)))
         for got, want in [(ev.ehat_lattice(0.3 + 0.5j), at_s),
                           (ev.ehat_lattice(1.6), at_16),
                           (ev.ct_lattice(), ct)]:
