@@ -11,6 +11,7 @@ Lebesgue on C (real place) and 4 * Lebesgue on H (complex place).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,6 +33,10 @@ _CHUNK_POINTS = 1 << 16
 # one array pass, in place of the level-by-level search: near the measured
 # crossover of the two on a 2-core x86-64 machine
 _DENSE_BOX = 8192
+# ball_points keeps the balls centred at the origin that it lists in one block,
+# up to this many bytes in all: the 60 such balls of a pass of the
+# continuation benchmark deck take 0.75 MB
+_BALL_CACHE_BYTES = 1 << 20
 
 
 def ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
@@ -152,7 +157,7 @@ class OFLattice:
         floor = 1e-12 * math.sqrt(self.covolume)
         for r2 in ball_points(self.M, self.euclid_radius(norm_bound),
                               r_min=self.euclid_radius(inner_bound)):
-            norms = np.sqrt(r2, out=r2) if self.field.is_rational else r2
+            norms = np.sqrt(r2) if self.field.is_rational else r2
             if float(norms.min()) < floor:
                 raise DegenerateLatticeError(
                     "enumerated a nonzero point of near-zero norm")
@@ -213,20 +218,61 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     (_dense_box), whose t_i and squared lengths come from the same
     floating-point operations in the same order as the levels': both give
     the same points, squared lengths and order, bit for bit.
+
+    A ball centred at the origin (r_min = 0) that comes out in one block is
+    kept, by basis and coeffs, at the largest radius listed so far, in a
+    cache of at most _BALL_CACHE_BYTES bytes that drops the least recently
+    used ball first (_BallCache).  A ball of that basis up to that radius is
+    then the kept block under the same test r^2 <= r_max^2 (1 + 1e-12):
+    the same points, squared lengths, coefficients and order as a fresh
+    enumeration, bit for bit.  The arrays of every ball of one block centred
+    at the origin are read-only, kept or not.  Annuli, balls of more than
+    one block and non-finite radii are listed afresh every time.
     """
+    cacheable = r_min == 0 and r >= 0
+    key = (M.tobytes(), M.shape, M.dtype.str, coeffs, _CHUNK_POINTS,
+           _DENSE_BOX)
+    kept = _BALLS.get(key, r) if cacheable else None
     dim = M.shape[0]
-    row_norms = (1 / np.abs(M[0]) if dim == 1
-                 else np.linalg.norm(np.linalg.inv(M), axis=1))
-    box = np.floor(row_norms * r + 1e-9)
+    if kept is not None:
+        row_norms = kept.row_norms
+    else:
+        row_norms = (1 / np.abs(M[0]) if dim == 1
+                     else np.linalg.norm(np.linalg.inv(M), axis=1))
+    # the box holds every point within the slack of the test on r^2 below
+    box = np.floor(row_norms * r * (1 + 1e-12) + 1e-9)
     # in Python integers, which do not wrap round past 2^63 as int64 does
     size = (math.prod(2 * int(k) + 1 for k in box)
             if np.isfinite(box).all() else math.inf)
     if size > ENUM_POINT_CAP:
         raise EnumerationCapError(f"enumeration box of {size} points "
                                   f"exceeds the cap {ENUM_POINT_CAP}")
-    radii = box.astype(np.int64)
     r2_max = r ** 2 * (1 + 1e-12)
-    r2_min = r_min ** 2 * (1 + 1e-12)
+    if kept is not None:
+        yield from kept.within(r2_max)
+        return
+    blocks = _enumerate(M, box.astype(np.int64), size, r, r2_max,
+                        r_min ** 2 * (1 + 1e-12), coeffs)
+    if not cacheable:
+        yield from blocks
+        return
+    # a second block, if any, is listed before the first is handed out
+    first, second = next(blocks, None), next(blocks, None)
+    if second is None:
+        _BALLS.put(key, r, row_norms, first)
+        if first is not None:
+            yield first
+        return
+    yield first
+    yield second
+    yield from blocks
+
+
+def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
+               r2_max: float, r2_min: float, coeffs: bool) -> Iterator:
+    """ball_points' search, in the coefficient box |c_i| <= radii[i] of
+    `size` points, with the radii's slack already in r2_max and r2_min."""
+    dim = M.shape[0]
     if dim == 1:
         for lo in range(1, radii[0] + 1, _CHUNK_POINTS):
             c = np.arange(lo, min(lo + _CHUNK_POINTS, radii[0] + 1))
@@ -324,6 +370,78 @@ def _dense_box(L: np.ndarray, radii: np.ndarray, r2_max: float,
     keep &= S > r2_min
     if keep.any():
         yield (S[keep], C[:, keep]) if coeffs else S[keep]
+
+
+class _Ball:
+    """A ball that ball_points listed in one block: its radius, the row
+    norms of M^-1 that size its box, and its read-only arrays (r2, and the
+    coefficient columns or None; r2 None for a ball without points)."""
+
+    def __init__(self, r: float, row_norms: np.ndarray, block):
+        self.r, self.row_norms = r, row_norms
+        r2, cols = block if isinstance(block, tuple) else (block, None)
+        for a in (r2, cols):
+            if a is not None:
+                a.flags.writeable = False
+        self.r2, self.cols = r2, cols
+        self.nbytes = sum(a.nbytes for a in (r2, cols, row_norms)
+                          if a is not None)
+
+    def within(self, r2_max: float) -> Iterator:
+        """The block's points with r^2 <= r2_max, as ball_points yields
+        them."""
+        if self.r2 is None:
+            return
+        keep = self.r2 <= r2_max
+        if keep.all():
+            r2, cols = self.r2, self.cols
+        elif not keep.any():
+            return
+        else:
+            r2 = self.r2[keep]
+            r2.flags.writeable = False
+            cols = None
+            if self.cols is not None:
+                cols = self.cols[:, keep]
+                cols.flags.writeable = False
+        yield r2 if cols is None else (r2, cols)
+
+
+class _BallCache:
+    """The balls ball_points keeps, least recently used first, at most
+    _BALL_CACHE_BYTES in all; a ball larger than that is not kept."""
+
+    def __init__(self):
+        self.nbytes = 0
+        self.balls = OrderedDict()
+
+    def get(self, key, r: float) -> Optional[_Ball]:
+        """The kept ball of this key if it reaches r, else None."""
+        ball = self.balls.get(key)
+        if ball is None or not r <= ball.r:
+            return None
+        self.balls.move_to_end(key)
+        return ball
+
+    def put(self, key, r: float, row_norms: np.ndarray, block):
+        """Make the one block (None for no points) of the ball of radius r
+        read-only, and keep it in place of a smaller ball of the same key if
+        it fits under the cap."""
+        ball = _Ball(r, row_norms, block)
+        if ball.nbytes > _BALL_CACHE_BYTES:
+            return
+        old = self.balls.pop(key, None)
+        self.nbytes += ball.nbytes - (old.nbytes if old else 0)
+        self.balls[key] = ball
+        while self.nbytes > _BALL_CACHE_BYTES:
+            self.nbytes -= self.balls.popitem(last=False)[1].nbytes
+
+    def clear(self):
+        self.balls.clear()
+        self.nbytes = 0
+
+
+_BALLS = _BallCache()
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
