@@ -340,25 +340,54 @@ class EisensteinEvaluator:
             / abs(np.linalg.det(M))
             for M, m in ((self.Mo, 1), (self.Mbstar, self.bmin))) / 2
         x0 = c * self.bmin
-        log_scale = np.log(10 / tol * np.maximum(scale, 1e-300))
+        # log(10 scale/tol) and the factors of (g X)^a 2 N(X) that do not
+        # depend on X
+        base = np.log(10 / tol * np.maximum(scale, 1e-300)) + a * np.log(g) \
+            + math.log(4 * dens) - n_v * np.log(c)
+        ln_x0 = np.log(x0)
 
-        def log_need(X):
-            # half of log(10 e^(2X) tail(X)/tol); K_a(X) = 2 kve(a, 2X) e^(-2X)
-            ln_q = np.log(X / x0)
-            count = dens * (X / c) ** n_v * (1 + n_v * ln_q)
-            k = a + n_v + n_v / (1 + n_v * ln_q)
-            return (log_scale + a * np.log(g * X) + np.log(2 * kve(a, 2 * X))
-                    + np.log(2 * count) - np.log(2 - k / X)) / 2
+        def log_need(X, slope=False):
+            # half of log(10 e^(2X) tail(X)/tol), with K_a(X) = 2 kve(a, 2X)
+            # e^(-2X) and 1 + n_v log Q = lq
+            ln_X = np.log(X)
+            lq = 1 + n_v * (ln_X - ln_x0)
+            k = a + n_v + n_v / lq
+            kv = kve(a, 2 * X)
+            need = (base + (a + n_v) * ln_X + np.log(lq * kv / (2 - k / X))) / 2
+            if not slope:
+                return need
+            # and its derivative in X: (log kve(a, z))' = 1 - a/z
+            # - kve(a - 1, z)/kve(a, z) (DLMF 10.29.2), k' = -n_v^2/(X lq^2)
+            return need, (n_v * (1 + 1 / lq) / X + 2
+                          - 2 * kve(a - 1, 2 * X) / kv
+                          - (k + (n_v / lq) ** 2) / (X * (2 * X - k))) / 2
 
-        # X suffices when log_need(X) <= X, which grows like (a/2) log X:
-        # from the least X the bound holds at, this climbs in a few steps
+        # X suffices when log_need(X) <= X; the least such X* is the fixed
+        # point of log_need, which grows like ((a + n_v)/2) log X.  From the
+        # least X the bound holds at, one fixed-point step comes within about
+        # 1 of X*.  Each further step solves the model log_need(t) = n +
+        # A log(t/X) through the last point (X, n) and aims 2.5e-4 above its
+        # root: A = X log_need'(X) at the first, about 1e-4 off X*; after it,
+        # A through the last two points.  A node is done once log_need(X)
+        # lies in [X - 5e-4, X], so that X* <= X <= X* + 5e-4/(1 - log_need')
         X = np.maximum(x0, a / 2 + n_v + 0.5)
-        while True:
-            need = log_need(X)
-            grow = need > X
-            if not grow.any():
-                return X, tol / 10 * np.exp(2 * (need - X))
-            X = np.where(grow, need + 1e-3, X)
+        need = log_need(X)
+        todo = need > X
+        if todo.any():
+            X = np.where(todo, need + 5e-4, X)
+            need, slope = log_need(X, slope=True)
+            A = X * slope
+            while True:
+                todo &= (need > X) | (need < X - 5e-4)
+                if not todo.any():
+                    break
+                Xo, no, Ao = X[todo], need[todo], A[todo]
+                t = no + Ao * np.log(no / Xo)
+                t -= (no + Ao * np.log(t / Xo) - t) / (Ao / t - 1)
+                X[todo] = t + 2.5e-4
+                need = log_need(X)
+                A[todo] = (need[todo] - no) / np.log(X[todo] / Xo)
+        return X, tol / 10 * np.exp(2 * (need - X))
 
     def term1(self, s: complex, tol: float = 1e-12):
         return self._shaped(_power(self.P_red, s) * self.zeta.value(2 * s, tol))

@@ -872,6 +872,47 @@ def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
         assert np.all(np.abs(k_nu) <= k_a * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("kind", ["Q", -1, -3, -7])
+@pytest.mark.parametrize("s", [1.0, 2.0, 0.3, 1.5 + 0.5j, 6.0, 2.5 + 30j])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_pair_cutoff_is_the_least_in_few_evaluations(kind, s, tol,
+                                                     monkeypatch):
+    # log_need(X) <= X proves tail(X) <= tol/10, and log_need(X) >= X - 5e-4
+    # puts X within about 5e-4 of the least such X: tail(X) =
+    # tol/10 e^(2 (log_need(X) - X)) lies in [tol/10 e^(-1e-3), tol/10],
+    # except where the bound holds from the least X it is proven at.  Each
+    # log_need evaluation takes one kve of order a (the slope another of
+    # order a - 1): 3.8 on average over these cases, where the plain
+    # fixed-point iteration X <- log_need(X) took 4 to 9 (6.0 on average)
+    F = make_field(kind)
+    n_v = 1 if F.is_rational else 2
+    xs = np.array([0.1, -0.4, 0.45, 0.2])
+    ys = np.array([0.9, 1.3, 2.5, 6.0])
+    if not F.is_rational:
+        ys = ys * np.exp(0.3j)
+    ev = EisensteinEvaluator(lat_quat(F, 0.1 + 0.2j, 0.9 + 0.1j)
+                             if n_v == 2 else lat_q(0.1, 0.9)).at_point(xs, ys)
+    scale = np.abs(ev.V ** (2 * s - 1) * np.abs(ev.y_red) ** (n_v * s)) \
+        / (F.w / 2) * (2 * math.pi) ** (n_v - 1)
+    a = n_v * abs(complex(s).real - 0.5)
+    orders = []
+    kve = eisenstein.kve
+
+    def counted(order, z):
+        orders.append(order)
+        return kve(order, z)
+
+    monkeypatch.setattr(eisenstein, "kve", counted)
+    X, tail = ev._pair_cutoff(complex(s), scale, tol)
+    assert 1 <= orders.count(a) <= 5
+    assert np.all(tail <= tol / 10 * (1 + 1e-12))
+    x0 = n_v * math.pi * np.abs(np.ravel(ev.y_red)) * ev.bmin
+    start = np.maximum(x0, a / 2 + n_v + 0.5)
+    moved = X > start
+    assert moved.any()
+    assert np.all(tail[moved] >= tol / 10 * math.exp(-1e-3))
+
+
 def test_pair_sum_raises_at_its_pair_cap(monkeypatch):
     # a pair sum that would build more than _PAIR_CAP pairs raises before
     # it builds them or evaluates a Bessel function (over Q(i) at s = 300

@@ -390,6 +390,169 @@ def test_ball_points_cap(monkeypatch):
         list(ball_points(M, 3.0))
 
 
+@pytest.fixture
+def empty_ball_cache():
+    """ball_points with no ball kept from earlier tests, and none left for
+    later ones."""
+    lattice._BALLS.clear()
+    yield lattice._BALLS
+    lattice._BALLS.clear()
+
+
+def _listed(M, r, coeffs, r_min=0.0):
+    """ball_points' output as bytes and lists, blocks kept apart."""
+    out = list(ball_points(M, r, coeffs=coeffs, r_min=r_min))
+    return [(o[0].tobytes(), o[1].tolist()) if coeffs else o.tobytes()
+            for o in out]
+
+
+def _counting_enumerations(monkeypatch):
+    calls = []
+    enumerate_ = lattice._enumerate
+
+    def counted(*args):
+        calls.append(args[3])
+        return enumerate_(*args)
+
+    monkeypatch.setattr(lattice, "_enumerate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("coeffs", [False, True])
+def test_kept_ball_is_a_fresh_enumeration_bit_for_bit(dim, coeffs, monkeypatch,
+                                                      empty_ball_cache):
+    # the radius the ball is kept at, below it (down to a radius with no
+    # point), at it again, and above it, where it is listed afresh
+    # the sheared bases hold about 3e4 points: room for them all
+    monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", 1 << 26)
+    calls = _counting_enumerations(monkeypatch)
+    R = {1: 40.0, 2: 4.0, 4: 1.8}[dim]
+    for M in _random_bases(dim, 3, seed=10 + dim) + [np.eye(dim)]:
+        radii = [R * f for f in (0.0, 0.3, 0.61, 0.9, 1.0)]
+        radii.append(min(np.abs(np.linalg.eigvalsh(M.T @ M))) ** 0.5 / 2)
+        fresh = {}
+        for r in radii + [1.3 * R]:
+            empty_ball_cache.clear()
+            fresh[r] = _listed(M, r, coeffs)
+        empty_ball_cache.clear()
+        assert _listed(M, R, coeffs) == fresh[R]
+        del calls[:]
+        for r in radii:
+            assert _listed(M, r, coeffs) == fresh[r], (M, r)
+        assert calls == []
+        assert _listed(M, 1.3 * R, coeffs) == fresh[1.3 * R]
+        assert calls == [1.3 * R]
+        # now kept at 1.3 R
+        assert _listed(M, R, coeffs) == fresh[R]
+        assert calls == [1.3 * R]
+
+
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       skew=st.floats(0.0, 3.0), radius=st.floats(0.1, 3.0),
+       below=st.floats(0.0, 1.0), coeffs=st.booleans())
+@settings(max_examples=60)
+def test_kept_ball_property(dim, seed, skew, radius, below, coeffs):
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.3, 2.0, dim)) \
+        + skew * np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+    M = M @ np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    try:
+        lattice._BALLS.clear()
+        want = _listed(M, below * radius, coeffs)
+        lattice._BALLS.clear()
+        _listed(M, radius, coeffs)
+        assert _listed(M, below * radius, coeffs) == want
+    finally:
+        lattice._BALLS.clear()
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_kept_ball_still_rejects_non_finite_radii(r, empty_ball_cache):
+    M = np.array([[1.0, 0.3], [0.2, 0.9]])
+    assert _listed(M, 5.0, False)
+    with pytest.raises(EnumerationCapError):
+        next(ball_points(M, r))
+
+
+def test_kept_ball_arrays_are_read_only(empty_ball_cache):
+    M = np.array([[1.0, 0.3], [0.2, 0.9]])
+    for r in (5.0, 5.0, 3.0):
+        for r2, cols in ball_points(M, r, coeffs=True):
+            with pytest.raises(ValueError, match="read-only"):
+                r2[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                cols[0, 0] = 1
+        for r2 in ball_points(M, r):
+            with pytest.raises(ValueError, match="read-only"):
+                r2 *= 2
+    # the norms of a lattice over Q are square roots of the kept r^2
+    lat = lat_q(0.3, 1.7)
+    first = np.concatenate(list(lat.norm_chunks(6.0)))
+    again = np.concatenate(list(lat.norm_chunks(6.0)))
+    assert np.array_equal(first, again)
+    r2 = np.concatenate(list(ball_points(lat.M, 6.0)))
+    assert np.array_equal(first, np.sqrt(r2))
+
+
+def test_annuli_and_balls_of_many_blocks_are_not_kept(monkeypatch,
+                                                      empty_ball_cache):
+    calls = _counting_enumerations(monkeypatch)
+    M = np.array([[1.0, 0.3], [0.2, 0.9]])
+    for _ in range(2):
+        list(ball_points(M, 6.0, r_min=2.0))
+    assert calls == [6.0, 6.0] and not empty_ball_cache.balls
+    # the level search, in blocks of about 16 points
+    monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 16)
+    for _ in range(2):
+        assert len(list(ball_points(M, 6.0))) > 1
+    assert calls == [6.0] * 4 and not empty_ball_cache.balls
+    # the same ball in one block is kept
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1 << 16)
+    list(ball_points(M, 6.0))
+    list(ball_points(M, 6.0))
+    assert calls == [6.0] * 5 and len(empty_ball_cache.balls) == 1
+
+
+def test_ball_cache_evicts_least_recently_used(monkeypatch, empty_ball_cache):
+    calls = _counting_enumerations(monkeypatch)
+    bases = [np.array([[1.0, 0.1 * k], [0.0, 1.0]]) for k in range(4)]
+    size = lattice._Ball(4.0, np.zeros(2),
+                         np.concatenate(list(ball_points(bases[0], 4.0)))
+                         ).nbytes
+    empty_ball_cache.clear()
+    del calls[:]
+    # room for two of the four balls (all of about the same size)
+    monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", int(2.5 * size))
+    for M in bases[:2]:
+        list(ball_points(M, 4.0))
+    list(ball_points(bases[0], 4.0))
+    assert len(calls) == 2
+    # the third ball evicts the second, the least recently used
+    list(ball_points(bases[2], 4.0))
+    assert len(empty_ball_cache.balls) == 2
+    assert empty_ball_cache.nbytes <= lattice._BALL_CACHE_BYTES
+    list(ball_points(bases[0], 4.0))
+    assert len(calls) == 3
+    list(ball_points(bases[1], 4.0))
+    assert len(calls) == 4
+    # a ball larger than the cap is not kept, and evicts nothing
+    kept = dict(empty_ball_cache.balls)
+    list(ball_points(bases[3], 40.0))
+    list(ball_points(bases[3], 40.0))
+    assert len(calls) == 6 and empty_ball_cache.balls == kept
+
+
+def test_ball_points_box_holds_the_slack_of_the_radius(empty_ball_cache):
+    # |c| = 10^4 lies within the ball's slack of r = 10^4/(1 + 4e-13), but
+    # r/|a| + 1e-9 rounds down to 9999: the box must carry the slack too
+    r = 1e4 / (1 + 4e-13)
+    assert 1e8 <= r * r * (1 + 1e-12)
+    out = np.concatenate(list(ball_points(np.eye(1), r)))
+    assert out.size == 10 ** 4 and out[-1] == 1e8
+
+
 def test_orientation_normalization():
     # y < 0 is normalized to y > 0 without changing the lattice
     lat_neg = lat_q(0.3, -1.7)
