@@ -353,7 +353,8 @@ class EisensteinEvaluator:
             lq = 1 + n_v * (ln_X - ln_x0)
             k = a + n_v + n_v / lq
             kv = kve(a, 2 * X)
-            need = (base + (a + n_v) * ln_X + np.log(lq * kv / (2 - k / X))) / 2
+            need = (base + (a + n_v) * ln_X
+                    + np.log(lq * kv / (2 - k / X))) / 2
             if not slope:
                 return need
             # and its derivative in X: (log kve(a, z))' = 1 - a/z

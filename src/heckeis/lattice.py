@@ -219,15 +219,16 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     floating-point operations in the same order as the levels': both give
     the same points, squared lengths and order, bit for bit.
 
-    A ball centred at the origin (r_min = 0) that comes out in one block is
-    kept, by basis and coeffs, at the largest radius listed so far, in a
-    cache of at most _BALL_CACHE_BYTES bytes that drops the least recently
-    used ball first (_BallCache).  A ball of that basis up to that radius is
-    then the kept block under the same test r^2 <= r_max^2 (1 + 1e-12):
-    the same points, squared lengths, coefficients and order as a fresh
-    enumeration, bit for bit.  The arrays of every ball of one block centred
-    at the origin are read-only, kept or not.  Annuli, balls of more than
-    one block and non-finite radii are listed afresh every time.
+    A ball centred at the origin (r_min = 0) that the search lists in one
+    block is kept, by basis and coeffs, at the largest radius listed so
+    far, in a cache of at most _BALL_CACHE_BYTES bytes that drops the least
+    recently used ball first (_BallCache).  A ball of that basis up to that
+    radius is then the kept block under the same test r^2 <= r_max^2 (1 +
+    1e-12): the same points, squared lengths, coefficients and order as a
+    fresh enumeration, bit for bit.  The arrays of every ball of one block
+    centred at the origin are read-only, kept or not.  Annuli, balls listed
+    in more than one block and non-finite radii are listed afresh every
+    time.
     """
     cacheable = r_min == 0 and r >= 0
     key = (M.tobytes(), M.shape, M.dtype.str, coeffs, _CHUNK_POINTS,
@@ -251,41 +252,37 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     if kept is not None:
         yield from kept.within(r2_max)
         return
-    blocks = _enumerate(M, box.astype(np.int64), size, r, r2_max,
-                        r_min ** 2 * (1 + 1e-12), coeffs)
-    if not cacheable:
+    n_blocks, blocks = _enumerate(M, box.astype(np.int64), size, r, r2_max,
+                                  r_min ** 2 * (1 + 1e-12), coeffs)
+    if not cacheable or n_blocks > 1:
         yield from blocks
         return
-    # a second block, if any, is listed before the first is handed out
-    first, second = next(blocks, None), next(blocks, None)
-    if second is None:
-        _BALLS.put(key, r, row_norms, first)
-        if first is not None:
-            yield first
-        return
-    yield first
-    yield second
-    yield from blocks
+    first = next(blocks, None)
+    _BALLS.put(key, r, row_norms, first)
+    if first is not None:
+        yield first
 
 
 def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
-               r2_max: float, r2_min: float, coeffs: bool) -> Iterator:
+               r2_max: float, r2_min: float, coeffs: bool):
     """ball_points' search, in the coefficient box |c_i| <= radii[i] of
-    `size` points, with the radii's slack already in r2_max and r2_min."""
+    `size` points, with the radii's slack already in r2_max and r2_min:
+    the number of blocks it cuts the box into (at most as many are
+    yielded), and an iterator of the blocks."""
     dim = M.shape[0]
     if dim == 1:
-        for lo in range(1, radii[0] + 1, _CHUNK_POINTS):
-            c = np.arange(lo, min(lo + _CHUNK_POINTS, radii[0] + 1))
-            r2 = (M[0, 0] * c) ** 2
-            keep = (r2 <= r2_max) & (r2 > r2_min)
-            if keep.any():
-                yield (r2[keep], c[None, keep]) if coeffs else r2[keep]
-        return
+        def line():
+            for lo in range(1, radii[0] + 1, _CHUNK_POINTS):
+                c = np.arange(lo, min(lo + _CHUNK_POINTS, radii[0] + 1))
+                r2 = (M[0, 0] * c) ** 2
+                keep = (r2 <= r2_max) & (r2 > r2_min)
+                if keep.any():
+                    yield (r2[keep], c[None, keep]) if coeffs else r2[keep]
+        return -(-int(radii[0]) // _CHUNK_POINTS), line()
     L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
     L *= np.sign(np.diag(L))[:, None]
     if size <= _DENSE_BOX:
-        yield from _dense_box(L, radii, r2_max, r2_min, coeffs)
-        return
+        return 1, _dense_box(L, radii, r2_max, r2_min, coeffs)
     # the intervals are widened by this allowance for rounding in t_i; the
     # test on the computed squared lengths decides
     pad = 1e-7 * r
@@ -342,10 +339,13 @@ def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
     chunk = _CHUNK_POINTS
     cuts = np.searchsorted(ends, np.arange(chunk, ends[-1] + chunk, chunk),
                            side="right")
-    for start, stop in zip([0, *cuts[:-1]], cuts):
-        r2, cols = block(slice(start, stop))
-        if r2.size:
-            yield (r2, cols) if coeffs else r2
+
+    def blocks():
+        for start, stop in zip([0, *cuts[:-1]], cuts):
+            r2, cols = block(slice(start, stop))
+            if r2.size:
+                yield (r2, cols) if coeffs else r2
+    return len(cuts), blocks()
 
 
 def _dense_box(L: np.ndarray, radii: np.ndarray, r2_max: float,
