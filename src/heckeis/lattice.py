@@ -231,6 +231,8 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     time.
     """
     cacheable = r_min == 0 and r >= 0
+    # with the block settings, which the tests vary to compare the paths of
+    # the search
     key = (M.tobytes(), M.shape, M.dtype.str, coeffs, _CHUNK_POINTS,
            _DENSE_BOX)
     kept = _BALLS.get(key, r) if cacheable else None
@@ -372,39 +374,39 @@ def _dense_box(L: np.ndarray, radii: np.ndarray, r2_max: float,
         yield (S[keep], C[:, keep]) if coeffs else S[keep]
 
 
+def _read_only(block):
+    """A block of ball_points, an array or a tuple of arrays, made
+    read-only."""
+    for a in block if isinstance(block, tuple) else (block,):
+        a.flags.writeable = False
+    return block
+
+
 class _Ball:
     """A ball that ball_points listed in one block: its radius, the row
-    norms of M^-1 that size its box, and its read-only arrays (r2, and the
-    coefficient columns or None; r2 None for a ball without points)."""
+    norms of M^-1 that size its box, and the block, read-only (None for a
+    ball without points)."""
 
     def __init__(self, r: float, row_norms: np.ndarray, block):
         self.r, self.row_norms = r, row_norms
-        r2, cols = block if isinstance(block, tuple) else (block, None)
-        for a in (r2, cols):
-            if a is not None:
-                a.flags.writeable = False
-        self.r2, self.cols = r2, cols
-        self.nbytes = sum(a.nbytes for a in (r2, cols, row_norms)
-                          if a is not None)
+        self.block = None if block is None else _read_only(block)
+        arrays = block if isinstance(block, tuple) else (block,)
+        self.nbytes = row_norms.nbytes + sum(a.nbytes for a in arrays
+                                             if a is not None)
 
     def within(self, r2_max: float) -> Iterator:
         """The block's points with r^2 <= r2_max, as ball_points yields
         them."""
-        if self.r2 is None:
+        if self.block is None:
             return
-        keep = self.r2 <= r2_max
+        coeffs = isinstance(self.block, tuple)
+        r2 = self.block[0] if coeffs else self.block
+        keep = r2 <= r2_max
         if keep.all():
-            r2, cols = self.r2, self.cols
-        elif not keep.any():
-            return
-        else:
-            r2 = self.r2[keep]
-            r2.flags.writeable = False
-            cols = None
-            if self.cols is not None:
-                cols = self.cols[:, keep]
-                cols.flags.writeable = False
-        yield r2 if cols is None else (r2, cols)
+            yield self.block
+        elif keep.any():
+            yield _read_only((r2[keep], self.block[1][:, keep]) if coeffs
+                             else r2[keep])
 
 
 class _BallCache:

@@ -1,10 +1,10 @@
 """Every @given test draws the same examples on every run of the same tree
 and the same selection of tests: derandomized, and without replaying
 examples saved in a local .hypothesis/ database.  Hypothesis also draws
-literals it collects from the loaded modules of the package and the tests,
-so a changed literal anywhere, or another selection of test files, can
-change the draws.  No per-example deadline: a run's speed varies with the
-load on the machine."""
+literals it collects from the local modules loaded at the time (those of
+the package and of the tests), so a changed literal in any of them, or
+another selection of tests, can change the draws.  No per-example
+deadline: a run's speed varies with the load on the machine."""
 
 from hypothesis import settings
 
