@@ -35,7 +35,7 @@ _CHUNK_POINTS = 1 << 16
 _DENSE_BOX = 8192
 # ball_points keeps the balls centred at the origin that it lists in one block,
 # up to this many bytes in all: the 60 such balls of a pass of the
-# continuation benchmark deck take 0.75 MB
+# continuation benchmark deck count 0.82 MB (0.75 MB of arrays)
 _BALL_CACHE_BYTES = 1 << 20
 
 
@@ -391,8 +391,11 @@ class _Ball:
         self.r, self.row_norms = r, row_norms
         self.block = None if block is None else _read_only(block)
         arrays = block if isinstance(block, tuple) else (block,)
-        self.nbytes = row_norms.nbytes + sum(a.nbytes for a in arrays
-                                             if a is not None)
+        # with 1 kB for the entry's Python objects (its key, this object and
+        # the array headers take about 700 bytes), so that many small balls
+        # stay under the cap too
+        self.nbytes = 1024 + row_norms.nbytes + sum(a.nbytes for a in arrays
+                                                    if a is not None)
 
     def within(self, r2_max: float) -> Iterator:
         """The block's points with r^2 <= r2_max, as ball_points yields

@@ -544,6 +544,16 @@ def test_ball_cache_evicts_least_recently_used(monkeypatch, empty_ball_cache):
     assert len(calls) == 6 and empty_ball_cache.balls == kept
 
 
+def test_ball_cache_counts_the_objects_of_each_ball(empty_ball_cache):
+    # 2,000 balls of a few points each: their arrays take 32 bytes a ball,
+    # their Python objects about 700; the cap holds at most 1,024 of them
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        list(ball_points(np.eye(2) + 0.01 * rng.normal(size=(2, 2)), 1.2))
+    assert len(empty_ball_cache.balls) <= lattice._BALL_CACHE_BYTES // 1024
+    assert empty_ball_cache.nbytes <= lattice._BALL_CACHE_BYTES
+
+
 def test_ball_points_box_holds_the_slack_of_the_radius(empty_ball_cache):
     # |c| = 10^4 lies within the ball's slack of r = 10^4/(1 + 4e-13), but
     # r/|a| + 1e-9 rounds down to 9999: the box must carry the slack too
