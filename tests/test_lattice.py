@@ -399,9 +399,9 @@ def empty_ball_cache():
     lattice._BALLS.clear()
 
 
-def _listed(M, r, coeffs, r_min=0.0):
+def _listed(M, r, coeffs):
     """ball_points' output as bytes and lists, blocks kept apart."""
-    out = list(ball_points(M, r, coeffs=coeffs, r_min=r_min))
+    out = list(ball_points(M, r, coeffs=coeffs))
     return [(o[0].tobytes(), o[1].tolist()) if coeffs else o.tobytes()
             for o in out]
 
@@ -423,8 +423,8 @@ def _counting_enumerations(monkeypatch):
 def test_kept_ball_is_a_fresh_enumeration_bit_for_bit(dim, coeffs, monkeypatch,
                                                       empty_ball_cache):
     # the radius the ball is kept at, below it (down to a radius with no
-    # point), at it again, and above it, where it is listed afresh
-    # the sheared bases hold about 3e4 points: room for them all
+    # point), at it again, and above it, where it is listed afresh; the
+    # sheared bases hold about 3e4 points, so the cap is raised to keep them
     monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", 1 << 26)
     calls = _counting_enumerations(monkeypatch)
     R = {1: 40.0, 2: 4.0, 4: 1.8}[dim]
