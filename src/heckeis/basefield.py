@@ -157,20 +157,6 @@ class QuadElement:
             return o
         return QuadElement(self.field, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -222,9 +208,6 @@ class QuadElement:
 
     def embeddings(self):
         return (self.field.embed(self, 0), self.field.embed(self, 1))
-
-    def __str__(self):
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}w"
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +412,6 @@ class FracIdeal:
         return cls(field, gen=field.one())
 
     @classmethod
-    def from_z_module(cls, field, gens):
-        """Ideal from a list of QuadElement generators (as an O-module:
-        generators are multiplied by 1 and omega)."""
-        return cls(field, hnf=_ideal_hnf_from_gens(field, gens))
-
-    @classmethod
     def from_hnf(cls, field, a: int, b: int, c: int, q=Fraction(1)):
         return cls(field, hnf=_canonical_hnf(Fraction(q), a, b, c))
 
@@ -453,31 +430,6 @@ class FracIdeal:
         q, a, b, c = self.hnf
         return [QuadElement(self.field, q * a, Fraction(0)),
                 QuadElement(self.field, q * b, q * c)]
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __mul__(self, other):
-        if self.field.is_rational:
-            return FracIdeal(self.field, gen=self.gen * other.gen)
-        gens = []
-        for g1 in self.z_basis():
-            for g2 in other.z_basis():
-                gens.append(g1 * g2)
-        out = FracIdeal.from_z_module(self.field, gens)
-        if self.gen is not None and other.gen is not None:
-            out.gen = self.gen * other.gen
-        return out
-
-    def inverse(self):
-        if self.field.is_rational:
-            return FracIdeal(self.field, gen=1 / self.gen)
-        n = self.absolute_norm()
-        gens = [g.conj() * QuadElement(self.field, 1 / n, Fraction(0))
-                for g in self.z_basis()]
-        out = FracIdeal.from_z_module(self.field, gens)
-        if self.gen is not None:
-            out.gen = self.gen.inverse()
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, FracIdeal):
@@ -533,14 +485,16 @@ def _ideal_hnf_from_gens(field, gens):
 def dual_ideal(F: FieldDescriptor, a: FracIdeal) -> FracIdeal:
     """The trace-dual ideal: the set of y with Tr(x*y) integral for all x in a.
 
-    Equals (a * different)^{-1}; the pairing exp(2 pi i Tr(x y)) is trivial
-    exactly on a x dual(a).  Computed once per field and ideal (equal
-    ideals hash alike): the result is shared, and no caller may change it.
+    Equals (a * different)^{-1} = conj(a)/(N(a) delta), delta the different
+    generator: one HNF of the conjugated Z-basis.  The pairing
+    exp(2 pi i Tr(x y)) is trivial exactly on a x dual(a).  Computed once
+    per field and ideal (equal ideals hash alike): the result is shared,
+    and no caller may change it.
     """
     if F.is_rational:
         return FracIdeal(F, gen=1 / a.gen)
-    diff = FracIdeal(F, gen=F.different_generator())
-    out = (a * diff).inverse()
-    if a.gen is not None:
-        out.gen = (a.gen * F.different_generator()).inverse()
-    return out
+    delta = F.different_generator()
+    scale = a.absolute_norm() * delta
+    hnf = _ideal_hnf_from_gens(F, [g.conj() / scale for g in a.z_basis()])
+    gen = None if a.gen is None else (a.gen * delta).inverse()
+    return FracIdeal(F, gen=gen, hnf=hnf)

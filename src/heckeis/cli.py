@@ -213,8 +213,15 @@ def cmd_eval_eisenstein(args) -> int:
     ev = EisensteinEvaluator(lat)
     tol = args.tol
     from .specialfun import gamma_F
-    ehat = ev.ehat(s, tol, method=args.method)
-    evalue = ehat / gamma_F(F, 2 * s)
+    # each route runs before Gamma_F(2s), so its own failure is the one shown;
+    # auto is the expansion, since a lattice given here has its pseudo-basis
+    if args.method == "direct":
+        evalue = ev.e_direct(s, tol)
+        ehat = gamma_F(F, 2 * s) * evalue
+    else:
+        route = ev.ehat_lattice if args.method == "lattice" else ev.ehat_expansion
+        ehat = route(s, tol)
+        evalue = ehat / gamma_F(F, 2 * s)
     _log(f"E(Lambda, {s}) = {evalue}")
     _log(f"Ehat(Lambda, {s}) = {ehat}")
     payload = {

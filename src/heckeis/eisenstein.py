@@ -459,21 +459,6 @@ class EisensteinEvaluator:
         return theta_split(self.F, s, self.lattice.M, self.lattice.covolume,
                            dual.M, dual.covolume, tol)
 
-    # ------------------------------------------------------------------- shared
-
-    def ehat(self, s: complex, tol: float = 1e-10, method: str = "auto") -> complex:
-        if method == "direct":
-            return gamma_F(self.F, 2 * complex(s)) * self.e_direct(s, tol)
-        if method == "expansion":
-            return self.ehat_expansion(s, tol)
-        if method == "lattice":
-            return self.ehat_lattice(s, tol)
-        if method != "auto":
-            raise ValueError(f"unknown method {method!r}")
-        if self.lattice.z is not None:
-            return self.ehat_expansion(s, tol)
-        return self.ehat_lattice(s, tol)
-
     # ------------------------------------------------------------ Laurent data
 
     def residue(self) -> float:

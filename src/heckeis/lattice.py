@@ -231,10 +231,7 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     time.
     """
     cacheable = r_min == 0 and r >= 0
-    # with the block settings, which the tests vary to compare the paths of
-    # the search
-    key = (M.tobytes(), M.shape, M.dtype.str, coeffs, _CHUNK_POINTS,
-           _DENSE_BOX)
+    key = (M.tobytes(), M.shape, M.dtype.str, coeffs)
     kept = _BALLS.get(key, r) if cacheable else None
     dim = M.shape[0]
     if kept is not None:

@@ -287,13 +287,18 @@ def partial_zeta_series(F: FieldDescriptor, ideal: FracIdeal, s: complex,
 
     Returns (value, tail_bound): the value includes the integral tail
     correction, tail_bound is the crude c * X^(1 - Re s) magnitude of the
-    uncorrected tail.  Requires Re s > 1.1, and F = Q or imaginary
-    quadratic; any other field raises UnsupportedFieldError.
+    uncorrected tail.  Requires Re s > 1.1, a finite cutoff > 0 (>= 1 over
+    Q), and F = Q or imaginary quadratic; any other field raises
+    UnsupportedFieldError.
     """
     s = complex(s)
     if s.real <= 1.1:
         raise ValueError("partial zeta series needs Re s > 1.1")
     X = float(cutoff)
+    # over Q the Euler-Maclaurin tail starts at floor(cutoff) >= 1
+    if not (math.isfinite(X) and X > 0) or (F.is_rational and X < 1):
+        raise ValueError(f"partial zeta series needs a finite cutoff > 0 "
+                         f"(>= 1 over Q), got cutoff={cutoff!r}")
     if F.is_rational:
         # orbit representatives are positive rationals a*m; the value is
         # independent of the ideal.  ball_points yields m^2, chunked and

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckeis.basefield import (FracIdeal, QuadElement, _make_field_cached,
@@ -195,6 +195,16 @@ def exact_pairing_is_unimodular(F, ideal, dual):
     assert det in (1, -1)
 
 
+def check_dual(F, a):
+    """dual(a) pairs unimodularly with a, dual(dual(a)) = a, and a known
+    generator of a gives one of dual(a)."""
+    b = dual_ideal(F, a)
+    exact_pairing_is_unimodular(F, a, b)
+    assert dual_ideal(F, b) == a
+    if a.gen is not None:
+        assert FracIdeal(F, gen=b.gen) == b
+
+
 @pytest.mark.parametrize("d", [-1, -3, -5, 5, 2])
 def test_dual_ideal_pairing_and_involution(d):
     F = make_field(d)
@@ -202,10 +212,26 @@ def test_dual_ideal_pairing_and_involution(d):
               FracIdeal(F, gen=QuadElement(F, Fraction(2), Fraction(1))),
               FracIdeal.from_hnf(F, 2, 1, 1) if d == -5
               else FracIdeal(F, gen=QuadElement(F, Fraction(1), Fraction(1)))]
+    # the same ideals without a generator, and scaled by 3/2
+    ideals += [FracIdeal.from_hnf(F, *A.hnf[1:], q=A.hnf[0] * Fraction(3, 2))
+               for A in ideals]
+    if d == -5:
+        # the two primes above 3, which are not principal either
+        ideals += [FracIdeal.from_hnf(F, 3, 1, 1), FracIdeal.from_hnf(F, 3, 2, 1)]
     for a in ideals:
-        b = dual_ideal(F, a)
-        exact_pairing_is_unimodular(F, a, b)
-        assert dual_ideal(F, b) == a
+        check_dual(F, a)
+
+
+@given(st.sampled_from([-1, -2, -3, -7, -11, -5, 2, 3, 5, 13]),
+       st.integers(-6, 6), st.integers(-6, 6))
+@settings(max_examples=80, derandomize=True)
+def test_dual_ideal_of_a_drawn_generator(d, a, b):
+    F = make_field(d)
+    x = QuadElement(F, Fraction(a), Fraction(b))
+    assume(not x.is_zero())
+    A = FracIdeal(F, gen=x)
+    assert A.absolute_norm() == abs(x.norm())
+    check_dual(F, A)
 
 
 def test_dual_ideal_gaussian():
@@ -216,28 +242,6 @@ def test_dual_ideal_gaussian():
     assert d.absolute_norm() == Fraction(1, 4)
     gen = QuadElement(F, Fraction(0), Fraction(2)).inverse()   # 1/(2i)
     assert FracIdeal(F, gen=gen) == d
-
-
-def test_hnf_product_inverse_is_unit_ideal():
-    F = make_field(-5)
-    A = FracIdeal.from_hnf(F, 2, 1, 1)
-    assert A.absolute_norm() == 2
-    prod = A * A.inverse()
-    assert prod == FracIdeal.unit_ideal(F)
-    assert prod.absolute_norm() == 1
-
-
-@given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
-       st.integers(-8, 8))
-@settings(max_examples=40)
-def test_ideal_norm_multiplicative(a1, b1, a2, b2):
-    F = make_field(-7)
-    x = QuadElement(F, Fraction(a1), Fraction(b1))
-    y = QuadElement(F, Fraction(a2), Fraction(b2))
-    if x.is_zero() or y.is_zero():
-        return
-    A, B = FracIdeal(F, gen=x), FracIdeal(F, gen=y)
-    assert (A * B).absolute_norm() == A.absolute_norm() * B.absolute_norm()
 
 
 def test_invalid_hnf_rejected():
@@ -259,6 +263,7 @@ def test_ideal_contains_and_z_basis():
 
     F = make_field(-5)
     A = FracIdeal.from_hnf(F, 2, 1, 1)
+    assert A.absolute_norm() == 2
     assert contains(A, QuadElement(F, Fraction(2), Fraction(0)))
     assert contains(A, QuadElement(F, Fraction(1), Fraction(1)))
     assert not contains(A, F.one())

@@ -8,6 +8,7 @@ from heckeis.cli import (ENV_VAR, CliParseError, build_parser, default_tol,
                          main)
 from heckeis.eisenstein import EisensteinEvaluator
 from heckeis.errors import ConvergenceError
+from heckeis.specialfun import gamma_F
 from heckeis.verify import run_suite
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -28,6 +29,22 @@ def test_eval_eisenstein_example(capsys):
     assert abs(payload["E"]["re"] - 3.0134060198459700) < 1e-6
     assert abs(payload["E"]["im"]) < 1e-12
     assert "E(Lambda" in err
+
+
+def test_eval_direct_reports_e_direct_bit_for_bit(capsys):
+    # E is e_direct's own value and Ehat = Gamma_F(2s) E, with no
+    # multiply-and-divide round trip through Gamma_F(2s)
+    F, lattice, s = make_field("Q"), "1,0.3+1.7,1", complex(2.2, 1)
+    code, out, _ = run_cli(
+        capsys, "eval-eisenstein", "--base-field", "Q", "--lattice", lattice,
+        "--s", "2.2,1", "--method", "direct")
+    assert code == 0
+    payload = json.loads(out)
+    ev = EisensteinEvaluator(cli.parse_lattice(F, lattice))
+    want = ev.e_direct(s, payload["parameters"]["tol"])
+    assert complex(payload["E"]["re"], payload["E"]["im"]) == want
+    assert complex(payload["Ehat"]["re"], payload["Ehat"]["im"]) \
+        == gamma_F(F, 2 * s) * want
 
 
 def test_eval_auto_method_small_s(capsys):

@@ -257,12 +257,13 @@ def _coeff_tuples(out, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
-def test_ball_points_match_brute_force(dim, monkeypatch):
+def test_ball_points_match_brute_force(dim, monkeypatch, empty_ball_cache):
     r = 1.6 if dim == 4 else 2.5
     # the identity basis has points of squared length 1, exactly the first
     # radius with its slack: only an exclusive inner bound counts them once
     radii = [1.0 / math.sqrt(1 + 1e-12), (1.0 + r) / 2, r]
     assert radii[0] ** 2 * (1 + 1e-12) == 1.0
+    calls = _counting_enumerations(monkeypatch)
     for k, M in enumerate(_random_bases(dim, 4, seed=dim) + [np.eye(dim)]):
         C_ref, r2_ref = _brute_ball(M, r)
         full = sorted(map(tuple, C_ref.T.tolist()))
@@ -272,7 +273,11 @@ def test_ball_points_match_brute_force(dim, monkeypatch):
                              (0, lattice._CHUNK_POINTS), (0, 37)]:
             monkeypatch.setattr(lattice, "_DENSE_BOX", dense)
             monkeypatch.setattr(lattice, "_CHUNK_POINTS", chunk)
+            # the cache keys on no setting: a kept ball would skip the path
+            empty_ball_cache.clear()
+            del calls[:]
             out = list(ball_points(M, r, coeffs=True))
+            assert calls == [r]
             r2 = np.concatenate([np.zeros(0)] + [a for a, _ in out])
             C = np.concatenate([np.zeros((dim, 0), dtype=np.int64)]
                                + [c for _, c in out], axis=1)
@@ -346,7 +351,11 @@ def test_ball_points_dense_box_matches_level_search(dim, seed, skew, shear,
     def run(dense):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "_DENSE_BOX", dense)
+            lattice._BALLS.clear()
+            calls = _counting_enumerations(mp)
             out = list(ball_points(M, r, coeffs=coeffs, r_min=inner * r))
+            lattice._BALLS.clear()
+        assert calls == [r]
         r2 = b"".join((o[0] if coeffs else o).tobytes() for o in out)
         C = [col for _, c in out for col in c.T.tolist()] if coeffs else None
         return r2, C
@@ -505,11 +514,13 @@ def test_annuli_and_balls_of_many_blocks_are_not_kept(monkeypatch,
     # the level search, in blocks of about 16 points
     monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 16)
+    empty_ball_cache.clear()
     for _ in range(2):
         assert len(list(ball_points(M, 6.0))) > 1
     assert calls == [6.0] * 4 and not empty_ball_cache.balls
     # the same ball in one block is kept
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1 << 16)
+    empty_ball_cache.clear()
     list(ball_points(M, 6.0))
     list(ball_points(M, 6.0))
     assert calls == [6.0] * 5 and len(empty_ball_cache.balls) == 1

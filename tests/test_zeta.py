@@ -206,6 +206,18 @@ def test_partial_zeta_requires_convergence_region():
         partial_zeta_series(Q, ZZ, 1.0, 1e4)
 
 
+@pytest.mark.parametrize("field, cutoff", [
+    (Q, 0.5), (Q, 0), (Q, -1), (Q, math.nan), (Q, math.inf),
+    (Fi, 0), (Fi, -1), (Fi, math.nan), (Fi, math.inf), (Fi, -math.inf)])
+def test_partial_zeta_rejects_a_bad_cutoff(field, cutoff, monkeypatch):
+    # named as the cutoff, before anything is enumerated: not a math domain
+    # error from log, nor an EnumerationCapError about an infinite box
+    monkeypatch.setattr(zeta, "ball_points", None)
+    with pytest.raises(ValueError, match="cutoff") as exc:
+        partial_zeta_series(field, FracIdeal.unit_ideal(field), 2.0, cutoff)
+    assert type(exc.value) is ValueError
+
+
 def test_zeta_k_class_unsupported():
     with pytest.raises(UnsupportedFieldError):
         zeta_K_class(make_field(-23), None, 2.0)
@@ -282,6 +294,7 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
 
     # the parameters pi m^2 of Z come one array per point
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1)
+    lattice._BALLS.clear()
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
     monkeypatch.setattr(zeta, "ball_points", arrays)
     got = gamma_lattice_sum(-1.5 + 0.4j, np.eye(1), math.pi, 1e-10, 1.0)
