@@ -11,6 +11,7 @@ Lebesgue on C (real place) and 4 * Lebesgue on H (complex place).
 from __future__ import annotations
 
 import math
+import mmap
 from collections import OrderedDict
 from typing import Iterator, Optional
 
@@ -33,10 +34,20 @@ _CHUNK_POINTS = 1 << 16
 # one array pass, in place of the level-by-level search: near the measured
 # crossover of the two on a 2-core x86-64 machine
 _DENSE_BOX = 8192
-# ball_points keeps the balls centred at the origin that it lists in one block,
-# up to this many bytes in all: the 60 such balls of a pass of the
-# continuation benchmark deck count 0.82 MB (0.75 MB of arrays)
-_BALL_CACHE_BYTES = 1 << 20
+# ball_points keeps the balls and annuli it lists (_BallCache), up to this
+# many bytes in all.  A pass of the seed-1 direct-sums benchmark deck lists
+# 1.92 M of its 7.80 M points a second time, in shells of up to 0.36 M
+# points (2.9 MB).  At this cap 1.19 M of them are served from kept shells
+# (0.50 M at 4 MB, 0.94 M at 6 MB, 1.89 M at 16 MB), which cut the deck's
+# wall time by 5% for 4.4% more peak RSS; 6 MB cut it by 3.5% and 4 MB not
+# at all.  The 60 one-block balls of a continuation pass take 0.82 MB
+_BALL_CACHE_BYTES = 8 << 20
+# a kept shell fills its memory map to within 2% (over the seed-1 deck, 29.7
+# MB of squared lengths in 30.1 MB of maps), so where the platform has
+# MAP_POPULATE the one mmap call faults all its pages in, not one fault a
+# page as the blocks are copied: that cut the deck's copying from 31 to 20 ms
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_POPULATE}
+              if hasattr(mmap, "MAP_POPULATE") else {})
 
 
 def ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
@@ -219,20 +230,29 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     floating-point operations in the same order as the levels': both give
     the same points, squared lengths and order, bit for bit.
 
-    A ball centred at the origin (r_min = 0) that the search lists in one
-    block is kept, by basis and coeffs, at the largest radius listed so
-    far, in a cache of at most _BALL_CACHE_BYTES bytes that drops the least
-    recently used ball first (_BallCache).  A ball of that basis up to that
-    radius is then the kept block under the same test r^2 <= r_max^2 (1 +
-    1e-12): the same points, squared lengths, coefficients and order as a
-    fresh enumeration, bit for bit.  The arrays of every ball of one block
-    centred at the origin are read-only, kept or not.  Annuli, balls listed
-    in more than one block and non-finite radii are listed afresh every
-    time.
+    What the search lists is kept per process, in one cache of at most
+    _BALL_CACHE_BYTES bytes that drops the least recently used entry first
+    (_BallCache), and served again bit for bit: the same points, squared
+    lengths, coefficients, blocks and order as a fresh enumeration.
+    - A ball centred at the origin (r_min = 0) that the search lists in one
+      block is kept by basis and coeffs, at the largest radius listed so
+      far.  A ball of that basis up to that radius is the kept block under
+      the same test r^2 <= r_max^2 (1 + 1e-12).  The arrays of every such
+      ball are read-only, kept or not.
+    - Any other shell listed with coeffs=False (an annulus, or a ball of
+      more than one block) is kept by basis and both radii exactly, if the
+      points its box can yield fit under the cap at 8 bytes each; that is
+      decided before the listing, from _enumerate's count of candidates.
+      Each block is copied, as it is yielded, into one anonymous memory
+      map (_Shell), outside the malloc heap, and the read-only copy is
+      what the caller gets.  A shell is kept once its last block has been
+      yielded.
+    Shells listed with coeffs=True, shells past the cap and non-finite
+    radii are listed afresh every time.
     """
-    cacheable = r_min == 0 and r >= 0
-    key = (M.tobytes(), M.shape, M.dtype.str, coeffs)
-    kept = _BALLS.get(key, r) if cacheable else None
+    basis = (M.tobytes(), M.shape, M.dtype.str)
+    cacheable = r >= 0
+    kept = _BALLS.get(basis, coeffs, r_min, r) if cacheable else None
     dim = M.shape[0]
     if kept is not None:
         row_norms = kept.row_norms
@@ -249,17 +269,16 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
                                   f"exceeds the cap {ENUM_POINT_CAP}")
     r2_max = r ** 2 * (1 + 1e-12)
     if kept is not None:
-        yield from kept.within(r2_max)
+        yield from kept.blocks(r2_max)
         return
-    n_blocks, blocks = _enumerate(M, box.astype(np.int64), size, r, r2_max,
-                                  r_min ** 2 * (1 + 1e-12), coeffs)
-    if not cacheable or n_blocks > 1:
+    n_blocks, points, blocks = _enumerate(M, box.astype(np.int64), size, r,
+                                          r2_max, r_min ** 2 * (1 + 1e-12),
+                                          coeffs)
+    if not cacheable:
         yield from blocks
         return
-    first = next(blocks, None)
-    _BALLS.put(key, r, row_norms, first)
-    if first is not None:
-        yield first
+    yield from _BALLS.keep(basis, coeffs, r_min, r, row_norms, n_blocks,
+                           points, blocks)
 
 
 def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
@@ -267,7 +286,8 @@ def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
     """ball_points' search, in the coefficient box |c_i| <= radii[i] of
     `size` points, with the radii's slack already in r2_max and r2_min:
     the number of blocks it cuts the box into (at most as many are
-    yielded), and an iterator of the blocks."""
+    yielded), the number of candidate points it tests (at least as many
+    as it yields), and an iterator of the blocks."""
     dim = M.shape[0]
     if dim == 1:
         def line():
@@ -277,11 +297,11 @@ def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
                 keep = (r2 <= r2_max) & (r2 > r2_min)
                 if keep.any():
                     yield (r2[keep], c[None, keep]) if coeffs else r2[keep]
-        return -(-int(radii[0]) // _CHUNK_POINTS), line()
+        return -(-int(radii[0]) // _CHUNK_POINTS), int(radii[0]), line()
     L = np.linalg.qr(M[:, ::-1], mode="r")[::-1, ::-1]
     L *= np.sign(np.diag(L))[:, None]
     if size <= _DENSE_BOX:
-        return 1, _dense_box(L, radii, r2_max, r2_min, coeffs)
+        return 1, size // 2, _dense_box(L, radii, r2_max, r2_min, coeffs)
     # the intervals are widened by this allowance for rounding in t_i; the
     # test on the computed squared lengths decides
     pad = 1e-7 * r
@@ -344,7 +364,7 @@ def _enumerate(M: np.ndarray, radii: np.ndarray, size: int, r: float,
             r2, cols = block(slice(start, stop))
             if r2.size:
                 yield (r2, cols) if coeffs else r2
-    return len(cuts), blocks()
+    return len(cuts), int(ends[-1]), blocks()
 
 
 def _dense_box(L: np.ndarray, radii: np.ndarray, r2_max: float,
@@ -394,7 +414,7 @@ class _Ball:
         self.nbytes = 1024 + row_norms.nbytes + sum(a.nbytes for a in arrays
                                                     if a is not None)
 
-    def within(self, r2_max: float) -> Iterator:
+    def blocks(self, r2_max: float) -> Iterator:
         """The block's points with r^2 <= r2_max, as ball_points yields
         them."""
         if self.block is None:
@@ -409,33 +429,108 @@ class _Ball:
                              else r2[keep])
 
 
+class _Shell:
+    """A shell that ball_points listed with coeffs=False and keeps whole:
+    the row norms of M^-1 that size its box, and its blocks of squared
+    lengths, read-only copies laid end to end in one anonymous memory map
+    of room for `points` of them.  The map is made at the first copy: a
+    shell without points has none."""
+
+    def __init__(self, row_norms: np.ndarray, points: int):
+        self.row_norms = row_norms
+        self.room = -(-8 * points // mmap.PAGESIZE) * mmap.PAGESIZE
+        # 1 kB for the entry's Python objects, as for a _Ball
+        self.nbytes = 1024 + row_norms.nbytes + self.room
+        self.map = None
+        self.parts = []
+        self.used = 0
+
+    def copy(self, r2: np.ndarray) -> np.ndarray:
+        """r2 copied into the map after the blocks before it, read-only."""
+        if self.map is None:
+            self.map = mmap.mmap(-1, self.room, **_MAP_FLAGS)
+        part = np.ndarray(r2.shape, np.float64, self.map, self.used)
+        part[...] = r2
+        part.flags.writeable = False
+        self.used += part.nbytes
+        self.parts.append(part)
+        return part
+
+    def blocks(self, r2_max: float) -> Iterator:
+        """The kept blocks, as ball_points yields them (r2_max is the one
+        the shell was listed under)."""
+        yield from self.parts
+
+
+def _shell_key(basis, r_min: float, r: float):
+    """The key a _Shell is kept under: its basis and both radii, exactly."""
+    return basis, r_min, r
+
+
 class _BallCache:
-    """The balls ball_points keeps, least recently used first, at most
-    _BALL_CACHE_BYTES in all; a ball larger than that is not kept."""
+    """The balls and shells ball_points keeps, least recently used first,
+    at most _BALL_CACHE_BYTES in all; one larger than that is not kept.  A
+    ball is kept under (basis, coeffs), a shell under _shell_key."""
 
     def __init__(self):
         self.nbytes = 0
         self.balls = OrderedDict()
 
-    def get(self, key, r: float) -> Optional[_Ball]:
-        """The kept ball of this key if it reaches r, else None."""
-        ball = self.balls.get(key)
-        if ball is None or not r <= ball.r:
+    def get(self, basis, coeffs: bool, r_min: float, r: float):
+        """The kept ball of the basis if r_min = 0 and it reaches r, else
+        the shell kept under these radii (coeffs=False only), else None."""
+        if r_min == 0:
+            ball = self.balls.get((basis, coeffs))
+            if ball is not None and r <= ball.r:
+                self.balls.move_to_end((basis, coeffs))
+                return ball
+        if coeffs:
             return None
-        self.balls.move_to_end(key)
-        return ball
+        key = _shell_key(basis, r_min, r)
+        shell = self.balls.get(key)
+        if shell is not None:
+            self.balls.move_to_end(key)
+        return shell
 
-    def put(self, key, r: float, row_norms: np.ndarray, block):
-        """Make the one block (None for no points) of the ball of radius r
-        read-only, and keep it in place of a smaller ball of the same key if
-        it fits under the cap."""
-        ball = _Ball(r, row_norms, block)
-        if ball.nbytes > _BALL_CACHE_BYTES:
+    def keep(self, basis, coeffs: bool, r_min: float, r: float,
+             row_norms: np.ndarray, n_blocks: int, points: int,
+             blocks: Iterator) -> Iterator:
+        """Yield the blocks of a fresh listing of `points` candidates in
+        `n_blocks` blocks and keep them: a ball centred at the origin in one
+        block as a _Ball, read-only whether kept or not; else, with
+        coeffs=False, as a _Shell if that fits under the cap.  Room for a
+        shell is made before its first block, and the shell is kept after
+        its last."""
+        if r_min == 0 and n_blocks <= 1:
+            first = next(blocks, None)
+            self._put((basis, coeffs), _Ball(r, row_norms, first))
+            if first is not None:
+                yield first
+            return
+        shell = _Shell(row_norms, points)
+        if coeffs or shell.nbytes > _BALL_CACHE_BYTES:
+            yield from blocks
+            return
+        self._evict(_BALL_CACHE_BYTES - shell.nbytes)
+        for r2 in blocks:
+            yield shell.copy(r2)
+        self._put(_shell_key(basis, r_min, r), shell)
+
+    def _put(self, key, entry):
+        """Keep entry under key, in place of what was kept there, if it
+        fits under the cap."""
+        if entry.nbytes > _BALL_CACHE_BYTES:
             return
         old = self.balls.pop(key, None)
-        self.nbytes += ball.nbytes - (old.nbytes if old else 0)
-        self.balls[key] = ball
-        while self.nbytes > _BALL_CACHE_BYTES:
+        self.nbytes -= old.nbytes if old else 0
+        self._evict(_BALL_CACHE_BYTES - entry.nbytes)
+        self.balls[key] = entry
+        self.nbytes += entry.nbytes
+
+    def _evict(self, limit: int):
+        """Drop the least recently used entries until at most limit bytes
+        are kept."""
+        while self.nbytes > limit:
             self.nbytes -= self.balls.popitem(last=False)[1].nbytes
 
     def clear(self):

@@ -9,7 +9,8 @@ Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
 direct Eisenstein sum, and the quadratic-extension integral formula at
 s = 2, 3 and 1.5 + 0.5i and over Q(sqrt193), each value against the
 Dirichlet-series oracle itself), specialfun (gamma factor,
-Bessel, kv against the trapezoid, and incomplete gamma checks).
+Bessel, kv against the trapezoid, and incomplete gamma checks), shells
+(one theta sum through two splits of a ball into a ball and an annulus).
 
 Suite functions only draw the deterministic inputs; the numerical work
 happens when the checks are executed by run_suite.
@@ -129,6 +130,40 @@ def checks_theta(seed: int = 7) -> List[Check]:
         checks.append(Check("dual-volume-product", F.label, {"draw": i}, 1e-10,
                             lambda lat=lat:
                             (lat.covolume * lat.dual().covolume, 1.0)))
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# shells suite
+
+
+def _theta_shell(lat: OFLattice, lo: float, hi: float) -> float:
+    """Theta(1, Lambda) over the points with lo < ||lambda|| <= hi: the sum
+    of exp(-n_v pi |lambda|^2) over both points of each +-pair."""
+    total = 0.0
+    for norms in lat.norm_chunks(hi, lo):
+        if lat.field.is_rational:
+            total += float(np.sum(np.exp(-math.pi * norms * norms)))
+        else:
+            total += float(np.sum(np.exp(-2.0 * math.pi * norms)))
+    return 2.0 * total
+
+
+def checks_shells(seed: int = 7) -> List[Check]:
+    """Theta(1) over the ball ||lambda|| <= 4, as a ball and an annulus
+    split at ||lambda|| = 1 and at 2.  ball_points keeps the annuli by
+    basis and both radii: each check asks for two annuli of one outer
+    radius, and every lattice of a base field for the same radii."""
+    rng = random.Random(seed)
+    checks = []
+    for i in range(20):
+        F = _field_of(SUPPORTED_BASE_DS[i % len(SUPPORTED_BASE_DS)])
+        lat = _random_lattice(rng, F)
+        checks.append(Check(
+            "theta-annuli", F.label, {"draw": i, "volume": lat.covolume},
+            1e-12, lambda lat=lat: tuple(_theta_shell(lat, 0.0, a)
+                                         + _theta_shell(lat, a, 4.0)
+                                         for a in (1.0, 2.0))))
     return checks
 
 
@@ -417,6 +452,7 @@ SUITES: Dict[str, Callable] = {
     "specialfun": lambda seed=7: (checks_specialfun(seed)
                                   + checks_incgamma(seed)
                                   + checks_bessel_kv(seed)),
+    "shells": checks_shells,
 }
 
 

@@ -3,9 +3,10 @@ catches a fault in it: a mutation test in the sense of DeMillo, Lipton and
 Sayward, "Hints on test data selection" (IEEE Computer 11, 1978).
 
 Each case perturbs one primitive in every module whose routes call it, by a
-relative 1e-7 or by dropping one lattice point, and runs the verify suite
-named for it (one of theta, specialfun, klf, fe and hecke; the fourier
-suite would catch most of them too, but takes longer than all five).  The
+relative 1e-7, by dropping one lattice point or by keeping lattice points
+under a wrong key, and runs the verify suite named for it (one of theta,
+specialfun, klf, fe, hecke and shells; the fourier suite would catch most
+of them too, but takes longer than all six).  The
 checks named for it must then be the ones of that suite that fail, or the
 library must raise.
 
@@ -81,17 +82,29 @@ MUTANTS = {
     "_torus_quadrature": ("hecke", ["hecke-integral-large-regulator",
                                     "hecke-integral-s3"], [
         (heckeint, "_torus_quadrature", _scaled(heckeint._torus_quadrature))]),
+    # the store of kept shells, which every route reads: a shell served
+    # under a key without its inner radius, or without its basis (for the
+    # basis' shape and dtype), is the points of another shell; theta-annuli
+    # asks for two annuli of one outer radius, at the same radii for every
+    # lattice of a base field
+    "_shell_key-no-r_min": ("shells", ["theta-annuli"], [
+        (lattice, "_shell_key", lambda basis, r_min, r: (basis, None, r))]),
+    "_shell_key-no-basis": ("shells", ["theta-annuli"], [
+        (lattice, "_shell_key",
+         lambda basis, r_min, r: (basis[1:], r_min, r))]),
 }
 
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the xi caches before the mutation, so that no value cached
-    earlier hides it, and after, so that none computed under it stays."""
+    """Clear the xi caches and the lattice points ball_points keeps before
+    the mutation, so that nothing cached earlier hides it, and after, so
+    that nothing computed under it stays."""
     def clear():
         zeta.completed_zeta.cache_clear()
         zeta.CompletedZeta.value.cache_clear()
         zeta.CompletedZeta.laurent_ct.cache_clear()
+        lattice._BALLS.clear()
 
     clear()
     yield

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, kv
 
-from heckeis import eisenstein, numerics, verify
+from heckeis import eisenstein, lattice, numerics, verify
 from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
@@ -1118,6 +1118,45 @@ def test_direct_reports_how_far_it_got(monkeypatch):
     # one point of each pair +-lambda of Z[i] with norm |lambda| <= 16
     assert err.points == sum(1 for m in range(-16, 17) for n in range(-16, 17)
                              if 0 < m * m + n * n <= 256) // 2
+
+
+def test_direct_sum_at_a_second_s_lists_no_shell_again(monkeypatch):
+    # the benchmark deck's pattern: one lattice at s = 2.5, then at
+    # 2.5 + 0.5i.  The second sum is served every shell the first listed
+    # (in blocks of about 256 points, so that the shells have many), and
+    # gives the value, and the point count of a raise, of a run with
+    # nothing kept.  Over 4Z + 4iZ the rounding floor at tol 8e-15 is
+    # 4.1e-16 < tol/16 at B = 8 and 5.5e-16 > tol/16 at B = 16: it raises
+    # after the annulus (8, 16]
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 256)
+    calls = []
+    enumerate_ = lattice._enumerate
+
+    def counted(*args):
+        calls.append(args[3])
+        return enumerate_(*args)
+
+    monkeypatch.setattr(lattice, "_enumerate", counted)
+
+    def second(lat, tol, warm):
+        lattice._BALLS.clear()
+        ev = EisensteinEvaluator(lat)
+        if warm:
+            ev.e_direct(2.5, 4e-10)
+        del calls[:]
+        try:
+            return ev.e_direct(2.5 + 0.5j, tol), calls[:]
+        except ConvergenceError as err:
+            return (err.cutoff, err.points), calls[:]
+        finally:
+            lattice._BALLS.clear()
+
+    for lat, tol in [(lat_quat(Fi, 0.1 + 0.2j, 1.0 + 0.3j), 4e-10),
+                     (lat_q(0.0, 1.0, a=4, b=4), 8e-15)]:
+        cold, listed = second(lat, tol, warm=False)
+        assert len(listed) >= 2
+        assert second(lat, tol, warm=True) == (cold, [])
+    assert cold == (16.0, 24)
 
 
 def test_direct_decay_exit_ignores_a_change_small_by_chance():

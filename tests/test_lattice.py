@@ -1,5 +1,6 @@
 import cmath
 import math
+import mmap
 import random
 import tracemalloc
 from fractions import Fraction
@@ -504,26 +505,131 @@ def test_kept_ball_arrays_are_read_only(empty_ball_cache):
     assert np.array_equal(first, np.sqrt(r2))
 
 
-def test_annuli_and_balls_of_many_blocks_are_not_kept(monkeypatch,
-                                                      empty_ball_cache):
+def _shells(M, requests):
+    """ball_points' squared lengths for each (r_min, r) in turn, as bytes,
+    blocks kept apart."""
+    return [[r2.tobytes() for r2 in ball_points(M, r, r_min=r_min)]
+            for r_min, r in requests]
+
+
+def _random_basis(dim, seed, skew):
+    rng = np.random.default_rng(seed)
+    M = np.diag(rng.uniform(0.3, 2.0, dim)) \
+        + skew * np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+    return M @ np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_kept_shell_is_a_fresh_listing_bit_for_bit(dim, monkeypatch,
+                                                   empty_ball_cache):
+    # the level search in blocks of about 64 points: balls of many blocks,
+    # and annuli, each listed once and then served with the same squared
+    # lengths, blocks and order
+    monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 64)
     calls = _counting_enumerations(monkeypatch)
+    R = {1: 400.0, 2: 4.0, 4: 1.8}[dim]
+    requests = [(0.0, R), (0.3 * R, R), (0.3 * R, 0.7 * R), (0.7 * R, R)]
+    blocks = []
+    for M in _random_bases(dim, 2, seed=20 + dim) + [np.eye(dim)]:
+        fresh = []
+        for req in requests:
+            empty_ball_cache.clear()
+            fresh += _shells(M, [req])
+        blocks.append(len(fresh[0]))
+        empty_ball_cache.clear()
+        del calls[:]
+        assert _shells(M, requests) == fresh
+        assert _shells(M, requests) == fresh
+        assert calls == [r for _, r in requests]
+    assert max(blocks) > 10
+
+
+def test_kept_shell_arrays_are_read_only_and_mapped(monkeypatch,
+                                                    empty_ball_cache):
+    # an annulus, and a ball of several blocks of about 16 points: as
+    # listed and as served, read-only copies in an anonymous memory map
     M = np.array([[1.0, 0.3], [0.2, 0.9]])
-    for _ in range(2):
-        list(ball_points(M, 6.0, r_min=2.0))
-    assert calls == [6.0, 6.0] and not empty_ball_cache.balls
-    # the level search, in blocks of about 16 points
     monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 16)
+    for r_min in (2.0, 0.0):
+        for _ in range(2):
+            blocks = list(ball_points(M, 6.0, r_min=r_min))
+            assert len(blocks) > 1
+            for r2 in blocks:
+                assert isinstance(r2.base, mmap.mmap)
+                with pytest.raises(ValueError, match="read-only"):
+                    r2[0] = 1.0
+    assert len(empty_ball_cache.balls) == 2
+
+
+def test_shell_past_the_cap_is_neither_kept_nor_copied(monkeypatch,
+                                                       empty_ball_cache):
+    calls = _counting_enumerations(monkeypatch)
+    M = np.array([[1.0, 0.3], [0.2, 0.9]])
+    points = sum(r2.size for r2 in ball_points(M, 40.0, r_min=2.0))
     empty_ball_cache.clear()
+    list(ball_points(M, 3.0))
+    kept = dict(empty_ball_cache.balls)
+    # room for the kept ball, and for the points but not the shell's
+    # overhead
+    monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", 8 * points)
+    assert empty_ball_cache.nbytes < 8 * points
+    del calls[:]
     for _ in range(2):
-        assert len(list(ball_points(M, 6.0))) > 1
-    assert calls == [6.0] * 4 and not empty_ball_cache.balls
-    # the same ball in one block is kept
-    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1 << 16)
+        for r2 in ball_points(M, 40.0, r_min=2.0):
+            assert not isinstance(r2.base, mmap.mmap) and r2.flags.writeable
+    assert calls == [40.0, 40.0] and empty_ball_cache.balls == kept
+
+
+def test_ball_cache_evicts_balls_and_shells_alike(monkeypatch,
+                                                  empty_ball_cache):
+    calls = _counting_enumerations(monkeypatch)
+    M = np.array([[1.0, 0.3], [0.2, 0.9]])
+    ball, near, far = (0.0, 4.0), (4.0, 8.0), (8.0, 12.0)
+    _shells(M, [ball, near, far])
+    size = {k: e.nbytes for k, e in empty_ball_cache.balls.items()}
+    assert len(size) == 3
     empty_ball_cache.clear()
-    list(ball_points(M, 6.0))
-    list(ball_points(M, 6.0))
-    assert calls == [6.0] * 5 and len(empty_ball_cache.balls) == 1
+    # room for any two of the three entries, a _Ball and two _Shells
+    monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", sum(size.values()) - 1)
+    del calls[:]
+    _shells(M, [ball, near, ball])
+    assert calls == [4.0, 8.0]
+    # the far annulus evicts the near one, the least recently used
+    _shells(M, [far, ball])
+    assert calls == [4.0, 8.0, 12.0]
+    _shells(M, [near])
+    assert calls == [4.0, 8.0, 12.0, 8.0]
+    # which evicted the far annulus, not the ball used since
+    _shells(M, [ball, far])
+    assert calls == [4.0, 8.0, 12.0, 8.0, 12.0]
+    assert empty_ball_cache.nbytes <= lattice._BALL_CACHE_BYTES
+
+
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       skew=st.floats(0.0, 3.0), blocks_of_16=st.booleans(),
+       requests=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 0.8, 1.3]),
+                                   st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+                         min_size=1, max_size=8))
+@settings(max_examples=60)
+def test_kept_shells_property(dim, seed, skew, blocks_of_16, requests):
+    # balls and annuli asked for in any order, with repeats, against the
+    # same shells listed with nothing kept
+    M = _random_basis(dim, seed, skew)
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks_of_16:
+            mp.setattr(lattice, "_DENSE_BOX", 0)
+            mp.setattr(lattice, "_CHUNK_POINTS", 16)
+        try:
+            fresh = {}
+            for req in requests:
+                lattice._BALLS.clear()
+                fresh[req] = _shells(M, [req])[0]
+            lattice._BALLS.clear()
+            assert _shells(M, requests) == [fresh[req] for req in requests]
+        finally:
+            lattice._BALLS.clear()
 
 
 def test_ball_cache_evicts_least_recently_used(monkeypatch, empty_ball_cache):
