@@ -11,7 +11,6 @@ Lebesgue on C (real place) and 4 * Lebesgue on H (complex place).
 from __future__ import annotations
 
 import math
-import mmap
 from collections import OrderedDict
 from typing import Iterator, Optional
 
@@ -35,19 +34,14 @@ _CHUNK_POINTS = 1 << 16
 # crossover of the two on a 2-core x86-64 machine
 _DENSE_BOX = 8192
 # ball_points keeps the balls and annuli it lists (_BallCache), up to this
-# many bytes in all.  A pass of the seed-1 direct-sums benchmark deck lists
-# 1.92 M of its 7.80 M points a second time, in shells of up to 0.36 M
-# points (2.9 MB).  At this cap 1.19 M of them are served from kept shells
-# (0.50 M at 4 MB, 0.94 M at 6 MB, 1.89 M at 16 MB), which cut the deck's
-# wall time by 5% for 4.4% more peak RSS; 6 MB cut it by 3.5% and 4 MB not
-# at all.  The 60 one-block balls of a continuation pass take 0.82 MB
-_BALL_CACHE_BYTES = 8 << 20
-# a kept shell fills its memory map to within 2% (over the seed-1 deck, 29.7
-# MB of squared lengths in 30.1 MB of maps), so where the platform has
-# MAP_POPULATE the one mmap call faults all its pages in, not one fault a
-# page as the blocks are copied: that cut the deck's copying from 31 to 20 ms
-_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_POPULATE}
-              if hasattr(mmap, "MAP_POPULATE") else {})
+# many bytes in all.  The kept blocks lie in the malloc heap, and larger caps
+# leave it fragmented: on a 2-core x86-64 machine the median peak RSS of the
+# seed-1 direct-sums benchmark deck was 105.0 MB at 8 MB, 108.4 MB at 6 MB
+# and 98.7 MB at 4 MB, against 97.5 MB when 8 MB of kept copies lay in
+# memory maps outside the heap; its wall time was 0.269, 0.278 and 0.279 s,
+# against 0.299 s with the copies.  The 60 one-block balls of a
+# continuation pass take 0.82 MB
+_BALL_CACHE_BYTES = 4 << 20
 
 
 def ideal_embedding_matrix(ideal: FracIdeal) -> np.ndarray:
@@ -233,22 +227,19 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
     What the search lists is kept per process, in one cache of at most
     _BALL_CACHE_BYTES bytes that drops the least recently used entry first
     (_BallCache), and served again bit for bit: the same points, squared
-    lengths, coefficients, blocks and order as a fresh enumeration.
-    - A ball centred at the origin (r_min = 0) that the search lists in one
-      block is kept by basis and coeffs, at the largest radius listed so
-      far.  A ball of that basis up to that radius is the kept block under
-      the same test r^2 <= r_max^2 (1 + 1e-12).  The arrays of every such
-      ball are read-only, kept or not.
-    - Any other shell listed with coeffs=False (an annulus, or a ball of
-      more than one block) is kept by basis and both radii exactly, if the
-      points its box can yield fit under the cap at 8 bytes each; that is
-      decided before the listing, from _enumerate's count of candidates.
-      Each block is copied, as it is yielded, into one anonymous memory
-      map (_Shell), outside the malloc heap, and the read-only copy is
-      what the caller gets.  A shell is kept once its last block has been
-      yielded.
-    Shells listed with coeffs=True, shells past the cap and non-finite
-    radii are listed afresh every time.
+    lengths, coefficients, blocks and order as a fresh enumeration.  A
+    listing is kept by basis, coeffs and r_min, and by r as well if the
+    search cut it into more than one block (_kept_key).  One of one block
+    serves every smaller r too, as its block under the same test r^2 <=
+    r_max^2 (1 + 1e-12): the box of a smaller r holds fewer candidates, so
+    its fresh listing is one block too, of the points that pass.  One of
+    several blocks serves its own r only, where that test keeps every
+    point.  A listing is kept if its candidates fit under the cap at 8
+    bytes each, and 8 more for each coefficient with coeffs=True, as
+    _enumerate counts them before the listing; its blocks are held by
+    reference, and kept once the last has been yielded.  A negative radius
+    is listed afresh.  Every array ball_points yields is read-only, kept or
+    not.
     """
     basis = (M.tobytes(), M.shape, M.dtype.str)
     cacheable = r >= 0
@@ -275,7 +266,7 @@ def ball_points(M: np.ndarray, r: float, coeffs: bool = False,
                                           r2_max, r_min ** 2 * (1 + 1e-12),
                                           coeffs)
     if not cacheable:
-        yield from blocks
+        yield from map(_read_only, blocks)
         return
     yield from _BALLS.keep(basis, coeffs, r_min, r, row_norms, n_blocks,
                            points, blocks)
@@ -399,133 +390,85 @@ def _read_only(block):
     return block
 
 
-class _Ball:
-    """A ball that ball_points listed in one block: its radius, the row
-    norms of M^-1 that size its box, and the block, read-only (None for a
-    ball without points)."""
+def _kept_key(basis, coeffs: bool, r_min: float, r: Optional[float]):
+    """The key a listing is kept under: its basis, coeffs and inner radius,
+    and its outer radius r, which is None for a listing of one block."""
+    return basis, coeffs, r_min, r
 
-    def __init__(self, r: float, row_norms: np.ndarray, block):
-        self.r, self.row_norms = r, row_norms
-        self.block = None if block is None else _read_only(block)
-        arrays = block if isinstance(block, tuple) else (block,)
+
+class _Kept:
+    """A listing that ball_points keeps: its outer radius, the row norms of
+    M^-1 that size its box, and the blocks it yielded (parts), read-only
+    and held by reference."""
+
+    def __init__(self, r: float, row_norms: np.ndarray, parts: list):
+        self.r, self.row_norms, self.parts = r, row_norms, parts
         # with 1 kB for the entry's Python objects (its key, this object and
-        # the array headers take about 700 bytes), so that many small balls
-        # stay under the cap too
-        self.nbytes = 1024 + row_norms.nbytes + sum(a.nbytes for a in arrays
-                                                    if a is not None)
+        # the array headers take about 700 bytes), so that many small
+        # listings stay under the cap too
+        self.nbytes = 1024 + row_norms.nbytes + sum(
+            a.nbytes for part in parts
+            for a in (part if isinstance(part, tuple) else (part,)))
 
     def blocks(self, r2_max: float) -> Iterator:
-        """The block's points with r^2 <= r2_max, as ball_points yields
+        """The points of the parts with r^2 <= r2_max, as ball_points yields
         them."""
-        if self.block is None:
-            return
-        coeffs = isinstance(self.block, tuple)
-        r2 = self.block[0] if coeffs else self.block
-        keep = r2 <= r2_max
-        if keep.all():
-            yield self.block
-        elif keep.any():
-            yield _read_only((r2[keep], self.block[1][:, keep]) if coeffs
-                             else r2[keep])
-
-
-class _Shell:
-    """A shell that ball_points listed with coeffs=False and keeps whole:
-    the row norms of M^-1 that size its box, and its blocks of squared
-    lengths, read-only copies laid end to end in one anonymous memory map
-    of room for `points` of them.  The map is made at the first copy: a
-    shell without points has none."""
-
-    def __init__(self, row_norms: np.ndarray, points: int):
-        self.row_norms = row_norms
-        self.room = -(-8 * points // mmap.PAGESIZE) * mmap.PAGESIZE
-        # 1 kB for the entry's Python objects, as for a _Ball
-        self.nbytes = 1024 + row_norms.nbytes + self.room
-        self.map = None
-        self.parts = []
-        self.used = 0
-
-    def copy(self, r2: np.ndarray) -> np.ndarray:
-        """r2 copied into the map after the blocks before it, read-only."""
-        if self.map is None:
-            self.map = mmap.mmap(-1, self.room, **_MAP_FLAGS)
-        part = np.ndarray(r2.shape, np.float64, self.map, self.used)
-        part[...] = r2
-        part.flags.writeable = False
-        self.used += part.nbytes
-        self.parts.append(part)
-        return part
-
-    def blocks(self, r2_max: float) -> Iterator:
-        """The kept blocks, as ball_points yields them (r2_max is the one
-        the shell was listed under)."""
-        yield from self.parts
-
-
-def _shell_key(basis, r_min: float, r: float):
-    """The key a _Shell is kept under: its basis and both radii, exactly."""
-    return basis, r_min, r
+        for part in self.parts:
+            coeffs = isinstance(part, tuple)
+            r2 = part[0] if coeffs else part
+            keep = r2 <= r2_max
+            if keep.all():
+                yield part
+            elif keep.any():
+                yield _read_only((r2[keep], part[1][:, keep]) if coeffs
+                                 else r2[keep])
 
 
 class _BallCache:
-    """The balls and shells ball_points keeps, least recently used first,
-    at most _BALL_CACHE_BYTES in all; one larger than that is not kept.  A
-    ball is kept under (basis, coeffs), a shell under _shell_key."""
+    """The listings ball_points keeps (_Kept), least recently used first,
+    at most _BALL_CACHE_BYTES in all, under _kept_key."""
 
     def __init__(self):
         self.nbytes = 0
         self.balls = OrderedDict()
 
     def get(self, basis, coeffs: bool, r_min: float, r: float):
-        """The kept ball of the basis if r_min = 0 and it reaches r, else
-        the shell kept under these radii (coeffs=False only), else None."""
-        if r_min == 0:
-            ball = self.balls.get((basis, coeffs))
-            if ball is not None and r <= ball.r:
-                self.balls.move_to_end((basis, coeffs))
-                return ball
-        if coeffs:
-            return None
-        key = _shell_key(basis, r_min, r)
-        shell = self.balls.get(key)
-        if shell is not None:
-            self.balls.move_to_end(key)
-        return shell
+        """The kept listing of one block of the basis, coeffs and r_min if
+        it reaches r, else the one kept at exactly r, else None."""
+        for key in (_kept_key(basis, coeffs, r_min, None),
+                    _kept_key(basis, coeffs, r_min, r)):
+            kept = self.balls.get(key)
+            if kept is not None and r <= kept.r:
+                self.balls.move_to_end(key)
+                return kept
+        return None
 
     def keep(self, basis, coeffs: bool, r_min: float, r: float,
              row_norms: np.ndarray, n_blocks: int, points: int,
              blocks: Iterator) -> Iterator:
         """Yield the blocks of a fresh listing of `points` candidates in
-        `n_blocks` blocks and keep them: a ball centred at the origin in one
-        block as a _Ball, read-only whether kept or not; else, with
-        coeffs=False, as a _Shell if that fits under the cap.  Room for a
-        shell is made before its first block, and the shell is kept after
-        its last."""
-        if r_min == 0 and n_blocks <= 1:
-            first = next(blocks, None)
-            self._put((basis, coeffs), _Ball(r, row_norms, first))
-            if first is not None:
-                yield first
+        `n_blocks` blocks, read-only, and keep them if the candidates fit
+        under the cap: room is made before the first block, and the listing
+        is kept after the last, in place of what was kept under its key."""
+        # 8 bytes a candidate's squared length, and 8 for each of its
+        # coefficients (one a row norm) with coeffs=True
+        need = 1024 + row_norms.nbytes \
+            + 8 * points * (1 + coeffs * row_norms.size)
+        if need > _BALL_CACHE_BYTES:
+            yield from map(_read_only, blocks)
             return
-        shell = _Shell(row_norms, points)
-        if coeffs or shell.nbytes > _BALL_CACHE_BYTES:
-            yield from blocks
-            return
-        self._evict(_BALL_CACHE_BYTES - shell.nbytes)
-        for r2 in blocks:
-            yield shell.copy(r2)
-        self._put(_shell_key(basis, r_min, r), shell)
-
-    def _put(self, key, entry):
-        """Keep entry under key, in place of what was kept there, if it
-        fits under the cap."""
-        if entry.nbytes > _BALL_CACHE_BYTES:
-            return
+        self._evict(_BALL_CACHE_BYTES - need)
+        parts = []
+        for block in blocks:
+            parts.append(_read_only(block))
+            yield block
+        kept = _Kept(r, row_norms, parts)
+        key = _kept_key(basis, coeffs, r_min, None if n_blocks <= 1 else r)
         old = self.balls.pop(key, None)
         self.nbytes -= old.nbytes if old else 0
-        self._evict(_BALL_CACHE_BYTES - entry.nbytes)
-        self.balls[key] = entry
-        self.nbytes += entry.nbytes
+        self._evict(_BALL_CACHE_BYTES - kept.nbytes)
+        self.balls[key] = kept
+        self.nbytes += kept.nbytes
 
     def _evict(self, limit: int):
         """Drop the least recently used entries until at most limit bytes

@@ -151,9 +151,12 @@ def _theta_shell(lat: OFLattice, lo: float, hi: float) -> float:
 
 def checks_shells(seed: int = 7) -> List[Check]:
     """Theta(1) over the ball ||lambda|| <= 4, as a ball and an annulus
-    split at ||lambda|| = 1 and at 2.  ball_points keeps the annuli by
-    basis and both radii: each check asks for two annuli of one outer
-    radius, and every lattice of a base field for the same radii."""
+    split at ||lambda|| = 2 and at 1.  ball_points keeps what it lists by
+    basis and inner radius (and outer radius, for a listing of several
+    blocks): each check asks for two annuli of one outer radius, every
+    lattice of a base field for the same radii, and the ball of radius 1
+    after that of radius 2, so that a ball of one block is served from the
+    larger one, masked to its radius."""
     rng = random.Random(seed)
     checks = []
     for i in range(20):
@@ -163,7 +166,7 @@ def checks_shells(seed: int = 7) -> List[Check]:
             "theta-annuli", F.label, {"draw": i, "volume": lat.covolume},
             1e-12, lambda lat=lat: tuple(_theta_shell(lat, 0.0, a)
                                          + _theta_shell(lat, a, 4.0)
-                                         for a in (1.0, 2.0))))
+                                         for a in (2.0, 1.0))))
     return checks
 
 

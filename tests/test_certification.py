@@ -3,12 +3,12 @@ catches a fault in it: a mutation test in the sense of DeMillo, Lipton and
 Sayward, "Hints on test data selection" (IEEE Computer 11, 1978).
 
 Each case perturbs one primitive in every module whose routes call it, by a
-relative 1e-7, by dropping one lattice point or by keeping lattice points
-under a wrong key, and runs the verify suite named for it (one of theta,
-specialfun, klf, fe, hecke and shells; the fourier suite would catch most
-of them too, but takes longer than all six).  The
-checks named for it must then be the ones of that suite that fail, or the
-library must raise.
+relative 1e-7, by dropping one lattice point, or by serving kept lattice
+points under a wrong key or past their radius, and runs the verify suite
+named for it (one of theta, specialfun, klf, fe, hecke and shells; the
+fourier suite would catch most of them too, but takes longer than all
+six).  The checks named for it must then be the ones of that suite that
+fail, or the library must raise.
 
 eisenstein._sl2_reduce is left out: Ehat is invariant under SL2(O_F), so the
 reduction only bounds the cost of the expansion, and no value shows it.
@@ -82,16 +82,27 @@ MUTANTS = {
     "_torus_quadrature": ("hecke", ["hecke-integral-large-regulator",
                                     "hecke-integral-s3"], [
         (heckeint, "_torus_quadrature", _scaled(heckeint._torus_quadrature))]),
-    # the store of kept shells, which every route reads: a shell served
-    # under a key without its inner radius, or without its basis (for the
-    # basis' shape and dtype), is the points of another shell; theta-annuli
-    # asks for two annuli of one outer radius, at the same radii for every
-    # lattice of a base field
-    "_shell_key-no-r_min": ("shells", ["theta-annuli"], [
-        (lattice, "_shell_key", lambda basis, r_min, r: (basis, None, r))]),
-    "_shell_key-no-basis": ("shells", ["theta-annuli"], [
-        (lattice, "_shell_key",
-         lambda basis, r_min, r: (basis[1:], r_min, r))]),
+    # the store of kept listings, which every route reads: a listing served
+    # under a key without its inner radius is the points of another shell;
+    # theta-annuli asks for two shells of one outer radius, at the same
+    # radii for every lattice of a base field.  Without its basis (for the
+    # basis' shape and dtype) it is the points of another lattice: one
+    # lattice's ball in place of its dual's breaks the theta law
+    "_kept_key-no-r_min": ("shells", ["theta-annuli"], [
+        (lattice, "_kept_key",
+         lambda basis, coeffs, r_min, r: (basis, coeffs, None, r))]),
+    "_kept_key-no-basis": ("theta", ["theta-transformation"], [
+        (lattice, "_kept_key",
+         lambda basis, coeffs, r_min, r: (basis[1:], coeffs, r_min, r))]),
+    # a listing of one block served at a smaller radius without the radius
+    # mask: theta-annuli lists the ball of radius 2 before that of radius 1
+    "_Kept.blocks-no-mask": ("shells", ["theta-annuli"], [
+        (lattice._Kept, "blocks", lambda self, r2_max: iter(self.parts))]),
+    # the Gamma factor of the completed zeta function against its integral,
+    # and the incomplete gamma's series, which subtracts from Gamma(s)
+    "complex_gamma": ("specialfun", ["gamma-factor-vs-integral",
+                                     "incgamma-recurrence"], [
+        (specialfun, "complex_gamma", _scaled(specialfun.complex_gamma))]),
 }
 
 

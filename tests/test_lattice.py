@@ -1,6 +1,5 @@
 import cmath
 import math
-import mmap
 import random
 import tracemalloc
 from fractions import Fraction
@@ -505,10 +504,11 @@ def test_kept_ball_arrays_are_read_only(empty_ball_cache):
     assert np.array_equal(first, np.sqrt(r2))
 
 
-def _shells(M, requests):
-    """ball_points' squared lengths for each (r_min, r) in turn, as bytes,
+def _shells(M, requests, coeffs=False):
+    """ball_points' output for each (r_min, r) in turn, as bytes and lists,
     blocks kept apart."""
-    return [[r2.tobytes() for r2 in ball_points(M, r, r_min=r_min)]
+    return [[(o[0].tobytes(), o[1].tolist()) if coeffs else o.tobytes()
+             for o in ball_points(M, r, coeffs=coeffs, r_min=r_min)]
             for r_min, r in requests]
 
 
@@ -523,8 +523,11 @@ def _random_basis(dim, seed, skew):
 def test_kept_shell_is_a_fresh_listing_bit_for_bit(dim, monkeypatch,
                                                    empty_ball_cache):
     # the level search in blocks of about 64 points: balls of many blocks,
-    # and annuli, each listed once and then served with the same squared
-    # lengths, blocks and order
+    # and annuli, each listed at most once (an annulus of one block serves
+    # those of its inner radius inside it) and then served with the same
+    # squared lengths, blocks and order; the shells of a sheared basis take
+    # up to 4 MB, so the cap is raised to keep them
+    monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", 1 << 26)
     monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 64)
     calls = _counting_enumerations(monkeypatch)
@@ -540,31 +543,34 @@ def test_kept_shell_is_a_fresh_listing_bit_for_bit(dim, monkeypatch,
         empty_ball_cache.clear()
         del calls[:]
         assert _shells(M, requests) == fresh
+        assert 3 <= len(calls) <= len(requests)
+        del calls[:]
         assert _shells(M, requests) == fresh
-        assert calls == [r for _, r in requests]
+        assert calls == []
     assert max(blocks) > 10
 
 
-def test_kept_shell_arrays_are_read_only_and_mapped(monkeypatch,
-                                                    empty_ball_cache):
-    # an annulus, and a ball of several blocks of about 16 points: as
-    # listed and as served, read-only copies in an anonymous memory map
+def test_kept_shell_arrays_are_read_only(monkeypatch, empty_ball_cache):
+    # an annulus, and a ball of several blocks of about 16 points, with
+    # and without coefficients: read-only as listed, and served as the
+    # same arrays, not copies
     M = np.array([[1.0, 0.3], [0.2, 0.9]])
     monkeypatch.setattr(lattice, "_DENSE_BOX", 0)
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 16)
-    for r_min in (2.0, 0.0):
-        for _ in range(2):
-            blocks = list(ball_points(M, 6.0, r_min=r_min))
-            assert len(blocks) > 1
-            for r2 in blocks:
-                assert isinstance(r2.base, mmap.mmap)
-                with pytest.raises(ValueError, match="read-only"):
-                    r2[0] = 1.0
-    assert len(empty_ball_cache.balls) == 2
+    for coeffs in (False, True):
+        for r_min in (2.0, 0.0):
+            listed, served = (list(ball_points(M, 6.0, coeffs, r_min))
+                              for _ in range(2))
+            assert len(listed) > 1
+            for block, again in zip(listed, served):
+                assert block is again
+                for a in block if coeffs else (block,):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[..., 0] = 1
+    assert len(empty_ball_cache.balls) == 4
 
 
-def test_shell_past_the_cap_is_neither_kept_nor_copied(monkeypatch,
-                                                       empty_ball_cache):
+def test_shell_past_the_cap_is_not_kept(monkeypatch, empty_ball_cache):
     calls = _counting_enumerations(monkeypatch)
     M = np.array([[1.0, 0.3], [0.2, 0.9]])
     points = sum(r2.size for r2 in ball_points(M, 40.0, r_min=2.0))
@@ -572,48 +578,55 @@ def test_shell_past_the_cap_is_neither_kept_nor_copied(monkeypatch,
     list(ball_points(M, 3.0))
     kept = dict(empty_ball_cache.balls)
     # room for the kept ball, and for the points but not the shell's
-    # overhead
+    # overhead: the shell is listed afresh, read-only, and evicts nothing
     monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", 8 * points)
     assert empty_ball_cache.nbytes < 8 * points
     del calls[:]
     for _ in range(2):
         for r2 in ball_points(M, 40.0, r_min=2.0):
-            assert not isinstance(r2.base, mmap.mmap) and r2.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                r2[0] = 1.0
     assert calls == [40.0, 40.0] and empty_ball_cache.balls == kept
 
 
 def test_ball_cache_evicts_balls_and_shells_alike(monkeypatch,
                                                   empty_ball_cache):
+    # in dimension 1 a ball's candidates are its points, so the room made
+    # for it before it is listed is the room it takes: a ball of one block
+    # of 16 points, and two of several blocks
+    monkeypatch.setattr(lattice, "_CHUNK_POINTS", 16)
     calls = _counting_enumerations(monkeypatch)
-    M = np.array([[1.0, 0.3], [0.2, 0.9]])
-    ball, near, far = (0.0, 4.0), (4.0, 8.0), (8.0, 12.0)
-    _shells(M, [ball, near, far])
+    M = np.array([[0.5]])
+    one, near, far = (0.0, 5.0), (0.0, 20.0), (0.0, 25.0)
+    _shells(M, [one, near, far])
     size = {k: e.nbytes for k, e in empty_ball_cache.balls.items()}
-    assert len(size) == 3
+    assert len(size) == 3 and sum(k[3] is None for k in size) == 1
     empty_ball_cache.clear()
-    # room for any two of the three entries, a _Ball and two _Shells
+    # room for any two of the three entries
     monkeypatch.setattr(lattice, "_BALL_CACHE_BYTES", sum(size.values()) - 1)
     del calls[:]
-    _shells(M, [ball, near, ball])
-    assert calls == [4.0, 8.0]
-    # the far annulus evicts the near one, the least recently used
-    _shells(M, [far, ball])
-    assert calls == [4.0, 8.0, 12.0]
+    _shells(M, [one, near, one])
+    assert calls == [5.0, 20.0]
+    # the far ball evicts the near one, the least recently used
+    _shells(M, [far, one])
+    assert calls == [5.0, 20.0, 25.0]
     _shells(M, [near])
-    assert calls == [4.0, 8.0, 12.0, 8.0]
-    # which evicted the far annulus, not the ball used since
-    _shells(M, [ball, far])
-    assert calls == [4.0, 8.0, 12.0, 8.0, 12.0]
+    assert calls == [5.0, 20.0, 25.0, 20.0]
+    # which evicted the far ball, not the one used since
+    _shells(M, [one, far])
+    assert calls == [5.0, 20.0, 25.0, 20.0, 25.0]
     assert empty_ball_cache.nbytes <= lattice._BALL_CACHE_BYTES
 
 
 @given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
        skew=st.floats(0.0, 3.0), blocks_of_16=st.booleans(),
+       coeffs=st.booleans(),
        requests=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 0.8, 1.3]),
                                    st.sampled_from([0.5, 1.0, 1.5, 2.5])),
                          min_size=1, max_size=8))
 @settings(max_examples=60)
-def test_kept_shells_property(dim, seed, skew, blocks_of_16, requests):
+def test_kept_shells_property(dim, seed, skew, blocks_of_16, coeffs,
+                              requests):
     # balls and annuli asked for in any order, with repeats, against the
     # same shells listed with nothing kept
     M = _random_basis(dim, seed, skew)
@@ -625,9 +638,10 @@ def test_kept_shells_property(dim, seed, skew, blocks_of_16, requests):
             fresh = {}
             for req in requests:
                 lattice._BALLS.clear()
-                fresh[req] = _shells(M, [req])[0]
+                fresh[req] = _shells(M, [req], coeffs)[0]
             lattice._BALLS.clear()
-            assert _shells(M, requests) == [fresh[req] for req in requests]
+            assert _shells(M, requests, coeffs) == [fresh[req]
+                                                     for req in requests]
         finally:
             lattice._BALLS.clear()
 
@@ -635,9 +649,8 @@ def test_kept_shells_property(dim, seed, skew, blocks_of_16, requests):
 def test_ball_cache_evicts_least_recently_used(monkeypatch, empty_ball_cache):
     calls = _counting_enumerations(monkeypatch)
     bases = [np.array([[1.0, 0.1 * k], [0.0, 1.0]]) for k in range(4)]
-    size = lattice._Ball(4.0, np.zeros(2),
-                         np.concatenate(list(ball_points(bases[0], 4.0)))
-                         ).nbytes
+    size = lattice._Kept(4.0, np.zeros(2),
+                         list(ball_points(bases[0], 4.0))).nbytes
     empty_ball_cache.clear()
     del calls[:]
     # room for two of the four balls (all of about the same size)
