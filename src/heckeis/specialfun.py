@@ -12,10 +12,13 @@ order takes the integral literally: after u = e^t the integrand decays
 doubly exponentially, so trapezoid sums with step halving converge at
 spectral rate.
 
-The incomplete gamma's continued fraction costs a fixed numpy overhead per
-iteration on arrays, so a call with few arguments (the xi sums of the torus
-quadrature pass one or two) runs it as a loop over Python complex scalars
-instead; both loops take the same steps to the same stop rule.
+The incomplete gamma's continued fraction runs the modified Lentz method
+as a loop over Python scalars, each argument to its own stop rule.  That
+loop serves calls with few arguments (the xi sums of the torus quadrature
+pass one or two) and, on arrays, scans the depth of each run of sorted
+arguments; the array then takes that fixed-depth approximant evaluated
+backward, a few numpy operations per level for the whole run (Gil, Segura
+and Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 6).
 """
 
 from __future__ import annotations
@@ -50,12 +53,18 @@ def complex_gamma(s: Complex) -> complex:
 _BLOCK = 1 << 14
 _CF_MAX_ITER = 500
 # at most this many arguments take the continued fraction as a loop over
-# Python complex scalars: an array iteration costs ~14 us whatever its size.
-# On the continued-fraction calls of the benchmark decks (seed 1, a 2-core
-# x86-64 VM) the scalar loop took 1/16 to 1/5 of the array loop's time at
-# 1-16 arguments, 0.7-0.9 of it at 17-48, the same at 49-64 and 1.6 times
-# it at 65-80
-_CF_SCALAR_MAX = 64
+# Python scalars: a level of the backward evaluation costs ~2 us whatever
+# its size, and its depth scan two scalar loops.  On random subsets of the
+# continued-fraction calls of the benchmark decks (seed 1, a 2-core x86-64
+# VM) the scalar loop took 0.58 of the backward evaluation's time at 6
+# arguments, 0.92 at 10, 1.05 at 12, 1.29 at 16 and 2.36 at 32 (complex
+# orders; at a real order it took 0.76 at 16 and 1.0 at 20)
+_CF_SCALAR_MAX = 11
+# sorted arguments per run of one depth in the backward evaluation: over the
+# continuation deck's array calls (seed 1, 76 k arguments) runs of 256,
+# 1,024 and 4,096 took 20.9, 18.6 and 20.4 ms (deeper runs against more
+# depth scans)
+_CF_RUN = 1024
 _SERIES_MAX_TERMS = 10_000
 # Gauss-Legendre rule per panel of the log-space integral; a panel of width w
 # satisfies w * max|d/dt (s t - e^t)| <= _GL_SPAN (24 nodes stay exact to
@@ -68,7 +77,7 @@ _TINY = 1e-300
 
 def _cf_unconverged(s: complex, n: int, size: int, worst: float, tol: float):
     return ConvergenceError(
-        f"incomplete gamma continued fraction at order {s} did not "
+        f"incomplete gamma continued fraction at order {complex(s)} did not "
         f"converge: {n} of {size} arguments unconverged after the cap of "
         f"{_CF_MAX_ITER} iterations, worst |delta-1| {worst:.3g} >= tol "
         f"{tol:.3g}",
@@ -76,76 +85,101 @@ def _cf_unconverged(s: complex, n: int, size: int, worst: float, tol: float):
 
 
 def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
-    """Legendre's continued fraction for Gamma(s, x) (DLMF 8.9) by the
-    modified Lentz method, reliable for x >= min(8, |s| + 1).  Each element
-    stops at its own |delta - 1| < tol.  Up to _CF_SCALAR_MAX arguments run
-    it one by one in Python complex arithmetic (_lentz_scalar), more run it
-    on arrays, where a converged element leaves the iteration
-    (_lentz_array); both raise ConvergenceError at _CF_MAX_ITER iterations
-    with the unconverged arguments as its points."""
-    lentz = _lentz_scalar if x.size <= _CF_SCALAR_MAX else _lentz_array
-    return lentz(s, x, tol) * np.exp(-x + s * np.log(x))
+    """Legendre's continued fraction for Gamma(s, x) (DLMF 8.9), reliable for
+    x >= min(8, |s| + 1).  Up to _CF_SCALAR_MAX arguments run the modified
+    Lentz method one by one (_lentz_scalar), each to its own
+    |delta - 1| < tol; more take a fixed-depth approximant per run of sorted
+    arguments, evaluated backward (_cf_backward).  A real order takes real
+    arithmetic.  Both raise ConvergenceError when a Lentz loop reaches
+    _CF_MAX_ITER: its points are the arguments left unconverged, on arrays
+    every argument of a run whose depth scan failed."""
+    if s.imag == 0:
+        s = s.real
+    cf = _lentz_scalar if x.size <= _CF_SCALAR_MAX else _cf_backward
+    return cf(s, x, tol) * np.exp(-x + s * np.log(x))
 
 
-def _lentz_scalar(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
+def _lentz(s: Complex, x: float, tol: float):
+    """The continued fraction at one argument by the modified Lentz method:
+    (value, iterations taken, last |delta - 1|), the last >= tol (or NaN)
+    when the loop reached _CF_MAX_ITER unconverged."""
+    b = x + (1.0 - s)
+    d = 1.0 / b
+    c = 1.0 / _TINY
+    h = d
+    for i in range(1, _CF_MAX_ITER + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        miss = abs(delta - 1.0)
+        if miss < tol:
+            break
+    return h, i, miss
+
+
+def _lentz_scalar(s: Complex, x: np.ndarray, tol: float) -> np.ndarray:
     out = np.empty(x.shape, dtype=complex)
     misses = []
     for j, xj in enumerate(x.tolist()):
-        b = xj + (1.0 - s)
-        d = 1.0 / b
-        c = 1.0 / _TINY
-        h = d
-        for i in range(1, _CF_MAX_ITER + 1):
-            an = -i * (i - s)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < _TINY:
-                d = _TINY
-            c = b + an / c
-            if abs(c) < _TINY:
-                c = _TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            miss = abs(delta - 1.0)
-            if miss < tol:
-                break
-        else:
+        out[j], _, miss = _lentz(s, xj, tol)
+        if not miss < tol:
             misses.append(miss)
-        out[j] = h
     if misses:
         raise _cf_unconverged(s, len(misses), x.size, max(misses), tol)
     return out
 
 
-def _lentz_array(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
-    b = x + (1.0 - s)
-    d = 1.0 / b         # b != 0: real s reaching here is <= 0
-    c = np.full(x.shape, 1.0 / _TINY, dtype=complex)
-    h = d.copy()
-    out = np.empty(x.shape, dtype=complex)
-    idx = np.arange(x.size)
-    i = 0
-    while idx.size:
-        if i == _CF_MAX_ITER:
-            raise _cf_unconverged(s, idx.size, x.size, float(miss.max()), tol)
-        i += 1
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        miss = np.abs(delta - 1.0)
-        done = miss < tol
-        if done.any():
-            out[idx[done]] = h[done]
-            keep = ~done
-            idx, b, c, d, h, miss = idx[keep], b[keep], c[keep], d[keep], \
-                h[keep], miss[keep]
+def _cf_depths(s: Complex, xs: np.ndarray, tol: float) -> np.ndarray:
+    """The depth of each run of _CF_RUN arguments of the sorted xs: the
+    larger of the Lentz counts at the run's least and greatest argument,
+    plus 2 (the count is not monotone in x: at some orders it steps up by
+    one between neighbouring arguments), raised to be non-increasing along
+    xs.  A scan that reaches _CF_MAX_ITER raises ConvergenceError, with the
+    arguments of the runs whose scan failed as its points."""
+    depths, failed, misses = [], 0, []
+    for lo in range(0, xs.size, _CF_RUN):
+        hi = min(lo + _CF_RUN, xs.size)
+        scans = [_lentz(s, float(xs[e]), tol) for e in {lo, hi - 1}]
+        run_misses = [miss for _, _, miss in scans if not miss < tol]
+        if run_misses:
+            failed += hi - lo
+            misses += run_misses
+        depths.append(max(i for _, i, _ in scans) + 2)
+    if failed:
+        raise _cf_unconverged(s, failed, xs.size, max(misses), tol)
+    return np.maximum.accumulate(depths[::-1])[::-1]
+
+
+def _cf_backward(s: Complex, x: np.ndarray, tol: float) -> np.ndarray:
+    """The fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_k = -k(k - s),
+    b_k = x + 2k + 1 - s, at the depth N that _cf_depths gives each run of
+    sorted arguments: t <- a_k/(b_k + t) for k = N .. 1 from t = 0, then
+    1/(b_0 + t).  The depths do not increase along the sorted arguments, so
+    the runs taking part at a level are a prefix of them."""
+    order = np.argsort(x)
+    xs = x[order]
+    depths = _cf_depths(s, xs, tol)
+    b0 = xs + (1.0 - s)
+    t = np.zeros_like(b0)
+    runs = 0
+    for k in range(int(depths[0]), 0, -1):
+        while runs < depths.size and depths[runs] >= k:
+            runs += 1
+        u = t[:runs * _CF_RUN]
+        u += b0[:u.size]
+        u += 2.0 * k
+        np.divide(-k * (k - s), u, out=u)
+    t += b0
+    out = np.empty_like(t)
+    out[order] = 1.0 / t
     return out
 
 
@@ -233,8 +267,9 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 
     * integer s = -n <= 0 (within 1e-12): x^-n E_{n+1}(x) (DLMF 8.19.1);
     * real s > 0: the regularized Q(s, x) times Gamma(s) (scipy gammaincc);
-    * x >= min(8, |s| + 1): the continued fraction (DLMF 8.9), each
-      element to its own |delta - 1| < tol;
+    * x >= min(8, |s| + 1): the continued fraction (DLMF 8.9), for a few
+      arguments each to its own |delta - 1| < tol, for more at the depth
+      where the ends of each run of sorted arguments meet it, plus 2;
     * smaller x, Re s > 0 and |s| >= 1/2: Gamma(s) minus the lower series
       (DLMF 8.7.1);
     * smaller x otherwise: the continued fraction at the edge
@@ -244,7 +279,8 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 
     Arguments go through in blocks of _BLOCK.  Raises ValueError unless
     every x > 0, and ConvergenceError when the continued fraction or the
-    series reaches its cap; its points are the arguments left unconverged.
+    series reaches its cap; its points are the arguments left unconverged
+    (of the continued fraction on arrays, the runs whose scan failed).
     """
     s = complex(s)
     xa = np.asarray(x, dtype=float)

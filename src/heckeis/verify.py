@@ -412,6 +412,24 @@ def checks_incgamma(seed: int = 7) -> List[Check]:
         lambda: (specialfun.upper_incomplete_gamma(nu + 1, 2.2),
                  nu * specialfun.upper_incomplete_gamma(nu, 2.2)
                  + cmath.exp(nu * math.log(2.2) - 2.2))))
+
+    # the same at 256 arguments in [4, 60], where both orders take the
+    # continued fraction on arrays; each side over x^s e^-x (about 1 there),
+    # the element farthest apart reported
+    nu_array = 1 - 1.8j
+
+    def recurrence_on_array():
+        xs = np.geomspace(4.0, 60.0, 256)
+        power = np.exp(nu_array * np.log(xs) - xs)
+        lhs = specialfun.upper_incomplete_gamma(nu_array + 1, xs) / power
+        rhs = nu_array * specialfun.upper_incomplete_gamma(nu_array, xs) \
+            / power + 1.0
+        worst = int(np.argmax(np.abs(lhs - rhs)))
+        return lhs[worst], rhs[worst]
+
+    checks.append(Check(
+        "incgamma-recurrence-array", "-",
+        {"s": nu_array, "x": "256 in [4, 60]"}, 1e-12, recurrence_on_array))
     # Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), both sides times e^x so that
     # the tolerance stays relative as the value decays
     for x in (0.5, 5.0, 30.0):

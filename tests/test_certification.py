@@ -66,6 +66,10 @@ MUTANTS = {
     # series
     "_lentz_scalar": ("specialfun", ["incgamma-recurrence"], [
         (specialfun, "_lentz_scalar", _scaled(specialfun._lentz_scalar))]),
+    # the continued fraction on arrays alone: at 256 arguments in [4, 60]
+    # both orders of the recurrence take it
+    "_cf_backward": ("specialfun", ["incgamma-recurrence-array"], [
+        (specialfun, "_cf_backward", _scaled(specialfun._cf_backward))]),
     # the functional equation: the expansion (Bessel pair sum) against the
     # lattice route of the dual, which has no Bessel function
     "bessel_k_batch": ("fe", ["functional-equation"], [

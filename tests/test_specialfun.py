@@ -5,7 +5,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
@@ -306,9 +306,10 @@ _CF_ARRAY_XS = np.linspace(10.0, 30.0, specialfun._CF_SCALAR_MAX + 1).tolist()
                                      ("_SERIES_MAX_TERMS", [0.5, 1.0]),
                                      ("_CF_MAX_ITER", _CF_ARRAY_XS)])
 def test_incgamma_reports_how_far_it_got(cap, xs, monkeypatch):
-    # the continued fraction runs at x >= |s| + 1 (on scalars for 3
-    # arguments, on arrays for _CF_SCALAR_MAX + 1), the series below it;
-    # with the cap at 2 no argument converges
+    # the continued fraction runs at x >= |s| + 1 (the scalar loop for 3
+    # arguments; for _CF_SCALAR_MAX + 1 the backward evaluation, whose depth
+    # scan fails), the series below it; with the cap at 2 no argument
+    # converges
     monkeypatch.setattr(specialfun, cap, 2)
     with pytest.raises(ConvergenceError) as info:
         upper_incomplete_gamma(1.5 + 0.5j, np.array(xs), tol=1e-14)
@@ -347,7 +348,8 @@ def test_incgamma_recurrence_on_arrays(s, xs):
 
 
 def test_incgamma_continued_fraction_reports_how_far_it_got(monkeypatch):
-    # 3 arguments take the scalar loop, _CF_SCALAR_MAX + 1 the array loop
+    # 3 arguments take the scalar loop, _CF_SCALAR_MAX + 1 the backward
+    # evaluation, whose one run's depth scan fails at both ends
     monkeypatch.setattr(specialfun, "_CF_MAX_ITER", 3)
     for xs in ([9.0, 20.0, 400.0],
                np.geomspace(9.0, 400.0, specialfun._CF_SCALAR_MAX + 1)):
@@ -366,19 +368,18 @@ def test_incgamma_continued_fraction_reports_how_far_it_got(monkeypatch):
 @pytest.mark.parametrize("s", [-0.5, -2.5, -0.3, -3.7, 0.7 + 0.3j,
                                -3.3 - 0.4j, 1.5 + 2.0j])
 @pytest.mark.parametrize("size", [1, specialfun._CF_SCALAR_MAX,
-                                  specialfun._CF_SCALAR_MAX + 1])
+                                  specialfun._CF_SCALAR_MAX + 1, 64, 65])
 def test_incgamma_continued_fraction_paths_agree(s, size, monkeypatch):
-    # the scalar loop and the array loop run the same recurrence on the same
-    # arguments, from the continued fraction's edge min(8, |s| + 1) up.
-    # numpy's complex products and quotients round differently from
-    # Python's (about half of random products differ in the last bit), so
-    # the two agree to rounding, not bit for bit: up to 5e-15 relative next
-    # to the edge, where the fraction runs over a hundred steps
+    # the scalar loop and the backward evaluation compute the same fraction
+    # on the same arguments, from the continued fraction's edge
+    # min(8, |s| + 1) up, to rounding, not bit for bit: the scalar loop's
+    # running product takes a rounding or two at each of its steps (some
+    # 60 next to the edge), the backward evaluation a few in all
     s = complex(s)
     xs = np.geomspace(min(8.0, abs(s) + 1.0), 80.0, size)
     scalar_by_default = size <= specialfun._CF_SCALAR_MAX
     taken = []
-    for name in ("_lentz_scalar", "_lentz_array"):
+    for name in ("_lentz_scalar", "_cf_backward"):
         loop = getattr(specialfun, name)
         monkeypatch.setattr(specialfun, name,
                             lambda *a, name=name, loop=loop:
@@ -388,11 +389,102 @@ def test_incgamma_continued_fraction_paths_agree(s, size, monkeypatch):
     scalar = specialfun._incgamma_cf(s, xs, 1e-15)
     monkeypatch.setattr(specialfun, "_CF_SCALAR_MAX", xs.size - 1)
     array = specialfun._incgamma_cf(s, xs, 1e-15)
-    assert taken[1:] == ["_lentz_scalar", "_lentz_array"]
+    assert taken[1:] == ["_lentz_scalar", "_cf_backward"]
     assert taken[0] == ("_lentz_scalar" if scalar_by_default
-                        else "_lentz_array")
+                        else "_cf_backward")
     assert np.array_equal(default, scalar if scalar_by_default else array)
     np.testing.assert_allclose(scalar, array, rtol=1e-14, atol=0)
+
+
+def test_incgamma_backward_reports_the_runs_that_failed(monkeypatch):
+    # runs of 4 of 12 sorted arguments; the scalar loop needs 14 and 8
+    # steps at the ends of the first run, 7 and 5 at those of the second
+    # and 4 beyond: with the cap at 7 only the first run fails, and its
+    # arguments are the points, its worse end's last change the last delta
+    s, xs = 1 - 1.8j, np.geomspace(9.0, 400.0, 12)
+    monkeypatch.setattr(specialfun, "_CF_RUN", 4)
+    monkeypatch.setattr(specialfun, "_CF_MAX_ITER", 7)
+    counts = [specialfun._lentz(s, x, 1e-14)[1] for x in xs.tolist()]
+    assert counts[:8] == [7, 7, 7, 7, 7, 6, 5, 5]
+    worst = max(specialfun._lentz(s, x, 1e-14)[2]
+                for x in xs[[0, 3]].tolist())
+    with pytest.raises(ConvergenceError) as info:
+        upper_incomplete_gamma(s, xs[::-1].copy(), 1e-14)
+    err = info.value
+    assert (err.cutoff, err.tol, err.points) == (7, 1e-14, 4)
+    assert err.last_delta == worst >= 1e-14
+    assert f"4 of 12 arguments unconverged after the cap of 7 iterations, " \
+           f"worst |delta-1| {worst:.3g} >= tol 1e-14" in str(err)
+
+
+# the orders of the benchmark decks, and orders far up the imaginary axis
+_CF_ORDERS = [1 + 1.8j, 1 - 1.8j, -1.5, -0.5, -0.25, 0.5 + 0.9j,
+              -3.3 - 0.4j, 60j, 0.5 + 60j, 0.5 - 60j]
+
+
+def _cf_grid(nu):
+    """400 log-spaced arguments from the continued fraction's edge to 200."""
+    return np.geomspace(min(8.0, abs(nu) + 1.0), 200.0, 400)
+
+
+def _mp_fraction(nu, x):
+    """(Gamma(nu, x), Gamma(nu, x) x^-nu e^x) at 30 digits."""
+    with mp.workdps(30):
+        g = mp.gammainc(mp.mpc(nu), a=mp.mpf(x), b=mp.inf)
+        return complex(g), complex(g * mp.exp(x) * mp.power(x, -mp.mpc(nu)))
+
+
+def _assert_backward_matches_scalar_and_mpmath(nu, xs, mp_every):
+    s = nu.real if nu.imag == 0 else nu     # as _incgamma_cf passes it on
+    frac = specialfun._cf_backward(s, xs, 1e-15)
+    scans = [specialfun._lentz(s, x, 1e-15) for x in xs.tolist()]
+    scalar = np.array([h for h, _, _ in scans])
+    # the scalar loop's product gathers up to about one ulp a step (0.7 n
+    # ulp measured): at 50 steps, next to the edge of the real orders, it
+    # is itself 6e-15 off the value
+    steps = np.array([n for _, n, _ in scans])
+    bound = np.maximum(4e-15, steps * 2.0 ** -52)
+    assert np.all(np.abs(frac - scalar) <= bound * np.abs(scalar))
+    got = upper_incomplete_gamma(nu, xs, 1e-15)
+    pick = slice(0, None, mp_every)
+    want = np.array([_mp_fraction(nu, x) for x in xs[pick]])
+    np.testing.assert_allclose(frac[pick], want[:, 1], rtol=4e-15, atol=0)
+    np.testing.assert_allclose(got[pick], want[:, 0], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("nu", _CF_ORDERS)
+def test_incgamma_backward_matches_scalar_loop_and_mpmath(nu):
+    # the fraction alone against the scalar loop at every argument; the
+    # fraction and the value (whose factor x^nu e^-x rounds at up to
+    # (x + |nu log x|) ulp) against mpmath at every fourth
+    _assert_backward_matches_scalar_and_mpmath(complex(nu), _cf_grid(nu), 4)
+
+
+@settings(max_examples=25)
+@given(st.floats(-4.0, 2.0), st.floats(-60.0, 60.0),
+       st.lists(st.floats(0.0, 1.0), min_size=specialfun._CF_SCALAR_MAX + 1,
+                max_size=24))
+def test_incgamma_backward_property(re, im, us):
+    nu = complex(re, im)
+    edge = min(8.0, abs(nu) + 1.0)
+    xs = edge * (200.0 / edge) ** np.array(us)
+    _assert_backward_matches_scalar_and_mpmath(nu, xs, 1)
+
+
+@pytest.mark.parametrize("run", [4, 32, specialfun._CF_RUN])
+@pytest.mark.parametrize("nu", _CF_ORDERS)
+def test_incgamma_backward_depth_covers_every_argument(nu, run,
+                                                       monkeypatch):
+    # the scalar loop's count is not monotone in x; within runs of 4 or 32
+    # of these arguments an inner count passes both ends' by one at
+    # -1.5, -0.25 and 0.5 +- 60i, which the margin of 2 covers
+    monkeypatch.setattr(specialfun, "_CF_RUN", run)
+    nu = complex(nu)
+    s = nu.real if nu.imag == 0 else nu
+    xs = _cf_grid(nu)
+    depths = np.repeat(specialfun._cf_depths(s, xs, 1e-15), run)[:xs.size]
+    counts = [specialfun._lentz(s, x, 1e-15)[1] for x in xs.tolist()]
+    assert np.all(counts <= depths)
 
 
 def test_incgamma_series_reports_how_far_it_got(monkeypatch):
@@ -410,7 +502,8 @@ def test_incgamma_series_reports_how_far_it_got(monkeypatch):
 def test_specialfun_suite_runs_the_incgamma_checks():
     reports = run_suite("specialfun")
     got = [r.command for r in reports if r.command.startswith("incgamma")]
-    assert got == ["incgamma-recurrence"] + ["incgamma-half-order-erfc"] * 3
+    assert got == ["incgamma-recurrence", "incgamma-recurrence-array"] \
+        + ["incgamma-half-order-erfc"] * 3
     assert all(r.passed for r in reports)
 
 
