@@ -2,9 +2,10 @@
 
 Two independent routes are kept deliberately separate:
 
-* Dirichlet-series / Euler-Maclaurin evaluators (riemann_zeta, hurwitz_zeta,
-  dirichlet_l, zeta_K) sharing no code with the lattice machinery; these act
-  as oracles.
+* Dirichlet-series evaluators (riemann_zeta, hurwitz_zeta, dirichlet_l,
+  zeta_K), the oracles: one Euler-Maclaurin kernel, hurwitz_zeta over an
+  array of shifts, that uses nothing of lattice, specialfun or the theta
+  code; dirichlet_l is one call of it over the residues of chi_D.
 * The globally continued completed zeta xi(s, a) of an ideal: theta_split,
   Hecke's theta split of the Gaussian Mellin integral at |N t| = 1 with
   Poisson summation on the inner part.  Its exponentially convergent
@@ -33,29 +34,25 @@ from .specialfun import upper_incomplete_gamma
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# B_2, B_4, ..., B_26
-_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-              Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
-              Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
-              Fraction(-174611, 330), Fraction(854513, 138),
-              Fraction(-236364091, 2730), Fraction(8553103, 6)]
-# hurwitz_zeta sums this many terms directly and then this many
-# Euler-Maclaurin corrections
+# B_2k/(2k)! for the Euler-Maclaurin corrections k = 1, ..., 11
+_BERNOULLI_COEFFS = np.array([float(Fraction(b) / math.factorial(2 * k))
+                              for k, b in enumerate("1/6 -1/30 1/42 -1/30 "
+                              "5/66 -691/2730 7/6 -3617/510 43867/798 "
+                              "-174611/330 854513/138".split(), start=1)])
+# hurwitz_zeta sums N = _HURWITZ_TERMS terms (n+a)^-s directly, then the
+# tail (N+a)^(e-s) at e = 1 (the pole term), 0 (the half term) and 1 - 2k.
+# Per column of its array: the power e (0 on the direct terms) and the n of
+# log(n + a); and the factors s + j, j <= 2k - 2, of s(s+1)...(s+2k-2)
 _HURWITZ_TERMS = 28
-_HURWITZ_BERNOULLI_TERMS = 11
-
-
-def _bernoulli_coeffs():
-    """B_2k/(2k)! for k = 1, ..., _HURWITZ_BERNOULLI_TERMS as floats: the
-    float B_2k over the running float (2k)!."""
-    out, fact = [], 2.0
-    for k in range(1, _HURWITZ_BERNOULLI_TERMS + 1):
-        out.append(float(_BERNOULLI[k - 1]) / fact)
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return tuple(out)
-
-
-_BERNOULLI_COEFFS = _bernoulli_coeffs()
+_POWERS = np.concatenate((np.zeros(_HURWITZ_TERMS), [1.0, 0.0],
+                          1.0 - 2 * np.arange(1, _BERNOULLI_COEFFS.size + 1)))
+_LOG_STEPS = np.minimum(np.arange(_POWERS.size, dtype=float), _HURWITZ_TERMS)
+_POCH_STEPS = np.arange(2.0 * _BERNOULLI_COEFFS.size - 1)
+# Taylor coefficients at z = 0 of E(z) = (e^z - 1)/z, 1/(n+1)! at z^n for
+# n = 0..9, and of E'(z), n/(n+1)! at z^(n-1)
+_TAYLOR_POWERS = np.arange(10.0)
+_E_TAYLOR = 1 / np.array([math.factorial(n + 1) for n in range(10)])
+_DE_TAYLOR = _TAYLOR_POWERS[1:] * _E_TAYLOR[1:]
 
 
 def c_F(F: FieldDescriptor) -> float:
@@ -67,62 +64,60 @@ def c_F(F: FieldDescriptor) -> float:
 # Euler-Maclaurin evaluators (oracle route)
 
 
-def _e_aux(z: complex):
-    """(e^z - 1)/z and its derivative, stable near z = 0."""
-    if abs(z) < 1e-4:
-        E = 1 + z / 2 + z * z / 6 + z ** 3 / 24
-        dE = 0.5 + z / 3 + z * z / 8 + z ** 3 / 30
-        return E, dE
-    ez = cmath.exp(z)
-    return (ez - 1) / z, (ez * (z - 1) + 1) / (z * z)
+def _coefficients(s, minus_pole: bool, derivative: bool):
+    """hurwitz_zeta's coefficient of each column: 1 on the direct terms,
+    then 1/(s-1) (0 with minus_pole), 1/2 and B_2k/(2k)! s(s+1)...(s+2k-2);
+    with derivative=True also their s-derivatives."""
+    pole = 0.0 if minus_pole else 1 / (s - 1)
+    factors = s + _POCH_STEPS
+    cs = np.concatenate((np.ones(_HURWITZ_TERMS), (pole, 0.5),
+                         _BERNOULLI_COEFFS * np.cumprod(factors)[::2]))
+    if not derivative:
+        return cs, None
+    # the product rule: d/ds of the product of factors 0..j sums, over each
+    # factor i <= j, the product of the others
+    others = np.where(np.eye(factors.size, dtype=bool), 1.0, factors)
+    dpoch = np.triu(np.cumprod(others, axis=1)).sum(axis=0)
+    return cs, np.concatenate((np.zeros(_HURWITZ_TERMS), (-pole * pole, 0.0),
+                               _BERNOULLI_COEFFS * dpoch[::2]))
 
 
-def hurwitz_zeta(s: complex, a: float, derivative: bool = False,
+def hurwitz_zeta(s: complex, a, derivative: bool = False,
                  minus_pole: bool = False):
-    """zeta(s, a) = sum_{n >= 0} (n+a)^(-s), continued by Euler-Maclaurin.
-
-    Accurate to near machine precision for moderate |s| (the intended use is
-    |Im s| <= ~8, Re s >= -6).  With derivative=True returns
-    (zeta(s,a), d/ds zeta(s,a)).  With minus_pole=True the function
-    zeta(s, a) - 1/(s-1) (entire) is evaluated instead, valid at s = 1.
-    """
+    """zeta(s, a) = sum_{n >= 0} (n+a)^(-s), continued by Euler-Maclaurin,
+    at a shift a in (0, 1] (a Python complex) or a 1-d array of shifts (a
+    complex array): one array of the direct and tail powers of every shift,
+    summed against _coefficients, real for a real s.  Value and derivative
+    are within 5e-14 max(1, |value|) of 30-digit mpmath for a in [0.01, 1],
+    0 <= Re s <= 4, |Im s| <= 8; at Re s = -1, -3 and -6 values are off by
+    up to 3e-13, 2e-10 and 5e-6.  derivative=True returns (value, d/ds
+    value), computing the derivative only then; minus_pole=True evaluates
+    zeta(s, a) - 1/(s-1), entire in s."""
     s = complex(s)
     if not minus_pole and abs(s - 1) < 1e-12:
         raise PoleError("hurwitz zeta pole at s=1", location=1.0)
-    N = _HURWITZ_TERMS
-    ln_na = np.log(np.arange(N) + a)
-    pw = np.exp(-s * ln_na)
-    val = complex(pw.sum())
-    dval = complex(-(ln_na * pw).sum())
-    Na = N + a
-    lnNa = math.log(Na)
+    t = s.real if s.imag == 0 else s
+    logs = np.log(np.asarray(a, dtype=float).reshape(-1, 1) + _LOG_STEPS)
+    terms = np.exp(logs * (_POWERS - t))
+    cs, dcs = _coefficients(t, minus_pole, derivative)
+    val = (terms * cs).sum(axis=1)
     if minus_pole:
-        # (Na^(1-s) - 1)/(s-1) = -lnNa * E(-(s-1) lnNa), entire in s
-        z = -(s - 1) * lnNa
-        E, dE = _e_aux(z)
-        val += -lnNa * E
-        dval += lnNa * lnNa * dE
-    else:
-        t = cmath.exp((1 - s) * lnNa) / (s - 1)
-        val += t
-        dval += t * (-lnNa - 1.0 / (s - 1))
-    t = 0.5 * cmath.exp(-s * lnNa)
-    val += t
-    dval += -lnNa * t
-    # correction terms: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * Na^(-s-2k+1)
-    poch = s
-    dpoch = 1.0 + 0j          # derivative of the Pochhammer product
-    for k, c in enumerate(_BERNOULLI_COEFFS, start=1):
-        u = cmath.exp((-s - 2 * k + 1) * lnNa)
-        val += c * poch * u
-        dval += c * (dpoch - lnNa * poch) * u
-        # extend the product by (s + 2k - 1)(s + 2k)
-        for j in (2 * k - 1, 2 * k):
-            dpoch = dpoch * (s + j) + poch
-            poch = poch * (s + j)
+        # (Na^(1-s) - 1)/(s-1) = -lnNa E(z), z = -(s-1) lnNa, Na = N + a: E
+        # and E' by Taylor series while every |z| <= 0.1 (to 1e-17), or expm1
+        lnNa = logs[:, -1]
+        z = -(t - 1) * lnNa
+        series = abs(t - 1) * math.log(_HURWITZ_TERMS + 1) <= 0.1
+        zp, em1 = z[:, None] ** _TAYLOR_POWERS, np.expm1(z)
+        val -= lnNa * ((zp * _E_TAYLOR).sum(axis=1) if series else em1 / z)
+    out = [val]
     if derivative:
-        return val, dval
-    return val
+        dval = (terms * (dcs - logs * cs)).sum(axis=1)
+        if minus_pole:
+            dval += lnNa * lnNa * ((zp[:, :-1] * _DE_TAYLOR).sum(axis=1)
+                                   if series else (z * em1 + z - em1) / (z * z))
+        out.append(dval)
+    out = [complex(v[0]) if np.ndim(a) == 0 else v + 0j for v in out]
+    return tuple(out) if derivative else out[0]
 
 
 def riemann_zeta(s: complex, derivative: bool = False):
@@ -157,29 +152,34 @@ def kronecker_symbol(a: int, n: int) -> int:
     return out if n == 1 else 0
 
 
-def dirichlet_l(s: complex, D: int, derivative: bool = False):
-    """L(s, chi_D) for a fundamental discriminant D, via Hurwitz zetas.
+@lru_cache(maxsize=None)
+def _character_table(D: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The shifts a/|D| of the residues a = 1, ..., |D| with chi_D(a) != 0
+    and the values chi_D(a), as read-only arrays; built once per D."""
+    q = abs(D)
+    chi = np.array([kronecker_symbol(D, a) for a in range(1, q + 1)], float)
+    keep = np.flatnonzero(chi)
+    shifts, chi = (keep + 1) / q, chi[keep]
+    shifts.flags.writeable = chi.flags.writeable = False
+    return shifts, chi
 
+
+def dirichlet_l(s: complex, D: int, derivative: bool = False):
+    """L(s, chi_D) for a fundamental discriminant D: one hurwitz_zeta call
+    over the shifts of _character_table, weighted by the character values.
     For D != 1 the character sums kill the Hurwitz poles, so the pole-free
-    Hurwitz variant is summed and the result is valid at s = 1 as well.
-    """
+    Hurwitz variant is summed and the result is valid at s = 1 as well."""
     q = abs(D)
     if q == 1:
         return riemann_zeta(s, derivative=derivative)
     lnq = math.log(q)
     qs = cmath.exp(-complex(s) * lnq)
-    val = 0j
-    dval = 0j
-    for a in range(1, q + 1):
-        chi = kronecker_symbol(D, a)
-        if chi == 0:
-            continue
-        h, dh = hurwitz_zeta(s, a / q, derivative=True, minus_pole=True)
-        val += chi * h
-        dval += chi * (dh - lnq * h)
-    if derivative:
-        return qs * val, qs * dval
-    return qs * val
+    shifts, chi = _character_table(D)
+    rows = hurwitz_zeta(s, shifts, derivative=derivative, minus_pole=True)
+    if not derivative:
+        return qs * complex((chi * rows).sum())
+    val = complex((chi * rows[0]).sum())
+    return qs * val, qs * (complex((chi * rows[1]).sum()) - lnq * val)
 
 
 @lru_cache(maxsize=None)

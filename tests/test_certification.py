@@ -112,14 +112,16 @@ MUTANTS = {
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the xi caches and the lattice points ball_points keeps before
-    the mutation, so that nothing cached earlier hides it, and after, so
-    that nothing computed under it stays."""
+    """Clear the xi caches, the lattice points ball_points keeps and the
+    character tables of dirichlet_l before the mutation, so that nothing
+    cached earlier hides it, and after, so that nothing computed under it
+    stays."""
     def clear():
         zeta.completed_zeta.cache_clear()
         zeta.CompletedZeta.value.cache_clear()
         zeta.CompletedZeta.laurent_ct.cache_clear()
         lattice._BALLS.clear()
+        zeta._character_table.cache_clear()
 
     clear()
     yield

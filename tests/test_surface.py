@@ -20,8 +20,12 @@ def _exports():
 def _referenced(path):
     """The identifiers a module reads, imports or takes as an attribute
     (a def or class statement alone is no reference)."""
+    return _names(ast.parse(path.read_text()))
+
+
+def _names(tree):
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -48,3 +52,41 @@ def test_only_dalgebra_constructs_z():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              in {"Quaternion", "DNumber"}]
     assert calls == []
+
+
+# the Dirichlet-series oracles of zeta.py, and the theta route they check
+ORACLES = {"hurwitz_zeta", "riemann_zeta", "dirichlet_l", "zeta_K",
+           "class_number", "kronecker_symbol"}
+THETA_ROUTE = {"theta_split", "_theta_sums", "gamma_lattice_sum"}
+
+
+def _top_level(module):
+    """A module's functions, classes and assignments by the names they
+    define."""
+    defs = {}
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((name.id, node) for target in node.targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+    return defs
+
+
+def test_the_oracles_share_no_code_with_the_lattice_route():
+    # the oracles, and every function and constant of zeta.py they reach,
+    # name nothing that lattice, specialfun or eisenstein define, nor the
+    # theta split: the two routes of xi stay independent
+    zeta = _top_level("zeta")
+    forbidden = THETA_ROUTE.union(*map(_top_level, ("lattice", "specialfun",
+                                                    "eisenstein")))
+    reached, todo = set(), sorted(ORACLES)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_names(zeta[name]) & zeta.keys() - reached)
+    assert {"_character_table", "_coefficients", "_POWERS"} < reached
+    assert sorted(set().union(*(_names(zeta[n]) for n in reached))
+                  & forbidden) == []
