@@ -13,11 +13,13 @@ each other:
   of B, where a sharp cut leaves the lattice-point remainder.  It sums one
   point of each pair +-lambda, shell by shell: each doubling of B
   enumerates the points in (B, 2B] only and carries the band's norms
-  over, with real powers for real s.  It accepts the sum when a doubling
-  moves it by at most tol/16, or when each of the last three changes is at
-  most 1/16 of the one before and the rest they predict is below tol/16.
-  It raises when tol/16 lies below its rounding floor
-  eps |V^s| (2/w) sum phi ||lambda||^(-2 Re s).
+  over, in real arithmetic: N^(-2s) is the real power N^(-2 Re s) times
+  the phase e^(i theta), theta = -2 Im s log N, whose cos and sin come from
+  a table-driven kernel on real arrays (_phase).  It accepts the sum when
+  a doubling moves it by at most tol/16, or when each of the last three
+  changes is at most 1/16 of the one before and the rest they predict is
+  below tol/16.  It raises when tol/16 lies below its rounding floor
+  eps |V^s| (2/w) sum phi ||lambda||^(-2 Re s) (1 + 2 |Im s| log B).
 * ehat_expansion: the three-term formula
 
       Ehat = P^s xi(2s, b) + P^(1-s) xi(2s-1, a)
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import functools
 import math
 from typing import Optional
 
@@ -171,19 +174,26 @@ class EisensteinEvaluator:
         +-lambda, counted twice.  Each doubling of B enumerates the new
         points in (B, 2B] only: the plain sum over N <= aB grows by the
         carried norms that leave the band, and the band (aB, B] is
-        re-weighted, in real arithmetic when s is real.  It works on the
-        arrays norm_chunks yields as they come: ball_points sizes them
-        (lattice._CHUNK_POINTS) so that the temporaries of each stay in
-        cache.  It accepts S(B_k) when the doubling to B_k moved the value
-        by d_k <= tol/16, or when the changes predict that the rest lies
+        re-weighted.  Both run on real arrays: N^(-2 Re s), and for complex
+        s the real and imaginary parts of N^(-2s) = N^(-2 Re s) e^(i theta),
+        theta = -2 Im s log N, which _phase forms from a table of cos and
+        sin at 2 pi j/4096 and short polynomials, within eps (2 + |theta|)
+        of each term relative to N^(-2 Re s) (numpy's complex exp is a
+        scalar loop: ~40 ns a point against ~15 on a 2-core x86-64 VM).  It
+        works on the arrays norm_chunks yields as they come: ball_points
+        sizes them (lattice._CHUNK_POINTS) so that the temporaries of each
+        stay in cache, and _phase goes through them in sub-blocks of
+        _PHASE_BLOCK.  It accepts S(B_k) when the doubling to B_k moved the
+        value by d_k <= tol/16, or when the changes predict that the rest lies
         below tol/16: with rho the largest of the ratios d_k/d_(k-1),
         d_(k-1)/d_(k-2), d_(k-2)/d_(k-3), rho <= _DECAY_RATIO and
         rho^2 d_(k-1) <= tol/16 (rho d_(k-1) is the change the trend
         predicts for this doubling, and never below d_k).
         It raises ConvergenceError when tol/16 lies below its rounding floor
-        eps |V^s| (2/w) sum phi N^(-2 Re s), or after
-        numerics.MAX_REFINEMENTS doublings; the error carries the cutoff,
-        the last change, tol and the number of points enumerated."""
+        eps |V^s| (2/w) sum phi N^(-2 Re s) (1 + 2 |Im s| log B): each
+        phase rounds at about |theta| eps, whichever kernel forms it; or
+        after numerics.MAX_REFINEMENTS doublings.  The error carries the
+        cutoff, the last change, tol and the number of points enumerated."""
         s = complex(s)
         if s.real <= 1.05:
             raise ConvergenceError(
@@ -199,51 +209,62 @@ class EisensteinEvaluator:
             / (w * V)
 
         def powers(norms):
-            # (n^(-2s), n^(-2 Re s)), one array for real s
+            # n^(-2 Re s), then for complex s the real and imaginary parts of
+            # n^(-2s) = n^(-2 Re s) e^(i theta), theta = -2 Im s log n; in
+            # place, so that a block allocates little more than its results
             logs = np.log(norms)
-            mass = np.exp(-2 * s.real * logs)
-            return (np.exp(-2 * s * logs) if s.imag else mass), mass
+            if not s.imag:
+                logs *= -2 * s.real
+                return (np.exp(logs, out=logs),)
+            mass = logs * (-2 * s.real)
+            np.exp(mass, out=mass)
+            return (mass, *_phase(logs, -2 * s.imag, mass))
 
         # the doubling difference can understate the true truncation error by
         # an order of magnitude when lattice-shell oscillations dominate, so
         # the acceptance threshold carries a 16x safety factor
         eps_scale = np.finfo(float).eps * 2 * abs(Vs) / w
         lo, B = 0.0, max(8.0, 2.0 * V ** (1.0 / lat.dim))
-        # the plain sums over N <= aB, and the band (aB, B] as chunks
-        # (norms, n^(-2s), n^(-2 Re s)) carried over to the next doubling
-        inner, inner_mass = 0j, 0.0
+        # the plain sums over N <= aB of each array of powers, and the band
+        # (aB, B] as chunks (norms, powers) carried over to the next doubling
+        inner = [0.0] * (3 if s.imag else 1)
         band = []
         points, prev, changes = 0, None, []
         for _ in range(numerics.MAX_REFINEMENTS + 1):
             for norms in lat.norm_chunks(B, lo):
                 points += norms.size
-                band.append((norms, *powers(norms)))
+                band.append((norms, powers(norms)))
             kept = []
-            for n, terms, mass in band:
+            for n, parts in band:
                 plain = n <= _SMOOTH_A * B
                 if plain.any():
                     # these norms leave the band for the plain sums
-                    inner += complex(np.sum(terms[plain]))
-                    inner_mass += float(np.sum(mass[plain]))
+                    for i, part in enumerate(parts):
+                        inner[i] += float(np.sum(part[plain]))
                     out = ~plain
-                    n, terms, mass = n[out], terms[out], mass[out]
+                    n, parts = n[out], [part[out] for part in parts]
                 if n.size:
-                    kept.append((n, terms, mass))
+                    kept.append((n, parts))
             band = kept
-            total, total_mass = inner, inner_mass
-            for n, terms, mass in band:
-                add, add_mass = _smooth_band_sums(n, terms, mass, B)
-                total += add
-                total_mass += add_mass
-            floor = eps_scale * total_mass
+            sums = inner[:]
+            for n, parts in band:
+                for i, add in enumerate(_smooth_band_sums(n, parts, B)):
+                    sums[i] += add
+            # sum phi N^(-2 Re s), and sum phi N^(-2s)
+            total_mass = sums[0]
+            total = complex(*sums[1:]) if s.imag else complex(total_mass)
+            # each phase theta = -2 Im s log N rounds at about |theta| eps
+            floor = eps_scale * total_mass \
+                * (1 + 2 * abs(s.imag) * math.log(B))
             cur = 2 * Vs * total / w + tail * _cpow(B, 2 - 2 * s)
             delta = math.inf if prev is None else abs(cur - prev)
             if floor > tol / 16:
                 raise ConvergenceError(
                     f"direct sum at B = {B:g} lies below its rounding floor: "
-                    f"eps*|V^s|*2*sum phi|term|/w = {floor:.3g} > "
-                    f"tol/16 = {tol / 16:.3g}; use the expansion",
-                    cutoff=B, last_delta=delta, tol=tol, points=points)
+                    f"eps*|V^s|*2*sum phi|term|*(1 + 2|Im s| log B)/w = "
+                    f"{floor:.3g} > tol/16 = {tol / 16:.3g}; use the "
+                    f"expansion", cutoff=B, last_delta=delta, tol=tol,
+                    points=points)
             if delta <= tol / 16:
                 return cur
             if prev is not None:
@@ -546,37 +567,119 @@ def _band_weight(q: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _smooth_band_sums(norms, terms, mass, B: float):
-    """(sum terms phi, sum mass phi) over norms in (aB, B], phi the smooth
-    weight."""
+def _smooth_band_sums(norms, parts, B: float):
+    """sum part phi over norms in (aB, B] for each array of powers in parts,
+    phi the smooth weight."""
     q = norms - _SMOOTH_A * B
     q *= 1.0 / ((1 - _SMOOTH_A) * B)
     weight = _band_weight(q)
-    return complex(np.dot(terms, weight)), float(np.dot(mass, weight))
+    return [float(np.dot(part, weight)) for part in parts]
 
 
-def _tail_quadrature():
+# e_direct's phase e^(i theta): cos and sin of 2 pi j/M from a table, and of
+# the reduced argument r, |r| <= pi/M, from short polynomials (Tang, ACM TOMS
+# 15, 1989), on real arrays: numpy's complex exp, cos and sin are scalar libm
+# loops, 20-40x slower a point than its real exp.  M = 2^12 keeps the
+# truncation of the polynomials below 2.2e-18; the kernel runs over
+# sub-blocks of _PHASE_BLOCK points, whose ten or so temporaries of 64 KB
+# each stay in cache and below glibc's mmap threshold
+_PHASE_M = 1 << 12
+_PHASE_STEP = 2 * math.pi / _PHASE_M
+_PHASE_BLOCK = 8192
+
+
+def _phase_table():
+    """cos and sin of 2 pi j/M, j = 0 .. M - 1, from angles in [0, pi/4]
+    and the symmetries of the circle: taken directly, the angle near 2 pi
+    rounds at about eps 2 pi, which is large against its small sine."""
+    m = np.arange(_PHASE_M // 4)
+    low = m <= _PHASE_M // 8
+    a = _PHASE_STEP * np.where(low, m, _PHASE_M // 4 - m)
+    qc = np.where(low, np.cos(a), np.sin(a))
+    qs = np.where(low, np.sin(a), np.cos(a))
+    return (np.concatenate([qc, -qs, -qc, qs]),
+            np.concatenate([qs, qc, -qs, -qc]))
+
+
+_PHASE_COS, _PHASE_SIN = _phase_table()
+# adding 1.5 * 2^52 to |u| <= 2^51 rounds it to an integer, which then fills
+# the low bits of the sum's significand
+_ROUND_SHIFT = 1.5 * 2.0 ** 52
+
+
+def _phase(logs: np.ndarray, t: float, mass: np.ndarray) -> np.ndarray:
+    """mass cos(theta) and mass sin(theta), theta = t logs, for 1-d arrays
+    logs and mass: one array of shape (2, logs.size), from real numpy
+    operations alone, _PHASE_BLOCK points at a time.
+
+    u = logs t/(2 pi/M) is reduced by whole turns to |u| <= M/2 (exact),
+    k = rint(u) and r = (u - k) 2 pi/M (u - k is exact).  cos r =
+    1 - r^2/2 + r^4/24 and sin r = r - r^3/6 within 2.2e-18 for
+    |r| <= pi/M; the table gives cos and sin of 2 pi j/M at j = k mod M,
+    and the angle sum combines them.  Every finite theta takes this path,
+    with no warning.  Against mpmath's expj at the exact theta = t logs,
+    |theta| <= 1e4 and mass 1 (tests/test_eisenstein.py), the error was at
+    most 0.92 eps (1 + |theta|): u rounds at about |theta| eps, as theta
+    itself does in any kernel.  With a mass the bound is
+    eps |mass| (2 + |theta|)."""
+    out = np.empty((2, logs.size))
+    scale = t / _PHASE_STEP
+    for a in range(0, logs.size, _PHASE_BLOCK):
+        b = a + _PHASE_BLOCK
+        u = logs[a:b] * scale
+        turns = u * (1.0 / _PHASE_M)
+        np.rint(turns, out=turns)
+        turns *= _PHASE_M
+        u -= turns
+        k = u + _ROUND_SHIFT
+        j = k.view(np.int64) & (_PHASE_M - 1)
+        k -= _ROUND_SHIFT
+        u -= k
+        u *= _PHASE_STEP
+        r2 = u * u
+        m = mass[a:b]
+        # mass cos r and mass sin r
+        mc = r2 * (1 / 24)
+        mc -= 0.5
+        mc *= r2
+        mc *= m
+        mc += m
+        ms = r2 * (-1 / 6)
+        ms += 1
+        ms *= u
+        ms *= m
+        c, sn = _PHASE_COS.take(j), _PHASE_SIN.take(j)
+        re = np.multiply(c, mc, out=out[0, a:b])
+        re -= sn * ms
+        im = np.multiply(sn, mc, out=out[1, a:b])
+        im += c * ms
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_quadrature(panels: int):
     """log u and the weights P'((u-a)/(1-a)) du of the 40-point
-    Gauss-Legendre rule on [a, 1]; P'(t) = (2k+1) C(2k, k) (t (1-t))^k."""
+    Gauss-Legendre rule on each of `panels` equal parts of [a, 1];
+    P'(t) = (2k+1) C(2k, k) (t (1-t))^k."""
     x, wts = np.polynomial.legendre.leggauss(40)
-    t = (x + 1) / 2
+    t = ((np.arange(panels)[:, None] + (x + 1) / 2) / panels).ravel()
     k = _SMOOTH_K
     dP = (2 * k + 1) * math.comb(2 * k, k) * (t * (1 - t)) ** k
-    return np.log(_SMOOTH_A + (1 - _SMOOTH_A) * t), wts / 2 * dP
-
-
-_TAIL_LOGU, _TAIL_WEIGHTS = _tail_quadrature()
+    return (np.log(_SMOOTH_A + (1 - _SMOOTH_A) * t),
+            np.tile(wts / (2 * panels), panels) * dP)
 
 
 def _smooth_tail_factor(s: complex) -> complex:
     """c(s) = 1/(2s-2) + int_a^1 u^(1-2s) P((u-a)/(1-a)) du, the integral of
     u^(1-2s) (1 - phi(u)) over u > a.  Integrated by parts it is
     int_a^1 u^(2-2s) dP / (2s-2), whose integrand is a smooth bump: no
-    cancellation between 1/(2s-2) and the integral, and a fixed 40-point
+    cancellation between 1/(2s-2) and the integral.  A 40-point
     Gauss-Legendre sum meets 1e-14 relative for real s up to 10 (real
-    arithmetic for real s)."""
-    return complex(np.dot(_TAIL_WEIGHTS, np.exp((2 - 2 * s) * _TAIL_LOGU))) \
-        / (2 * s - 2)
+    arithmetic for real s); u^(-2i Im s) turns 0.44 |Im s| times over
+    [a, 1], so the rule runs on ceil(|Im s|/10) equal panels: on one, it
+    was 1.7e-4 off at s = 1.8 + 30i."""
+    logu, weights = _tail_quadrature(max(1, math.ceil(abs(s.imag) / 10)))
+    return complex(np.dot(weights, np.exp((2 - 2 * s) * logu))) / (2 * s - 2)
 
 
 # reduction steps before _sl2_reduce gives up; over Q a float x is a dyadic

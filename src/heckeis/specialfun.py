@@ -86,8 +86,8 @@ def _cf_unconverged(s: complex, n: int, size: int, worst: float, tol: float):
 
 def _incgamma_cf(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     """Legendre's continued fraction for Gamma(s, x) (DLMF 8.9), reliable for
-    x >= min(8, |s| + 1).  Up to _CF_SCALAR_MAX arguments run the modified
-    Lentz method one by one (_lentz_scalar), each to its own
+    x >= min(8, |s| + 1) and x > Re s.  Up to _CF_SCALAR_MAX arguments run
+    the modified Lentz method one by one (_lentz_scalar), each to its own
     |delta - 1| < tol; more take a fixed-depth approximant per run of sorted
     arguments, evaluated backward (_cf_backward).  A real order takes real
     arithmetic.  Both raise ConvergenceError when a Lentz loop reaches
@@ -183,10 +183,13 @@ def _cf_backward(s: Complex, x: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _incgamma_series(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
+def _incgamma_series(s: complex, x: np.ndarray, tol: float,
+                     floor: float = 1.0) -> np.ndarray:
     """Gamma(s) minus the power series of the lower function,
     gamma(s, x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n)) (DLMF 8.7.1);
-    for small x, Re s > 0 and |s| >= 1/2, away from the poles of Gamma."""
+    for small x, Re s > 0 and |s| >= 1/2, away from the poles of Gamma, and
+    for x <= Re s.  Each argument stops at the first term with |term| <=
+    tol max(floor, |sum|)."""
     term = np.full(x.shape, 1.0 / s, dtype=complex)
     total = term.copy()
     out = np.empty(x.shape, dtype=complex)
@@ -194,7 +197,7 @@ def _incgamma_series(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     xs = x
     n = 0
     while True:
-        done = np.abs(term) <= tol * np.maximum(1.0, np.abs(total))
+        done = np.abs(term) <= tol * np.maximum(floor, np.abs(total))
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
@@ -241,8 +244,17 @@ def _incgamma_block(s: complex, x: np.ndarray, tol: float) -> np.ndarray:
     edge = min(8.0, abs(s) + 1.0)
     out = np.empty(x.shape, dtype=complex)
     big = x >= edge
+    # at edge <= x <= Re s the fraction's approximants can stagnate before
+    # they converge (Lentz's |delta - 1| < tol while the value is still off:
+    # 7.1e-7 at s = 25 + 40i, x = 8.03).  There the series' ratios x/|s + n|
+    # stay below 1; it stops relative to its sum, which can lie well below 1
+    # (about 1/43 at s = 25 + 40i, x = 8)
+    right = big & (x <= s.real)
+    if right.any():
+        big &= ~right
+        out[right] = _incgamma_series(s, x[right], tol, floor=0.0)
     out[big] = _incgamma_cf(s, x[big], tol)
-    small = ~big
+    small = x < edge
     if not small.any():
         return out
     if s.real > 0 and abs(s) >= 0.5:
@@ -267,11 +279,16 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 
     * integer s = -n <= 0 (within 1e-12): x^-n E_{n+1}(x) (DLMF 8.19.1);
     * real s > 0: the regularized Q(s, x) times Gamma(s) (scipy gammaincc);
-    * x >= min(8, |s| + 1): the continued fraction (DLMF 8.9), for a few
-      arguments each to its own |delta - 1| < tol, for more at the depth
-      where the ends of each run of sorted arguments meet it, plus 2;
-    * smaller x, Re s > 0 and |s| >= 1/2: Gamma(s) minus the lower series
-      (DLMF 8.7.1);
+    * x >= min(8, |s| + 1) and x > Re s: the continued fraction (DLMF 8.9),
+      for a few arguments each to its own |delta - 1| < tol, for more at
+      the depth where the ends of each run of sorted arguments meet it,
+      plus 2;
+    * min(8, |s| + 1) <= x <= Re s: Gamma(s) minus the lower series
+      (DLMF 8.7.1), each to its own |term| <= tol |sum|.  There the
+      fraction's Lentz loop can stop on a stagnating approximant: at
+      s = 25 + 40i, x = 8.03 it was 7.1e-7 off;
+    * smaller x, Re s > 0 and |s| >= 1/2: the same series, each to its own
+      |term| <= tol max(1, |sum|);
     * smaller x otherwise: the continued fraction at the edge
       min(8, |s| + 1) plus the integral from x to the edge, taken in log u
       by Gauss-Legendre panels (accurate next to the poles of Gamma, where

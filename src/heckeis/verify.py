@@ -6,10 +6,11 @@ Suites: theta (Gaussian theta transformation and dual volumes), fourier
 through the dual lattice), klf (residue, limit-formula constants, h
 modularity, the relative limit formula, also over the large regulator of
 Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
-direct Eisenstein sum, and the quadratic-extension integral formula at
-s = 2, 3 and 1.5 + 0.5i and over Q(sqrt193), each value against the
-Dirichlet-series oracle itself), specialfun (gamma factor,
-Bessel, kv against the trapezoid, and incomplete gamma checks), shells
+direct Eisenstein sum at s = 1.5, 2, 3 and 2 + 0.5i, and the
+quadratic-extension integral formula at s = 2, 3 and 1.5 + 0.5i and over
+Q(sqrt193), each value against the Dirichlet-series oracle itself),
+specialfun (gamma factor, Bessel, kv against the trapezoid, and incomplete
+gamma checks), shells
 (one theta sum through two splits of a ball into a ball and an annulus).
 
 Suite functions only draw the deterministic inputs; the numerical work
@@ -324,6 +325,17 @@ def checks_klf(seed: int = 7) -> List[Check]:
 # Hecke integral suite
 
 
+def _imquad_zeta_check(K, A, s, ev, cutoff, direct_tol):
+    """The partial zeta sum of the class of A at s, and the same value from
+    e_direct of its base lattice."""
+    def eq1():
+        lhs, _ = partial_zeta_series(K, A, s, cutoff)
+        E = ev.e_direct(s, direct_tol)
+        dK = abs(K.discriminant)
+        return lhs, (2.0 / K.w) * (math.sqrt(dK) / 2.0) ** (-s) * E
+    return eq1
+
+
 def checks_hecke(seed: int = 7) -> List[Check]:
     checks = []
 
@@ -334,21 +346,21 @@ def checks_hecke(seed: int = 7) -> List[Check]:
             else FracIdeal.from_hnf(K, *hnf)
         setup = HeckeSetup(K, A)
         ev = EisensteinEvaluator(setup.base_lattice)
-        dK = abs(K.discriminant)
         for s in (1.5, 2.0, 3.0):
             cutoff = 8e5 if s == 1.5 else 2e5
             direct_tol = 2e-7 if s == 1.5 else 1e-8
-
-            def eq1(K=K, A=A, s=s, ev=ev, dK=dK, cutoff=cutoff,
-                    direct_tol=direct_tol):
-                lhs, _ = partial_zeta_series(K, A, s, cutoff)
-                E = ev.e_direct(s, direct_tol)
-                rhs = (2.0 / K.w) * (math.sqrt(dK) / 2.0) ** (-s) * E
-                return lhs, rhs
-
             checks.append(Check("imquad-zeta-vs-eisenstein", K.label,
                                 {"s": s, "ideal": str(A), "cutoff": cutoff},
-                                1e-6, eq1))
+                                1e-6, _imquad_zeta_check(K, A, s, ev, cutoff,
+                                                         direct_tol)))
+        # at a complex s e_direct forms its phases with eisenstein._phase,
+        # the partial sum with numpy's complex exp: the values agree to
+        # 2.3e-9 (Q(sqrt-5)), and a relative 1e-7 on the phases moves them
+        # by 5.5e-8 or more
+        s = 2 + 0.5j
+        checks.append(Check("imquad-zeta-vs-eisenstein-complex-s", K.label,
+                            {"s": s, "ideal": str(A), "cutoff": 2e5}, 1e-8,
+                            _imquad_zeta_check(K, A, s, ev, 2e5, 1e-9)))
 
     for d in (2, 5, 3):
         K = make_field(d)

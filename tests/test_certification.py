@@ -70,6 +70,10 @@ MUTANTS = {
     # both orders of the recurrence take it
     "_cf_backward": ("specialfun", ["incgamma-recurrence-array"], [
         (specialfun, "_cf_backward", _scaled(specialfun._cf_backward))]),
+    # e_direct's phases at a complex s against the partial zeta sum, whose
+    # powers come from numpy's complex exp
+    "_phase": ("hecke", ["imquad-zeta-vs-eisenstein-complex-s"], [
+        (eisenstein, "_phase", _scaled(eisenstein._phase))]),
     # the functional equation: the expansion (Bessel pair sum) against the
     # lattice route of the dual, which has no Bessel function
     "bessel_k_batch": ("fe", ["functional-equation"], [

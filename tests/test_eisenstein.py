@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -1003,15 +1004,106 @@ def test_direct_sums_each_point_once(lat, monkeypatch):
     # the doublings grow the ball shell by shell and carry the band's norms
     # over, and norm_chunks hands over one point of each pair +-lambda: over
     # the calls of one e_direct, the norms are those of half the final ball,
-    # each exactly once, and the value is the smoothed sum over that ball
-    s = 2.5 + 0.5j
-    value, seen, B = _traced_direct(monkeypatch, lat, s, 4e-9)
-    full = _ball_norms(lat, B)
-    assert B > max(8.0, 2.0 * lat.covolume ** (1.0 / lat.dim))
-    assert seen.size * 2 == full.size
-    np.testing.assert_allclose(np.sort(seen), full[::2], rtol=1e-13)
-    want = _smoothed_closed_form(lat, s, B)
-    assert abs(value - want) <= 1e-13 * abs(want)
+    # each exactly once, and the value is the smoothed sum over that ball,
+    # whose powers the closed form takes from numpy's complex exp
+    for s in (2.5 + 0.5j, 2.5 - 7j, 2.2 + 12.5j, 3.2 + 30j, 3.2 - 30j):
+        value, seen, B = _traced_direct(monkeypatch, lat, s, 4e-9)
+        monkeypatch.undo()
+        full = _ball_norms(lat, B)
+        assert B > max(8.0, 2.0 * lat.covolume ** (1.0 / lat.dim))
+        assert seen.size * 2 == full.size
+        np.testing.assert_allclose(np.sort(seen), full[::2], rtol=1e-13)
+        want = _smoothed_closed_form(lat, s, B)
+        assert abs(value - want) <= 1e-13 * abs(want), s
+
+
+_EPS = np.finfo(float).eps
+
+
+def test_phase_matches_mpmath_expj():
+    # against e^(i theta) at the exact theta = t logs.  At t = 1 theta is
+    # the given double: random theta up to 1e4 of both signs, both ends of
+    # the table (k = 0 and M - 1 mod M, where the index wraps), u =
+    # theta/(2 pi/M) at half-integers (where rint rounds to even) and 0.
+    # Other t round logs t/(2 pi/M) once more
+    M, step = eisenstein._PHASE_M, eisenstein._PHASE_STEP
+    rng = np.random.default_rng(3)
+    turns = rng.integers(-400, 400, 120)
+    special = np.concatenate([
+        rng.uniform(-1e4, 1e4, 600), rng.uniform(-4.0, 4.0, 200),
+        step * (M * turns + np.repeat([0, M - 1], 60)),
+        step * (rng.integers(-1_600_000, 1_600_000, 120) + 0.5),
+        [0.0, -0.0, step / 2, -step / 2, 1e4, -1e4]])
+    cases = [(1.0, special)] + [(t, rng.uniform(-12.0, 12.0, 200))
+                                for t in (-60.0, -0.9, 3.7, 800.0)]
+    for t, logs in cases:
+        got = eisenstein._phase(logs, t, np.ones_like(logs))
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expj(mpmath.mpf(t) * x))
+                             for x in logs.tolist()])
+        assert np.all(np.abs(got[0] + 1j * got[1] - want)
+                      <= _EPS * (1 + np.abs(t * logs))), t
+
+
+@settings(max_examples=40, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40),
+       st.floats(-40.0, 40.0))
+def test_phase_property_against_numpy_exp(theta, log_mass):
+    # within the docstring's bound eps |mass| (2 + |theta|) of the exact
+    # value, and numpy's mass * exp(i theta) within eps |mass| of it
+    theta = np.array(theta)
+    mass = np.full(theta.shape, math.exp(log_mass))
+    got = eisenstein._phase(theta, 1.0, mass)
+    want = mass * np.exp(1j * theta)
+    assert np.all(np.abs(got[0] + 1j * got[1] - want)
+                  <= _EPS * mass * (3 + np.abs(theta)))
+
+
+def test_phase_warns_nothing_at_any_finite_theta():
+    # the exact reduction by whole turns keeps every index in range: no
+    # cast or overflow warning (Tier-1 makes heckeis' warnings errors), and
+    # the values stay on the unit circle
+    theta = np.array([1e15, -1e15, 2.0 ** 62, -2.0 ** 63 - 2 ** 12, 1e300,
+                      -1e300, 1.7e308 * eisenstein._PHASE_STEP, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eisenstein._phase(theta, 1.0, np.ones_like(theta))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(np.hypot(got[0], got[1]) - 1) <= 4 * _EPS)
+
+
+def test_phase_sub_blocks_change_no_bit(monkeypatch):
+    # the kernel is elementwise: its sub-blocks, the last one short, give
+    # what one block over the whole array gives
+    rng = np.random.default_rng(5)
+    logs = rng.uniform(-3.0, 9.0, 2 * eisenstein._PHASE_BLOCK + 1234)
+    mass = np.exp(-5.0 * logs)
+    blocked = eisenstein._phase(logs, -61.0, mass)
+    monkeypatch.setattr(eisenstein, "_PHASE_BLOCK", logs.size)
+    np.testing.assert_array_equal(blocked,
+                                  eisenstein._phase(logs, -61.0, mass))
+
+
+def test_direct_raises_at_its_phase_floor():
+    # at s = 2 + 1e6 i each phase -2 Im s log N rounds at up to 4e6 eps
+    # at B = 8: the floor eps |V^s| (2/w) sum phi N^(-2 Re s)
+    # (1 + 2 |Im s| log B) lies above tol/16 at the first cutoff, where the
+    # floor without the phase factor (s = 2) lies below it
+    ev = EisensteinEvaluator(lat_q(0.0, 1.0))
+    ev.e_direct(2.0, 1e-10)
+    with pytest.raises(ConvergenceError) as info:
+        ev.e_direct(2 + 1e6j, 1e-10)
+    assert "rounding floor" in str(info.value)
+    assert info.value.cutoff == 8.0 and info.value.last_delta == math.inf
+
+
+@pytest.mark.parametrize("s", [2 + 30j, 2 + 60j, 1.5 - 60j])
+def test_direct_far_up_the_imaginary_axis(s):
+    # the smooth tail's quadrature takes one panel per 10 of |Im s|: on one
+    # panel it was 0.012 off at 2 + 60i, so that the doublings never agreed
+    # and the ball grew past the enumeration cap
+    got = EisensteinEvaluator(lat_q(0.0, 1.0)).e_direct(s, 1e-8)
+    assert abs(got - _zeta_beta(s)) <= 1e-8
 
 
 @pytest.mark.parametrize("lat", [lat_q(0.3, 1.1),
@@ -1037,12 +1129,17 @@ def test_direct_real_s_sums_in_real_arithmetic(lat, monkeypatch):
 @settings(max_examples=12)
 @given(st.one_of(st.floats(1.06, 10.0),
                  st.builds(complex, st.floats(1.06, 4.0),
-                           st.floats(-10.0, 10.0))))
+                           st.floats(-60.0, 60.0))))
+@example(1.8 + 30j)
+@example(3.2 - 30j)
+@example(2.0 + 60j)
 def test_smooth_tail_factor_matches_quadrature(s):
     # c(s) against mpmath.quad of its definition.  The bound is relative to
     # the integral of |u^(2-2s)| dP / |2s-2|, which is |c(s)| for real s;
     # for complex s the phase of u^(-2i Im s) cancels c(s) down to ~1e-3 of
-    # that scale (4 + 10i), beyond what float64 terms can resolve
+    # that scale (4 + 10i), beyond what float64 terms can resolve.  One
+    # panel of the rule was 6e-11 off at 1.8 + 30i, 1.3e-9 at 3.2 - 30i and
+    # 0.012 at 2 + 60i, against a scale of about 1e-2
     a, k = eisenstein._SMOOTH_A, eisenstein._SMOOTH_K
     sig = complex(s).real
     want = _mp_tail_factor(s)
@@ -1125,9 +1222,9 @@ def test_direct_sum_at_a_second_s_lists_no_shell_again(monkeypatch):
     # 2.5 + 0.5i.  The second sum is served every shell the first listed
     # (in blocks of about 256 points, so that the shells have many), and
     # gives the value, and the point count of a raise, of a run with
-    # nothing kept.  Over 4Z + 4iZ the rounding floor at tol 8e-15 is
-    # 4.1e-16 < tol/16 at B = 8 and 5.5e-16 > tol/16 at B = 16: it raises
-    # after the annulus (8, 16]
+    # nothing kept.  Over 4Z + 4iZ the rounding floor (with its phase factor
+    # 1 + log B) is 1.28e-15 < tol/16 = 1.56e-15 at B = 8 and 2.07e-15 at
+    # B = 16: it raises after the annulus (8, 16]
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 256)
     calls = []
     enumerate_ = lattice._enumerate
@@ -1152,7 +1249,7 @@ def test_direct_sum_at_a_second_s_lists_no_shell_again(monkeypatch):
             lattice._BALLS.clear()
 
     for lat, tol in [(lat_quat(Fi, 0.1 + 0.2j, 1.0 + 0.3j), 4e-10),
-                     (lat_q(0.0, 1.0, a=4, b=4), 8e-15)]:
+                     (lat_q(0.0, 1.0, a=4, b=4), 2.5e-14)]:
         cold, listed = second(lat, tol, warm=False)
         assert len(listed) >= 2
         assert second(lat, tol, warm=True) == (cold, [])

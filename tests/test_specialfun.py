@@ -487,6 +487,25 @@ def test_incgamma_backward_depth_covers_every_argument(nu, run,
     assert np.all(counts <= depths)
 
 
+# orders whose real part lies well right of the continued fraction's edge 8:
+# for x <= Re s its Lentz loop stopped on a stagnating approximant, 7.1e-7
+# off at 25 + 40i, x = 8.03 (tol 1e-14), 4.1e-8 at x = 9 and wholly wrong at
+# 40 + i; its backward form over [8.03, 10] was 2.7e-11 off.  Now the series
+# takes x <= Re s, and the fraction x = 60
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("nu", [25 + 40j, 25 - 40j, 40 + 1j])
+def test_incgamma_large_real_part_meets_tol_or_raises(nu, tol):
+    xs = [8.0, 8.03, 8.5, 9.0, 10.0, 12.0, 20.0, nu.real - 0.1, nu.real, 60.0]
+    for x in xs + [np.linspace(8.03, 10.0, 16)]:
+        try:
+            got = upper_incomplete_gamma(nu, x, tol)
+        except ConvergenceError:
+            continue
+        want = np.array([_mp_incgamma(nu, v)
+                         for v in np.atleast_1d(x).tolist()])
+        assert np.all(np.abs(got - want) <= tol * np.abs(want)), (nu, tol, x)
+
+
 def test_incgamma_series_reports_how_far_it_got(monkeypatch):
     monkeypatch.setattr(specialfun, "_SERIES_MAX_TERMS", 2)
     with pytest.raises(ConvergenceError) as info:

@@ -90,3 +90,32 @@ def test_the_oracles_share_no_code_with_the_lattice_route():
     assert {"_character_table", "_coefficients", "_POWERS"} < reached
     assert sorted(set().union(*(_names(zeta[n]) for n in reached))
                   & forbidden) == []
+
+
+def _reach(defs, roots):
+    """The names of defs that roots reach, through the names each reads."""
+    reached, todo = set(), sorted(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_names(defs[name]) & defs.keys() - reached)
+    return reached
+
+
+def test_the_routes_that_certify_e_direct_share_no_phase_code():
+    # e_direct's phase kernel, with every table and constant it reaches, is
+    # named neither in zeta.py (the partial zeta sums and the theta split of
+    # the lattice route) nor in any other method of the evaluator (the
+    # expansion, the lattice route and the Laurent data) or what they reach
+    eis = _top_level("eisenstein")
+    kernel = _reach(eis, {"_phase"})
+    assert {"_phase_table", "_PHASE_COS", "_PHASE_SIN"} < kernel
+    methods = {node.name: node for node in eis["EisensteinEvaluator"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert "_phase" in _names(methods.pop("e_direct"))
+    assert {"ehat_expansion", "term3", "ehat_lattice", "ct"} < methods.keys()
+    others = set().union(*map(_names, methods.values()))
+    expansion = _reach(eis, others & eis.keys())
+    assert not kernel & (expansion | others)
+    assert not kernel & _referenced(PACKAGE / "zeta.py")
