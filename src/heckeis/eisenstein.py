@@ -64,7 +64,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import kve
 
 from . import numerics
 from .basefield import FracIdeal, dual_ideal
@@ -72,7 +71,8 @@ from .errors import (ConvergenceError, DegenerateLatticeError,
                      EnumerationCapError)
 from .lattice import OFLattice, ball_points, ideal_embedding_matrix
 # upper_incomplete_gamma stays bound here: perfbench/test_perfbench.py counts it
-from .specialfun import bessel_k_batch, gamma_F, upper_incomplete_gamma
+from .specialfun import (_bessel_k_scaled, bessel_k_batch, gamma_F,
+                         upper_incomplete_gamma)
 from .zeta import (c_F, completed_zeta, ideal_generator, theta_split,
                    theta_split_ct)
 
@@ -364,24 +364,25 @@ class EisensteinEvaluator:
         # log(10 scale/tol) and the factors of (g X)^a 2 N(X) that do not
         # depend on X
         base = np.log(10 / tol * np.maximum(scale, 1e-300)) + a * np.log(g) \
-            + math.log(4 * dens) - n_v * np.log(c)
+            + math.log(2 * dens) - n_v * np.log(c)
         ln_x0 = np.log(x0)
 
         def log_need(X, slope=False):
-            # half of log(10 e^(2X) tail(X)/tol), with K_a(X) = 2 kve(a, 2X)
-            # e^(-2X) and 1 + n_v log Q = lq
+            # half of log(10 e^(2X) tail(X)/tol), with e^(2X) K_a(X) = kv
+            # and 1 + n_v log Q = lq
             ln_X = np.log(X)
             lq = 1 + n_v * (ln_X - ln_x0)
             k = a + n_v + n_v / lq
-            kv = kve(a, 2 * X)
+            kv = _bessel_k_scaled((a, a - 1) if slope else (a,), X)
             need = (base + (a + n_v) * ln_X
-                    + np.log(lq * kv / (2 - k / X))) / 2
+                    + np.log(lq * kv[0] / (2 - k / X))) / 2
             if not slope:
                 return need
-            # and its derivative in X: (log kve(a, z))' = 1 - a/z
-            # - kve(a - 1, z)/kve(a, z) (DLMF 10.29.2), k' = -n_v^2/(X lq^2)
+            # and its derivative in X: (log e^(2X) K_a(X))' = 2 - a/X
+            # - 2 K_(a-1)(X)/K_a(X) (DLMF 10.29.2 at z = 2X),
+            # k' = -n_v^2/(X lq^2)
             return need, (n_v * (1 + 1 / lq) / X + 2
-                          - 2 * kve(a - 1, 2 * X) / kv
+                          - 2 * kv[1] / kv[0]
                           - (k + (n_v / lq) ** 2) / (X * (2 * X - k))) / 2
 
         # X suffices when log_need(X) <= X; the least such X* is the fixed

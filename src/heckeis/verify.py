@@ -9,8 +9,8 @@ Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
 direct Eisenstein sum at s = 1.5, 2, 3 and 2 + 0.5i, and the
 quadratic-extension integral formula at s = 2, 3 and 1.5 + 0.5i and over
 Q(sqrt193), each value against the Dirichlet-series oracle itself),
-specialfun (gamma factor, Bessel, kv against the trapezoid, and incomplete
-gamma checks), shells
+specialfun (gamma factor, Gamma's duplication formula, Bessel, the
+real-order K sum against the trapezoid, and incomplete gamma checks), shells
 (one theta sum through two splits of a ball into a ball and an annulus).
 
 Suite functions only draw the deterministic inputs; the numerical work
@@ -412,6 +412,26 @@ def checks_specialfun(seed: int = 7) -> List[Check]:
     return checks
 
 
+def checks_gamma(seed: int = 7) -> List[Check]:
+    """Legendre's duplication formula Gamma(s) Gamma(s + 1/2) = 2^(1-2s)
+    sqrt(pi) Gamma(2s) at Re s >= 1/2, where all three values come from
+    Lanczos's sum unreflected: a factor on the sum shows, since the left
+    side takes it twice and the right once.  Both sides over |right side|;
+    the specialfun suite runs these after checks_specialfun."""
+    checks = []
+    for s in (0.6 + 0.2j, 2.5 - 3.0j, 9.0 + 15.0j):
+        def duplication(s=s):
+            rhs = cmath.exp((1 - 2 * s) * math.log(2)) * math.sqrt(math.pi) \
+                * specialfun.complex_gamma(2 * s)
+            lhs = specialfun.complex_gamma(s) \
+                * specialfun.complex_gamma(s + 0.5)
+            return lhs / abs(rhs), rhs / abs(rhs)
+
+        checks.append(Check("gamma-duplication", "-", {"s": s}, 1e-12,
+                            duplication))
+    return checks
+
+
 def checks_incgamma(seed: int = 7) -> List[Check]:
     """Incomplete gamma identities; the specialfun suite runs them after
     checks_specialfun (whose battery acceptance criterion 10 pins)."""
@@ -442,6 +462,21 @@ def checks_incgamma(seed: int = 7) -> List[Check]:
     checks.append(Check(
         "incgamma-recurrence-array", "-",
         {"s": nu_array, "x": "256 in [4, 60]"}, 1e-12, recurrence_on_array))
+    # Gamma(1 - n, x) = -n Gamma(-n, x) + x^-n e^-x at the integer orders,
+    # at 32 arguments in [0.05, 30]: the 15 below 1 take E_1's series and
+    # the recurrence in n, the 17 above the continued fraction on arrays
+    for n in (1, 2):
+        def integer_recurrence(n=n):
+            xs = np.geomspace(0.05, 30.0, 32)
+            power = xs ** -float(n) * np.exp(-xs)
+            lhs = specialfun.upper_incomplete_gamma(1 - n, xs) / power
+            rhs = -n * specialfun.upper_incomplete_gamma(-n, xs) / power + 1.0
+            worst = int(np.argmax(np.abs(lhs - rhs)))
+            return lhs[worst], rhs[worst]
+
+        checks.append(Check(
+            "incgamma-integer-order-recurrence", "-",
+            {"n": n, "x": "32 in [0.05, 30]"}, 1e-12, integer_recurrence))
     # Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), both sides times e^x so that
     # the tolerance stays relative as the value decays
     for x in (0.5, 5.0, 30.0):
@@ -454,10 +489,10 @@ def checks_incgamma(seed: int = 7) -> List[Check]:
 
 
 def checks_bessel_kv(seed: int = 7) -> List[Check]:
-    """kv, the route of real orders, against the trapezoid sum of the
-    defining integral, the route of complex orders, both sides over |K| so
-    that the tolerance stays relative; the specialfun suite runs them after
-    checks_incgamma."""
+    """The fixed-step sum of real orders against the nested trapezoid sum of
+    the defining integral, the route of complex orders, both sides over |K|
+    so that the tolerance stays relative; the specialfun suite runs them
+    after checks_incgamma."""
     checks = []
     for nu in (-0.2, 0.5, 1.0, 2.5, 4.0):
         for x in (0.3, 2.0, 15.0):
@@ -483,6 +518,7 @@ SUITES: Dict[str, Callable] = {
     "klf": checks_klf,
     "hecke": checks_hecke,
     "specialfun": lambda seed=7: (checks_specialfun(seed)
+                                  + checks_gamma(seed)
                                   + checks_incgamma(seed)
                                   + checks_bessel_kv(seed)),
     "shells": checks_shells,

@@ -63,13 +63,29 @@ MUTANTS = {
          _scaled(zeta.upper_incomplete_gamma))]),
     # the continued fraction's loop for few arguments alone: at x = 2.2 the
     # recurrence takes Gamma(s, x) from it and Gamma(s + 1, x) from the
-    # series
-    "_lentz_scalar": ("specialfun", ["incgamma-recurrence"], [
+    # series; erfc's closed form takes it at x = 5 and 30
+    "_lentz_scalar": ("specialfun", ["incgamma-half-order-erfc",
+                                     "incgamma-recurrence"], [
         (specialfun, "_lentz_scalar", _scaled(specialfun._lentz_scalar))]),
     # the continued fraction on arrays alone: at 256 arguments in [4, 60]
-    # both orders of the recurrence take it
-    "_cf_backward": ("specialfun", ["incgamma-recurrence-array"], [
+    # both orders of the recurrence take it, and so do both integer orders
+    # of the recurrence at its 17 arguments above 1
+    "_cf_backward": ("specialfun", ["incgamma-integer-order-recurrence",
+                                    "incgamma-recurrence-array"], [
         (specialfun, "_cf_backward", _scaled(specialfun._cf_backward))]),
+    # E_1's series and the recurrence in n, at the integer orders below 1:
+    # the recurrence in the order takes it on both sides, and its power
+    # x^-n e^-x on neither
+    "_incgamma_int_series": ("specialfun",
+                             ["incgamma-integer-order-recurrence"], [
+        (specialfun, "_incgamma_int_series",
+         _scaled(specialfun._incgamma_int_series))]),
+    # the lower series, Gamma(s) less it: at a real order (s = 1/2, x =
+    # 0.5) erfc's closed form takes it, at a complex one the recurrence
+    "_incgamma_series": ("specialfun", ["incgamma-half-order-erfc",
+                                        "incgamma-recurrence"], [
+        (specialfun, "_incgamma_series",
+         _scaled(specialfun._incgamma_series))]),
     # e_direct's phases at a complex s against the partial zeta sum, whose
     # powers come from numpy's complex exp
     "_phase": ("hecke", ["imquad-zeta-vs-eisenstein-complex-s"], [
@@ -78,6 +94,13 @@ MUTANTS = {
     # lattice route of the dual, which has no Bessel function
     "bessel_k_batch": ("fe", ["functional-equation"], [
         (eisenstein, "bessel_k_batch", _scaled(eisenstein.bessel_k_batch))]),
+    # the fixed-step sum of real orders, which bessel_k_batch and the pair
+    # sum's cutoff read, against the nested trapezoid and against K's
+    # closed form at order 1/2
+    "_bessel_k_scaled": ("specialfun", ["bessel-half-order-closed-form",
+                                        "bessel-kv-vs-trapezoid"], [
+        (m, "_bessel_k_scaled", _scaled(specialfun._bessel_k_scaled))
+        for m in (specialfun, eisenstein)]),
     # every pseudo-basis lattice checks its determinant against the closed
     # form |d_F| N(a) N(b) |N(y)| of its covolume
     "ideal_embedding_matrix": ("theta", [], [
@@ -107,8 +130,10 @@ MUTANTS = {
     "_Kept.blocks-no-mask": ("shells", ["theta-annuli"], [
         (lattice._Kept, "blocks", lambda self, r2_max: iter(self.parts))]),
     # the Gamma factor of the completed zeta function against its integral,
-    # and the incomplete gamma's series, which subtracts from Gamma(s)
-    "complex_gamma": ("specialfun", ["gamma-factor-vs-integral",
+    # Legendre's duplication formula, and the incomplete gamma's series,
+    # which subtracts from Gamma(s) at a complex order
+    "complex_gamma": ("specialfun", ["gamma-duplication",
+                                     "gamma-factor-vs-integral",
                                      "incgamma-recurrence"], [
         (specialfun, "complex_gamma", _scaled(specialfun.complex_gamma))]),
 }

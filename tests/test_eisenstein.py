@@ -882,9 +882,10 @@ def test_pair_cutoff_is_the_least_in_few_evaluations(kind, s, tol,
     # puts X within about 5e-4 of the least such X: tail(X) =
     # tol/10 e^(2 (log_need(X) - X)) lies in [tol/10 e^(-1e-3), tol/10],
     # except where the bound holds from the least X it is proven at.  Each
-    # log_need evaluation takes one kve of order a (the slope another of
-    # order a - 1): 3.8 on average over these cases, where the plain
-    # fixed-point iteration X <- log_need(X) took 4 to 9 (6.0 on average)
+    # log_need evaluation takes one K sum of order a (the slope, in the same
+    # call, another of order a - 1): 3.8 on average over these cases, where
+    # the plain fixed-point iteration X <- log_need(X) took 4 to 9 (6.0 on
+    # average)
     F = make_field(kind)
     n_v = 1 if F.is_rational else 2
     xs = np.array([0.1, -0.4, 0.45, 0.2])
@@ -897,13 +898,13 @@ def test_pair_cutoff_is_the_least_in_few_evaluations(kind, s, tol,
         / (F.w / 2) * (2 * math.pi) ** (n_v - 1)
     a = n_v * abs(complex(s).real - 0.5)
     orders = []
-    kve = eisenstein.kve
+    kernel = eisenstein._bessel_k_scaled
 
-    def counted(order, z):
-        orders.append(order)
-        return kve(order, z)
+    def counted(nus, xs):
+        orders.extend(nus)
+        return kernel(nus, xs)
 
-    monkeypatch.setattr(eisenstein, "kve", counted)
+    monkeypatch.setattr(eisenstein, "_bessel_k_scaled", counted)
     X, tail = ev._pair_cutoff(complex(s), scale, tol)
     assert 1 <= orders.count(a) <= 5
     assert np.all(tail <= tol / 10 * (1 + 1e-12))

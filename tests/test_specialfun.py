@@ -76,7 +76,8 @@ def test_bessel_batch_matches_scalar():
 
 def test_bessel_raises_when_unconverged(monkeypatch):
     # one halving from step 0.5 cannot reach 1e-14 at x = 1; the message says
-    # how far the trapezoid got (a complex order: real orders take kv)
+    # how far the trapezoid got (a complex order: real orders take the
+    # fixed-step sum)
     monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError) as info:
         bessel_k(0.5 + 0.1j, 1.0, 1e-14)
@@ -177,15 +178,15 @@ def _mp_bessel(nu, x):
 @pytest.mark.parametrize("nu", [-3.7, -1.0, -0.2, 0.0, 0.5, 1.0, 2.5, 4.0,
                                 9.3])
 def test_bessel_real_order_vs_mpmath(nu):
-    # kv's worst error is its Temme series for 2x <= 2 at non-half-integer
-    # orders (measured up to 6e-14 relative); elsewhere a few ulp
+    # scipy's kv (Amos) was up to 6e-14 relative off for 2x <= 2 at
+    # non-half-integer orders, where it sums Temme's series; the fixed-step
+    # sum is a few ulp off everywhere
     xs = np.array([0.05, 0.3, 0.7, 1.0, 2.0, 15.0, 60.0])
     got = bessel_k_batch(nu, xs)
     assert got.dtype == complex and np.all(got.imag == 0)
     want = np.array([_mp_bessel(nu, x) for x in xs])
     rel = np.abs(got - want) / np.abs(want)
-    assert np.all(rel[xs <= 1.0] < 1e-13)
-    assert np.all(rel[xs > 1.0] < 2e-15)
+    assert np.all(rel < 4e-15)
 
 
 @pytest.mark.parametrize("s", [0.25 + 1.2j, 2.0 - 0.7j, -1.5 + 0.3j,
@@ -199,9 +200,9 @@ def test_bessel_complex_order_trapezoid_vs_mpmath(s):
 
 @pytest.mark.parametrize("nu", [-0.2, 0.5, 1.0, 2.5, 4.0])
 def test_bessel_kv_matches_trapezoid_at_real_orders(nu):
-    # 1,600 arguments in [0.5, 30]: kv and the trapezoid reference agree
-    # to 1e-14 max(1, |K|) where 2x > 2; below, kv's Temme series is off by
-    # up to 6e-14 relative (test_bessel_real_order_vs_mpmath)
+    # 1,600 arguments in [0.5, 30]: the fixed-step sum and the nested
+    # trapezoid reference agree to 1e-14 max(1, |K|) where 2x > 2, and to
+    # 2e-14 below
     xs = np.linspace(0.5, 30.0, 1600)
     kv = bessel_k_batch(nu, xs)
     ref = specialfun._bessel_trapezoid(complex(nu), xs, 1e-14)
@@ -225,6 +226,42 @@ def test_real_orders_never_enter_the_trapezoid(monkeypatch):
     assert calls == []
     bessel_k_batch(0.5 + 0.1j, xs, 1e-14)
     assert calls == ["bessel trapezoid"]
+
+
+# orders with |nu| <= 6 on a step of 1/4 and off it, and 2x from 1e-3 to 200
+_K_PIN_ORDERS = np.arange(-5.0, 6.01, 0.25).tolist() + [-4.3, -0.2, 0.37,
+                                                         2.71, 5.9]
+_K_PIN_Z = np.geomspace(1e-3, 200.0, 25)
+
+
+@pytest.mark.parametrize("nu", _K_PIN_ORDERS)
+def test_bessel_real_order_pins_mpmath(nu):
+    # K and e^(2x) K to 1e-14 relative over 2x in [1e-3, 200], for the
+    # arguments in one call (one grid for all of them) and one by one
+    xs = _K_PIN_Z / 2
+    with mp.workdps(30):
+        want = [(2 * mp.besselk(nu, z), 2 * mp.besselk(nu, z) * mp.exp(z))
+                for z in _K_PIN_Z.tolist()]
+    k, scaled = (np.array([float(w[i]) for w in want]) for i in (0, 1))
+    got = bessel_k_batch(nu, xs)
+    assert np.all(np.abs(got - k) <= 1e-14 * k)
+    got = specialfun._bessel_k_scaled((nu,), xs)[0]
+    assert np.all(np.abs(got - scaled) <= 1e-14 * scaled)
+    single = np.array([specialfun._bessel_k_scaled((nu,), xs[i:i + 1])[0, 0]
+                       for i in range(xs.size)])
+    assert np.all(np.abs(single - scaled) <= 1e-14 * scaled)
+
+
+def test_bessel_scaled_rows_are_their_orders():
+    # two orders in one call share the grid of the larger |nu|: each row
+    # equals its order alone to rounding
+    xs = np.geomspace(0.01, 90.0, 40)
+    pair = specialfun._bessel_k_scaled((2.3, 1.3), xs)
+    for row, nu in zip(pair, (2.3, 1.3)):
+        alone = specialfun._bessel_k_scaled((nu,), xs)[0]
+        np.testing.assert_allclose(row, alone, rtol=4e-15, atol=0)
+    assert specialfun._bessel_k_scaled((0.5, -0.5), np.zeros(0)).shape \
+        == (2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +543,48 @@ def test_incgamma_large_real_part_meets_tol_or_raises(nu, tol):
         assert np.all(np.abs(got - want) <= tol * np.abs(want)), (nu, tol, x)
 
 
-def test_incgamma_series_reports_how_far_it_got(monkeypatch):
+def _series_cap_error(size, monkeypatch):
     monkeypatch.setattr(specialfun, "_SERIES_MAX_TERMS", 2)
     with pytest.raises(ConvergenceError) as info:
-        upper_incomplete_gamma(1 - 1.8j, np.array([0.5, 1.0, 2.0]), 1e-14)
+        upper_incomplete_gamma(1 - 1.8j, np.linspace(0.5, 2.0, size), 1e-14)
     m = re.fullmatch(
         r"incomplete gamma series at order \(1-1\.8j\) did not converge: "
-        r"3 of 3 arguments unconverged after the cap of 2 terms, largest "
-        r"last term (\S+) > tol 1e-14", str(info.value))
+        rf"{size} of {size} arguments unconverged after the cap of 2 terms, "
+        r"largest last term (\S+) > tol 1e-14", str(info.value))
     assert m, str(info.value)
     assert float(m[1]) > 1e-14
+    assert (info.value.cutoff, info.value.points) == (2, size)
+
+
+def test_incgamma_series_reports_how_far_it_got(monkeypatch):
+    # three arguments: the scalar loop
+    _series_cap_error(3, monkeypatch)
+
+
+def test_incgamma_series_on_arrays_reports_how_far_it_got(monkeypatch):
+    # one argument more than the scalar loop takes: the arrays
+    _series_cap_error(specialfun._SERIES_SCALAR_MAX + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("s", [2.5, 0.7, 1 - 1.8j, 25 + 40j])
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_incgamma_series_paths_agree(s, floor):
+    # the scalar loop and the arrays sum the same series on the same
+    # arguments; the arrays test every _SERIES_STRIDE terms, so they may
+    # add a few terms more, each below tol
+    xs = np.linspace(0.05, 8.0, 40)
+    scalar = np.concatenate([specialfun._series_scalar(s, xs[i:i + 8], 1e-15,
+                                                       floor)
+                             for i in range(0, xs.size, 8)])
+    array = specialfun._series_array(s, xs, 1e-15, floor)
+    np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0)
 
 
 def test_specialfun_suite_runs_the_incgamma_checks():
     reports = run_suite("specialfun")
     got = [r.command for r in reports if r.command.startswith("incgamma")]
     assert got == ["incgamma-recurrence", "incgamma-recurrence-array"] \
+        + ["incgamma-integer-order-recurrence"] * 2 \
         + ["incgamma-half-order-erfc"] * 3
     assert all(r.passed for r in reports)
 
@@ -532,6 +595,87 @@ def test_specialfun_suite_holds_kv_against_the_trapezoid():
     assert sorted((r.parameters["s"], r.parameters["x"]) for r in kv) \
         == [(s, x) for s in (-0.2, 0.5, 1.0, 2.5, 4.0) for x in (0.3, 2.0, 15.0)]
     assert all(r.passed for r in reports)
+
+
+# the integer orders and real orders in (0, 6], x from 1e-3 to 200
+_INCGAMMA_PIN_ORDERS = [0, -1, -2, -3, -4, 1e-3, 0.05, 0.16, 0.3, 0.5, 0.7,
+                        1.0, 1.4, 2.5, 3.7, 6.0]
+_INCGAMMA_PIN_X = np.geomspace(1e-3, 200.0, 37)
+
+
+@pytest.mark.parametrize("nu", _INCGAMMA_PIN_ORDERS)
+def test_incgamma_real_orders_pin_mpmath(nu):
+    # at the library's tol 1e-15, in one array call and one by one: 1e-14
+    # relative, on both sides of the method edges (1, min(8, nu + 1), nu)
+    with mp.workdps(30):
+        want = np.array([float(mp.gammainc(nu, x))
+                         for x in _INCGAMMA_PIN_X.tolist()])
+    got = upper_incomplete_gamma(nu, _INCGAMMA_PIN_X, 1e-15)
+    assert np.all(got.imag == 0)
+    assert np.all(np.abs(got.real - want) <= 1e-14 * want)
+    one_by_one = np.array([upper_incomplete_gamma(nu, x, 1e-15).real
+                           for x in _INCGAMMA_PIN_X.tolist()])
+    assert np.all(np.abs(one_by_one - want) <= 1e-14 * want)
+
+
+# ---------------------------------------------------------------------------
+# Gamma
+
+
+def _gamma_pin_points():
+    rng = np.random.default_rng(11)
+    wide = rng.uniform(-5.5, 30.0, 300) + 1j * rng.uniform(-60.0, 60.0, 300)
+    near = rng.uniform(-5.5, 30.0, 100) + 1j * rng.uniform(-2.0, 2.0, 100)
+    real = rng.uniform(-5.5, 30.0, 40)
+    # within 1e-6 of each pole 0, -1, ..., -5, off the real line and on it
+    dist = 10.0 ** rng.uniform(-11.5, -6.0, 60) * rng.choice([-1, 1], 60)
+    poles = -np.repeat(np.arange(6), 10) + dist \
+        + 1j * np.where(np.arange(60) % 2, dist, 0.0)
+    return np.concatenate([wide, near, real, poles]).tolist()
+
+
+def test_complex_gamma_pins_mpmath():
+    # the condition number of Gamma at s is about |s psi(s)| ~ |s log s|
+    # (the rounding of s moves the value by that many ulp): Lanczos's sum
+    # stays within 16 ulp of it
+    for s in _gamma_pin_points():
+        with mp.workdps(40):
+            want = complex(mp.gamma(mp.mpc(s)))
+        got = specialfun.complex_gamma(s)
+        cond = 1 + abs(s * cmath.log(s))
+        assert abs(got - want) <= 16 * 2.0 ** -52 * cond * abs(want), s
+
+
+@pytest.mark.parametrize("s", [0, -3, -2 + 5e-13, -1 + 9e-13j, 2e-13 - 1e-13j])
+def test_complex_gamma_raises_at_its_poles(s):
+    with pytest.raises(PoleError):
+        specialfun.complex_gamma(s)
+
+
+def test_complex_gamma_next_to_a_pole_is_finite():
+    s = -2 + 2e-12
+    with mp.workdps(40):
+        want = complex(mp.gamma(mp.mpf(s)))
+    assert abs(specialfun.complex_gamma(s) - want) < 1e-11 * abs(want)
+
+
+def test_complex_gamma_overflow_and_underflow():
+    # past the largest double an infinity of the value's phase (zero where
+    # the phase factor is), as scipy.special.gamma gives; below the least,
+    # zero; far up the imaginary axis, where the reflection's sine passes the
+    # largest double, the value itself
+    assert specialfun.complex_gamma(200) == complex(math.inf, 0)
+    with mp.workdps(30):
+        phase = mp.gamma(mp.mpc(172, 3))
+    got = specialfun.complex_gamma(172 + 3j)
+    assert (got.real, got.imag) == (math.copysign(math.inf, phase.real),
+                                    math.copysign(math.inf, phase.imag))
+    assert specialfun.complex_gamma(-200.5) == 0
+    assert specialfun.complex_gamma(0.3 + 500j) == 0
+    for s in (-3.5 - 400j, -0.5 + 300j):
+        with mp.workdps(40):
+            want = complex(mp.gamma(mp.mpc(s)))
+        assert abs(specialfun.complex_gamma(s) - want) < 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------

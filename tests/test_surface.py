@@ -2,7 +2,11 @@
 no library surface that only tests reach."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heckeis"
@@ -119,3 +123,53 @@ def test_the_routes_that_certify_e_direct_share_no_phase_code():
     expansion = _reach(eis, others & eis.keys())
     assert not kernel & (expansion | others)
     assert not kernel & _referenced(PACKAGE / "zeta.py")
+
+
+def test_no_module_of_the_package_imports_scipy():
+    imports = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "scipy" for a in node.names)
+               or isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "scipy"]
+    assert imports == []
+
+
+# one call per path of the benchmark decks' checks: the expansion and the
+# lattice route at integer orders (Q(i), s = 1.5), a real and a complex
+# order (Q), the direct sum and the torus integral
+_DECK_PATHS = """
+    import sys
+    from fractions import Fraction
+
+    import heckeis
+    from heckeis.basefield import FracIdeal, make_field
+    from heckeis.dalgebra import DNumber
+    from heckeis.eisenstein import EisensteinEvaluator
+    from heckeis.heckeint import HeckeSetup, hecke_integral
+    from heckeis.lattice import OFLattice
+
+    Q, Fi = make_field("Q"), make_field(-1)
+    one = FracIdeal(Q, gen=Fraction(1))
+    ev_q = EisensteinEvaluator(OFLattice(Q, one, DNumber.from_xy(Q, 0.2, 1.1),
+                                         one))
+    O = FracIdeal.unit_ideal(Fi)
+    ev_i = EisensteinEvaluator(OFLattice(Fi, O, DNumber.from_xy(
+        Fi, 0.1 + 0.2j, 0.9 + 0.1j), O))
+    for ev, s in ((ev_i, 1.5), (ev_q, 0.3), (ev_q, 2.5 + 0.5j)):
+        assert abs(ev.ehat_expansion(s, 1e-11) - ev.ehat_lattice(s, 1e-11)) \\
+            < 1e-9, s
+    ev_i.e_direct(2.5, 1e-9)
+    hecke_integral(HeckeSetup(make_field(5)), 2.0)
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_deck_paths_load_no_scipy():
+    # in a fresh interpreter: a lazy import of scipy.special would move its
+    # cost into the first call that needs it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(_DECK_PATHS)],
+                         capture_output=True, text=True, env=env, timeout=300,
+                         check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
