@@ -425,10 +425,12 @@ class EisensteinEvaluator:
         r^(s-1/2) K_nu(x) e(phase), x = c |alpha| |beta*|, c = n_v pi |y|,
         r = |N(beta*/(alpha y))|, nu = n_v (s - 1/2), weight 2 pi at a
         complex place.  Each node sums its pairs up to its _pair_cutoff X,
-        all nodes in one _pair_data and one Bessel call.  It raises
-        ConvergenceError when a node's rounding floor eps * |pref|/(w/2) *
-        sum |term| exceeds tol/10, naming that node's X, tail(X) as
-        last_delta, tol and its pairs."""
+        all nodes in one _pair_data and one Bessel call, which holds K_nu to
+        a few eps K_(|Re nu|)(x) whatever tol asks.  It raises
+        ConvergenceError when a node's rounding floor exceeds tol/10, naming
+        that node's X, tail(X) as last_delta, tol and its pairs: eps *
+        |pref|/(w/2) * sum |term| at a real s, and at a complex s the same
+        with weight r^(Re s - 1/2) K_(|Re nu|)(x) in place of |term|."""
         # the pairs list one alpha of each +-pair: the free action of the w
         # units is divided out as w/2
         orbit_div = self.F.w / 2
@@ -439,15 +441,21 @@ class EisensteinEvaluator:
         scale = np.abs(pref) / orbit_div
         X, tail = self._pair_cutoff(s, scale * weight, tol)
         args, phases, ratios, node = self._pair_data(X)
-        kv = bessel_k_batch(self.n_v * (s - 0.5), args,
-                            tol=float(tol / np.max(np.maximum(scale, 1e-8)))
-                            / 50)
+        nu = self.n_v * (s - 0.5)
+        kv = bessel_k_batch(nu, args)
         terms = weight * np.exp((s - 0.5) * np.log(ratios)) * kv \
             * np.exp(2j * math.pi * phases)
         total = np.bincount(node, terms.real, n) \
             + 1j * np.bincount(node, terms.imag, n)
-        floor = np.finfo(float).eps * scale \
-            * np.bincount(node, np.abs(terms), n)
+        if s.imag:
+            # the kernel's error at a complex order is a few eps K_(Re nu)(x),
+            # which |K_nu(x)| understates by up to e^(pi |Im nu|/2)
+            mags = weight * ratios ** (s.real - 0.5) \
+                * _bessel_k_scaled((abs(nu.real),), args)[0] \
+                * np.exp(-2.0 * args)
+        else:
+            mags = np.abs(terms)
+        floor = np.finfo(float).eps * scale * np.bincount(node, mags, n)
         # a NaN floor (terms past the range of doubles) raises too
         below = ~(floor <= tol / 10)
         if below.any():

@@ -1,5 +1,6 @@
 """Small numerical utilities: polynomial extrapolation to zero and the
-nested trapezoid sum behind every adaptive quadrature in the package."""
+nested trapezoid sum behind the torus quadrature and the verify suite's
+literal-integral reference of K."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import numpy as np
 from .errors import ConvergenceError
 
 # the cap on the refinements of an adaptive loop: the halvings of every
-# nested trapezoid sum (Bessel integral, torus) and the cutoff doublings of
-# the direct Eisenstein sum
+# nested trapezoid sum (torus, verify's K reference) and the cutoff
+# doublings of the direct Eisenstein sum
 MAX_REFINEMENTS = 14
-# extra decay margin (in nats) of the Gaussian and Bessel truncations
+# extra decay margin (in nats) of the Gaussian truncation
 TAIL_MARGIN = 8.0
 
 
@@ -40,9 +41,11 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
     level evaluates f only at the new odd multiples of the halved step.  The
     first two levels are always needed, so the first call of f takes the
     nodes of grid(h) followed by the new ones of grid(h / 2), and both sums
-    come from it.  Raises ConvergenceError after MAX_REFINEMENTS halvings,
-    with the last step as its cutoff, the last change, tol and the nodes
-    evaluated.
+    come from it.  Raises ConvergenceError once tol lies below a level's
+    rounding floor eps * h * sum |f| in some entry, where halving further
+    would only chase rounding, or after MAX_REFINEMENTS halvings; either
+    error carries the last step as its cutoff, the last change, tol and the
+    nodes evaluated.
     """
     def odd(h):
         k = grid(h)
@@ -52,6 +55,7 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
     vals = f(np.concatenate([coarse, odd(h / 2.0)]))
     nodes = vals.shape[-1]
     cur = h * vals[..., :coarse.size].sum(axis=-1)
+    mag = h * np.abs(vals[..., :coarse.size]).sum(axis=-1)
     vals = vals[..., coarse.size:]
     delta = float("inf")
     for halving in range(MAX_REFINEMENTS):
@@ -60,7 +64,14 @@ def nested_trapezoid(f: Callable[[np.ndarray], np.ndarray],
             vals = f(odd(h))
             nodes += vals.shape[-1]
         nxt = cur / 2.0 + h * vals.sum(axis=-1)
+        mag = mag / 2.0 + h * np.abs(vals).sum(axis=-1)
         delta = float(np.max(np.abs(nxt - cur)))
+        floor = np.finfo(float).eps * float(np.max(mag))
+        if tol < floor:
+            raise ConvergenceError(
+                f"{what} lies below its rounding floor: eps*h*sum|f| = "
+                f"{floor:.3g} > tol {tol:.3g} at step {h:.3g}, nodes {nodes}",
+                cutoff=h, last_delta=delta, tol=tol, points=nodes)
         if delta <= tol:
             return nxt
         cur = nxt

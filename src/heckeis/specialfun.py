@@ -9,12 +9,13 @@ K_s here is the integral
 which equals twice the conventional modified Bessel function at doubled
 argument, 2 K_s^std(2x) (DLMF 10.32.9).  After u = e^t the integrand decays
 doubly exponentially, so trapezoid sums converge at spectral rate
-(Trefethen and Weideman, SIAM Rev. 56, 2014).  A real order takes one
+(Trefethen and Weideman, SIAM Rev. 56, 2014).  Every order takes one
 fixed-step sum of e^(2x) K_s(x) = int e^(-4x sinh^2(t/2)) cosh(s t) dt,
-its step and reach set a priori from x and |s| (_bessel_k_scaled), within
-2.5e-15 relative of mpmath for |s| <= 9.3 and 2x in [1e-3, 200].  A
-complex order halves the step of the literal integral until two levels
-agree to ~tol.
+its step and reach set a priori from x, |Re s| and |Im s|
+(_bessel_k_scaled): within 2.5e-15 relative of mpmath at a real order
+with |s| <= 9.3 and 2x in [1e-3, 200], and at a complex order within
+3e-15 K_(|Re s|)(x) in absolute terms over most of the range that
+bessel_k_batch states.
 
 Gamma(s) is Lanczos's sum (SIAM J. Numer. Anal. B 1, 1964) with Godfrey's
 coefficients (g = 607/128, 15 terms), reflected for Re s < 1/2: within
@@ -40,10 +41,8 @@ from typing import Union
 
 import numpy as np
 
-from . import numerics
 from .basefield import FieldDescriptor
-from .errors import ConvergenceError, EnumerationCapError, PoleError
-from .numerics import nested_trapezoid
+from .errors import ConvergenceError, PoleError
 
 Complex = Union[complex, float]
 
@@ -491,43 +490,9 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 # the Bessel-type integral
 
 
-def _bessel_grid_halfwidth(max_abs_re_s: float, min_x: float, L: float) -> float:
-    T = 1.0
-    for _ in range(40):
-        arg = (L + max_abs_re_s * T) / (2.0 * min_x)
-        T_new = math.acosh(arg) if arg > 1.0 else 0.5
-        if abs(T_new - T) < 1e-3:
-            return T_new + 0.5
-        T = T_new
-    return T + 0.5
-
-
-def bessel_k_batch(s: Complex, xs: np.ndarray,
-                   tol: float = 1e-12) -> np.ndarray:
-    """K_s at each entry of a 1-d array of positive arguments (complex).
-
-    A real order, negative orders included, is e^(-2x) times the fixed-step
-    trapezoid sum of _bessel_k_scaled, for all arguments in one call,
-    whatever tol asks: within 2.5e-15 relative of mpmath for |s| <= 9.3
-    and 2x in [1e-3, 200].  A complex order takes the nested trapezoid rule
-    (_bessel_trapezoid) to absolute accuracy ~tol on each entry.  Raises
-    ValueError unless every argument is positive (NaN included), and
-    EnumerationCapError when a level of the nested sum would pass
-    _BESSEL_LEVEL_BYTES.
-    """
-    s = complex(s)
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(xs > 0):
-        raise ValueError("arguments must be positive")
-    if s.imag == 0:
-        return (_bessel_k_scaled((s.real,), xs)[0]
-                * np.exp(-2.0 * xs)).astype(complex)
-    return _bessel_trapezoid(s, xs, tol)
-
-
-# nats by which the real-order sum's discretisation and truncation errors
-# lie below its value: log(2/eps) and a margin of 2 (without the margin the
-# sum stays within 4e-15 relative of mpmath over the range bessel_k_batch
+# nats by which the sum's discretisation and truncation errors lie below
+# K_(|Re nu|): log(2/eps) and a margin of 2 (without the margin the sum
+# stays within 4e-15 relative of mpmath over the real orders bessel_k_batch
 # states)
 _K_NATS = math.log(2 / np.finfo(float).eps) + 2.0
 # the grids of _k_nodes round 2x out to quarters of an octave: over the K
@@ -539,27 +504,30 @@ _K_PARTS = 4
 
 
 @functools.lru_cache(maxsize=256)
-def _k_nodes(z_hi: int, z_lo: int, m4: int):
+def _k_nodes(z_hi: int, z_lo: int, m4: int, n4: int):
     """The nodes t_j = j h, -4 sinh^2(t_j/2) and the trapezoid weights of the
     sum of _bessel_k_scaled for 2x in [2^(z_lo/_K_PARTS),
-    2^(z_hi/_K_PARTS)] and |orders| <= m4/4, as read-only arrays.
+    2^(z_hi/_K_PARTS)], |Re nu| <= m4/4 and |Im nu| <= n4/4, as read-only
+    arrays.
 
     If f(t) = e^(-2x (cosh t - 1)) cosh(nu t) is analytic and bounded by
     M(a) in the strip |Im t| < a, the trapezoid sum with step h is off by
     at most 2 M(a)/(e^(2 pi a/h) - 1) (Trefethen and Weideman, Thm 5.1);
-    over the value, M(a) is at most about e^(z (1 - cos a)) (cos
-    a)^-(|nu| + 1/2) at z = 2x, so h = 2 pi a/(L + z (1 - cos a) - (|nu|
-    + 1/2) log cos a), L = _K_NATS, at the largest z.  The a that
-    maximises it to second order in a, sqrt(2 L/(z + |nu| + 1/2)) held to
-    [0.05, 1.5], gives an h within 9% of the largest (at |nu| = 10; within
-    0.6% at |nu| <= 2), never above it.  The sum reaches the T where 2 z
-    sinh^2(T/2) - |nu| T = L + log(1 + z)/2 at the least z, past which f
-    lies e^-L below the value."""
-    m = m4 / 4
+    over K_(Re nu), M(a) is at most about e^(z (1 - cos a)) (cos
+    a)^-(|Re nu| + 1/2) e^(|Im nu| a) at z = 2x (|cosh w| <= cosh Re w),
+    so h = 2 pi a/(L + z (1 - cos a) - (|Re nu| + 1/2) log cos a + |Im nu|
+    a), L = _K_NATS, at the largest z.  The a that maximises it to second
+    order in a, sqrt(2 L/(z + |Re nu| + 1/2)) held to [0.05, 1.5] (the
+    |Im nu| term cancels out of that optimum), gives an h within 9% of the
+    largest (at |nu| = 10; within 0.6% at |nu| <= 2), never above it.  As
+    |f(t)| <= e^(-2x (cosh t - 1)) cosh(Re nu t), the sum reaches the T
+    where 2 z sinh^2(T/2) - |Re nu| T = L + log(1 + z)/2 at the least z,
+    past which f lies e^-L below K_(Re nu)."""
+    m, n = m4 / 4, n4 / 4
     z = 2.0 ** (z_hi / _K_PARTS)
     a = min(1.5, max(0.05, math.sqrt(2 * _K_NATS / (z + m + 0.5))))
     h = 2 * math.pi * a / (_K_NATS + z * (1 - math.cos(a))
-                           - (m + 0.5) * math.log(math.cos(a)))
+                           - (m + 0.5) * math.log(math.cos(a)) + n * a)
     z = 2.0 ** (z_lo / _K_PARTS)
     need = _K_NATS + 0.5 * math.log1p(z)
     # a fixed-point iteration, monotone from T = 1 and converged within 11
@@ -579,88 +547,63 @@ def _k_nodes(z_hi: int, z_lo: int, m4: int):
 @functools.lru_cache(maxsize=1024)
 def _k_weights(z_hi: int, z_lo: int, orders: tuple):
     """The exponents -4 sinh^2(t_j/2) of _k_nodes for these orders, and per
-    order the weights w_j cosh(nu t_j), one column each (read-only)."""
-    t, exponents, w = _k_nodes(z_hi, z_lo, math.ceil(4 * max(map(abs,
-                                                                  orders))))
-    weights = np.cosh(np.multiply.outer(t, orders)) * w[:, None]
+    order the weights w_j cosh(nu t_j), one real column each, or at
+    complex orders two, Re and Im side by side (read-only)."""
+    t, exponents, w = _k_nodes(
+        z_hi, z_lo, math.ceil(4 * max(abs(nu.real) for nu in orders)),
+        math.ceil(4 * max(abs(nu.imag) for nu in orders)))
+    weights = (np.cosh(np.multiply.outer(t, orders)) * w[:, None]).view(float)
     weights.setflags(write=False)
     return exponents, weights
 
 
 def _bessel_k_scaled(orders, xs: np.ndarray) -> np.ndarray:
-    """e^(2x) K_nu(x) at real orders nu and positive arguments x, one row per
-    order: the trapezoid sum of int e^(-2x (cosh t - 1)) cosh(nu t) dt over
-    the real line, cosh t - 1 formed as 2 sinh^2(t/2).  Every order and
-    argument shares one grid (_k_nodes, from the least and the largest 2x
-    rounded out to quarters of an octave and the largest |nu| up to a
-    quarter) and so one matrix of exponentials."""
+    """e^(2x) K_nu(x) at orders nu and positive arguments x, one row per
+    order, real at real orders and complex otherwise: the trapezoid sum of
+    int e^(-2x (cosh t - 1)) cosh(nu t) dt over the real line, cosh t - 1
+    formed as 2 sinh^2(t/2).  Every order and argument shares one grid
+    (_k_nodes, from the least and the largest 2x rounded out to quarters of
+    an octave and the largest |Re nu| and |Im nu| up to a quarter) and so
+    one real matrix of exponentials, which one real matrix product takes
+    to every order."""
     if not xs.size:
-        return np.empty((len(orders), 0))
+        return np.empty((len(orders), 0), dtype=np.result_type(*orders))
     exponents, weights = _k_weights(
         math.ceil(_K_PARTS * math.log2(2.0 * np.maximum.reduce(xs))),
         math.floor(_K_PARTS * math.log2(2.0 * np.minimum.reduce(xs))),
         tuple(orders))
-    return (np.exp(np.multiply.outer(xs, exponents)) @ weights).T
+    powers = np.multiply.outer(xs, exponents)
+    sums = np.exp(powers, out=powers) @ weights
+    return (sums if sums.shape[1] == len(orders) else sums.view(complex)).T
 
 
-# the bytes of one level's (n_x, n_nodes) complex matrix of the trapezoid
-# sum: a level past it raises EnumerationCapError before it is allocated
-# (the largest level of the benchmark decks is about 2 MB, of the test
-# suite 133 MB)
-_BESSEL_LEVEL_BYTES = 256 << 20
+def bessel_k_batch(s: Complex, xs: np.ndarray) -> np.ndarray:
+    """K_s at each entry of a 1-d array of positive arguments (complex).
+
+    Every order, real, negative or complex, is e^(-2x) times the fixed-step
+    trapezoid sum of _bessel_k_scaled, for all arguments in one call.  At a
+    real order it lies within 2.5e-15 relative of mpmath for |s| <= 9.3 and
+    2x in [1e-3, 200].  At a complex order with Re s in [-3, 6] it lies
+    within 3e-15 K_(|Re s|)(x) of mpmath for |Im s| <= 8 and 2x in [1e-3,
+    200], and for |Im s| <= 60 and 2x in [0.1, 200]; below 2x = 0.1 the
+    rounded phases |Im s| t of the far nodes raise it to 1.3e-14 (at |Im
+    s| = 45, 2x = 1e-3).  That bound is absolute: |K_s| can lie
+    e^(-pi |Im s|/2) below K_(|Re s|), and K_(iT) has zeros for 2x < T.
+    Raises ValueError unless every argument is positive (NaN included).
+    """
+    s = complex(s)
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(xs > 0):
+        raise ValueError("arguments must be positive")
+    nu = s.real if s.imag == 0 else s
+    return (_bessel_k_scaled((nu,), xs)[0] * np.exp(-2.0 * xs)).astype(complex)
 
 
-def _bessel_trapezoid(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
-    """K_s by nested trapezoid sums of the defining integral, absolute
-    accuracy ~tol on each entry: the route of complex orders, and the
-    reference that tests and the specialfun suite hold the real-order sum
-    (_bessel_k_scaled) against.  Sorted entries go through in chunks of at most 3,906, each
-    chunk on one grid; a level matrix of n_x by n_nodes complex values
-    past _BESSEL_LEVEL_BYTES raises EnumerationCapError."""
-    out = np.empty(xs.shape, dtype=complex)
-    order = np.argsort(xs)
-    chunk = max(1, 4_000_000 // 1024)
-    for start in range(0, xs.size, chunk):
-        idx = order[start:start + chunk]
-        out[idx] = _bessel_chunk(s, xs[idx], tol)
-    return out
-
-
-def _bessel_chunk(s: complex, xs: np.ndarray, tol: float) -> np.ndarray:
-    L = math.log(4.0 / tol) + numerics.TAIL_MARGIN
-    T = _bessel_grid_halfwidth(abs(s.real), float(xs.min()), L)
-
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        need = 16 * xs.size * taus.size
-        if need > _BESSEL_LEVEL_BYTES:
-            raise EnumerationCapError(
-                f"bessel trapezoid level of {xs.size} arguments x "
-                f"{taus.size} nodes needs {need / 2**20:.3g} MB > budget "
-                f"{_BESSEL_LEVEL_BYTES / 2**20:.3g} MB")
-        arg = np.outer(xs, np.cosh(taus))
-        arg *= -2.0
-        if s.imag == 0:
-            # a real order, the reference of the tests and the specialfun
-            # suite: at their tol 1e-14 the sum works at its rounding floor,
-            # and the split form below takes one more halving on K_4
-            return np.exp(arg + s * taus)
-        # exp(-2 x cosh tau) exp(s tau): one real exp per entry and one
-        # complex exp per node
-        np.exp(arg, out=arg)
-        return arg * np.exp(s * taus)
-
-    def grid(h: float) -> np.ndarray:
-        n = math.floor(T / h)
-        return np.arange(-n, n + 1)
-
-    return nested_trapezoid(integrand, grid, 0.5, tol / 4.0, "bessel trapezoid")
-
-
-def bessel_k(s: Complex, x: float, tol: float = 1e-12) -> complex:
+def bessel_k(s: Complex, x: float) -> complex:
     """K_s(x) = int_0^oo exp(-x(u+1/u)) u^(s-1) du."""
     if x <= 0:
         raise ValueError("x must be positive")
-    return complex(bessel_k_batch(s, np.array([x]), tol)[0])
+    return complex(bessel_k_batch(s, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

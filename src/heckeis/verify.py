@@ -9,9 +9,10 @@ Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
 direct Eisenstein sum at s = 1.5, 2, 3 and 2 + 0.5i, and the
 quadratic-extension integral formula at s = 2, 3 and 1.5 + 0.5i and over
 Q(sqrt193), each value against the Dirichlet-series oracle itself),
-specialfun (gamma factor, Gamma's duplication formula, Bessel, the
-real-order K sum against the trapezoid, and incomplete gamma checks), shells
-(one theta sum through two splits of a ball into a ball and an annulus).
+specialfun (gamma factor, Gamma's duplication formula, Bessel, the K sum
+at real and complex orders against the literal integral, and incomplete
+gamma checks), shells (one theta sum through two splits of a ball into a
+ball and an annulus).
 
 Suite functions only draw the deterministic inputs; the numerical work
 happens when the checks are executed by run_suite.
@@ -35,7 +36,7 @@ from .eisenstein import EisensteinEvaluator
 from .heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                        torus_measure_identity, xi_K_oracle)
 from .lattice import OFLattice
-from .numerics import neville_at_zero
+from .numerics import nested_trapezoid, neville_at_zero
 from .reports import VerificationReport
 # upper_incomplete_gamma through its module: the benchmark's tracer counts
 # the modules that bind it by name
@@ -403,12 +404,11 @@ def checks_specialfun(seed: int = 7) -> List[Check]:
     for x in (0.5, 1.0, 5.0):
         checks.append(Check(
             "bessel-half-order-closed-form", "-", {"x": x}, 1e-12,
-            lambda x=x: (bessel_k(0.5, x, 1e-14),
+            lambda x=x: (bessel_k(0.5, x),
                          math.sqrt(math.pi / x) * math.exp(-2 * x))))
     checks.append(Check(
         "bessel-order-symmetry", "-", {"s": 0.7 + 0.3j, "x": 2.0}, 1e-12,
-        lambda: (bessel_k(0.7 + 0.3j, 2.0, 1e-14),
-                 bessel_k(-0.7 - 0.3j, 2.0, 1e-14))))
+        lambda: (bessel_k(0.7 + 0.3j, 2.0), bessel_k(-0.7 - 0.3j, 2.0))))
     return checks
 
 
@@ -488,19 +488,36 @@ def checks_incgamma(seed: int = 7) -> List[Check]:
     return checks
 
 
+def _bessel_k_reference(nu: complex, x: float, tol: float) -> complex:
+    """K_nu(x) as the literal integral int e^(-2x cosh t + nu t) dt over the
+    real line, by nested trapezoid sums from step 1/2 to two levels within
+    tol: the reference the fixed-step sum is held against.  The sum reaches
+    the T where 2x cosh T - |Re nu| T = log(1/tol) + 8, plus 1/2."""
+    L = math.log(1 / tol) + 8.0
+    T, last = 1.0, 0.0
+    while abs(T - last) >= 1e-3:
+        T, last = math.acosh(max(1.0, (L + abs(nu.real) * T) / (2 * x))), T
+    T += 0.5
+    return nested_trapezoid(
+        lambda t: np.exp(-2.0 * x * np.cosh(t) + nu * t),
+        lambda h: np.arange(-math.floor(T / h), math.floor(T / h) + 1),
+        0.5, tol, "K reference")
+
+
 def checks_bessel_kv(seed: int = 7) -> List[Check]:
-    """The fixed-step sum of real orders against the nested trapezoid sum of
-    the defining integral, the route of complex orders, both sides over |K|
-    so that the tolerance stays relative; the specialfun suite runs them
-    after checks_incgamma."""
+    """The fixed-step sum against the literal integral (_bessel_k_reference)
+    at real orders and at the complex orders n_v (s - 1/2) of the benchmark
+    decks, both sides over K_(|Re nu|)(x), the scale of the sum's error
+    (K_(iT) has zeros for 2x < T); the specialfun suite runs them after
+    checks_incgamma."""
     checks = []
-    for nu in (-0.2, 0.5, 1.0, 2.5, 4.0):
+    for nu in (-0.2, 0.5, 1.0, 2.5, 4.0, 0.9j, 1.8j, 1 + 0.5j, 2 + 0.5j,
+               4 + 1j):
         for x in (0.3, 2.0, 15.0):
             def kv_vs_trapezoid(nu=nu, x=x):
-                kv = bessel_k(nu, x)
-                ref = specialfun._bessel_trapezoid(
-                    complex(nu), np.array([x]), 1e-14 * abs(kv))[0]
-                return kv / abs(kv), ref / abs(kv)
+                scale = bessel_k(abs(nu.real), x).real
+                ref = _bessel_k_reference(complex(nu), x, 2.5e-15 * scale)
+                return bessel_k(nu, x) / scale, ref / scale
 
             checks.append(Check("bessel-kv-vs-trapezoid", "-",
                                 {"s": nu, "x": x}, 1e-12, kv_vs_trapezoid))

@@ -94,9 +94,11 @@ MUTANTS = {
     # lattice route of the dual, which has no Bessel function
     "bessel_k_batch": ("fe", ["functional-equation"], [
         (eisenstein, "bessel_k_batch", _scaled(eisenstein.bessel_k_batch))]),
-    # the fixed-step sum of real orders, which bessel_k_batch and the pair
-    # sum's cutoff read, against the nested trapezoid and against K's
-    # closed form at order 1/2
+    # the fixed-step sum, which bessel_k_batch takes at every order and the
+    # pair sum's cutoff and rounding floor read, against K's closed form at
+    # order 1/2 and against the literal integral at real and complex orders:
+    # there both sides are over K_(|Re nu|)(x), which the mutant scales
+    # too, so the reference's side moves by 1e-7 of it
     "_bessel_k_scaled": ("specialfun", ["bessel-half-order-closed-form",
                                         "bessel-kv-vs-trapezoid"], [
         (m, "_bessel_k_scaled", _scaled(specialfun._bessel_k_scaled))

@@ -869,7 +869,7 @@ def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
     if t and args.size:
         near = np.sort(args)[:64]
         k_a = 2 * kv(a_nu, 2 * near)
-        k_nu = bessel_k_batch(n_v * (s - 0.5), near, tol=1e-3 * k_a.min())
+        k_nu = bessel_k_batch(n_v * (s - 0.5), near)
         assert np.all(np.abs(k_nu) <= k_a * (1 + 1e-9))
 
 
@@ -943,6 +943,27 @@ def test_term3_raises_below_its_rounding_floor():
     assert f"X = {X:g}" in msg and err.tol == 1e-10
     assert err.last_delta > 0
     assert err.points == ev._pair_data(X)[0].size
+
+
+def test_term3_floor_at_a_complex_s_is_the_kernels_bound():
+    # over Q(i) with |y| = 0.2 at s = 10 + 10i (nu = 19 + 20i), tol 1e-10:
+    # eps * scale * sum |term| reads 0.012 of tol/10, but the K sum is off
+    # by a few eps K_19(x), which |K_nu(x)| understates, and the floor
+    # eps * scale * sum weight r^(19/2) K_19(x) reads 58 of tol/10
+    ev = EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 0.2 + 0j))
+    s, tol = 10 + 10j, 1e-10
+    scale = np.abs(ev.V ** (2 * s - 1) * np.ravel(ev.P_red) ** s) \
+        / (ev.F.w / 2)
+    weight = 2 * math.pi
+    X, _ = ev._pair_cutoff(s, scale * weight, tol)
+    args, _, ratios, _ = ev._pair_data(X)
+    terms = weight * ratios ** (s - 0.5) * bessel_k_batch(2 * (s - 0.5), args)
+    assert np.finfo(float).eps * scale * np.abs(terms).sum() < tol / 10 / 50
+    with pytest.raises(ConvergenceError) as info:
+        ev.term3(s, tol)
+    msg = str(info.value)
+    assert "rounding floor" in msg and "tol/10 = 1e-11" in msg
+    assert info.value.cutoff == X[0]
 
 
 def _traced_direct(monkeypatch, lat, s, tol):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import re
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
-from heckeis import numerics, specialfun
+from heckeis import specialfun, verify
 from heckeis.basefield import make_field
-from heckeis.errors import ConvergenceError, EnumerationCapError, PoleError
+from heckeis.errors import ConvergenceError, PoleError
 from heckeis.numerics import nested_trapezoid
 from heckeis.specialfun import (bessel_k, bessel_k_batch, gamma_F,
                                 gamma_F_integral, upper_incomplete_gamma)
@@ -37,13 +38,13 @@ def bessel_riemann_oracle(s, x):
 @pytest.mark.parametrize("x", [0.5, 1.0, 5.0])
 def test_bessel_half_order_closed_form(x):
     closed = math.sqrt(math.pi / x) * math.exp(-2 * x)
-    assert abs(bessel_k(0.5, x, 1e-14) - closed) < 1e-12
+    assert abs(bessel_k(0.5, x) - closed) < 1e-12
     assert abs(bessel_riemann_oracle(0.5, x) - closed) < 1e-10
 
 
 def test_bessel_order_symmetry():
     s = 0.7 + 0.3j
-    assert abs(bessel_k(s, 2.0, 1e-14) - bessel_k(-s, 2.0, 1e-14)) < 1e-12
+    assert abs(bessel_k(s, 2.0) - bessel_k(-s, 2.0)) < 1e-12
 
 
 def test_bessel_monotone_in_x():
@@ -57,63 +58,21 @@ def test_bessel_recurrence_against_oracle():
         o_lhs = bessel_riemann_oracle(s + 1, x) - bessel_riemann_oracle(s - 1, x)
         o_rhs = (s / x) * bessel_riemann_oracle(s, x)
         assert abs(o_lhs - o_rhs) < 1e-8
-        lhs = bessel_k(s + 1, x, 1e-14) - bessel_k(s - 1, x, 1e-14)
-        rhs = (s / x) * bessel_k(s, x, 1e-14)
+        lhs = bessel_k(s + 1, x) - bessel_k(s - 1, x)
+        rhs = (s / x) * bessel_k(s, x)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_bessel_vs_riemann_oracle_complex_order():
     for s, x in [(0.25 + 1.2j, 0.8), (2.0 - 0.7j, 3.0)]:
-        assert abs(bessel_k(s, x, 1e-13) - bessel_riemann_oracle(s, x)) < 1e-9
+        assert abs(bessel_k(s, x) - bessel_riemann_oracle(s, x)) < 1e-9
 
 
 def test_bessel_batch_matches_scalar():
     xs = np.array([0.3, 1.0, 2.7, 9.0])
-    batch = bessel_k_batch(1.25, xs, 1e-13)
+    batch = bessel_k_batch(1.25, xs)
     for x, v in zip(xs, batch):
-        assert abs(v - bessel_k(1.25, x, 1e-13)) < 1e-12
-
-
-def test_bessel_raises_when_unconverged(monkeypatch):
-    # one halving from step 0.5 cannot reach 1e-14 at x = 1; the message says
-    # how far the trapezoid got (a complex order: real orders take the
-    # fixed-step sum)
-    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 1)
-    with pytest.raises(ConvergenceError) as info:
-        bessel_k(0.5 + 0.1j, 1.0, 1e-14)
-    m = re.fullmatch(r"bessel trapezoid did not converge: halvings 1, "
-                     r"nodes (\d+), last change (\S+) > tol (\S+)",
-                     str(info.value))
-    assert m, str(info.value)
-    nodes, change, tol = int(m[1]), float(m[2]), float(m[3])
-    assert nodes % 2 == 1 and nodes > 1
-    assert tol == 1e-14 / 4 and change > tol
-    err = info.value
-    assert (err.cutoff, err.tol, err.points) == (0.25, 1e-14 / 4, nodes)
-    assert err.last_delta > err.tol
-
-
-def test_bessel_level_past_its_byte_budget_raises_before_allocating(
-        monkeypatch):
-    # 300 arguments at step 0.5 make a first level (the first two trapezoid
-    # levels) of about 300 x 43 complex values, 206 kB; under a 64 kB budget
-    # it must raise before the matrix exists.  Unguarded, the same call
-    # converges within a few MB, so a broken guard cannot exhaust memory
-    xs = np.linspace(0.3, 3.0, 300)
-    s = 0.5 + 0.1j
-    want = bessel_k_batch(s, xs, 1e-12)
-
-    def forbidden(*args):
-        raise AssertionError("the level matrix was allocated")
-
-    monkeypatch.setattr(specialfun, "_BESSEL_LEVEL_BYTES", 64 << 10)
-    monkeypatch.setattr(np, "outer", forbidden)
-    with pytest.raises(EnumerationCapError,
-                       match=r"bessel trapezoid level of 300 arguments x "
-                             r"\d+ nodes needs 0\.\d+ MB > budget 0\.0625 MB"):
-        bessel_k_batch(s, xs, 1e-12)
-    monkeypatch.undo()
-    assert np.array_equal(bessel_k_batch(s, xs, 1e-12), want)
+        assert abs(v - bessel_k(1.25, x)) < 1e-12
 
 
 def _first_two_levels(f, grid, h):
@@ -155,6 +114,29 @@ def test_nested_trapezoid_evaluates_the_first_two_levels_in_one_call(rows):
     np.testing.assert_allclose(got, 2 * math.pi * i0(cs), rtol=1e-14)
 
 
+def test_nested_trapezoid_raises_below_its_rounding_floor():
+    # 1e6 exp(cos t) over its period integrates to 2 pi i0(1) 1e6 = 8.0e6,
+    # so eps h sum |f| is about 1.8e-9: at tol 1e-10 the first comparison
+    # raises, after the 16 nodes of the first call, where halving on would
+    # only chase rounding; at tol 1e-8 the sum converges
+    def f(taus):
+        return 1e6 * np.exp(np.cos(taus))
+
+    def grid(h):
+        return np.arange(round(2 * math.pi / h))
+
+    with pytest.raises(ConvergenceError,
+                       match=r"test lies below its rounding floor: "
+                             r"eps\*h\*sum\|f\| = 1\.77e-09 > tol 1e-10 at "
+                             r"step 0\.393, nodes 16") as info:
+        nested_trapezoid(f, grid, 2 * math.pi / 8, 1e-10, "test")
+    err = info.value
+    assert (err.cutoff, err.tol, err.points) == (math.pi / 8, 1e-10, 16)
+    assert err.last_delta > err.tol
+    got = nested_trapezoid(f, grid, 2 * math.pi / 8, 1e-8, "test")
+    assert abs(got - 2e6 * math.pi * i0(1.0)) < 1e-8
+
+
 def test_bessel_rejects_nonpositive():
     with pytest.raises(ValueError):
         bessel_k(1.0, 0.0)
@@ -189,43 +171,69 @@ def test_bessel_real_order_vs_mpmath(nu):
     assert np.all(rel < 4e-15)
 
 
-@pytest.mark.parametrize("s", [0.25 + 1.2j, 2.0 - 0.7j, -1.5 + 0.3j,
-                               0.5 + 4.0j])
+# Re s and |Im s| of the complex-order grid, and four orders off it (one
+# with Im s < 0); 2x from 1e-3 to 200
+_K_COMPLEX_ORDERS = [complex(re, im)
+                     for re in (-3.0, -0.5, 0.0, 0.25, 1.0, 2.0, 4.0, 6.0)
+                     for im in (0.1, 0.9, 1.8, 4.0, 8.0, 30.0, 60.0)] \
+    + [0.25 + 1.2j, 2.0 - 0.7j, -1.5 + 0.3j, 0.5 + 4.0j]
+_K_COMPLEX_Z = np.geomspace(1e-3, 200.0, 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_k_real_order(nu):
+    """K_nu at the arguments x = z/2 of _K_COMPLEX_Z, by _mp_bessel."""
+    return np.array([_mp_bessel(nu, z / 2).real for z in _K_COMPLEX_Z])
+
+
+@pytest.mark.parametrize("s", _K_COMPLEX_ORDERS)
 def test_bessel_complex_order_trapezoid_vs_mpmath(s):
-    xs = np.array([0.3, 1.0, 2.7, 9.0])
-    got = bessel_k_batch(s, xs, 1e-14)
+    # the fixed-step sum at a complex order is off by a few eps
+    # K_(|Re s|)(x), an absolute bound: |K_s| can lie e^(-pi |Im s|/2) below
+    # it, and K_(iT) has zeros for 2x < T
+    xs = _K_COMPLEX_Z / 2
+    got = bessel_k_batch(s, xs)
     want = np.array([_mp_bessel(s, x) for x in xs])
-    assert np.all(np.abs(got - want) < 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(got - want) <= 1e-14 * _mp_k_real_order(abs(s.real)))
 
 
 @pytest.mark.parametrize("nu", [-0.2, 0.5, 1.0, 2.5, 4.0])
 def test_bessel_kv_matches_trapezoid_at_real_orders(nu):
-    # 1,600 arguments in [0.5, 30]: the fixed-step sum and the nested
-    # trapezoid reference agree to 1e-14 max(1, |K|) where 2x > 2, and to
-    # 2e-14 below
+    # 1,600 arguments in [0.5, 30]: the fixed-step sum and the verify
+    # suite's literal-integral reference agree to 1e-14 max(1, |K|) where
+    # 2x > 2, and to 2e-14 below
     xs = np.linspace(0.5, 30.0, 1600)
     kv = bessel_k_batch(nu, xs)
-    ref = specialfun._bessel_trapezoid(complex(nu), xs, 1e-14)
+    ref = np.array([verify._bessel_k_reference(complex(nu), x,
+                                               2.5e-15 * max(1.0, abs(k)))
+                    for x, k in zip(xs.tolist(), kv)])
     err = np.abs(kv - ref) / np.maximum(1.0, np.abs(ref))
     assert np.all(err[xs > 1.0] < 1e-14)
     assert np.all(err < 2e-14)
 
 
-def test_real_orders_never_enter_the_trapezoid(monkeypatch):
+def test_every_order_takes_the_fixed_step_sum(monkeypatch):
+    # one kernel for every order: a real order (1.5 + 0j included) as a
+    # real float, so that its sum stays in real arithmetic, a complex one
+    # as it is
     calls = []
+    kernel = specialfun._bessel_k_scaled
 
-    def counted(*args, **kwargs):
-        calls.append(args[-1])
-        return nested_trapezoid(*args, **kwargs)
+    def counted(orders, xs):
+        calls.append(tuple(orders))
+        return kernel(orders, xs)
 
-    monkeypatch.setattr(specialfun, "nested_trapezoid", counted)
+    monkeypatch.setattr(specialfun, "_bessel_k_scaled", counted)
     xs = np.array([0.2, 1.0, 7.5])
-    for nu in (-2.5, -0.2, 0.0, 1.0, 3.3, 1.5 + 0j):
-        bessel_k_batch(nu, xs, 1e-14)
-        bessel_k(nu, 0.8, 1e-14)
-    assert calls == []
-    bessel_k_batch(0.5 + 0.1j, xs, 1e-14)
-    assert calls == ["bessel trapezoid"]
+    orders = (-2.5, -0.2, 0.0, 1.0, 3.3, 1.5 + 0j, 0.5 + 0.1j, -2.0 - 30j)
+    want = []
+    for nu in orders:
+        bessel_k_batch(nu, xs)
+        bessel_k(nu, 0.8)
+        nu = complex(nu)
+        want += [(nu.real if nu.imag == 0 else nu,)] * 2
+    assert calls == want
+    assert [type(o) for (o,) in calls] == [float] * 12 + [complex] * 4
 
 
 # orders with |nu| <= 6 on a step of 1/4 and off it, and 2x from 1e-3 to 200
@@ -592,8 +600,9 @@ def test_specialfun_suite_runs_the_incgamma_checks():
 def test_specialfun_suite_holds_kv_against_the_trapezoid():
     reports = run_suite("specialfun")
     kv = [r for r in reports if r.command == "bessel-kv-vs-trapezoid"]
-    assert sorted((r.parameters["s"], r.parameters["x"]) for r in kv) \
-        == [(s, x) for s in (-0.2, 0.5, 1.0, 2.5, 4.0) for x in (0.3, 2.0, 15.0)]
+    assert [(r.parameters["s"], r.parameters["x"]) for r in kv] \
+        == [(s, x) for s in (-0.2, 0.5, 1.0, 2.5, 4.0, 0.9j, 1.8j, 1 + 0.5j,
+                             2 + 0.5j, 4 + 1j) for x in (0.3, 2.0, 15.0)]
     assert all(r.passed for r in reports)
 
 
@@ -710,7 +719,7 @@ def b_F(F, a, b, s):
     n_v = 1 if F.is_rational else 2
     ratio = (abs(b) / abs(a)) ** (n_v * s)
     return (2 * math.pi) ** (n_v - 1) * ratio \
-        * bessel_k(n_v * s, n_v * math.pi * abs(a) * abs(b), 1e-14)
+        * bessel_k(n_v * s, n_v * math.pi * abs(a) * abs(b))
 
 
 def b_F_integral(F, a, b, s):
@@ -740,8 +749,8 @@ def test_b_f_vs_quadrature(F, a, b):
 
 
 @pytest.mark.parametrize("fn,pt", [
-    (lambda s: bessel_k(s, 1.7, 1e-14), 1.1 + 0.4j),
-    (lambda s: bessel_k(s, 0.9, 1e-14), -0.3 + 0.8j),
+    (lambda s: bessel_k(s, 1.7), 1.1 + 0.4j),
+    (lambda s: bessel_k(s, 0.9), -0.3 + 0.8j),
     (lambda s: upper_incomplete_gamma(s, 2.3), 0.7 + 0.2j),
     (lambda s: upper_incomplete_gamma(s, 0.6), -1.4 + 0.9j),
     (lambda s: gamma_F(Q, s), 1.3 + 0.5j),
