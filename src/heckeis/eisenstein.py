@@ -101,6 +101,10 @@ class EisensteinEvaluator:
             self.bmin = float(self.bstar.absolute_norm()) ** (1 / self.n_v)
             self.Mo = ideal_embedding_matrix(unit)
             self.Mbstar = ideal_embedding_matrix(self.bstar)
+            self.pair_density = 2 / self.bmin if self.n_v == 1 else math.prod(
+                math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
+                / abs(np.linalg.det(M))
+                for M, m in ((self.Mo, 1), (self.Mbstar, self.bmin))) / 2
             self.V = math.sqrt(abs(F.discriminant))
             # alpha/beta exact, then embedded: N(a)/N(b) over Q
             self.ratio = F.embed(ideal_generator(lattice.ideal_a)
@@ -333,83 +337,58 @@ class EisensteinEvaluator:
         return args, phases, ratios, cell // per_cell
 
     def _pair_cutoff(self, s: complex, scale, tol: float):
-        """Per node, the least X (to within 1e-3) with tail(X) <= tol/10,
+        """Per node, the least X (to within 2.5e-4) with tail(X) <= tol/10,
         and tail(X): a proven bound on scale * sum |r^(s-1/2) K_nu(x)| over
         the pairs with x > X.  With a = n_v |Re s - 1/2|, the least |alpha|
         1 and the least |beta*| beta_min = N(b*)^(1/n_v):
         |K_nu| <= K_a (|u^(nu-1)| = u^(Re nu - 1), K_(-a) = K_a); r^(Re s
         - 1/2) <= (g x)^a, g = 1/(c |y|) for Re s >= 1/2 and
         |y|/(c beta_min^2) below; e^(2x) K_a(x) = int e^(-x (sqrt u -
-        1/sqrt u)^2) u^(a-1) du does not increase with x.  At most N(t) =
-        D (t/c)^n_v (1 + n_v log Q) pairs have x <= t, Q = t/(c beta_min)
-        >= 1: over Q, #{m >= 1, k != 0 : m |k| <= Q} <=
-        2Q (1 + log Q); over an imaginary field at most pi (r + rho)^2/covol
-        <= p r^2 points have |l| <= r >= l_min (cells lie within rho =
-        sum |b_i|/2 of their points), p = pi (1 + rho/l_min)^2/covol, and
-        summing p_b (t/c)^2/|alpha|^2 over alpha by parts gives
-        D = p_a p_b/2.  As N(t) t^a grows at most like (t/X)^k, k = a + n_v
-        + n_v/(1 + n_v log Q(X)), summation by parts gives, for
-        X >= c beta_min and X > k/2,
+        1/sqrt u)^2) u^(a-1) du does not increase with x, and is at most
+        sqrt(pi/x) (1 - b/(4x))^-(a+1/2), b = max(a - 1/2, 0), for 4x > b
+        (DLMF 10.32.8 at z = 2x with (1 + t/(4x))^(a-1/2) <= e^(b t/(4x));
+        exact at a = 1/2).  At most N(t) = D (t/c)^n_v (1 + n_v log Q)
+        pairs have x <= t, Q = t/(c beta_min) >= 1: over Q, #{m >= 1,
+        k != 0 : m |k| <= Q} <= 2Q (1 + log Q); over an imaginary field at
+        most pi (r + rho)^2/covol <= p r^2 points have |l| <= r >= l_min
+        (cells lie within rho = sum |b_i|/2 of their points), p = pi (1 +
+        rho/l_min)^2/covol, and summing p_b (t/c)^2/|alpha|^2 over alpha by
+        parts gives D = p_a p_b/2 (pair_density).  As N(t) t^a grows at
+        most like (t/X)^k, k = a + n_v + n_v/(1 + n_v log Q(X)), summation
+        by parts gives, for X >= c beta_min and X > k/2,
         tail(X) <= scale (g X)^a K_a(X) 2 N(X)/(2 - k/X)."""
         n_v = self.n_v
         y = np.abs(np.ravel(self.y_red))
         c = n_v * math.pi * y
         a = n_v * abs(s.real - 0.5)
+        b = max(a - 0.5, 0.0)
         g = 1 / (c * y) if s.real >= 0.5 else y / (c * self.bmin ** 2)
-        dens = 2 / self.bmin if n_v == 1 else math.prod(
-            math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
-            / abs(np.linalg.det(M))
-            for M, m in ((self.Mo, 1), (self.Mbstar, self.bmin))) / 2
         x0 = c * self.bmin
         # log(10 scale/tol) and the factors of (g X)^a 2 N(X) that do not
         # depend on X
         base = np.log(10 / tol * np.maximum(scale, 1e-300)) + a * np.log(g) \
-            + math.log(2 * dens) - n_v * np.log(c)
+            + math.log(2 * self.pair_density) - n_v * np.log(c)
         ln_x0 = np.log(x0)
 
-        def log_need(X, slope=False):
-            # half of log(10 e^(2X) tail(X)/tol), with e^(2X) K_a(X) = kv
-            # and 1 + n_v log Q = lq
+        def log_need(X):
+            # half of log(10 e^(2X) tail(X)/tol), kv the bound on e^(2X)
+            # K_a(X), lq = 1 + n_v log Q; the start keeps 4X > b, X > k/2
             ln_X = np.log(X)
             lq = 1 + n_v * (ln_X - ln_x0)
             k = a + n_v + n_v / lq
-            kv = _bessel_k_scaled((a, a - 1) if slope else (a,), X)
-            need = (base + (a + n_v) * ln_X
-                    + np.log(lq * kv[0] / (2 - k / X))) / 2
-            if not slope:
-                return need
-            # and its derivative in X: (log e^(2X) K_a(X))' = 2 - a/X
-            # - 2 K_(a-1)(X)/K_a(X) (DLMF 10.29.2 at z = 2X),
-            # k' = -n_v^2/(X lq^2)
-            return need, (n_v * (1 + 1 / lq) / X + 2
-                          - 2 * kv[1] / kv[0]
-                          - (k + (n_v / lq) ** 2) / (X * (2 * X - k))) / 2
+            kv = np.sqrt(math.pi / X) * (1 - b / (4 * X)) ** -(a + 0.5)
+            return (base + (a + n_v) * ln_X
+                    + np.log(lq * kv / (2 - k / X))) / 2
 
         # X suffices when log_need(X) <= X; the least such X* is the fixed
-        # point of log_need, which grows like ((a + n_v)/2) log X.  From the
-        # least X the bound holds at, one fixed-point step comes within about
-        # 1 of X*.  Each further step solves the model log_need(t) = n +
-        # A log(t/X) through the last point (X, n) and aims 2.5e-4 above its
-        # root: A = X log_need'(X) at the first, about 1e-4 off X*; after it,
-        # A through the last two points.  A node is done once log_need(X)
-        # lies in [X - 5e-4, X], so that X* <= X <= X* + 5e-4/(1 - log_need')
+        # point of log_need, which grows like ((a + n_v - 1/2)/2) log X.
+        # Each step climbs by at least 2.5e-4; where log_need increases up
+        # to X*, no step from below X* ends more than 2.5e-4 above it
         X = np.maximum(x0, a / 2 + n_v + 0.5)
         need = log_need(X)
-        todo = need > X
-        if todo.any():
-            X = np.where(todo, need + 5e-4, X)
-            need, slope = log_need(X, slope=True)
-            A = X * slope
-            while True:
-                todo &= (need > X) | (need < X - 5e-4)
-                if not todo.any():
-                    break
-                Xo, no, Ao = X[todo], need[todo], A[todo]
-                t = no + Ao * np.log(no / Xo)
-                t -= (no + Ao * np.log(t / Xo) - t) / (Ao / t - 1)
-                X[todo] = t + 2.5e-4
-                need = log_need(X)
-                A[todo] = (need[todo] - no) / np.log(X[todo] / Xo)
+        while (todo := need > X).any():
+            X = np.where(todo, need + 2.5e-4, X)
+            need = log_need(X)
         return X, tol / 10 * np.exp(2 * (need - X))
 
     def term1(self, s: complex, tol: float = 1e-12):
@@ -451,7 +430,7 @@ class EisensteinEvaluator:
             # the kernel's error at a complex order is a few eps K_(Re nu)(x),
             # which |K_nu(x)| understates by up to e^(pi |Im nu|/2)
             mags = weight * ratios ** (s.real - 0.5) \
-                * _bessel_k_scaled((abs(nu.real),), args)[0] \
+                * _bessel_k_scaled(abs(nu.real), args) \
                 * np.exp(-2.0 * args)
         else:
             mags = np.abs(terms)

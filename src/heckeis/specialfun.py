@@ -495,11 +495,11 @@ def upper_incomplete_gamma(s: Complex, x, tol: float = 1e-14):
 # stays within 4e-15 relative of mpmath over the real orders bessel_k_batch
 # states)
 _K_NATS = math.log(2 / np.finfo(float).eps) + 2.0
-# the grids of _k_nodes round 2x out to quarters of an octave: over the K
-# calls of the benchmark decks (seed 1, caches cold) eighths took 4.6 ms a
-# torus pass against 3.9 for quarters, halves and octaves 3.8 and 3.7 (fewer
-# grids to build against more nodes), and on continuation 3.9, 4.3, 3.8 and
-# 4.5 (a noisy 2-core x86-64 VM; scipy's kve took 2.2 and 3.9 there)
+# the grids of _k_nodes round 2x out to quarters of an octave: the K calls
+# of one seed-1 pass of the benchmark decks, replayed with caches cold, took
+# 1.9 ms on torus for eighths against 1.7 for quarters, halves and octaves
+# 1.6 (fewer grids to build against more nodes), and on continuation 3.6,
+# 3.5, 3.6 and 4.3 (medians of 15 replays on a noisy 2-core x86-64 VM)
 _K_PARTS = 4
 
 
@@ -545,36 +545,33 @@ def _k_nodes(z_hi: int, z_lo: int, m4: int, n4: int):
 
 
 @functools.lru_cache(maxsize=1024)
-def _k_weights(z_hi: int, z_lo: int, orders: tuple):
-    """The exponents -4 sinh^2(t_j/2) of _k_nodes for these orders, and per
-    order the weights w_j cosh(nu t_j), one real column each, or at
-    complex orders two, Re and Im side by side (read-only)."""
-    t, exponents, w = _k_nodes(
-        z_hi, z_lo, math.ceil(4 * max(abs(nu.real) for nu in orders)),
-        math.ceil(4 * max(abs(nu.imag) for nu in orders)))
-    weights = (np.cosh(np.multiply.outer(t, orders)) * w[:, None]).view(float)
+def _k_weights(z_hi: int, z_lo: int, nu):
+    """The exponents -4 sinh^2(t_j/2) of _k_nodes for the order nu, and the
+    weights w_j cosh(nu t_j) as one real column, or at a complex order two,
+    Re and Im side by side (read-only)."""
+    t, exponents, w = _k_nodes(z_hi, z_lo, math.ceil(4 * abs(nu.real)),
+                               math.ceil(4 * abs(nu.imag)))
+    weights = (np.cosh(nu * t) * w)[:, None].view(float)
     weights.setflags(write=False)
     return exponents, weights
 
 
-def _bessel_k_scaled(orders, xs: np.ndarray) -> np.ndarray:
-    """e^(2x) K_nu(x) at orders nu and positive arguments x, one row per
-    order, real at real orders and complex otherwise: the trapezoid sum of
+def _bessel_k_scaled(nu, xs: np.ndarray) -> np.ndarray:
+    """e^(2x) K_nu(x) at the order nu and positive arguments x, real at a
+    real order and complex otherwise: the trapezoid sum of
     int e^(-2x (cosh t - 1)) cosh(nu t) dt over the real line, cosh t - 1
-    formed as 2 sinh^2(t/2).  Every order and argument shares one grid
-    (_k_nodes, from the least and the largest 2x rounded out to quarters of
-    an octave and the largest |Re nu| and |Im nu| up to a quarter) and so
-    one real matrix of exponentials, which one real matrix product takes
-    to every order."""
+    formed as 2 sinh^2(t/2).  Every argument shares one grid (_k_nodes,
+    from the least and the largest 2x rounded out to quarters of an octave
+    and |Re nu| and |Im nu| up to a quarter) and so one real matrix of
+    exponentials, which one real matrix product takes to the sums."""
     if not xs.size:
-        return np.empty((len(orders), 0), dtype=np.result_type(*orders))
+        return np.empty(0, dtype=np.result_type(nu))
     exponents, weights = _k_weights(
         math.ceil(_K_PARTS * math.log2(2.0 * np.maximum.reduce(xs))),
-        math.floor(_K_PARTS * math.log2(2.0 * np.minimum.reduce(xs))),
-        tuple(orders))
+        math.floor(_K_PARTS * math.log2(2.0 * np.minimum.reduce(xs))), nu)
     powers = np.multiply.outer(xs, exponents)
     sums = np.exp(powers, out=powers) @ weights
-    return (sums if sums.shape[1] == len(orders) else sums.view(complex)).T
+    return (sums if sums.shape[1] == 1 else sums.view(complex))[:, 0]
 
 
 def bessel_k_batch(s: Complex, xs: np.ndarray) -> np.ndarray:
@@ -596,7 +593,7 @@ def bessel_k_batch(s: Complex, xs: np.ndarray) -> np.ndarray:
     if not np.all(xs > 0):
         raise ValueError("arguments must be positive")
     nu = s.real if s.imag == 0 else s
-    return (_bessel_k_scaled((nu,), xs)[0] * np.exp(-2.0 * xs)).astype(complex)
+    return (_bessel_k_scaled(nu, xs) * np.exp(-2.0 * xs)).astype(complex)
 
 
 def bessel_k(s: Complex, x: float) -> complex:

@@ -4,15 +4,15 @@ each producing a VerificationReport.
 Suites: theta (Gaussian theta transformation and dual volumes), fourier
 (expansion against the two lattice-sum routes), fe (functional equation
 through the dual lattice), klf (residue, limit-formula constants, h
-modularity, the relative limit formula, also over the large regulator of
-Q(sqrt193)), hecke (imaginary quadratic partial zeta values against the
-direct Eisenstein sum at s = 1.5, 2, 3 and 2 + 0.5i, and the
-quadratic-extension integral formula at s = 2, 3 and 1.5 + 0.5i and over
-Q(sqrt193), each value against the Dirichlet-series oracle itself),
-specialfun (gamma factor, Gamma's duplication formula, Bessel, the K sum
-at real and complex orders against the literal integral, and incomplete
-gamma checks), shells (one theta sum through two splits of a ball into a
-ball and an annulus).
+modularity, h over Q against Dedekind's eta, the relative limit formula,
+also over the large regulator of Q(sqrt193)), hecke (imaginary quadratic
+partial zeta values against the direct Eisenstein sum at s = 1.5, 2, 3
+and 2 + 0.5i, and the quadratic-extension integral formula at s = 2, 3
+and 1.5 + 0.5i and over Q(sqrt193), each value against the
+Dirichlet-series oracle itself), specialfun (gamma factor, Gamma's
+duplication formula, Bessel, the K sum at real and complex orders against
+the literal integral, and incomplete gamma checks), shells (one theta sum
+through two splits of a ball into a ball and an annulus).
 
 Suite functions only draw the deterministic inputs; the numerical work
 happens when the checks are executed by run_suite.
@@ -235,6 +235,17 @@ def _richardson_ct(ev: EisensteinEvaluator) -> complex:
     return neville_at_zero(_SNAPPED_HS, vals)
 
 
+def _eta(z: complex) -> complex:
+    """Dedekind's eta(z) = q^(1/24) prod_(n >= 1) (1 - q^n), q = e^(2 pi i
+    z), Im z > 0: the product up to the first |q^n| < 1e-18."""
+    q = cmath.exp(2j * math.pi * z)
+    eta, qn = cmath.exp(2j * math.pi * z / 24), q
+    while abs(qn) >= 1e-18:
+        eta *= 1 - qn
+        qn *= q
+    return eta
+
+
 def checks_klf(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     checks = []
@@ -273,6 +284,17 @@ def checks_klf(seed: int = 7) -> List[Check]:
                             lambda z=z: (ev_of(-1 / z).h_value(1e-11),
                                          ev_of(z).h_lattice(1e-11)
                                          - 2 * math.log(abs(z)))))
+
+    # Kronecker's first limit formula over Q with a = b = Z: h(z) =
+    # -4 log|eta(z)|, h at the check's tol, so that a pair sum stopped
+    # short of its own tol shows; y down to 0.02 reaches far into the cusp
+    eta_rng = random.Random(seed)
+    for _ in range(12):
+        y = math.exp(eta_rng.uniform(math.log(0.02), math.log(3.0)))
+        z = complex(eta_rng.uniform(-0.5, 0.5), y)
+        checks.append(Check("h-vs-eta", "Q", {"z": z}, 1e-10,
+                            lambda z=z: (ev_of(z).h_value(1e-10),
+                                         -4 * math.log(abs(_eta(z))))))
 
     Fi = make_field(-1)
     Oi = FracIdeal.unit_ideal(Fi)

@@ -4,7 +4,8 @@ Sayward, "Hints on test data selection" (IEEE Computer 11, 1978).
 
 Each case perturbs one primitive in every module whose routes call it, by a
 relative 1e-7, by dropping one lattice point, or by serving kept lattice
-points under a wrong key or past their radius, and runs the verify suite
+points under a wrong key or past their radius, or loosens a stop rule
+100-fold, and runs the verify suite
 named for it (one of theta, specialfun, klf, fe, hecke and shells; the
 fourier suite would catch most of them too, but takes longer than all
 six).  The checks named for it must then be the ones of that suite that
@@ -39,6 +40,12 @@ def _first_point_dropped(f):
     return mutant
 
 
+def _tol_times_100(f):
+    def mutant(self, s, scale, tol):
+        return f(self, s, scale, 100 * tol)
+    return mutant
+
+
 def _one_entry_off(f):
     def mutant(ideal):
         M = f(ideal).copy()
@@ -55,10 +62,13 @@ MUTANTS = {
         (m, "ball_points", _first_point_dropped(lattice.ball_points))
         for m in (lattice, zeta, eisenstein)]),
     # h of the expansion (xi of an ideal) at z + 1 and at -1/z against h of
-    # the lattice route (the theta split of the lattice) at z
-    "gamma_lattice_sum": ("klf", ["h-inversion", "h-translation"], [
+    # the lattice route (the theta split of the lattice) at z, and at z
+    # against Dedekind's eta
+    "gamma_lattice_sum": ("klf", ["h-inversion", "h-translation",
+                                  "h-vs-eta"], [
         (zeta, "gamma_lattice_sum", _scaled(zeta.gamma_lattice_sum))]),
-    "upper_incomplete_gamma": ("klf", ["h-inversion", "h-translation"], [
+    "upper_incomplete_gamma": ("klf", ["h-inversion", "h-translation",
+                                       "h-vs-eta"], [
         (zeta, "upper_incomplete_gamma",
          _scaled(zeta.upper_incomplete_gamma))]),
     # the continued fraction's loop for few arguments alone: at x = 2.2 the
@@ -95,7 +105,7 @@ MUTANTS = {
     "bessel_k_batch": ("fe", ["functional-equation"], [
         (eisenstein, "bessel_k_batch", _scaled(eisenstein.bessel_k_batch))]),
     # the fixed-step sum, which bessel_k_batch takes at every order and the
-    # pair sum's cutoff and rounding floor read, against K's closed form at
+    # pair sum's rounding floor reads, against K's closed form at
     # order 1/2 and against the literal integral at real and complex orders:
     # there both sides are over K_(|Re nu|)(x), which the mutant scales
     # too, so the reference's side moves by 1e-7 of it
@@ -103,6 +113,12 @@ MUTANTS = {
                                         "bessel-kv-vs-trapezoid"], [
         (m, "_bessel_k_scaled", _scaled(specialfun._bessel_k_scaled))
         for m in (specialfun, eisenstein)]),
+    # the pair sum's stop rule: a cutoff for 100 tol stops short of the
+    # check's tol in h against Dedekind's eta; h-translation and h-inversion
+    # run the expansion at 1/10 and 1/1000 of their check's tol
+    "_pair_cutoff-tol-x100": ("klf", ["h-vs-eta"], [
+        (eisenstein.EisensteinEvaluator, "_pair_cutoff",
+         _tol_times_100(eisenstein.EisensteinEvaluator._pair_cutoff))]),
     # every pseudo-basis lattice checks its determinant against the closed
     # form |d_F| N(a) N(b) |N(y)| of its covolume
     "ideal_embedding_matrix": ("theta", [], [

@@ -878,14 +878,11 @@ def test_term3_tail_beyond_its_cutoff_is_within_tol(kind, nodes, ia, sigma,
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 def test_pair_cutoff_is_the_least_in_few_evaluations(kind, s, tol,
                                                      monkeypatch):
-    # log_need(X) <= X proves tail(X) <= tol/10, and log_need(X) >= X - 5e-4
-    # puts X within about 5e-4 of the least such X: tail(X) =
-    # tol/10 e^(2 (log_need(X) - X)) lies in [tol/10 e^(-1e-3), tol/10],
-    # except where the bound holds from the least X it is proven at.  Each
-    # log_need evaluation takes one K sum of order a (the slope, in the same
-    # call, another of order a - 1): 3.8 on average over these cases, where
-    # the plain fixed-point iteration X <- log_need(X) took 4 to 9 (6.0 on
-    # average)
+    # log_need(X) <= X proves tail(X) <= tol/10, and the climb ends within
+    # 2.5e-4 of the least such X: tail(X) = tol/10 e^(2 (log_need(X) - X))
+    # lies in [tol/10 e^(-1e-3), tol/10], except where the bound holds from
+    # the least X it is proven at.  log_need bounds e^(2X) K_a(X) in closed
+    # form, so the cutoff evaluates no K at all
     F = make_field(kind)
     n_v = 1 if F.is_rational else 2
     xs = np.array([0.1, -0.4, 0.45, 0.2])
@@ -897,22 +894,34 @@ def test_pair_cutoff_is_the_least_in_few_evaluations(kind, s, tol,
     scale = np.abs(ev.V ** (2 * s - 1) * np.abs(ev.y_red) ** (n_v * s)) \
         / (F.w / 2) * (2 * math.pi) ** (n_v - 1)
     a = n_v * abs(complex(s).real - 0.5)
-    orders = []
-    kernel = eisenstein._bessel_k_scaled
-
-    def counted(nus, xs):
-        orders.extend(nus)
-        return kernel(nus, xs)
-
-    monkeypatch.setattr(eisenstein, "_bessel_k_scaled", counted)
+    calls = []
+    for name in ("_bessel_k_scaled", "bessel_k_batch"):
+        monkeypatch.setattr(eisenstein, name,
+                            lambda *args, name=name: calls.append(name))
     X, tail = ev._pair_cutoff(complex(s), scale, tol)
-    assert 1 <= orders.count(a) <= 5
+    assert not calls
     assert np.all(tail <= tol / 10 * (1 + 1e-12))
     x0 = n_v * math.pi * np.abs(np.ravel(ev.y_red)) * ev.bmin
     start = np.maximum(x0, a / 2 + n_v + 0.5)
     moved = X > start
     assert moved.any()
     assert np.all(tail[moved] >= tol / 10 * math.exp(-1e-3))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.2, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0, 9.3])
+def test_pair_cutoff_bound_on_the_scaled_k(a):
+    # the bound _pair_cutoff takes for e^(2X) K_a(X) = 2 e^(2X) K^std_a(2X),
+    # sqrt(pi/X) (1 - b/(4X))^-(a+1/2), b = max(a - 1/2, 0), from the least
+    # X it starts at over Q (a/2 + 3/2) up; at a = 1/2 it is exact, and
+    # rounding may leave it a few eps below
+    Xs = np.geomspace(a / 2 + 1.5, 200.0, 40)
+    with mpmath.workdps(30):
+        want = np.array([float(2 * mpmath.exp(2 * x)
+                               * mpmath.besselk(a, 2 * x))
+                         for x in Xs.tolist()])
+    bound = np.sqrt(math.pi / Xs) * (1 - max(a - 0.5, 0.0) / (4 * Xs)) \
+        ** -(a + 0.5)
+    assert np.all(bound >= (1 - 4 * np.finfo(float).eps) * want)
 
 
 def test_pair_sum_raises_at_its_pair_cap(monkeypatch):

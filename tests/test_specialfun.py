@@ -219,9 +219,9 @@ def test_every_order_takes_the_fixed_step_sum(monkeypatch):
     calls = []
     kernel = specialfun._bessel_k_scaled
 
-    def counted(orders, xs):
-        calls.append(tuple(orders))
-        return kernel(orders, xs)
+    def counted(nu, xs):
+        calls.append(nu)
+        return kernel(nu, xs)
 
     monkeypatch.setattr(specialfun, "_bessel_k_scaled", counted)
     xs = np.array([0.2, 1.0, 7.5])
@@ -231,9 +231,9 @@ def test_every_order_takes_the_fixed_step_sum(monkeypatch):
         bessel_k_batch(nu, xs)
         bessel_k(nu, 0.8)
         nu = complex(nu)
-        want += [(nu.real if nu.imag == 0 else nu,)] * 2
+        want += [nu.real if nu.imag == 0 else nu] * 2
     assert calls == want
-    assert [type(o) for (o,) in calls] == [float] * 12 + [complex] * 4
+    assert [type(o) for o in calls] == [float] * 12 + [complex] * 4
 
 
 # orders with |nu| <= 6 on a step of 1/4 and off it, and 2x from 1e-3 to 200
@@ -245,7 +245,8 @@ _K_PIN_Z = np.geomspace(1e-3, 200.0, 25)
 @pytest.mark.parametrize("nu", _K_PIN_ORDERS)
 def test_bessel_real_order_pins_mpmath(nu):
     # K and e^(2x) K to 1e-14 relative over 2x in [1e-3, 200], for the
-    # arguments in one call (one grid for all of them) and one by one
+    # arguments in one call (one grid for all of them) and one by one; no
+    # arguments give an empty array
     xs = _K_PIN_Z / 2
     with mp.workdps(30):
         want = [(2 * mp.besselk(nu, z), 2 * mp.besselk(nu, z) * mp.exp(z))
@@ -253,23 +254,12 @@ def test_bessel_real_order_pins_mpmath(nu):
     k, scaled = (np.array([float(w[i]) for w in want]) for i in (0, 1))
     got = bessel_k_batch(nu, xs)
     assert np.all(np.abs(got - k) <= 1e-14 * k)
-    got = specialfun._bessel_k_scaled((nu,), xs)[0]
+    got = specialfun._bessel_k_scaled(nu, xs)
     assert np.all(np.abs(got - scaled) <= 1e-14 * scaled)
-    single = np.array([specialfun._bessel_k_scaled((nu,), xs[i:i + 1])[0, 0]
+    single = np.array([specialfun._bessel_k_scaled(nu, xs[i:i + 1])[0]
                        for i in range(xs.size)])
     assert np.all(np.abs(single - scaled) <= 1e-14 * scaled)
-
-
-def test_bessel_scaled_rows_are_their_orders():
-    # two orders in one call share the grid of the larger |nu|: each row
-    # equals its order alone to rounding
-    xs = np.geomspace(0.01, 90.0, 40)
-    pair = specialfun._bessel_k_scaled((2.3, 1.3), xs)
-    for row, nu in zip(pair, (2.3, 1.3)):
-        alone = specialfun._bessel_k_scaled((nu,), xs)[0]
-        np.testing.assert_allclose(row, alone, rtol=4e-15, atol=0)
-    assert specialfun._bessel_k_scaled((0.5, -0.5), np.zeros(0)).shape \
-        == (2, 0)
+    assert specialfun._bessel_k_scaled(nu, np.zeros(0)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
