@@ -40,11 +40,14 @@ each other:
   (the torus nodes of one refinement level): each point keeps its own
   cutoff and tests, while the pairs of all points form one array, with
   one Bessel call.
-* ehat_lattice: the Gaussian Mellin integral over the idele norm, split at
-  |N t| = 1 and Poisson-dualized, zeta.theta_split of the lattice and its
-  dual; an exponentially convergent sum requiring only Z-lattice data
+* ehat_lattice: the Gaussian Mellin integral over the idele norm, split
+  and Poisson-dualized, zeta.theta_split of the lattice and its dual; an
+  exponentially convergent sum requiring only Z-lattice data.  Ehat is the
+  same for every lam L, so the split point is free: it is taken where lam L
+  and its dual L*/lam have one covolume W = sqrt(V V*),
 
-      Ehat = Psi(s, L) + Psi(1-s, L*) + C_F (V^(s-1)/(2s-2) - V^s/(2s)).
+      Ehat = Psi(s, lam L) + Psi(1-s, L*/lam)
+           + C_F (W^(s-1)/(2s-2) - W^s/(2s)).
 
   xi (which the expansion route calls) is the same split of an ideal, so
   xi's check against the Euler-Maclaurin oracle covers it independently

@@ -3,9 +3,10 @@ each producing a VerificationReport.
 
 Suites: theta (Gaussian theta transformation and dual volumes), fourier
 (expansion against the two lattice-sum routes), fe (functional equation
-through the dual lattice), klf (residue, limit-formula constants, h
-modularity, h over Q against Dedekind's eta, the relative limit formula,
-also over the large regulator of Q(sqrt193)), hecke (imaginary quadratic
+through the dual lattice, also at covolume 8.75e4 over Q(sqrt-7)), klf
+(residue, limit-formula constants, h modularity, h over Q against
+Dedekind's eta, the relative limit formula, also over the large
+regulator of Q(sqrt193)), hecke (imaginary quadratic
 partial zeta values against the direct Eisenstein sum at s = 1.5, 2, 3
 and 2 + 0.5i, and the quadratic-extension integral formula at s = 2, 3
 and 1.5 + 0.5i and over Q(sqrt193), each value against the
@@ -217,6 +218,20 @@ def checks_fe(seed: int = 7) -> List[Check]:
 
             checks.append(Check("functional-equation", F.label,
                                 {"s": s, "draw": i}, 1e-9, fe))
+    # a covolume of 8.75e4 over Q(sqrt-7), where |Ehat| is 11: the dual's
+    # split sums at one covolume with it, so its lattice route stays cheap
+    F, s = make_field(-7), 0.3 + 2j
+    big = OFLattice(F, FracIdeal(F, gen=QuadElement(F, Fraction(100),
+                                                    Fraction(0))),
+                    DNumber.from_xy(F, 0.3 + 0.1j, 1.1 + 0.2j),
+                    FracIdeal.unit_ideal(F))
+
+    def fe_big():
+        return (EisensteinEvaluator(big).ehat_expansion(s, 1e-11),
+                EisensteinEvaluator(big.dual()).ehat_lattice(1 - s, 1e-11))
+
+    checks.append(Check("functional-equation", F.label,
+                        {"s": s, "volume": big.covolume}, 1e-9, fe_big))
     return checks
 
 

@@ -7,8 +7,9 @@ Two independent routes are kept deliberately separate:
   array of shifts, that uses nothing of lattice, specialfun or the theta
   code; dirichlet_l is one call of it over the residues of chi_D.
 * The globally continued completed zeta xi(s, a) of an ideal: theta_split,
-  Hecke's theta split of the Gaussian Mellin integral at |N t| = 1 with
-  Poisson summation on the inner part.  Its exponentially convergent
+  Hecke's theta split of the Gaussian Mellin integral with Poisson
+  summation on the inner part, split where the lattice and its dual,
+  rescaled, have one covolume.  Its exponentially convergent
   incomplete-gamma sums (gamma_lattice_sum, enumerated once to a cutoff
   its proven tail bound sets, DLMF §8.10) make xi valid for all s (simple
   poles at 0 and 1 with residues -C_F, +C_F) and the functional equation
@@ -396,13 +397,26 @@ def _theta_constants(F: FieldDescriptor) -> Tuple[float, float]:
     return c_F(F) * n_v, math.pi * n_v
 
 
-def _theta_sums(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
-                M_dual: np.ndarray, V_dual: float, tol: float) -> complex:
-    """A V^s S(ds/2; M) + A V_dual^(1-s) S(d(1-s)/2; M_dual), S the
-    gamma_lattice_sum of the parameters x = c |l|^2."""
+def _balanced(M: np.ndarray, V: float, M_dual: np.ndarray,
+              V_dual: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The lattice and its dual rescaled to one covolume: (lam M, M_dual/lam,
+    log W), W = sqrt(V V_dual), lam = (W/V)^(1/d).  theta_split's value is
+    that of every lam L, so it takes the pair where both sums are alike: at
+    unequal covolumes the finer one lists many points, with terms of size
+    V^s that cancel."""
+    lnW = (math.log(V) + math.log(V_dual)) / 2
+    lam = math.exp((lnW - math.log(V)) / M.shape[0])
+    return lam * M, M_dual / lam, lnW
+
+
+def _theta_sums(F: FieldDescriptor, s: complex, M: np.ndarray,
+                M_dual: np.ndarray, lnW: float, tol: float) -> complex:
+    """A W^s S(ds/2; M) + A W^(1-s) S(d(1-s)/2; M_dual) of a pair that
+    _balanced rescaled to covolume W, S the gamma_lattice_sum of the
+    parameters x = c |l|^2."""
     (A, c), total = _theta_constants(F), 0j
-    for t, L, W in ((s, M, V), (1 - s, M_dual, V_dual)):
-        pref = A * cmath.exp(t * math.log(W))
+    for t, L in ((s, M), (1 - s, M_dual)):
+        pref = A * cmath.exp(t * lnW)
         total += pref * gamma_lattice_sum(L.shape[0] * t / 2, L, c, tol,
                                           abs(pref))
     return total
@@ -410,12 +424,17 @@ def _theta_sums(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
 
 def theta_split(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
                 M_dual: np.ndarray, V_dual: float, tol: float) -> complex:
-    """Hecke's theta split over F of a lattice of rank d (basis columns M,
+    """Hecke's theta split over F of a lattice L of rank d (basis columns M,
     covolume V) and its dual (M_dual, V_dual): the Gaussian Mellin
-    integral split at |N t| = 1, its inner part Poisson-dualized,
+    integral split at one point and its inner part Poisson-dualized.  The
+    integral is invariant under L -> lam L, and the split at |N t| = 1 of
+    lam L is its split at |N t| = lam^(-2) of L, so the split point is
+    free: it is taken where both sums see one covolume W = sqrt(V V_dual)
+    (1 to rounding for the lattices of this library), with the lattice
+    rescaled to lam M and its dual to M_dual/lam by _balanced,
 
-        A V^s S(ds/2; M) + A V_dual^(1-s) S(d(1-s)/2; M_dual)
-            + (A/d) (V^(s-1)/(s-1) - V^s/s),
+        A W^s S(ds/2; lam M) + A W^(1-s) S(d(1-s)/2; M_dual/lam)
+            + (A/d) (W^(s-1)/(s-1) - W^s/s),
 
     xi(s, a) of an ideal (d = 1, 2), Ehat(L, s) of an O_F-lattice (d = 2,
     4).  PoleError within _POLE_RADIUS of s = 0, 1, residues -A/d, A/d."""
@@ -424,17 +443,20 @@ def theta_split(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
         if abs(s - pole) < _POLE_RADIUS:
             raise PoleError(f"simple pole at s = {pole:g}", location=pole,
                             residue=sign * A / d)
-    lnV = math.log(V)
-    return _theta_sums(F, s, M, V, M_dual, V_dual, tol) + (A / d) * (
-        cmath.exp((s - 1) * lnV) / (s - 1) - cmath.exp(s * lnV) / s)
+    M, M_dual, lnW = _balanced(M, V, M_dual, V_dual)
+    return _theta_sums(F, s, M, M_dual, lnW, tol) + (A / d) * (
+        cmath.exp((s - 1) * lnW) / (s - 1) - cmath.exp(s * lnW) / s)
 
 
 def theta_split_ct(F: FieldDescriptor, M: np.ndarray, V: float,
                    M_dual: np.ndarray, V_dual: float, tol: float) -> float:
-    """The constant term of theta_split at s = 1:
-    A V S(d/2; M) + A S(0; M_dual) + (A/d)(log V - V)."""
-    return (_theta_sums(F, 1.0 + 0j, M, V, M_dual, V_dual, tol)
-            + (_theta_constants(F)[0] / M.shape[0]) * (math.log(V) - V)).real
+    """The constant term of theta_split at s = 1, on the pair _balanced
+    rescaled to covolume W = sqrt(V V_dual):
+    A W S(d/2; lam M) + A S(0; M_dual/lam) + (A/d)(log W - W)."""
+    M, M_dual, lnW = _balanced(M, V, M_dual, V_dual)
+    return (_theta_sums(F, 1.0 + 0j, M, M_dual, lnW, tol)
+            + (_theta_constants(F)[0] / M.shape[0])
+            * (lnW - math.exp(lnW))).real
 
 
 # entries kept by each cache: of completed-zeta evaluators, of their values

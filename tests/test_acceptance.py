@@ -64,7 +64,9 @@ def test_criterion_03_integral_formula_off_axis():
 
 def test_criterion_04_functional_equation():
     checks = _suite(checks_fe)
-    assert len(checks) == 21     # (5 over Q + 2 over Q(i)) x 3 values of s
+    # (5 over Q + 2 over Q(i)) x 3 values of s, and covolume 8.75e4 over
+    # Q(sqrt-7)
+    assert len(checks) == 22
     _run_criterion(4, "functional equation Ehat(L, s) = Ehat(L*, 1-s) "
                       "(tol 1e-9)", checks, {"functional-equation": 1e-9})
 

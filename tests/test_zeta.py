@@ -413,6 +413,27 @@ def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
     np.testing.assert_allclose(np.sort(seen), want, rtol=1e-13)
 
 
+def test_lattice_route_at_covolume_9e4_lists_few_arguments(monkeypatch):
+    # Q(sqrt-7), a = (100), z = (0.3+0.1i) + (1.1+0.2i)j: V = 8.75e4.
+    # Summed at their own covolumes the dual's sum listed 49,254,852
+    # Mellin arguments (4.5 s); at one covolume the pair lists 4,136
+    F = make_field(-7)
+    lat = OFLattice(F, FracIdeal(F, gen=QuadElement(F, Fraction(100),
+                                                    Fraction(0))),
+                    DNumber.from_xy(F, 0.3 + 0.1j, 1.1 + 0.2j),
+                    FracIdeal.unit_ideal(F))
+    assert lat.covolume == pytest.approx(8.75e4, rel=1e-14)
+    listed, gamma = [], zeta.upper_incomplete_gamma
+
+    def counted(nu, x, tol):
+        listed.append(np.size(x))
+        return gamma(nu, x, tol=tol)
+
+    monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
+    EisensteinEvaluator(lat).ehat_lattice(1.5, 1e-10)
+    assert 0 < sum(listed) <= 5_000
+
+
 def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
     calls, yielded = [], []
     gamma = zeta.upper_incomplete_gamma
@@ -628,13 +649,13 @@ PINNED_XI = [
     (F3, FracIdeal.unit_ideal(F3), -0.6 + 0.2j,
      1.012766004457627 + 0.441607676526364j)]
 PINNED_LATTICE = [
-    (Q, 1, 0.3, 1.7, -0.7726613769738826 + 0.3947537606858601j,
-     0.6830433276965702, -0.35211469424213077),
-    (Fi, 1, 0.3 + 0.2j, 0.8 + 0.4j, -1.1473944987227875 + 0.6140984796727j,
-     1.1923271173599628, -0.4718558444748171),
+    (Q, 1, 0.3, 1.7, -0.7726613769737103 + 0.3947537606859087j,
+     0.6830433276967953, -0.35211469424187275),
+    (Fi, 1, 0.3 + 0.2j, 0.8 + 0.4j, -1.1473944987228148 + 0.614098479672778j,
+     1.1923271173599912, -0.4718558444747749),
     (F3, 2, -0.1 + 0.4j, 1.1 - 0.3j,
-     0.4837563509344094 + 0.24995985269883758j, 3.794968637720501,
-     1.363934089610317)]
+     0.4837563509343513 + 0.249959852698995j, 3.7949686377205976,
+     1.3639340896104053)]
 
 
 def test_theta_split_values_are_pinned():
@@ -649,6 +670,18 @@ def test_theta_split_values_are_pinned():
                           (ev.ehat_lattice(1.6), at_16),
                           (ev.ct_lattice(), ct)]:
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_xi_of_a_scaled_ideal_meets_a_tight_tol():
+    # the ideal (2) of Q(sqrt-7) at s = 5 + i, |xi| = 1.9: summed at its
+    # own covolume 1/(4 sqrt 7) the dual's term was 7.2e4 and cancelled, so
+    # xi moved by 1.0e-11 from tol 1e-12 to 1e-14; at one covolume that
+    # term is 0.098
+    F = make_field(-7)
+    two = FracIdeal(F, gen=QuadElement(F, Fraction(2), Fraction(0)))
+    values = [CompletedZeta(F, two).value(5 + 1j, tol)
+              for tol in (1e-12, 1e-14)]
+    assert abs(values[0] - values[1]) <= 1e-12
 
 
 def test_xi_laurent_ct_rational():
