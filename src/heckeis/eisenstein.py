@@ -41,13 +41,14 @@ each other:
   cutoff and tests, while the pairs of all points form one array, with
   one Bessel call.
 * ehat_lattice: the Gaussian Mellin integral over the idele norm, split
-  and Poisson-dualized, zeta.theta_split of the lattice and its dual; an
-  exponentially convergent sum requiring only Z-lattice data.  Ehat is the
-  same for every lam L, so the split point is free: it is taken where lam L
-  and its dual L*/lam have one covolume W = sqrt(V V*),
+  and Poisson-dualized, zeta.theta_split of the lattice; an exponentially
+  convergent sum requiring only Z-lattice data.  Ehat is the same for
+  every mu L, so the split point is free: it is taken on L rescaled to
+  covolume 1, mu = V^(-1/d), where V V* = 1 and the dual L* is a turned
+  copy of mu L with the same norms, so both halves sum over one listing
+  of mu L,
 
-      Ehat = Psi(s, lam L) + Psi(1-s, L*/lam)
-           + C_F (W^(s-1)/(2s-2) - W^s/(2s)).
+      Ehat = Psi(s, mu L) + Psi(1-s, mu L) + C_F (1/(2s-2) - 1/(2s)).
 
   xi (which the expansion route calls) is the same split of an ideal, so
   xi's check against the Euler-Maclaurin oracle covers it independently
@@ -64,7 +65,6 @@ import cmath
 import copy
 import functools
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -91,27 +91,17 @@ class EisensteinEvaluator:
         self.lattice = lattice
         self.F = lattice.field
         self.CF = c_F(self.F)
-        self._dual: Optional[OFLattice] = None
         if lattice.z is not None:
             # The expansion runs on O w + O, w = (alpha/beta) z reduced: for
             # a = alpha O, b = beta O, a z + b = beta (O w + O), with the
             # same Ehat.  None of this depends on z: at_point shares it.
             F = self.F
             self.n_v = F.degree
-            unit = FracIdeal.unit_ideal(F)
-            self.bstar = dual_ideal(F, unit)
-            self.zeta = completed_zeta(F, unit)
-            self.bmin = float(self.bstar.absolute_norm()) ** (1 / self.n_v)
-            self.Mo = ideal_embedding_matrix(unit)
-            self.Mbstar = ideal_embedding_matrix(self.bstar)
-            self.pair_density = 2 / self.bmin if self.n_v == 1 else math.prod(
-                math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
-                / abs(np.linalg.det(M))
-                for M, m in ((self.Mo, 1), (self.Mbstar, self.bmin))) / 2
+            (self.bstar, self.zeta, self.bmin, self.Mo, self.Mbstar,
+             self.pair_density) = _field_data(F)
             self.V = math.sqrt(abs(F.discriminant))
-            # alpha/beta exact, then embedded: N(a)/N(b) over Q
-            self.ratio = F.embed(ideal_generator(lattice.ideal_a)
-                                 / ideal_generator(lattice.ideal_b))
+            a, b = lattice.ideal_a, lattice.ideal_b
+            self.ratio = _generator_ratio(F, a, a.gen, b, b.gen)
             self._place(lattice.z.x_part, lattice.z.y_part)
 
     def _place(self, x, y):
@@ -157,7 +147,7 @@ class EisensteinEvaluator:
             flip = y < 0
             x, y = np.where(flip, -x, x), np.where(flip, -y, y)
         ev = copy.copy(self)
-        ev.lattice = ev._dual = None
+        ev.lattice = None
         ev._place(x, y)
         return ev
 
@@ -459,17 +449,12 @@ class EisensteinEvaluator:
 
     # ------------------------------------------------------------ lattice path
 
-    def dual_lattice(self) -> OFLattice:
-        if self._dual is None:
-            self._dual = self.lattice.dual()
-        return self._dual
-
     def ehat_lattice(self, s: complex, tol: float = 1e-10) -> complex:
         """Ehat(Lambda, s) through the split Mellin integral; works from the
-        Z-basis alone (any lattice, including duals), all s off the poles."""
-        dual = self.dual_lattice()
+        Z-basis alone (any O_F-lattice, including duals), all s off the
+        poles."""
         return theta_split(self.F, s, self.lattice.M, self.lattice.covolume,
-                           dual.M, dual.covolume, tol)
+                           tol)
 
     # ------------------------------------------------------------ Laurent data
 
@@ -502,10 +487,9 @@ class EisensteinEvaluator:
 
     def ct_lattice(self, tol: float = 1e-10) -> float:
         """Constant term through the lattice path (independent bookkeeping):
-        zeta.theta_split_ct of the lattice and its dual."""
-        dual = self.dual_lattice()
+        zeta.theta_split_ct of the lattice."""
         return theta_split_ct(self.F, self.lattice.M, self.lattice.covolume,
-                              dual.M, dual.covolume, tol)
+                              tol)
 
     def h_lattice(self, tol: float = 1e-10) -> float:
         """h of the given presentation through the lattice path: ct_lattice
@@ -518,6 +502,34 @@ class EisensteinEvaluator:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+@functools.lru_cache(maxsize=None)
+def _field_data(F):
+    """The expansion's data that depend on the base field alone, built once
+    per field and shared by its evaluators: b* = dual(O), xi(., O), the
+    least |beta*| bmin = N(b*)^(1/n_v) (b* is principal), the bases Mo and
+    Mbstar of O and b* (read-only), and the pair density of
+    _pair_cutoff."""
+    n_v = F.degree
+    unit = FracIdeal.unit_ideal(F)
+    bstar = dual_ideal(F, unit)
+    bmin = float(bstar.absolute_norm()) ** (1 / n_v)
+    Mo, Mbstar = ideal_embedding_matrix(unit), ideal_embedding_matrix(bstar)
+    Mo.flags.writeable = Mbstar.flags.writeable = False
+    pair_density = 2 / bmin if n_v == 1 else math.prod(
+        math.pi * (1 + np.linalg.norm(M, axis=0).sum() / (2 * m)) ** 2
+        / abs(np.linalg.det(M)) for M, m in ((Mo, 1), (Mbstar, bmin))) / 2
+    return bstar, completed_zeta(F, unit), bmin, Mo, Mbstar, pair_density
+
+
+@functools.lru_cache(maxsize=512)
+def _generator_ratio(F, a: FracIdeal, gen_a, b: FracIdeal, gen_b) -> complex:
+    """alpha/beta exact, then embedded (N(a)/N(b) over Q), for the
+    generators alpha of a and beta of b that ideal_generator gives; built
+    once per pair of ideals and the generators they were given (gen_a,
+    gen_b: the key parts that ideal equality does not see)."""
+    return F.embed(ideal_generator(a) / ideal_generator(b))
 
 
 # The smooth cutoff of e_direct: weight 1 for N <= aB, falling to 0 at N = B

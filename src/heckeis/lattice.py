@@ -74,13 +74,39 @@ def _pseudo_basis_matrix(Ea: np.ndarray, x, y, Eb: np.ndarray) -> np.ndarray:
     return np.hstack([np.array(rows), np.vstack([Eb, np.zeros_like(Eb)])])
 
 
+def _require_of_module(field: FieldDescriptor, M: np.ndarray):
+    """DegenerateLatticeError unless the Z-lattice with basis columns M is
+    an O_F-module of D_F, M^-1 Omega M integral within 1e-9 for the action
+    Omega of omega on one side: on the left, omega (x + y j) = omega x +
+    omega y j, as on a z + b; or on the right, (x + y j) omega = x omega +
+    conj(omega) y j, as on the dual of a left module (Tr x-part(l omega m)
+    pairs l omega with m and l with omega m)."""
+    w = field.omega_embeddings()[0]
+    # omega and conj(omega) as real 2 x 2 matrices on (re, im)
+    R = np.array([[w.real, -w.imag], [w.imag, w.real]])
+    x, y = R @ M[:2], M[2:]
+    C = np.linalg.solve(M, np.concatenate([np.concatenate([x, R @ y]),
+                                           np.concatenate([x, R.T @ y])], 1))
+    C -= np.rint(C)
+    np.abs(C, out=C)
+    off = min(float(C[:, :4].max()), float(C[:, 4:].max()))
+    if not off <= 1e-9:
+        raise DegenerateLatticeError(
+            f"Z-basis spans no O_F-module: omega takes it {off:.3g} off "
+            f"the lattice")
+
+
 class OFLattice:
     """A discrete cocompact O_F-submodule of D_F, held as its real basis
     matrix M (columns in the coordinates above).
 
     Either built from pseudo-basis data ideal_a * z + ideal_b, or directly
     from a real basis matrix z_basis (in which case only the Z-lattice
-    structure is available, e.g. for duals).
+    structure is available, e.g. for duals).  Over an imaginary field a
+    z_basis must span an O_F-module, with O_F acting on the left or, as on
+    a dual, on the right (_require_of_module): the lattice route takes the
+    dual at covolume 1 for a turned copy of the lattice, which holds for
+    an O_F-lattice alone.
     """
 
     def __init__(self, field: FieldDescriptor, ideal_a: Optional[FracIdeal] = None,
@@ -114,6 +140,8 @@ class OFLattice:
         det = np.linalg.det(self.M)
         if abs(det) < 1e-300:
             raise DegenerateLatticeError("Z-basis is singular")
+        if z_basis is not None and not field.is_rational:
+            _require_of_module(field, self.M)
         det_volume = (1.0 if field.is_rational else 4.0) * abs(det)
         if self.z is None:
             self.covolume = det_volume

@@ -1,11 +1,12 @@
 """Verification suites: seeded, deterministic batteries of identity checks,
 each producing a VerificationReport.
 
-Suites: theta (Gaussian theta transformation and dual volumes), fourier
-(expansion against the two lattice-sum routes), fe (functional equation
-through the dual lattice, also at covolume 8.75e4 over Q(sqrt-7)), klf
-(residue, limit-formula constants, h modularity, h over Q against
-Dedekind's eta, the relative limit formula, also over the large
+Suites: theta (Gaussian theta transformation, dual volumes, and the dual
+at covolume 1 a turned copy of the lattice, as the theta split takes it),
+fourier (expansion against the two lattice-sum routes), fe (functional
+equation through the dual lattice, also at covolume 8.75e4 over
+Q(sqrt-7)), klf (residue, limit-formula constants, h modularity, h over Q
+against Dedekind's eta, the relative limit formula, also over the large
 regulator of Q(sqrt193)), hecke (imaginary quadratic
 partial zeta values against the direct Eisenstein sum at s = 1.5, 2, 3
 and 2 + 0.5i, and the quadratic-extension integral formula at s = 2, 3
@@ -36,7 +37,7 @@ from .dalgebra import DNumber
 from .eisenstein import EisensteinEvaluator
 from .heckeint import (HeckeSetup, hecke_integral, relative_klf_check,
                        torus_measure_identity, xi_K_oracle)
-from .lattice import OFLattice
+from .lattice import OFLattice, ball_points
 from .numerics import nested_trapezoid, neville_at_zero
 from .reports import VerificationReport
 # upper_incomplete_gamma through its module: the benchmark's tracer counts
@@ -110,7 +111,7 @@ def _field_of(d) -> FieldDescriptor:
 
 def checks_theta(seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
-    checks = []
+    checks, turned = [], []
     for i in range(20):
         F = _field_of(SUPPORTED_BASE_DS[i % len(SUPPORTED_BASE_DS)])
         lat = _random_lattice(rng, F)
@@ -133,7 +134,30 @@ def checks_theta(seed: int = 7) -> List[Check]:
         checks.append(Check("dual-volume-product", F.label, {"draw": i}, 1e-10,
                             lambda lat=lat:
                             (lat.covolume * lat.dual().covolume, 1.0)))
-    return checks
+        turned.append(Check("dual-is-turned-lattice", F.label, {"draw": i},
+                            1e-12, lambda lat=lat: (_turned_gap(lat), 0.0)))
+    return checks + turned
+
+
+def _unit_norms(lat: OFLattice, r: float) -> np.ndarray:
+    """The sorted squared lengths of the points of lat rescaled to covolume
+    1 with 0 < |l| <= r, one of each pair +-l; rescaled here, not by
+    zeta._unit_covolume, the theta split's rescale that the check backs."""
+    M = lat.M * lat.covolume ** (-1 / lat.dim)
+    return np.sort(np.concatenate([np.zeros(0), *ball_points(M, r)]))
+
+
+def _turned_gap(lat: OFLattice) -> float:
+    """The largest relative gap between the sorted squared lengths of lat
+    and of its dual, each rescaled to covolume 1, up to radius 3: 0 to
+    rounding where the dual is a turned copy, as the theta split takes it.
+    Points within 1e-9 of radius 3, whose partner may lie just past it, are
+    left out; counts that differ give inf."""
+    a, b = (n[n <= 9 * (1 - 1e-9)] for n in (_unit_norms(lat, 3.0),
+                                              _unit_norms(lat.dual(), 3.0)))
+    if a.size != b.size:
+        return math.inf
+    return float(np.max(np.abs(a - b) / a, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +243,7 @@ def checks_fe(seed: int = 7) -> List[Check]:
             checks.append(Check("functional-equation", F.label,
                                 {"s": s, "draw": i}, 1e-9, fe))
     # a covolume of 8.75e4 over Q(sqrt-7), where |Ehat| is 11: the dual's
-    # split sums at one covolume with it, so its lattice route stays cheap
+    # split sums it at covolume 1, so its lattice route stays cheap
     F, s = make_field(-7), 0.3 + 2j
     big = OFLattice(F, FracIdeal(F, gen=QuadElement(F, Fraction(100),
                                                     Fraction(0))),

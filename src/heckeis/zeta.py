@@ -8,14 +8,15 @@ Two independent routes are kept deliberately separate:
   code; dirichlet_l is one call of it over the residues of chi_D.
 * The globally continued completed zeta xi(s, a) of an ideal: theta_split,
   Hecke's theta split of the Gaussian Mellin integral with Poisson
-  summation on the inner part, split where the lattice and its dual,
-  rescaled, have one covolume.  Its exponentially convergent
-  incomplete-gamma sums (gamma_lattice_sum, enumerated once to a cutoff
-  its proven tail bound sets, DLMF §8.10) make xi valid for all s (simple
-  poles at 0 and 1 with residues -C_F, +C_F) and the functional equation
-  xi(s, a) = xi(1-s, a*) manifest.  xi is the split of an ideal (rank 1
-  over Q, 2 over an imaginary field); the lattice route of Ehat
-  (eisenstein) is the split of an O_F-lattice (rank 2 or 4).
+  summation on the inner part, taken on the lattice rescaled to covolume
+  1, where V V* = 1 and the dual L* is a turned copy of L: both halves sum
+  over one listing.  Its exponentially convergent incomplete-gamma sums
+  (gamma_lattice_sum, enumerated once to a cutoff its proven tail bound
+  sets, DLMF §8.10) make xi valid for all s (simple poles at 0 and 1 with
+  residues -C_F, +C_F) and the functional equation xi(s, a) = xi(1-s, a*)
+  manifest.  xi is the split of an ideal (rank 1 over Q, 2 over an
+  imaginary field); the lattice route of Ehat (eisenstein) is the split of
+  an O_F-lattice (rank 2 or 4).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .basefield import FieldDescriptor, FracIdeal, dual_ideal
+from .basefield import FieldDescriptor, FracIdeal
 from .errors import PoleError, UnsupportedFieldError
 from .lattice import ball_points, ideal_embedding_matrix
 from .specialfun import upper_incomplete_gamma
@@ -358,34 +359,40 @@ def _tail_cutoff(a: float, M: np.ndarray, c: float, tol: float,
     return X
 
 
-def gamma_lattice_sum(nu: complex, M: np.ndarray, c: float, tol: float,
-                      scale: float) -> complex:
-    """Sum of x^(-nu) Gamma(nu, x) over the parameters x = c |l|^2 of one
+def gamma_lattice_sum(nus: Tuple[complex, ...], M: np.ndarray, c: float,
+                      tol: float, scale: float) -> np.ndarray:
+    """Sums of x^(-nu) Gamma(nu, x) over the parameters x = c |l|^2 of one
     point l of each +-pair of the lattice with basis columns M (dimension
-    d): the Riemann-split Mellin sum S(nu; M) of theta_split.
+    d), one for each order nu of nus: the Riemann-split Mellin sums
+    S(nu; M) of theta_split, as a complex array.
 
-    It sums the arrays ball_points yields up to X, one array call of
-    upper_incomplete_gamma each, and `scale` is the size of the caller's
-    prefactor.  X is the least cutoff with scale * tail(X) <= tol/10 for a
-    proven bound: with a = Re nu and b = max(0, a - 1), |x^(-nu) Gamma(nu,
-    x)| <= x^(-a) Gamma(a, x) <= h(x) = e^(-x)/(x - b) (DLMF §8.10); the
-    cells l + M[-1/2, 1/2)^d are disjoint and lie within rho = sum ||b_i||/2
-    of l, so at most K (sqrt(x/c) + rho)^d of the points have parameter
-    <= x, K = vol(B_1^d)/(2 |det M|); and summation by parts, with
-    -h'(x) <= q(X) e^(-x) on x >= X for q(X) = 1/(X - b) + 1/(X - b)^2, gives
-    tail(X) <= q(X) K e^(-X) sum_j C(d, j) rho^(d-j) (X/c)^(j/2)
-    / (1 - j/(2X)).
+    It lists the ball up to X once: each array ball_points yields takes
+    log x once and one array call of upper_incomplete_gamma per order, and
+    `scale` is the size of the caller's prefactors together.  X is the
+    least cutoff with scale * tail(X) <= tol/10 at a = the largest Re nu,
+    whose bound covers every smaller one, for a proven bound: with b =
+    max(0, a - 1), |x^(-nu) Gamma(nu, x)| <= x^(-a) Gamma(a, x) <= h(x) =
+    e^(-x)/(x - b) (DLMF §8.10); the cells l + M[-1/2, 1/2)^d are disjoint
+    and lie within rho = sum ||b_i||/2 of l, so at most K (sqrt(x/c) +
+    rho)^d of the points have parameter <= x, K = vol(B_1^d)/(2 |det M|);
+    and summation by parts, with -h'(x) <= q(X) e^(-x) on x >= X for q(X) =
+    1/(X - b) + 1/(X - b)^2, gives tail(X) <= q(X) K e^(-X) sum_j C(d, j)
+    rho^(d-j) (X/c)^(j/2) / (1 - j/(2X)).
     Too large a ball raises EnumerationCapError from ball_points before
     anything is allocated."""
-    total, X = 0j, _tail_cutoff(nu.real, M, c, tol, scale)
+    totals = np.zeros(len(nus), dtype=complex)
+    X = _tail_cutoff(max(nu.real for nu in nus), M, c, tol, scale)
     for r2 in ball_points(M, math.sqrt(X / c)):
         xs = c * r2
-        gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
-        # a real order takes a real power: the complex exp costs ten times
-        # as much
-        power = xs ** -nu.real if nu.imag == 0 else np.exp(-nu * np.log(xs))
-        total += complex(np.sum(power * gv))
-    return total
+        logs = np.log(xs)
+        for i, nu in enumerate(nus):
+            gv = upper_incomplete_gamma(nu, xs, tol=1e-15)
+            # a real order takes a real exp: the complex one costs ten
+            # times as much
+            power = np.exp(-nu.real * logs) if nu.imag == 0 \
+                else np.exp(-nu * logs)
+            totals[i] += np.sum(power * gv)
+    return totals
 
 
 _POLE_RADIUS = 1e-8
@@ -397,44 +404,37 @@ def _theta_constants(F: FieldDescriptor) -> Tuple[float, float]:
     return c_F(F) * n_v, math.pi * n_v
 
 
-def _balanced(M: np.ndarray, V: float, M_dual: np.ndarray,
-              V_dual: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """The lattice and its dual rescaled to one covolume: (lam M, M_dual/lam,
-    log W), W = sqrt(V V_dual), lam = (W/V)^(1/d).  theta_split's value is
-    that of every lam L, so it takes the pair where both sums are alike: at
-    unequal covolumes the finer one lists many points, with terms of size
-    V^s that cancel."""
-    lnW = (math.log(V) + math.log(V_dual)) / 2
-    lam = math.exp((lnW - math.log(V)) / M.shape[0])
-    return lam * M, M_dual / lam, lnW
+def _unit_covolume(M: np.ndarray, V: float) -> np.ndarray:
+    """The basis mu M of the lattice of covolume V rescaled to covolume 1,
+    mu = V^(-1/d)."""
+    return math.exp(-math.log(V) / M.shape[0]) * M
 
 
 def _theta_sums(F: FieldDescriptor, s: complex, M: np.ndarray,
-                M_dual: np.ndarray, lnW: float, tol: float) -> complex:
-    """A W^s S(ds/2; M) + A W^(1-s) S(d(1-s)/2; M_dual) of a pair that
-    _balanced rescaled to covolume W, S the gamma_lattice_sum of the
-    parameters x = c |l|^2."""
-    (A, c), total = _theta_constants(F), 0j
-    for t, L in ((s, M), (1 - s, M_dual)):
-        pref = A * cmath.exp(t * lnW)
-        total += pref * gamma_lattice_sum(L.shape[0] * t / 2, L, c, tol,
-                                          abs(pref))
-    return total
+                tol: float) -> complex:
+    """A S(ds/2; M) + A S(d(1-s)/2; M) of a basis M of covolume 1, S the
+    gamma_lattice_sum of the parameters x = c |l|^2: one listing for both
+    halves, whose tail bound covers both prefactors A."""
+    (A, c), d = _theta_constants(F), M.shape[0]
+    sums = gamma_lattice_sum((d * s / 2, d * (1 - s) / 2), M, c, tol, 2 * A)
+    return A * complex(sums.sum())
 
 
 def theta_split(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
-                M_dual: np.ndarray, V_dual: float, tol: float) -> complex:
-    """Hecke's theta split over F of a lattice L of rank d (basis columns M,
-    covolume V) and its dual (M_dual, V_dual): the Gaussian Mellin
-    integral split at one point and its inner part Poisson-dualized.  The
-    integral is invariant under L -> lam L, and the split at |N t| = 1 of
-    lam L is its split at |N t| = lam^(-2) of L, so the split point is
-    free: it is taken where both sums see one covolume W = sqrt(V V_dual)
-    (1 to rounding for the lattices of this library), with the lattice
-    rescaled to lam M and its dual to M_dual/lam by _balanced,
+                tol: float) -> complex:
+    """Hecke's theta split over F of an O_F-lattice or ideal L of rank d
+    (basis columns M, covolume V): the Gaussian Mellin integral split at
+    one point and its inner part Poisson-dualized onto the dual L*.  The
+    integral is invariant under L -> mu L, and the split at |N t| = 1 of
+    mu L is its split at |N t| = mu^(-2) of L, so the split point is free:
+    it is taken on L rescaled to covolume 1 (_unit_covolume, mu =
+    V^(-1/d)).  There V V* = 1, and L* is a turned copy of L: L* = c
+    sigma(L) for the isometry sigma(u1, u2) = (-conj u2, conj u1) and a
+    scalar c (the pairing maps L x L onto a principal ideal: class number
+    one), an ideal's dual conj(a)/(N(a) delta) likewise.  So both halves
+    sum over the norms of mu L, in one listing,
 
-        A W^s S(ds/2; lam M) + A W^(1-s) S(d(1-s)/2; M_dual/lam)
-            + (A/d) (W^(s-1)/(s-1) - W^s/s),
+        A S(ds/2; mu M) + A S(d(1-s)/2; mu M) + (A/d) (1/(s-1) - 1/s),
 
     xi(s, a) of an ideal (d = 1, 2), Ehat(L, s) of an O_F-lattice (d = 2,
     4).  PoleError within _POLE_RADIUS of s = 0, 1, residues -A/d, A/d."""
@@ -443,20 +443,16 @@ def theta_split(F: FieldDescriptor, s: complex, M: np.ndarray, V: float,
         if abs(s - pole) < _POLE_RADIUS:
             raise PoleError(f"simple pole at s = {pole:g}", location=pole,
                             residue=sign * A / d)
-    M, M_dual, lnW = _balanced(M, V, M_dual, V_dual)
-    return _theta_sums(F, s, M, M_dual, lnW, tol) + (A / d) * (
-        cmath.exp((s - 1) * lnW) / (s - 1) - cmath.exp(s * lnW) / s)
+    return _theta_sums(F, s, _unit_covolume(M, V), tol) \
+        + (A / d) * (1 / (s - 1) - 1 / s)
 
 
 def theta_split_ct(F: FieldDescriptor, M: np.ndarray, V: float,
-                   M_dual: np.ndarray, V_dual: float, tol: float) -> float:
-    """The constant term of theta_split at s = 1, on the pair _balanced
-    rescaled to covolume W = sqrt(V V_dual):
-    A W S(d/2; lam M) + A S(0; M_dual/lam) + (A/d)(log W - W)."""
-    M, M_dual, lnW = _balanced(M, V, M_dual, V_dual)
-    return (_theta_sums(F, 1.0 + 0j, M, M_dual, lnW, tol)
-            + (_theta_constants(F)[0] / M.shape[0])
-            * (lnW - math.exp(lnW))).real
+                   tol: float) -> float:
+    """The constant term of theta_split at s = 1, on L rescaled to
+    covolume 1: A S(d/2; mu M) + A S(0; mu M) - A/d."""
+    return (_theta_sums(F, 1.0 + 0j, _unit_covolume(M, V), tol)
+            - _theta_constants(F)[0] / M.shape[0]).real
 
 
 # entries kept by each cache: of completed-zeta evaluators, of their values
@@ -475,25 +471,19 @@ class CompletedZeta:
                 "fields only (finite unit group)")
         self.F = F
         self.ideal = ideal
-        self.dual = dual_ideal(F, ideal)
-        disc = abs(F.discriminant)
-        self.V = math.sqrt(disc) * float(ideal.absolute_norm())
-        self.Vdual = math.sqrt(disc) * float(self.dual.absolute_norm())
+        self.V = math.sqrt(abs(F.discriminant)) * float(ideal.absolute_norm())
         self.M = ideal_embedding_matrix(ideal)
-        self.M_dual = ideal_embedding_matrix(self.dual)
 
     @lru_cache(maxsize=_CACHE_SIZE)
     def value(self, s: complex, tol: float = 1e-12) -> complex:
         """xi(s, a); cached per (evaluator, s, tol)."""
-        return theta_split(self.F, complex(s), self.M, self.V, self.M_dual,
-                           self.Vdual, tol)
+        return theta_split(self.F, complex(s), self.M, self.V, tol)
 
     @lru_cache(maxsize=_CACHE_SIZE)
     def laurent_ct(self, tol: float = 1e-12) -> float:
         """Constant term of the Laurent expansion at s = 1; cached per
         (evaluator, tol)."""
-        return theta_split_ct(self.F, self.M, self.V, self.M_dual, self.Vdual,
-                              tol)
+        return theta_split_ct(self.F, self.M, self.V, tol)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

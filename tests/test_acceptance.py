@@ -102,10 +102,13 @@ def test_criterion_07_h_modularity():
 
 def test_criterion_08_theta_transformation():
     checks = _suite(checks_theta)
-    assert len(checks) == 40     # 20 (t, lattice) pairs + 20 volume products
+    # 20 (t, lattice) pairs + 20 volume products + 20 turned duals
+    assert len(checks) == 60
     _run_criterion(8, "theta transformation law and V(L) V(L*) = 1 "
-                      "(tol 1e-10)", checks,
-                   {"theta-transformation": 1e-10, "dual-volume-product": 1e-10})
+                      "(tol 1e-10), L* at covolume 1 a turned L (1e-12)",
+                   checks,
+                   {"theta-transformation": 1e-10, "dual-volume-product": 1e-10,
+                    "dual-is-turned-lattice": 1e-12})
 
 
 def test_criterion_09_relative_limit_formula():

@@ -46,13 +46,6 @@ def _tol_times_100(f):
     return mutant
 
 
-def _lattice_scaled(f):
-    def mutant(*args):
-        M, M_dual, lnW = f(*args)
-        return M * (1 + 1e-7), M_dual, lnW
-    return mutant
-
-
 def _one_entry_off(f):
     def mutant(ideal):
         M = f(ideal).copy()
@@ -78,13 +71,12 @@ MUTANTS = {
     "upper_incomplete_gamma": ("klf", ["h-translation", "h-vs-eta"], [
         (zeta, "upper_incomplete_gamma",
          _scaled(zeta.upper_incomplete_gamma))]),
-    # the theta split's rescaling to one covolume, with the lattice scaled
-    # by lam (1 + 1e-7) and its dual left at M_dual/lam: the expansion
-    # (through xi) against the lattice route of the dual.  The fourier
-    # suite's two checks against the expansion fail under it too, and so
-    # do klf's h-translation, h-inversion and h-vs-eta
-    "_balanced": ("fe", ["functional-equation"], [
-        (zeta, "_balanced", _lattice_scaled(zeta._balanced))]),
+    # the theta split's rescaling to covolume 1, scaled by 1 + 1e-7: both
+    # halves then sum a lattice of covolume (1 + 1e-7)^d, which the dual's
+    # half takes for its dual.  The expansion (through xi) against the
+    # lattice route of the dual
+    "_unit_covolume": ("fe", ["functional-equation"], [
+        (zeta, "_unit_covolume", _scaled(zeta._unit_covolume))]),
     # the continued fraction's loop for few arguments alone: at x = 2.2 the
     # recurrence takes Gamma(s, x) from it and Gamma(s + 1, x) from the
     # series; erfc's closed form takes it at x = 5 and 30
@@ -173,16 +165,18 @@ MUTANTS = {
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the xi caches, the lattice points ball_points keeps and the
-    character tables of dirichlet_l before the mutation, so that nothing
-    cached earlier hides it, and after, so that nothing computed under it
-    stays."""
+    """Clear the xi caches, the lattice points ball_points keeps, the
+    character tables of dirichlet_l and the evaluators' field and ideal
+    data before the mutation, so that nothing cached earlier hides it, and
+    after, so that nothing computed under it stays."""
     def clear():
         zeta.completed_zeta.cache_clear()
         zeta.CompletedZeta.value.cache_clear()
         zeta.CompletedZeta.laurent_ct.cache_clear()
         lattice._BALLS.clear()
         zeta._character_table.cache_clear()
+        eisenstein._field_data.cache_clear()
+        eisenstein._generator_ratio.cache_clear()
 
     clear()
     yield

@@ -182,7 +182,7 @@ def test_verify_theta_suite(capsys, tmp_path):
                              "--seed", "7", "--out", str(out_file))
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 40
+    assert len(reports) == 60
     for r in reports:
         assert set(r) == {"command", "field", "parameters", "lhs", "rhs",
                           "absError", "tolerance", "pass", "wallTimeMs"}

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, kv
 
-from heckeis import eisenstein, lattice, numerics, verify
+from heckeis import basefield, eisenstein, lattice, numerics, verify, zeta
 from heckeis.basefield import FracIdeal, QuadElement, make_field
 from heckeis.dalgebra import DNumber
 from heckeis.eisenstein import EisensteinEvaluator
@@ -281,6 +281,30 @@ def test_functional_equation_at_covolume_200_meets_tol():
     lhs = EisensteinEvaluator(lat).ehat_expansion(2.5, 1e-11)
     rhs = EisensteinEvaluator(lat.dual()).ehat_lattice(1 - 2.5, 1e-11)
     assert abs(lhs - rhs) <= 1e-11
+
+
+def test_lattice_route_builds_no_dual(monkeypatch):
+    # ehat_lattice, ct_lattice and xi sum the lattice rescaled to covolume
+    # 1, whose dual is a turned copy of it: none of them builds the dual
+    # lattice or the dual ideal
+    evs = [EisensteinEvaluator(lat_q(0.3, 1.1, a=2, b=3)),
+           EisensteinEvaluator(lat_quat(Fi, 0.3 + 0.2j, 1.1 - 0.4j))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a dual")
+
+    monkeypatch.setattr(OFLattice, "dual", forbidden)
+    for module in (basefield, eisenstein, zeta):
+        monkeypatch.setattr(module, "dual_ideal", forbidden, raising=False)
+    for ev in evs:
+        ev.ehat_lattice(0.3 + 0.5j, 1e-10)
+        ev.ct_lattice(1e-10)
+    for F, ideal in [(Q, FracIdeal(Q, gen=Fraction(3, 2))),
+                     (Fi, FracIdeal(Fi, gen=QuadElement(Fi, Fraction(1),
+                                                        Fraction(1))))]:
+        xi = zeta.CompletedZeta(F, ideal)
+        xi.value(0.3 + 0.5j, 1e-10)
+        xi.laurent_ct(1e-10)
 
 
 def test_functional_equation_check_op():

@@ -89,6 +89,22 @@ def test_basis_matrix_coordinates():
             lat.form_matrix(), np.linalg.inv(M).T))
 
 
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+def test_a_z_basis_must_span_an_of_module(d):
+    # over an imaginary field a Z-basis that omega does not map into its
+    # span raises: the lattice route takes the dual at covolume 1 for a
+    # turned copy of the lattice, which holds for O_F-lattices alone.
+    # a z + b (omega on the left), its dual (omega on the right) and a z + b
+    # times a quaternion on the right all build, and so do their duals
+    F = make_field(d)
+    with pytest.raises(DegenerateLatticeError, match="O_F-module"):
+        OFLattice(F, z_basis=np.diag([1.0, 2.0, 1.0, 1.0]))
+    lat = lat_quat(F, 0.2 + 0.3j, 0.9 - 0.1j)
+    turn = mul_matrix(lambda l: l @ _quaternion_matrix(1 + 1j, 0.5 - 0.2j), 4)
+    for M in (lat.M, lat.dual().M, turn @ lat.M):
+        OFLattice(F, z_basis=M).dual()
+
+
 def test_degenerate_rejected():
     with pytest.raises(DegenerateLatticeError):
         lat_q(0.5, 0.0)

@@ -61,7 +61,8 @@ def test_only_dalgebra_constructs_z():
 # the Dirichlet-series oracles of zeta.py, and the theta route they check
 ORACLES = {"hurwitz_zeta", "riemann_zeta", "dirichlet_l", "zeta_K",
            "class_number", "kronecker_symbol"}
-THETA_ROUTE = {"theta_split", "_theta_sums", "gamma_lattice_sum"}
+THETA_ROUTE = {"theta_split", "theta_split_ct", "_theta_sums",
+               "_unit_covolume", "gamma_lattice_sum", "_tail_cutoff"}
 
 
 def _top_level(module):

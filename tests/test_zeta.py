@@ -378,39 +378,38 @@ def _psi_case():
 
 @pytest.mark.parametrize("case", [_phi_case, _phi_q_case, _psi_case])
 def test_gamma_lattice_sum_evaluates_each_parameter_once(case, monkeypatch):
-    seen, sums = [], []
+    seen, sums = {}, []
     gamma = zeta.upper_incomplete_gamma
     lattice_sum, enumerate_ = zeta.gamma_lattice_sum, zeta.ball_points
 
     def counted(nu, x, tol):
-        seen.extend(np.ravel(x))
+        seen.setdefault(nu, []).extend(np.ravel(x))
         return gamma(nu, x, tol=tol)
 
-    def recorded(nu, M, c, *rest):
-        sums.append((M, c, []))
-        return lattice_sum(nu, M, c, *rest)
+    def recorded(nus, M, c, *rest):
+        sums.append((nus, M, c, []))
+        return lattice_sum(nus, M, c, *rest)
 
     def enumerated(M, r, *args, **kwargs):
-        sums[-1][2].append(r)
+        sums[-1][3].append(r)
         return enumerate_(M, r, *args, **kwargs)
 
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
     monkeypatch.setattr(zeta, "gamma_lattice_sum", recorded)
     monkeypatch.setattr(zeta, "ball_points", enumerated)
     case()()
-    # the value is two sums (the lattice and its dual); each enumerates
-    # once, in one ball_points call, and evaluates every parameter up to
-    # its cutoff exactly once
-    assert len(sums) == 2
-    want = []
-    for M, c, radii in sums:
-        assert len(radii) == 1
-        xs = c * np.concatenate([np.zeros(0), *enumerate_(M, radii[0])])
-        assert xs.size and xs.max() <= c * radii[0] ** 2 * (1 + 1e-12)
-        want.append(xs)
-    want = np.sort(np.concatenate(want))
-    assert len(seen) == want.size
-    np.testing.assert_allclose(np.sort(seen), want, rtol=1e-13)
+    # the value is one sum of both halves over the lattice at covolume 1,
+    # whose dual is a turned copy of it: it enumerates once, in one
+    # ball_points call, and evaluates every parameter up to its cutoff
+    # exactly once for each of its two orders
+    assert len(sums) == 1
+    (nus, M, c, radii), = sums
+    assert len(nus) == 2 and len(radii) == 1
+    xs = c * np.concatenate([np.zeros(0), *enumerate_(M, radii[0])])
+    assert xs.size and xs.max() <= c * radii[0] ** 2 * (1 + 1e-12)
+    assert set(seen) == set(nus)
+    for nu in nus:
+        np.testing.assert_allclose(np.sort(seen[nu]), np.sort(xs), rtol=1e-13)
 
 
 def test_lattice_route_at_covolume_9e4_lists_few_arguments(monkeypatch):
@@ -440,7 +439,7 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
     enumerate_ = zeta.ball_points
 
     def counted(nu, x, tol):
-        calls.append(np.array(x))
+        calls.append((nu, np.array(x)))
         return gamma(nu, x, tol=tol)
 
     def arrays(*args, **kwargs):
@@ -448,18 +447,22 @@ def test_gamma_lattice_sum_calls_gamma_once_per_array(monkeypatch):
             yielded.append(math.pi * r2)
             yield r2
 
-    # the parameters pi m^2 of Z come one array per point
+    # the parameters pi m^2 of Z come one array per point, each taken by
+    # both orders in turn
     monkeypatch.setattr(lattice, "_CHUNK_POINTS", 1)
     lattice._BALLS.clear()
     monkeypatch.setattr(zeta, "upper_incomplete_gamma", counted)
     monkeypatch.setattr(zeta, "ball_points", arrays)
-    got = gamma_lattice_sum(-1.5 + 0.4j, np.eye(1), math.pi, 1e-10, 1.0)
-    assert len(calls) == len(yielded) >= 2
-    for x, xs in zip(calls, yielded):
-        np.testing.assert_array_equal(x, xs)
+    nus = (-1.5 + 0.4j, 2.5 - 0.4j)
+    got = gamma_lattice_sum(nus, np.eye(1), math.pi, 1e-10, 1.0)
+    assert len(calls) == 2 * len(yielded) >= 4
+    for k, (nu, x) in enumerate(calls):
+        assert nu == nus[k % 2]
+        np.testing.assert_array_equal(x, yielded[k // 2])
     ks = np.concatenate(yielded)
-    want = sum(k ** (1.5 - 0.4j) * gamma(-1.5 + 0.4j, k) for k in ks)
-    assert abs(got - want) < 1e-13 * abs(want)
+    for nu, value in zip(nus, got):
+        want = sum(k ** -nu * gamma(nu, k) for k in ks)
+        assert abs(value - want) < 1e-13 * abs(want)
 
 
 def test_gamma_lattice_sum_reports_how_far_it_got(monkeypatch):
@@ -477,7 +480,7 @@ def test_gamma_lattice_sum_reports_how_far_it_got(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapError) as info:
-            gamma_lattice_sum(1.0, M, c, 1e-10, 1e300)
+            gamma_lattice_sum((1.0,), M, c, 1e-10, 1e300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -649,13 +652,13 @@ PINNED_XI = [
     (F3, FracIdeal.unit_ideal(F3), -0.6 + 0.2j,
      1.012766004457627 + 0.441607676526364j)]
 PINNED_LATTICE = [
-    (Q, 1, 0.3, 1.7, -0.7726613769737103 + 0.3947537606859087j,
-     0.6830433276967953, -0.35211469424187275),
-    (Fi, 1, 0.3 + 0.2j, 0.8 + 0.4j, -1.1473944987228148 + 0.614098479672778j,
-     1.1923271173599912, -0.4718558444747749),
+    (Q, 1, 0.3, 1.7, -0.7726613769737103 + 0.3947537606859084j,
+     0.6830433276967954, -0.3521146942418727),
+    (Fi, 1, 0.3 + 0.2j, 0.8 + 0.4j, -1.1473944987227338 + 0.6140984796727779j,
+     1.1923271173600716, -0.4718558444747077),
     (F3, 2, -0.1 + 0.4j, 1.1 - 0.3j,
-     0.4837563509343513 + 0.249959852698995j, 3.7949686377205976,
-     1.3639340896104053)]
+     0.48375635093440017 + 0.2499598526989949j, 3.7949686377206384,
+     1.3639340896104382)]
 
 
 def test_theta_split_values_are_pinned():
